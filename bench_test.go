@@ -135,14 +135,14 @@ func TestTableIShape(t *testing.T) {
 // driveJSONWorkload sends interactive step requests with full state
 // payloads — the web client's request pattern.
 func driveJSONWorkload(tb testing.TB, ts *httptest.Server, n int) {
-	body, _ := json.Marshal(&server.SimulateRequest{
+	body, _ := json.Marshal(&api.SimulateRequest{
 		Code:         loadgen.ProgramB,
 		Steps:        40,
 		IncludeState: true,
 		IncludeLog:   true,
 	})
 	for i := 0; i < n; i++ {
-		resp, err := http.Post(ts.URL+"/simulate", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+api.V1Prefix+"/simulate", "application/json", bytes.NewReader(body))
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -394,105 +394,6 @@ func TestBatchFasterThanSequential(t *testing.T) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// E2c — per-codec JSON share: the pooled codec's reduction is visible in
-// /api/v1/metrics
-// ---------------------------------------------------------------------------
-
-// driveCodecWorkload is driveJSONWorkload pinned to one codec.
-func driveCodecWorkload(tb testing.TB, ts *httptest.Server, codec string, n int) {
-	body, _ := json.Marshal(&api.SimulateRequest{
-		Code:         loadgen.ProgramB,
-		Steps:        40,
-		IncludeState: true,
-		IncludeLog:   true,
-	})
-	mt := api.MediaTypeJSON + "; " + api.CodecParam + "=" + codec
-	for i := 0; i < n; i++ {
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/api/v1/simulate", bytes.NewReader(body))
-		req.Header.Set("Content-Type", mt)
-		req.Header.Set("Accept", mt)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			tb.Fatalf("codec %s workload request failed: %d", codec, resp.StatusCode)
-		}
-	}
-}
-
-func BenchmarkCodecShare(b *testing.B) {
-	for _, codec := range []string{"json", "pooled"} {
-		b.Run(codec, func(b *testing.B) {
-			srv := server.New(server.DefaultOptions())
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			srv.ResetMetrics()
-			b.ResetTimer()
-			driveCodecWorkload(b, ts, codec, b.N)
-			b.StopTimer()
-			m := srv.Metrics()
-			cm := m.Codecs[codec]
-			b.ReportMetric(100*cm.Share, "codec-share-%")
-			b.ReportMetric(100*m.JSONShare, "json-share-%")
-		})
-	}
-}
-
-// TestPerCodecShareMeasured: /api/v1/metrics must attribute JSON time to
-// the codec that spent it, so a codec swap is a measured change rather
-// than a guess.
-func TestPerCodecShareMeasured(t *testing.T) {
-	srv := server.New(server.DefaultOptions())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	srv.ResetMetrics()
-	driveCodecWorkload(t, ts, "json", 20)
-	driveCodecWorkload(t, ts, "pooled", 20)
-	m := srv.Metrics()
-	j, p := m.Codecs["json"], m.Codecs["pooled"]
-	t.Logf("codec shares over the same workload: json %.1f%%, pooled %.1f%% (aggregate %.1f%%)",
-		100*j.Share, 100*p.Share, 100*m.JSONShare)
-	if j.EncodeNanos == 0 || j.DecodeNanos == 0 || p.EncodeNanos == 0 || p.DecodeNanos == 0 {
-		t.Errorf("per-codec accounting incomplete: json=%+v pooled=%+v", j, p)
-	}
-	if j.Share <= 0 || p.Share <= 0 {
-		t.Errorf("shares not computed: json=%v pooled=%v", j.Share, p.Share)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// E3 — gzip effect (§IV-A: "+40% throughput")
-// ---------------------------------------------------------------------------
-
-func benchGzip(b *testing.B, gz bool) {
-	srv := server.New(server.Options{DisableGzip: !gz})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	sc := loadgen.Scenario{
-		Users: 16, StepsPerUser: 6, StepSize: 2,
-		RampUp: 4 * time.Millisecond, ThinkTime: time.Millisecond,
-		Gzip: gz, Programs: []string{loadgen.ProgramA, loadgen.ProgramB},
-	}
-	var last *loadgen.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := loadgen.Run(ts.URL, sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.StopTimer()
-	b.ReportMetric(last.Throughput, "trans/s")
-	b.ReportMetric(float64(last.Median.Microseconds())/1000, "median-ms")
-}
-
-func BenchmarkGzipOn(b *testing.B)  { benchGzip(b, true) }
-func BenchmarkGzipOff(b *testing.B) { benchGzip(b, false) }
-
 // TestGzipCompressionRatio verifies the mechanism behind the paper's
 // +40% throughput: state responses compress dramatically, so gzip trades
 // cheap CPU for a large wire-size reduction (the win is proportionally
@@ -501,12 +402,12 @@ func TestGzipCompressionRatio(t *testing.T) {
 	srv := server.New(server.DefaultOptions())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	body, _ := json.Marshal(&server.SimulateRequest{
+	body, _ := json.Marshal(&api.SimulateRequest{
 		Code: loadgen.ProgramB, Steps: 40, IncludeState: true,
 	})
 
 	measure := func(acceptGzip bool) int {
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/simulate", bytes.NewReader(body))
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+api.V1Prefix+"/simulate", bytes.NewReader(body))
 		if acceptGzip {
 			req.Header.Set("Accept-Encoding", "gzip")
 		}
@@ -624,10 +525,6 @@ func BenchmarkSimTraceCommitOnly(b *testing.B) {
 	}
 	benchSimKernel(b, sim.NewTraceRing(4096, f), true)
 }
-
-// BenchmarkSimulationRun is the historical name for the untraced core
-// speed benchmark; kept so longitudinal bench logs stay comparable.
-func BenchmarkSimulationRun(b *testing.B) { benchSimKernel(b, nil, false) }
 
 // BenchmarkStep is the single-cycle micro-benchmark behind the
 // allocation gate: steady-state Step() must stay at 0 allocs/op (run

@@ -74,7 +74,7 @@ func main() {
 		fmt.Printf("docker shim enabled: delay=%v parallelism=%d\n", *proxyDelay, *parallelism)
 	}
 
-	fmt.Printf("simulation server listening on %s (gzip=%v, API /api/v1, legacy aliases deprecated)\n",
+	fmt.Printf("simulation server listening on %s (gzip=%v, API /api/v1)\n",
 		*addr, !*noGzip)
 	s := &http.Server{
 		Addr:              *addr,

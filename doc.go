@@ -13,12 +13,10 @@
 //
 // The simulation server speaks a versioned JSON protocol under /api/v1
 // (docs/api.md): typed request/response documents and a machine-readable
-// error envelope defined in riscvsim/internal/api, pluggable codecs
-// negotiated via Accept/Content-Type ("codec=pooled" selects the
-// pooled-buffer streaming codec), POST /api/v1/batch for fanning
-// independent simulations across a worker pool, and
+// error envelope defined in riscvsim/internal/api, POST /api/v1/batch
+// for fanning independent simulations across a worker pool, and
 // POST /api/v1/session/stream for NDJSON push-streams of a running
-// simulation. The pre-v1 flat paths remain as deprecated aliases.
+// simulation. /api/v1 is the only URL space.
 //
 // Correctness of the two execution semantics (the specialized fast path
 // and the postfix expression interpreter) is guarded by a co-simulation

@@ -5,67 +5,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"mime"
 	"sync"
 )
-
-// A Codec serializes protocol documents. The paper measures JSON handling
-// at ~60% of request time (§IV-A); making the codec an explicit, swappable
-// component turns that share into something that can be measured per
-// implementation (see /api/v1/metrics) and replaced without touching
-// handlers.
-type Codec interface {
-	// Name identifies the codec in negotiation and metrics ("json",
-	// "pooled").
-	Name() string
-	// ContentType is the media type the codec produces.
-	ContentType() string
-	// Encode writes v to w.
-	Encode(w io.Writer, v any) error
-	// Decode reads one document from r into v.
-	Decode(r io.Reader, v any) error
-}
 
 // Media types of the v1 protocol.
 const (
 	MediaTypeJSON   = "application/json"
 	MediaTypeNDJSON = "application/x-ndjson"
-	// CodecParam is the media-type parameter selecting a codec, e.g.
-	// "application/json; codec=pooled".
-	CodecParam = "codec"
 )
 
 // ---------------------------------------------------------------------------
-// json codec: the baseline encoding/json path (whole-document Marshal).
-// ---------------------------------------------------------------------------
-
-type jsonCodec struct{}
-
-func (jsonCodec) Name() string        { return "json" }
-func (jsonCodec) ContentType() string { return MediaTypeJSON }
-
-func (jsonCodec) Encode(w io.Writer, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
-func (jsonCodec) Decode(r io.Reader, v any) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(data, v)
-}
-
-// ---------------------------------------------------------------------------
-// pooled codec: json.Encoder/Decoder over sync.Pool-ed buffers. Encoding
+// The codec: json.Encoder/Decoder over sync.Pool-ed buffers. Encoding
 // streams into a recycled buffer instead of allocating a fresh document
-// slice per response; decoding streams off the body without the ReadAll
-// copy. Same wire format as the json codec — only the cost differs.
+// slice per response; decoding streams off the body without a ReadAll
+// copy. The paper measures JSON handling at ~60% of request time (§IV-A);
+// the server books the time spent here into the jsonNanos metric.
 // ---------------------------------------------------------------------------
 
 // maxPooledBuffer bounds what goes back in the pool so one huge state
@@ -90,9 +44,11 @@ func PutBuffer(b *bytes.Buffer) {
 
 type pooledCodec struct{}
 
-func (pooledCodec) Name() string        { return "pooled" }
-func (pooledCodec) ContentType() string { return MediaTypeJSON + "; " + CodecParam + "=pooled" }
+// PooledCodec serializes every protocol document the server reads or
+// writes, whatever media-type parameters the client sent.
+var PooledCodec pooledCodec
 
+// Encode writes v to w as one JSON document.
 func (pooledCodec) Encode(w io.Writer, v any) error {
 	if buf, ok := w.(*bytes.Buffer); ok {
 		// Already buffered (the server's response path): stream straight in.
@@ -107,13 +63,14 @@ func (pooledCodec) Encode(w io.Writer, v any) error {
 	return err
 }
 
+// Decode reads exactly one JSON document from r into v.
 func (pooledCodec) Decode(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	// Reject trailing data so both codecs accept exactly the same
-	// bodies (json.Unmarshal fails on anything after the document).
+	// A body is one document: anything but whitespace after it is an
+	// error, as it would be for json.Unmarshal.
 	if t, err := dec.Token(); err != io.EOF {
 		if err != nil {
 			return err
@@ -121,56 +78,4 @@ func (pooledCodec) Decode(r io.Reader, v any) error {
 		return fmt.Errorf("unexpected data after JSON document: %v", t)
 	}
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Registry and negotiation
-// ---------------------------------------------------------------------------
-
-var (
-	// JSONCodec is the baseline encoding/json implementation.
-	JSONCodec Codec = jsonCodec{}
-	// PooledCodec is the pooled-buffer streaming implementation.
-	PooledCodec Codec = pooledCodec{}
-
-	codecs = map[string]Codec{
-		JSONCodec.Name():   JSONCodec,
-		PooledCodec.Name(): PooledCodec,
-	}
-)
-
-// CodecNames lists the registered codec names (for metrics initialisation).
-func CodecNames() []string {
-	return []string{JSONCodec.Name(), PooledCodec.Name()}
-}
-
-// CodecByName resolves a codec by its registered name.
-func CodecByName(name string) (Codec, bool) {
-	c, ok := codecs[name]
-	return c, ok
-}
-
-// codecForMediaType picks the codec requested by a media-type value such
-// as "application/json; codec=pooled". Empty, unparsable, or unknown
-// values fall back to def.
-func codecForMediaType(value string, def Codec) Codec {
-	if value == "" {
-		return def
-	}
-	_, params, err := mime.ParseMediaType(value)
-	if err != nil {
-		return def
-	}
-	if c, ok := codecs[params[CodecParam]]; ok {
-		return c
-	}
-	return def
-}
-
-// Negotiate selects the request codec from Content-Type and the response
-// codec from Accept. The default is the baseline json codec, so legacy
-// clients keep their exact behaviour; v1 clients opt into the pooled
-// codec via "codec=pooled".
-func Negotiate(contentType, accept string) (reqCodec, respCodec Codec) {
-	return codecForMediaType(contentType, JSONCodec), codecForMediaType(accept, JSONCodec)
 }

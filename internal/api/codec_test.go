@@ -2,94 +2,67 @@ package api
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
 
-func TestCodecsRoundTripIdentically(t *testing.T) {
+func TestCodecRoundTrip(t *testing.T) {
 	doc := &SimulateRequest{
 		Code:     "li a0, 1",
 		Steps:    42,
 		MemFills: []MemFill{{Label: "data", Values: []int64{1, 2, 3}}},
 	}
-	for _, c := range []Codec{JSONCodec, PooledCodec} {
-		var buf bytes.Buffer
-		if err := c.Encode(&buf, doc); err != nil {
-			t.Fatalf("%s encode: %v", c.Name(), err)
-		}
-		var back SimulateRequest
-		if err := c.Decode(&buf, &back); err != nil {
-			t.Fatalf("%s decode: %v", c.Name(), err)
-		}
-		if back.Code != doc.Code || back.Steps != doc.Steps || len(back.MemFills) != 1 {
-			t.Errorf("%s round trip mangled the document: %+v", c.Name(), back)
-		}
+	var buf bytes.Buffer
+	if err := PooledCodec.Encode(&buf, doc); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	var back SimulateRequest
+	if err := PooledCodec.Decode(&buf, &back); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if back.Code != doc.Code || back.Steps != doc.Steps || len(back.MemFills) != 1 {
+		t.Errorf("round trip mangled the document: %+v", back)
 	}
 }
 
-func TestCodecsProduceSameWireFormat(t *testing.T) {
+// TestCodecWireFormat pins the wire format to encoding/json's: clients
+// in other languages parse plain JSON documents.
+func TestCodecWireFormat(t *testing.T) {
 	doc := &SimulateResponse{Halted: true, Cycles: 7}
-	var a, b bytes.Buffer
-	if err := JSONCodec.Encode(&a, doc); err != nil {
+	want, err := json.Marshal(doc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := PooledCodec.Encode(&b, doc); err != nil {
+	// An io.Writer that is not a *bytes.Buffer takes the pooled-copy path.
+	var direct bytes.Buffer
+	var copied strings.Builder
+	if err := PooledCodec.Encode(&direct, doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := PooledCodec.Encode(&copied, doc); err != nil {
 		t.Fatal(err)
 	}
 	// json.Encoder appends a newline; the documents must match modulo that.
-	if strings.TrimSpace(a.String()) != strings.TrimSpace(b.String()) {
-		t.Errorf("wire formats differ:\njson:   %s\npooled: %s", a.String(), b.String())
-	}
-}
-
-func TestCodecsRejectTrailingData(t *testing.T) {
-	// Both codecs must accept exactly the same bodies: a document with
-	// trailing garbage is invalid everywhere.
-	for _, c := range []Codec{JSONCodec, PooledCodec} {
-		var v SimulateRequest
-		if err := c.Decode(strings.NewReader(`{"code":"nop"} trailing`), &v); err == nil {
-			t.Errorf("%s accepted trailing garbage", c.Name())
-		}
-		// Trailing whitespace is fine in both.
-		if err := c.Decode(strings.NewReader(`{"code":"nop"}`+"\n \t"), &v); err != nil {
-			t.Errorf("%s rejected trailing whitespace: %v", c.Name(), err)
-		}
-		// A second JSON document is also trailing data.
-		if err := c.Decode(strings.NewReader(`{"code":"a"}{"code":"b"}`), &v); err == nil {
-			t.Errorf("%s accepted a second document", c.Name())
+	for _, got := range []string{direct.String(), copied.String()} {
+		if strings.TrimSpace(got) != string(want) {
+			t.Errorf("wire format differs from encoding/json:\ngot:  %s\nwant: %s", got, want)
 		}
 	}
 }
 
-func TestNegotiate(t *testing.T) {
-	cases := []struct {
-		contentType, accept string
-		wantReq, wantResp   string
-	}{
-		{"", "", "json", "json"},
-		{"application/json", "application/json", "json", "json"},
-		{"application/json; codec=pooled", "application/json", "pooled", "json"},
-		{"application/json", "application/json; codec=pooled", "json", "pooled"},
-		{"application/json; codec=nope", "garbage;;;", "json", "json"},
+func TestCodecRejectsTrailingData(t *testing.T) {
+	var v SimulateRequest
+	if err := PooledCodec.Decode(strings.NewReader(`{"code":"nop"} trailing`), &v); err == nil {
+		t.Error("accepted trailing garbage")
 	}
-	for _, c := range cases {
-		req, resp := Negotiate(c.contentType, c.accept)
-		if req.Name() != c.wantReq || resp.Name() != c.wantResp {
-			t.Errorf("Negotiate(%q, %q) = %s/%s, want %s/%s",
-				c.contentType, c.accept, req.Name(), resp.Name(), c.wantReq, c.wantResp)
-		}
+	// Trailing whitespace is fine.
+	if err := PooledCodec.Decode(strings.NewReader(`{"code":"nop"}`+"\n \t"), &v); err != nil {
+		t.Errorf("rejected trailing whitespace: %v", err)
 	}
-}
-
-func TestCodecByName(t *testing.T) {
-	for _, name := range CodecNames() {
-		c, ok := CodecByName(name)
-		if !ok || c.Name() != name {
-			t.Errorf("CodecByName(%q) = %v, %v", name, c, ok)
-		}
-	}
-	if _, ok := CodecByName("protobuf"); ok {
-		t.Error("unknown codec resolved")
+	// A second JSON document is also trailing data.
+	if err := PooledCodec.Decode(strings.NewReader(`{"code":"a"}{"code":"b"}`), &v); err == nil {
+		t.Error("accepted a second document")
 	}
 }
 

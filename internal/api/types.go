@@ -1,9 +1,8 @@
 // Package api defines the simulator's versioned wire contract (v1): the
 // typed request/response documents served under /api/v1/, the
-// machine-readable error envelope with stable codes, and the Codec
-// abstraction that makes serialization cost a measured, swappable
-// component (the paper profiles JSON handling at ~60% of request time,
-// §IV-A).
+// machine-readable error envelope with stable codes, and the JSON codec
+// whose cost the server measures (the paper profiles JSON handling at
+// ~60% of request time, §IV-A).
 //
 // The package is imported by both the server and the client, so the two
 // sides can never drift: the contract is these Go types. docs/api.md
@@ -422,15 +421,6 @@ type SessionLogResponse struct {
 // Metrics
 // ---------------------------------------------------------------------------
 
-// CodecMetrics is the per-codec serialization accounting: how much of
-// the server's time each codec implementation spent encoding and
-// decoding, so a codec swap shows up as a measured delta.
-type CodecMetrics struct {
-	EncodeNanos uint64  `json:"encodeNanos"`
-	DecodeNanos uint64  `json:"decodeNanos"`
-	Share       float64 `json:"share"` // (enc+dec) / total handling time
-}
-
 // Metrics aggregates the server's self-instrumentation.
 type Metrics struct {
 	Requests       uint64  `json:"requests"`
@@ -439,8 +429,6 @@ type Metrics struct {
 	SimNanos       uint64  `json:"simulationNanos"`
 	JSONShare      float64 `json:"jsonShare"`
 	ActiveSessions int     `json:"activeSessions"`
-	// Codecs breaks JSONNanos down per codec implementation.
-	Codecs map[string]CodecMetrics `json:"codecs,omitempty"`
 	// BatchRequests counts /api/v1/batch calls; BatchSimulations counts
 	// the simulations fanned out by them.
 	BatchRequests    uint64 `json:"batchRequests"`

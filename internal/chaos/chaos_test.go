@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -56,6 +58,32 @@ func TestPlanDeterminism(t *testing.T) {
 		if a.Decide("store.put.err", 1.0) {
 			t.Fatal("disabled plan fired a fault")
 		}
+	}
+}
+
+// TestHealthProbesBypassFaults: the router probes GET /api/v1/health on a
+// wall-clock ticker, so a probe that reached the fault sites would consume
+// net.<replica>.* stream positions at timing-dependent moments and make a
+// -chaos-seed replay depend on probe timing. With every connection set to
+// drop, the probe must still pass through clean.
+func TestHealthProbesBypassFaults(t *testing.T) {
+	plan := NewPlan(Config{Seed: 1, NetDrop: 1})
+	ok := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})
+	ts := httptest.NewServer(faultMiddleware(plan, "sim1", ok))
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + api.V1Prefix + "/health")
+	if err != nil {
+		t.Fatalf("health probe hit an injected fault: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("health probe status %d, want 200", resp.StatusCode)
+	}
+	// The middleware is live: any other path is dropped.
+	if resp, err := http.Get(ts.URL + api.V1Prefix + "/metrics"); err == nil {
+		resp.Body.Close()
+		t.Error("NetDrop=1 did not drop a non-probe request")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"riscvsim/internal/api"
 	"riscvsim/internal/router"
 	"riscvsim/internal/server"
 	"riscvsim/internal/store"
@@ -218,7 +219,7 @@ func (c *Cluster) Close() {
 // would also make fault replay depend on probe timing.
 func faultMiddleware(plan *Plan, name string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/health" || strings.HasPrefix(r.URL.Path, "/admin/") {
+		if r.URL.Path == api.V1Prefix+"/health" || strings.HasPrefix(r.URL.Path, "/admin/") {
 			next.ServeHTTP(w, r)
 			return
 		}

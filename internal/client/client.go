@@ -5,9 +5,9 @@
 // without a network.
 //
 // The client speaks the v1 contract from riscvsim/internal/api: it
-// negotiates the pooled codec, understands the machine-readable error
-// envelope, fans sweeps out through Client.SimulateBatch, and consumes
-// NDJSON streams through Client.Stream.
+// understands the machine-readable error envelope, fans sweeps out
+// through Client.SimulateBatch, and consumes NDJSON streams through
+// Client.Stream.
 package client
 
 import (
@@ -34,7 +34,6 @@ type Client struct {
 	base  string
 	http  *http.Client
 	gzip  bool
-	codec string // codec negotiated via Accept/Content-Type
 	retry RetryPolicy
 }
 
@@ -76,16 +75,11 @@ func New(host string, port int, useGzip bool) *Client {
 func NewForURL(base string, useGzip bool) *Client {
 	tr := &http.Transport{DisableCompression: !useGzip, MaxIdleConnsPerHost: 256}
 	return &Client{
-		base:  base,
-		http:  &http.Client{Transport: tr, Timeout: 120 * time.Second},
-		gzip:  useGzip,
-		codec: api.PooledCodec.Name(),
+		base: base,
+		http: &http.Client{Transport: tr, Timeout: 120 * time.Second},
+		gzip: useGzip,
 	}
 }
-
-// UseCodec selects the server-side codec ("json" or "pooled") the client
-// asks for; unknown names fall back to the server default.
-func (c *Client) UseCodec(name string) { c.codec = name }
 
 // Local builds a client wired directly to an in-process server — the same
 // JSON code path without a real socket.
@@ -94,14 +88,6 @@ func Local(opts server.Options) (*Client, func()) {
 	ts := httptest.NewServer(srv.Handler())
 	c := NewForURL(ts.URL, !opts.DisableGzip)
 	return c, ts.Close
-}
-
-// mediaType is the Content-Type/Accept value carrying codec negotiation.
-func (c *Client) mediaType() string {
-	if c.codec == "" {
-		return api.MediaTypeJSON
-	}
-	return api.MediaTypeJSON + "; " + api.CodecParam + "=" + c.codec
 }
 
 // newRequest builds a POST with the encoded body and protocol headers.
@@ -124,8 +110,8 @@ func (c *Client) newRequest(path string, req any) (*http.Request, error) {
 		hreq.Header.Set("Content-Encoding", "gzip")
 	}
 	hreq.Body = io.NopCloser(rd)
-	hreq.Header.Set("Content-Type", c.mediaType())
-	hreq.Header.Set("Accept", c.mediaType())
+	hreq.Header.Set("Content-Type", api.MediaTypeJSON)
+	hreq.Header.Set("Accept", api.MediaTypeJSON)
 	return hreq, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"riscvsim/internal/api"
 	"riscvsim/internal/server"
 )
 
@@ -15,7 +16,7 @@ addi a0, t0, 2
 func TestLocalClientSimulate(t *testing.T) {
 	c, closeFn := Local(server.DefaultOptions())
 	defer closeFn()
-	resp, err := c.Simulate(&server.SimulateRequest{Code: prog, IncludeState: true})
+	resp, err := c.Simulate(&api.SimulateRequest{Code: prog, IncludeState: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestClientGzipRoundTrip(t *testing.T) {
 	// gzip on both directions through the middleware.
 	c, closeFn := Local(server.DefaultOptions())
 	defer closeFn()
-	resp, err := c.Simulate(&server.SimulateRequest{Code: prog})
+	resp, err := c.Simulate(&api.SimulateRequest{Code: prog})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestClientGzipRoundTrip(t *testing.T) {
 	// And with gzip disabled server-side.
 	c2, close2 := Local(server.Options{DisableGzip: true})
 	defer close2()
-	if _, err := c2.Simulate(&server.SimulateRequest{Code: prog}); err != nil {
+	if _, err := c2.Simulate(&api.SimulateRequest{Code: prog}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -55,7 +56,7 @@ func TestClientGzipRoundTrip(t *testing.T) {
 func TestClientCompile(t *testing.T) {
 	c, closeFn := Local(server.DefaultOptions())
 	defer closeFn()
-	resp, err := c.Compile(&server.CompileRequest{Code: "int main() { return 1; }", Optimize: 1})
+	resp, err := c.Compile(&api.CompileRequest{Code: "int main() { return 1; }", Optimize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +68,8 @@ func TestClientCompile(t *testing.T) {
 func TestClientSessionFlow(t *testing.T) {
 	c, closeFn := Local(server.DefaultOptions())
 	defer closeFn()
-	sess, err := c.NewSession(&server.SessionNewRequest{
-		SimulateRequest: server.SimulateRequest{Code: prog},
+	sess, err := c.NewSession(&api.SessionNewRequest{
+		SimulateRequest: api.SimulateRequest{Code: prog},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +99,7 @@ func TestClientSessionFlow(t *testing.T) {
 func TestClientErrorSurface(t *testing.T) {
 	c, closeFn := Local(server.DefaultOptions())
 	defer closeFn()
-	_, err := c.Simulate(&server.SimulateRequest{Code: "bogus instr\n"})
+	_, err := c.Simulate(&api.SimulateRequest{Code: "bogus instr\n"})
 	if err == nil || !strings.Contains(err.Error(), "unknown instruction") {
 		t.Errorf("err = %v, want the server diagnostic", err)
 	}
@@ -107,7 +108,7 @@ func TestClientErrorSurface(t *testing.T) {
 func TestClientMetrics(t *testing.T) {
 	c, closeFn := Local(server.DefaultOptions())
 	defer closeFn()
-	c.Simulate(&server.SimulateRequest{Code: prog})
+	c.Simulate(&api.SimulateRequest{Code: prog})
 	m, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)

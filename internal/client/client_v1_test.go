@@ -1,7 +1,7 @@
 package client
 
 // Tests of the v1-only client features: batch fan-out, NDJSON streaming,
-// codec selection and the machine-readable error surface.
+// and the machine-readable error surface.
 
 import (
 	"strings"
@@ -84,21 +84,6 @@ func TestClientErrorCarriesStableCode(t *testing.T) {
 	}
 }
 
-func TestClientCodecSelection(t *testing.T) {
-	for _, codec := range []string{"json", "pooled"} {
-		c, closeFn := Local(server.DefaultOptions())
-		c.UseCodec(codec)
-		resp, err := c.Simulate(&api.SimulateRequest{Code: prog, IncludeState: true})
-		closeFn()
-		if err != nil {
-			t.Fatalf("codec %s: %v", codec, err)
-		}
-		if resp.State == nil || resp.Stats.Committed != 2 {
-			t.Errorf("codec %s returned a wrong document: %+v", codec, resp)
-		}
-	}
-}
-
 func TestClientBatchMetricsVisible(t *testing.T) {
 	c, closeFn := Local(server.DefaultOptions())
 	defer closeFn()
@@ -111,8 +96,5 @@ func TestClientBatchMetricsVisible(t *testing.T) {
 	}
 	if m.BatchRequests != 1 || m.BatchSimulations != 2 {
 		t.Errorf("batch metrics: %+v", m)
-	}
-	if len(m.Codecs) == 0 {
-		t.Error("per-codec metrics missing from /api/v1/metrics")
 	}
 }

@@ -55,8 +55,8 @@ type blockPlan struct {
 // execFallback and run through the expression interpreter.
 type ffOp struct {
 	op       execOp
-	rdFloat  bool // destination lives in the float register file
-	rs2Float bool // store payload comes from the float register file
+	rdClass  isa.RegClass // register file of the destination
+	rs2Class isa.RegClass // register file of rs2 (a store payload may be float)
 	halts    bool
 	memWidth uint8
 	flops    uint8
@@ -124,16 +124,16 @@ func (e *ExecEngine) blockAt(pc int) *blockPlan {
 	end := int(e.blockEnd[pc])
 	bp := &blockPlan{start: pc, ops: make([]ffOp, end-pc)}
 	for i := pc; i < end; i++ {
-		bp.ops[i-pc] = ffCompileOp(&e.plans[i], e.prog.Instructions[i])
+		bp.ops[i-pc] = ffCompileOp(&e.plans[i], &e.rplans[i], e.prog.Instructions[i])
 	}
 	e.blocks[pc] = bp
 	return bp
 }
 
 // ffCompileOp fuses one static instruction into a block-plan operation,
-// re-resolving the execPlan's renamed source slots to architectural
-// register indices.
-func ffCompileOp(p *execPlan, in *asm.Instruction) ffOp {
+// re-resolving the execPlan's renamed source slots to the architectural
+// register indices the rename plan already holds for them.
+func ffCompileOp(p *execPlan, rp *renamePlan, in *asm.Instruction) ffOp {
 	d := in.Desc
 	o := ffOp{
 		op: p.op, halts: d.Halts, memWidth: uint8(d.MemWidth),
@@ -144,19 +144,13 @@ func ffCompileOp(p *execPlan, in *asm.Instruction) ffOp {
 		return o
 	}
 	if p.rs1 >= 0 {
-		o.rs1 = int16(in.Op("rs1").Reg)
+		o.rs1 = int16(rp.srcs[p.rs1].reg)
 	}
 	if p.rs2 >= 0 {
-		op := in.Op("rs2")
-		o.rs2 = int16(op.Reg)
-		o.rs2Float = op.Arg.Kind == isa.ArgRegFloat
+		o.rs2, o.rs2Class = int16(rp.srcs[p.rs2].reg), rp.srcs[p.rs2].class
 	}
-	if dst := d.DestArg(); dst != nil {
-		op := in.Op(dst.Name)
-		o.rdFloat = dst.Kind == isa.ArgRegFloat
-		if o.rdFloat || op.Reg != isa.RegZero {
-			o.rd = int16(op.Reg)
-		}
+	if rp.hasDest {
+		o.rd, o.rdClass = int16(rp.destReg), rp.destClass
 	}
 	return o
 }
@@ -258,12 +252,12 @@ func (s *Simulation) ffRunBlock(bp *blockPlan) {
 	}
 }
 
-// ffSpecOp executes one specialized fused operation, mirroring the
-// semantics (and exception stories) of ExecEngine.Execute plus the
-// memory/writeback stages the detailed pipeline would run afterwards.
-// It reports false when the operation faulted.
+// ffSpecOp executes one specialized fused operation: the fast-forward
+// shell around the kernel (alu, branchTaken), plus the memory/writeback
+// stages the detailed pipeline would run after ExecEngine.Execute. It
+// reports false when the operation faulted.
 func (s *Simulation) ffSpecOp(o *ffOp, pc int, next *int) bool {
-	var a, b int32
+	a, b := int32(0), o.imm
 	if o.rs1 >= 0 {
 		a = s.rf.ArchValue(isa.RegInt, int(o.rs1)).Int()
 	}
@@ -272,143 +266,37 @@ func (s *Simulation) ffSpecOp(o *ffOp, pc int, next *int) bool {
 	}
 	switch o.op {
 	case execNop:
-	case execLUI:
-		s.ffSetInt(o, a, b, o.imm<<12)
-	case execAUIPC:
-		s.ffSetInt(o, a, b, o.imm<<12+int32(pc))
+	case execConst:
+		s.ffSetInt(o, a, b, o.imm)
 	case execJAL:
 		s.ffSetInt(o, a, b, int32(pc)+1)
 		*next = int(o.tgt)
 	case execJALR:
 		s.ffSetInt(o, a, b, int32(pc)+1)
-		*next = int(a + o.imm)
-	case execBEQ:
-		if a == b {
-			*next = int(o.tgt)
-		}
-	case execBNE:
-		if a != b {
-			*next = int(o.tgt)
-		}
-	case execBLT:
-		if a < b {
-			*next = int(o.tgt)
-		}
-	case execBGE:
-		if a >= b {
-			*next = int(o.tgt)
-		}
-	case execBLTU:
-		if uint32(a) < uint32(b) {
-			*next = int(o.tgt)
-		}
-	case execBGEU:
-		if uint32(a) >= uint32(b) {
-			*next = int(o.tgt)
-		}
-	case execLoadAddr:
-		addr := int(a + o.imm)
-		if exc := s.ffCheckAddr(o.static.Desc, addr); exc != nil {
+		*next = int(a + b)
+	case execLoadAddr, execStoreAddr:
+		addr := int(a + b)
+		if exc := s.checkAddress(o.static.Desc, addr); exc != nil {
 			s.ffFault(exc, pc)
 			return false
 		}
-		raw, _ := s.mem.ReadRaw(addr, int(o.memWidth))
-		if o.rd >= 0 {
-			cls := isa.RegInt
-			if o.rdFloat {
-				cls = isa.RegFloat
-			}
-			s.rf.SetArchValue(cls, int(o.rd), LoadValue(o.static.Desc, raw))
+		if o.op == execStoreAddr {
+			_ = s.mem.WriteRaw(addr, int(o.memWidth), s.rf.ArchValue(o.rs2Class, int(o.rs2)).Bits())
+		} else if o.rd >= 0 {
+			raw, _ := s.mem.ReadRaw(addr, int(o.memWidth))
+			s.rf.SetArchValue(o.rdClass, int(o.rd), LoadValue(o.static.Desc, raw))
 		}
-	case execStoreAddr:
-		addr := int(a + o.imm)
-		if exc := s.ffCheckAddr(o.static.Desc, addr); exc != nil {
-			s.ffFault(exc, pc)
+	case execBEQ, execBNE, execBLT, execBGE, execBLTU, execBGEU:
+		if branchTaken(o.op, a, b) {
+			*next = int(o.tgt)
+		}
+	default:
+		v, div0 := alu(o.op, a, b)
+		if div0 {
+			s.ffFault(divZeroExc(o.op, a), pc)
 			return false
 		}
-		cls := isa.RegInt
-		if o.rs2Float {
-			cls = isa.RegFloat
-		}
-		_ = s.mem.WriteRaw(addr, int(o.memWidth), s.rf.ArchValue(cls, int(o.rs2)).Bits())
-	case execADDI:
-		s.ffSetInt(o, a, b, a+o.imm)
-	case execSLTI:
-		s.ffSetInt(o, a, b, b2i(a < o.imm))
-	case execSLTIU:
-		s.ffSetInt(o, a, b, b2i(uint32(a) < uint32(o.imm)))
-	case execXORI:
-		s.ffSetInt(o, a, b, a^o.imm)
-	case execORI:
-		s.ffSetInt(o, a, b, a|o.imm)
-	case execANDI:
-		s.ffSetInt(o, a, b, a&o.imm)
-	case execSLLI:
-		s.ffSetInt(o, a, b, int32(uint32(a)<<(uint32(o.imm)&31)))
-	case execSRLI:
-		s.ffSetInt(o, a, b, int32(uint32(a)>>(uint32(o.imm)&31)))
-	case execSRAI:
-		s.ffSetInt(o, a, b, a>>(uint32(o.imm)&31))
-	case execADD:
-		s.ffSetInt(o, a, b, a+b)
-	case execSUB:
-		s.ffSetInt(o, a, b, a-b)
-	case execSLL:
-		s.ffSetInt(o, a, b, int32(uint32(a)<<(uint32(b)&31)))
-	case execSLT:
-		s.ffSetInt(o, a, b, b2i(a < b))
-	case execSLTU:
-		s.ffSetInt(o, a, b, b2i(uint32(a) < uint32(b)))
-	case execXOR:
-		s.ffSetInt(o, a, b, a^b)
-	case execSRL:
-		s.ffSetInt(o, a, b, int32(uint32(a)>>(uint32(b)&31)))
-	case execSRA:
-		s.ffSetInt(o, a, b, a>>(uint32(b)&31))
-	case execOR:
-		s.ffSetInt(o, a, b, a|b)
-	case execAND:
-		s.ffSetInt(o, a, b, a&b)
-	case execMUL:
-		s.ffSetInt(o, a, b, a*b)
-	case execMULH:
-		s.ffSetInt(o, a, b, int32((int64(a)*int64(b))>>32))
-	case execMULHSU:
-		s.ffSetInt(o, a, b, int32((int64(a)*int64(uint64(uint32(b))))>>32))
-	case execMULHU:
-		s.ffSetInt(o, a, b, int32((uint64(uint32(a))*uint64(uint32(b)))>>32))
-	case execDIV:
-		switch {
-		case b == 0:
-			s.ffDivZero(o, pc, "integer division %d / 0", a)
-			return false
-		case a == -1<<31 && b == -1:
-			s.ffSetInt(o, a, b, -1<<31) // RISC-V overflow semantics
-		default:
-			s.ffSetInt(o, a, b, a/b)
-		}
-	case execDIVU:
-		if b == 0 {
-			s.ffDivZero(o, pc, "unsigned division %d / 0", a)
-			return false
-		}
-		s.ffSetInt(o, a, b, int32(uint32(a)/uint32(b)))
-	case execREM:
-		switch {
-		case b == 0:
-			s.ffDivZero(o, pc, "integer remainder %d %% 0", a)
-			return false
-		case a == -1<<31 && b == -1:
-			s.ffSetInt(o, a, b, 0)
-		default:
-			s.ffSetInt(o, a, b, a%b)
-		}
-	case execREMU:
-		if b == 0 {
-			s.ffDivZero(o, pc, "unsigned remainder %d %% 0", a)
-			return false
-		}
-		s.ffSetInt(o, a, b, int32(uint32(a)%uint32(b)))
+		s.ffSetInt(o, a, b, v)
 	}
 	return true
 }
@@ -424,22 +312,6 @@ func (s *Simulation) ffSetInt(o *ffOp, a, b, v int32) {
 	if o.rd >= 0 {
 		s.rf.SetArchValue(isa.RegInt, int(o.rd), expr.NewInt(v))
 	}
-}
-
-// ffCheckAddr mirrors checkAddress: same bounds, same exception text, so
-// a fast-forward run and a detailed run fault with identical stories.
-func (s *Simulation) ffCheckAddr(d *isa.Desc, addr int) *fault.Exception {
-	if addr < 0 || addr+d.MemWidth > s.mem.Size() {
-		return fault.New(fault.InvalidMemoryAccess,
-			"%s accesses %d bytes at address %d outside memory of %d bytes",
-			d.Name, d.MemWidth, addr, s.mem.Size())
-	}
-	return nil
-}
-
-// ffDivZero faults with the interpreter-identical division-by-zero story.
-func (s *Simulation) ffDivZero(o *ffOp, pc int, format string, a int32) {
-	s.ffFault(fault.New(fault.DivisionByZero, format, a), pc)
 }
 
 // ffFault ends the run exactly as a detailed commit would raise the
@@ -480,20 +352,18 @@ func (s *Simulation) ffGenericOp(o *ffOp, pc int) (int, bool) {
 	switch {
 	case desc.IsBranch():
 		next = si.actualTgt
-	case desc.IsLoad():
-		if exc := s.ffCheckAddr(desc, si.effAddr); exc != nil {
+	case desc.IsLoad(), desc.IsStore():
+		if exc := s.checkAddress(desc, si.effAddr); exc != nil {
 			s.ffFault(exc, pc)
 			return 0, false
 		}
-		raw, _ := s.mem.ReadRaw(si.effAddr, desc.MemWidth)
-		si.result = LoadValue(desc, raw)
-		si.resultReady = true
-	case desc.IsStore():
-		if exc := s.ffCheckAddr(desc, si.effAddr); exc != nil {
-			s.ffFault(exc, pc)
-			return 0, false
+		if desc.IsStore() {
+			_ = s.mem.WriteRaw(si.effAddr, desc.MemWidth, si.storeData)
+		} else {
+			raw, _ := s.mem.ReadRaw(si.effAddr, desc.MemWidth)
+			si.result = LoadValue(desc, raw)
+			si.resultReady = true
 		}
-		_ = s.mem.WriteRaw(si.effAddr, desc.MemWidth, si.storeData)
 	}
 	if si.hasDest && !desc.IsStore() {
 		// Mirror writebackDest + commit: an unassigned destination

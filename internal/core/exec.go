@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 
 	"riscvsim/internal/asm"
 	"riscvsim/internal/expr"
@@ -12,47 +13,46 @@ import (
 // Specialized execution engine: at program load every static instruction's
 // semantics are compiled once into an execPlan — a compact opcode plus
 // operands pre-resolved to renamed-source slots and immediate values — so
-// the per-cycle execute path runs a direct type switch on integers instead
-// of walking the generic postfix program through string-keyed environment
-// lookups. Anything outside the specialized RV32IM(+FP memory) subset, or
-// any instruction whose descriptor was altered by a user-loaded ISA, falls
-// back to the expression interpreter, so coverage stays total and the
-// semantics-as-data extensibility of the paper (§III-B) is preserved.
+// the per-cycle execute path dispatches on an integer instead of walking
+// the generic postfix program through string-keyed environment lookups.
 //
-// The fast path is only taken when the descriptor's expression source and
-// argument shapes match the built-in table exactly, and it relies on the
+// RV32IM integer semantics are stated once, in the pure kernel at the top
+// of this file (alu, branchTaken, divZeroExc). The detailed pipeline
+// (ExecEngine.Execute) and the fast-forward block plans
+// (Simulation.ffSpecOp, blockplan.go) are operand-fetch/writeback shells
+// around it. The expression interpreter stays separate on purpose: it is
+// the reference the kernel is checked against
+// (TestExecSpecializedMatchesInterpreter, TestRV32MEdgeCasesAllEngines,
+// internal/fuzz) and the total fallback for everything the kernel does
+// not cover, so the semantics-as-data extensibility of the paper (§III-B)
+// is preserved.
+//
+// Which instructions take the fast path is decided by their *expression
+// source*, not their mnemonic: a user-loaded ISA that names a built-in
+// expression differently specializes, and one that keeps a built-in name
+// but changes the expression falls back. The fast path relies on the
 // core's value invariant: integer-class register values always carry type
 // kInt (every writeback converts to the destination argument's declared
-// type). TestExecSpecializedMatchesInterpreter cross-checks every
-// specialized opcode against the interpreter over randomized operands.
+// type).
 
-// execOp is the specialized opcode of one static instruction.
+// execOp is the specialized opcode of one static instruction. The
+// conditional branches must stay a contiguous range (isCondBranch).
 type execOp uint8
 
 const (
 	execFallback execOp = iota // generic expression interpreter
 	execNop                    // empty semantics (fence, ecall, ebreak)
-	execLUI
-	execAUIPC
+	execConst                  // lui/auipc: the result is a load-time constant
 	execJAL
 	execJALR
+	execLoadAddr  // loads: effective address rs1+imm
+	execStoreAddr // stores: effective address rs1+imm, payload from rs2
 	execBEQ
 	execBNE
 	execBLT
 	execBGE
 	execBLTU
 	execBGEU
-	execLoadAddr  // loads: effective address rs1+imm
-	execStoreAddr // stores: effective address rs1+imm, payload from rs2
-	execADDI
-	execSLTI
-	execSLTIU
-	execXORI
-	execORI
-	execANDI
-	execSLLI
-	execSRLI
-	execSRAI
 	execADD
 	execSUB
 	execSLL
@@ -73,135 +73,235 @@ const (
 	execREMU
 )
 
+func (op execOp) isCondBranch() bool { return op >= execBEQ && op <= execBGEU }
+
+// alu is the one statement of RV32IM register-register integer semantics.
+// Register-immediate forms call it with b = the immediate. div0 reports a
+// division or remainder by zero, which the paper's simulator traps
+// (§III-B) instead of returning the RISC-V all-ones result.
+func alu(op execOp, a, b int32) (v int32, div0 bool) {
+	switch op {
+	case execADD:
+		return a + b, false
+	case execSUB:
+		return a - b, false
+	case execSLL:
+		return int32(uint32(a) << (uint32(b) & 31)), false
+	case execSLT:
+		return b2i(a < b), false
+	case execSLTU:
+		return b2i(uint32(a) < uint32(b)), false
+	case execXOR:
+		return a ^ b, false
+	case execSRL:
+		return int32(uint32(a) >> (uint32(b) & 31)), false
+	case execSRA:
+		return a >> (uint32(b) & 31), false
+	case execOR:
+		return a | b, false
+	case execAND:
+		return a & b, false
+	case execMUL:
+		return a * b, false
+	case execMULH:
+		return int32((int64(a) * int64(b)) >> 32), false
+	case execMULHSU:
+		return int32((int64(a) * int64(uint64(uint32(b)))) >> 32), false
+	case execMULHU:
+		return int32((uint64(uint32(a)) * uint64(uint32(b))) >> 32), false
+	}
+	if b == 0 {
+		return 0, true
+	}
+	overflow := a == math.MinInt32 && b == -1 // RISC-V overflow semantics
+	switch op {
+	case execDIV:
+		if overflow {
+			return math.MinInt32, false
+		}
+		return a / b, false
+	case execDIVU:
+		return int32(uint32(a) / uint32(b)), false
+	case execREM:
+		if overflow {
+			return 0, false
+		}
+		return a % b, false
+	default: // execREMU
+		return int32(uint32(a) % uint32(b)), false
+	}
+}
+
+// branchTaken evaluates a conditional branch predicate.
+func branchTaken(op execOp, a, b int32) bool {
+	switch op {
+	case execBEQ:
+		return a == b
+	case execBNE:
+		return a != b
+	case execBLT:
+		return a < b
+	case execBGE:
+		return a >= b
+	case execBLTU:
+		return uint32(a) < uint32(b)
+	default: // execBGEU
+		return uint32(a) >= uint32(b)
+	}
+}
+
+// divZeroFormats are the interpreter's division-by-zero messages.
+var divZeroFormats = [...]string{
+	execDIV - execDIV:  "integer division %d / 0",
+	execDIVU - execDIV: "unsigned division %d / 0",
+	execREM - execDIV:  "integer remainder %d %% 0",
+	execREMU - execDIV: "unsigned remainder %d %% 0",
+}
+
+// divZeroExc builds the interpreter-identical exception for an alu div0.
+func divZeroExc(op execOp, a int32) *fault.Exception {
+	return fault.New(fault.DivisionByZero, divZeroFormats[op-execDIV], a)
+}
+
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // execPlan is the load-time compilation of one static instruction.
 type execPlan struct {
 	op execOp
 	// rs1/rs2 are slots in si.srcs (the rename order of the descriptor's
-	// source arguments), or -1 when the operand is absent.
+	// source arguments), or -1 when the operand is absent. An absent rs2
+	// makes the immediate the second operand, which is how the
+	// register-immediate forms (addi, slli, ...) share their register
+	// forms' opcodes.
 	rs1 int8
 	rs2 int8
 	// imm is the semantic immediate exactly as the interpreter sees it
-	// (expr.NewInt truncation of the operand value).
+	// (expr.NewInt truncation of the operand value); for execConst it is
+	// the finished result.
 	imm int32
 	// tgt is the absolute PC-relative target (index + untruncated operand
 	// value), matching resolveBranch's arithmetic.
 	tgt int
 }
 
-// specDef is one row of the specialization table: the exact built-in
-// expression source plus the descriptor flags the plan relies on.
+// Names an expression can read; specDef.reads is a set of them.
+const (
+	readRs1 uint8 = 1 << iota
+	readRs2
+	readImm
+	readPC
+)
+
+// specDef is one row of the specialization table: the opcode a built-in
+// expression compiles to and the operands that expression reads, which
+// the instruction must therefore supply.
 type specDef struct {
-	src         string
-	op          execOp
-	conditional bool
-	pcRelative  bool
-	needRs1     bool
-	needRs2     bool
-	halts       bool
-	mem         bool // load/store: float payload/destination allowed
+	op    execOp
+	reads uint8
 }
 
-var specTable = map[string]specDef{
-	"lui":   {src: `\imm 12 << \rd =`, op: execLUI},
-	"auipc": {src: `\imm 12 << \pc + \rd =`, op: execAUIPC},
-	"jal":   {src: `\pc 1 + \rd =`, op: execJAL, pcRelative: true},
-	"jalr":  {src: `\pc 1 + \rd = \rs1 \imm +`, op: execJALR, needRs1: true},
+// aluOperators maps the binary operators of the expression language that
+// the kernel implements to their opcodes. `\rs1 \rs2 OP \rd =` and
+// `\rs1 \imm OP \rd =` both specialize to the operator's opcode.
+var aluOperators = map[string]execOp{
+	"+": execADD, "-": execSUB, "<<": execSLL, "<": execSLT, "<u": execSLTU,
+	"^": execXOR, ">>>": execSRL, ">>": execSRA, "|": execOR, "&": execAND,
+	"*": execMUL, "mulh": execMULH, "mulhsu": execMULHSU, "mulhu": execMULHU,
+	"/": execDIV, "/u": execDIVU, "%": execREM, "%u": execREMU,
+}
 
-	"beq":  {src: `\rs1 \rs2 ==`, op: execBEQ, conditional: true, pcRelative: true, needRs1: true, needRs2: true},
-	"bne":  {src: `\rs1 \rs2 !=`, op: execBNE, conditional: true, pcRelative: true, needRs1: true, needRs2: true},
-	"blt":  {src: `\rs1 \rs2 <`, op: execBLT, conditional: true, pcRelative: true, needRs1: true, needRs2: true},
-	"bge":  {src: `\rs1 \rs2 >=`, op: execBGE, conditional: true, pcRelative: true, needRs1: true, needRs2: true},
-	"bltu": {src: `\rs1 \rs2 <u`, op: execBLTU, conditional: true, pcRelative: true, needRs1: true, needRs2: true},
-	"bgeu": {src: `\rs1 \rs2 >=u`, op: execBGEU, conditional: true, pcRelative: true, needRs1: true, needRs2: true},
+// branchOperators maps the comparison a conditional branch leaves on the
+// stack (`\rs1 \rs2 OP`) to its opcode.
+var branchOperators = map[string]execOp{
+	"==": execBEQ, "!=": execBNE, "<": execBLT, ">=": execBGE, "<u": execBLTU, ">=u": execBGEU,
+}
 
-	"lb":  {src: `\rs1 \imm +`, op: execLoadAddr, needRs1: true, mem: true},
-	"lh":  {src: `\rs1 \imm +`, op: execLoadAddr, needRs1: true, mem: true},
-	"lw":  {src: `\rs1 \imm +`, op: execLoadAddr, needRs1: true, mem: true},
-	"lbu": {src: `\rs1 \imm +`, op: execLoadAddr, needRs1: true, mem: true},
-	"lhu": {src: `\rs1 \imm +`, op: execLoadAddr, needRs1: true, mem: true},
-	"flw": {src: `\rs1 \imm +`, op: execLoadAddr, needRs1: true, mem: true},
-	"fld": {src: `\rs1 \imm +`, op: execLoadAddr, needRs1: true, mem: true},
-	"sb":  {src: `\rs1 \imm +`, op: execStoreAddr, needRs1: true, needRs2: true, mem: true},
-	"sh":  {src: `\rs1 \imm +`, op: execStoreAddr, needRs1: true, needRs2: true, mem: true},
-	"sw":  {src: `\rs1 \imm +`, op: execStoreAddr, needRs1: true, needRs2: true, mem: true},
-	"fsw": {src: `\rs1 \imm +`, op: execStoreAddr, needRs1: true, needRs2: true, mem: true},
-	"fsd": {src: `\rs1 \imm +`, op: execStoreAddr, needRs1: true, needRs2: true, mem: true},
+// specTable is keyed by expression source, so it cannot drift from the
+// mnemonics in internal/isa and needs no row per mnemonic.
+var specTable = buildSpecTable()
 
-	"addi":  {src: `\rs1 \imm + \rd =`, op: execADDI, needRs1: true},
-	"slti":  {src: `\rs1 \imm < \rd =`, op: execSLTI, needRs1: true},
-	"sltiu": {src: `\rs1 \imm <u \rd =`, op: execSLTIU, needRs1: true},
-	"xori":  {src: `\rs1 \imm ^ \rd =`, op: execXORI, needRs1: true},
-	"ori":   {src: `\rs1 \imm | \rd =`, op: execORI, needRs1: true},
-	"andi":  {src: `\rs1 \imm & \rd =`, op: execANDI, needRs1: true},
-	"slli":  {src: `\rs1 \imm << \rd =`, op: execSLLI, needRs1: true},
-	"srli":  {src: `\rs1 \imm >>> \rd =`, op: execSRLI, needRs1: true},
-	"srai":  {src: `\rs1 \imm >> \rd =`, op: execSRAI, needRs1: true},
-
-	"add":  {src: `\rs1 \rs2 + \rd =`, op: execADD, needRs1: true, needRs2: true},
-	"sub":  {src: `\rs1 \rs2 - \rd =`, op: execSUB, needRs1: true, needRs2: true},
-	"sll":  {src: `\rs1 \rs2 << \rd =`, op: execSLL, needRs1: true, needRs2: true},
-	"slt":  {src: `\rs1 \rs2 < \rd =`, op: execSLT, needRs1: true, needRs2: true},
-	"sltu": {src: `\rs1 \rs2 <u \rd =`, op: execSLTU, needRs1: true, needRs2: true},
-	"xor":  {src: `\rs1 \rs2 ^ \rd =`, op: execXOR, needRs1: true, needRs2: true},
-	"srl":  {src: `\rs1 \rs2 >>> \rd =`, op: execSRL, needRs1: true, needRs2: true},
-	"sra":  {src: `\rs1 \rs2 >> \rd =`, op: execSRA, needRs1: true, needRs2: true},
-	"or":   {src: `\rs1 \rs2 | \rd =`, op: execOR, needRs1: true, needRs2: true},
-	"and":  {src: `\rs1 \rs2 & \rd =`, op: execAND, needRs1: true, needRs2: true},
-
-	"mul":    {src: `\rs1 \rs2 * \rd =`, op: execMUL, needRs1: true, needRs2: true},
-	"mulh":   {src: `\rs1 \rs2 mulh \rd =`, op: execMULH, needRs1: true, needRs2: true},
-	"mulhsu": {src: `\rs1 \rs2 mulhsu \rd =`, op: execMULHSU, needRs1: true, needRs2: true},
-	"mulhu":  {src: `\rs1 \rs2 mulhu \rd =`, op: execMULHU, needRs1: true, needRs2: true},
-	"div":    {src: `\rs1 \rs2 / \rd =`, op: execDIV, needRs1: true, needRs2: true},
-	"divu":   {src: `\rs1 \rs2 /u \rd =`, op: execDIVU, needRs1: true, needRs2: true},
-	"rem":    {src: `\rs1 \rs2 % \rd =`, op: execREM, needRs1: true, needRs2: true},
-	"remu":   {src: `\rs1 \rs2 %u \rd =`, op: execREMU, needRs1: true, needRs2: true},
-
-	"fence":  {src: ``, op: execNop},
-	"ecall":  {src: ``, op: execNop, halts: true},
-	"ebreak": {src: ``, op: execNop, halts: true},
+func buildSpecTable() map[string]specDef {
+	table := make(map[string]specDef)
+	add := func(src string, op execOp) {
+		def := specDef{op: op}
+		for i, name := range [...]string{`\rs1`, `\rs2`, `\imm`, `\pc`} {
+			if strings.Contains(src, name) {
+				def.reads |= 1 << i
+			}
+		}
+		table[src] = def
+	}
+	add(``, execNop)
+	add(`\imm 12 << \rd =`, execConst)
+	add(`\imm 12 << \pc + \rd =`, execConst)
+	add(`\pc 1 + \rd =`, execJAL)
+	add(`\pc 1 + \rd = \rs1 \imm +`, execJALR)
+	// Effective address of a load or, on a store descriptor, a store.
+	add(`\rs1 \imm +`, execLoadAddr)
+	for tok, op := range aluOperators {
+		add(`\rs1 \rs2 `+tok+` \rd =`, op)
+		add(`\rs1 \imm `+tok+` \rd =`, op)
+	}
+	for tok, op := range branchOperators {
+		add(`\rs1 \rs2 `+tok, op)
+	}
+	return table
 }
 
 // specializePlan compiles one static instruction, or returns the fallback
-// plan when the descriptor does not match the built-in table exactly.
+// plan when the descriptor's expression is not a built-in one or its
+// classification, flags or argument types are not the ones the shells
+// assume.
 func specializePlan(in *asm.Instruction) execPlan {
 	fallback := execPlan{op: execFallback}
 	d := in.Desc
-	def, ok := specTable[d.Name]
-	if !ok || d.ExprSrc != def.src ||
-		d.Conditional != def.conditional || d.PCRelative != def.pcRelative ||
-		d.Halts != def.halts {
+	def, ok := specTable[d.ExprSrc]
+	if !ok {
+		return fallback
+	}
+	// The pipeline post-processes an executed instruction by its
+	// descriptor's classification and branch flags (completeInstr,
+	// resolveBranch); specialize only when they say what op's shell does.
+	op, typ := def.op, isa.TypeArithmetic
+	switch {
+	case op == execLoadAddr && d.IsStore():
+		op, typ = execStoreAddr, isa.TypeStore
+	case op == execLoadAddr:
+		typ = isa.TypeLoad
+	case op == execJAL || op == execJALR || op.isCondBranch():
+		typ = isa.TypeBranch
+	}
+	if d.Type != typ || d.Conditional != op.isCondBranch() ||
+		d.PCRelative != (typ == isa.TypeBranch && op != execJALR) {
 		return fallback
 	}
 	// Walk the argument list in the exact order renameStep captures
 	// sources, resolving rs1/rs2 to their src slots and verifying the
-	// types the specialized arithmetic assumes.
+	// types the kernel assumes.
 	rs1, rs2 := int8(-1), int8(-1)
 	slot := int8(0)
 	for i := range d.Args {
 		a := &d.Args[i]
+		intReg := a.Kind == isa.ArgRegInt && a.Type == expr.Int
 		switch {
 		case a.WriteBack:
-			// Specialized ALU results are written as kInt; memory
-			// destinations are filled by LoadValue, so any class works.
-			if !def.mem && (a.Kind != isa.ArgRegInt || a.Type != expr.Int) {
+			// Kernel results are written as kInt; a load's destination
+			// is filled by LoadValue, so any class works.
+			if !intReg && typ != isa.TypeLoad {
 				return fallback
 			}
 		case a.Kind == isa.ArgRegInt || a.Kind == isa.ArgRegFloat:
-			switch a.Name {
-			case "rs1":
-				// The address/operand base must be an integer.
-				if a.Kind != isa.ArgRegInt || a.Type != expr.Int {
-					return fallback
-				}
+			switch {
+			case a.Name == "rs1" && intReg:
 				rs1 = slot
-			case "rs2":
+			case a.Name == "rs2" && (intReg || op == execStoreAddr):
 				// A store payload may be a float register (captured as
 				// raw bits); every other rs2 must be an integer.
-				if !(def.mem && def.op == execStoreAddr) &&
-					(a.Kind != isa.ArgRegInt || a.Type != expr.Int) {
-					return fallback
-				}
 				rs2 = slot
 			default:
 				return fallback
@@ -213,13 +313,28 @@ func specializePlan(in *asm.Instruction) execPlan {
 			}
 		}
 	}
-	if (def.needRs1 && rs1 < 0) || (def.needRs2 && rs2 < 0) {
+	imm := in.Op("imm")
+	need := def.reads
+	if op == execStoreAddr {
+		need |= readRs2 // the payload
+	}
+	if (need&readRs1 != 0 && rs1 < 0) || (need&readRs2 != 0 && rs2 < 0) ||
+		(need&readImm != 0 && imm == nil) {
 		return fallback
 	}
-	p := execPlan{op: def.op, rs1: rs1, rs2: rs2}
-	if op := in.Op("imm"); op != nil {
-		p.imm = int32(op.Val)
-		p.tgt = in.Index + int(op.Val)
+	if need&readRs2 == 0 {
+		rs2 = -1 // a register the expression ignores: operand b is the immediate
+	}
+	p := execPlan{op: op, rs1: rs1, rs2: rs2}
+	if imm != nil {
+		p.imm = int32(imm.Val)
+		p.tgt = in.Index + int(imm.Val)
+	}
+	if op == execConst {
+		p.imm <<= 12
+		if def.reads&readPC != 0 {
+			p.imm += int32(in.Index)
+		}
 	}
 	return p
 }
@@ -246,11 +361,12 @@ type ExecEngine struct {
 	blockEnd []int32
 }
 
-// semanticBug, when non-nil, post-processes every specialized ALU result.
-// It exists solely so the co-simulation harness can prove end-to-end that
-// an engine divergence is detected and shrunk (internal/fuzz); the
+// semanticBug, when non-nil, post-processes every specialized result. It
+// exists solely so the co-simulation harness can prove end-to-end that an
+// engine divergence is detected and shrunk (internal/fuzz); the
 // interpreter path never sees it, so any injected bug diverges the two
-// engines. Production runs leave it nil and pay one pointer check.
+// engines. Each shell applies it in one place (the end of Execute,
+// ffSetInt). Production runs leave it nil and pay one pointer check.
 var semanticBug func(op string, a, b, result int32) int32
 
 // SetSemanticBugForTesting installs (nil clears) the specialized-path
@@ -281,9 +397,9 @@ func setResult(si *SimInstr, v int32) {
 	si.resultReady = true
 }
 
-// divZero attaches the interpreter-identical division-by-zero exception.
-func divZero(si *SimInstr, now uint64, format string, a int32) {
-	exc := fault.New(fault.DivisionByZero, format, a)
+// raise attaches an exception generated while executing si; it is
+// reported when si commits (paper §III-B).
+func (si *SimInstr) raise(exc *fault.Exception, now uint64) {
 	exc.Cycle = now
 	exc.PC = si.PC
 	si.Exc = exc
@@ -299,7 +415,7 @@ func (e *ExecEngine) Execute(si *SimInstr, now uint64) {
 		e.executeGeneric(si, now)
 		return
 	}
-	var a, b int32
+	a, b := int32(0), p.imm
 	if p.rs1 >= 0 {
 		a = si.srcs[p.rs1].value.Int()
 	}
@@ -308,120 +424,32 @@ func (e *ExecEngine) Execute(si *SimInstr, now uint64) {
 	}
 	switch p.op {
 	case execNop:
-	case execLUI:
-		setResult(si, p.imm<<12)
-	case execAUIPC:
-		setResult(si, p.imm<<12+int32(si.PC))
+	case execConst:
+		setResult(si, p.imm)
 	case execJAL:
 		setResult(si, int32(si.PC)+1)
 		finishBranch(si, true, p.tgt)
 	case execJALR:
 		setResult(si, int32(si.PC)+1)
-		finishBranch(si, true, int(a+p.imm))
-	case execBEQ:
-		finishBranch(si, a == b, p.tgt)
-	case execBNE:
-		finishBranch(si, a != b, p.tgt)
-	case execBLT:
-		finishBranch(si, a < b, p.tgt)
-	case execBGE:
-		finishBranch(si, a >= b, p.tgt)
-	case execBLTU:
-		finishBranch(si, uint32(a) < uint32(b), p.tgt)
-	case execBGEU:
-		finishBranch(si, uint32(a) >= uint32(b), p.tgt)
+		finishBranch(si, true, int(a+b))
 	case execLoadAddr:
-		si.effAddr = int(a + p.imm)
+		si.effAddr = int(a + b)
 	case execStoreAddr:
-		si.effAddr = int(a + p.imm)
+		si.effAddr = int(a + b)
 		si.storeData = si.srcs[p.rs2].value.Bits()
-	case execADDI:
-		setResult(si, a+p.imm)
-	case execSLTI:
-		setResult(si, b2i(a < p.imm))
-	case execSLTIU:
-		setResult(si, b2i(uint32(a) < uint32(p.imm)))
-	case execXORI:
-		setResult(si, a^p.imm)
-	case execORI:
-		setResult(si, a|p.imm)
-	case execANDI:
-		setResult(si, a&p.imm)
-	case execSLLI:
-		setResult(si, int32(uint32(a)<<(uint32(p.imm)&31)))
-	case execSRLI:
-		setResult(si, int32(uint32(a)>>(uint32(p.imm)&31)))
-	case execSRAI:
-		setResult(si, a>>(uint32(p.imm)&31))
-	case execADD:
-		setResult(si, a+b)
-	case execSUB:
-		setResult(si, a-b)
-	case execSLL:
-		setResult(si, int32(uint32(a)<<(uint32(b)&31)))
-	case execSLT:
-		setResult(si, b2i(a < b))
-	case execSLTU:
-		setResult(si, b2i(uint32(a) < uint32(b)))
-	case execXOR:
-		setResult(si, a^b)
-	case execSRL:
-		setResult(si, int32(uint32(a)>>(uint32(b)&31)))
-	case execSRA:
-		setResult(si, a>>(uint32(b)&31))
-	case execOR:
-		setResult(si, a|b)
-	case execAND:
-		setResult(si, a&b)
-	case execMUL:
-		setResult(si, a*b)
-	case execMULH:
-		setResult(si, int32((int64(a)*int64(b))>>32))
-	case execMULHSU:
-		setResult(si, int32((int64(a)*int64(uint64(uint32(b))))>>32))
-	case execMULHU:
-		setResult(si, int32((uint64(uint32(a))*uint64(uint32(b)))>>32))
-	case execDIV:
-		switch {
-		case b == 0:
-			divZero(si, now, "integer division %d / 0", a)
-		case a == math.MinInt32 && b == -1:
-			setResult(si, math.MinInt32) // RISC-V overflow semantics
-		default:
-			setResult(si, a/b)
+	case execBEQ, execBNE, execBLT, execBGE, execBLTU, execBGEU:
+		finishBranch(si, branchTaken(p.op, a, b), p.tgt)
+	default:
+		v, div0 := alu(p.op, a, b)
+		if div0 {
+			si.raise(divZeroExc(p.op, a), now)
+			return
 		}
-	case execDIVU:
-		if b == 0 {
-			divZero(si, now, "unsigned division %d / 0", a)
-		} else {
-			setResult(si, int32(uint32(a)/uint32(b)))
-		}
-	case execREM:
-		switch {
-		case b == 0:
-			divZero(si, now, "integer remainder %d %% 0", a)
-		case a == math.MinInt32 && b == -1:
-			setResult(si, 0)
-		default:
-			setResult(si, a%b)
-		}
-	case execREMU:
-		if b == 0 {
-			divZero(si, now, "unsigned remainder %d %% 0", a)
-		} else {
-			setResult(si, int32(uint32(a)%uint32(b)))
-		}
+		setResult(si, v)
 	}
 	if semanticBug != nil && si.resultReady {
 		setResult(si, semanticBug(si.Static.Desc.Name, a, b, si.result.Int()))
 	}
-}
-
-func b2i(b bool) int32 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // executeGeneric is the total fallback: the expression interpreter over
@@ -432,13 +460,11 @@ func (e *ExecEngine) executeGeneric(si *SimInstr, now uint64) {
 	res, err := e.ev.Eval(si.Static.Desc.Prog, &e.env)
 	e.env.si = nil
 	if err != nil {
-		if exc, ok := err.(*fault.Exception); ok {
-			exc.Cycle = now
-			exc.PC = si.PC
-			si.Exc = exc
-		} else {
-			si.Exc = &fault.Exception{Kind: fault.InvalidInstruction, Msg: err.Error(), Cycle: now, PC: si.PC}
+		exc, ok := err.(*fault.Exception)
+		if !ok {
+			exc = &fault.Exception{Kind: fault.InvalidInstruction, Msg: err.Error()}
 		}
+		si.raise(exc, now)
 		return
 	}
 	desc := si.Static.Desc

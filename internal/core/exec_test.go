@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"riscvsim/internal/asm"
@@ -19,18 +21,125 @@ import (
 // property test keeps them from drifting).
 // ---------------------------------------------------------------------------
 
-// buildInstr assembles a tiny program around one instance of the mnemonic
-// so the descriptor, operand resolution and plan compilation all go
-// through the production path.
-func buildInstr(t *testing.T, set *isa.Set, src string) *asm.Instruction {
+// leadingNops puts every instruction under test at a non-zero PC, so
+// \pc-relative semantics (auipc, jal, branch targets) are exercised away
+// from the origin.
+const leadingNops = 2
+
+// buildInstr assembles a tiny program around one instance of the
+// instruction so the descriptor, operand resolution and plan compilation
+// all go through the production path.
+func buildInstr(t *testing.T, set *isa.Set, line string) *asm.Instruction {
 	t.Helper()
 	regs := isa.NewRegisterFile()
 	mem := memory.New(memory.Config{Size: 1 << 16, LoadLatency: 1, StoreLatency: 1})
+	src := strings.Repeat("nop\n", leadingNops) + line + strings.Repeat("\nnop", 4)
 	prog, err := asm.Assemble(src, set, regs, mem)
 	if err != nil {
-		t.Fatalf("assembling %q: %v", src, err)
+		t.Fatalf("assembling %q: %v", line, err)
 	}
-	return prog.Instructions[0]
+	return prog.Instructions[leadingNops]
+}
+
+// edgeImms are the immediates every immediate-bearing instruction is
+// assembled with: shift amounts 0 and 31, a negative value (sltiu's
+// unsigned view, sign-extended masks), both 12-bit extremes and a value
+// wider than 12 bits (lui/auipc).
+var edgeImms = []int{0, 31, -1, 13, -2047, 2047, 311}
+
+// asmLines returns assembly lines for one descriptor, derived from its
+// format and argument kinds: one line, or one per edge immediate.
+func asmLines(d *isa.Desc) []string {
+	reg := func(name string) string {
+		names := map[string]string{"rd": "t0", "rs1": "t1", "rs2": "t2", "rs3": "t3"}
+		if a := d.Arg(name); a != nil && a.Kind == isa.ArgRegFloat {
+			return "f" + names[name]
+		}
+		return names[name]
+	}
+	var tmpl string
+	switch d.Format {
+	case isa.FmtNone:
+		return []string{d.Name}
+	case isa.FmtR:
+		return []string{fmt.Sprintf("%s %s, %s, %s", d.Name, reg("rd"), reg("rs1"), reg("rs2"))}
+	case isa.FmtR2:
+		return []string{fmt.Sprintf("%s %s, %s", d.Name, reg("rd"), reg("rs1"))}
+	case isa.FmtR4:
+		return []string{fmt.Sprintf("%s %s, %s, %s, %s", d.Name, reg("rd"), reg("rs1"), reg("rs2"), reg("rs3"))}
+	case isa.FmtBranch:
+		return []string{fmt.Sprintf("%s %s, %s, 2", d.Name, reg("rs1"), reg("rs2"))}
+	case isa.FmtJ:
+		return []string{fmt.Sprintf("%s %s, 3", d.Name, reg("rd"))}
+	case isa.FmtI:
+		tmpl = fmt.Sprintf("%s %s, %s, %%d", d.Name, reg("rd"), reg("rs1"))
+	case isa.FmtU:
+		tmpl = fmt.Sprintf("%s %s, %%d", d.Name, reg("rd"))
+	case isa.FmtLoad:
+		tmpl = fmt.Sprintf("%s %s, %%d(%s)", d.Name, reg("rd"), reg("rs1"))
+	case isa.FmtStore:
+		tmpl = fmt.Sprintf("%s %s, %%d(%s)", d.Name, reg("rs2"), reg("rs1"))
+	}
+	lines := make([]string, len(edgeImms))
+	for i, imm := range edgeImms {
+		lines[i] = fmt.Sprintf(tmpl, imm)
+	}
+	return lines
+}
+
+// specISA is the instruction set the specialization tests iterate: the
+// built-in RV32IMF set (so the mnemonic list is never restated here) plus
+// user-defined descriptors probing the rule that the *expression*, with
+// the flags and argument types the shells assume, decides specialization.
+// It returns the set and, for the user-defined names, whether each must
+// specialize; a built-in must specialize unless it is FP arithmetic.
+func specISA() (*isa.Set, map[string]bool) {
+	set := isa.RV32IMF()
+	intArg := func(name string) isa.ArgDesc {
+		return isa.ArgDesc{Name: name, Kind: isa.ArgRegInt, Type: expr.Int}
+	}
+	rd := isa.ArgDesc{Name: "rd", Kind: isa.ArgRegInt, Type: expr.Int, WriteBack: true}
+	imm := isa.ArgDesc{Name: "imm", Kind: isa.ArgImm, Type: expr.Int}
+	longRs1 := intArg("rs1")
+	longRs1.Type = expr.Long
+	user := []struct {
+		desc isa.Desc
+		spec bool
+	}{
+		// A new name for a built-in expression specializes.
+		{isa.Desc{Name: "myadd", Type: isa.TypeArithmetic, Unit: isa.FX, Format: isa.FmtR,
+			Args: []isa.ArgDesc{rd, intArg("rs1"), intArg("rs2")}, ExprSrc: `\rs1 \rs2 + \rd =`}, true},
+		// So does the immediate form of an operator RV32IM only has in
+		// register form.
+		{isa.Desc{Name: "muli", Type: isa.TypeArithmetic, Unit: isa.FX, Format: isa.FmtI,
+			Args: []isa.ArgDesc{rd, intArg("rs1"), imm}, ExprSrc: `\rs1 \imm * \rd =`}, true},
+		// A built-in expression whose flags, classification or argument
+		// types are not the ones the shells assume falls back.
+		{isa.Desc{Name: "beq.uncond", Type: isa.TypeBranch, Unit: isa.Branch, Format: isa.FmtBranch,
+			Args:    []isa.ArgDesc{intArg("rs1"), intArg("rs2"), {Name: "imm", Kind: isa.ArgLabel, Type: expr.Int}},
+			ExprSrc: `\rs1 \rs2 ==`, PCRelative: true}, false},
+		{isa.Desc{Name: "add.asload", Type: isa.TypeLoad, Unit: isa.FX, Format: isa.FmtR,
+			Args: []isa.ArgDesc{rd, intArg("rs1"), intArg("rs2")}, ExprSrc: `\rs1 \rs2 + \rd =`}, false},
+		{isa.Desc{Name: "add.long", Type: isa.TypeArithmetic, Unit: isa.FX, Format: isa.FmtR,
+			Args: []isa.ArgDesc{rd, longRs1, intArg("rs2")}, ExprSrc: `\rs1 \rs2 + \rd =`}, false},
+		// An expression that reads an operand the instruction lacks.
+		{isa.Desc{Name: "add.nors2", Type: isa.TypeArithmetic, Unit: isa.FX, Format: isa.FmtR2,
+			Args: []isa.ArgDesc{rd, intArg("rs1")}, ExprSrc: `\rs1 \rs2 + \rd =`}, false},
+	}
+	want := make(map[string]bool, len(user))
+	for i := range user {
+		set.Register(&user[i].desc)
+		want[user[i].desc.Name] = user[i].spec
+	}
+	return set, want
+}
+
+// mustSpecialize reports whether d is expected on the fast path.
+func mustSpecialize(d *isa.Desc, user map[string]bool) bool {
+	if spec, ok := user[d.Name]; ok {
+		return spec
+	}
+	return d.Unit != isa.FP
 }
 
 // execCase is one randomized evaluation: captured source values plus
@@ -97,7 +206,7 @@ func compareOutcomes(t *testing.T, name string, c *execCase, fast, slow *SimInst
 }
 
 func TestExecSpecializedMatchesInterpreter(t *testing.T) {
-	set := isa.RV32IMF()
+	set, user := specISA()
 	rng := rand.New(rand.NewSource(42))
 
 	// Edge operands mixed into the random stream.
@@ -109,118 +218,75 @@ func TestExecSpecializedMatchesInterpreter(t *testing.T) {
 		return int32(rng.Uint32())
 	}
 
-	// One source line per specialized mnemonic. Immediates/labels use
-	// in-range values; the interpreter sees the assembled operand either
-	// way, so semantic equivalence over the register operands is what is
-	// being randomized.
-	cases := map[string]string{
-		"lui":    "lui t0, 311",
-		"auipc":  "auipc t0, 17",
-		"jal":    "jal t0, 3\nnop\nnop\nnop\nnop",
-		"jalr":   "jalr t0, t1, 8",
-		"beq":    "beq t0, t1, 2\nnop\nnop",
-		"bne":    "bne t0, t1, 2\nnop\nnop",
-		"blt":    "blt t0, t1, 2\nnop\nnop",
-		"bge":    "bge t0, t1, 2\nnop\nnop",
-		"bltu":   "bltu t0, t1, 2\nnop\nnop",
-		"bgeu":   "bgeu t0, t1, 2\nnop\nnop",
-		"lb":     "lb t0, 4(t1)",
-		"lh":     "lh t0, 4(t1)",
-		"lw":     "lw t0, -4(t1)",
-		"lbu":    "lbu t0, 2(t1)",
-		"lhu":    "lhu t0, 2(t1)",
-		"sb":     "sb t0, 3(t1)",
-		"sh":     "sh t0, 6(t1)",
-		"sw":     "sw t0, -8(t1)",
-		"addi":   "addi t0, t1, -2047",
-		"slti":   "slti t0, t1, -5",
-		"sltiu":  "sltiu t0, t1, 17",
-		"xori":   "xori t0, t1, 255",
-		"ori":    "ori t0, t1, 1365",
-		"andi":   "andi t0, t1, -256",
-		"slli":   "slli t0, t1, 13",
-		"srli":   "srli t0, t1, 13",
-		"srai":   "srai t0, t1, 13",
-		"add":    "add t0, t1, t2",
-		"sub":    "sub t0, t1, t2",
-		"sll":    "sll t0, t1, t2",
-		"slt":    "slt t0, t1, t2",
-		"sltu":   "sltu t0, t1, t2",
-		"xor":    "xor t0, t1, t2",
-		"srl":    "srl t0, t1, t2",
-		"sra":    "sra t0, t1, t2",
-		"or":     "or t0, t1, t2",
-		"and":    "and t0, t1, t2",
-		"mul":    "mul t0, t1, t2",
-		"mulh":   "mulh t0, t1, t2",
-		"mulhsu": "mulhsu t0, t1, t2",
-		"mulhu":  "mulhu t0, t1, t2",
-		"div":    "div t0, t1, t2",
-		"divu":   "divu t0, t1, t2",
-		"rem":    "rem t0, t1, t2",
-		"remu":   "remu t0, t1, t2",
-		"fence":  "fence",
-	}
-
-	for name, src := range cases {
-		t.Run(name, func(t *testing.T) {
-			in := buildInstr(t, set, src)
-			if in.Desc.Name != name {
-				t.Fatalf("assembled %q, want %q", in.Desc.Name, name)
-			}
-			plan := specializePlan(in)
-			if plan.op == execFallback {
-				t.Fatalf("%s did not specialize; the table drifted from the ISA", name)
-			}
-
-			nsrc := 0
-			for i := range in.Desc.Args {
-				a := &in.Desc.Args[i]
-				if !a.WriteBack && (a.Kind == isa.ArgRegInt || a.Kind == isa.ArgRegFloat) {
-					nsrc++
+	for _, d := range set.All() {
+		if !mustSpecialize(d, user) {
+			continue
+		}
+		for _, line := range asmLines(d) {
+			t.Run(line, func(t *testing.T) {
+				in := buildInstr(t, set, line)
+				if in.Desc != d {
+					t.Fatalf("assembled %q, want %q", in.Desc.Name, d.Name)
 				}
-			}
-
-			fastEng := &ExecEngine{plans: []execPlan{}, ev: expr.NewEvaluator()}
-			fastEng.plans = make([]execPlan, in.Index+1)
-			fastEng.plans[in.Index] = plan
-			slowEng := &ExecEngine{plans: make([]execPlan, in.Index+1), ev: expr.NewEvaluator()}
-			// slowEng's plans stay execFallback: the generic interpreter.
-
-			const rounds = 300
-			for round := 0; round < rounds; round++ {
-				c := &execCase{
-					vals:       make([]int32, nsrc),
-					predTaken:  rng.Intn(2) == 0,
-					predTarget: rng.Intn(6),
-					predStall:  rng.Intn(8) == 0,
+				plan := specializePlan(in)
+				if plan.op == execFallback {
+					t.Fatalf("%s did not specialize; the table drifted from the ISA", d.Name)
 				}
-				for i := range c.vals {
-					c.vals[i] = randVal()
+
+				nsrc := 0
+				for i := range d.Args {
+					a := &d.Args[i]
+					if !a.WriteBack && (a.Kind == isa.ArgRegInt || a.Kind == isa.ArgRegFloat) {
+						nsrc++
+					}
 				}
-				now := uint64(rng.Intn(1000) + 1)
-				fast := prepInstr(in, c)
-				slow := prepInstr(in, c)
-				fastEng.Execute(fast, now)
-				slowEng.Execute(slow, now)
-				compareOutcomes(t, name, c, fast, slow)
-			}
-		})
+
+				fastEng := &ExecEngine{plans: make([]execPlan, in.Index+1), ev: expr.NewEvaluator()}
+				fastEng.plans[in.Index] = plan
+				slowEng := &ExecEngine{plans: make([]execPlan, in.Index+1), ev: expr.NewEvaluator()}
+				// slowEng's plans stay execFallback: the generic interpreter.
+
+				const rounds = 300
+				for round := 0; round < rounds; round++ {
+					c := &execCase{
+						vals:       make([]int32, nsrc),
+						predTaken:  rng.Intn(2) == 0,
+						predTarget: rng.Intn(6),
+						predStall:  rng.Intn(8) == 0,
+					}
+					for i := range c.vals {
+						c.vals[i] = randVal()
+					}
+					now := uint64(rng.Intn(1000) + 1)
+					fast := prepInstr(in, c)
+					slow := prepInstr(in, c)
+					fastEng.Execute(fast, now)
+					slowEng.Execute(slow, now)
+					compareOutcomes(t, line, c, fast, slow)
+				}
+			})
+		}
 	}
 }
 
-// TestExecSpecializationCoverage documents which fraction of the default
-// ISA specializes and pins that a user-redefined descriptor falls back.
+// TestExecSpecializationCoverage pins which descriptors specialize: all of
+// RV32IM and the FP loads/stores, user-defined instructions with a
+// built-in expression, and nothing whose expression, flags or argument
+// types differ from what the shells assume.
 func TestExecSpecializationCoverage(t *testing.T) {
-	set := isa.RV32IMF()
+	set, user := specISA()
 	specialized := 0
 	for _, d := range set.All() {
-		if _, ok := specTable[d.Name]; ok {
+		got := specializePlan(buildInstr(t, set, asmLines(d)[0])).op != execFallback
+		if want := mustSpecialize(d, user); got != want {
+			t.Errorf("%s (%q): specialized = %v, want %v", d.Name, d.ExprSrc, got, want)
+		}
+		if got {
 			specialized++
 		}
 	}
 	if specialized < 45 {
-		t.Errorf("only %d descriptors in the specialization table; RV32IM should be fully covered", specialized)
+		t.Errorf("only %d descriptors specialize; RV32IM should be fully covered", specialized)
 	}
 
 	// A descriptor with a built-in name but altered semantics must not

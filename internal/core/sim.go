@@ -559,7 +559,9 @@ func (s *Simulation) completeInstr(si *SimInstr, now uint64) {
 			// memory unit (it stays in the load buffer).
 			si.addrReady = true
 			si.Phase = PhaseMemory
-			s.checkAddress(si, now)
+			if exc := s.checkAddress(desc, si.effAddr); exc != nil {
+				si.raise(exc, now)
+			}
 			if si.Exc.Occurred() {
 				// AGU fault: complete immediately, raise at commit.
 				si.memIssued = true
@@ -567,7 +569,9 @@ func (s *Simulation) completeInstr(si *SimInstr, now uint64) {
 			}
 		case desc.IsStore():
 			si.addrReady = true
-			s.checkAddress(si, now)
+			if exc := s.checkAddress(desc, si.effAddr); exc != nil {
+				si.raise(exc, now)
+			}
 			s.rob.MarkDone(si)
 			si.Phase = PhaseDone
 		default:
@@ -579,17 +583,16 @@ func (s *Simulation) completeInstr(si *SimInstr, now uint64) {
 }
 
 // checkAddress validates a computed effective address against the memory
-// capacity so that accesses to unauthorized addresses raise at the
+// capacity, for the detailed pipeline and fast-forward alike so both fault
+// with the same story. Accesses to unauthorized addresses raise at the
 // instruction's own commit (paper §III-B).
-func (s *Simulation) checkAddress(si *SimInstr, now uint64) {
-	w := si.Static.Desc.MemWidth
-	if si.effAddr < 0 || si.effAddr+w > s.mem.Size() {
-		si.Exc = fault.New(fault.InvalidMemoryAccess,
+func (s *Simulation) checkAddress(d *isa.Desc, addr int) *fault.Exception {
+	if addr < 0 || addr+d.MemWidth > s.mem.Size() {
+		return fault.New(fault.InvalidMemoryAccess,
 			"%s accesses %d bytes at address %d outside memory of %d bytes",
-			si.Static.Desc.Name, w, si.effAddr, s.mem.Size())
-		si.Exc.Cycle = now
-		si.Exc.PC = si.PC
+			d.Name, d.MemWidth, addr, s.mem.Size())
 	}
+	return nil
 }
 
 // writebackDest publishes the computed result to the rename file; faulting

@@ -5,16 +5,14 @@
 // accepts it (gzip raised the paper's measured throughput by 40%, §IV-A).
 //
 // The wire contract — request/response documents, the error envelope with
-// stable codes, and the Codec negotiation — lives in riscvsim/internal/api;
-// this package binds it to HTTP. The pre-v1 flat paths (/simulate,
-// /session/step, ...) remain mounted as deprecated aliases of their v1
-// successors.
+// stable codes, and the JSON codec — lives in riscvsim/internal/api; this
+// package binds it to HTTP. /api/v1 is the only URL space: the pre-v1 flat
+// paths (/simulate, /session/step, ...) are gone and answer 404.
 //
 // The server instruments its own request handling: it records the share of
 // time spent encoding/decoding JSON versus total handling time, which the
-// paper profiles at "about 60% of the request handling time" (§IV-A),
-// broken down per codec implementation; see /api/v1/metrics and the E2
-// bench.
+// paper profiles at "about 60% of the request handling time" (§IV-A); see
+// /api/v1/metrics and the E2 bench.
 package server
 
 import (
@@ -104,12 +102,6 @@ func DefaultOptions() Options {
 	return Options{MaxSessions: 256, MaxBodyBytes: 4 << 20, SessionTTL: 15 * time.Minute}
 }
 
-// codecCounter tracks one codec's encode/decode time.
-type codecCounter struct {
-	enc atomic.Uint64
-	dec atomic.Uint64
-}
-
 // Server is the simulation server.
 type Server struct {
 	opts Options
@@ -129,7 +121,6 @@ type Server struct {
 	suiteRuns    atomic.Uint64
 	streamEvents atomic.Uint64
 	deadlineHits atomic.Uint64
-	codecNs      map[string]*codecCounter // fixed key set; values are atomic
 }
 
 // New builds a server.
@@ -176,24 +167,18 @@ func New(opts Options) *Server {
 		maxQueue = 2 * opts.MaxInFlight
 	}
 	s := &Server{
-		opts:    opts,
-		mux:     http.NewServeMux(),
-		store:   newSessionStore(opts.MaxSessions, ttl, backend, spillTTL, opts.WriteThrough, debugf),
-		adm:     newAdmission(opts.MaxInFlight, maxQueue, opts.QueueTimeout),
-		codecNs: make(map[string]*codecCounter),
-	}
-	for _, name := range api.CodecNames() {
-		s.codecNs[name] = &codecCounter{}
+		opts:  opts,
+		mux:   http.NewServeMux(),
+		store: newSessionStore(opts.MaxSessions, ttl, backend, spillTTL, opts.WriteThrough, debugf),
+		adm:   newAdmission(opts.MaxInFlight, maxQueue, opts.QueueTimeout),
 	}
 	s.routes()
 	return s
 }
 
-// routes mounts the versioned API and the deprecated legacy aliases.
+// routes mounts the versioned API.
 func (s *Server) routes() {
-	// The v1 surface. Method-scoped patterns: mutations are POST,
-	// reads are GET. v1Only marks endpoints born after the versioning
-	// (no pre-v1 path existed).
+	// Method-scoped patterns: mutations are POST, reads are GET.
 	// Simulation-bearing endpoints pass through the admission valve
 	// (s.admitted): they hold an in-flight slot for their whole handler
 	// and get the per-request deadline. Cheap metadata endpoints
@@ -202,46 +187,30 @@ func (s *Server) routes() {
 	routes := []struct {
 		method, path string
 		handler      http.HandlerFunc
-		v1Only       bool
 	}{
-		{http.MethodPost, "/simulate", s.wrap(s.admitted(s.handleSimulate)), false},
-		{http.MethodPost, "/batch", s.wrap(s.admitted(s.handleBatch)), true},
-		{http.MethodPost, "/suite", s.wrap(s.admitted(s.handleSuite)), true},
-		{http.MethodPost, "/compile", s.wrap(s.handleCompile), false},
-		{http.MethodPost, "/parseAsm", s.wrap(s.handleParseAsm), false},
-		{http.MethodPost, "/checkConfig", s.wrap(s.handleCheckConfig), false},
-		{http.MethodGet, "/schema", s.wrap(s.handleSchema), false},
-		{http.MethodGet, "/instructionDescriptions", s.handleInstructionDescriptions, false},
-		{http.MethodPost, "/session/new", s.wrap(s.admitted(s.handleSessionNew)), false},
-		{http.MethodPost, "/session/step", s.wrap(s.admitted(s.handleSessionStep)), false},
-		{http.MethodPost, "/session/goto", s.wrap(s.admitted(s.handleSessionGoto)), false},
-		{http.MethodPost, "/session/close", s.wrap(s.handleSessionClose), false},
-		{http.MethodGet, "/session/render", s.wrap(s.handleSessionRender), false},
-		{http.MethodPost, "/session/stream", s.admitStream(s.handleSessionStream), true},
-		{http.MethodPost, "/session/trace", s.admitStream(s.handleSessionTrace), true},
-		{http.MethodGet, "/session/{id}/log", s.wrap(s.handleSessionLog), true},
-		{http.MethodPost, "/session/checkpoint", s.wrap(s.admitted(s.handleSessionCheckpoint)), true},
-		{http.MethodPost, "/session/restore", s.wrap(s.admitted(s.handleSessionRestore)), true},
-		{http.MethodGet, "/metrics", s.wrap(s.handleMetrics), false},
-		{http.MethodGet, "/health", s.handleHealth, false},
+		{http.MethodPost, "/simulate", s.wrap(s.admitted(s.handleSimulate))},
+		{http.MethodPost, "/batch", s.wrap(s.admitted(s.handleBatch))},
+		{http.MethodPost, "/suite", s.wrap(s.admitted(s.handleSuite))},
+		{http.MethodPost, "/compile", s.wrap(s.handleCompile)},
+		{http.MethodPost, "/parseAsm", s.wrap(s.handleParseAsm)},
+		{http.MethodPost, "/checkConfig", s.wrap(s.handleCheckConfig)},
+		{http.MethodGet, "/schema", s.wrap(s.handleSchema)},
+		{http.MethodGet, "/instructionDescriptions", s.handleInstructionDescriptions},
+		{http.MethodPost, "/session/new", s.wrap(s.admitted(s.handleSessionNew))},
+		{http.MethodPost, "/session/step", s.wrap(s.admitted(s.handleSessionStep))},
+		{http.MethodPost, "/session/goto", s.wrap(s.admitted(s.handleSessionGoto))},
+		{http.MethodPost, "/session/close", s.wrap(s.handleSessionClose)},
+		{http.MethodGet, "/session/render", s.wrap(s.handleSessionRender)},
+		{http.MethodPost, "/session/stream", s.admitStream(s.handleSessionStream)},
+		{http.MethodPost, "/session/trace", s.admitStream(s.handleSessionTrace)},
+		{http.MethodGet, "/session/{id}/log", s.wrap(s.handleSessionLog)},
+		{http.MethodPost, "/session/checkpoint", s.wrap(s.admitted(s.handleSessionCheckpoint))},
+		{http.MethodPost, "/session/restore", s.wrap(s.admitted(s.handleSessionRestore))},
+		{http.MethodGet, "/metrics", s.wrap(s.handleMetrics)},
+		{http.MethodGet, "/health", s.handleHealth},
 	}
 	for _, r := range routes {
 		s.mux.HandleFunc(r.method+" "+api.V1Prefix+r.path, r.handler)
-		if r.v1Only {
-			continue
-		}
-		// Legacy alias: same handler on the flat pre-v1 path,
-		// method-unrestricted as it always was, marked deprecated.
-		s.mux.HandleFunc(r.path, deprecated(api.V1Prefix+r.path, r.handler))
-	}
-}
-
-// deprecated marks a legacy alias response with its v1 successor.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
 	}
 }
 
@@ -294,18 +263,10 @@ func (s *Server) Metrics() api.Metrics {
 		InFlight:         s.adm.inFlight.Load(),
 		Shed:             s.adm.shed.Load(),
 		DeadlineExceeded: s.deadlineHits.Load(),
-		Codecs:           make(map[string]api.CodecMetrics, len(s.codecNs)),
 	}
 	m.SessionsSpilled, m.SessionsRehydrated, m.SessionsLost = s.store.Counters()
 	if m.TotalNanos > 0 {
 		m.JSONShare = float64(m.JSONNanos) / float64(m.TotalNanos)
-	}
-	for name, c := range s.codecNs {
-		cm := api.CodecMetrics{EncodeNanos: c.enc.Load(), DecodeNanos: c.dec.Load()}
-		if m.TotalNanos > 0 {
-			cm.Share = float64(cm.EncodeNanos+cm.DecodeNanos) / float64(m.TotalNanos)
-		}
-		m.Codecs[name] = cm
 	}
 	return m
 }
@@ -321,24 +282,6 @@ func (s *Server) ResetMetrics() {
 	s.suiteReqs.Store(0)
 	s.suiteRuns.Store(0)
 	s.streamEvents.Store(0)
-	for _, c := range s.codecNs {
-		c.enc.Store(0)
-		c.dec.Store(0)
-	}
-}
-
-// addCodecTime books serialization time both into the aggregate jsonNs
-// (the paper's §IV-A metric) and the per-codec breakdown.
-func (s *Server) addCodecTime(name string, d time.Duration, encode bool) {
-	ns := uint64(d)
-	s.jsonNs.Add(ns)
-	if c, ok := s.codecNs[name]; ok {
-		if encode {
-			c.enc.Add(ns)
-		} else {
-			c.dec.Add(ns)
-		}
-	}
 }
 
 // statusForCode maps stable v1 error codes onto HTTP statuses.
@@ -376,18 +319,10 @@ func statusForCode(code string) int {
 // the status from the error's code).
 type handlerFunc func(w http.ResponseWriter, r *http.Request) (any, int, error)
 
-// reqCodecKey carries the negotiated request codec through the request
-// context, so the Accept/Content-Type headers are parsed once per
-// request (in wrap) rather than again in decode.
-type reqCodecKey struct{}
-
-// wrap adds timing instrumentation, codec negotiation and the uniform
-// envelope.
+// wrap adds timing instrumentation and the uniform envelope.
 func (s *Server) wrap(h handlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		reqCodec, respCodec := api.Negotiate(r.Header.Get("Content-Type"), r.Header.Get("Accept"))
-		r = r.WithContext(context.WithValue(r.Context(), reqCodecKey{}, reqCodec))
 		resp, status, err := h(w, r)
 		if err != nil {
 			ae := api.WrapError(api.CodeBadRequest, err)
@@ -404,15 +339,14 @@ func (s *Server) wrap(h handlerFunc) http.HandlerFunc {
 		}
 		buf := api.GetBuffer()
 		jstart := time.Now()
-		merr := respCodec.Encode(buf, resp)
-		s.addCodecTime(respCodec.Name(), time.Since(jstart), true)
+		merr := api.PooledCodec.Encode(buf, resp)
+		s.jsonNs.Add(uint64(time.Since(jstart)))
 		if merr != nil {
 			status = http.StatusInternalServerError
 			buf.Reset()
 			buf.WriteString(`{"error":{"code":"internal","message":"response encoding failed"}}`)
 		}
 		w.Header().Set("Content-Type", api.MediaTypeJSON)
-		w.Header().Set("X-Codec", respCodec.Name())
 		w.WriteHeader(status)
 		w.Write(buf.Bytes())
 		api.PutBuffer(buf)
@@ -504,18 +438,13 @@ func (s *Server) writeError(w http.ResponseWriter, ae *api.Error) {
 	json.NewEncoder(w).Encode(&api.ErrorEnvelope{Err: *ae})
 }
 
-// decode reads a request body through the negotiated codec, enforcing
-// MaxBodyBytes, with instrumentation. The codec comes from the request
-// context when wrap (or the stream handler) already negotiated it.
+// decode reads a request body through the codec, enforcing MaxBodyBytes,
+// with instrumentation.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) *api.Error {
-	reqCodec, ok := r.Context().Value(reqCodecKey{}).(api.Codec)
-	if !ok {
-		reqCodec, _ = api.Negotiate(r.Header.Get("Content-Type"), r.Header.Get("Accept"))
-	}
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	jstart := time.Now()
-	err := reqCodec.Decode(body, into)
-	s.addCodecTime(reqCodec.Name(), time.Since(jstart), false)
+	err := api.PooledCodec.Decode(body, into)
+	s.jsonNs.Add(uint64(time.Since(jstart)))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -830,7 +759,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) (any, int
 func (s *Server) handleInstructionDescriptions(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	data, err := isa.RV32IMF().MarshalJSON()
-	s.addCodecTime(api.JSONCodec.Name(), time.Since(start), true)
+	s.jsonNs.Add(uint64(time.Since(start)))
 	if err != nil {
 		http.Error(w, `{"error":{"code":"internal","message":"encoding instruction set failed"}}`,
 			http.StatusInternalServerError)

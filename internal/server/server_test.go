@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"riscvsim/internal/api"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -45,11 +47,11 @@ add a0, t0, t1
 
 func TestSimulateEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/simulate", &SimulateRequest{Code: tinyProgram})
+	resp, body := postJSON(t, ts.URL+api.V1Prefix+"/simulate", &api.SimulateRequest{Code: tinyProgram})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var sr SimulateResponse
+	var sr api.SimulateResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +65,13 @@ func TestSimulateEndpoint(t *testing.T) {
 
 func TestSimulateFastForward(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/simulate", &SimulateRequest{
+	resp, body := postJSON(t, ts.URL+api.V1Prefix+"/simulate", &api.SimulateRequest{
 		Code: tinyProgram, FastForward: true,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var sr SimulateResponse
+	var sr api.SimulateResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +90,10 @@ func TestSimulateFastForward(t *testing.T) {
 
 func TestSimulateWithStateAndLog(t *testing.T) {
 	_, ts := newTestServer(t)
-	_, body := postJSON(t, ts.URL+"/simulate", &SimulateRequest{
+	_, body := postJSON(t, ts.URL+api.V1Prefix+"/simulate", &api.SimulateRequest{
 		Code: tinyProgram, IncludeState: true, IncludeLog: true,
 	})
-	var sr SimulateResponse
+	var sr api.SimulateResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +110,13 @@ func TestSimulateWithStateAndLog(t *testing.T) {
 
 func TestSimulateCProgram(t *testing.T) {
 	_, ts := newTestServer(t)
-	_, body := postJSON(t, ts.URL+"/simulate", &SimulateRequest{
+	_, body := postJSON(t, ts.URL+api.V1Prefix+"/simulate", &api.SimulateRequest{
 		Code:         "int main() { return 41 + 1; }",
 		Language:     "c",
 		Optimize:     2,
 		IncludeState: true,
 	})
-	var sr SimulateResponse
+	var sr api.SimulateResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +137,11 @@ func TestSimulateCProgram(t *testing.T) {
 
 func TestSimulateWithPresetAndConfig(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, _ := postJSON(t, ts.URL+"/simulate", &SimulateRequest{Code: tinyProgram, Preset: "scalar"})
+	resp, _ := postJSON(t, ts.URL+api.V1Prefix+"/simulate", &api.SimulateRequest{Code: tinyProgram, Preset: "scalar"})
 	if resp.StatusCode != http.StatusOK {
 		t.Error("preset scalar should work")
 	}
-	resp, body := postJSON(t, ts.URL+"/simulate", &SimulateRequest{Code: tinyProgram, Preset: "nope"})
+	resp, body := postJSON(t, ts.URL+api.V1Prefix+"/simulate", &api.SimulateRequest{Code: tinyProgram, Preset: "nope"})
 	if resp.StatusCode == http.StatusOK {
 		t.Errorf("unknown preset should fail: %s", body)
 	}
@@ -147,7 +149,7 @@ func TestSimulateWithPresetAndConfig(t *testing.T) {
 
 func TestSimulateBadProgramReturns422(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/simulate", &SimulateRequest{Code: "frobnicate x1\n"})
+	resp, body := postJSON(t, ts.URL+api.V1Prefix+"/simulate", &api.SimulateRequest{Code: "frobnicate x1\n"})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("status = %d, want 422; body %s", resp.StatusCode, body)
 	}
@@ -166,12 +168,12 @@ add a0, a0, a1
 .data
 data: .zero 16
 `
-	_, body := postJSON(t, ts.URL+"/simulate", &SimulateRequest{
+	_, body := postJSON(t, ts.URL+api.V1Prefix+"/simulate", &api.SimulateRequest{
 		Code:         prog,
-		MemFills:     []MemFill{{Label: "data", Values: []int64{40, 2}}},
+		MemFills:     []api.MemFill{{Label: "data", Values: []int64{40, 2}}},
 		IncludeState: true,
 	})
-	var sr SimulateResponse
+	var sr api.SimulateResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -185,13 +187,13 @@ data: .zero 16
 func TestMemFillValidation(t *testing.T) {
 	_, ts := newTestServer(t)
 	prog := ".data\ndata: .zero 8\n"
-	cases := []MemFill{
+	cases := []api.MemFill{
 		{Label: "nope", Values: []int64{1}},
 		{Label: "data", Values: []int64{1, 2, 3}},        // 12 B > 8 B
 		{Label: "data", Values: []int64{1}, ElemSize: 3}, // bad size
 	}
 	for i, f := range cases {
-		resp, _ := postJSON(t, ts.URL+"/simulate", &SimulateRequest{Code: prog, MemFills: []MemFill{f}})
+		resp, _ := postJSON(t, ts.URL+api.V1Prefix+"/simulate", &api.SimulateRequest{Code: prog, MemFills: []api.MemFill{f}})
 		if resp.StatusCode == http.StatusOK {
 			t.Errorf("case %d should fail", i)
 		}
@@ -200,10 +202,10 @@ func TestMemFillValidation(t *testing.T) {
 
 func TestCompileEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	_, body := postJSON(t, ts.URL+"/compile", &CompileRequest{
+	_, body := postJSON(t, ts.URL+api.V1Prefix+"/compile", &api.CompileRequest{
 		Code: "int main() { return 7; }", Optimize: 1,
 	})
-	var cr CompileResponse
+	var cr api.CompileResponse
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +222,11 @@ func TestCompileEndpoint(t *testing.T) {
 
 func TestCompileErrorsAreData(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/compile", &CompileRequest{Code: "int main() { return x; }"})
+	resp, body := postJSON(t, ts.URL+api.V1Prefix+"/compile", &api.CompileRequest{Code: "int main() { return x; }"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compiler diagnostics should be 200, got %d", resp.StatusCode)
 	}
-	var cr CompileResponse
+	var cr api.CompileResponse
 	json.Unmarshal(body, &cr)
 	if !strings.Contains(cr.Errors, "undeclared") {
 		t.Errorf("diagnostics = %q", cr.Errors)
@@ -233,13 +235,13 @@ func TestCompileErrorsAreData(t *testing.T) {
 
 func TestParseAsmEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	_, body := postJSON(t, ts.URL+"/parseAsm", &ParseAsmRequest{Code: tinyProgram})
-	var pr ParseAsmResponse
+	_, body := postJSON(t, ts.URL+api.V1Prefix+"/parseAsm", &api.ParseAsmRequest{Code: tinyProgram})
+	var pr api.ParseAsmResponse
 	json.Unmarshal(body, &pr)
 	if !pr.OK {
 		t.Errorf("valid asm rejected: %s", pr.Errors)
 	}
-	_, body = postJSON(t, ts.URL+"/parseAsm", &ParseAsmRequest{Code: "bogus\n"})
+	_, body = postJSON(t, ts.URL+api.V1Prefix+"/parseAsm", &api.ParseAsmRequest{Code: "bogus\n"})
 	json.Unmarshal(body, &pr)
 	if pr.OK {
 		t.Error("invalid asm accepted")
@@ -248,7 +250,7 @@ func TestParseAsmEndpoint(t *testing.T) {
 
 func TestSchemaEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/schema")
+	resp, err := http.Get(ts.URL + api.V1Prefix + "/schema")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,10 +267,10 @@ func TestSchemaEndpoint(t *testing.T) {
 func TestSessionLifecycle(t *testing.T) {
 	_, ts := newTestServer(t)
 	// New session.
-	_, body := postJSON(t, ts.URL+"/session/new", &SessionNewRequest{
-		SimulateRequest: SimulateRequest{Code: tinyProgram},
+	_, body := postJSON(t, ts.URL+api.V1Prefix+"/session/new", &api.SessionNewRequest{
+		SimulateRequest: api.SimulateRequest{Code: tinyProgram},
 	})
-	var sn SessionNewResponse
+	var sn api.SessionNewResponse
 	if err := json.Unmarshal(body, &sn); err != nil {
 		t.Fatal(err)
 	}
@@ -276,26 +278,26 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("bad new-session response: %+v", sn)
 	}
 	// Step forward 2 cycles.
-	_, body = postJSON(t, ts.URL+"/session/step", &SessionStepRequest{SessionID: sn.SessionID, Steps: 2})
-	var st SessionStateResponse
+	_, body = postJSON(t, ts.URL+api.V1Prefix+"/session/step", &api.SessionStepRequest{SessionID: sn.SessionID, Steps: 2})
+	var st api.SessionStateResponse
 	json.Unmarshal(body, &st)
 	if st.State.Cycle != 2 {
 		t.Errorf("cycle = %d, want 2", st.State.Cycle)
 	}
 	// Step backward 1 cycle (backward simulation over the API).
-	_, body = postJSON(t, ts.URL+"/session/step", &SessionStepRequest{SessionID: sn.SessionID, Steps: -1})
+	_, body = postJSON(t, ts.URL+api.V1Prefix+"/session/step", &api.SessionStepRequest{SessionID: sn.SessionID, Steps: -1})
 	json.Unmarshal(body, &st)
 	if st.State.Cycle != 1 {
 		t.Errorf("after back-step cycle = %d, want 1", st.State.Cycle)
 	}
 	// Goto an absolute cycle.
-	_, body = postJSON(t, ts.URL+"/session/goto", &SessionGotoRequest{SessionID: sn.SessionID, Cycle: 3})
+	_, body = postJSON(t, ts.URL+api.V1Prefix+"/session/goto", &api.SessionGotoRequest{SessionID: sn.SessionID, Cycle: 3})
 	json.Unmarshal(body, &st)
 	if st.State.Cycle != 3 {
 		t.Errorf("goto cycle = %d, want 3", st.State.Cycle)
 	}
 	// Render the schematic.
-	resp, err := http.Get(ts.URL + "/session/render?session=" + sn.SessionID)
+	resp, err := http.Get(ts.URL + api.V1Prefix + "/session/render?session=" + sn.SessionID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,12 +311,12 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Errorf("schematic missing blocks:\n%s", rr.Schematic)
 	}
 	// Close.
-	resp2, _ := postJSON(t, ts.URL+"/session/close", &SessionCloseRequest{SessionID: sn.SessionID})
+	resp2, _ := postJSON(t, ts.URL+api.V1Prefix+"/session/close", &api.SessionCloseRequest{SessionID: sn.SessionID})
 	if resp2.StatusCode != http.StatusOK {
 		t.Error("close failed")
 	}
 	// Step on a closed session fails.
-	resp3, _ := postJSON(t, ts.URL+"/session/step", &SessionStepRequest{SessionID: sn.SessionID, Steps: 1})
+	resp3, _ := postJSON(t, ts.URL+api.V1Prefix+"/session/step", &api.SessionStepRequest{SessionID: sn.SessionID, Steps: 1})
 	if resp3.StatusCode != http.StatusNotFound {
 		t.Errorf("stepping closed session: status %d, want 404", resp3.StatusCode)
 	}
@@ -326,20 +328,20 @@ func TestSessionEviction(t *testing.T) {
 	defer ts.Close()
 	var ids []string
 	for i := 0; i < 3; i++ {
-		_, body := postJSON(t, ts.URL+"/session/new", &SessionNewRequest{
-			SimulateRequest: SimulateRequest{Code: tinyProgram},
+		_, body := postJSON(t, ts.URL+api.V1Prefix+"/session/new", &api.SessionNewRequest{
+			SimulateRequest: api.SimulateRequest{Code: tinyProgram},
 		})
-		var sn SessionNewResponse
+		var sn api.SessionNewResponse
 		json.Unmarshal(body, &sn)
 		ids = append(ids, sn.SessionID)
 	}
 	// The first session must have been evicted.
-	resp, _ := postJSON(t, ts.URL+"/session/step", &SessionStepRequest{SessionID: ids[0], Steps: 1})
+	resp, _ := postJSON(t, ts.URL+api.V1Prefix+"/session/step", &api.SessionStepRequest{SessionID: ids[0], Steps: 1})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("evicted session should 404, got %d", resp.StatusCode)
 	}
 	// The latest must still work.
-	resp, _ = postJSON(t, ts.URL+"/session/step", &SessionStepRequest{SessionID: ids[2], Steps: 1})
+	resp, _ = postJSON(t, ts.URL+api.V1Prefix+"/session/step", &api.SessionStepRequest{SessionID: ids[2], Steps: 1})
 	if resp.StatusCode != http.StatusOK {
 		t.Error("latest session should survive")
 	}
@@ -347,8 +349,8 @@ func TestSessionEviction(t *testing.T) {
 
 func TestGzipResponses(t *testing.T) {
 	_, ts := newTestServer(t)
-	data, _ := json.Marshal(&SimulateRequest{Code: tinyProgram, IncludeState: true})
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/simulate", bytes.NewReader(data))
+	data, _ := json.Marshal(&api.SimulateRequest{Code: tinyProgram, IncludeState: true})
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+api.V1Prefix+"/simulate", bytes.NewReader(data))
 	req.Header.Set("Accept-Encoding", "gzip")
 	tr := &http.Transport{DisableCompression: true}
 	resp, err := tr.RoundTrip(req)
@@ -367,7 +369,7 @@ func TestGzipResponses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sr SimulateResponse
+	var sr api.SimulateResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatalf("decompressed body is not valid JSON: %v", err)
 	}
@@ -375,12 +377,12 @@ func TestGzipResponses(t *testing.T) {
 
 func TestGzipRequestBodies(t *testing.T) {
 	_, ts := newTestServer(t)
-	data, _ := json.Marshal(&SimulateRequest{Code: tinyProgram})
+	data, _ := json.Marshal(&api.SimulateRequest{Code: tinyProgram})
 	var buf bytes.Buffer
 	gz := gzip.NewWriter(&buf)
 	gz.Write(data)
 	gz.Close()
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/simulate", &buf)
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+api.V1Prefix+"/simulate", &buf)
 	req.Header.Set("Content-Encoding", "gzip")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -397,7 +399,7 @@ func TestMetricsTrackJSONShare(t *testing.T) {
 	srv, ts := newTestServer(t)
 	srv.ResetMetrics()
 	for i := 0; i < 5; i++ {
-		postJSON(t, ts.URL+"/simulate", &SimulateRequest{Code: tinyProgram, IncludeState: true})
+		postJSON(t, ts.URL+api.V1Prefix+"/simulate", &api.SimulateRequest{Code: tinyProgram, IncludeState: true})
 	}
 	m := srv.Metrics()
 	if m.Requests != 5 {
@@ -413,7 +415,7 @@ func TestMetricsTrackJSONShare(t *testing.T) {
 
 func TestBadJSONRejected(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/simulate", "application/json", strings.NewReader("{nope"))
+	resp, err := http.Post(ts.URL+api.V1Prefix+"/simulate", "application/json", strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +427,7 @@ func TestBadJSONRejected(t *testing.T) {
 
 func TestHealthEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/health")
+	resp, err := http.Get(ts.URL + api.V1Prefix + "/health")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +439,7 @@ func TestHealthEndpoint(t *testing.T) {
 
 func TestInstructionDescriptionsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/instructionDescriptions")
+	resp, err := http.Get(ts.URL + api.V1Prefix + "/instructionDescriptions")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,11 +74,15 @@ func (s *Server) handleSessionNew(w http.ResponseWriter, r *http.Request) (any, 
 	if m.SnapshotInterval() == 0 {
 		m.EnableSnapshots(0)
 	}
+	// Snapshot the state before the session is published: with an
+	// assigned ID another request can lock and run the machine the
+	// moment addSession returns.
+	st := m.State(false)
 	id, aerr := s.addSession(m, assigned)
 	if aerr != nil {
 		return nil, 0, aerr
 	}
-	return &api.SessionNewResponse{SessionID: id, State: m.State(false)}, 0, nil
+	return &api.SessionNewResponse{SessionID: id, State: st}, 0, nil
 }
 
 func (s *Server) getSession(id string) (*session, *api.Error) {
@@ -244,11 +248,15 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) (a
 	if m.SnapshotInterval() == 0 {
 		m.EnableSnapshots(0)
 	}
+	// Snapshot the state before the session is published: with an
+	// assigned ID another request can lock and run the machine the
+	// moment addSession returns.
+	st := m.State(false)
 	id, aerr := s.addSession(m, assigned)
 	if aerr != nil {
 		return nil, 0, aerr
 	}
-	return &api.SessionNewResponse{SessionID: id, State: m.State(false)}, 0, nil
+	return &api.SessionNewResponse{SessionID: id, State: st}, 0, nil
 }
 
 func (s *Server) handleSessionRender(w http.ResponseWriter, r *http.Request) (any, int, error) {

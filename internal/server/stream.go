@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"net/http"
 	"time"
 
@@ -17,6 +16,28 @@ const (
 	defaultMaxStreamEvents = 10_000
 )
 
+// writeLine sends v as one NDJSON line (the codec ends every document
+// with a newline), booking the encode time; flush pushes it to the client
+// now. It reports false when encoding or the connection failed.
+func (s *Server) writeLine(w http.ResponseWriter, v any, flush bool) bool {
+	buf := api.GetBuffer()
+	defer api.PutBuffer(buf)
+	jstart := time.Now()
+	err := api.PooledCodec.Encode(buf, v)
+	s.jsonNs.Add(uint64(time.Since(jstart)))
+	if err != nil {
+		return false
+	}
+	if _, err := w.Write(buf.Bytes()); err != nil {
+		return false
+	}
+	if f, ok := w.(http.Flusher); flush && ok {
+		f.Flush()
+	}
+	s.streamEvents.Add(1)
+	return true
+}
+
 // handleSessionStream is the NDJSON streaming endpoint: it builds a
 // machine, then pushes one StreamEvent per step burst — interactive
 // clients watch the run instead of polling /session/step. Each line is
@@ -28,9 +49,6 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 		s.reqCount.Add(1)
 		s.totalNs.Add(uint64(time.Since(start)))
 	}()
-
-	reqCodec, respCodec := api.Negotiate(r.Header.Get("Content-Type"), r.Header.Get("Accept"))
-	r = r.WithContext(context.WithValue(r.Context(), reqCodecKey{}, reqCodec))
 
 	var req api.StreamRequest
 	if aerr := s.decode(w, r, &req); aerr != nil {
@@ -57,33 +75,9 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	w.Header().Set("Content-Type", api.MediaTypeNDJSON)
-	w.Header().Set("X-Codec", respCodec.Name())
 	// Front proxies must not buffer the stream (nginx honours this).
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	writeEvent := func(ev *api.StreamEvent) bool {
-		buf := api.GetBuffer()
-		defer api.PutBuffer(buf)
-		jstart := time.Now()
-		err := respCodec.Encode(buf, ev)
-		s.addCodecTime(respCodec.Name(), time.Since(jstart), true)
-		if err != nil {
-			return false
-		}
-		if b := buf.Bytes(); len(b) == 0 || b[len(b)-1] != '\n' {
-			buf.WriteByte('\n')
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		s.streamEvents.Add(1)
-		return true
-	}
 
 	ctx := r.Context()
 	seq := 0
@@ -114,7 +108,7 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 		if req.IncludeState {
 			ev.State = m.State(false)
 		}
-		if !writeEvent(ev) {
+		if !s.writeLine(w, ev, true) {
 			return
 		}
 		seq++
@@ -131,5 +125,5 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 	if req.IncludeState {
 		final.State = m.State(req.IncludeLog)
 	}
-	writeEvent(final)
+	s.writeLine(w, final, true)
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"net/http"
 	"strconv"
 	"time"
@@ -57,9 +56,6 @@ func (s *Server) handleSessionTrace(w http.ResponseWriter, r *http.Request) {
 		s.reqCount.Add(1)
 		s.totalNs.Add(uint64(time.Since(start)))
 	}()
-
-	reqCodec, respCodec := api.Negotiate(r.Header.Get("Content-Type"), r.Header.Get("Accept"))
-	r = r.WithContext(context.WithValue(r.Context(), reqCodecKey{}, reqCodec))
 
 	var req api.TraceStreamRequest
 	if aerr := s.decode(w, r, &req); aerr != nil {
@@ -117,32 +113,8 @@ func (s *Server) handleSessionTrace(w http.ResponseWriter, r *http.Request) {
 	m.SetTracer(collector)
 
 	w.Header().Set("Content-Type", api.MediaTypeNDJSON)
-	w.Header().Set("X-Codec", respCodec.Name())
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	writeLine := func(ev *api.TraceStreamEvent, flush bool) bool {
-		buf := api.GetBuffer()
-		defer api.PutBuffer(buf)
-		jstart := time.Now()
-		err := respCodec.Encode(buf, ev)
-		s.addCodecTime(respCodec.Name(), time.Since(jstart), true)
-		if err != nil {
-			return false
-		}
-		if b := buf.Bytes(); len(b) == 0 || b[len(b)-1] != '\n' {
-			buf.WriteByte('\n')
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return false
-		}
-		if flush && flusher != nil {
-			flusher.Flush()
-		}
-		s.streamEvents.Add(1)
-		return true
-	}
 
 	ctx := r.Context()
 	seq := 0
@@ -165,14 +137,14 @@ func (s *Server) handleSessionTrace(w http.ResponseWriter, r *http.Request) {
 				truncated = true
 				break
 			}
-			if !writeLine(&api.TraceStreamEvent{Seq: seq, Event: &collector.buf[i]}, false) {
+			if !s.writeLine(w, &api.TraceStreamEvent{Seq: seq, Event: &collector.buf[i]}, false) {
 				return
 			}
 			seq++
 		}
 		collector.buf = collector.buf[:0]
-		if flusher != nil {
-			flusher.Flush()
+		if f, ok := w.(http.Flusher); ok {
+			f.Flush()
 		}
 		if truncated {
 			// Event cap: finish the run streaming nothing further, but
@@ -190,7 +162,7 @@ func (s *Server) handleSessionTrace(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	writeLine(&api.TraceStreamEvent{
+	s.writeLine(w, &api.TraceStreamEvent{
 		Seq:        seq,
 		Done:       true,
 		Cycle:      m.Cycle(),

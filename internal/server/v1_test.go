@@ -1,16 +1,14 @@
 package server
 
-// Tests of the versioned /api/v1 surface: the error envelope's stable
-// codes, the batch and streaming endpoints, codec negotiation and
-// per-codec metrics, and the deprecated legacy aliases. The pre-v1 suite
-// in server_test.go runs unchanged against the aliases.
+// Tests of the /api/v1 surface beyond the per-endpoint basics in
+// server_test.go: routing, the error envelope's stable codes, and the
+// batch and streaming endpoints.
 
 import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -33,44 +31,39 @@ func decodeErrorEnvelope(t *testing.T, body []byte) api.Error {
 	return env.Err
 }
 
-func TestV1SimulateEndpoint(t *testing.T) {
+// TestV1Routing pins the URL space: v1 patterns are method-scoped, the
+// pre-v1 flat paths are gone, and media-type parameters (older clients
+// sent "codec=...") do not affect how a request is served.
+func TestV1Routing(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/api/v1/simulate", &api.SimulateRequest{Code: tinyProgram})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var sr api.SimulateResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatal(err)
-	}
-	if !sr.Halted || sr.Stats == nil || sr.Stats.Committed != 3 {
-		t.Errorf("v1 simulate response wrong: %+v", sr)
-	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("v1 endpoint must not carry a Deprecation header")
-	}
-}
-
-func TestV1MethodScoping(t *testing.T) {
-	_, ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/api/v1/simulate")
+	body, err := json.Marshal(&api.SimulateRequest{Code: tinyProgram})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET on a POST endpoint: status %d, want 405", resp.StatusCode)
+	cases := []struct {
+		method, path, contentType string
+		want                      int
+	}{
+		{http.MethodPost, "/api/v1/simulate", "application/json", http.StatusOK},
+		{http.MethodPost, "/api/v1/simulate", "application/json; codec=json", http.StatusOK},
+		{http.MethodGet, "/api/v1/simulate", "", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/simulate", "application/json", http.StatusNotFound},
 	}
-}
-
-func TestLegacyAliasesCarryDeprecationHeaders(t *testing.T) {
-	_, ts := newTestServer(t)
-	resp, _ := postJSON(t, ts.URL+"/simulate", &api.SimulateRequest{Code: tinyProgram})
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy alias missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/api/v1/simulate") {
-		t.Errorf("legacy alias Link = %q, want successor-version pointer", link)
+	for _, c := range cases {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", c.contentType)
+		req.Header.Set("Accept", c.contentType)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s %s (%q): status %d, want %d", c.method, c.path, c.contentType, resp.StatusCode, c.want)
+		}
 	}
 }
 
@@ -90,6 +83,7 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		wantStatus int
 	}{
 		{name: "bad json", rawBody: "{nope", wantCode: api.CodeBadJSON, wantStatus: 400},
+		{name: "trailing data", rawBody: `{"code":"nop"} {"code":"nop"}`, wantCode: api.CodeBadJSON, wantStatus: 400},
 		{name: "unknown preset", body: &api.SimulateRequest{Code: tinyProgram, Preset: "nope"},
 			wantCode: api.CodeUnknownPreset, wantStatus: 422},
 		{name: "bad config", body: &api.SimulateRequest{Code: tinyProgram, Config: &badConfig},
@@ -377,70 +371,6 @@ func TestStreamThroughGzip(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Codec negotiation and per-codec metrics
-// ---------------------------------------------------------------------------
-
-func postWithCodec(t *testing.T, url, codec string, body any) (*http.Response, []byte) {
-	t.Helper()
-	data, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt := fmt.Sprintf("%s; %s=%s", api.MediaTypeJSON, api.CodecParam, codec)
-	req, _ := http.NewRequest(http.MethodPost, url, bytes.NewReader(data))
-	req.Header.Set("Content-Type", mt)
-	req.Header.Set("Accept", mt)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	return resp, out
-}
-
-func TestPerCodecMetrics(t *testing.T) {
-	srv, ts := newTestServer(t)
-	srv.ResetMetrics()
-
-	// Default (no codec param) exercises the json codec...
-	postJSON(t, ts.URL+"/api/v1/simulate", &api.SimulateRequest{Code: tinyProgram, IncludeState: true})
-	// ...and codec=pooled exercises the pooled codec.
-	resp, body := postWithCodec(t, ts.URL+"/api/v1/simulate", "pooled",
-		&api.SimulateRequest{Code: tinyProgram, IncludeState: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pooled-codec request failed: %d %s", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get("X-Codec"); got != "pooled" {
-		t.Errorf("X-Codec = %q, want pooled", got)
-	}
-	var sr api.SimulateResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatalf("pooled codec broke the wire format: %v", err)
-	}
-
-	m := srv.Metrics()
-	for _, name := range []string{"json", "pooled"} {
-		cm, ok := m.Codecs[name]
-		if !ok {
-			t.Fatalf("metrics missing codec %q: %+v", name, m.Codecs)
-		}
-		if cm.EncodeNanos == 0 || cm.DecodeNanos == 0 {
-			t.Errorf("codec %q unmeasured: %+v", name, cm)
-		}
-		if cm.Share <= 0 || cm.Share >= 1 {
-			t.Errorf("codec %q share = %v, want in (0,1)", name, cm.Share)
-		}
-	}
-	// The aggregate jsonNs must cover both codecs.
-	sum := m.Codecs["json"].EncodeNanos + m.Codecs["json"].DecodeNanos +
-		m.Codecs["pooled"].EncodeNanos + m.Codecs["pooled"].DecodeNanos
-	if m.JSONNanos < sum {
-		t.Errorf("aggregate JSONNanos %d below per-codec sum %d", m.JSONNanos, sum)
-	}
-}
-
-// ---------------------------------------------------------------------------
 // checkConfig through the codec layer
 // ---------------------------------------------------------------------------
 
@@ -459,7 +389,7 @@ func TestCheckConfigThroughCodecLayer(t *testing.T) {
 	}
 
 	// Its decode time must now be visible in the JSON metric.
-	if m := srv.Metrics(); m.JSONNanos == 0 || m.Codecs["json"].DecodeNanos == 0 {
+	if m := srv.Metrics(); m.JSONNanos == 0 {
 		t.Errorf("checkConfig body parse invisible to metrics: %+v", m)
 	}
 
