@@ -394,6 +394,36 @@ func TestBatchFasterThanSequential(t *testing.T) {
 	}
 }
 
+// ---------------------------------------------------------------------------
+// E3 — gzip effect (§IV-A: "+40% throughput")
+// ---------------------------------------------------------------------------
+
+func benchGzip(b *testing.B, gz bool) {
+	srv := server.New(server.Options{DisableGzip: !gz})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	sc := loadgen.Scenario{
+		Users: 16, StepsPerUser: 6, StepSize: 2,
+		RampUp: 4 * time.Millisecond, ThinkTime: time.Millisecond,
+		Gzip: gz, Programs: []string{loadgen.ProgramA, loadgen.ProgramB},
+	}
+	var last *loadgen.Result
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := loadgen.Run(ts.URL, sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = res
+	}
+	b.StopTimer()
+	b.ReportMetric(last.Throughput, "trans/s")
+	b.ReportMetric(float64(last.Median.Microseconds())/1000, "median-ms")
+}
+
+func BenchmarkGzipOn(b *testing.B)  { benchGzip(b, true) }
+func BenchmarkGzipOff(b *testing.B) { benchGzip(b, false) }
+
 // TestGzipCompressionRatio verifies the mechanism behind the paper's
 // +40% throughput: state responses compress dramatically, so gzip trades
 // cheap CPU for a large wire-size reduction (the win is proportionally

@@ -264,15 +264,15 @@ func (s *Simulation) ffSpecOp(o *ffOp, pc int, next *int) bool {
 	if o.rs2 >= 0 && o.op != execStoreAddr {
 		b = s.rf.ArchValue(isa.RegInt, int(o.rs2)).Int()
 	}
+	v := int32(pc) + 1 // the link value, unless the op computes another
 	switch o.op {
 	case execNop:
+		return true
 	case execConst:
-		s.ffSetInt(o, a, b, o.imm)
+		v = o.imm
 	case execJAL:
-		s.ffSetInt(o, a, b, int32(pc)+1)
 		*next = int(o.tgt)
 	case execJALR:
-		s.ffSetInt(o, a, b, int32(pc)+1)
 		*next = int(a + b)
 	case execLoadAddr, execStoreAddr:
 		addr := int(a + b)
@@ -286,32 +286,30 @@ func (s *Simulation) ffSpecOp(o *ffOp, pc int, next *int) bool {
 			raw, _ := s.mem.ReadRaw(addr, int(o.memWidth))
 			s.rf.SetArchValue(o.rdClass, int(o.rd), LoadValue(o.static.Desc, raw))
 		}
+		return true
 	case execBEQ, execBNE, execBLT, execBGE, execBLTU, execBGEU:
 		if branchTaken(o.op, a, b) {
 			*next = int(o.tgt)
 		}
+		return true
 	default:
-		v, div0 := alu(o.op, a, b)
-		if div0 {
+		var div0 bool
+		if v, div0 = alu(o.op, a, b); div0 {
 			s.ffFault(divZeroExc(o.op, a), pc)
 			return false
 		}
-		s.ffSetInt(o, a, b, v)
 	}
-	return true
-}
-
-// ffSetInt publishes an integer result to the architectural register
-// file, running it through the same injected-bug hook as the detailed
-// specialized path so the co-simulation harness covers fused plans too.
-// An x0 (or absent) destination computes and discards, like the pipeline.
-func (s *Simulation) ffSetInt(o *ffOp, a, b, v int32) {
+	// Publish the integer result to the architectural register file,
+	// through the same injected-bug hook as the detailed specialized path
+	// so the co-simulation harness covers fused plans too. An x0 (or
+	// absent) destination computes and discards, like the pipeline.
 	if semanticBug != nil {
 		v = semanticBug(o.static.Desc.Name, a, b, v)
 	}
 	if o.rd >= 0 {
 		s.rf.SetArchValue(isa.RegInt, int(o.rd), expr.NewInt(v))
 	}
+	return true
 }
 
 // ffFault ends the run exactly as a detailed commit would raise the

@@ -365,8 +365,8 @@ type ExecEngine struct {
 // exists solely so the co-simulation harness can prove end-to-end that an
 // engine divergence is detected and shrunk (internal/fuzz); the
 // interpreter path never sees it, so any injected bug diverges the two
-// engines. Each shell applies it in one place (the end of Execute,
-// ffSetInt). Production runs leave it nil and pay one pointer check.
+// engines. Each shell applies it in one place (the end of Execute and of
+// ffSpecOp). Production runs leave it nil and pay one pointer check.
 var semanticBug func(op string, a, b, result int32) int32
 
 // SetSemanticBugForTesting installs (nil clears) the specialized-path

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -319,6 +321,75 @@ func TestSessionLifecycle(t *testing.T) {
 	resp3, _ := postJSON(t, ts.URL+api.V1Prefix+"/session/step", &api.SessionStepRequest{SessionID: sn.SessionID, Steps: 1})
 	if resp3.StatusCode != http.StatusNotFound {
 		t.Errorf("stepping closed session: status %d, want 404", resp3.StatusCode)
+	}
+}
+
+// TestSessionCreateRacesAssignedIDStep: with a router-assigned ID a step
+// can reach the session the moment it is published, before session/new or
+// session/restore has answered. The create response must be the state
+// from before publication (cycle unchanged), and the race lane must see
+// no unsynchronized access to the machine.
+func TestSessionCreateRacesAssignedIDStep(t *testing.T) {
+	srv := New(Options{AllowAssignedIDs: true})
+	h := srv.Handler()
+	create := func(id, path string, body any) api.SessionNewResponse {
+		t.Helper()
+		stepped, failed := make(chan struct{}), make(chan struct{})
+		go func() { // steps the session as soon as it can be looked up
+			defer close(stepped)
+			for {
+				if sess, aerr := srv.lockSession(id); aerr == nil {
+					sess.machine.Run(3)
+					sess.mu.Unlock()
+					return
+				}
+				select {
+				case <-failed:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+		}()
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, api.V1Prefix+path, bytes.NewReader(data))
+		req.Header.Set(api.SessionIDHeader, id)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var sn api.SessionNewResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &sn); err != nil || rec.Code != http.StatusOK {
+			close(failed)
+			t.Fatalf("%s: status %d, %v: %s", path, rec.Code, err, rec.Body)
+		}
+		<-stepped
+		return sn
+	}
+	for i := 0; i < 20; i++ {
+		id := fmt.Sprintf("s%08d", 2*i)
+		sn := create(id, "/session/new", &api.SessionNewRequest{
+			SimulateRequest: api.SimulateRequest{Code: tinyProgram},
+		})
+		if sn.SessionID != id || sn.State.Cycle != 0 {
+			t.Fatalf("session/new answered id %q at cycle %d, want %q at cycle 0", sn.SessionID, sn.State.Cycle, id)
+		}
+		sess, aerr := srv.lockSession(id)
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		var ckpt bytes.Buffer
+		err := sess.machine.Checkpoint(&ckpt)
+		at := sess.machine.Cycle()
+		sess.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rn := create(fmt.Sprintf("s%08d", 2*i+1), "/session/restore", &api.SessionRestoreRequest{Checkpoint: ckpt.Bytes()})
+		if rn.State.Cycle != at {
+			t.Fatalf("session/restore answered cycle %d, want the checkpoint's %d", rn.State.Cycle, at)
+		}
 	}
 }
 
