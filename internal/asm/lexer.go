@@ -85,7 +85,7 @@ func (l ErrorList) Err() error {
 // of the line; "/* */" blocks are also supported. Every physical line ends
 // with a TokNewline token so the parser can recover per line.
 func Lex(src string) ([]Token, ErrorList) {
-	var toks []Token
+	toks := make([]Token, 0, len(src)/3) // assembly runs about three source bytes per token
 	var errs ErrorList
 	line, col := 1, 1
 	i := 0

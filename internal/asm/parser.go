@@ -173,29 +173,22 @@ func (p *parser) dataItemFor(line int) *DataItem {
 // operand token groups (respecting parentheses).
 func splitOperands(line []Token) [][]Token {
 	var groups [][]Token
-	depth := 0
-	cur := []Token{}
-	for _, t := range line {
+	depth, start := 0, 0
+	for i, t := range line {
 		switch t.Kind {
 		case TokLParen:
 			depth++
-			cur = append(cur, t)
 		case TokRParen:
 			depth--
-			cur = append(cur, t)
 		case TokComma:
 			if depth == 0 {
-				groups = append(groups, cur)
-				cur = []Token{}
-				continue
+				groups = append(groups, line[start:i:i])
+				start = i + 1
 			}
-			cur = append(cur, t)
-		default:
-			cur = append(cur, t)
 		}
 	}
-	if len(cur) > 0 || len(groups) > 0 {
-		groups = append(groups, cur)
+	if start < len(line) || len(groups) > 0 {
+		groups = append(groups, line[start:])
 	}
 	return groups
 }
@@ -455,6 +448,7 @@ func (p *parser) assemble(mn Token, desc *isa.Desc, groups [][]Token) {
 		Desc:  desc,
 		Index: len(p.prog.Instructions),
 		Line:  mn.Line,
+		Ops:   make([]Operand, 0, len(desc.Args)),
 	}
 
 	bindReg := func(argName string, g []Token) bool {

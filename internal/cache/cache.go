@@ -185,16 +185,25 @@ func New(cfg Config, backing *memory.Main) (*Cache, error) {
 	c := &Cache{cfg: cfg, backing: backing, rng: 0x9E3779B97F4A7C15}
 	if cfg.Enabled {
 		c.numSets = cfg.Lines / cfg.Associativity
-		c.sets = make([][]line, c.numSets)
-		for i := range c.sets {
-			ways := make([]line, cfg.Associativity)
-			for w := range ways {
-				ways[w].data = make([]byte, cfg.LineSize)
-			}
-			c.sets[i] = ways
-		}
+		c.sets = newSets(cfg, c.numSets)
 	}
 	return c, nil
+}
+
+// newSets allocates an empty line array as one slab of lines and one of
+// line data, sliced per set and per way: three allocations per cache
+// instead of one per line, which was a third of a machine build's.
+func newSets(cfg Config, numSets int) [][]line {
+	lines := make([]line, numSets*cfg.Associativity)
+	data := make([]byte, len(lines)*cfg.LineSize)
+	for i := range lines {
+		lines[i].data = data[i*cfg.LineSize : (i+1)*cfg.LineSize : (i+1)*cfg.LineSize]
+	}
+	sets := make([][]line, numSets)
+	for i := range sets {
+		sets[i] = lines[i*cfg.Associativity : (i+1)*cfg.Associativity]
+	}
+	return sets
 }
 
 // Config returns the cache configuration.
@@ -449,14 +458,15 @@ func (c *Cache) Clone(backing *memory.Main) *Cache {
 		tick: c.tick, rng: c.rng, stats: c.stats,
 	}
 	if c.cfg.Enabled {
-		nc.sets = make([][]line, len(c.sets))
-		for si := range c.sets {
-			ways := make([]line, len(c.sets[si]))
+		nc.sets = newSets(c.cfg, c.numSets)
+		for si, ways := range c.sets {
 			for w := range ways {
-				ways[w] = c.sets[si][w]
-				ways[w].data = append([]byte(nil), c.sets[si][w].data...)
+				ln := &nc.sets[si][w]
+				data := ln.data
+				*ln = ways[w]
+				ln.data = data
+				copy(data, ways[w].data)
 			}
-			nc.sets[si] = ways
 		}
 	}
 	return nc

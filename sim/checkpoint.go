@@ -10,7 +10,6 @@ import (
 	"riscvsim/internal/ckpt"
 	"riscvsim/internal/config"
 	"riscvsim/internal/core"
-	"riscvsim/internal/isa"
 	"riscvsim/internal/memory"
 )
 
@@ -100,8 +99,7 @@ func Restore(r io.Reader) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: embedded configuration: %v", ckpt.ErrCorrupt, err)
 	}
-	set := isa.RV32IMF()
-	regs := isa.NewRegisterFile()
+	set, regs := defaultSet(), defaultRegs()
 	mem := memory.New(cfg.Memory)
 	prog, err := asm.Assemble(src, set, regs, mem)
 	if err != nil {

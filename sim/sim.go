@@ -12,6 +12,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"riscvsim/internal/asm"
 	"riscvsim/internal/compiler"
@@ -141,11 +142,18 @@ type Machine struct {
 	ffBarrier uint64
 }
 
+// The built-in instruction set and register description are read-only
+// once built, so every machine shares one copy instead of recompiling
+// every descriptor's expression per build.
+var (
+	defaultSet  = sync.OnceValue(isa.RV32IMF)
+	defaultRegs = sync.OnceValue(isa.NewRegisterFile)
+)
+
 // NewFromAsm assembles RISC-V assembly source and builds a machine. entry
 // names the entry label; empty means the first instruction.
 func NewFromAsm(cfg *Config, src, entry string) (*Machine, error) {
-	set := isa.RV32IMF()
-	regs := isa.NewRegisterFile()
+	set, regs := defaultSet(), defaultRegs()
 	mem := memory.New(cfg.Memory)
 	prog, err := asm.Assemble(src, set, regs, mem)
 	if err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -179,4 +180,45 @@ func TestErrorPaths(t *testing.T) {
 	if _, err := m.FloatReg("x5"); err == nil {
 		t.Error("FloatReg(x5) should fail")
 	}
+}
+
+// Machines share the built-in instruction set and register description
+// (defaultSet, defaultRegs), so building and running them from several
+// goroutines at once must be race-free and deterministic. The interpreter
+// engine evaluates the shared compiled expressions on every instruction.
+func TestConcurrentMachinesShareISA(t *testing.T) {
+	const src = `
+li t0, 20
+li a0, 0
+fcvt.s.w fa0, t0
+loop:
+add a0, a0, t0
+fadd.s fa0, fa0, fa0
+addi t0, t0, -1
+bnez t0, loop
+`
+	run := func() uint64 {
+		m, err := NewFromAsm(DefaultConfig(), src, "")
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		m.SetEngineMode(EngineInterpreter)
+		m.Run(10_000)
+		return m.ArchStateHash()
+	}
+	want := run()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				if got := run(); got != want {
+					t.Errorf("concurrent run hashed %#x, serial %#x", got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
