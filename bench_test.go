@@ -462,6 +462,94 @@ func TestGzipCompressionRatio(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
+// Build path: the classroom mix with and without repeated sources
+// ---------------------------------------------------------------------------
+
+// quicksortC is the examples/quicksort program, the C half of the
+// classroom mix.
+const quicksortC = `
+int arr[12] = {9, -3, 5, 1, 12, -7, 0, 4, 4, 100, -50, 2};
+
+void swap(int *a, int *b) { int t = *a; *a = *b; *b = t; }
+
+int partition(int *v, int lo, int hi) {
+    int pivot = v[hi];
+    int i = lo - 1;
+    for (int j = lo; j < hi; j++) {
+        if (v[j] < pivot) { i++; swap(&v[i], &v[j]); }
+    }
+    swap(&v[i + 1], &v[hi]);
+    return i + 1;
+}
+
+void quicksort(int *v, int lo, int hi) {
+    if (lo >= hi) return;
+    int p = partition(v, lo, hi);
+    quicksort(v, lo, p - 1);
+    quicksort(v, p + 1, hi);
+}
+
+int main() {
+    quicksort(arr, 0, 11);
+    return arr[0];   /* smallest element */
+}
+`
+
+// benchSimulateMix posts the benchmark's classroom mix (bench/simulate.go:
+// 40/40/10/10 ProgramA / ProgramB / quicksort -O0 / -O2) to one server's
+// handler, with no network in between. unique salts every source the way
+// unique_simulate does, so no request repeats a text and the Program
+// cache never hits; without it every request after the warm-up does.
+func benchSimulateMix(b *testing.B, unique bool) {
+	h := server.New(server.DefaultOptions()).Handler()
+	templates := []api.SimulateRequest{
+		{Code: loadgen.ProgramA},
+		{Code: loadgen.ProgramB},
+		{Code: quicksortC, Language: "c", Optimize: 0},
+		{Code: quicksortC, Language: "c", Optimize: 2},
+	}
+	mix := [10]int{0, 0, 0, 0, 1, 1, 1, 1, 2, 3}
+	post := func(i int) {
+		req := templates[mix[i%len(mix)]]
+		if unique {
+			if req.Language == "c" {
+				req.Code = fmt.Sprintf("%s\nint salt_%d = %d;\n", req.Code, i, i)
+			} else {
+				req.Code = fmt.Sprintf("li t6, %d\n%s", i, req.Code)
+			}
+		}
+		body, err := json.Marshal(&req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, api.V1Prefix+"/simulate", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	// Warm-up: two passes of the mix, since the cache stores a source the
+	// second time it is built.
+	warmup := 2 * len(mix)
+	for i := 0; i < warmup; i++ {
+		post(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(warmup + i)
+	}
+}
+
+// BenchmarkSimulateRepeat is the classroom shape: everyone submits the
+// same four programs, so after warm-up every build is a cache hit.
+func BenchmarkSimulateRepeat(b *testing.B) { benchSimulateMix(b, false) }
+
+// BenchmarkSimulateUnique is its control: every source is distinct, every
+// build misses, and the number must not move when the cache does.
+func BenchmarkSimulateUnique(b *testing.B) { benchSimulateMix(b, true) }
+
+// ---------------------------------------------------------------------------
 // E4 — render cost (§IV: "rendering typically takes around 80 ms")
 // ---------------------------------------------------------------------------
 

@@ -293,7 +293,7 @@ func main() {
 	if *cost {
 		cfg := sim.DefaultConfig()
 		if *preset != "" {
-			if p, ok := sim.Presets()[*preset]; ok {
+			if p, ok := sim.Preset(*preset); ok {
 				cfg = p
 			}
 		}
@@ -315,7 +315,7 @@ func main() {
 func runFuzz(n int, seed int64, outDir, preset, archPath string) {
 	cfg := sim.DefaultConfig()
 	if preset != "" {
-		p, ok := sim.Presets()[preset]
+		p, ok := sim.Preset(preset)
 		if !ok {
 			fatal("unknown preset %q", preset)
 		}

@@ -454,4 +454,14 @@ type Metrics struct {
 	InFlight         int64  `json:"inFlight"`
 	Shed             uint64 `json:"shed"`
 	DeadlineExceeded uint64 `json:"deadlineExceeded"`
+	// Program-cache accounting (docs/architecture.md): lookups of a
+	// source text that found its compiled Program, lookups that had to
+	// build it (a C request that misses looks up twice, the C text and
+	// the assembly it compiles to), Programs dropped to stay within the
+	// byte budget, and what the cache holds now.
+	ProgramCacheHits      uint64 `json:"programCacheHits"`
+	ProgramCacheMisses    uint64 `json:"programCacheMisses"`
+	ProgramCacheEvictions uint64 `json:"programCacheEvictions"`
+	ProgramCacheEntries   int    `json:"programCacheEntries"`
+	ProgramCacheBytes     int    `json:"programCacheBytes"`
 }

@@ -23,6 +23,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"riscvsim/internal/api"
@@ -90,6 +91,12 @@ func Local(opts server.Options) (*Client, func()) {
 	return c, ts.Close
 }
 
+// gzipWriters recycles compressors across requests: a fresh one costs
+// about 1 MB of deflate state, a thousand times a session step's body.
+var gzipWriters = sync.Pool{
+	New: func() any { return gzip.NewWriter(io.Discard) },
+}
+
 // newRequest builds a POST with the encoded body and protocol headers.
 func (c *Client) newRequest(path string, req any) (*http.Request, error) {
 	body, err := json.Marshal(req)
@@ -103,9 +110,11 @@ func (c *Client) newRequest(path string, req any) (*http.Request, error) {
 	var rd io.Reader = bytes.NewReader(body)
 	if c.gzip {
 		var buf bytes.Buffer
-		gz := gzip.NewWriter(&buf)
+		gz := gzipWriters.Get().(*gzip.Writer)
+		gz.Reset(&buf)
 		gz.Write(body)
 		gz.Close()
+		gzipWriters.Put(gz)
 		rd = &buf
 		hreq.Header.Set("Content-Encoding", "gzip")
 	}
@@ -132,8 +141,9 @@ func (e *APIError) Error() string {
 }
 
 // ErrorCode extracts the stable v1 error code from a client error, or
-// "" for transport errors and pre-v1 responses. Routed deployments
-// dispatch on api.CodeSessionMoved / api.CodeNodeUnavailable with it.
+// "" for transport errors and responses without the v1 envelope. Routed
+// deployments dispatch on api.CodeSessionMoved / api.CodeNodeUnavailable
+// with it.
 func ErrorCode(err error) string {
 	var ae *APIError
 	if errors.As(err, &ae) {
@@ -156,13 +166,6 @@ func decodeError(path string, status int, header http.Header, data []byte) error
 	var env api.ErrorEnvelope
 	if json.Unmarshal(data, &env) == nil && env.Err.Message != "" {
 		return &APIError{Path: path, Status: status, Code: env.Err.Code, Message: env.Err.Message, RetryAfter: retryAfter}
-	}
-	// Pre-v1 servers used a bare string envelope.
-	var legacy struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(data, &legacy) == nil && legacy.Error != "" {
-		return fmt.Errorf("client: %s: %s", path, legacy.Error)
 	}
 	return fmt.Errorf("client: %s: HTTP %d", path, status)
 }

@@ -147,11 +147,26 @@ func WidthPreset(width int) (*CPU, error) {
 // Presets returns all named presets, as the GUI's architecture switcher
 // offers them.
 func Presets() map[string]*CPU {
-	return map[string]*CPU{
-		"default": Default(),
-		"scalar":  Scalar(),
-		"wide4":   Wide4(),
+	m := make(map[string]*CPU, len(presets))
+	for name, build := range presets {
+		m[name] = build()
 	}
+	return m
+}
+
+var presets = map[string]func() *CPU{
+	"default": Default,
+	"scalar":  Scalar,
+	"wide4":   Wide4,
+}
+
+// Preset returns the named preset, building only that one.
+func Preset(name string) (*CPU, bool) {
+	build, ok := presets[name]
+	if !ok {
+		return nil, false
+	}
+	return build(), true
 }
 
 // fxFastOps lists the single-cycle integer operations (no multiply or

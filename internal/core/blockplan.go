@@ -11,16 +11,16 @@ import (
 
 // Fused basic-block plans and the fast-forward functional engine.
 //
-// At first fast-forward use the program's static instructions are grouped
-// into basic blocks — a leader starts at the entry of every PC-relative
-// branch target and at the fall-through of every control transfer; a block
-// ends at the first branch or halting instruction — and each block is
-// compiled into one blockPlan: a flat array of fused operations whose
-// operands are pre-resolved to *architectural* register indices (the
-// per-instruction execPlans resolve to renamed source slots instead, which
-// only exist in the detailed pipeline). Executing a block then costs a
-// single plan dispatch plus one tight loop, the per-block trick GVSoC uses
-// to reach tens of MIPS (PAPERS.md, Bruschi et al.).
+// At first fast-forward use every static instruction of the Program is
+// fused into one ffOp — the specialized opcode with operands pre-resolved
+// to *architectural* register indices (the per-instruction execPlans
+// resolve to renamed source slots instead, which only exist in the
+// detailed pipeline) — and a backward pass records where each basic block
+// ends: at the first branch or halting instruction. The block starting at
+// any pc is then the slice ffOps[pc:blockEnd[pc]], so executing a block
+// costs one slice and one tight loop, the per-block trick GVSoC uses to
+// reach tens of MIPS (PAPERS.md, Bruschi et al.). Both tables belong to
+// the shared Program and are read-only once built.
 //
 // Fast-forward mode (EngineFastForward) executes these plans against the
 // architectural state only: no fetch/rename/ROB/LSU modeling, no cache or
@@ -32,21 +32,12 @@ import (
 // timing state (cycle counts, stall counters, cache/predictor contents)
 // is deliberately not modeled.
 //
-// Control can enter a block mid-way (a jalr landing between two static
-// leaders): block plans are keyed by their start PC and built lazily, so
-// such an entry simply compiles the suffix as its own block ("block
-// split"). Switchover back to the detailed pipeline is legal at any block
-// boundary: fast-forward leaves every pipeline structure empty and keeps
-// fetch's PC at the next instruction, so the detailed engine resumes as if
-// freshly redirected there.
-
-// blockPlan is the load-time compilation of one basic block: the fused
-// operation sequence starting at start and ending at the block's
-// terminator (branch/halt) or at the first instruction of the next block.
-type blockPlan struct {
-	start int
-	ops   []ffOp
-}
+// Control can enter a block mid-way (a jalr landing between two leaders):
+// any pc is a legal block start, and such an entry simply runs the suffix
+// of the enclosing block. Switchover back to the detailed pipeline is
+// legal at any block boundary: fast-forward leaves every pipeline
+// structure empty and keeps fetch's PC at the next instruction, so the
+// detailed engine resumes as if freshly redirected there.
 
 // ffOp is one fused operation of a block plan: the specialized opcode with
 // operands resolved to architectural register indices, plus the commit
@@ -73,61 +64,26 @@ type ffOp struct {
 	static *asm.Instruction
 }
 
-// ffInit builds the basic-block index on first fast-forward use: the
-// per-PC block-end table (one backward pass) plus eagerly compiled plans
-// for every static leader. Detailed-only simulations never pay for it.
-func (e *ExecEngine) ffInit() {
-	if e.blocks != nil {
-		return
-	}
-	n := len(e.prog.Instructions)
-	e.blocks = make([]*blockPlan, n)
-	e.blockEnd = make([]int32, n)
-	for i := n - 1; i >= 0; i-- {
-		d := e.prog.Instructions[i].Desc
-		if d.IsBranch() || d.Halts || i == n-1 {
-			e.blockEnd[i] = int32(i + 1)
-		} else {
-			e.blockEnd[i] = e.blockEnd[i+1]
-		}
-	}
-	// Static leaders: PC-relative branch targets and the fall-through of
-	// every control transfer. jalr targets are runtime values; blocks
-	// entered there are compiled lazily by blockAt (block split).
-	for i, in := range e.prog.Instructions {
-		if !in.Desc.IsBranch() {
-			continue
-		}
-		if in.Desc.PCRelative {
-			if imm := in.Op("imm"); imm != nil {
-				if t := i + int(imm.Val); t >= 0 && t < n {
-					e.blockAt(t)
-				}
+// ffInit builds the fast-forward tables on first fast-forward use, once
+// per Program however many simulations race to it: the fused operation of
+// every static instruction and the per-PC block-end table (one backward
+// pass). Programs only ever run in detail never pay for it.
+func (p *Program) ffInit() {
+	p.ffOnce.Do(func() {
+		n := len(p.instrs)
+		ops := make([]ffOp, n)
+		ends := make([]int32, n)
+		for i := n - 1; i >= 0; i-- {
+			in := p.instrs[i]
+			ops[i] = ffCompileOp(&p.plans[i], &p.rplans[i], in)
+			if in.Desc.IsBranch() || in.Desc.Halts || i == n-1 {
+				ends[i] = int32(i + 1)
+			} else {
+				ends[i] = ends[i+1]
 			}
 		}
-		if i+1 < n {
-			e.blockAt(i + 1)
-		}
-	}
-	if n > 0 {
-		e.blockAt(0)
-	}
-}
-
-// blockAt returns the block plan starting at pc, compiling it on first
-// use. Any pc is a legal block start: entering between two static leaders
-// compiles the suffix of the enclosing block as its own plan.
-func (e *ExecEngine) blockAt(pc int) *blockPlan {
-	if bp := e.blocks[pc]; bp != nil {
-		return bp
-	}
-	end := int(e.blockEnd[pc])
-	bp := &blockPlan{start: pc, ops: make([]ffOp, end-pc)}
-	for i := pc; i < end; i++ {
-		bp.ops[i-pc] = ffCompileOp(&e.plans[i], &e.rplans[i], e.prog.Instructions[i])
-	}
-	e.blocks[pc] = bp
-	return bp
+		p.ffOps, p.blockEnd = ops, ends
+	})
 }
 
 // ffCompileOp fuses one static instruction into a block-plan operation,
@@ -193,7 +149,7 @@ func (s *Simulation) ffStep() {
 		s.ffFlushed = true
 	}
 	pc := s.fetch.pc
-	if pc < 0 || pc >= len(s.prog.Instructions) {
+	if pc < 0 || pc >= len(s.prog.instrs) {
 		// The program ran off the code segment (the entry routine
 		// returned to the sentinel address): same end story as the
 		// detailed pipeline draining empty.
@@ -203,16 +159,17 @@ func (s *Simulation) ffStep() {
 		s.l1.FlushAll(s.cycle)
 		return
 	}
-	s.ffRunBlock(s.eng.blockAt(pc))
+	s.ffRunBlock(pc)
 }
 
-// ffRunBlock executes one fused block against the architectural state:
-// one committed instruction per cycle, branch early-out at the
-// terminator, fetch's PC tracking the commit point so a switchover to
-// detailed mode resumes exactly there.
-func (s *Simulation) ffRunBlock(bp *blockPlan) {
-	for i := range bp.ops {
-		pc := bp.start + i
+// ffRunBlock executes the fused block starting at start against the
+// architectural state: one committed instruction per cycle, branch
+// early-out at the terminator, fetch's PC tracking the commit point so a
+// switchover to detailed mode resumes exactly there.
+func (s *Simulation) ffRunBlock(start int) {
+	ops := s.prog.ffOps[start:s.prog.blockEnd[start]]
+	for i := range ops {
+		pc := start + i
 		if s.commitLimit != 0 && s.committedCount >= s.commitLimit {
 			// Commit-limit cut (RunToCommitted): stop before retiring
 			// past the boundary; any PC is a legal block boundary, and
@@ -220,13 +177,13 @@ func (s *Simulation) ffRunBlock(bp *blockPlan) {
 			s.fetch.pc = pc
 			return
 		}
-		if pc == s.ffStopPC && pc != bp.start {
+		if pc == s.ffStopPC && pc != start {
 			// FastForwardToPC lands mid-block: cut the block here (any
 			// PC is a legal block boundary) without executing further.
 			s.fetch.pc = pc
 			return
 		}
-		o := &bp.ops[i]
+		o := &ops[i]
 		next := pc + 1
 		s.cycle++
 		if s.eng.forceGeneric || o.op == execFallback {
@@ -331,7 +288,7 @@ func (s *Simulation) ffGenericOp(o *ffOp, pc int) (int, bool) {
 	si := &s.ffScratch
 	*si = SimInstr{Static: o.static, PC: pc}
 	desc := o.static.Desc
-	rp := &s.eng.rplans[pc]
+	rp := &s.prog.rplans[pc]
 	for i := 0; i < int(rp.nsrc); i++ {
 		rs := &rp.srcs[i]
 		si.srcs[si.nsrc] = srcOperand{

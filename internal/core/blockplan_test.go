@@ -75,9 +75,8 @@ done:
 }
 
 // TestFFJalrMidBlockSplit: a jalr lands in the middle of a straight-line
-// block that was already compiled from its leader — the lazy blockAt
-// split must start a fresh block at the landing pc instead of replaying
-// the block head.
+// block — execution must start at the landing pc instead of replaying the
+// block head.
 func TestFFJalrMidBlockSplit(t *testing.T) {
 	ff := ffCompare(t, `
   jal x1, sub
@@ -111,7 +110,7 @@ l3:
 }
 
 // TestFFTakenBranchIntoCompiledFallThrough: a backward branch re-enters
-// a block that was first compiled as a fall-through — the loop body is
+// a block that was first entered as a fall-through — the loop body is
 // both a fall-through successor (first iteration) and a branch target
 // (every later iteration).
 func TestFFTakenBranchIntoCompiledFallThrough(t *testing.T) {
@@ -239,7 +238,7 @@ func TestFFMemoryFaults(t *testing.T) {
 	}
 }
 
-// TestFFSteadyStateAllocFree: once the touched blocks are compiled, the
+// TestFFSteadyStateAllocFree: once the fast-forward tables are built, the
 // fast-forward step loop must not allocate — the same discipline the
 // detailed engine's Step pins in BenchmarkStep.
 func TestFFSteadyStateAllocFree(t *testing.T) {
@@ -252,7 +251,7 @@ loop:
   ecall
 `)
 	ff.SetEngineMode(EngineFastForward)
-	ff.Run(64) // warm up: compiles the loop blocks
+	ff.Run(64) // warm up
 	allocs := testing.AllocsPerRun(100, func() { ff.Step() })
 	if allocs > 0 {
 		t.Errorf("fast-forward Step allocates %.1f times per call in steady state, want 0", allocs)

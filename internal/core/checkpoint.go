@@ -122,11 +122,11 @@ func (s *Simulation) decodeInstr(r *ckpt.Reader) *SimInstr {
 	if r.Err() != nil {
 		return si
 	}
-	if si.PC < 0 || si.PC >= len(s.prog.Instructions) {
-		r.Corrupt("instruction pc %d outside code of %d", si.PC, len(s.prog.Instructions))
+	if si.PC < 0 || si.PC >= len(s.prog.instrs) {
+		r.Corrupt("instruction pc %d outside code of %d", si.PC, len(s.prog.instrs))
 		return si
 	}
-	si.Static = s.prog.Instructions[si.PC]
+	si.Static = s.prog.instrs[si.PC]
 	si.Phase = Phase(r.Byte())
 	si.FetchedAt = r.U64()
 	si.DecodedAt = r.U64()
@@ -294,7 +294,7 @@ func (s *Simulation) EncodeState(w *ckpt.Writer) {
 	s.rf.EncodeState(w)
 	s.pred.EncodeState(w)
 	s.l1.EncodeState(w)
-	s.mem.EncodeState(w, s.initialMem)
+	s.mem.EncodeState(w, s.prog.image)
 
 	w.Section(ckpt.SecLog)
 	w.Len(len(s.log))
@@ -320,8 +320,8 @@ func (s *Simulation) EncodeState(w *ckpt.Writer) {
 }
 
 // DecodeState restores an encoded simulation state onto s, which must be
-// freshly built by New from the same configuration and program the
-// checkpoint was taken from (the sim facade re-assembles them from the
+// freshly built from the same configuration and Program the
+// checkpoint was taken from (the sim facade resolves them from the
 // checkpoint header). On any decode error the reader's error is set and
 // s must be discarded.
 func (s *Simulation) DecodeState(r *ckpt.Reader) {
@@ -479,7 +479,7 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 	}
 
 	r.Section(ckpt.SecDebug)
-	nbp := r.Len(len(s.prog.Instructions))
+	nbp := r.Len(len(s.prog.instrs))
 	s.breakpoints = nil
 	for i := 0; i < nbp && r.Err() == nil; i++ {
 		pc := r.Int()

@@ -21,8 +21,8 @@ type watchRange struct {
 // AddBreakpoint pauses the simulation when the instruction at pc is about
 // to commit.
 func (s *Simulation) AddBreakpoint(pc int) error {
-	if pc < 0 || pc >= len(s.prog.Instructions) {
-		return fmt.Errorf("core: breakpoint pc %d outside code of %d instructions", pc, len(s.prog.Instructions))
+	if pc < 0 || pc >= len(s.prog.instrs) {
+		return fmt.Errorf("core: breakpoint pc %d outside code of %d instructions", pc, len(s.prog.instrs))
 	}
 	if s.breakpoints == nil {
 		s.breakpoints = make(map[int]bool)

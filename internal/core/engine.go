@@ -52,7 +52,7 @@ func (s *Simulation) SetEngineMode(m EngineMode) {
 	s.engineMode = m
 	s.eng.forceGeneric = m == EngineInterpreter
 	if m == EngineFastForward {
-		s.eng.ffInit()
+		s.prog.ffInit()
 		// A detailed prefix may have written through the cache; the next
 		// fast-forward block must see coherent memory (blockplan.go).
 		s.ffFlushed = false

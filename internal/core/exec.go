@@ -340,25 +340,18 @@ func specializePlan(in *asm.Instruction) execPlan {
 }
 
 // ExecEngine executes instruction semantics for one simulation: the
-// specialized fast path over pre-compiled plans, with the expression
-// interpreter as the total fallback. Not safe for concurrent use (the
-// pipeline executes sequentially).
+// specialized fast path over the Program's pre-compiled plans, with the
+// expression interpreter as the total fallback. It owns only the
+// interpreter's scratch state. Not safe for concurrent use (the pipeline
+// executes sequentially).
 type ExecEngine struct {
-	prog   *asm.Program
-	plans  []execPlan
-	rplans []renamePlan
-	ev     *expr.Evaluator
-	env    instrEnv // reusable fallback Env; passing &env avoids boxing
+	prog *Program // read-only: the plans live there
+	ev   *expr.Evaluator
+	env  instrEnv // reusable fallback Env; passing &env avoids boxing
 	// forceGeneric routes every instruction through the expression
 	// interpreter, ignoring the specialized plans — the functional
 	// reference path of the co-simulation harness (EngineInterpreter).
 	forceGeneric bool
-	// Basic-block index for the fast-forward functional mode and fetch
-	// batching, built lazily on first use (blockplan.go). blockEnd[i] is
-	// the exclusive end of the block containing instruction i; blocks is
-	// the per-start-PC fused plan cache.
-	blocks   []*blockPlan
-	blockEnd []int32
 }
 
 // semanticBug, when non-nil, post-processes every specialized result. It
@@ -376,18 +369,8 @@ func SetSemanticBugForTesting(f func(op string, a, b, result int32) int32) {
 	semanticBug = f
 }
 
-// newExecEngine compiles every static instruction of the program.
-func newExecEngine(prog *asm.Program) *ExecEngine {
-	e := &ExecEngine{
-		prog:   prog,
-		plans:  make([]execPlan, len(prog.Instructions)),
-		rplans: newRenamePlans(prog),
-		ev:     expr.NewEvaluator(),
-	}
-	for i, in := range prog.Instructions {
-		e.plans[i] = specializePlan(in)
-	}
-	return e
+func newExecEngine(p *Program) *ExecEngine {
+	return &ExecEngine{prog: p, ev: expr.NewEvaluator()}
 }
 
 // setResult buffers a computed destination value exactly as the
@@ -410,7 +393,7 @@ func (si *SimInstr) raise(exc *fault.Exception, now uint64) {
 // payloads and exceptions on the instruction — the compute half of the
 // functional-unit model (paper §III-A).
 func (e *ExecEngine) Execute(si *SimInstr, now uint64) {
-	p := &e.plans[si.PC]
+	p := &e.prog.plans[si.PC]
 	if e.forceGeneric || p.op == execFallback {
 		e.executeGeneric(si, now)
 		return

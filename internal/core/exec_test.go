@@ -253,9 +253,9 @@ func TestExecSpecializedMatchesInterpreter(t *testing.T) {
 					}
 				}
 
-				fastEng := &ExecEngine{plans: make([]execPlan, in.Index+1), ev: expr.NewEvaluator()}
-				fastEng.plans[in.Index] = plan
-				slowEng := &ExecEngine{plans: make([]execPlan, in.Index+1), ev: expr.NewEvaluator()}
+				fastEng := &ExecEngine{prog: &Program{plans: make([]execPlan, in.Index+1)}, ev: expr.NewEvaluator()}
+				fastEng.prog.plans[in.Index] = plan
+				slowEng := &ExecEngine{prog: &Program{plans: make([]execPlan, in.Index+1)}, ev: expr.NewEvaluator()}
 				// slowEng's plans stay execFallback: the generic interpreter.
 
 				const rounds = 300

@@ -1,12 +1,9 @@
 package core
 
-import (
-	"riscvsim/internal/asm"
-	"riscvsim/internal/predictor"
-)
+import "riscvsim/internal/predictor"
 
 // fetchInfo is the pre-decoded control-flow summary of one static
-// instruction, computed once at construction so the per-cycle fetch loop
+// instruction, computed once per Program so the per-cycle fetch loop
 // reads flags and targets from a flat array instead of walking descriptor
 // fields and operand lists.
 type fetchInfo struct {
@@ -22,16 +19,13 @@ type fetchInfo struct {
 // fetching up to the configured width per cycle and up to JumpsPerCycle
 // taken jumps within a single cycle (paper §II-C).
 type fetchUnit struct {
-	prog *asm.Program
-	pred *predictor.Predictor
-	info []fetchInfo // indexed by PC
-	// nextBranch[i] is the code index of the first branch at or after i —
-	// the fetch-side half of the basic-block index (blockplan.go): the
-	// span [i, nextBranch[i]) is straight-line, so the fetch loop batches
-	// it without per-PC control-flow checks.
-	nextBranch []int32
-	width      int
-	jumps      int
+	// prog supplies the instructions and their pre-decoded control flow
+	// (finfo, nextBranch): a straight-line span [i, nextBranch[i]) is
+	// batched without per-PC control-flow checks.
+	prog  *Program
+	pred  *predictor.Predictor
+	width int
+	jumps int
 
 	pc           int
 	stalledUntil uint64    // flush-penalty stall
@@ -47,37 +41,14 @@ type fetchUnit struct {
 	stallCycles uint64
 }
 
-func newFetchUnit(prog *asm.Program, pred *predictor.Predictor, width, jumps, entry int) *fetchUnit {
-	f := &fetchUnit{prog: prog, pred: pred, width: width, jumps: jumps, pc: entry}
-	f.info = make([]fetchInfo, len(prog.Instructions))
-	f.nextBranch = make([]int32, len(prog.Instructions))
-	for i, in := range prog.Instructions {
-		fi := &f.info[i]
-		fi.isBranch = in.Desc.IsBranch()
-		fi.conditional = in.Desc.Conditional
-		if fi.isBranch && in.Desc.PCRelative {
-			if imm := in.Op("imm"); imm != nil {
-				fi.targetKnown = true
-				fi.target = i + int(imm.Val)
-			}
-		}
-	}
-	for i := len(prog.Instructions) - 1; i >= 0; i-- {
-		if f.info[i].isBranch {
-			f.nextBranch[i] = int32(i)
-		} else if i == len(prog.Instructions)-1 {
-			f.nextBranch[i] = int32(i + 1)
-		} else {
-			f.nextBranch[i] = f.nextBranch[i+1]
-		}
-	}
-	return f
+func newFetchUnit(prog *Program, pred *predictor.Predictor, width, jumps, entry int) *fetchUnit {
+	return &fetchUnit{prog: prog, pred: pred, width: width, jumps: jumps, pc: entry}
 }
 
 // AtEnd reports whether the PC has run off the code segment (the program
 // finished: the final `ret` jumps to the sentinel return address).
 func (f *fetchUnit) AtEnd() bool {
-	return f.waitBranch == nil && (f.pc < 0 || f.pc >= len(f.prog.Instructions))
+	return f.waitBranch == nil && (f.pc < 0 || f.pc >= len(f.prog.instrs))
 }
 
 // Stalled reports whether fetch cannot proceed this cycle.
@@ -116,26 +87,26 @@ func (f *fetchUnit) Fetch(now uint64, room int, s *Simulation) []*SimInstr {
 	out := f.scratch[:0]
 	jumpsTaken := 0
 	for len(out) < f.width && len(out) < room {
-		if f.pc < 0 || f.pc >= len(f.prog.Instructions) {
+		if f.pc < 0 || f.pc >= len(f.prog.instrs) {
 			break
 		}
 		// Straight-line span: everything up to the next branch fetches in
 		// one batch with no per-PC control-flow checks — same
 		// instructions, same order, same cycle as the scalar walk.
-		if nb := int(f.nextBranch[f.pc]); f.pc < nb {
+		if nb := int(f.prog.nextBranch[f.pc]); f.pc < nb {
 			end := f.pc + min(f.width-len(out), room-len(out))
 			if end > nb {
 				end = nb
 			}
 			for ; f.pc < end; f.pc++ {
-				si := s.newInstr(f.prog.Instructions[f.pc], f.pc, now)
+				si := s.newInstr(f.prog.instrs[f.pc], f.pc, now)
 				f.fetched++
 				out = append(out, si)
 			}
 			continue
 		}
-		st := f.prog.Instructions[f.pc]
-		fi := &f.info[f.pc]
+		st := f.prog.instrs[f.pc]
+		fi := &f.prog.finfo[f.pc]
 		si := s.newInstr(st, f.pc, now)
 		f.fetched++
 		out = append(out, si)

@@ -32,15 +32,13 @@ type LogEntry struct {
 // the pipeline, and calls them sequentially each clock cycle (the paper's
 // BlockScheduleTask, §III-A).
 type Simulation struct {
-	cfg  *config.CPU
-	set  *isa.Set
-	regs *isa.RegisterFile
-	prog *asm.Program
-	mem  *memory.Main
-	// initialMem snapshots the loaded memory image so backward
-	// simulation can re-run deterministically from cycle zero.
-	initialMem *memory.Main
-	entry      int
+	cfg *config.CPU
+	// prog is the shared, immutable compiled program (program.go); the
+	// simulation only reads it. Everything below is this run's own state.
+	prog  *Program
+	entry int
+	// mem is the working memory: a private copy of prog.image.
+	mem *memory.Main
 
 	l1    *cache.Cache
 	pred  *predictor.Predictor
@@ -130,17 +128,34 @@ type Simulation struct {
 	tracePCMax int // -1 = unbounded
 }
 
-// New builds a simulation over an assembled program and its loaded memory.
-// The memory must already contain the program's data image (asm.Assemble);
-// entry is the starting instruction index. Mirrors the initialization
-// sequence of paper §III-A: configuration validation, statistics and block
-// construction, register-file initialization and PC setup.
+// New compiles an assembled program and builds one simulation of it. The
+// memory must already contain the program's data image (asm.Assemble) and
+// becomes the simulation's working memory; entry is the starting
+// instruction index. It is NewProgram followed by a simulation on mem:
+// callers that run one program more than once build the Program
+// themselves and call NewSimulation. The descriptors hang off prog's
+// instructions, so set is not consulted.
 func New(cfg *config.CPU, set *isa.Set, regs *isa.RegisterFile, prog *asm.Program, mem *memory.Main, entry int) (*Simulation, error) {
-	if errs := cfg.Validate(); len(errs) > 0 {
-		return nil, fmt.Errorf("core: invalid configuration: %v", errs[0])
+	if err := validate(cfg); err != nil {
+		return nil, err
 	}
-	if entry < 0 || (entry >= len(prog.Instructions) && len(prog.Instructions) > 0) {
-		return nil, fmt.Errorf("core: entry point %d outside code of %d instructions", entry, len(prog.Instructions))
+	return newSimulation(cfg, NewProgram(regs, prog, mem.Clone()), mem, entry)
+}
+
+func validate(cfg *config.CPU) error {
+	if errs := cfg.Validate(); len(errs) > 0 {
+		return fmt.Errorf("core: invalid configuration: %v", errs[0])
+	}
+	return nil
+}
+
+// newSimulation builds the per-run state over a compiled program and its
+// working memory. Mirrors the initialization sequence of paper §III-A:
+// statistics and block construction, register-file initialization and PC
+// setup (the caller validated the configuration).
+func newSimulation(cfg *config.CPU, p *Program, mem *memory.Main, entry int) (*Simulation, error) {
+	if entry < 0 || (entry >= len(p.instrs) && len(p.instrs) > 0) {
+		return nil, fmt.Errorf("core: entry point %d outside code of %d instructions", entry, len(p.instrs))
 	}
 	l1, err := cache.New(cfg.Cache, mem)
 	if err != nil {
@@ -151,22 +166,19 @@ func New(cfg *config.CPU, set *isa.Set, regs *isa.RegisterFile, prog *asm.Progra
 		return nil, err
 	}
 	s := &Simulation{
-		cfg:        cfg,
-		set:        set,
-		regs:       regs,
-		prog:       prog,
-		mem:        mem,
-		initialMem: mem.Clone(),
-		entry:      entry,
-		l1:         l1,
-		pred:       pred,
-		rf:         rename.NewFile(cfg.RenameRegisters),
-		rob:        NewROB(cfg.ROBSize),
-		lsu:        NewLSU(cfg.LoadBufferSize, cfg.StoreBufferSize, l1),
-		decodeCap:  2 * cfg.FetchWidth,
-		eng:        newExecEngine(prog),
-		logBound:   cfg.LogBound(),
-		ffStopPC:   -1,
+		cfg:       cfg,
+		prog:      p,
+		entry:     entry,
+		mem:       mem,
+		l1:        l1,
+		pred:      pred,
+		rf:        rename.NewFile(cfg.RenameRegisters),
+		rob:       NewROB(cfg.ROBSize),
+		lsu:       NewLSU(cfg.LoadBufferSize, cfg.StoreBufferSize, l1),
+		decodeCap: 2 * cfg.FetchWidth,
+		eng:       newExecEngine(p),
+		logBound:  cfg.LogBound(),
+		ffStopPC:  -1,
 	}
 	s.lsu.onRecycle = s.recycleInstr
 	s.windows[isa.FX] = newIssueWindow(isa.FX, cfg.FXWindow)
@@ -175,17 +187,17 @@ func New(cfg *config.CPU, set *isa.Set, regs *isa.RegisterFile, prog *asm.Progra
 	s.windows[isa.Branch] = newIssueWindow(isa.Branch, cfg.BranchWindow)
 	for i := range cfg.Units {
 		fu := NewFU(&cfg.Units[i])
-		fu.precompute(prog)
+		fu.precompute(p.code)
 		s.fus = append(s.fus, fu)
 	}
-	s.fetch = newFetchUnit(prog, pred, cfg.FetchWidth, cfg.JumpsPerCycle, entry)
+	s.fetch = newFetchUnit(p, pred, cfg.FetchWidth, cfg.JumpsPerCycle, entry)
 
 	// Register initialization (paper §III-C): the call stack lives at the
 	// bottom of memory and x2 (sp) points at its end; the return address
 	// is a sentinel one past the code so that `ret` from the entry
 	// routine leaves the code segment and drains the pipeline.
 	s.rf.SetArchValue(isa.RegInt, isa.RegSP, expr.NewInt(int32(mem.StackPointerInit())))
-	s.rf.SetArchValue(isa.RegInt, isa.RegRA, expr.NewInt(int32(len(prog.Instructions))))
+	s.rf.SetArchValue(isa.RegInt, isa.RegRA, expr.NewInt(int32(len(p.instrs))))
 	return s, nil
 }
 
@@ -317,7 +329,7 @@ func (s *Simulation) Cache() *cache.Cache { return s.l1 }
 func (s *Simulation) Registers() *rename.File { return s.rf }
 
 // Program returns the assembled program under simulation.
-func (s *Simulation) Program() *asm.Program { return s.prog }
+func (s *Simulation) Program() *asm.Program { return s.prog.code }
 
 // Log returns the debug log entries.
 func (s *Simulation) Log() []LogEntry { return s.log }
@@ -649,7 +661,7 @@ func (s *Simulation) renameStep(now uint64) {
 		// Rename sources first so an instruction that reads and writes
 		// the same register sees the older copy. Operand classes and
 		// register indices were pre-resolved at load (renameplan.go).
-		rp := &s.eng.rplans[si.PC]
+		rp := &s.prog.rplans[si.PC]
 		for i := 0; i < int(rp.nsrc); i++ {
 			rs := &rp.srcs[i]
 			ref := s.rf.LookupSrc(rs.class, int(rs.reg))
@@ -847,15 +859,11 @@ func (s *Simulation) StepBack() (*Simulation, error) {
 
 // ReplayTo returns a fresh simulation advanced to the given cycle.
 func (s *Simulation) ReplayTo(target uint64) (*Simulation, error) {
-	mem := s.initialMem.Clone()
-	ns, err := New(s.cfg, s.set, s.regs, s.prog, mem, s.entry)
+	ns, err := s.Fresh()
 	if err != nil {
 		return nil, err
 	}
 	ns.VerboseLog = s.VerboseLog
-	// Replay with the same semantic engine: determinism demands the
-	// re-run computes exactly what the original did.
-	ns.SetEngineMode(s.engineMode)
 	for ns.cycle < target && !ns.halted {
 		ns.Step()
 	}
@@ -867,12 +875,14 @@ func (s *Simulation) ReplayTo(target uint64) (*Simulation, error) {
 	return ns, nil
 }
 
-// Fresh returns a new simulation at cycle zero sharing this one's
-// configuration, program and initial memory image — the machine ReplayTo
-// replays on, exposed so in-process snapshot restores can skip rebuilding
-// the static world (re-assembly, config round-trips).
+// Fresh returns a new simulation at cycle zero of the same Program on the
+// same architecture: the machine ReplayTo replays on, snapshot restores
+// decode into and time-parallel workers fork from. It costs the per-run
+// state and one copy of the image; nothing is assembled or specialized
+// again. The semantic engine carries over: determinism demands a re-run
+// computes exactly what the original did.
 func (s *Simulation) Fresh() (*Simulation, error) {
-	ns, err := New(s.cfg, s.set, s.regs, s.prog, s.initialMem.Clone(), s.entry)
+	ns, err := newSimulation(s.cfg, s.prog, s.prog.image.Clone(), s.entry)
 	if err != nil {
 		return nil, err
 	}
@@ -942,7 +952,7 @@ func (s *Simulation) Report() *stats.Report {
 		}
 		r.ROBOccupancy = float64(s.robOccSum) / float64(s.cycle)
 	}
-	for t, n := range s.prog.MixStatic() {
+	for t, n := range s.prog.code.MixStatic() {
 		r.StaticMix[t.String()] = uint64(n)
 	}
 	for t, n := range s.dynMix {

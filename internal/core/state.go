@@ -110,7 +110,7 @@ func (s *Simulation) State(includeLog bool) *State {
 		Windows:    make(map[string][]InstrView, 4),
 		Stats:      s.Report(),
 		Pointers:   s.mem.Pointers(),
-		SpecRegs:   s.rf.LiveView(s.regs),
+		SpecRegs:   s.rf.LiveView(s.prog.regs),
 		CacheLines: s.l1.Lines(),
 	}
 	for _, si := range s.pendingDecode() {
@@ -154,9 +154,9 @@ func (s *Simulation) State(includeLog bool) *State {
 func (s *Simulation) regView(class isa.RegClass, idx int) RegView {
 	var desc *isa.RegisterDesc
 	if class == isa.RegInt {
-		desc = s.regs.Int(idx)
+		desc = s.prog.regs.Int(idx)
 	} else {
-		desc = s.regs.Float(idx)
+		desc = s.prog.regs.Float(idx)
 	}
 	rv := RegView{Name: desc.Name, Value: s.rf.ArchValue(class, idx).String()}
 	if len(desc.Aliases) > 0 {

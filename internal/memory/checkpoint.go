@@ -14,8 +14,8 @@ const ckptPageSize = 1024
 
 // EncodeState writes the memory's dynamic state: access counters plus the
 // sparse set of pages that differ from base. base is the initial memory
-// image (program data as loaded); restore rebuilds it by re-assembling
-// the embedded source, so only the delta travels. A nil base encodes
+// image (program data as loaded), which restore has again once it has
+// resolved the embedded source, so only the delta travels. A nil base encodes
 // every non-zero page.
 func (m *Main) EncodeState(w *ckpt.Writer, base *Main) {
 	w.Section(ckpt.SecMemory)
@@ -54,7 +54,7 @@ func (m *Main) EncodeState(w *ckpt.Writer, base *Main) {
 
 // DecodeState applies an encoded delta onto m, which must hold the same
 // base image the checkpoint was taken against (same program, same
-// configuration — the caller re-assembled it).
+// configuration — a copy of the same Program's image).
 func (m *Main) DecodeState(r *ckpt.Reader) {
 	r.Section(ckpt.SecMemory)
 	if size := r.Int(); r.Err() == nil && size != len(m.data) {

@@ -304,18 +304,20 @@ func (m *Main) Stats() Stats {
 	}
 }
 
-// Clone returns a deep copy of the memory, used to snapshot simulations.
+// Clone returns an independent copy of the memory: a simulation's working
+// copy of a program's image. The allocation registry is written only by
+// Allocate, which appends, so the copy shares its entries and is capped:
+// an Allocate on either side grows a private array.
 func (m *Main) Clone() *Main {
 	c := &Main{
 		cfg:       m.cfg,
 		data:      make([]byte, len(m.data)),
-		pointers:  make([]Pointer, len(m.pointers)),
+		pointers:  m.pointers[:len(m.pointers):len(m.pointers)],
 		allocNext: m.allocNext,
 		nextID:    m.nextID,
 		reads:     m.reads, writes: m.writes,
 		bytesRead: m.bytesRead, bytesWritten: m.bytesWritten,
 	}
 	copy(c.data, m.data)
-	copy(c.pointers, m.pointers)
 	return c
 }

@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"riscvsim/internal/api"
@@ -148,12 +149,8 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 func sessionIDFromBody(body []byte, contentEncoding string) (string, error) {
 	raw := body
 	if strings.Contains(contentEncoding, "gzip") {
-		gr, err := gzip.NewReader(bytes.NewReader(body))
-		if err != nil {
-			return "", fmt.Errorf("bad gzip body: %v", err)
-		}
-		raw, err = io.ReadAll(gr)
-		if err != nil {
+		var err error
+		if raw, err = gunzip(body); err != nil {
 			return "", fmt.Errorf("bad gzip body: %v", err)
 		}
 	}
@@ -246,16 +243,31 @@ func bufferResponse(resp *http.Response) (raw, inflated []byte, err error) {
 	}
 	inflated = raw
 	if strings.Contains(resp.Header.Get("Content-Encoding"), "gzip") {
-		gr, gerr := gzip.NewReader(bytes.NewReader(raw))
-		if gerr != nil {
-			return raw, nil, gerr
-		}
-		inflated, err = io.ReadAll(gr)
-		if err != nil {
+		if inflated, err = gunzip(raw); err != nil {
 			return raw, nil, err
 		}
 	}
 	return raw, inflated, nil
+}
+
+// gzipReaders recycles decompressors: the router inflates a copy of every
+// gzipped session request and buffered response it inspects, and a fresh
+// reader costs about 40 KB for bodies of a few hundred bytes.
+var gzipReaders sync.Pool
+
+// gunzip inflates a complete gzip document. Reset returns the pooled
+// reader to its initial state, so nothing of an earlier document (or of
+// one that failed half-way) reaches the next.
+func gunzip(data []byte) ([]byte, error) {
+	gr, _ := gzipReaders.Get().(*gzip.Reader)
+	if gr == nil {
+		gr = new(gzip.Reader)
+	}
+	defer gzipReaders.Put(gr)
+	if err := gr.Reset(bytes.NewReader(data)); err != nil {
+		return nil, err
+	}
+	return io.ReadAll(gr)
 }
 
 // errorCode extracts the stable error code from a buffered non-2xx

@@ -109,6 +109,9 @@ type Server struct {
 
 	store *sessionStore
 	adm   *admission
+	// programs shares compiled Programs between every machine the server
+	// builds or restores (programs.go).
+	programs *programCache
 
 	// instrumentation counters (atomics: handlers run concurrently)
 	reqCount     atomic.Uint64
@@ -167,11 +170,13 @@ func New(opts Options) *Server {
 		maxQueue = 2 * opts.MaxInFlight
 	}
 	s := &Server{
-		opts:  opts,
-		mux:   http.NewServeMux(),
-		store: newSessionStore(opts.MaxSessions, ttl, backend, spillTTL, opts.WriteThrough, debugf),
-		adm:   newAdmission(opts.MaxInFlight, maxQueue, opts.QueueTimeout),
+		opts:     opts,
+		mux:      http.NewServeMux(),
+		store:    newSessionStore(opts.MaxSessions, ttl, backend, spillTTL, opts.WriteThrough, debugf),
+		adm:      newAdmission(opts.MaxInFlight, maxQueue, opts.QueueTimeout),
+		programs: newProgramCache(programCacheBudget),
 	}
+	s.store.programs = s.programs
 	s.routes()
 	return s
 }
@@ -265,6 +270,9 @@ func (s *Server) Metrics() api.Metrics {
 		DeadlineExceeded: s.deadlineHits.Load(),
 	}
 	m.SessionsSpilled, m.SessionsRehydrated, m.SessionsLost = s.store.Counters()
+	pc := s.programs.stats()
+	m.ProgramCacheHits, m.ProgramCacheMisses, m.ProgramCacheEvictions = pc.hits, pc.misses, pc.evictions
+	m.ProgramCacheEntries, m.ProgramCacheBytes = pc.entries, pc.bytes
 	if m.TotalNanos > 0 {
 		m.JSONShare = float64(m.JSONNanos) / float64(m.TotalNanos)
 	}
@@ -282,6 +290,7 @@ func (s *Server) ResetMetrics() {
 	s.suiteReqs.Store(0)
 	s.suiteRuns.Store(0)
 	s.streamEvents.Store(0)
+	s.programs.resetCounters()
 }
 
 // statusForCode maps stable v1 error codes onto HTTP statuses.
@@ -455,9 +464,10 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) *api.E
 	return nil
 }
 
-// buildMachine binds BuildMachine as the handlers' build step.
+// buildMachine is the handlers' build step: BuildMachine through the
+// server's Program cache.
 func (s *Server) buildMachine(req *api.SimulateRequest) (*sim.Machine, *api.Error) {
-	return BuildMachine(req)
+	return buildMachine(s.programs, req)
 }
 
 // BuildMachine constructs a machine from request fields, attaching the
@@ -465,37 +475,45 @@ func (s *Server) buildMachine(req *api.SimulateRequest) (*sim.Machine, *api.Erro
 // checkpoint restores from it (forking the snapshot) instead of building
 // from source; memory fills still apply afterwards. Exported so the
 // CLI's in-process paths (checkpoint save, memory dumps) build machines
-// with exactly the server's semantics.
+// with exactly the server's semantics; it caches nothing.
 func BuildMachine(req *api.SimulateRequest) (*sim.Machine, *api.Error) {
+	return buildMachine(nil, req)
+}
+
+// buildMachine resolves the request's source (or its checkpoint's) to a
+// compiled Program through programs and instantiates it.
+func buildMachine(programs *programCache, req *api.SimulateRequest) (*sim.Machine, *api.Error) {
+	var m *sim.Machine
 	if len(req.Checkpoint) > 0 {
-		m, err := sim.Restore(bytes.NewReader(req.Checkpoint))
+		var err error
+		m, err = sim.RestoreWith(bytes.NewReader(req.Checkpoint), programs.assemble)
 		if err != nil {
 			return nil, api.CheckpointError(err)
 		}
-		// The request's verbosity wins over whatever flag the snapshot
-		// serialized, same as the build-from-source path below.
-		m.SetVerboseLog(req.Verbose)
-		for _, f := range req.MemFills {
-			if err := ApplyMemFill(m, f); err != nil {
-				return nil, api.WrapError(api.CodeMemFill, err)
-			}
-		}
-		return m, nil
-	}
-	cfg, aerr := resolveConfig(req.Preset, req.Config)
-	if aerr != nil {
-		return nil, aerr
-	}
-	var m *sim.Machine
-	var err error
-	if strings.EqualFold(req.Language, "c") {
-		m, err = sim.NewFromC(cfg, req.Code, req.Optimize)
 	} else {
-		m, err = sim.NewFromAsm(cfg, req.Code, req.Entry)
+		cfg, aerr := resolveConfig(req.Preset, req.Config)
+		if aerr != nil {
+			return nil, aerr
+		}
+		var p *sim.Program
+		var err error
+		entry := req.Entry
+		if strings.EqualFold(req.Language, "c") {
+			// Compiled programs start at the first instruction.
+			p, err = programs.compileC(req.Code, req.Optimize, cfg.Memory)
+			entry = ""
+		} else {
+			p, err = programs.assemble(req.Code, cfg.Memory)
+		}
+		if err == nil {
+			m, err = p.NewMachine(cfg, entry)
+		}
+		if err != nil {
+			return nil, api.WrapError(api.CodeBuildFailed, err)
+		}
 	}
-	if err != nil {
-		return nil, api.WrapError(api.CodeBuildFailed, err)
-	}
+	// The request's verbosity wins over whatever flag a snapshot
+	// serialized. Fills write the machine's own memory, never the Program.
 	m.SetVerboseLog(req.Verbose)
 	for _, f := range req.MemFills {
 		if err := ApplyMemFill(m, f); err != nil {
@@ -720,7 +738,9 @@ func (s *Server) handleParseAsm(w http.ResponseWriter, r *http.Request) (any, in
 	if aerr := s.decode(w, r, &req); aerr != nil {
 		return nil, 0, aerr
 	}
-	if _, err := sim.NewFromAsm(sim.DefaultConfig(), req.Code, ""); err != nil {
+	// Assembling is all "does it parse" needs, and through the cache the
+	// simulate that usually follows finds the Program already built.
+	if _, err := s.programs.assemble(req.Code, sim.DefaultMemoryConfig()); err != nil {
 		return &api.ParseAsmResponse{OK: false, Errors: err.Error()}, 0, nil
 	}
 	return &api.ParseAsmResponse{OK: true}, 0, nil

@@ -240,13 +240,10 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) (a
 		return nil, 0, aerr
 	}
 	sstart := time.Now()
-	m, err := sim.Restore(bytes.NewReader(req.Checkpoint))
+	m, err := s.programs.restoreSession(req.Checkpoint)
 	s.simNs.Add(uint64(time.Since(sstart)))
 	if err != nil {
 		return nil, 0, api.CheckpointError(err)
-	}
-	if m.SnapshotInterval() == 0 {
-		m.EnableSnapshots(0)
 	}
 	// Snapshot the state before the session is published: with an
 	// assigned ID another request can lock and run the machine the

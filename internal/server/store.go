@@ -73,7 +73,11 @@ type sessionStore struct {
 	nextID       uint64
 	now          func() time.Time     // injectable clock for tests
 	debugf       func(string, ...any) // debug-level logger (may be nil)
-	lastGC       time.Time
+	// programs resolves the source a stored checkpoint embeds, so a
+	// rehydrated session shares the Program of the live ones (nil: every
+	// restore assembles).
+	programs *programCache
+	lastGC   time.Time
 
 	// Lifecycle counters, guarded by mu (served by /api/v1/metrics).
 	spilled    uint64
@@ -262,12 +266,9 @@ func (st *sessionStore) fence(sess *session) {
 	if err != nil || v2 <= sess.version {
 		return
 	}
-	m, err := sim.Restore(bytes.NewReader(data))
+	m, err := st.programs.restoreSession(data)
 	if err != nil {
 		return
-	}
-	if m.SnapshotInterval() == 0 {
-		m.EnableSnapshots(0)
 	}
 	st.logf("session %s: local copy stale (v%d < store v%d), converging on store state at cycle %d",
 		sess.id, sess.version, v2, m.Cycle())
@@ -286,7 +287,7 @@ func (st *sessionStore) rehydrate(id string) (*session, bool) {
 	if err != nil {
 		return nil, false
 	}
-	m, err := sim.Restore(bytes.NewReader(data))
+	m, err := st.programs.restoreSession(data)
 	if err != nil {
 		// A bad read may be transient (a torn page, an NFS hiccup, an
 		// injected chaos fault) — re-read once before concluding the blob
@@ -295,7 +296,7 @@ func (st *sessionStore) rehydrate(id string) (*session, bool) {
 		// error into the loss of an acknowledged checkpoint.
 		data2, version2, err2 := st.backend.Get(id)
 		if err2 == nil {
-			m, err = sim.Restore(bytes.NewReader(data2))
+			m, err = st.programs.restoreSession(data2)
 			version = version2
 		}
 		if err != nil {
@@ -303,13 +304,6 @@ func (st *sessionStore) rehydrate(id string) (*session, bool) {
 			st.backend.Delete(id)
 			return nil, false
 		}
-	}
-	// Interactive sessions keep interval snapshots for O(interval)
-	// rewind (see handleSessionNew); re-enable them after rehydration so
-	// an eviction/rehydrate cycle does not silently demote backward
-	// stepping to a from-zero replay.
-	if m.SnapshotInterval() == 0 {
-		m.EnableSnapshots(0)
 	}
 
 	st.mu.Lock()
@@ -382,10 +376,7 @@ func (st *sessionStore) WriteThrough(sess *session, data []byte) bool {
 		// subsequent writes keep failing stale (acks stay non-durable)
 		// and adoption is retried — stale state must never win.
 		if data, v, gerr := st.backend.Get(sess.id); gerr == nil && v > sess.version {
-			if m, rerr := sim.Restore(bytes.NewReader(data)); rerr == nil {
-				if m.SnapshotInterval() == 0 {
-					m.EnableSnapshots(0)
-				}
+			if m, rerr := st.programs.restoreSession(data); rerr == nil {
 				sess.machine = m
 				sess.version = v
 				st.logf("session %s: converged on store v%d at cycle %d", sess.id, v, m.Cycle())

@@ -81,13 +81,12 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) (any, int, 
 // resolveConfig applies the Preset/Config precedence shared by simulate
 // and suite requests: Config overrides Preset overrides the default.
 func resolveConfig(preset string, raw *json.RawMessage) (*sim.Config, *api.Error) {
-	cfg := sim.DefaultConfig()
-	if preset != "" {
-		p, ok := sim.Presets()[preset]
-		if !ok {
-			return nil, api.Errorf(api.CodeUnknownPreset, "unknown preset %q", preset)
-		}
-		cfg = p
+	if preset == "" {
+		preset = "default"
+	}
+	cfg, ok := sim.Preset(preset)
+	if !ok {
+		return nil, api.Errorf(api.CodeUnknownPreset, "unknown preset %q", preset)
 	}
 	if raw != nil {
 		c, err := sim.ImportConfig(*raw)

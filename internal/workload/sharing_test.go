@@ -1,0 +1,256 @@
+package workload
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+
+	"riscvsim/internal/config"
+	"riscvsim/sim"
+)
+
+// outcome is everything a finished run is compared by.
+type outcome struct {
+	stateHash, archHash, cycle uint64
+	report                     string
+}
+
+func outcomeOf(t testing.TB, m *sim.Machine, rep *sim.Report) outcome {
+	t.Helper()
+	if !m.Halted() {
+		t.Errorf("machine did not halt (cycle %d)", m.Cycle())
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Error(err)
+	}
+	return outcome{m.StateHash(), m.ArchStateHash(), m.Cycle(), string(data)}
+}
+
+// sharingScenarios drive one machine to halt along every path that
+// instantiates from the Program again: a plain detailed run, fast-forward
+// (whose first use builds the lazy block tables), a backward step across
+// an interval snapshot, a time-parallel run (scout, forks and scratch
+// machines) and a checkpoint restored through restore.
+var sharingScenarios = []struct {
+	name  string
+	drive func(t testing.TB, m *sim.Machine, max uint64, restore func([]byte) (*sim.Machine, error)) outcome
+}{
+	{"detailed", func(t testing.TB, m *sim.Machine, max uint64, _ func([]byte) (*sim.Machine, error)) outcome {
+		m.Run(max)
+		return outcomeOf(t, m, m.Report())
+	}},
+	{"fast-forward", func(t testing.TB, m *sim.Machine, max uint64, _ func([]byte) (*sim.Machine, error)) outcome {
+		m.SetEngineMode(sim.EngineFastForward)
+		m.Run(max)
+		return outcomeOf(t, m, m.Report())
+	}},
+	{"step-back", func(t testing.TB, m *sim.Machine, max uint64, _ func([]byte) (*sim.Machine, error)) outcome {
+		m.EnableSnapshots(256)
+		m.Run(1000)
+		if err := m.GotoCycle(700); err != nil { // restores the snapshot at 512, replays 188
+			t.Error(err)
+		}
+		if err := m.StepBack(); err != nil {
+			t.Error(err)
+		}
+		if m.Cycle() != 699 {
+			t.Errorf("rewound to cycle %d, want 699", m.Cycle())
+		}
+		m.Run(max)
+		return outcomeOf(t, m, m.Report())
+	}},
+	{"parallel-k2", func(t testing.TB, m *sim.Machine, max uint64, _ func([]byte) (*sim.Machine, error)) outcome {
+		res, err := m.RunParallel(2, sim.ParallelOptions{WarmupInstructions: 1000, MaxCycles: max})
+		if err != nil {
+			t.Error(err)
+			return outcome{}
+		}
+		if res.Workers != 2 {
+			t.Errorf("parallel run used %d workers, want 2", res.Workers)
+		}
+		return outcomeOf(t, m, res.Report)
+	}},
+	{"checkpoint-restore", func(t testing.TB, m *sim.Machine, max uint64, restore func([]byte) (*sim.Machine, error)) outcome {
+		m.Run(1500)
+		var buf bytes.Buffer
+		if err := m.Checkpoint(&buf); err != nil {
+			t.Error(err)
+			return outcome{}
+		}
+		r, err := restore(buf.Bytes())
+		if err != nil {
+			t.Error(err)
+			return outcome{}
+		}
+		r.Run(max)
+		return outcomeOf(t, r, r.Report())
+	}},
+}
+
+// TestSharedProgramConcurrentUse: goroutines that take one Program and
+// concurrently run every scenario end exactly where an unshared
+// sim.NewFromAsm machine driven the same way ends. Run under -race this
+// is the check that nothing reachable from a Program is written after it
+// is built (CI: race job, -count=5).
+func TestSharedProgramConcurrentUse(t *testing.T) {
+	w, ok := ByName("sort-insertion")
+	if !ok {
+		t.Fatal("sort-insertion not in the corpus")
+	}
+	want := make([]outcome, len(sharingScenarios))
+	for i, sc := range sharingScenarios {
+		m, err := NewMachine(nil, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = sc.drive(t, m, w.MaxCycles, func(data []byte) (*sim.Machine, error) {
+			return sim.Restore(bytes.NewReader(data))
+		})
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	shared, err := sim.Assemble(w.Source, config.Default().Memory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restoreShared := func(data []byte) (*sim.Machine, error) {
+		return sim.RestoreWith(bytes.NewReader(data), func(src string, mem sim.MemoryConfig) (*sim.Program, error) {
+			if src != shared.Source() {
+				return nil, fmt.Errorf("checkpoint embeds a different source")
+			}
+			return shared, nil
+		})
+	}
+	const rounds = 3
+	var wg sync.WaitGroup
+	for r := 0; r < rounds; r++ {
+		for i, sc := range sharingScenarios {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m, err := shared.NewMachine(config.Default(), w.Entry)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := sc.drive(t, m, w.MaxCycles, restoreShared); got != want[i] {
+					t.Errorf("%s on the shared Program: cycle %d state %x arch %x, unshared: cycle %d state %x arch %x (reports equal: %v)",
+						sc.name, got.cycle, got.stateHash, got.archHash,
+						want[i].cycle, want[i].stateHash, want[i].archHash, got.report == want[i].report)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+// TestProgramPristineAfterUse: a store-heavy run to halt plus a direct
+// memory write on one machine leave the Program's image untouched — a
+// second machine from the same Program starts from the bytes a freshly
+// assembled one starts from, and ends where it ends.
+func TestProgramPristineAfterUse(t *testing.T) {
+	w, _ := ByName("sort-insertion")
+	p, err := sim.Assemble(w.Source, config.Default().Memory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := config.Default().Memory.Size
+	image := func(m *sim.Machine) []byte {
+		b, err := m.ReadMemory(0, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	fresh, err := NewMachine(nil, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := image(fresh)
+	freshStart := fresh.StateHash()
+
+	first, err := p.NewMachine(config.Default(), w.Entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Run(w.MaxCycles)
+	if bytes.Equal(image(first), pristine) {
+		t.Fatal("the run changed no memory; the test needs a store-heavy program")
+	}
+	// What a memFill does: a write through the machine's memory editor.
+	if err := first.WriteMemory(size-64, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := p.NewMachine(config.Default(), w.Entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(image(second), pristine) {
+		t.Error("second machine of a used Program does not start from the pristine image")
+	}
+	if got := second.StateHash(); got != freshStart {
+		t.Errorf("second machine starts at state %x, a freshly assembled one at %x", got, freshStart)
+	}
+	fresh.Run(w.MaxCycles)
+	second.Run(w.MaxCycles)
+	if second.StateHash() != fresh.StateHash() {
+		t.Error("second machine of a used Program ends in a different state than a freshly assembled one")
+	}
+}
+
+// bytesPerCall is the mean heap bytes f allocates, over n calls.
+func bytesPerCall(n int, f func()) uint64 {
+	f() // warm-up: lazy tables, pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+}
+
+// TestInstantiateAllocatesOneImage: a fork of a built machine (Fresh: what
+// ReplayTo, RunParallel and the snapshot restore behind StepBack build
+// on) allocates one copy of the memory image and no plan tables. The
+// bounds sit between this build's cost and the parent's, which copied the
+// image twice and rebuilt every table per fork (CI: cached build
+// allocation gate).
+func TestInstantiateAllocatesOneImage(t *testing.T) {
+	w, _ := ByName("sort-insertion")
+	m, err := NewMachine(nil, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := uint64(m.Sim().Memory().Size())
+	// One image, the L1 (16 KiB of lines plus tags), rename file,
+	// predictor, ROB and windows: measured 115 KB; the parent 186 KB.
+	if got := bytesPerCall(50, func() {
+		if _, err := m.Sim().Fresh(); err != nil {
+			t.Fatal(err)
+		}
+	}); got > image+64<<10 {
+		t.Errorf("Fresh allocates %d bytes, want at most one %d-byte image + 64 KiB", got, image)
+	}
+
+	m.EnableSnapshots(256)
+	m.Run(1000)
+	// A backward step decodes the snapshot at 768 into a fork and replays
+	// to 999: the fork plus the decoded state. Measured 128 KB; the
+	// parent 199 KB.
+	if got := bytesPerCall(50, func() {
+		if err := m.StepBack(); err != nil {
+			t.Fatal(err)
+		}
+		m.Step()
+	}); got > image+96<<10 {
+		t.Errorf("StepBack allocates %d bytes, want at most one %d-byte image + 96 KiB", got, image)
+	}
+}

@@ -6,11 +6,8 @@ import (
 	"hash/fnv"
 	"io"
 
-	"riscvsim/internal/asm"
 	"riscvsim/internal/ckpt"
 	"riscvsim/internal/config"
-	"riscvsim/internal/core"
-	"riscvsim/internal/memory"
 )
 
 // Checkpoint/restore: the versioned binary snapshot of a complete machine.
@@ -20,9 +17,9 @@ import (
 // the body carries every piece of dynamic state — architectural and
 // speculative registers, ROB, issue windows, LSU queues, functional
 // units, fetch/branch state, cache contents, memory (sparse pages),
-// cycle counters and statistics. Restore re-assembles the program (cheap,
-// proportional to source size, not to cycles executed) and overlays the
-// dynamic state, yielding a machine that is cycle-for-cycle deterministic
+// cycle counters and statistics. Restore resolves the source to a
+// compiled Program (assembling it, or finding it in the caller's cache:
+// RestoreWith), instantiates it and overlays the dynamic state, yielding a machine that is cycle-for-cycle deterministic
 // with the original. docs/checkpoint.md documents the binary layout.
 
 // header size bounds for the decoder.
@@ -48,7 +45,7 @@ func (m *Machine) Checkpoint(w io.Writer) error {
 	cw.U64(ckpt.Version)
 	cw.Fixed64(ckpt.ConfigHash(cfgJSON))
 	cw.Bytes(cfgJSON)
-	cw.String(m.src)
+	cw.String(m.prog.src)
 	cw.Int(m.entry)
 	m.sim.EncodeState(cw)
 	cw.U64(uint64(ckpt.FooterMagic))
@@ -63,7 +60,13 @@ func (m *Machine) Checkpoint(w io.Writer) error {
 // future step. Decoding failures return errors wrapping the ckpt sentinel
 // errors (ErrBadMagic, ErrVersion, ErrConfigHash, ErrTruncated,
 // ErrCorrupt), which the server maps onto stable API error codes.
-func Restore(r io.Reader) (*Machine, error) {
+func Restore(r io.Reader) (*Machine, error) { return RestoreWith(r, Assemble) }
+
+// RestoreWith is Restore with the embedded source resolved through
+// assemble instead of assembled afresh: a caller holding a cache of
+// Programs passes its lookup, so a checkpoint of a program it already
+// runs costs no assembly.
+func RestoreWith(r io.Reader, assemble func(src string, mem MemoryConfig) (*Program, error)) (*Machine, error) {
 	cr := ckpt.NewReader(r)
 	var magic [4]byte
 	cr.Raw(magic[:])
@@ -99,17 +102,14 @@ func Restore(r io.Reader) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: embedded configuration: %v", ckpt.ErrCorrupt, err)
 	}
-	set, regs := defaultSet(), defaultRegs()
-	mem := memory.New(cfg.Memory)
-	prog, err := asm.Assemble(src, set, regs, mem)
+	p, err := assemble(src, cfg.Memory)
 	if err != nil {
 		return nil, fmt.Errorf("%w: embedded source does not assemble: %v", ckpt.ErrCorrupt, err)
 	}
-	if entry < 0 || (len(prog.Instructions) > 0 && entry >= len(prog.Instructions)) {
-		return nil, fmt.Errorf("%w: entry %d outside code of %d instructions",
-			ckpt.ErrCorrupt, entry, len(prog.Instructions))
+	if n := len(p.core.Code().Instructions); entry < 0 || (n > 0 && entry >= n) {
+		return nil, fmt.Errorf("%w: entry %d outside code of %d instructions", ckpt.ErrCorrupt, entry, n)
 	}
-	s, err := core.New(cfg, set, regs, prog, mem, entry)
+	s, err := p.core.NewSimulation(cfg, entry)
 	if err != nil {
 		return nil, fmt.Errorf("%w: rebuilding machine: %v", ckpt.ErrCorrupt, err)
 	}
@@ -120,11 +120,7 @@ func Restore(r io.Reader) (*Machine, error) {
 	if err := cr.Err(); err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, set: set, regs: regs, prog: prog, sim: s, entry: entry, src: src}
-	if cfg.SnapshotInterval > 0 {
-		m.EnableSnapshots(uint64(cfg.SnapshotInterval))
-	}
-	return m, nil
+	return newMachine(cfg, p, s, entry), nil
 }
 
 // StateHash returns a 64-bit FNV-1a digest of the machine's checkpoint

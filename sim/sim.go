@@ -37,12 +37,13 @@ type (
 	Report = stats.Report
 	// State is a full processor snapshot for display.
 	State = core.State
+	// MemoryConfig is the memory part of Config: capacity, latencies and
+	// call-stack size.
+	MemoryConfig = memory.Config
 	// Exception is a simulation fault (division by zero, bad access...).
 	Exception = fault.Exception
 	// CompileResult is C compiler output: assembly plus line links.
 	CompileResult = compiler.Result
-	// Program is an assembled program.
-	Program = asm.Program
 	// LogEntry is one timestamped debug-log message.
 	LogEntry = core.LogEntry
 
@@ -101,6 +102,13 @@ func WidthConfig(width int) (*Config, error) { return config.WidthPreset(width) 
 // Presets returns all named architecture presets.
 func Presets() map[string]*Config { return config.Presets() }
 
+// Preset returns the named architecture preset, building only that one.
+func Preset(name string) (*Config, bool) { return config.Preset(name) }
+
+// DefaultMemoryConfig returns the memory shape of the preset
+// architectures.
+func DefaultMemoryConfig() MemoryConfig { return memory.DefaultConfig() }
+
 // ImportConfig parses and validates an architecture JSON document.
 func ImportConfig(data []byte) (*Config, error) { return config.Import(data) }
 
@@ -117,15 +125,13 @@ func FilterAssembly(src string) string { return asm.FilterCompilerOutput(src) }
 // Machine is one simulation instance with everything needed to run,
 // inspect, and step it forward or backward.
 type Machine struct {
-	cfg   *Config
-	set   *isa.Set
-	regs  *isa.RegisterFile
-	prog  *asm.Program
-	sim   *core.Simulation
+	cfg *Config
+	// prog is the compiled program the machine runs, possibly shared with
+	// other machines; the machine never writes it.
+	prog *Program
+	sim  *core.Simulation
+	// entry is the starting instruction index (checkpoints record it).
 	entry int
-	// src is the assembly source the machine was built from; checkpoints
-	// embed it so Restore can rebuild the static program deterministically.
-	src string
 	// cfgJSON caches the exported architecture document for checkpoint
 	// headers (per-cycle state hashing re-encodes the header each time).
 	cfgJSON []byte
@@ -150,28 +156,68 @@ var (
 	defaultRegs = sync.OnceValue(isa.NewRegisterFile)
 )
 
-// NewFromAsm assembles RISC-V assembly source and builds a machine. entry
-// names the entry label; empty means the first instruction.
-func NewFromAsm(cfg *Config, src, entry string) (*Machine, error) {
+// Program is a compiled program: the assembled instructions, the pristine
+// memory image and every table that depends only on the program and the
+// instruction set (docs/architecture.md). It is immutable and safe to
+// share: any number of machines, on any architectures with the memory
+// shape it was assembled for, may be built from one Program concurrently.
+type Program struct {
+	core *core.Program
+	// src is the assembly source; checkpoints embed it so Restore can
+	// resolve the same Program again.
+	src string
+}
+
+// Assemble compiles RISC-V assembly source into a Program laid out for
+// memories of the given shape.
+func Assemble(src string, mem MemoryConfig) (*Program, error) {
 	set, regs := defaultSet(), defaultRegs()
-	mem := memory.New(cfg.Memory)
-	prog, err := asm.Assemble(src, set, regs, mem)
+	image := memory.New(mem)
+	code, err := asm.Assemble(src, set, regs, image)
 	if err != nil {
 		return nil, err
 	}
-	e, err := prog.EntryPoint(entry)
+	return &Program{core: core.NewProgram(regs, code, image), src: src}, nil
+}
+
+// Source returns the assembly source the Program was built from.
+func (p *Program) Source() string { return p.src }
+
+// RetainedBytes estimates the memory the Program keeps alive (source,
+// image and per-instruction tables), for callers that cache Programs.
+func (p *Program) RetainedBytes() int { return len(p.src) + p.core.RetainedBytes() }
+
+// NewMachine builds a machine running the Program on the given
+// architecture. entry names the entry label; empty means the first
+// instruction. cfg.Memory must be the shape the Program was assembled for.
+func (p *Program) NewMachine(cfg *Config, entry string) (*Machine, error) {
+	e, err := p.core.Code().EntryPoint(entry)
 	if err != nil {
 		return nil, err
 	}
-	s, err := core.New(cfg, set, regs, prog, mem, e)
+	s, err := p.core.NewSimulation(cfg, e)
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, set: set, regs: regs, prog: prog, sim: s, entry: e, src: src}
+	return newMachine(cfg, p, s, e), nil
+}
+
+func newMachine(cfg *Config, p *Program, s *core.Simulation, entry int) *Machine {
+	m := &Machine{cfg: cfg, prog: p, sim: s, entry: entry}
 	if cfg.SnapshotInterval > 0 {
 		m.EnableSnapshots(uint64(cfg.SnapshotInterval))
 	}
-	return m, nil
+	return m
+}
+
+// NewFromAsm assembles RISC-V assembly source and builds a machine. entry
+// names the entry label; empty means the first instruction.
+func NewFromAsm(cfg *Config, src, entry string) (*Machine, error) {
+	p, err := Assemble(src, cfg.Memory)
+	if err != nil {
+		return nil, err
+	}
+	return p.NewMachine(cfg, entry)
 }
 
 // NewFromC compiles C source at the given optimization level, then
@@ -250,11 +296,11 @@ func (m *Machine) Log() []LogEntry { return m.sim.Log() }
 func (m *Machine) SetVerboseLog(v bool) { m.sim.VerboseLog = v }
 
 // Disassemble renders the loaded program.
-func (m *Machine) Disassemble() string { return m.prog.Disassemble() }
+func (m *Machine) Disassemble() string { return m.prog.core.Code().Disassemble() }
 
 // IntReg reads an architectural integer register by name or ABI alias.
 func (m *Machine) IntReg(name string) (int32, error) {
-	d, ok := m.regs.Lookup(name)
+	d, ok := m.prog.core.Registers().Lookup(name)
 	if !ok || d.Class != isa.RegInt {
 		return 0, fmt.Errorf("sim: no integer register %q", name)
 	}
@@ -263,7 +309,7 @@ func (m *Machine) IntReg(name string) (int32, error) {
 
 // FloatReg reads an architectural float register by name or ABI alias.
 func (m *Machine) FloatReg(name string) (float64, error) {
-	d, ok := m.regs.Lookup(name)
+	d, ok := m.prog.core.Registers().Lookup(name)
 	if !ok || d.Class != isa.RegFloat {
 		return 0, fmt.Errorf("sim: no float register %q", name)
 	}
@@ -272,7 +318,7 @@ func (m *Machine) FloatReg(name string) (float64, error) {
 
 // SetIntReg initializes an architectural integer register (before running).
 func (m *Machine) SetIntReg(name string, v int32) error {
-	d, ok := m.regs.Lookup(name)
+	d, ok := m.prog.core.Registers().Lookup(name)
 	if !ok || d.Class != isa.RegInt {
 		return fmt.Errorf("sim: no integer register %q", name)
 	}
@@ -348,6 +394,10 @@ func (m *Machine) PC() int { return m.sim.PC() }
 
 // Committed returns the committed instruction count so far.
 func (m *Machine) Committed() uint64 { return m.sim.Committed() }
+
+// Program returns the compiled program the machine runs; further machines
+// may be built from it.
+func (m *Machine) Program() *Program { return m.prog }
 
 // Sim exposes the underlying core simulation for advanced integrations
 // (the render package, benches).

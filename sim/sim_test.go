@@ -222,3 +222,25 @@ bnez t0, loop
 	}
 	wg.Wait()
 }
+
+// TestInvalidConfigRejectedAtBuild: an architecture that fails validation
+// builds no machine, from source or from an already compiled Program.
+func TestInvalidConfigRejectedAtBuild(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ROBSize = 0
+	if _, err := NewFromAsm(cfg, "li a0, 1\n", ""); err == nil || !strings.Contains(err.Error(), "invalid configuration") {
+		t.Errorf("NewFromAsm on an invalid architecture: %v", err)
+	}
+	p, err := Assemble("li a0, 1\n", DefaultMemoryConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.NewMachine(cfg, ""); err == nil || !strings.Contains(err.Error(), "invalid configuration") {
+		t.Errorf("NewMachine on an invalid architecture: %v", err)
+	}
+	other := DefaultConfig()
+	other.Memory.Size = 32 << 10
+	if _, err := p.NewMachine(other, ""); err == nil || !strings.Contains(err.Error(), "assembled for memory") {
+		t.Errorf("NewMachine on another memory shape: %v", err)
+	}
+}

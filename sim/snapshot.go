@@ -212,9 +212,9 @@ func (m *Machine) rewindTo(target uint64) error {
 }
 
 // restoreSnapshot rebuilds the simulation from snapshot i and replays
-// forward to target. The static world (program, config, registers,
-// initial memory image) is shared with the current simulation, so the
-// restore cost is decoding dynamic state — not re-assembly. Mirrors
+// forward to target. The new simulation is a fork of the machine's
+// Program on the same architecture (core.Fresh), so the restore cost is
+// one image copy and decoding dynamic state — not re-assembly. Mirrors
 // ReplayTo's contract: the catch-up replay never pauses and never
 // re-emits trace events; current debug state and the tracer carry over
 // afterwards.
