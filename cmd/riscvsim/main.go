@@ -390,44 +390,15 @@ func runLocal(req *api.SimulateRequest) (*api.SimulateResponse, error) {
 	return c.Simulate(req)
 }
 
-// buildLocalMachine constructs the in-process machine a request
-// describes — restored from a checkpoint or built from source — with
-// exactly the server's semantics (shared builder, including memory
-// fills and preset/config validation).
-func buildLocalMachine(req *api.SimulateRequest) (*sim.Machine, error) {
-	m, aerr := server.BuildMachine(req)
+// runAndCheckpoint simulates in-process, with the server's semantics, and
+// saves the machine state to ckptPath afterwards — the warm-prefix
+// producer for forked sweeps (restore it with -restore,
+// POST /api/v1/session/restore, or as a /api/v1/batch base checkpoint).
+func runAndCheckpoint(req *api.SimulateRequest, ckptPath string) (*api.SimulateResponse, error) {
+	m, resp, aerr := server.Simulate(req)
 	if aerr != nil {
 		return nil, aerr
 	}
-	return m, nil
-}
-
-// runAndCheckpoint simulates in-process and saves the machine state to
-// ckptPath afterwards — the warm-prefix producer for forked sweeps
-// (restore it with -restore, POST /api/v1/session/restore, or as a
-// /api/v1/batch base checkpoint).
-func runAndCheckpoint(req *api.SimulateRequest, ckptPath string) (*api.SimulateResponse, error) {
-	m, err := buildLocalMachine(req)
-	if err != nil {
-		return nil, err
-	}
-	var ring *sim.TraceRing
-	if req.Trace != nil {
-		r, aerr := server.TraceRing(req.Trace)
-		if aerr != nil {
-			return nil, aerr
-		}
-		ring = r
-		m.SetTracer(ring)
-	}
-	if req.FastForward {
-		m.SetEngineMode(sim.EngineFastForward)
-	}
-	steps := req.Steps
-	if steps == 0 {
-		steps = 50_000_000
-	}
-	m.Run(steps)
 	f, err := os.Create(ckptPath)
 	if err != nil {
 		return nil, fmt.Errorf("creating checkpoint file: %w", err)
@@ -438,20 +409,6 @@ func runAndCheckpoint(req *api.SimulateRequest, ckptPath string) (*api.SimulateR
 	}
 	if err := f.Close(); err != nil {
 		return nil, err
-	}
-	resp := &api.SimulateResponse{
-		Halted:     m.Halted(),
-		HaltReason: m.HaltReason(),
-		Cycles:     m.Cycle(),
-		Stats:      m.Report(),
-	}
-	if req.IncludeState {
-		resp.State = m.State(req.IncludeLog)
-	} else if req.IncludeLog {
-		resp.Log = m.Log()
-	}
-	if ring != nil {
-		resp.Trace = server.TraceResultOf(ring)
 	}
 	return resp, nil
 }
@@ -479,11 +436,13 @@ func parseFills(spec string) ([]api.MemFill, error) {
 	return fills, nil
 }
 
-// printDump re-runs the program in-process and prints a memory range.
+// printDump re-runs the program in-process — built with exactly the
+// server's semantics, memory fills and preset/config validation included
+// — and prints a memory range.
 func printDump(req *api.SimulateRequest, spec string) error {
-	m, err := buildLocalMachine(req)
-	if err != nil {
-		return err
+	m, aerr := server.BuildMachine(req)
+	if aerr != nil {
+		return aerr
 	}
 	m.Run(50_000_000)
 

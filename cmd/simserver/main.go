@@ -19,6 +19,7 @@ import (
 
 	"riscvsim/internal/loadgen"
 	"riscvsim/internal/server"
+	"riscvsim/internal/store"
 )
 
 func main() {
@@ -53,11 +54,22 @@ func main() {
 		*spillDir = filepath.Join(os.TempDir(), "riscvsim-spill-"+safe)
 	}
 
+	// The spill store is a directory backend. One that cannot be created
+	// degrades to running without spilling, as a failing one does.
+	var spill store.Store
+	if *spillDir != "" {
+		if d, err := store.NewDir(*spillDir); err != nil {
+			log.Printf("spill directory unusable, spilling disabled: %v", err)
+		} else {
+			spill = d
+		}
+	}
+
 	srv := server.New(server.Options{
 		MaxSessions:      *maxSessions,
 		SessionTTL:       *sessionTTL,
 		DisableGzip:      *noGzip,
-		SpillDir:         *spillDir,
+		Store:            spill,
 		SpillTTL:         *spillTTL,
 		WriteThrough:     *writeThrough,
 		AllowAssignedIDs: *assignedIDs,

@@ -88,3 +88,33 @@ func TestErrorHelpers(t *testing.T) {
 		t.Errorf("WrapError clobbered the code: %+v", w)
 	}
 }
+
+// TestMetricsWireNames pins the JSON keys of Metrics: the benchmark, the
+// router's /admin/metrics and the CLI read them by name, so a key may be
+// added but never renamed or dropped.
+func TestMetricsWireNames(t *testing.T) {
+	data, err := json.Marshal(Metrics{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{
+		"requests", "totalHandlingNanos", "jsonNanos", "simulationNanos", "jsonShare", "activeSessions",
+		"batchRequests", "batchSimulations", "suiteRequests", "suiteWorkloads", "streamEvents",
+		"sessions_spilled", "sessions_rehydrated", "sessions_lost",
+		"inFlight", "shed", "deadlineExceeded",
+		"programCacheHits", "programCacheMisses", "programCacheEvictions", "programCacheEntries", "programCacheBytes",
+		"phaseNanos",
+	} {
+		if _, ok := doc[key]; !ok {
+			t.Errorf("Metrics lost its %q key", key)
+		}
+		delete(doc, key)
+	}
+	for key := range doc {
+		t.Errorf("Metrics grew a %q key this test does not pin", key)
+	}
+}

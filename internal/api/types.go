@@ -423,12 +423,24 @@ type SessionLogResponse struct {
 
 // Metrics aggregates the server's self-instrumentation.
 type Metrics struct {
-	Requests       uint64  `json:"requests"`
-	TotalNanos     uint64  `json:"totalHandlingNanos"`
-	JSONNanos      uint64  `json:"jsonNanos"`
-	SimNanos       uint64  `json:"simulationNanos"`
-	JSONShare      float64 `json:"jsonShare"`
-	ActiveSessions int     `json:"activeSessions"`
+	Requests   uint64 `json:"requests"`
+	TotalNanos uint64 `json:"totalHandlingNanos"`
+	// JSONNanos, SimNanos and JSONShare are derived from PhaseNanos:
+	// decode + encode, simulate, and JSONNanos / TotalNanos.
+	JSONNanos uint64  `json:"jsonNanos"`
+	SimNanos  uint64  `json:"simulationNanos"`
+	JSONShare float64 `json:"jsonShare"`
+	// PhaseNanos is the request ledger: the host time of all counted
+	// requests by the phase of the request path it was spent in — queue
+	// (waiting for an admission slot), decode, build (compile, assemble,
+	// instantiate), simulate (work on a built machine: runs, rewinds,
+	// session checkpoint and restore, rendering), report (building reply
+	// documents from machines) and encode; docs/api.md has the table. A
+	// moment belongs to at most one phase, so the values sum to no more
+	// than TotalNanos. The workers of a batch or suite run side by side:
+	// what enters is the mean of their time in each phase, not the sum.
+	PhaseNanos     map[string]uint64 `json:"phaseNanos"`
+	ActiveSessions int               `json:"activeSessions"`
 	// BatchRequests counts /api/v1/batch calls; BatchSimulations counts
 	// the simulations fanned out by them.
 	BatchRequests    uint64 `json:"batchRequests"`

@@ -13,7 +13,6 @@ package client
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,7 +22,6 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strconv"
-	"sync"
 	"time"
 
 	"riscvsim/internal/api"
@@ -91,12 +89,6 @@ func Local(opts server.Options) (*Client, func()) {
 	return c, ts.Close
 }
 
-// gzipWriters recycles compressors across requests: a fresh one costs
-// about 1 MB of deflate state, a thousand times a session step's body.
-var gzipWriters = sync.Pool{
-	New: func() any { return gzip.NewWriter(io.Discard) },
-}
-
 // newRequest builds a POST with the encoded body and protocol headers.
 func (c *Client) newRequest(path string, req any) (*http.Request, error) {
 	body, err := json.Marshal(req)
@@ -110,11 +102,9 @@ func (c *Client) newRequest(path string, req any) (*http.Request, error) {
 	var rd io.Reader = bytes.NewReader(body)
 	if c.gzip {
 		var buf bytes.Buffer
-		gz := gzipWriters.Get().(*gzip.Writer)
-		gz.Reset(&buf)
+		gz := api.GetGzipWriter(&buf)
 		gz.Write(body)
-		gz.Close()
-		gzipWriters.Put(gz)
+		api.PutGzipWriter(gz)
 		rd = &buf
 		hreq.Header.Set("Content-Encoding", "gzip")
 	}

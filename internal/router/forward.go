@@ -2,7 +2,6 @@ package router
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"riscvsim/internal/api"
@@ -250,23 +248,15 @@ func bufferResponse(resp *http.Response) (raw, inflated []byte, err error) {
 	return raw, inflated, nil
 }
 
-// gzipReaders recycles decompressors: the router inflates a copy of every
-// gzipped session request and buffered response it inspects, and a fresh
-// reader costs about 40 KB for bodies of a few hundred bytes.
-var gzipReaders sync.Pool
-
-// gunzip inflates a complete gzip document. Reset returns the pooled
-// reader to its initial state, so nothing of an earlier document (or of
-// one that failed half-way) reaches the next.
+// gunzip inflates a complete gzip document on a pooled reader: the router
+// inflates a copy of every gzipped session request and buffered response
+// it inspects.
 func gunzip(data []byte) ([]byte, error) {
-	gr, _ := gzipReaders.Get().(*gzip.Reader)
-	if gr == nil {
-		gr = new(gzip.Reader)
-	}
-	defer gzipReaders.Put(gr)
-	if err := gr.Reset(bytes.NewReader(data)); err != nil {
+	gr, err := api.GetGzipReader(bytes.NewReader(data))
+	if err != nil {
 		return nil, err
 	}
+	defer api.PutGzipReader(gr)
 	return io.ReadAll(gr)
 }
 

@@ -17,9 +17,11 @@ const maxBatchRequests = 256
 // fanOut runs N independent simulations across a bounded worker pool
 // (one goroutine per core, work-stealing by index) and returns the
 // results in request order. It is the shared execution engine of
-// /api/v1/batch and /api/v1/suite. A context cancellation (client gone)
-// aborts the fan-out and returns the context error.
-func (s *Server) fanOut(ctx context.Context, reqs []api.SimulateRequest) ([]api.BatchResult, int, time.Duration, error) {
+// /api/v1/batch and /api/v1/suite. Each worker books its phases into a
+// timer of its own; the request's timer takes them in when all are done
+// (phaseTimer.join). A context cancellation (client gone) aborts the
+// fan-out: nobody is listening for results.
+func (s *Server) fanOut(ctx context.Context, reqs []api.SimulateRequest) ([]api.BatchResult, int, time.Duration, *api.Error) {
 	n := len(reqs)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -28,23 +30,26 @@ func (s *Server) fanOut(ctx context.Context, reqs []api.SimulateRequest) ([]api.
 	results := make([]api.BatchResult, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	timers := make([]phaseTimer, workers)
 	wstart := time.Now()
-	for i := 0; i < workers; i++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
+		wctx := withTimer(ctx, &timers[w])
 		go func() {
 			defer wg.Done()
-			for ctx.Err() == nil {
+			for wctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				results[i] = s.runBatchItem(ctx, i, &reqs[i])
+				results[i] = s.runBatchItem(wctx, i, &reqs[i])
 			}
 		}()
 	}
 	wg.Wait()
+	timerFrom(ctx).join(timers)
 	if err := ctx.Err(); err != nil {
-		return nil, workers, 0, err
+		return nil, workers, 0, api.WrapError(api.CodeInternal, err)
 	}
 	return results, workers, time.Since(wstart), nil
 }
@@ -53,17 +58,13 @@ func (s *Server) fanOut(ctx context.Context, reqs []api.SimulateRequest) ([]api.
 // pool (one goroutine per core). Sweep workloads — issue widths, cache
 // studies, load generation — get the whole study in a single round trip
 // instead of N, and the host's cores instead of one.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (any, int, error) {
-	var req api.BatchRequest
-	if aerr := s.decode(w, r, &req); aerr != nil {
-		return nil, 0, aerr
-	}
+func (s *Server) handleBatch(_ http.ResponseWriter, r *http.Request, req *api.BatchRequest) (any, *api.Error) {
 	n := len(req.Requests)
 	if n == 0 {
-		return nil, 0, api.Errorf(api.CodeBadRequest, "batch: no requests")
+		return nil, api.Errorf(api.CodeBadRequest, "batch: no requests")
 	}
 	if n > maxBatchRequests {
-		return nil, 0, api.Errorf(api.CodeBatchTooLarge,
+		return nil, api.Errorf(api.CodeBatchTooLarge,
 			"batch of %d requests exceeds the limit of %d", n, maxBatchRequests)
 	}
 	if len(req.BaseCheckpoint) > 0 {
@@ -77,10 +78,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (any, int, 
 		}
 	}
 
-	results, workers, wall, err := s.fanOut(r.Context(), req.Requests)
-	if err != nil {
-		// Client went away mid-batch; nobody is listening for results.
-		return nil, 0, api.WrapError(api.CodeInternal, err)
+	results, workers, wall, aerr := s.fanOut(r.Context(), req.Requests)
+	if aerr != nil {
+		return nil, aerr
 	}
 
 	resp := &api.BatchResponse{
@@ -95,9 +95,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (any, int, 
 			resp.Succeeded++
 		}
 	}
-	s.batchReqs.Add(1)
-	s.batchSims.Add(uint64(n))
-	return resp, 0, nil
+	s.ctr[ctrBatchReqs].Add(1)
+	s.ctr[ctrBatchSims].Add(uint64(n))
+	return resp, nil
 }
 
 // runBatchItem executes one batch entry, converting a simulator panic

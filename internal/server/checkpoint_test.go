@@ -111,7 +111,7 @@ func TestSessionCheckpointRestoreEndpoints(t *testing.T) {
 func TestSessionSpillAndRehydrateOnEviction(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxSessions = 1
-	opts.SpillDir = t.TempDir()
+	opts.Store = dirStore(t, t.TempDir())
 	srv, ts := newSpillServer(t, opts)
 
 	a := openSession(t, ts.URL, spillProgram)
@@ -151,7 +151,7 @@ func TestSessionSpillAndRehydrateOnEviction(t *testing.T) {
 func TestSessionSurvivesServerRestart(t *testing.T) {
 	dir := t.TempDir()
 	opts := DefaultOptions()
-	opts.SpillDir = dir
+	opts.Store = dirStore(t, dir)
 
 	srv1, ts1 := newSpillServer(t, opts)
 	id := openSession(t, ts1.URL, spillProgram)
@@ -178,7 +178,7 @@ func TestSessionSurvivesServerRestart(t *testing.T) {
 func TestRestartDoesNotReuseSpilledSessionIDs(t *testing.T) {
 	dir := t.TempDir()
 	opts := DefaultOptions()
-	opts.SpillDir = dir
+	opts.Store = dirStore(t, dir)
 
 	srv1, ts1 := newSpillServer(t, opts)
 	id := openSession(t, ts1.URL, spillProgram)

@@ -5,13 +5,9 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
-)
 
-// gzipWriterPool recycles compressors across requests.
-var gzipWriterPool = sync.Pool{
-	New: func() any { return gzip.NewWriter(io.Discard) },
-}
+	"riscvsim/internal/api"
+)
 
 // gzipResponseWriter compresses the response body.
 type gzipResponseWriter struct {
@@ -42,12 +38,12 @@ func gzipMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Decompress request bodies when flagged.
 		if strings.Contains(r.Header.Get("Content-Encoding"), "gzip") && r.Body != nil {
-			gr, err := gzip.NewReader(r.Body)
+			gr, err := api.GetGzipReader(r.Body)
 			if err != nil {
 				http.Error(w, `{"error":{"code":"bad_request","message":"bad gzip body"}}`, http.StatusBadRequest)
 				return
 			}
-			defer gr.Close()
+			defer api.PutGzipReader(gr)
 			r.Body = io.NopCloser(gr)
 			r.Header.Del("Content-Encoding")
 		}
@@ -58,12 +54,8 @@ func gzipMiddleware(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		gz := gzipWriterPool.Get().(*gzip.Writer)
-		gz.Reset(w)
-		defer func() {
-			gz.Close()
-			gzipWriterPool.Put(gz)
-		}()
+		gz := api.GetGzipWriter(w)
+		defer api.PutGzipWriter(gz)
 		w.Header().Set("Content-Encoding", "gzip")
 		next.ServeHTTP(&gzipResponseWriter{ResponseWriter: w, gz: gz}, r)
 	})

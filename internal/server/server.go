@@ -9,14 +9,20 @@
 // package binds it to HTTP. /api/v1 is the only URL space: the pre-v1 flat
 // paths (/simulate, /session/step, ...) are gone and answer 404.
 //
-// The server instruments its own request handling: it records the share of
-// time spent encoding/decoding JSON versus total handling time, which the
-// paper profiles at "about 60% of the request handling time" (§IV-A); see
-// /api/v1/metrics and the E2 bench.
+// Every route runs through one request path (docs/architecture.md): the
+// adapter (mount) starts a request-scoped phase timer, passes the
+// admission valve, calls the handler — decode, build, run loop
+// (runMachine), report — and encodes the reply. The timer (phase.go) is
+// how the server instruments its own request handling: it attributes each
+// request's host time to the phase it was spent in, which yields the share
+// of time spent encoding/decoding JSON versus total handling time that
+// the paper profiles at "about 60% of the request handling time" (§IV-A);
+// see /api/v1/metrics and the E2 bench.
 package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -24,7 +30,6 @@ import (
 	"log"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"riscvsim/internal/api"
@@ -45,18 +50,13 @@ type Options struct {
 	MaxBodyBytes int64
 	// DisableGzip turns off response compression (for the E3 bench).
 	DisableGzip bool
-	// SpillDir, when non-empty, enables transparent session spill: a
-	// session evicted by LRU pressure or the idle TTL is checkpointed
-	// into this directory and rehydrated on its next touch (including
-	// after a server restart). Empty disables spilling; evictions then
-	// lose sessions (counted in the sessions_lost metric). Ignored when
-	// Store is set.
-	SpillDir string
-	// Store is the checkpoint-store backend for session spill and
-	// rehydration (internal/store). It generalizes SpillDir — a
-	// directory is just the Dir backend — and is how the distributed
-	// tier shares one store across replicas. Takes precedence over
-	// SpillDir when both are set.
+	// Store, when set, enables transparent session spill: a session
+	// evicted by LRU pressure or the idle TTL is checkpointed into this
+	// backend (internal/store) and rehydrated on its next touch —
+	// including after a server restart, for a backend that outlives the
+	// process such as store.Dir — and the distributed tier shares one
+	// store across replicas. Nil disables spilling; evictions then lose
+	// sessions (counted in the sessions_lost metric).
 	Store store.Store
 	// SpillTTL garbage-collects spilled checkpoints older than this so
 	// abandoned sessions cannot grow the store without bound (0 =
@@ -113,17 +113,8 @@ type Server struct {
 	// builds or restores (programs.go).
 	programs *programCache
 
-	// instrumentation counters (atomics: handlers run concurrently)
-	reqCount     atomic.Uint64
-	totalNs      atomic.Uint64
-	jsonNs       atomic.Uint64
-	simNs        atomic.Uint64
-	batchReqs    atomic.Uint64
-	batchSims    atomic.Uint64
-	suiteReqs    atomic.Uint64
-	suiteRuns    atomic.Uint64
-	streamEvents atomic.Uint64
-	deadlineHits atomic.Uint64
+	// ctr is the server's own instrumentation (phase.go).
+	ctr counters
 }
 
 // New builds a server.
@@ -154,17 +145,6 @@ func New(opts Options) *Server {
 			log.Printf("[debug] "+format, args...)
 		}
 	}
-	backend := opts.Store
-	if backend == nil && opts.SpillDir != "" {
-		d, err := store.NewDir(opts.SpillDir)
-		if err != nil {
-			// A spill directory that cannot be created degrades to the
-			// no-spill behavior the option always had on I/O failure.
-			log.Printf("server: spill directory unusable, spilling disabled: %v", err)
-		} else {
-			backend = d
-		}
-	}
 	maxQueue := opts.MaxQueue
 	if maxQueue == 0 {
 		maxQueue = 2 * opts.MaxInFlight
@@ -172,7 +152,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:     opts,
 		mux:      http.NewServeMux(),
-		store:    newSessionStore(opts.MaxSessions, ttl, backend, spillTTL, opts.WriteThrough, debugf),
+		store:    newSessionStore(opts.MaxSessions, ttl, opts.Store, spillTTL, opts.WriteThrough, debugf),
 		adm:      newAdmission(opts.MaxInFlight, maxQueue, opts.QueueTimeout),
 		programs: newProgramCache(programCacheBudget),
 	}
@@ -181,42 +161,58 @@ func New(opts Options) *Server {
 	return s
 }
 
-// routes mounts the versioned API.
+// admitMode says how a route passes the admission valve.
+type admitMode int
+
+const (
+	// unadmitted routes are cheap metadata (schema, metrics, parse/check,
+	// render, log paging): they bypass the valve so an overloaded node
+	// stays observable and debuggable.
+	unadmitted admitMode = iota
+	// admitted routes bear simulation work: they hold an in-flight slot
+	// for their whole handler and get the per-request deadline.
+	admitted
+	// admittedStream routes hold their slot for the stream's whole life
+	// but get no deadline: streams pace themselves and end on client
+	// disconnect.
+	admittedStream
+)
+
+// route is one row of the API table.
+type route struct {
+	method, path string
+	admit        admitMode
+	handler      handlerFunc
+}
+
+// routes mounts the versioned API. Method-scoped patterns: mutations are
+// POST, reads are GET.
 func (s *Server) routes() {
-	// Method-scoped patterns: mutations are POST, reads are GET.
-	// Simulation-bearing endpoints pass through the admission valve
-	// (s.admitted): they hold an in-flight slot for their whole handler
-	// and get the per-request deadline. Cheap metadata endpoints
-	// (schema, metrics, health, parse/check, render, log paging) bypass
-	// it so an overloaded node stays observable and debuggable.
-	routes := []struct {
-		method, path string
-		handler      http.HandlerFunc
-	}{
-		{http.MethodPost, "/simulate", s.wrap(s.admitted(s.handleSimulate))},
-		{http.MethodPost, "/batch", s.wrap(s.admitted(s.handleBatch))},
-		{http.MethodPost, "/suite", s.wrap(s.admitted(s.handleSuite))},
-		{http.MethodPost, "/compile", s.wrap(s.handleCompile)},
-		{http.MethodPost, "/parseAsm", s.wrap(s.handleParseAsm)},
-		{http.MethodPost, "/checkConfig", s.wrap(s.handleCheckConfig)},
-		{http.MethodGet, "/schema", s.wrap(s.handleSchema)},
-		{http.MethodGet, "/instructionDescriptions", s.handleInstructionDescriptions},
-		{http.MethodPost, "/session/new", s.wrap(s.admitted(s.handleSessionNew))},
-		{http.MethodPost, "/session/step", s.wrap(s.admitted(s.handleSessionStep))},
-		{http.MethodPost, "/session/goto", s.wrap(s.admitted(s.handleSessionGoto))},
-		{http.MethodPost, "/session/close", s.wrap(s.handleSessionClose)},
-		{http.MethodGet, "/session/render", s.wrap(s.handleSessionRender)},
-		{http.MethodPost, "/session/stream", s.admitStream(s.handleSessionStream)},
-		{http.MethodPost, "/session/trace", s.admitStream(s.handleSessionTrace)},
-		{http.MethodGet, "/session/{id}/log", s.wrap(s.handleSessionLog)},
-		{http.MethodPost, "/session/checkpoint", s.wrap(s.admitted(s.handleSessionCheckpoint))},
-		{http.MethodPost, "/session/restore", s.wrap(s.admitted(s.handleSessionRestore))},
-		{http.MethodGet, "/metrics", s.wrap(s.handleMetrics)},
-		{http.MethodGet, "/health", s.handleHealth},
+	for _, rt := range []route{
+		{http.MethodPost, "/simulate", admitted, decoded(s, s.handleSimulate)},
+		{http.MethodPost, "/batch", admitted, decoded(s, s.handleBatch)},
+		{http.MethodPost, "/suite", admitted, decoded(s, s.handleSuite)},
+		{http.MethodPost, "/compile", unadmitted, decoded(s, s.handleCompile)},
+		{http.MethodPost, "/parseAsm", unadmitted, decoded(s, s.handleParseAsm)},
+		{http.MethodPost, "/checkConfig", unadmitted, s.handleCheckConfig},
+		{http.MethodGet, "/schema", unadmitted, s.handleSchema},
+		{http.MethodGet, "/instructionDescriptions", unadmitted, s.handleInstructionDescriptions},
+		{http.MethodPost, "/session/new", admitted, decoded(s, s.handleSessionNew)},
+		{http.MethodPost, "/session/step", admitted, decoded(s, s.handleSessionStep)},
+		{http.MethodPost, "/session/goto", admitted, decoded(s, s.handleSessionGoto)},
+		{http.MethodPost, "/session/close", unadmitted, decoded(s, s.handleSessionClose)},
+		{http.MethodGet, "/session/render", unadmitted, s.handleSessionRender},
+		{http.MethodPost, "/session/stream", admittedStream, decoded(s, s.handleSessionStream)},
+		{http.MethodPost, "/session/trace", admittedStream, decoded(s, s.handleSessionTrace)},
+		{http.MethodGet, "/session/{id}/log", unadmitted, s.handleSessionLog},
+		{http.MethodPost, "/session/checkpoint", admitted, decoded(s, s.handleSessionCheckpoint)},
+		{http.MethodPost, "/session/restore", admitted, decoded(s, s.handleSessionRestore)},
+		{http.MethodGet, "/metrics", unadmitted, s.handleMetrics},
+	} {
+		s.mount(rt)
 	}
-	for _, r := range routes {
-		s.mux.HandleFunc(r.method+" "+api.V1Prefix+r.path, r.handler)
-	}
+	// The liveness probe is not a request: uncounted, untimed, unadmitted.
+	s.mux.HandleFunc(http.MethodGet+" "+api.V1Prefix+"/health", s.handleHealth)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -252,22 +248,32 @@ func (s *Server) Shutdown(ctx context.Context, hs *http.Server) (int, error) {
 	return s.store.SpillAll(), err
 }
 
-// Metrics returns the accumulated instrumentation.
+// Metrics returns the accumulated instrumentation. The three figures the
+// paper's profile is read from are views of the phase ledger: JSON time is
+// decode + encode, simulation time is the simulate phase.
 func (s *Server) Metrics() api.Metrics {
+	c := &s.ctr
+	var ns [numPhases]uint64
+	phases := make(map[string]uint64, numPhases)
+	for p, name := range phaseNames {
+		ns[p] = c[ctrPhaseNs+counter(p)].Load()
+		phases[name] = ns[p]
+	}
 	m := api.Metrics{
-		Requests:         s.reqCount.Load(),
-		TotalNanos:       s.totalNs.Load(),
-		JSONNanos:        s.jsonNs.Load(),
-		SimNanos:         s.simNs.Load(),
+		Requests:         c[ctrRequests].Load(),
+		TotalNanos:       c[ctrTotalNs].Load(),
+		JSONNanos:        ns[phaseDecode] + ns[phaseEncode],
+		SimNanos:         ns[phaseSimulate],
+		PhaseNanos:       phases,
 		ActiveSessions:   s.store.Len(),
-		BatchRequests:    s.batchReqs.Load(),
-		BatchSimulations: s.batchSims.Load(),
-		SuiteRequests:    s.suiteReqs.Load(),
-		SuiteWorkloads:   s.suiteRuns.Load(),
-		StreamEvents:     s.streamEvents.Load(),
+		BatchRequests:    c[ctrBatchReqs].Load(),
+		BatchSimulations: c[ctrBatchSims].Load(),
+		SuiteRequests:    c[ctrSuiteReqs].Load(),
+		SuiteWorkloads:   c[ctrSuiteRuns].Load(),
+		StreamEvents:     c[ctrStreamEvents].Load(),
 		InFlight:         s.adm.inFlight.Load(),
 		Shed:             s.adm.shed.Load(),
-		DeadlineExceeded: s.deadlineHits.Load(),
+		DeadlineExceeded: c[ctrDeadlineHits].Load(),
 	}
 	m.SessionsSpilled, m.SessionsRehydrated, m.SessionsLost = s.store.Counters()
 	pc := s.programs.stats()
@@ -281,15 +287,7 @@ func (s *Server) Metrics() api.Metrics {
 
 // ResetMetrics clears the counters (benchmark harness).
 func (s *Server) ResetMetrics() {
-	s.reqCount.Store(0)
-	s.totalNs.Store(0)
-	s.jsonNs.Store(0)
-	s.simNs.Store(0)
-	s.batchReqs.Store(0)
-	s.batchSims.Store(0)
-	s.suiteReqs.Store(0)
-	s.suiteRuns.Store(0)
-	s.streamEvents.Store(0)
+	s.ctr.reset()
 	s.programs.resetCounters()
 }
 
@@ -323,83 +321,98 @@ func statusForCode(code string) int {
 	}
 }
 
-// handlerFunc handles a decoded request and returns a response value to
-// encode, or an error with an optional HTTP status override (0 derives
-// the status from the error's code).
-type handlerFunc func(w http.ResponseWriter, r *http.Request) (any, int, error)
+// handlerFunc handles a request and returns the response document to
+// encode, or the error whose code picks the HTTP status. A handler that
+// streamed its own reply (NDJSON) returns neither.
+type handlerFunc func(w http.ResponseWriter, r *http.Request) (any, *api.Error)
 
-// wrap adds timing instrumentation and the uniform envelope.
-func (s *Server) wrap(h handlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		resp, status, err := h(w, r)
-		if err != nil {
-			ae := api.WrapError(api.CodeBadRequest, err)
-			resp = &api.ErrorEnvelope{Err: *ae}
-			if ae.Code == api.CodeOverCapacity || ae.Code == api.CodeDeadlineExceeded {
-				// Both are transient: tell retrying clients when.
-				setRetryAfter(w)
-			}
-			if status == 0 {
-				status = statusForCode(ae.Code)
-			}
-		} else if status == 0 {
-			status = http.StatusOK
+// decoded is the decode step of the request path: it adapts a handler
+// that takes its request document already parsed.
+func decoded[T any](s *Server, h func(http.ResponseWriter, *http.Request, *T) (any, *api.Error)) handlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) (any, *api.Error) {
+		var req T
+		if aerr := s.decode(w, r, &req); aerr != nil {
+			return nil, aerr
 		}
-		buf := api.GetBuffer()
-		jstart := time.Now()
-		merr := api.PooledCodec.Encode(buf, resp)
-		s.jsonNs.Add(uint64(time.Since(jstart)))
-		if merr != nil {
+		return h(w, r, &req)
+	}
+}
+
+// encoded is a response its handler already serialized; reply writes it
+// as it is.
+type encoded []byte
+
+// mount is the one adapter between the mux and a handler: it starts the
+// request's phase timer and puts it in the request context, passes the
+// admission valve, runs the handler, writes the reply in the uniform
+// envelope, and books the request.
+func (s *Server) mount(rt route) {
+	s.mux.HandleFunc(rt.method+" "+api.V1Prefix+rt.path, func(w http.ResponseWriter, r *http.Request) {
+		tm := startTimer()
+		r = r.WithContext(withTimer(r.Context(), tm))
+		resp, aerr := s.admit(rt.admit, tm, w, r, rt.handler)
+		s.reply(w, tm, resp, aerr)
+		s.ctr.book(tm)
+	})
+}
+
+// admit runs h behind the admission valve as mode says. Shed requests
+// return the typed over_capacity error before any decoding or simulation
+// work happens.
+func (s *Server) admit(mode admitMode, tm *phaseTimer, w http.ResponseWriter, r *http.Request, h handlerFunc) (any, *api.Error) {
+	if mode == unadmitted {
+		return h(w, r)
+	}
+	queued := tm.begin(phaseQueue)
+	release, aerr := s.adm.acquire(r.Context())
+	queued.end()
+	if aerr != nil {
+		return nil, aerr
+	}
+	defer release()
+	if mode == admitted && s.opts.RequestTimeout > 0 {
+		ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+		defer cancel()
+		r = r.WithContext(ctx)
+	}
+	return h(w, r)
+}
+
+// reply writes a handler's result: the response document, or the error
+// envelope with the status of its code.
+func (s *Server) reply(w http.ResponseWriter, tm *phaseTimer, resp any, aerr *api.Error) {
+	status := http.StatusOK
+	switch {
+	case aerr != nil:
+		resp, status = &api.ErrorEnvelope{Err: *aerr}, statusForCode(aerr.Code)
+		if aerr.Code == api.CodeOverCapacity || aerr.Code == api.CodeDeadlineExceeded {
+			// Both are transient: tell retrying clients when.
+			setRetryAfter(w)
+		}
+	case resp == nil:
+		return // the handler streamed its reply
+	}
+	buf := api.GetBuffer()
+	defer api.PutBuffer(buf)
+	body, done := resp.(encoded)
+	if !done {
+		if err := encodeInto(tm, buf, resp); err != nil {
 			status = http.StatusInternalServerError
 			buf.Reset()
 			buf.WriteString(`{"error":{"code":"internal","message":"response encoding failed"}}`)
 		}
-		w.Header().Set("Content-Type", api.MediaTypeJSON)
-		w.WriteHeader(status)
-		w.Write(buf.Bytes())
-		api.PutBuffer(buf)
-		s.reqCount.Add(1)
-		s.totalNs.Add(uint64(time.Since(start)))
+		body = buf.Bytes()
 	}
+	w.Header().Set("Content-Type", api.MediaTypeJSON)
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
-// admitted gates a handler behind the admission valve: it holds an
-// in-flight slot for the handler's whole run and applies the per-request
-// simulation deadline (Options.RequestTimeout) through the request
-// context. Shed requests return the typed over_capacity error before any
-// decoding or simulation work happens.
-func (s *Server) admitted(h handlerFunc) handlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) (any, int, error) {
-		release, aerr := s.adm.acquire(r.Context())
-		if aerr != nil {
-			return nil, 0, aerr
-		}
-		defer release()
-		if s.opts.RequestTimeout > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
-		return h(w, r)
-	}
-}
-
-// admitStream is admitted for the raw streaming handlers that live
-// outside wrap. A stream holds its slot for its whole life — it is
-// simulation work — but gets no deadline: streams pace themselves and
-// end on client disconnect.
-func (s *Server) admitStream(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		release, aerr := s.adm.acquire(r.Context())
-		if aerr != nil {
-			setRetryAfter(w)
-			s.writeError(w, aerr)
-			return
-		}
-		defer release()
-		h(w, r)
-	}
+// encodeInto serializes v into buf through the codec, booked to the
+// encode phase.
+func encodeInto(tm *phaseTimer, buf *bytes.Buffer, v any) error {
+	defer tm.begin(phaseEncode).end()
+	return api.PooledCodec.Encode(buf, v)
 }
 
 // deadlineChunk is the cycle granularity at which a long simulation
@@ -407,30 +420,32 @@ func (s *Server) admitStream(h http.HandlerFunc) http.HandlerFunc {
 // ~a millisecond of wall time, large enough that the check is free.
 const deadlineChunk = 200_000
 
-// runMachine advances m by up to n cycles, honoring the request
-// context's deadline, and books the time into simNs. Without a deadline
-// it is one plain run; with one, the run proceeds in deadlineChunk
-// slices so a runaway program cannot hold its admission slot past the
-// deadline. The machine keeps whatever state it reached either way —
-// for a session that state is real and the typed deadline_exceeded
+// runMachine is the server's one forward run loop: it advances m by up to
+// n cycles, honoring the request context, and books the time to the
+// simulate phase. Under a context that cannot end it is one plain run;
+// otherwise the run proceeds in deadlineChunk slices, so a runaway
+// program cannot hold its admission slot past the deadline or after its
+// client has gone. The machine keeps whatever state it reached either way
+// — for a session that state is real and the typed deadline_exceeded
 // error tells the client so.
 func (s *Server) runMachine(ctx context.Context, m *sim.Machine, n uint64) (uint64, *api.Error) {
-	sstart := time.Now()
-	defer func() { s.simNs.Add(uint64(time.Since(sstart))) }()
+	defer timerFrom(ctx).begin(phaseSimulate).end()
 	if ctx.Done() == nil {
 		return m.Run(n), nil
 	}
 	var total uint64
 	for total < n {
-		if ctx.Err() != nil {
-			s.deadlineHits.Add(1)
+		if err := ctx.Err(); err != nil {
+			if !errors.Is(err, context.DeadlineExceeded) {
+				// The client went away; nobody is listening for the code.
+				return total, api.Errorf(api.CodeInternal,
+					"request canceled after %d of %d cycles", total, n)
+			}
+			s.ctr[ctrDeadlineHits].Add(1)
 			return total, api.Errorf(api.CodeDeadlineExceeded,
 				"request deadline exceeded after %d of %d cycles (state reached is kept)", total, n)
 		}
-		chunk := n - total
-		if chunk > deadlineChunk {
-			chunk = deadlineChunk
-		}
+		chunk := min(n-total, deadlineChunk)
 		ran := m.Run(chunk)
 		total += ran
 		if m.Halted() || m.Paused() || ran < chunk {
@@ -440,21 +455,12 @@ func (s *Server) runMachine(ctx context.Context, m *sim.Machine, n uint64) (uint
 	return total, nil
 }
 
-// writeError emits the error envelope outside wrap (streaming paths).
-func (s *Server) writeError(w http.ResponseWriter, ae *api.Error) {
-	w.Header().Set("Content-Type", api.MediaTypeJSON)
-	w.WriteHeader(statusForCode(ae.Code))
-	json.NewEncoder(w).Encode(&api.ErrorEnvelope{Err: *ae})
-}
-
 // decode reads a request body through the codec, enforcing MaxBodyBytes,
-// with instrumentation.
+// and books the decode phase.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) *api.Error {
+	defer timerFrom(r.Context()).begin(phaseDecode).end()
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	jstart := time.Now()
-	err := api.PooledCodec.Decode(body, into)
-	s.jsonNs.Add(uint64(time.Since(jstart)))
-	if err != nil {
+	if err := api.PooledCodec.Decode(body, into); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return api.Errorf(api.CodeBodyTooLarge, "request body exceeds %d bytes", s.opts.MaxBodyBytes)
@@ -464,25 +470,28 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) *api.E
 	return nil
 }
 
-// buildMachine is the handlers' build step: BuildMachine through the
-// server's Program cache.
-func (s *Server) buildMachine(req *api.SimulateRequest) (*sim.Machine, *api.Error) {
-	return buildMachine(s.programs, req)
+// build is the handlers' build step: buildMachine, booked to the build
+// phase.
+func (s *Server) build(ctx context.Context, req *api.SimulateRequest) (*sim.Machine, *api.Error) {
+	defer timerFrom(ctx).begin(phaseBuild).end()
+	return s.buildMachine(req)
 }
 
 // BuildMachine constructs a machine from request fields, attaching the
 // stable error code of whichever stage failed. A request carrying a
 // checkpoint restores from it (forking the snapshot) instead of building
 // from source; memory fills still apply afterwards. Exported so the
-// CLI's in-process paths (checkpoint save, memory dumps) build machines
-// with exactly the server's semantics; it caches nothing.
+// CLI's in-process paths (memory dumps) build machines with exactly the
+// server's semantics; it caches nothing.
 func BuildMachine(req *api.SimulateRequest) (*sim.Machine, *api.Error) {
-	return buildMachine(nil, req)
+	return new(Server).buildMachine(req)
 }
 
 // buildMachine resolves the request's source (or its checkpoint's) to a
-// compiled Program through programs and instantiates it.
-func buildMachine(programs *programCache, req *api.SimulateRequest) (*sim.Machine, *api.Error) {
+// compiled Program through the server's Program cache — a zero Server has
+// none — and instantiates it.
+func (s *Server) buildMachine(req *api.SimulateRequest) (*sim.Machine, *api.Error) {
+	programs := s.programs
 	var m *sim.Machine
 	if len(req.Checkpoint) > 0 {
 		var err error
@@ -579,63 +588,105 @@ func ApplyMemFill(m *sim.Machine, f api.MemFill) error {
 // maxBatchCycles bounds batch simulations.
 const maxBatchCycles = 50_000_000
 
-// TraceRing builds the bounded collector a request's trace options
-// describe. Exported so the CLI's in-process paths (checkpoint save,
-// memory dumps) trace with exactly the server's semantics.
-func TraceRing(opts *api.TraceOptions) (*sim.TraceRing, *api.Error) {
-	f, err := sim.ParseTraceFilter(opts.Stages, opts.PCRange)
-	if err != nil {
-		return nil, api.WrapError(api.CodeBadTrace, err)
+// cycleLimit is the cycle budget of a run-to-completion request (simulate,
+// batch entry, stream): what it asked for, at most maxBatchCycles.
+func cycleLimit(steps uint64) uint64 {
+	if steps == 0 || steps > maxBatchCycles {
+		return maxBatchCycles
 	}
-	limit := opts.Limit
-	if limit == 0 {
-		limit = api.DefaultTraceLimit
-	}
-	if limit < 0 || limit > api.MaxTraceLimit {
-		return nil, api.Errorf(api.CodeBadTrace, "trace limit %d out of range (1..%d)", limit, api.MaxTraceLimit)
-	}
-	return sim.NewTraceRing(limit, f), nil
+	return steps
 }
 
-// TraceResultOf packages a collector's contents for the v1 envelope.
-// Exported alongside TraceRing so the CLI's in-process paths produce
-// responses identical to the server's.
-func TraceResultOf(ring *sim.TraceRing) *api.TraceResult {
-	return &api.TraceResult{Events: ring.Events(), Total: ring.Total(), Dropped: ring.Dropped()}
+// traceFilter parses the filter of a request's trace options and
+// validates their limit, for /simulate and the trace stream alike.
+func traceFilter(opts *api.TraceOptions) (sim.TraceFilter, *api.Error) {
+	f, err := sim.ParseTraceFilter(opts.Stages, opts.PCRange)
+	if err != nil {
+		return f, api.WrapError(api.CodeBadTrace, err)
+	}
+	if opts.Limit < 0 || opts.Limit > api.MaxTraceLimit {
+		return f, api.Errorf(api.CodeBadTrace, "trace limit %d out of range (1..%d)", opts.Limit, api.MaxTraceLimit)
+	}
+	return f, nil
+}
+
+// Simulate executes one request outside any server, uncached, with
+// exactly /api/v1/simulate's semantics, and also hands back the machine
+// the run left behind: the CLI's in-process path, which checkpoints it.
+func Simulate(req *api.SimulateRequest) (*sim.Machine, *api.SimulateResponse, *api.Error) {
+	return new(Server).simulate(context.Background(), req)
 }
 
 // runSimulate executes one SimulateRequest start-to-finish: the shared
 // core of /api/v1/simulate and each /api/v1/batch entry.
 func (s *Server) runSimulate(ctx context.Context, req *api.SimulateRequest) (*api.SimulateResponse, *api.Error) {
-	if req.Parallelism >= 2 {
-		return s.runSimulateParallel(req)
+	_, resp, aerr := s.simulate(ctx, req)
+	return resp, aerr
+}
+
+// simulate builds the request's machine, runs it and reports. A zero
+// Server serves: it builds uncached. Parallelism >= 2 makes the run
+// time-parallel (docs/parallel.md) with a stitched report: the final
+// architectural state — and therefore State — is bit-exact versus serial;
+// Stats carries the merged per-interval deltas.
+func (s *Server) simulate(ctx context.Context, req *api.SimulateRequest) (*sim.Machine, *api.SimulateResponse, *api.Error) {
+	parallel := req.Parallelism >= 2
+	switch {
+	case !parallel:
+	case req.FastForward:
+		return nil, nil, api.Errorf(api.CodeBadRequest, "parallelism and fastForward are mutually exclusive")
+	case req.Trace != nil:
+		return nil, nil, api.Errorf(api.CodeBadRequest, "parallelism does not support pipeline tracing")
+	case len(req.Checkpoint) != 0:
+		return nil, nil, api.Errorf(api.CodeBadRequest, "parallelism requires a from-zero run, not a checkpoint restore")
 	}
-	m, aerr := s.buildMachine(req)
+	m, aerr := s.build(ctx, req)
 	if aerr != nil {
-		return nil, aerr
+		return nil, nil, aerr
 	}
 	var ring *sim.TraceRing
 	if req.Trace != nil {
-		if ring, aerr = TraceRing(req.Trace); aerr != nil {
-			return nil, aerr
+		f, aerr := traceFilter(req.Trace)
+		if aerr != nil {
+			return nil, nil, aerr
 		}
+		ring = sim.NewTraceRing(cmp.Or(req.Trace.Limit, api.DefaultTraceLimit), f)
 		m.SetTracer(ring)
 	}
 	if req.FastForward {
 		m.SetEngineMode(sim.EngineFastForward)
 	}
-	steps := req.Steps
-	if steps == 0 || steps > maxBatchCycles {
-		steps = maxBatchCycles
+	tm := timerFrom(ctx)
+	var stitched *sim.ParallelResult
+	if parallel {
+		running := tm.begin(phaseSimulate)
+		res, err := m.RunParallel(min(req.Parallelism, api.MaxParallelism), sim.ParallelOptions{
+			WarmupInstructions: req.WarmupCycles,
+			MaxCycles:          cycleLimit(req.Steps),
+		})
+		running.end()
+		if err != nil {
+			// The program did not terminate within the budget, or the machine
+			// was not runnable time-parallel — a property of this request, not
+			// a server fault.
+			return nil, nil, api.WrapError(api.CodeUnprocessable, err)
+		}
+		stitched = res
+	} else if _, aerr := s.runMachine(ctx, m, cycleLimit(req.Steps)); aerr != nil {
+		return nil, nil, aerr
 	}
-	if _, aerr := s.runMachine(ctx, m, steps); aerr != nil {
-		return nil, aerr
-	}
-	resp := &api.SimulateResponse{
-		Halted:     m.Halted(),
-		HaltReason: m.HaltReason(),
-		Cycles:     m.Cycle(),
-		Stats:      m.Report(),
+
+	defer tm.begin(phaseReport).end()
+	resp := &api.SimulateResponse{Halted: m.Halted(), HaltReason: m.HaltReason()}
+	if stitched != nil {
+		resp.Cycles, resp.Stats = stitched.Report.Cycles, stitched.Report
+		resp.Parallel = &api.ParallelInfo{
+			Workers:   stitched.Workers,
+			Healed:    stitched.Healed,
+			Intervals: stitched.Intervals,
+		}
+	} else {
+		resp.Cycles, resp.Stats = m.Cycle(), m.Report()
 	}
 	if req.IncludeState {
 		resp.State = m.State(req.IncludeLog)
@@ -643,150 +694,76 @@ func (s *Server) runSimulate(ctx context.Context, req *api.SimulateRequest) (*ap
 		resp.Log = m.Log()
 	}
 	if ring != nil {
-		resp.Trace = TraceResultOf(ring)
+		resp.Trace = &api.TraceResult{Events: ring.Events(), Total: ring.Total(), Dropped: ring.Dropped()}
 	}
-	return resp, nil
+	return m, resp, nil
 }
 
-// runSimulateParallel is the Parallelism >= 2 leg of runSimulate: a
-// time-parallel detailed run (docs/parallel.md) with a stitched report.
-// The final architectural state — and therefore State — is bit-exact
-// versus serial; Stats carries the merged per-interval deltas.
-func (s *Server) runSimulateParallel(req *api.SimulateRequest) (*api.SimulateResponse, *api.Error) {
-	switch {
-	case req.FastForward:
-		return nil, api.Errorf(api.CodeBadRequest, "parallelism and fastForward are mutually exclusive")
-	case req.Trace != nil:
-		return nil, api.Errorf(api.CodeBadRequest, "parallelism does not support pipeline tracing")
-	case len(req.Checkpoint) != 0:
-		return nil, api.Errorf(api.CodeBadRequest, "parallelism requires a from-zero run, not a checkpoint restore")
-	}
-	m, aerr := s.buildMachine(req)
-	if aerr != nil {
-		return nil, aerr
-	}
-	k := req.Parallelism
-	if k > api.MaxParallelism {
-		k = api.MaxParallelism
-	}
-	steps := req.Steps
-	if steps == 0 || steps > maxBatchCycles {
-		steps = maxBatchCycles
-	}
-	sstart := time.Now()
-	res, err := m.RunParallel(k, sim.ParallelOptions{
-		WarmupInstructions: req.WarmupCycles,
-		MaxCycles:          steps,
-	})
-	s.simNs.Add(uint64(time.Since(sstart)))
-	if err != nil {
-		// The program did not terminate within the budget, or the machine
-		// was not runnable time-parallel — a property of this request, not
-		// a server fault.
-		return nil, api.WrapError(api.CodeUnprocessable, err)
-	}
-	resp := &api.SimulateResponse{
-		Halted:     m.Halted(),
-		HaltReason: m.HaltReason(),
-		Cycles:     res.Report.Cycles,
-		Stats:      res.Report,
-		Parallel: &api.ParallelInfo{
-			Workers:   res.Workers,
-			Healed:    res.Healed,
-			Intervals: res.Intervals,
-		},
-	}
-	if req.IncludeState {
-		resp.State = m.State(req.IncludeLog)
-	} else if req.IncludeLog {
-		resp.Log = m.Log()
-	}
-	return resp, nil
+func (s *Server) handleSimulate(_ http.ResponseWriter, r *http.Request, req *api.SimulateRequest) (any, *api.Error) {
+	return s.runSimulate(r.Context(), req)
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) (any, int, error) {
-	var req api.SimulateRequest
-	if aerr := s.decode(w, r, &req); aerr != nil {
-		return nil, 0, aerr
-	}
-	resp, aerr := s.runSimulate(r.Context(), &req)
-	if aerr != nil {
-		return nil, 0, aerr
-	}
-	return resp, 0, nil
-}
-
-func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) (any, int, error) {
-	var req api.CompileRequest
-	if aerr := s.decode(w, r, &req); aerr != nil {
-		return nil, 0, aerr
-	}
+func (s *Server) handleCompile(_ http.ResponseWriter, r *http.Request, req *api.CompileRequest) (any, *api.Error) {
+	defer timerFrom(r.Context()).begin(phaseBuild).end()
 	res, err := sim.CompileC(req.Code, req.Optimize)
 	if err != nil {
 		// Compiler diagnostics are data, not transport errors.
-		return &api.CompileResponse{Errors: err.Error()}, http.StatusOK, nil
+		return &api.CompileResponse{Errors: err.Error()}, nil
 	}
 	out := res.Assembly
 	if req.Filter {
 		out = sim.FilterAssembly(out)
 	}
-	return &api.CompileResponse{Assembly: out, LineMap: res.LineMap}, 0, nil
+	return &api.CompileResponse{Assembly: out, LineMap: res.LineMap}, nil
 }
 
-func (s *Server) handleParseAsm(w http.ResponseWriter, r *http.Request) (any, int, error) {
-	var req api.ParseAsmRequest
-	if aerr := s.decode(w, r, &req); aerr != nil {
-		return nil, 0, aerr
-	}
+func (s *Server) handleParseAsm(_ http.ResponseWriter, r *http.Request, req *api.ParseAsmRequest) (any, *api.Error) {
 	// Assembling is all "does it parse" needs, and through the cache the
 	// simulate that usually follows finds the Program already built.
+	defer timerFrom(r.Context()).begin(phaseBuild).end()
 	if _, err := s.programs.assemble(req.Code, sim.DefaultMemoryConfig()); err != nil {
-		return &api.ParseAsmResponse{OK: false, Errors: err.Error()}, 0, nil
+		return &api.ParseAsmResponse{OK: false, Errors: err.Error()}, nil
 	}
-	return &api.ParseAsmResponse{OK: true}, 0, nil
+	return &api.ParseAsmResponse{OK: true}, nil
 }
 
 // handleCheckConfig validates an architecture document. The body is the
 // raw configuration JSON; it flows through the codec layer like every
-// other request, so its parse time lands in the jsonNs metric and
+// other request, so its parse time lands in the decode phase and
 // MaxBodyBytes applies.
-func (s *Server) handleCheckConfig(w http.ResponseWriter, r *http.Request) (any, int, error) {
+func (s *Server) handleCheckConfig(w http.ResponseWriter, r *http.Request) (any, *api.Error) {
 	var raw json.RawMessage
 	if aerr := s.decode(w, r, &raw); aerr != nil {
 		if aerr.Code == api.CodeBodyTooLarge {
-			return nil, 0, aerr
+			return nil, aerr
 		}
 		// Config syntax problems are diagnostics, not transport errors.
-		return &api.ParseAsmResponse{OK: false, Errors: aerr.Message}, 0, nil
+		return &api.ParseAsmResponse{OK: false, Errors: aerr.Message}, nil
 	}
+	defer timerFrom(r.Context()).begin(phaseBuild).end()
 	if _, err := sim.ImportConfig(raw); err != nil {
-		return &api.ParseAsmResponse{OK: false, Errors: err.Error()}, 0, nil
+		return &api.ParseAsmResponse{OK: false, Errors: err.Error()}, nil
 	}
-	return &api.ParseAsmResponse{OK: true}, 0, nil
+	return &api.ParseAsmResponse{OK: true}, nil
 }
 
-func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) (any, int, error) {
-	return sim.DefaultConfig(), 0, nil
+func (s *Server) handleSchema(http.ResponseWriter, *http.Request) (any, *api.Error) {
+	return sim.DefaultConfig(), nil
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) (any, int, error) {
-	return s.Metrics(), 0, nil
+func (s *Server) handleMetrics(http.ResponseWriter, *http.Request) (any, *api.Error) {
+	return s.Metrics(), nil
 }
 
 // handleInstructionDescriptions serves the instruction set in the paper's
 // JSON configuration format (Listing 1) — the document users extend to add
-// custom instructions.
-func (s *Server) handleInstructionDescriptions(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+// custom instructions. The set serializes itself, so the handler books the
+// encode phase and hands reply the finished bytes.
+func (s *Server) handleInstructionDescriptions(_ http.ResponseWriter, r *http.Request) (any, *api.Error) {
+	defer timerFrom(r.Context()).begin(phaseEncode).end()
 	data, err := isa.RV32IMF().MarshalJSON()
-	s.jsonNs.Add(uint64(time.Since(start)))
 	if err != nil {
-		http.Error(w, `{"error":{"code":"internal","message":"encoding instruction set failed"}}`,
-			http.StatusInternalServerError)
-		return
+		return nil, api.Errorf(api.CodeInternal, "encoding instruction set failed")
 	}
-	w.Header().Set("Content-Type", api.MediaTypeJSON)
-	w.Write(data)
-	s.reqCount.Add(1)
-	s.totalNs.Add(uint64(time.Since(start)))
+	return encoded(data), nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"net/http"
-	"time"
 
 	"riscvsim/internal/api"
 	"riscvsim/internal/render"
@@ -13,17 +12,6 @@ import (
 
 // maxInteractiveStep bounds one interactive request.
 const maxInteractiveStep = 10_000_000
-
-// rewindError maps a failed backward navigation onto its stable code:
-// crossing the rewind barrier (fast-forwarded or time-parallel region,
-// no timing history) is its own condition clients can dispatch on;
-// everything else stays the generic unprocessable.
-func rewindError(err error) *api.Error {
-	if errors.Is(err, sim.ErrRewindBarrier) {
-		return api.WrapError(api.CodeRewindBarrier, err)
-	}
-	return api.WrapError(api.CodeUnprocessable, err)
-}
 
 // assignedSessionID extracts a router-assigned session ID from the
 // request when the server accepts them (Options.AllowAssignedIDs). The
@@ -42,29 +30,32 @@ func (s *Server) assignedSessionID(r *http.Request) (string, *api.Error) {
 	return id, nil
 }
 
-// addSession registers a machine under a fresh or assigned ID.
-func (s *Server) addSession(m *sim.Machine, assigned string) (string, *api.Error) {
+// publishSession registers a machine as a session under a fresh or
+// assigned ID: the shared tail of session/new and session/restore. The
+// reply's state is captured before the session is published: with an
+// assigned ID another request can lock and run the machine the moment the
+// store has it.
+func (s *Server) publishSession(r *http.Request, m *sim.Machine, assigned string) (any, *api.Error) {
+	reporting := timerFrom(r.Context()).begin(phaseReport)
+	st := m.State(false)
+	reporting.end()
+	id := assigned
 	if assigned == "" {
-		return s.store.Add(m), nil
+		id = s.store.Add(m)
+	} else if !s.store.AddWithID(assigned, m) {
+		return nil, api.Errorf(api.CodeSessionExists, "session %q already exists on this node", assigned)
 	}
-	if !s.store.AddWithID(assigned, m) {
-		return "", api.Errorf(api.CodeSessionExists, "session %q already exists on this node", assigned)
-	}
-	return assigned, nil
+	return &api.SessionNewResponse{SessionID: id, State: st}, nil
 }
 
-func (s *Server) handleSessionNew(w http.ResponseWriter, r *http.Request) (any, int, error) {
-	var req api.SessionNewRequest
-	if aerr := s.decode(w, r, &req); aerr != nil {
-		return nil, 0, aerr
-	}
+func (s *Server) handleSessionNew(_ http.ResponseWriter, r *http.Request, req *api.SessionNewRequest) (any, *api.Error) {
 	assigned, aerr := s.assignedSessionID(r)
 	if aerr != nil {
-		return nil, 0, aerr
+		return nil, aerr
 	}
-	m, aerr := s.buildMachine(&req.SimulateRequest)
+	m, aerr := s.build(r.Context(), &req.SimulateRequest)
 	if aerr != nil {
-		return nil, 0, aerr
+		return nil, aerr
 	}
 	// Interactive sessions are the debug surface: keep interval
 	// snapshots so backward stepping restores from the nearest snapshot
@@ -74,15 +65,7 @@ func (s *Server) handleSessionNew(w http.ResponseWriter, r *http.Request) (any, 
 	if m.SnapshotInterval() == 0 {
 		m.EnableSnapshots(0)
 	}
-	// Snapshot the state before the session is published: with an
-	// assigned ID another request can lock and run the machine the
-	// moment addSession returns.
-	st := m.State(false)
-	id, aerr := s.addSession(m, assigned)
-	if aerr != nil {
-		return nil, 0, aerr
-	}
-	return &api.SessionNewResponse{SessionID: id, State: st}, 0, nil
+	return s.publishSession(r, m, assigned)
 }
 
 func (s *Server) getSession(id string) (*session, *api.Error) {
@@ -115,92 +98,82 @@ func (s *Server) lockSession(id string) (*session, *api.Error) {
 		"session %q kept being evicted mid-operation (server under heavy session churn)", id)
 }
 
-func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) (any, int, error) {
-	var req api.SessionStepRequest
-	if aerr := s.decode(w, r, &req); aerr != nil {
-		return nil, 0, aerr
-	}
-	sess, aerr := s.lockSession(req.SessionID)
-	if aerr != nil {
-		return nil, 0, aerr
-	}
-	defer sess.mu.Unlock()
+// sessionState is the reply of every session navigation: the machine's
+// state after the move.
+func sessionState(r *http.Request, sess *session, includeLog bool) (any, *api.Error) {
+	defer timerFrom(r.Context()).begin(phaseReport).end()
+	return &api.SessionStateResponse{State: sess.machine.State(includeLog)}, nil
+}
+
+// gotoCycle repositions a session at target — the shared move of
+// session/goto and of session/step with negative steps — booked to the
+// simulate phase like the forward runs it replays with. Crossing the
+// rewind barrier (fast-forwarded or time-parallel region, no timing
+// history) is its own condition clients can dispatch on; every other
+// failure stays the generic unprocessable.
+func gotoCycle(r *http.Request, sess *session, target uint64) *api.Error {
+	defer timerFrom(r.Context()).begin(phaseSimulate).end()
+	err := sess.machine.GotoCycle(target)
 	switch {
-	case req.Steps >= 0:
-		n := req.Steps
-		if n > maxInteractiveStep {
-			n = maxInteractiveStep
-		}
-		// runMachine books simNs and honors the request deadline; the
-		// session keeps the state the run reached, and the typed
-		// deadline_exceeded error tells the client to re-read it.
-		if _, aerr := s.runMachine(r.Context(), sess.machine, uint64(n)); aerr != nil {
-			return nil, 0, aerr
-		}
-	default:
-		sstart := time.Now()
-		back := -req.Steps
-		target := int64(sess.machine.Cycle()) - back
-		if target < 0 {
-			target = 0
-		}
-		err := sess.machine.GotoCycle(uint64(target))
-		s.simNs.Add(uint64(time.Since(sstart)))
-		if err != nil {
-			return nil, 0, rewindError(err)
-		}
+	case err == nil:
+		return nil
+	case errors.Is(err, sim.ErrRewindBarrier):
+		return api.WrapError(api.CodeRewindBarrier, err)
 	}
-	return &api.SessionStateResponse{State: sess.machine.State(req.IncludeLog)}, 0, nil
+	return api.WrapError(api.CodeUnprocessable, err)
 }
 
-func (s *Server) handleSessionGoto(w http.ResponseWriter, r *http.Request) (any, int, error) {
-	var req api.SessionGotoRequest
-	if aerr := s.decode(w, r, &req); aerr != nil {
-		return nil, 0, aerr
-	}
+func (s *Server) handleSessionStep(_ http.ResponseWriter, r *http.Request, req *api.SessionStepRequest) (any, *api.Error) {
 	sess, aerr := s.lockSession(req.SessionID)
 	if aerr != nil {
-		return nil, 0, aerr
+		return nil, aerr
 	}
 	defer sess.mu.Unlock()
-	sstart := time.Now()
-	if err := sess.machine.GotoCycle(req.Cycle); err != nil {
-		s.simNs.Add(uint64(time.Since(sstart)))
-		return nil, 0, rewindError(err)
+	if req.Steps >= 0 {
+		// The session keeps the state the run reached, and the typed
+		// deadline_exceeded error tells the client to re-read it.
+		_, aerr = s.runMachine(r.Context(), sess.machine, uint64(min(req.Steps, maxInteractiveStep)))
+	} else {
+		aerr = gotoCycle(r, sess, uint64(max(int64(sess.machine.Cycle())+req.Steps, 0)))
 	}
-	s.simNs.Add(uint64(time.Since(sstart)))
-	return &api.SessionStateResponse{State: sess.machine.State(false)}, 0, nil
+	if aerr != nil {
+		return nil, aerr
+	}
+	return sessionState(r, sess, req.IncludeLog)
 }
 
-func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) (any, int, error) {
-	var req api.SessionCloseRequest
-	if aerr := s.decode(w, r, &req); aerr != nil {
-		return nil, 0, aerr
+func (s *Server) handleSessionGoto(_ http.ResponseWriter, r *http.Request, req *api.SessionGotoRequest) (any, *api.Error) {
+	sess, aerr := s.lockSession(req.SessionID)
+	if aerr != nil {
+		return nil, aerr
 	}
+	defer sess.mu.Unlock()
+	if aerr := gotoCycle(r, sess, req.Cycle); aerr != nil {
+		return nil, aerr
+	}
+	return sessionState(r, sess, false)
+}
+
+func (s *Server) handleSessionClose(_ http.ResponseWriter, _ *http.Request, req *api.SessionCloseRequest) (any, *api.Error) {
 	if !s.store.Remove(req.SessionID) {
-		return nil, 0, api.Errorf(api.CodeUnknownSession, "unknown session %q", req.SessionID)
+		return nil, api.Errorf(api.CodeUnknownSession, "unknown session %q", req.SessionID)
 	}
-	return &api.SessionCloseResponse{Closed: true}, 0, nil
+	return &api.SessionCloseResponse{Closed: true}, nil
 }
 
 // handleSessionCheckpoint serializes a live session into the versioned
 // binary snapshot format (base64 over JSON). The document is
 // self-contained: restore it here, on another server, or from the CLI.
-func (s *Server) handleSessionCheckpoint(w http.ResponseWriter, r *http.Request) (any, int, error) {
-	var req api.SessionCheckpointRequest
-	if aerr := s.decode(w, r, &req); aerr != nil {
-		return nil, 0, aerr
-	}
+func (s *Server) handleSessionCheckpoint(_ http.ResponseWriter, r *http.Request, req *api.SessionCheckpointRequest) (any, *api.Error) {
 	sess, aerr := s.lockSession(req.SessionID)
 	if aerr != nil {
-		return nil, 0, aerr
+		return nil, aerr
 	}
 	defer sess.mu.Unlock()
-	sstart := time.Now()
+	defer timerFrom(r.Context()).begin(phaseSimulate).end()
 	var buf bytes.Buffer
 	if err := sess.machine.Checkpoint(&buf); err != nil {
-		s.simNs.Add(uint64(time.Since(sstart)))
-		return nil, 0, api.WrapError(api.CodeInternal, err)
+		return nil, api.WrapError(api.CodeInternal, err)
 	}
 	// Write-through policy (docs/deployment.md): the same bytes the
 	// client receives land in the checkpoint store, so any replica
@@ -215,57 +188,44 @@ func (s *Server) handleSessionCheckpoint(w http.ResponseWriter, r *http.Request)
 	// adopted state.
 	cycle := sess.machine.Cycle()
 	durable := s.store.WriteThrough(sess, buf.Bytes())
-	s.simNs.Add(uint64(time.Since(sstart)))
 	return &api.SessionCheckpointResponse{
 		SessionID:  req.SessionID,
 		Cycle:      cycle,
 		Checkpoint: buf.Bytes(),
 		Durable:    durable,
-	}, 0, nil
+	}, nil
 }
 
 // handleSessionRestore opens a fresh interactive session from a
 // checkpoint document, picking the simulation up exactly where the
 // snapshot left it.
-func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) (any, int, error) {
-	var req api.SessionRestoreRequest
-	if aerr := s.decode(w, r, &req); aerr != nil {
-		return nil, 0, aerr
-	}
+func (s *Server) handleSessionRestore(_ http.ResponseWriter, r *http.Request, req *api.SessionRestoreRequest) (any, *api.Error) {
 	if len(req.Checkpoint) == 0 {
-		return nil, 0, api.Errorf(api.CodeBadRequest, "restore: empty checkpoint")
+		return nil, api.Errorf(api.CodeBadRequest, "restore: empty checkpoint")
 	}
 	assigned, aerr := s.assignedSessionID(r)
 	if aerr != nil {
-		return nil, 0, aerr
+		return nil, aerr
 	}
-	sstart := time.Now()
+	restoring := timerFrom(r.Context()).begin(phaseSimulate)
 	m, err := s.programs.restoreSession(req.Checkpoint)
-	s.simNs.Add(uint64(time.Since(sstart)))
+	restoring.end()
 	if err != nil {
-		return nil, 0, api.CheckpointError(err)
+		return nil, api.CheckpointError(err)
 	}
-	// Snapshot the state before the session is published: with an
-	// assigned ID another request can lock and run the machine the
-	// moment addSession returns.
-	st := m.State(false)
-	id, aerr := s.addSession(m, assigned)
-	if aerr != nil {
-		return nil, 0, aerr
-	}
-	return &api.SessionNewResponse{SessionID: id, State: st}, 0, nil
+	return s.publishSession(r, m, assigned)
 }
 
-func (s *Server) handleSessionRender(w http.ResponseWriter, r *http.Request) (any, int, error) {
-	id := r.URL.Query().Get("session")
-	sess, aerr := s.lockSession(id)
+func (s *Server) handleSessionRender(_ http.ResponseWriter, r *http.Request) (any, *api.Error) {
+	sess, aerr := s.lockSession(r.URL.Query().Get("session"))
 	if aerr != nil {
-		return nil, 0, aerr
+		return nil, aerr
 	}
+	tm := timerFrom(r.Context())
+	reporting := tm.begin(phaseReport)
 	st := sess.machine.State(false)
+	reporting.end()
 	sess.mu.Unlock()
-	sstart := time.Now()
-	text := render.Schematic(st)
-	s.simNs.Add(uint64(time.Since(sstart)))
-	return &api.RenderResponse{Schematic: text}, 0, nil
+	defer tm.begin(phaseSimulate).end()
+	return &api.RenderResponse{Schematic: render.Schematic(st)}, nil
 }

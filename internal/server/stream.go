@@ -1,10 +1,11 @@
 package server
 
 import (
+	"cmp"
 	"net/http"
-	"time"
 
 	"riscvsim/internal/api"
+	"riscvsim/sim"
 )
 
 const (
@@ -16,114 +17,114 @@ const (
 	defaultMaxStreamEvents = 10_000
 )
 
-// writeLine sends v as one NDJSON line (the codec ends every document
-// with a newline), booking the encode time; flush pushes it to the client
-// now. It reports false when encoding or the connection failed.
-func (s *Server) writeLine(w http.ResponseWriter, v any, flush bool) bool {
-	buf := api.GetBuffer()
-	defer api.PutBuffer(buf)
-	jstart := time.Now()
-	err := api.PooledCodec.Encode(buf, v)
-	s.jsonNs.Add(uint64(time.Since(jstart)))
-	if err != nil {
-		return false
-	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return false
-	}
-	if f, ok := w.(http.Flusher); flush && ok {
-		f.Flush()
-	}
-	s.streamEvents.Add(1)
-	return true
+// burstEmitter is what an NDJSON endpoint makes of a run that streamBursts
+// advances burst by burst: /session/stream emits the state after each
+// burst, /session/trace the stage events each burst produced.
+type burstEmitter struct {
+	// capped reports that the endpoint's event cap is reached: the rest
+	// of the run completes in one piece, with no lines before the final.
+	capped func() bool
+	// burst writes the lines of the burst that just ran (line reports
+	// false when the connection failed, and so does burst).
+	burst func(line func(v any) bool) bool
+	// final builds the closing line.
+	final func() any
 }
 
-// handleSessionStream is the NDJSON streaming endpoint: it builds a
-// machine, then pushes one StreamEvent per step burst — interactive
-// clients watch the run instead of polling /session/step. Each line is
-// flushed through the gzip middleware (which implements http.Flusher
-// passthrough) so events arrive as they happen.
-func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() {
-		s.reqCount.Add(1)
-		s.totalNs.Add(uint64(time.Since(start)))
-	}()
-
-	var req api.StreamRequest
-	if aerr := s.decode(w, r, &req); aerr != nil {
-		s.writeError(w, aerr)
-		return
-	}
-	m, aerr := s.buildMachine(&req.SimulateRequest)
-	if aerr != nil {
-		s.writeError(w, aerr)
-		return
-	}
-
-	burst := req.StepBurst
-	if burst == 0 {
-		burst = defaultStepBurst
-	}
-	limit := req.Steps
-	if limit == 0 || limit > maxBatchCycles {
-		limit = maxBatchCycles
-	}
-	maxEvents := req.MaxEvents
-	if maxEvents <= 0 || maxEvents > defaultMaxStreamEvents {
-		maxEvents = defaultMaxStreamEvents
-	}
-
+// streamBursts is the NDJSON run loop: it advances m by burst cycles at a
+// time, up to limit, lets em write each burst's lines, flushes them — the
+// gzip middleware implements http.Flusher passthrough, so events arrive
+// as they happen — and closes with em's final line. Once the client has
+// gone it stops, mid-burst if need be (runMachine).
+func (s *Server) streamBursts(w http.ResponseWriter, r *http.Request, m *sim.Machine, limit, burst uint64, em burstEmitter) (any, *api.Error) {
 	w.Header().Set("Content-Type", api.MediaTypeNDJSON)
 	// Front proxies must not buffer the stream (nginx honours this).
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 
-	ctx := r.Context()
-	seq := 0
+	tm := timerFrom(r.Context())
+	line := func(v any) bool {
+		buf := api.GetBuffer()
+		defer api.PutBuffer(buf)
+		// The codec ends every document with the line's newline.
+		if err := encodeInto(tm, buf, v); err != nil {
+			return false
+		}
+		if _, err := w.Write(buf.Bytes()); err != nil {
+			return false
+		}
+		s.ctr[ctrStreamEvents].Add(1)
+		return true
+	}
+	flusher := http.NewResponseController(w) // a writer that cannot flush is left to buffer
+
 	var stepped uint64
 	for !m.Halted() && stepped < limit {
-		if ctx.Err() != nil {
-			return // client went away
+		n := min(burst, limit-stepped)
+		capped := em.capped()
+		if capped {
+			n = limit - stepped
 		}
-		n := burst
-		if remaining := limit - stepped; n > remaining {
-			n = remaining
+		ran, aerr := s.runMachine(r.Context(), m, n)
+		if aerr != nil {
+			return nil, nil // client went away
 		}
-		if seq >= maxEvents-1 {
-			// Event cap: finish the run without intermediate events.
-			sstart := time.Now()
-			stepped += m.Run(limit - stepped)
-			s.simNs.Add(uint64(time.Since(sstart)))
-			break
-		}
-		sstart := time.Now()
-		ran := m.StepN(n)
-		s.simNs.Add(uint64(time.Since(sstart)))
 		stepped += ran
-		if ran == 0 && !m.Halted() {
-			break // paused (breakpoint); don't spin
+		if capped || (ran == 0 && !m.Halted()) {
+			break // nothing ran: paused (breakpoint); don't spin
 		}
-		ev := &api.StreamEvent{Seq: seq, Cycle: m.Cycle(), Halted: m.Halted()}
-		if req.IncludeState {
-			ev.State = m.State(false)
+		if !em.burst(line) {
+			return nil, nil
 		}
-		if !s.writeLine(w, ev, true) {
-			return
-		}
-		seq++
+		flusher.Flush()
 	}
+	reporting := tm.begin(phaseReport)
+	last := em.final()
+	reporting.end()
+	line(last)
+	flusher.Flush()
+	return nil, nil
+}
 
-	final := &api.StreamEvent{
-		Seq:        seq,
-		Cycle:      m.Cycle(),
-		Halted:     m.Halted(),
-		HaltReason: m.HaltReason(),
-		Done:       true,
-		Stats:      m.Report(),
+// handleSessionStream is the NDJSON streaming endpoint: it builds a
+// machine, then pushes one StreamEvent per step burst — interactive
+// clients watch the run instead of polling /session/step.
+func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request, req *api.StreamRequest) (any, *api.Error) {
+	m, aerr := s.build(r.Context(), &req.SimulateRequest)
+	if aerr != nil {
+		return nil, aerr
 	}
-	if req.IncludeState {
-		final.State = m.State(req.IncludeLog)
+	maxEvents := req.MaxEvents
+	if maxEvents <= 0 || maxEvents > defaultMaxStreamEvents {
+		maxEvents = defaultMaxStreamEvents
 	}
-	s.writeLine(w, final, true)
+	tm := timerFrom(r.Context())
+	seq := 0
+	return s.streamBursts(w, r, m, cycleLimit(req.Steps), cmp.Or(req.StepBurst, defaultStepBurst), burstEmitter{
+		capped: func() bool { return seq >= maxEvents-1 },
+		burst: func(line func(v any) bool) bool {
+			ev := &api.StreamEvent{Seq: seq, Cycle: m.Cycle(), Halted: m.Halted()}
+			if req.IncludeState {
+				reporting := tm.begin(phaseReport)
+				ev.State = m.State(false)
+				reporting.end()
+			}
+			seq++
+			return line(ev)
+		},
+		final: func() any {
+			ev := &api.StreamEvent{
+				Seq:        seq,
+				Cycle:      m.Cycle(),
+				Halted:     m.Halted(),
+				HaltReason: m.HaltReason(),
+				Done:       true,
+				Stats:      m.Report(),
+			}
+			if req.IncludeState {
+				ev.State = m.State(req.IncludeLog)
+			}
+			return ev
+		},
+	})
 }

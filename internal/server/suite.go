@@ -16,26 +16,22 @@ import (
 // exactly as they do for batch entries. Unlike a batch, a suite is
 // all-or-nothing: a metrics report with holes is useless as a baseline,
 // so the first failing workload fails the request.
-func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) (any, int, error) {
-	var req api.SuiteRequest
-	if aerr := s.decode(w, r, &req); aerr != nil {
-		return nil, 0, aerr
-	}
+func (s *Server) handleSuite(_ http.ResponseWriter, r *http.Request, req *api.SuiteRequest) (any, *api.Error) {
 	cfg, aerr := resolveConfig(req.Preset, req.Config)
 	if aerr != nil {
-		return nil, 0, aerr
+		return nil, aerr
 	}
 	selected, err := workload.Match(req.Filter)
 	if err != nil {
-		return nil, 0, api.WrapError(api.CodeBadFilter, err)
+		return nil, api.WrapError(api.CodeBadFilter, err)
 	}
 	fp, err := cfg.Fingerprint()
 	if err != nil {
-		return nil, 0, api.WrapError(api.CodeInternal, err)
+		return nil, api.WrapError(api.CodeInternal, err)
 	}
 	cfgJSON, err := cfg.Export()
 	if err != nil {
-		return nil, 0, api.WrapError(api.CodeInternal, err)
+		return nil, api.WrapError(api.CodeInternal, err)
 	}
 	raw := json.RawMessage(cfgJSON)
 
@@ -48,9 +44,9 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) (any, int, 
 			Config: &raw,
 		}
 	}
-	results, workers, wall, err := s.fanOut(r.Context(), simReqs)
-	if err != nil {
-		return nil, 0, api.WrapError(api.CodeInternal, err)
+	results, workers, wall, aerr := s.fanOut(r.Context(), simReqs)
+	if aerr != nil {
+		return nil, aerr
 	}
 
 	rows := make([]workload.Metrics, len(selected))
@@ -60,13 +56,13 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) (any, int, 
 			// build or run is a server defect, never the caller's fault,
 			// so the item's code is folded into the message and the
 			// request fails as internal (500), not 4xx.
-			return nil, 0, api.Errorf(api.CodeInternal,
+			return nil, api.Errorf(api.CodeInternal,
 				"embedded workload %s failed: [%s] %s", selected[i].Name, res.Error.Code, res.Error.Message)
 		}
 		rows[i] = workload.FromReport(selected[i], res.Response.Stats)
 	}
-	s.suiteReqs.Add(1)
-	s.suiteRuns.Add(uint64(len(selected)))
+	s.ctr[ctrSuiteReqs].Add(1)
+	s.ctr[ctrSuiteRuns].Add(uint64(len(selected)))
 	return &api.SuiteResponse{
 		Report: workload.Report{
 			Architecture:      cfg.Name,
@@ -75,7 +71,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) (any, int, 
 		},
 		Workers:   workers,
 		WallNanos: uint64(wall),
-	}, 0, nil
+	}, nil
 }
 
 // resolveConfig applies the Preset/Config precedence shared by simulate
