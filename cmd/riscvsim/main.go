@@ -230,27 +230,26 @@ func main() {
 		req.Config = &raw
 	}
 
+	// One in-process path: server.Simulate runs the request with exactly
+	// /api/v1/simulate's semantics and hands back the machine the run left
+	// behind, which -checkpoint and -dump read.
 	var resp *api.SimulateResponse
-	switch {
-	case *host != "":
+	var m *sim.Machine
+	if *host != "" {
 		if *ckptOut != "" {
 			fatal("-checkpoint needs the in-process machine; omit -host (servers expose POST /api/v1/session/checkpoint instead)")
 		}
-		c := client.New(*host, *port, *gzipOn)
-		resp, err = c.Simulate(req)
-		if err != nil {
+		if resp, err = client.New(*host, *port, *gzipOn).Simulate(req); err != nil {
 			fatal("%v", err)
 		}
-	case *ckptOut != "":
-		// Saving a checkpoint needs the machine itself, so this path
-		// simulates directly instead of through the loopback client.
-		resp, err = runAndCheckpoint(req, *ckptOut)
-		if err != nil {
-			fatal("%v", err)
+	} else {
+		var aerr *api.Error
+		if m, resp, aerr = server.Simulate(req); aerr != nil {
+			fatal("[%s] %s", aerr.Code, aerr.Message)
 		}
-	default:
-		resp, err = runLocal(req)
-		if err != nil {
+	}
+	if *ckptOut != "" {
+		if err := writeCheckpoint(m, *ckptOut); err != nil {
 			fatal("%v", err)
 		}
 	}
@@ -283,11 +282,13 @@ func main() {
 		}
 	}
 
-	if *dump != "" && *host == "" {
-		// Dumps need the in-process machine; re-run to fetch memory.
-		if err := printDump(req, *dump); err != nil {
+	if *dump != "" && m != nil {
+		// Dumps need the in-process machine.
+		text, err := formatDump(m, *dump)
+		if err != nil {
 			fatal("dump: %v", err)
 		}
+		fmt.Print(text)
 	}
 
 	if *cost {
@@ -382,35 +383,19 @@ func runSuite(sf *suiteFlag, preset, archPath, host string, port int, gz bool, f
 		len(resp.Workloads), resp.Workers, float64(resp.WallNanos)/1e6)
 }
 
-// runLocal executes the request in-process through the same code path the
-// server uses (via a loopback client), so behaviours match exactly.
-func runLocal(req *api.SimulateRequest) (*api.SimulateResponse, error) {
-	c, closeFn := client.Local(server.DefaultOptions())
-	defer closeFn()
-	return c.Simulate(req)
-}
-
-// runAndCheckpoint simulates in-process, with the server's semantics, and
-// saves the machine state to ckptPath afterwards — the warm-prefix
+// writeCheckpoint saves the machine state to path — the warm-prefix
 // producer for forked sweeps (restore it with -restore,
 // POST /api/v1/session/restore, or as a /api/v1/batch base checkpoint).
-func runAndCheckpoint(req *api.SimulateRequest, ckptPath string) (*api.SimulateResponse, error) {
-	m, resp, aerr := server.Simulate(req)
-	if aerr != nil {
-		return nil, aerr
-	}
-	f, err := os.Create(ckptPath)
+func writeCheckpoint(m *sim.Machine, path string) error {
+	f, err := os.Create(path)
 	if err != nil {
-		return nil, fmt.Errorf("creating checkpoint file: %w", err)
+		return fmt.Errorf("creating checkpoint file: %w", err)
 	}
 	if err := m.Checkpoint(f); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("writing checkpoint: %w", err)
+		return fmt.Errorf("writing checkpoint: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return f.Close()
 }
 
 func parseFills(spec string) ([]api.MemFill, error) {
@@ -436,37 +421,29 @@ func parseFills(spec string) ([]api.MemFill, error) {
 	return fills, nil
 }
 
-// printDump re-runs the program in-process — built with exactly the
-// server's semantics, memory fills and preset/config validation included
-// — and prints a memory range.
-func printDump(req *api.SimulateRequest, spec string) error {
-	m, aerr := server.BuildMachine(req)
-	if aerr != nil {
-		return aerr
-	}
-	m.Run(50_000_000)
-
+// formatDump renders a memory range of the machine the run left behind:
+// a label's allocation, or addr:len.
+func formatDump(m *sim.Machine, spec string) (string, error) {
 	addr, length := 0, 64
 	if i := strings.IndexByte(spec, ':'); i > 0 {
 		a, err1 := strconv.Atoi(spec[:i])
 		l, err2 := strconv.Atoi(spec[i+1:])
 		if err1 != nil || err2 != nil {
-			return fmt.Errorf("bad dump range %q", spec)
+			return "", fmt.Errorf("bad dump range %q", spec)
 		}
 		addr, length = a, l
 	} else {
 		a, size, ok := m.LookupLabel(spec)
 		if !ok {
-			return fmt.Errorf("no allocation labelled %q", spec)
+			return "", fmt.Errorf("no allocation labelled %q", spec)
 		}
 		addr, length = a, size
 	}
 	dump, err := m.HexDump(addr, length)
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Printf("\nMemory dump %s:\n%s", spec, dump)
-	return nil
+	return fmt.Sprintf("\nMemory dump %s:\n%s", spec, dump), nil
 }
 
 func fatal(format string, args ...any) {

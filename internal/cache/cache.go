@@ -450,28 +450,6 @@ func (c *Cache) Lines() []LineView {
 	return out
 }
 
-// Clone deep-copies the cache over a new backing memory (for simulation
-// snapshots).
-func (c *Cache) Clone(backing *memory.Main) *Cache {
-	nc := &Cache{
-		cfg: c.cfg, numSets: c.numSets, backing: backing,
-		tick: c.tick, rng: c.rng, stats: c.stats,
-	}
-	if c.cfg.Enabled {
-		nc.sets = newSets(c.cfg, c.numSets)
-		for si, ways := range c.sets {
-			for w := range ways {
-				ln := &nc.sets[si][w]
-				data := ln.data
-				*ln = ways[w]
-				ln.data = data
-				copy(data, ways[w].data)
-			}
-		}
-	}
-	return nc
-}
-
 func max64(a, b uint64) uint64 {
 	if a > b {
 		return a

@@ -276,20 +276,6 @@ func TestLinesView(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	c, m := newCache(t, smallCfg())
-	c.Access(&memory.Transaction{Addr: 0, Size: 4, IsStore: true, Data: 77}, 0)
-	m2 := m.Clone()
-	c2 := c.Clone(m2)
-	// Write through the original; the clone must not see it.
-	c.Access(&memory.Transaction{Addr: 0, Size: 4, IsStore: true, Data: 88}, 1)
-	rd := &memory.Transaction{Addr: 0, Size: 4}
-	c2.Access(rd, 2)
-	if rd.Data != 77 {
-		t.Errorf("clone sees %d, want 77", rd.Data)
-	}
-}
-
 // Property: reading through the cache always returns what was last written
 // through the cache, regardless of the policy mix and geometry.
 func TestPropertyCacheCoherentWithItself(t *testing.T) {

@@ -212,6 +212,21 @@ func (c *Client) postOnce(path string, req, resp any) error {
 	if err != nil {
 		return err
 	}
+	return c.do(hreq, path, resp)
+}
+
+// get fetches a read-only document.
+func (c *Client) get(path string, resp any) error {
+	hreq, err := http.NewRequest(http.MethodGet, c.base+path, nil)
+	if err != nil {
+		return err
+	}
+	return c.do(hreq, path, resp)
+}
+
+// do performs one exchange: anything but a 200 comes back as the typed
+// error of its envelope, a 200 is decoded into resp (nil discards it).
+func (c *Client) do(hreq *http.Request, path string, resp any) error {
 	hresp, err := c.http.Do(hreq)
 	if err != nil {
 		return fmt.Errorf("client: %s: %w", path, err)
@@ -269,7 +284,13 @@ func (c *Client) RunSuite(req *api.SuiteRequest) (*api.SuiteResponse, error) {
 // event. It returns the final (Done) event. fn returning an error aborts
 // the stream and surfaces that error.
 func (c *Client) Stream(req *api.StreamRequest, fn func(*api.StreamEvent) error) (*api.StreamEvent, error) {
-	path := api.V1Prefix + "/session/stream"
+	return stream(c, api.V1Prefix+"/session/stream", req, fn, func(ev *api.StreamEvent) bool { return ev.Done })
+}
+
+// stream is the NDJSON reader behind Stream and StreamTrace: it posts req,
+// hands every line to fn (nil ignores them) and returns the line done
+// recognizes as the final one.
+func stream[E any](c *Client, path string, req any, fn func(*E) error, done func(*E) bool) (*E, error) {
 	hreq, err := c.newRequest(path, req)
 	if err != nil {
 		return nil, err
@@ -284,29 +305,23 @@ func (c *Client) Stream(req *api.StreamRequest, fn func(*api.StreamEvent) error)
 		return nil, decodeError(path, hresp.StatusCode, hresp.Header, data)
 	}
 	dec := json.NewDecoder(bufio.NewReader(hresp.Body))
-	var last *api.StreamEvent
 	for {
-		var ev api.StreamEvent
-		if err := dec.Decode(&ev); err != nil {
+		ev := new(E)
+		if err := dec.Decode(ev); err != nil {
 			if err == io.EOF {
-				break
+				return nil, fmt.Errorf("client: %s: stream ended without a final event", path)
 			}
 			return nil, fmt.Errorf("client: decoding %s event: %w", path, err)
 		}
-		last = &ev
 		if fn != nil {
-			if err := fn(&ev); err != nil {
+			if err := fn(ev); err != nil {
 				return nil, err
 			}
 		}
-		if ev.Done {
-			break
+		if done(ev) {
+			return ev, nil
 		}
 	}
-	if last == nil || !last.Done {
-		return nil, fmt.Errorf("client: %s: stream ended without a final event", path)
-	}
-	return last, nil
 }
 
 // SimulateWithTrace runs a batch simulation with the pipeline-trace
@@ -332,65 +347,16 @@ func (c *Client) SimulateWithTrace(req *api.SimulateRequest, opts *api.TraceOpti
 // every stage event. It returns the final summary line. fn returning an
 // error aborts the stream and surfaces that error.
 func (c *Client) StreamTrace(req *api.TraceStreamRequest, fn func(*api.TraceStreamEvent) error) (*api.TraceStreamEvent, error) {
-	path := api.V1Prefix + "/session/trace"
-	hreq, err := c.newRequest(path, req)
-	if err != nil {
-		return nil, err
-	}
-	hresp, err := c.http.Do(hreq)
-	if err != nil {
-		return nil, fmt.Errorf("client: %s: %w", path, err)
-	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(hresp.Body)
-		return nil, decodeError(path, hresp.StatusCode, hresp.Header, data)
-	}
-	dec := json.NewDecoder(bufio.NewReader(hresp.Body))
-	var last *api.TraceStreamEvent
-	for {
-		var ev api.TraceStreamEvent
-		if err := dec.Decode(&ev); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("client: decoding %s event: %w", path, err)
-		}
-		last = &ev
-		if fn != nil {
-			if err := fn(&ev); err != nil {
-				return nil, err
-			}
-		}
-		if ev.Done {
-			break
-		}
-	}
-	if last == nil || !last.Done {
-		return nil, fmt.Errorf("client: %s: trace stream ended without a summary", path)
-	}
-	return last, nil
+	return stream(c, api.V1Prefix+"/session/trace", req, fn, func(ev *api.TraceStreamEvent) bool { return ev.Done })
 }
 
 // SessionLog pages through a session's debug log: entries from
 // sinceCycle on, plus the cycle to resume paging from.
 func (c *Client) SessionLog(id string, sinceCycle uint64) (*api.SessionLogResponse, error) {
-	path := fmt.Sprintf("%s/session/%s/log?since_cycle=%d", api.V1Prefix, url.PathEscape(id), sinceCycle)
-	hresp, err := c.http.Get(c.base + path)
-	if err != nil {
-		return nil, fmt.Errorf("client: %s: %w", path, err)
-	}
-	defer hresp.Body.Close()
-	data, err := io.ReadAll(hresp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("client: reading %s response: %w", path, err)
-	}
-	if hresp.StatusCode != http.StatusOK {
-		return nil, decodeError(path, hresp.StatusCode, hresp.Header, data)
-	}
 	var resp api.SessionLogResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		return nil, fmt.Errorf("client: decoding %s response: %w", path, err)
+	path := fmt.Sprintf("%s/session/%s/log?since_cycle=%d", api.V1Prefix, url.PathEscape(id), sinceCycle)
+	if err := c.get(path, &resp); err != nil {
+		return nil, err
 	}
 	return &resp, nil
 }
@@ -475,13 +441,8 @@ func (c *Client) SimulateBatchFrom(base []byte, reqs []api.SimulateRequest) (*ap
 
 // Metrics fetches the server's instrumentation counters.
 func (c *Client) Metrics() (*api.Metrics, error) {
-	hresp, err := c.http.Get(c.base + api.V1Prefix + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer hresp.Body.Close()
 	var m api.Metrics
-	if err := json.NewDecoder(hresp.Body).Decode(&m); err != nil {
+	if err := c.get(api.V1Prefix+"/metrics", &m); err != nil {
 		return nil, err
 	}
 	return &m, nil

@@ -296,16 +296,3 @@ func StateName(kind Type, c uint8) string {
 		}
 	}
 }
-
-// Clone deep-copies the predictor (for simulation snapshots).
-func (p *Predictor) Clone() *Predictor {
-	np := &Predictor{
-		cfg: p.cfg, globalHist: p.globalHist, histMask: p.histMask, stats: p.stats,
-	}
-	np.btb = append([]btbEntry(nil), p.btb...)
-	np.pht = append([]uint8(nil), p.pht...)
-	if p.localHist != nil {
-		np.localHist = append([]uint32(nil), p.localHist...)
-	}
-	return np
-}

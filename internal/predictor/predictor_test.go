@@ -221,25 +221,6 @@ func TestStateNames(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	cfg := twoBitCfg()
-	cfg.HistoryBits = 0 // stable PHT indexing so counters are comparable
-	p := mustNew(t, cfg)
-	p.Update(4, true, true, 8, true)
-	c := p.Clone()
-	p.Update(4, true, true, 8, true)
-	if c.Stats().Predictions != 1 {
-		t.Errorf("clone stats = %+v, want 1 prediction", c.Stats())
-	}
-	// Saturate the original; the clone's counters must be unaffected.
-	for i := 0; i < 5; i++ {
-		p.Update(4, true, false, 8, false)
-	}
-	if p.CounterState(4) == c.CounterState(4) {
-		t.Error("clone must have independent PHT state")
-	}
-}
-
 // Property: a two-bit predictor eventually learns any constant-direction
 // branch, from any default state, in at most 3 updates.
 func TestPropertyTwoBitConvergence(t *testing.T) {

@@ -325,18 +325,3 @@ func (f *File) RenamedCopies(class isa.RegClass, idx int) []int {
 	}
 	return tags
 }
-
-// Clone deep-copies the rename file (for simulation snapshots).
-func (f *File) Clone() *File {
-	nf := &File{
-		archInt:     f.archInt,
-		archFloat:   f.archFloat,
-		spec:        append([]specReg(nil), f.spec...),
-		free:        append([]int(nil), f.free...),
-		mapInt:      f.mapInt,
-		mapFloat:    f.mapFloat,
-		allocs:      f.allocs,
-		stallsEmpty: f.stallsEmpty,
-	}
-	return nf
-}

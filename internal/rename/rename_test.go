@@ -190,20 +190,6 @@ func TestLiveView(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	f := NewFile(4)
-	tag, _, _ := f.Alloc(isa.RegInt, 2)
-	f.SetValue(tag, expr.NewInt(5))
-	c := f.Clone()
-	f.Commit(tag)
-	// The clone must still see the speculative mapping.
-	src := c.LookupSrc(isa.RegInt, 2)
-	if src.Tag != tag {
-		t.Errorf("clone LookupSrc tag = %d, want %d", src.Tag, tag)
-	}
-	c.Release(src.Tag)
-}
-
 // Property: any interleaving of alloc/commit/squash conserves registers —
 // in-use + free always equals capacity, and fully draining returns
 // everything to the free list.

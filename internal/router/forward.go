@@ -60,13 +60,6 @@ func writeAPIError(w http.ResponseWriter, status int, code, format string, args 
 	json.NewEncoder(w).Encode(api.ErrorEnvelope{Err: api.Error{Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
-// streamingPath reports whether the endpoint streams its response
-// (NDJSON). Streams relay incrementally — no response buffering, and no
-// router deadline: they pace themselves and end on client disconnect.
-func streamingPath(path string) bool {
-	return strings.HasSuffix(path, "/session/stream") || strings.HasSuffix(path, "/session/trace")
-}
-
 // writeForwardFailure terminates a failed forward with its typed error.
 // A failure caused by the router's own request deadline becomes the
 // typed deadline_exceeded (504); everything else keeps the given code,
@@ -85,39 +78,31 @@ func (rt *Router) writeForwardFailure(w http.ResponseWriter, ctxErr error, statu
 	writeAPIError(w, status, code, format, args...)
 }
 
-// handleAPI dispatches one /api/v1/* request onto the replica that must
-// serve it: the rendezvous owner for session-scoped endpoints,
-// round-robin for stateless ones.
-func (rt *Router) handleAPI(w http.ResponseWriter, r *http.Request) {
-	rt.forwards.Add(1)
-	rt.inFlight.Add(1)
-	defer rt.inFlight.Add(-1)
-	if rt.opts.RequestTimeout > 0 && !streamingPath(r.URL.Path) {
-		ctx, cancel := context.WithTimeout(r.Context(), rt.opts.RequestTimeout)
-		defer cancel()
-		r = r.WithContext(ctx)
-	}
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
-	rest := strings.TrimPrefix(r.URL.Path, api.V1Prefix)
-	switch {
-	case rest == "/session/new" || rest == "/session/restore":
-		rt.forwardCreate(w, r, body)
-	case rest == "/session/render":
-		rt.forwardSession(w, r, body, r.URL.Query().Get("session"))
-	case strings.HasPrefix(rest, "/session/") && strings.HasSuffix(rest, "/log"):
-		rt.forwardSession(w, r, body, strings.TrimSuffix(strings.TrimPrefix(rest, "/session/"), "/log"))
-	case strings.HasPrefix(rest, "/session/"):
-		id, err := sessionIDFromBody(body, r.Header.Get("Content-Encoding"))
-		if err != nil {
-			writeAPIError(w, http.StatusBadRequest, api.CodeBadJSON, "router: %v", err)
+// route is the router's handler for one row of api.Routes (the zero row
+// is the catch-all): buffer the request, turn the row's placement into a
+// plan, and run the plan through the one attempt loop.
+func (rt *Router) route(row api.Route) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		defer func(began time.Time) { rt.forwardNanos.Add(uint64(time.Since(began))) }(time.Now())
+		rt.forwards.Add(1)
+		rt.inFlight.Add(1)
+		defer rt.inFlight.Add(-1)
+		// Streams pace themselves and end on client disconnect: no deadline.
+		if rt.opts.RequestTimeout > 0 && !row.Stream {
+			ctx, cancel := context.WithTimeout(r.Context(), rt.opts.RequestTimeout)
+			defer cancel()
+			r = r.WithContext(ctx)
+		}
+		body, ok := rt.readBody(w, r)
+		if !ok {
 			return
 		}
-		rt.forwardSession(w, r, body, id)
-	default:
-		rt.forwardStateless(w, r, body)
+		p, aerr := rt.place(row, r, body)
+		if aerr != nil {
+			writeAPIError(w, http.StatusBadRequest, aerr.Code, "%s", aerr.Message)
+			return
+		}
+		rt.forward(w, r, body, p)
 	}
 }
 
@@ -199,10 +184,9 @@ func copyHeaders(dst, src http.Header) {
 	}
 }
 
-// relay streams a replica response to the client, flushing per chunk so
-// NDJSON streams (session/stream) arrive incrementally through the
-// router.
-func relay(w http.ResponseWriter, resp *http.Response) {
+// relayStream copies a replica's NDJSON stream to the client, flushing
+// per chunk so events arrive through the router as they are produced.
+func relayStream(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
 	copyHeaders(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
@@ -224,33 +208,51 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 	}
 }
 
-// relayBytes writes an already-buffered replica response.
-func relayBytes(w http.ResponseWriter, status int, header http.Header, body []byte) {
-	copyHeaders(w.Header(), header)
-	w.WriteHeader(status)
-	w.Write(body)
+// reply is a replica's complete answer, buffered before anything reaches
+// the client, so that a reply torn mid-body (a replica killed while
+// responding) is a failed attempt the loop may retry and the client sees
+// either a whole response or a typed error, never a truncated one. raw is
+// the body as the replica framed it — gzipped when the client asked for
+// that — and is what gets relayed; nothing inflates it unless a finisher
+// has to read it. Truncation needs no inflating to be caught: a body cut
+// short of its Content-Length or chunk terminator fails the read itself.
+type reply struct {
+	status int
+	header http.Header
+	raw    []byte
 }
 
-// bufferResponse drains a response into memory and hands back the bytes
-// plus a decompressed view for inspection.
-func bufferResponse(resp *http.Response) (raw, inflated []byte, err error) {
+func readReply(resp *http.Response) (reply, error) {
 	defer resp.Body.Close()
-	raw, err = io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, nil, err
-	}
-	inflated = raw
-	if strings.Contains(resp.Header.Get("Content-Encoding"), "gzip") {
-		if inflated, err = gunzip(raw); err != nil {
-			return raw, nil, err
-		}
-	}
-	return raw, inflated, nil
+	raw, err := io.ReadAll(resp.Body)
+	return reply{resp.StatusCode, resp.Header, raw}, err
 }
 
-// gunzip inflates a complete gzip document on a pooled reader: the router
-// inflates a copy of every gzipped session request and buffered response
-// it inspects.
+// relay writes the reply to the client as the replica sent it.
+func (rp *reply) relay(w http.ResponseWriter) {
+	copyHeaders(w.Header(), rp.header)
+	w.WriteHeader(rp.status)
+	w.Write(rp.raw)
+}
+
+// inflate returns the body in the clear, for the callers that parse it.
+func (rp *reply) inflate() ([]byte, error) {
+	if !strings.Contains(rp.header.Get("Content-Encoding"), "gzip") {
+		return rp.raw, nil
+	}
+	return gunzip(rp.raw)
+}
+
+// errorCode reads the stable error code out of a non-2xx reply.
+func (rp *reply) errorCode() string {
+	var env api.ErrorEnvelope
+	if body, err := rp.inflate(); err != nil || json.Unmarshal(body, &env) != nil {
+		return ""
+	}
+	return env.Err.Code
+}
+
+// gunzip inflates a complete gzip document on a pooled reader.
 func gunzip(data []byte) ([]byte, error) {
 	gr, err := api.GetGzipReader(bytes.NewReader(data))
 	if err != nil {
@@ -260,154 +262,202 @@ func gunzip(data []byte) ([]byte, error) {
 	return io.ReadAll(gr)
 }
 
-// errorCode extracts the stable error code from a buffered non-2xx
-// replica response.
-func errorCode(inflated []byte) string {
-	var env api.ErrorEnvelope
-	if json.Unmarshal(inflated, &env) != nil {
-		return ""
-	}
-	return env.Err.Code
+// plan is what a placement contributes to the attempt loop: where each
+// attempt goes, how many there may be, and what a complete reply means.
+type plan struct {
+	// attempts bounds the loop: failed forwards and redraws both count.
+	attempts int
+	// pick chooses the attempt's replica (nil: none available) and, on
+	// create routes, the session ID it assigns.
+	pick func() (target *replica, assignID string)
+	// finish interprets a buffered reply and answers the client — or asks
+	// for another attempt (redraw) having written nothing.
+	finish func(w http.ResponseWriter, target *replica, rp *reply) (redraw bool)
+	// stream relays the reply as it arrives instead of buffering it for
+	// finish, so only a failure before its first byte is retried.
+	stream bool
+	// exhausted words the failure once attempts run out.
+	exhausted string
 }
 
-// forwardStateless round-robins a session-less request (simulate,
-// batch, compile, schema...) over available replicas. Non-streaming
-// responses are buffered before anything reaches the client, so a
-// mid-body failure (a replica killed while responding) is still
-// retryable under the same probe-confirmed rule as a failed dial —
-// the client sees either a complete response or a typed error, never a
-// truncated body.
-func (rt *Router) forwardStateless(w http.ResponseWriter, r *http.Request, body []byte) {
-	var lastErr error
-	for attempt := 0; attempt <= rt.opts.Retries; attempt++ {
-		target := rt.nextHealthy()
-		if target == nil {
-			rt.writeForwardFailure(w, r.Context().Err(), http.StatusServiceUnavailable, api.CodeNodeUnavailable, "no healthy replica")
-			return
+// place turns a route's placement into the request's plan.
+func (rt *Router) place(row api.Route, r *http.Request, body []byte) (plan, *api.Error) {
+	var p plan
+	switch row.Place {
+	case api.Stateless:
+		p = rt.statelessPlan()
+	case api.Create:
+		p = rt.createPlan()
+	default:
+		id, aerr := sessionID(row.Place, r, body)
+		if aerr != nil {
+			return p, aerr
 		}
-		resp, err := rt.forwardOnce(target, r, body, "")
-		if err == nil {
-			if streamingPath(r.URL.Path) {
-				target.br.onSuccess()
-				rt.budget.credit()
-				relay(w, resp)
-				return
-			}
-			raw, _, berr := bufferResponse(resp)
-			if berr == nil {
-				target.br.onSuccess()
-				rt.budget.credit()
-				if resp.StatusCode == http.StatusTooManyRequests {
-					rt.shedRelayed.Add(1)
-				}
-				relayBytes(w, resp.StatusCode, resp.Header, raw)
-				return
-			}
-			err = berr
-		}
-		target.br.onFailure()
-		if !rt.retryable(target, err, r.Context().Err()) {
-			rt.writeForwardFailure(w, r.Context().Err(), http.StatusBadGateway, api.CodeNodeUnavailable, "forward to %s failed: %v", target.name, err)
-			return
-		}
-		if !rt.budget.spend() {
-			rt.retriesDenied.Add(1)
-			rt.writeForwardFailure(w, r.Context().Err(), http.StatusServiceUnavailable, api.CodeNodeUnavailable, "retry budget exhausted: %v", err)
-			return
-		}
-		rt.retries.Add(1)
-		lastErr = err
-		time.Sleep(rt.backoff(attempt))
+		p = rt.sessionPlan(id, row.Ends)
 	}
-	rt.writeForwardFailure(w, r.Context().Err(), http.StatusServiceUnavailable, api.CodeNodeUnavailable, "retries exhausted: %v", lastErr)
+	p.stream = row.Stream
+	return p, nil
 }
 
-// forwardSession routes a session-scoped request to the session's
-// rendezvous owner. A dial failure marks the owner down and re-resolves
-// — the replacement owner rehydrates the session from the shared store
-// if a write-through checkpoint exists. Non-streaming responses are
-// buffered before anything reaches the client (see forwardStateless);
-// only session/stream and session/trace relay incrementally.
-func (rt *Router) forwardSession(w http.ResponseWriter, r *http.Request, body []byte, id string) {
+// sessionID finds the session a session-scoped request acts on, where the
+// route's placement says it is.
+func sessionID(place api.Placement, r *http.Request, body []byte) (string, *api.Error) {
+	var id string
+	switch place {
+	case api.SessionInBody:
+		var err error
+		if id, err = sessionIDFromBody(body, r.Header.Get("Content-Encoding")); err != nil {
+			return "", api.Errorf(api.CodeBadJSON, "router: %v", err)
+		}
+	case api.SessionInQuery:
+		id = r.URL.Query().Get("session")
+	case api.SessionInPath:
+		id = r.PathValue("id")
+	}
 	if id == "" {
-		writeAPIError(w, http.StatusBadRequest, api.CodeBadRequest, "router: no session id in request")
-		return
+		return "", api.Errorf(api.CodeBadRequest, "router: no session id in request")
 	}
+	return id, nil
+}
+
+// statelessPlan round-robins a session-less request (simulate, batch,
+// compile, schema, the streams...) over available replicas and relays
+// whatever the replica answered.
+func (rt *Router) statelessPlan() plan {
+	return plan{
+		attempts:  rt.opts.Retries + 1,
+		pick:      func() (*replica, string) { return rt.nextHealthy(), "" },
+		finish:    func(w http.ResponseWriter, _ *replica, rp *reply) bool { rp.relay(w); return false },
+		exhausted: "retries exhausted: %v",
+	}
+}
+
+// sessionPlan sends a session-scoped request to the session's rendezvous
+// owner, re-resolved on every attempt: when a failed forward marked the
+// owner down, the next attempt lands on the replacement owner, which
+// rehydrates the session from the shared store if a write-through
+// checkpoint exists.
+func (rt *Router) sessionPlan(id string, ends bool) plan {
+	return plan{
+		attempts: rt.opts.Retries + 1,
+		pick:     func() (*replica, string) { return rt.owner(id), "" },
+		finish: func(w http.ResponseWriter, target *replica, rp *reply) bool {
+			rt.finishSession(w, id, ends, target, rp)
+			return false
+		},
+		exhausted: "retries exhausted: %v",
+	}
+}
+
+// createPlan serves session/new and session/restore: every attempt draws
+// a fresh random session ID, computes its rendezvous owner and forwards
+// with the ID assigned via header. A failed create therefore retries
+// under a new ID — even if the replica created the session before dying
+// nothing double-executes, the orphan just ages out via the session TTL —
+// and an ID collision (session_exists) redraws.
+func (rt *Router) createPlan() plan {
+	var id string // the current attempt's draw: pick sets it, finish reads it
+	return plan{
+		attempts: createAttempts,
+		pick: func() (*replica, string) {
+			id = newSessionID()
+			return rt.owner(id), id
+		},
+		finish: func(w http.ResponseWriter, target *replica, rp *reply) bool {
+			return rt.finishCreate(w, id, target, rp)
+		},
+		exhausted: "session create kept failing: %v",
+	}
+}
+
+// forward is the router's one hop: it runs a plan's attempts until a
+// replica has answered or the request has failed for good. Everything an
+// attempt's outcome touches is booked here and only here — the target's
+// breaker, the retry budget, the shed and retry counters, the upstream
+// clock — and every failure leaves through writeForwardFailure.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, p plan) {
+	ctx := r.Context()
 	var lastErr error
-	for attempt := 0; attempt <= rt.opts.Retries; attempt++ {
-		target := rt.owner(id)
+	for attempt := 0; attempt < p.attempts; attempt++ {
+		target, assignID := p.pick()
 		if target == nil {
-			rt.writeForwardFailure(w, r.Context().Err(), http.StatusServiceUnavailable, api.CodeNodeUnavailable, "no healthy replica")
+			rt.writeForwardFailure(w, ctx.Err(), http.StatusServiceUnavailable, api.CodeNodeUnavailable, "no healthy replica")
 			return
 		}
-		resp, err := rt.forwardOnce(target, r, body, "")
+		began := time.Now()
+		resp, err := rt.forwardOnce(target, r, body, assignID)
+		var rp reply
+		switch {
+		case err != nil:
+		case p.stream:
+			relayStream(w, resp)
+		default:
+			rp, err = readReply(resp)
+		}
+		rt.upstreamNanos.Add(uint64(time.Since(began)))
 		if err == nil {
-			if streamingPath(r.URL.Path) {
-				target.br.onSuccess()
-				rt.budget.credit()
-				rt.finishSessionStream(w, r, id, target, resp)
+			target.br.onSuccess()
+			rt.budget.credit()
+			if resp.StatusCode == http.StatusTooManyRequests {
+				rt.shedRelayed.Add(1)
+			}
+			if p.stream || !p.finish(w, target, &rp) {
 				return
 			}
-			raw, inflated, berr := bufferResponse(resp)
-			if berr == nil {
-				target.br.onSuccess()
-				rt.budget.credit()
-				if resp.StatusCode == http.StatusTooManyRequests {
-					rt.shedRelayed.Add(1)
-				}
-				rt.finishSession(w, r, id, target, resp.StatusCode, resp.Header, raw, inflated)
-				return
-			}
-			err = berr
+			continue
 		}
 		target.br.onFailure()
-		if !rt.retryable(target, err, r.Context().Err()) {
-			rt.writeForwardFailure(w, r.Context().Err(), http.StatusBadGateway, api.CodeNodeUnavailable, "forward to %s failed: %v", target.name, err)
+		if !rt.retryable(target, err, ctx.Err()) {
+			rt.writeForwardFailure(w, ctx.Err(), http.StatusBadGateway, api.CodeNodeUnavailable, "forward to %s failed: %v", target.name, err)
 			return
 		}
 		if !rt.budget.spend() {
 			rt.retriesDenied.Add(1)
-			rt.writeForwardFailure(w, r.Context().Err(), http.StatusServiceUnavailable, api.CodeNodeUnavailable, "retry budget exhausted: %v", err)
+			rt.writeForwardFailure(w, ctx.Err(), http.StatusServiceUnavailable, api.CodeNodeUnavailable, "retry budget exhausted: %v", err)
 			return
 		}
 		rt.retries.Add(1)
 		lastErr = err
-		rt.debugf("router: session %s: owner %s unreachable, re-resolving", id, target.name)
-		time.Sleep(rt.backoff(attempt))
+		rt.debugf("router: %s: %s unreachable (%v), re-resolving", r.URL.Path, target.name, err)
+		if !rt.wait(ctx, rt.backoff(attempt)) {
+			rt.writeForwardFailure(w, ctx.Err(), http.StatusBadGateway, api.CodeNodeUnavailable, "gave up while backing off: %v", err)
+			return
+		}
 	}
-	rt.writeForwardFailure(w, r.Context().Err(), http.StatusServiceUnavailable, api.CodeNodeUnavailable, "retries exhausted: %v", lastErr)
+	rt.writeForwardFailure(w, ctx.Err(), http.StatusServiceUnavailable, api.CodeNodeUnavailable, p.exhausted, lastErr)
 }
 
-// finishSessionStream is finishSession for the incrementally-relayed
-// streaming endpoints: update the session table, then stream.
-func (rt *Router) finishSessionStream(w http.ResponseWriter, r *http.Request, id string, target *replica, resp *http.Response) {
-	if resp.StatusCode < 400 {
-		rt.mu.Lock()
-		rt.sessions[id] = sessionRecord{owner: target.name, epoch: rt.epoch.Load()}
-		rt.mu.Unlock()
+// wait sits out a retry backoff. It returns false as soon as the request's
+// context ends — the client left or the deadline fired — so a request that
+// can no longer be answered stops holding its in-flight slot.
+func (rt *Router) wait(ctx context.Context, d time.Duration) bool {
+	defer func(began time.Time) { rt.upstreamNanos.Add(uint64(time.Since(began))) }(time.Now())
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
 	}
-	relay(w, resp)
 }
 
-// finishSession interprets a buffered session-op response. 2xx updates
-// the session table; unknown_session disambiguates between an expired
-// session (pass the 404 through) and one orphaned by a ring change with
-// no checkpoint to rehydrate from (rewrite to session_moved so the
-// client learns the state is gone past its last checkpoint).
-func (rt *Router) finishSession(w http.ResponseWriter, r *http.Request, id string, target *replica, status int, header http.Header, raw, inflated []byte) {
-	if status < 400 {
-		closed := strings.HasSuffix(r.URL.Path, "/session/close")
+// finishSession interprets a session-op reply. 2xx updates the session
+// table; unknown_session disambiguates between an expired session (pass
+// the 404 through) and one orphaned by a ring change with no checkpoint
+// to rehydrate from (rewrite to session_moved so the client learns the
+// state is gone past its last checkpoint). Only error replies are read,
+// so a step's state document is never inflated here.
+func (rt *Router) finishSession(w http.ResponseWriter, id string, ends bool, target *replica, rp *reply) {
+	if rp.status < 400 {
 		rt.mu.Lock()
-		if closed {
+		if ends {
 			delete(rt.sessions, id)
 		} else {
 			rt.sessions[id] = sessionRecord{owner: target.name, epoch: rt.epoch.Load()}
 		}
 		rt.mu.Unlock()
-		relayBytes(w, status, header, raw)
-		return
-	}
-	if errorCode(inflated) == api.CodeUnknownSession {
+	} else if rp.errorCode() == api.CodeUnknownSession {
 		cur := rt.epoch.Load()
 		rt.mu.Lock()
 		rec, known := rt.sessions[id]
@@ -420,75 +470,35 @@ func (rt *Router) finishSession(w http.ResponseWriter, r *http.Request, id strin
 			return
 		}
 	}
-	relayBytes(w, status, header, raw)
+	rp.relay(w)
 }
 
-// forwardCreate serves session/new and session/restore: draw a random
-// session ID, compute its rendezvous owner, and forward with the ID
-// assigned via header. An ID collision (session_exists) redraws.
-func (rt *Router) forwardCreate(w http.ResponseWriter, r *http.Request, body []byte) {
-	var lastErr error
-	for attempt := 0; attempt < createAttempts; attempt++ {
-		id := newSessionID()
-		target := rt.owner(id)
-		if target == nil {
-			rt.writeForwardFailure(w, r.Context().Err(), http.StatusServiceUnavailable, api.CodeNodeUnavailable, "no healthy replica")
-			return
-		}
-		resp, err := rt.forwardOnce(target, r, body, id)
-		var raw, inflated []byte
-		if err == nil {
-			// A mid-body failure joins the retry path: the create retries
-			// under a FRESH id, so even if the replica created the session
-			// before dying, nothing double-executes — the orphan just ages
-			// out via the session TTL.
-			raw, inflated, err = bufferResponse(resp)
-		}
-		if err != nil {
-			target.br.onFailure()
-			if !rt.retryable(target, err, r.Context().Err()) {
-				rt.writeForwardFailure(w, r.Context().Err(), http.StatusBadGateway, api.CodeNodeUnavailable, "forward to %s failed: %v", target.name, err)
-				return
-			}
-			if !rt.budget.spend() {
-				rt.retriesDenied.Add(1)
-				rt.writeForwardFailure(w, r.Context().Err(), http.StatusServiceUnavailable, api.CodeNodeUnavailable, "retry budget exhausted: %v", err)
-				return
-			}
-			rt.retries.Add(1)
-			lastErr = err
-			time.Sleep(rt.backoff(attempt))
-			continue
-		}
-		target.br.onSuccess()
-		rt.budget.credit()
-		if resp.StatusCode == http.StatusTooManyRequests {
-			rt.shedRelayed.Add(1)
-		}
-		if resp.StatusCode == http.StatusConflict && errorCode(inflated) == api.CodeSessionExists {
-			rt.debugf("router: session id %s collided on %s, redrawing", id, target.name)
-			continue
-		}
-		if resp.StatusCode < 400 {
-			// Trust the response over the assignment: a replica running
-			// without -assigned-ids generates its own ID, and recording
-			// the wrong one would misroute every follow-up.
-			var created struct {
-				SessionID string `json:"sessionId"`
-			}
-			if json.Unmarshal(inflated, &created) == nil && created.SessionID != "" {
-				if created.SessionID != id {
-					rt.debugf("router: replica %s ignored assigned id %s (returned %s) — run it with -assigned-ids", target.name, id, created.SessionID)
-				}
-				rt.mu.Lock()
-				rt.sessions[created.SessionID] = sessionRecord{owner: target.name, epoch: rt.epoch.Load()}
-				rt.mu.Unlock()
-			}
-		}
-		relayBytes(w, resp.StatusCode, resp.Header, raw)
-		return
+// finishCreate interprets a create reply: a collision on the drawn ID asks
+// the loop for another draw, a created session is recorded under the ID
+// the replica reports, and everything is relayed as it came.
+func (rt *Router) finishCreate(w http.ResponseWriter, id string, target *replica, rp *reply) (redraw bool) {
+	if rp.status == http.StatusConflict && rp.errorCode() == api.CodeSessionExists {
+		rt.debugf("router: session id %s collided on %s, redrawing", id, target.name)
+		return true
 	}
-	rt.writeForwardFailure(w, r.Context().Err(), http.StatusServiceUnavailable, api.CodeNodeUnavailable, "session create kept failing: %v", lastErr)
+	if rp.status < 400 {
+		// Trust the response over the assignment: a replica running
+		// without -assigned-ids generates its own ID, and recording
+		// the wrong one would misroute every follow-up.
+		var created struct {
+			SessionID string `json:"sessionId"`
+		}
+		if body, err := rp.inflate(); err == nil && json.Unmarshal(body, &created) == nil && created.SessionID != "" {
+			if created.SessionID != id {
+				rt.debugf("router: replica %s ignored assigned id %s (returned %s) — run it with -assigned-ids", target.name, id, created.SessionID)
+			}
+			rt.mu.Lock()
+			rt.sessions[created.SessionID] = sessionRecord{owner: target.name, epoch: rt.epoch.Load()}
+			rt.mu.Unlock()
+		}
+	}
+	rp.relay(w)
+	return false
 }
 
 // ---- migration ----
@@ -566,14 +576,18 @@ func (rt *Router) postJSON(ctx context.Context, target *replica, path string, bo
 	if err != nil {
 		return err
 	}
-	_, inflated, err := bufferResponse(resp)
+	rp, err := readReply(resp)
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: HTTP %d [%s]", path, resp.StatusCode, errorCode(inflated))
+	if rp.status != http.StatusOK {
+		return fmt.Errorf("%s: HTTP %d [%s]", path, rp.status, rp.errorCode())
 	}
-	return json.Unmarshal(inflated, out)
+	doc, err := rp.inflate()
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(doc, out)
 }
 
 // ---- admin ----
@@ -602,53 +616,59 @@ type OwnerResponse struct {
 	Epoch   uint64 `json:"epoch"`
 }
 
+// ring snapshots every replica's row.
+func (rt *Router) ring() []RingEntry {
+	out := make([]RingEntry, len(rt.replicas))
+	for i, rep := range rt.replicas {
+		out[i] = RingEntry{
+			Name: rep.name, URL: rep.baseURL,
+			Healthy: rep.healthy.Load(), Breaker: rep.br.stateName(),
+		}
+	}
+	return out
+}
+
 func (rt *Router) handleRing(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
 	n := len(rt.sessions)
 	rt.mu.Unlock()
-	out := RingResponse{Epoch: rt.epoch.Load(), Sessions: n}
-	for _, rep := range rt.replicas {
-		out.Replicas = append(out.Replicas, RingEntry{
-			Name: rep.name, URL: rep.baseURL,
-			Healthy: rep.healthy.Load(), Breaker: rep.br.stateName(),
-		})
-	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
+	json.NewEncoder(w).Encode(RingResponse{Epoch: rt.epoch.Load(), Sessions: n, Replicas: rt.ring()})
 }
 
 // RouterMetrics is the /admin/metrics document: the router's robustness
 // counters and per-replica breaker states (docs/robustness.md). The
 // chaos tests assert these move under injected faults.
 type RouterMetrics struct {
-	Forwards         uint64      `json:"forwards"`
-	Retries          uint64      `json:"retries"`
-	RetriesDenied    uint64      `json:"retriesDenied"`
-	Shed             uint64      `json:"shed"` // 429 over_capacity responses relayed
-	DeadlineExceeded uint64      `json:"deadlineExceeded"`
-	InFlight         int64       `json:"inFlight"`
-	Epoch            uint64      `json:"epoch"`
-	Replicas         []RingEntry `json:"replicas"`
+	Forwards         uint64 `json:"forwards"`
+	Retries          uint64 `json:"retries"`
+	RetriesDenied    uint64 `json:"retriesDenied"`
+	Shed             uint64 `json:"shed"` // 429 over_capacity responses relayed
+	DeadlineExceeded uint64 `json:"deadlineExceeded"`
+	InFlight         int64  `json:"inFlight"`
+	// ForwardNanos is wall time spent inside the router's API handler and
+	// UpstreamNanos the part of it spent waiting on replicas (attempts and
+	// the backoff between them): the difference is the router's own hop.
+	ForwardNanos  uint64      `json:"forwardNanos"`
+	UpstreamNanos uint64      `json:"upstreamNanos"`
+	Epoch         uint64      `json:"epoch"`
+	Replicas      []RingEntry `json:"replicas"`
 }
 
 // Metrics snapshots the robustness counters.
 func (rt *Router) Metrics() RouterMetrics {
-	m := RouterMetrics{
+	return RouterMetrics{
 		Forwards:         rt.forwards.Load(),
 		Retries:          rt.retries.Load(),
 		RetriesDenied:    rt.retriesDenied.Load(),
 		Shed:             rt.shedRelayed.Load(),
 		DeadlineExceeded: rt.deadlineHits.Load(),
 		InFlight:         rt.inFlight.Load(),
+		ForwardNanos:     rt.forwardNanos.Load(),
+		UpstreamNanos:    rt.upstreamNanos.Load(),
 		Epoch:            rt.epoch.Load(),
+		Replicas:         rt.ring(),
 	}
-	for _, rep := range rt.replicas {
-		m.Replicas = append(m.Replicas, RingEntry{
-			Name: rep.name, URL: rep.baseURL,
-			Healthy: rep.healthy.Load(), Breaker: rep.br.stateName(),
-		})
-	}
-	return m
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -49,8 +49,12 @@ func TestPooledGzipReaderKeepsBodiesApart(t *testing.T) {
 			Header: http.Header{"Content-Encoding": {"gzip"}},
 			Body:   io.NopCloser(bytes.NewReader(gzipped(t, short))),
 		}
-		raw, inflated, err := bufferResponse(resp)
-		if err != nil || string(inflated) != short || bytes.Equal(raw, inflated) {
+		rp, err := readReply(resp)
+		if err != nil {
+			t.Fatalf("round %d: reading the reply: %v", round, err)
+		}
+		inflated, err := rp.inflate()
+		if err != nil || string(inflated) != short || bytes.Equal(rp.raw, inflated) {
 			t.Fatalf("round %d: buffered response inflated to %q (err %v)", round, inflated, err)
 		}
 	}

@@ -156,12 +156,14 @@ type Router struct {
 	budget *retryBudget
 
 	// Robustness counters (served by /admin/metrics).
-	forwards      atomic.Uint64 // requests entering handleAPI
+	forwards      atomic.Uint64 // requests entering the API handler (route)
 	retries       atomic.Uint64 // re-forwards actually performed
 	retriesDenied atomic.Uint64 // retries refused by the empty budget
 	shedRelayed   atomic.Uint64 // 429 over_capacity responses relayed
 	deadlineHits  atomic.Uint64 // requests cut by RequestTimeout
 	inFlight      atomic.Int64  // currently forwarding
+	forwardNanos  atomic.Uint64 // wall time inside the API handler
+	upstreamNanos atomic.Uint64 // of which: waiting on replicas and backing off
 
 	mux    *http.ServeMux
 	stop   chan struct{}
@@ -227,7 +229,12 @@ func New(opts Options) (*Router, error) {
 			br:      newBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
 		})
 	}
-	rt.mux.HandleFunc(api.V1Prefix+"/", rt.handleAPI)
+	// The URL space is the server's own table; anything else is forwarded
+	// statelessly so the replicas keep answering their own 404 and 405.
+	for _, row := range api.Routes {
+		rt.mux.HandleFunc(row.Pattern(), rt.route(row))
+	}
+	rt.mux.HandleFunc(api.V1Prefix+"/", rt.route(api.Route{}))
 	rt.mux.HandleFunc("GET /admin/ring", rt.handleRing)
 	rt.mux.HandleFunc("GET /admin/owner", rt.handleOwner)
 	rt.mux.HandleFunc("GET /admin/metrics", rt.handleMetrics)

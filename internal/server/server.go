@@ -170,46 +170,54 @@ const (
 	// stays observable and debuggable.
 	unadmitted admitMode = iota
 	// admitted routes bear simulation work: they hold an in-flight slot
-	// for their whole handler and get the per-request deadline.
+	// for their whole handler and get the per-request deadline — unless
+	// the route streams (api.Route.Stream): a stream holds its slot for
+	// its whole life but paces itself and ends on client disconnect.
 	admitted
-	// admittedStream routes hold their slot for the stream's whole life
-	// but get no deadline: streams pace themselves and end on client
-	// disconnect.
-	admittedStream
 )
 
-// route is one row of the API table.
+// route is the server's half of one api.Routes row.
 type route struct {
-	method, path string
-	admit        admitMode
-	handler      handlerFunc
+	admit   admitMode
+	handler handlerFunc
 }
 
-// routes mounts the versioned API. Method-scoped patterns: mutations are
-// POST, reads are GET.
+// routes mounts the versioned API: every row of api.Routes gets its
+// handler, keyed by the row's path. A row without a handler or a handler
+// without a row is a programming error caught at construction, so the URL
+// space the router places requests from is the one the server serves.
 func (s *Server) routes() {
-	for _, rt := range []route{
-		{http.MethodPost, "/simulate", admitted, decoded(s, s.handleSimulate)},
-		{http.MethodPost, "/batch", admitted, decoded(s, s.handleBatch)},
-		{http.MethodPost, "/suite", admitted, decoded(s, s.handleSuite)},
-		{http.MethodPost, "/compile", unadmitted, decoded(s, s.handleCompile)},
-		{http.MethodPost, "/parseAsm", unadmitted, decoded(s, s.handleParseAsm)},
-		{http.MethodPost, "/checkConfig", unadmitted, s.handleCheckConfig},
-		{http.MethodGet, "/schema", unadmitted, s.handleSchema},
-		{http.MethodGet, "/instructionDescriptions", unadmitted, s.handleInstructionDescriptions},
-		{http.MethodPost, "/session/new", admitted, decoded(s, s.handleSessionNew)},
-		{http.MethodPost, "/session/step", admitted, decoded(s, s.handleSessionStep)},
-		{http.MethodPost, "/session/goto", admitted, decoded(s, s.handleSessionGoto)},
-		{http.MethodPost, "/session/close", unadmitted, decoded(s, s.handleSessionClose)},
-		{http.MethodGet, "/session/render", unadmitted, s.handleSessionRender},
-		{http.MethodPost, "/session/stream", admittedStream, decoded(s, s.handleSessionStream)},
-		{http.MethodPost, "/session/trace", admittedStream, decoded(s, s.handleSessionTrace)},
-		{http.MethodGet, "/session/{id}/log", unadmitted, s.handleSessionLog},
-		{http.MethodPost, "/session/checkpoint", admitted, decoded(s, s.handleSessionCheckpoint)},
-		{http.MethodPost, "/session/restore", admitted, decoded(s, s.handleSessionRestore)},
-		{http.MethodGet, "/metrics", unadmitted, s.handleMetrics},
-	} {
-		s.mount(rt)
+	impl := map[string]route{
+		"/simulate":                {admitted, decoded(s, s.handleSimulate)},
+		"/batch":                   {admitted, decoded(s, s.handleBatch)},
+		"/suite":                   {admitted, decoded(s, s.handleSuite)},
+		"/compile":                 {unadmitted, decoded(s, s.handleCompile)},
+		"/parseAsm":                {unadmitted, decoded(s, s.handleParseAsm)},
+		"/checkConfig":             {unadmitted, s.handleCheckConfig},
+		"/schema":                  {unadmitted, s.handleSchema},
+		"/instructionDescriptions": {unadmitted, s.handleInstructionDescriptions},
+		"/metrics":                 {unadmitted, s.handleMetrics},
+		"/session/new":             {admitted, decoded(s, s.handleSessionNew)},
+		"/session/restore":         {admitted, decoded(s, s.handleSessionRestore)},
+		"/session/step":            {admitted, decoded(s, s.handleSessionStep)},
+		"/session/goto":            {admitted, decoded(s, s.handleSessionGoto)},
+		"/session/checkpoint":      {admitted, decoded(s, s.handleSessionCheckpoint)},
+		"/session/close":           {unadmitted, decoded(s, s.handleSessionClose)},
+		"/session/render":          {unadmitted, s.handleSessionRender},
+		"/session/{id}/log":        {unadmitted, s.handleSessionLog},
+		"/session/stream":          {admitted, decoded(s, s.handleSessionStream)},
+		"/session/trace":           {admitted, decoded(s, s.handleSessionTrace)},
+	}
+	for _, row := range api.Routes {
+		rt, ok := impl[row.Path]
+		if !ok {
+			panic("server: api.Routes row without a handler: " + row.Pattern())
+		}
+		delete(impl, row.Path)
+		s.mount(row, rt)
+	}
+	for path := range impl {
+		panic("server: handler without an api.Routes row: " + path)
 	}
 	// The liveness probe is not a request: uncounted, untimed, unadmitted.
 	s.mux.HandleFunc(http.MethodGet+" "+api.V1Prefix+"/health", s.handleHealth)
@@ -346,22 +354,22 @@ type encoded []byte
 // request's phase timer and puts it in the request context, passes the
 // admission valve, runs the handler, writes the reply in the uniform
 // envelope, and books the request.
-func (s *Server) mount(rt route) {
-	s.mux.HandleFunc(rt.method+" "+api.V1Prefix+rt.path, func(w http.ResponseWriter, r *http.Request) {
+func (s *Server) mount(row api.Route, rt route) {
+	s.mux.HandleFunc(row.Pattern(), func(w http.ResponseWriter, r *http.Request) {
 		tm := startTimer()
 		r = r.WithContext(withTimer(r.Context(), tm))
-		resp, aerr := s.admit(rt.admit, tm, w, r, rt.handler)
+		resp, aerr := s.admit(row, rt, tm, w, r)
 		s.reply(w, tm, resp, aerr)
 		s.ctr.book(tm)
 	})
 }
 
-// admit runs h behind the admission valve as mode says. Shed requests
-// return the typed over_capacity error before any decoding or simulation
-// work happens.
-func (s *Server) admit(mode admitMode, tm *phaseTimer, w http.ResponseWriter, r *http.Request, h handlerFunc) (any, *api.Error) {
-	if mode == unadmitted {
-		return h(w, r)
+// admit runs the route's handler behind the admission valve as its mode
+// says. Shed requests return the typed over_capacity error before any
+// decoding or simulation work happens.
+func (s *Server) admit(row api.Route, rt route, tm *phaseTimer, w http.ResponseWriter, r *http.Request) (any, *api.Error) {
+	if rt.admit == unadmitted {
+		return rt.handler(w, r)
 	}
 	queued := tm.begin(phaseQueue)
 	release, aerr := s.adm.acquire(r.Context())
@@ -370,12 +378,12 @@ func (s *Server) admit(mode admitMode, tm *phaseTimer, w http.ResponseWriter, r 
 		return nil, aerr
 	}
 	defer release()
-	if mode == admitted && s.opts.RequestTimeout > 0 {
+	if !row.Stream && s.opts.RequestTimeout > 0 {
 		ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 		defer cancel()
 		r = r.WithContext(ctx)
 	}
-	return h(w, r)
+	return rt.handler(w, r)
 }
 
 // reply writes a handler's result: the response document, or the error
@@ -480,8 +488,8 @@ func (s *Server) build(ctx context.Context, req *api.SimulateRequest) (*sim.Mach
 // BuildMachine constructs a machine from request fields, attaching the
 // stable error code of whichever stage failed. A request carrying a
 // checkpoint restores from it (forking the snapshot) instead of building
-// from source; memory fills still apply afterwards. Exported so the
-// CLI's in-process paths (memory dumps) build machines with exactly the
+// from source; memory fills still apply afterwards. Exported so reference
+// machines (chaos, distsmoke, the benchmark) are built with exactly the
 // server's semantics; it caches nothing.
 func BuildMachine(req *api.SimulateRequest) (*sim.Machine, *api.Error) {
 	return new(Server).buildMachine(req)
@@ -612,7 +620,8 @@ func traceFilter(opts *api.TraceOptions) (sim.TraceFilter, *api.Error) {
 
 // Simulate executes one request outside any server, uncached, with
 // exactly /api/v1/simulate's semantics, and also hands back the machine
-// the run left behind: the CLI's in-process path, which checkpoints it.
+// the run left behind: the CLI's one in-process path, whose -checkpoint
+// and -dump read that machine.
 func Simulate(req *api.SimulateRequest) (*sim.Machine, *api.SimulateResponse, *api.Error) {
 	return new(Server).simulate(context.Background(), req)
 }

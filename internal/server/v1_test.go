@@ -31,6 +31,25 @@ func decodeErrorEnvelope(t *testing.T, body []byte) api.Error {
 	return env.Err
 }
 
+// TestServerMountsTheRouteTable: the server's URL space is api.Routes — the
+// table the router places requests from — row for row, plus /health.
+func TestServerMountsTheRouteTable(t *testing.T) {
+	s := New(DefaultOptions())
+	fill := strings.NewReplacer("{id}", "s00000001")
+	for _, row := range api.Routes {
+		req := httptest.NewRequest(row.Method, api.V1Prefix+fill.Replace(row.Path), nil)
+		if _, pattern := s.mux.Handler(req); pattern != row.Pattern() {
+			t.Errorf("%s resolves to %q in the server, want its own row", row.Pattern(), pattern)
+		}
+	}
+	for _, path := range []string{"/nosuch", "/session/nosuch", "/simulate/extra"} {
+		req := httptest.NewRequest(http.MethodPost, api.V1Prefix+path, nil)
+		if _, pattern := s.mux.Handler(req); pattern != "" {
+			t.Errorf("%s is served by %q, a route api.Routes does not list", path, pattern)
+		}
+	}
+}
+
 // TestV1Routing pins the URL space: v1 patterns are method-scoped, the
 // pre-v1 flat paths are gone, and media-type parameters (older clients
 // sent "codec=...") do not affect how a request is served.
