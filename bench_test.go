@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (§IV), plus the ablations from DESIGN.md §3. Run with:
+// (§IV), plus the ablations A1–A3 below. Run with:
 //
 //	go test -bench=. -benchmem .
 //

@@ -83,7 +83,7 @@ func main() {
 	if *noDocker {
 		return
 	}
-	// Docker rows via the containerization shim (DESIGN.md §1).
+	// Docker rows via the containerization shim (loadgen.DockerShim).
 	dockerized := server.New(server.DefaultOptions())
 	shim := loadgen.DefaultDockerShim(dockerized.Handler())
 	tsDocker := httptest.NewServer(shim)

@@ -17,7 +17,6 @@ import (
 	"syscall"
 	"time"
 
-	"riscvsim/internal/loadgen"
 	"riscvsim/internal/server"
 	"riscvsim/internal/store"
 )
@@ -35,9 +34,6 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "on SIGINT/SIGTERM, wait up to this long for in-flight requests before spilling sessions")
 		debug        = flag.Bool("debug", false, "debug-level logging (session spill/eviction events)")
 		noGzip       = flag.Bool("no-gzip", false, "disable response compression")
-		dockerShim   = flag.Bool("docker-shim", false, "simulate containerized deployment overhead (Table I 'Docker' rows)")
-		proxyDelay   = flag.Duration("shim-delay", 2*time.Millisecond, "docker shim per-request overhead")
-		parallelism  = flag.Int("shim-parallelism", 0, "docker shim concurrency cap (0 = NumCPU/2)")
 
 		maxInFlight    = flag.Int("max-inflight", 0, "admission control: cap on concurrently executing simulation requests; beyond it requests queue briefly and are then shed with a typed 429 over_capacity (0 = unlimited)")
 		maxQueue       = flag.Int("max-queue", 0, "admission control: how many requests may wait for an in-flight slot (0 = 2x max-inflight)")
@@ -79,18 +75,12 @@ func main() {
 		RequestTimeout:   *requestTimeout,
 		Debug:            *debug,
 	})
-	var handler http.Handler = srv.Handler()
-	if *dockerShim {
-		shim := &loadgen.DockerShim{ProxyDelay: *proxyDelay, Parallelism: *parallelism}
-		handler = shim.Wrap(handler)
-		fmt.Printf("docker shim enabled: delay=%v parallelism=%d\n", *proxyDelay, *parallelism)
-	}
 
 	fmt.Printf("simulation server listening on %s (gzip=%v, API /api/v1)\n",
 		*addr, !*noGzip)
 	s := &http.Server{
 		Addr:              *addr,
-		Handler:           handler,
+		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 

@@ -121,7 +121,10 @@ func (w *Writer) Raw(b []byte) {
 }
 
 // Byte writes one byte.
-func (w *Writer) Byte(b byte) { w.Raw([]byte{b}) }
+func (w *Writer) Byte(b byte) {
+	w.scratch[0] = b
+	w.Raw(w.scratch[:1])
+}
 
 // Bool writes a boolean as one byte.
 func (w *Writer) Bool(b bool) {
@@ -164,7 +167,13 @@ func (w *Writer) Bytes(b []byte) {
 }
 
 // String writes a length-prefixed string.
-func (w *Writer) String(s string) { w.Bytes([]byte(s)) }
+func (w *Writer) String(s string) {
+	w.U64(uint64(len(s)))
+	if w.err != nil {
+		return
+	}
+	_, w.err = io.WriteString(w.w, s)
+}
 
 // Section writes a section tag.
 func (w *Writer) Section(tag byte) { w.Byte(tag) }

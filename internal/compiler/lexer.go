@@ -6,7 +6,7 @@
 // for editor error highlighting (paper Fig. 6), and a C-line to
 // assembly-line mapping for the editor's linked highlighting (Fig. 5).
 //
-// Substitution note (DESIGN.md §1): the paper shells out to a GCC
+// Substitution note: the paper shells out to a GCC
 // cross-compiler on the server. This package replaces that proprietary
 // dependency with an equivalent in-process code path: POST C source →
 // compile → assembly + diagnostics + line links.

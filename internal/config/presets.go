@@ -107,7 +107,7 @@ func Wide4() *CPU {
 
 // WidthPreset returns a preset with the given fetch/commit width (1, 2, 4
 // or 8), scaling buffers and unit counts accordingly; used by the
-// width-sweep ablation (DESIGN.md A1).
+// width-sweep ablation (bench_test.go A1).
 func WidthPreset(width int) (*CPU, error) {
 	switch width {
 	case 1:

@@ -256,8 +256,8 @@ func (s *Simulation) EncodeState(w *ckpt.Writer) {
 	for _, fu := range s.fus {
 		w.Bool(fu.hasAccept)
 		w.U64(fu.lastAccept)
-		w.U64(fu.busyCycles)
-		w.U64(fu.execCount)
+		w.U64(fu.count.BusyCycles)
+		w.U64(fu.count.ExecCount)
 		w.U64(fu.totalCycles)
 		w.Len(len(fu.inflight))
 		for _, op := range fu.inflight {
@@ -274,14 +274,14 @@ func (s *Simulation) EncodeState(w *ckpt.Writer) {
 			instrRef(w, idx, si)
 		}
 	}
-	w.U64(l.loadCount)
-	w.U64(l.storeCount)
-	w.U64(l.forwardCount)
-	w.U64(l.stallUnknown)
-	w.U64(l.stallPartial)
-	w.U64(l.busCycles)
-	w.U64(l.fullStallsLd)
-	w.U64(l.fullStallsSt)
+	w.U64(l.count.Loads)
+	w.U64(l.count.Stores)
+	w.U64(l.count.Forwards)
+	w.U64(l.count.StallsUnknown)
+	w.U64(l.count.StallsPartial)
+	w.U64(l.count.BusBusyCycles)
+	w.U64(l.count.LoadBufStalls)
+	w.U64(l.count.StoreBufStalls)
 	w.U64(l.drainedStores)
 
 	w.Section(ckpt.SecFetch)
@@ -423,8 +423,8 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 	for _, fu := range s.fus {
 		fu.hasAccept = r.Bool()
 		fu.lastAccept = r.U64()
-		fu.busyCycles = r.U64()
-		fu.execCount = r.U64()
+		fu.count.BusyCycles = r.U64()
+		fu.count.ExecCount = r.U64()
 		fu.totalCycles = r.U64()
 		ni := r.Len(len(table))
 		fu.inflight = fu.inflight[:0]
@@ -448,14 +448,14 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 			}
 		}
 	}
-	l.loadCount = r.U64()
-	l.storeCount = r.U64()
-	l.forwardCount = r.U64()
-	l.stallUnknown = r.U64()
-	l.stallPartial = r.U64()
-	l.busCycles = r.U64()
-	l.fullStallsLd = r.U64()
-	l.fullStallsSt = r.U64()
+	l.count.Loads = r.U64()
+	l.count.Stores = r.U64()
+	l.count.Forwards = r.U64()
+	l.count.StallsUnknown = r.U64()
+	l.count.StallsPartial = r.U64()
+	l.count.BusBusyCycles = r.U64()
+	l.count.LoadBufStalls = r.U64()
+	l.count.StoreBufStalls = r.U64()
 	l.drainedStores = r.U64()
 
 	r.Section(ckpt.SecFetch)

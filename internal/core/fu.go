@@ -4,6 +4,7 @@ import (
 	"riscvsim/internal/asm"
 	"riscvsim/internal/config"
 	"riscvsim/internal/isa"
+	"riscvsim/internal/stats"
 )
 
 // FU is one functional unit. Its simulation is divided into two sub-steps
@@ -35,9 +36,8 @@ type FU struct {
 	sup []bool
 	lat []uint64
 
-	// Statistics.
-	busyCycles  uint64
-	execCount   uint64
+	// Statistics: count is this unit's part of the ledger (stats.Counters).
+	count       stats.FUCounters
 	totalCycles uint64
 }
 
@@ -141,7 +141,7 @@ func (f *FU) Accept(si *SimInstr, now uint64, eng *ExecEngine) {
 	f.inflight = append(f.inflight, inflightOp{si: si, doneAt: now + lat})
 	f.lastAccept = now
 	f.hasAccept = true
-	f.execCount++
+	f.count.ExecCount++
 	f.totalCycles += lat
 	si.IssuedAt = now
 	si.Phase = PhaseIssued
@@ -187,25 +187,6 @@ func (f *FU) AbortSquashed() {
 // CountBusy accumulates the busy-cycle statistic; called once per cycle.
 func (f *FU) CountBusy() {
 	if len(f.inflight) > 0 {
-		f.busyCycles++
-	}
-}
-
-// FUStats is the per-unit utilization report (paper §II-D: "the number and
-// percentage of busy cycles for each unit").
-type FUStats struct {
-	Name       string `json:"name"`
-	Class      string `json:"class"`
-	BusyCycles uint64 `json:"busyCycles"`
-	ExecCount  uint64 `json:"execCount"`
-}
-
-// Stats returns the collected counters.
-func (f *FU) Stats() FUStats {
-	return FUStats{
-		Name:       f.spec.Name,
-		Class:      f.class.String(),
-		BusyCycles: f.busyCycles,
-		ExecCount:  f.execCount,
+		f.count.BusyCycles++
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"riscvsim/internal/fault"
 	"riscvsim/internal/isa"
 	"riscvsim/internal/memory"
+	"riscvsim/internal/stats"
 	"riscvsim/internal/trace"
 )
 
@@ -47,15 +48,8 @@ type LSU struct {
 	completedScratch []*SimInstr
 	tx               memory.Transaction
 
-	// Statistics.
-	loadCount     uint64
-	storeCount    uint64
-	forwardCount  uint64
-	stallUnknown  uint64 // load stalled behind a store with unknown address
-	stallPartial  uint64 // load stalled on a partial overlap
-	busCycles     uint64 // cycles the memory port was occupied
-	fullStallsLd  uint64
-	fullStallsSt  uint64
+	// Statistics: count is the LSU's part of the ledger (stats.Counters).
+	count         stats.LSUStat
 	drainedStores uint64
 }
 
@@ -70,13 +64,13 @@ func NewLSU(loadCap, storeCap int, port memory.Port) *LSU {
 func (l *LSU) CanAccept(isStore bool) bool {
 	if isStore {
 		if len(l.stores) >= l.storeCap {
-			l.fullStallsSt++
+			l.count.StoreBufStalls++
 			return false
 		}
 		return true
 	}
 	if len(l.loads) >= l.loadCap {
-		l.fullStallsLd++
+		l.count.LoadBufStalls++
 		return false
 	}
 	return true
@@ -86,10 +80,10 @@ func (l *LSU) CanAccept(isStore bool) bool {
 func (l *LSU) Add(si *SimInstr) {
 	if si.IsStore() {
 		l.stores = append(l.stores, si)
-		l.storeCount++
+		l.count.Stores++
 	} else {
 		l.loads = append(l.loads, si)
-		l.loadCount++
+		l.count.Loads++
 	}
 }
 
@@ -113,7 +107,7 @@ func (l *LSU) olderStoreConflict(ld *SimInstr) (bool, *SimInstr) {
 			return false, nil, false
 		}
 		if !st.addrReady {
-			l.stallUnknown++
+			l.count.StallsUnknown++
 			return true, nil, true
 		}
 		stW := st.Static.Desc.MemWidth
@@ -123,7 +117,7 @@ func (l *LSU) olderStoreConflict(ld *SimInstr) (bool, *SimInstr) {
 			if st.effAddr <= ld.effAddr && st.effAddr+stW >= ld.effAddr+ldW {
 				return false, st, false
 			}
-			l.stallPartial++
+			l.count.StallsPartial++
 			return true, nil, true
 		}
 		return false, nil, false
@@ -175,7 +169,7 @@ func (l *LSU) Step(now uint64) (completed []*SimInstr, storeExc *fault.Exception
 		l.committed[n] = nil
 		l.committed = l.committed[:n]
 		l.drainedStores++
-		l.busCycles++
+		l.count.BusBusyCycles++
 		// Nothing references a drained store anymore.
 		if l.onRecycle != nil {
 			l.onRecycle(st)
@@ -202,7 +196,7 @@ func (l *LSU) Step(now uint64) (completed []*SimInstr, storeExc *fault.Exception
 			ld.memDoneAt = now + 1
 			ld.memIssued = true
 			ld.storeData = raw // reuse field as the forwarded payload
-			l.forwardCount++
+			l.count.Forwards++
 			continue
 		}
 		if !portFree {
@@ -222,7 +216,7 @@ func (l *LSU) Step(now uint64) (completed []*SimInstr, storeExc *fault.Exception
 		ld.memDoneAt = finish
 		ld.memIssued = true
 		portFree = false
-		l.busCycles++
+		l.count.BusBusyCycles++
 	}
 
 	// Complete loads whose data has arrived. The completed slice is the
@@ -340,27 +334,3 @@ func (l *LSU) Loads() []*SimInstr { return append([]*SimInstr(nil), l.loads...) 
 
 // Stores returns the store-buffer contents (GUI display).
 func (l *LSU) Stores() []*SimInstr { return append([]*SimInstr(nil), l.stores...) }
-
-// LSUStats reports the memory-pipeline counters.
-type LSUStats struct {
-	Loads          uint64 `json:"loads"`
-	Stores         uint64 `json:"stores"`
-	Forwards       uint64 `json:"forwards"`
-	StallsUnknown  uint64 `json:"stallsUnknownAddr"`
-	StallsPartial  uint64 `json:"stallsPartialOverlap"`
-	BusBusyCycles  uint64 `json:"busBusyCycles"`
-	LoadBufStalls  uint64 `json:"loadBufferFullStalls"`
-	StoreBufStalls uint64 `json:"storeBufferFullStalls"`
-	DrainedStores  uint64 `json:"drainedStores"`
-}
-
-// Stats returns the collected counters.
-func (l *LSU) Stats() LSUStats {
-	return LSUStats{
-		Loads: l.loadCount, Stores: l.storeCount, Forwards: l.forwardCount,
-		StallsUnknown: l.stallUnknown, StallsPartial: l.stallPartial,
-		BusBusyCycles: l.busCycles,
-		LoadBufStalls: l.fullStallsLd, StoreBufStalls: l.fullStallsSt,
-		DrainedStores: l.drainedStores,
-	}
-}

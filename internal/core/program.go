@@ -29,6 +29,9 @@ type Program struct {
 	// image is memory exactly as the assembler left it: the base that
 	// checkpoints encode deltas against and that replays restart from.
 	image *memory.Main
+	// staticMix counts the instructions by class, for the statistics
+	// document.
+	staticMix [isa.NumInstrTypes]uint64
 
 	plans  []execPlan   // exec.go: specialized semantics per static instruction
 	rplans []renamePlan // renameplan.go: pre-resolved register operands
@@ -55,6 +58,9 @@ func NewProgram(regs *isa.RegisterFile, code *asm.Program, image *memory.Main) *
 		rplans:     newRenamePlans(code),
 		finfo:      make([]fetchInfo, n),
 		nextBranch: make([]int32, n),
+	}
+	for t, n := range code.MixStatic() {
+		p.staticMix[t] = uint64(n)
 	}
 	for i, in := range p.instrs {
 		p.plans[i] = specializePlan(in)

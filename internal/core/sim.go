@@ -48,7 +48,7 @@ type Simulation struct {
 	lsu   *LSU
 	fetch *fetchUnit
 
-	windows [4]*issueWindow // indexed by isa.FUClass
+	windows [isa.NumFUClasses]*issueWindow
 
 	// decodeBuf is the fetch→decode queue; entries before decodeHead have
 	// been consumed by rename. The buffer is compacted in place by
@@ -919,75 +919,60 @@ func (s *Simulation) SyncDebugState(o *Simulation) {
 // Statistics
 // ---------------------------------------------------------------------------
 
-// Report assembles the complete runtime-statistics document (paper §II-D).
-func (s *Simulation) Report() *stats.Report {
-	r := &stats.Report{
-		Architecture: s.cfg.Name,
+// Counters gathers the run's statistics ledger from the components that
+// count (paper §II-D). Nothing is derived here: stats.NewReport owns every
+// rate.
+func (s *Simulation) Counters() stats.Counters {
+	rn := s.rf.Stats()
+	c := stats.Counters{
 		Cycles:       s.cycle,
 		Committed:    s.committedCount,
 		Fetched:      s.fetch.fetched,
 		Squashed:     s.squashedCount,
 		Flops:        s.flops,
 		ROBFlushes:   s.robFlushes,
-		HaltReason:   s.haltReason,
-		StaticMix:    map[string]uint64{},
-		DynamicMix:   map[string]uint64{},
-		Predictor:    s.pred.Stats(),
-		Cache:        s.l1.Stats(),
-		Memory:       s.mem.Stats(),
-		Rename:       s.rf.Stats(),
 		FetchStalls:  s.fetch.stallCycles,
 		DecodeStalls: s.decodeStalls,
 		CommitStalls: s.commitStalls,
 		RenameStalls: s.renameStalls,
+		ROBOccSum:    s.robOccSum,
+		DynamicMix:   s.dynMix,
+		FUs:          make([]stats.FUCounters, len(s.fus)),
+		LSU:          s.lsu.count,
+		Predictor:    s.pred.Stats(),
+		Cache:        s.l1.Stats(),
+		Memory:       s.mem.Stats(),
+		Rename:       stats.RenameCounters{Allocations: rn.Allocations, StallsEmpty: rn.StallsEmpty},
+	}
+	for _, w := range s.windows {
+		c.WindowOccSum += w.occupancySum
+		c.WindowStalls += w.fullStalls
+	}
+	for i, fu := range s.fus {
+		c.FUs[i] = fu.count
+	}
+	return c
+}
+
+// Facts returns what the statistics document states beside the counters:
+// the architecture, the program's static mix and how the run stands now.
+func (s *Simulation) Facts() stats.Facts {
+	rn := s.rf.Stats()
+	f := stats.Facts{
+		Arch:        s.cfg,
+		StaticMix:   s.prog.staticMix,
+		HaltReason:  s.haltReason,
+		RenameInUse: rn.InUse,
+		RenameFree:  rn.Free,
 	}
 	if s.exception != nil {
-		r.ExceptionMsg = s.exception.Error()
+		f.ExceptionMsg = s.exception.Error()
 	}
-	if s.cycle > 0 {
-		r.IPC = float64(s.committedCount) / float64(s.cycle)
-		r.WallTimeSec = float64(s.cycle) / s.cfg.CoreClockHz
-		if r.WallTimeSec > 0 {
-			r.FlopsPerSec = float64(s.flops) / r.WallTimeSec
-		}
-		r.ROBOccupancy = float64(s.robOccSum) / float64(s.cycle)
-	}
-	for t, n := range s.prog.code.MixStatic() {
-		r.StaticMix[t.String()] = uint64(n)
-	}
-	for t, n := range s.dynMix {
-		if n != 0 {
-			r.DynamicMix[isa.InstrType(t).String()] = n
-		}
-	}
-	r.PredAccuracy = r.Predictor.Accuracy()
-	r.CacheHitRate = r.Cache.HitRate()
-	lsu := s.lsu.Stats()
-	r.LSU = stats.LSUStat{
-		Loads: lsu.Loads, Stores: lsu.Stores, Forwards: lsu.Forwards,
-		StallsUnknown: lsu.StallsUnknown, StallsPartial: lsu.StallsPartial,
-		BusBusyCycles: lsu.BusBusyCycles,
-		LoadBufStalls: lsu.LoadBufStalls, StoreBufStalls: lsu.StoreBufStalls,
-	}
-	var winSum, winStalls uint64
-	for _, w := range s.windows {
-		winSum += w.occupancySum
-		winStalls += w.fullStalls
-	}
-	if s.cycle > 0 {
-		r.WindowOccup = float64(winSum) / float64(s.cycle*4)
-	}
-	r.WindowStalls = winStalls
-	for _, fu := range s.fus {
-		st := fu.Stats()
-		pct := 0.0
-		if s.cycle > 0 {
-			pct = 100 * float64(st.BusyCycles) / float64(s.cycle)
-		}
-		r.FUs = append(r.FUs, stats.FUStat{
-			Name: st.Name, Class: st.Class,
-			BusyCycles: st.BusyCycles, BusyPct: pct, ExecCount: st.ExecCount,
-		})
-	}
-	return r
+	return f
+}
+
+// Report assembles the complete runtime-statistics document (paper §II-D).
+func (s *Simulation) Report() *stats.Report {
+	c := s.Counters()
+	return stats.NewReport(&c, s.Facts())
 }

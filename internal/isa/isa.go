@@ -64,6 +64,10 @@ const (
 	FP                    // floating-point ALU
 	LS                    // load/store address generation
 	Branch                // branch resolution
+
+	// NumFUClasses is the number of classes: the core keeps one issue
+	// window per class, indexed by FUClass.
+	NumFUClasses = iota
 )
 
 var fuClassNames = [...]string{"FX", "FP", "LS", "Branch"}

@@ -8,7 +8,7 @@ import (
 )
 
 // DockerShim models containerized deployment overhead for the Table I
-// "Docker" rows (DESIGN.md §1 substitution). The original evaluation runs
+// "Docker" rows, a substitution: the original evaluation runs
 // the same server inside Docker, which costs a small per-request
 // constant (userland proxying, veth NAT) plus reduced effective
 // parallelism — visible in the paper as a slightly higher median at 30

@@ -1,7 +1,10 @@
 package loadgen
 
 import (
+	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,29 +64,41 @@ func TestRunThroughDockerShim(t *testing.T) {
 	}
 }
 
-func TestDockerShimIsSlowerUnderLoad(t *testing.T) {
-	direct := server.New(server.DefaultOptions())
-	tsDirect := httptest.NewServer(direct.Handler())
-	defer tsDirect.Close()
+// TestDockerShimLimitsConcurrencyAndDelays pins the two mechanisms the
+// shim models, neither of which depends on how loaded the host is: the
+// wrapped handler never runs more than Parallelism calls at once, and no
+// request completes in under ProxyDelay.
+func TestDockerShimLimitsConcurrencyAndDelays(t *testing.T) {
+	const requests = 16
+	var running, peak atomic.Int32
+	inner := http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		n := running.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(time.Millisecond) // hold the slot so calls would overlap if allowed to
+		running.Add(-1)
+	})
+	shim := (&DockerShim{ProxyDelay: 2 * time.Millisecond, Parallelism: 2}).Wrap(inner)
 
-	dockerized := server.New(server.DefaultOptions())
-	shim := &DockerShim{ProxyDelay: 2 * time.Millisecond, Parallelism: 1}
-	tsDocker := httptest.NewServer(shim.Wrap(dockerized.Handler()))
-	defer tsDocker.Close()
-
-	sc := tinyScenario(8)
-	rd, err := Run(tsDirect.URL, sc)
-	if err != nil {
-		t.Fatal(err)
+	took := make([]time.Duration, requests)
+	var wg sync.WaitGroup
+	for i := range took {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			start := time.Now()
+			shim.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil))
+			took[i] = time.Since(start)
+		}(i)
 	}
-	rk, err := Run(tsDocker.URL, sc)
-	if err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	if got := peak.Load(); got < 1 || got > int32(shim.Parallelism) {
+		t.Errorf("peak concurrency in the wrapped handler = %d, want 1..%d", got, shim.Parallelism)
 	}
-	// The Table I shape: the containerized deployment has a noticeable
-	// impact on latency.
-	if rk.Median <= rd.Median {
-		t.Errorf("docker median %v should exceed direct median %v", rk.Median, rd.Median)
+	for i, d := range took {
+		if d < shim.ProxyDelay {
+			t.Errorf("request %d completed in %v, under the %v proxy delay", i, d, shim.ProxyDelay)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 // equivalent of the web client's main simulator window (paper Fig. 12),
 // with one box per block showing its name, key status line and active
 // instructions (Fig. 1's block anatomy). Its cost stands in for the
-// paper's measured ~80 ms render time (DESIGN.md E4).
+// paper's measured ~80 ms render time (bench_test.go E4).
 package render
 
 import (

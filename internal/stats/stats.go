@@ -25,14 +25,14 @@ type FUStat struct {
 	ExecCount  uint64  `json:"execCount"`
 }
 
-// LSUStat mirrors the load/store pipeline counters.
+// LSUStat is the load/store pipeline's counters; the LSU counts in it.
 type LSUStat struct {
 	Loads          uint64 `json:"loads"`
 	Stores         uint64 `json:"stores"`
 	Forwards       uint64 `json:"forwards"`
-	StallsUnknown  uint64 `json:"stallsUnknownAddr"`
-	StallsPartial  uint64 `json:"stallsPartialOverlap"`
-	BusBusyCycles  uint64 `json:"busBusyCycles"`
+	StallsUnknown  uint64 `json:"stallsUnknownAddr"`    // load stalled behind a store with unknown address
+	StallsPartial  uint64 `json:"stallsPartialOverlap"` // load stalled on a partial overlap
+	BusBusyCycles  uint64 `json:"busBusyCycles"`        // cycles the memory port was occupied
 	LoadBufStalls  uint64 `json:"loadBufferFullStalls"`
 	StoreBufStalls uint64 `json:"storeBufferFullStalls"`
 }
@@ -173,11 +173,4 @@ func pct(part, total uint64) float64 {
 		return 0
 	}
 	return 100 * float64(part) / float64(total)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -99,86 +100,6 @@ func FromReport(w Workload, r *stats.Report) Metrics {
 	return m
 }
 
-// Merge stitches two adjacent interval rows (m chronologically before o)
-// into one, the row-level counterpart of stats.Merge. Integer counters
-// sum exactly; rate fields are recomputed from the summed counters where
-// the row carries them (IPC, CPI, BranchMPKI — the mispredict count
-// round-trips exactly through round6 for runs below ~10^9 committed) and
-// weight-averaged where it does not (PredAccuracy by committed,
-// CacheMissRate by accesses, FUUtil by cycles), which makes those three
-// approximate to round6 precision. Callers needing exact rates merge at
-// the stats.Report level and reduce once via FromReport — that is what
-// Machine.RunParallel does.
-func (m Metrics) Merge(o Metrics) Metrics {
-	r := m
-	r.Cycles = m.Cycles + o.Cycles
-	r.Committed = m.Committed + o.Committed
-	r.Fetched = m.Fetched + o.Fetched
-	r.Squashed = m.Squashed + o.Squashed
-	r.CacheAccesses = m.CacheAccesses + o.CacheAccesses
-	r.MemReads = m.MemReads + o.MemReads
-	r.MemWrites = m.MemWrites + o.MemWrites
-	r.ROBFlushes = m.ROBFlushes + o.ROBFlushes
-	r.FetchStalls = m.FetchStalls + o.FetchStalls
-	r.DecodeStalls = m.DecodeStalls + o.DecodeStalls
-	r.CommitStalls = m.CommitStalls + o.CommitStalls
-	r.RenameStalls = m.RenameStalls + o.RenameStalls
-	r.WindowStalls = m.WindowStalls + o.WindowStalls
-	r.StoreForwards = m.StoreForwards + o.StoreForwards
-
-	r.IPC, r.CPI, r.BranchMPKI = 0, 0, 0
-	if r.Cycles > 0 && r.Committed > 0 {
-		r.IPC = round6(float64(r.Committed) / float64(r.Cycles))
-		r.CPI = round6(float64(r.Cycles) / float64(r.Committed))
-		miss := countFromRate(m.BranchMPKI/1000, m.Committed) + countFromRate(o.BranchMPKI/1000, o.Committed)
-		r.BranchMPKI = round6(1000 * float64(miss) / float64(r.Committed))
-	}
-	r.PredAccuracy = round6(weighted(m.PredAccuracy, m.Committed, o.PredAccuracy, o.Committed))
-	r.CacheMissRate = 0
-	if r.CacheAccesses > 0 {
-		miss := countFromRate(m.CacheMissRate, m.CacheAccesses) + countFromRate(o.CacheMissRate, o.CacheAccesses)
-		r.CacheMissRate = round6(float64(miss) / float64(r.CacheAccesses))
-	}
-
-	r.FUUtil = make(map[string]float64, len(m.FUUtil)+len(o.FUUtil))
-	for name := range m.FUUtil {
-		r.FUUtil[name] = 0
-	}
-	for name := range o.FUUtil {
-		r.FUUtil[name] = 0
-	}
-	for name := range r.FUUtil {
-		busy := countFromRate(m.FUUtil[name]/100, m.Cycles) + countFromRate(o.FUUtil[name]/100, o.Cycles)
-		pct := 0.0
-		if r.Cycles > 0 {
-			pct = 100 * float64(busy) / float64(r.Cycles)
-		}
-		r.FUUtil[name] = round6(pct)
-	}
-
-	if o.HaltReason != "" {
-		r.HaltReason = o.HaltReason
-	}
-	return r
-}
-
-// countFromRate reconstructs the integer event count behind rate =
-// count/total. round6's absolute error (≤5e-7) times any realistic total
-// stays under one half, so the reconstruction is exact in range.
-func countFromRate(rate float64, total uint64) uint64 {
-	if v := rate * float64(total); v > 0 {
-		return uint64(v + 0.5)
-	}
-	return 0
-}
-
-func weighted(a float64, wa uint64, b float64, wb uint64) float64 {
-	if wa+wb == 0 {
-		return 0
-	}
-	return (a*float64(wa) + b*float64(wb)) / float64(wa+wb)
-}
-
 // round6 rounds to 6 decimals: exact in every metric's realistic range,
 // stable to read in golden diffs.
 func round6(v float64) float64 {
@@ -234,8 +155,9 @@ type FieldDiff struct {
 }
 
 // DiffMetrics compares two metrics rows field by field (exact match: the
-// core is deterministic, so any difference is drift). The receiver order
-// is (want, got) — want is the golden/baseline side.
+// core is deterministic, so any difference is drift). Each field goes by
+// its JSON name, the label the goldens carry. The receiver order is
+// (want, got) — want is the golden/baseline side.
 func DiffMetrics(want, got Metrics) []FieldDiff {
 	var diffs []FieldDiff
 	add := func(field string, w, g any) {
@@ -244,26 +166,15 @@ func DiffMetrics(want, got Metrics) []FieldDiff {
 			diffs = append(diffs, FieldDiff{Field: field, Want: ws, Got: gs})
 		}
 	}
-	add("cycles", want.Cycles, got.Cycles)
-	add("committed", want.Committed, got.Committed)
-	add("fetched", want.Fetched, got.Fetched)
-	add("squashed", want.Squashed, got.Squashed)
-	add("ipc", want.IPC, got.IPC)
-	add("cpi", want.CPI, got.CPI)
-	add("branchMpki", want.BranchMPKI, got.BranchMPKI)
-	add("predAccuracy", want.PredAccuracy, got.PredAccuracy)
-	add("cacheMissRate", want.CacheMissRate, got.CacheMissRate)
-	add("cacheAccesses", want.CacheAccesses, got.CacheAccesses)
-	add("memReads", want.MemReads, got.MemReads)
-	add("memWrites", want.MemWrites, got.MemWrites)
-	add("robFlushes", want.ROBFlushes, got.ROBFlushes)
-	add("fetchStalls", want.FetchStalls, got.FetchStalls)
-	add("decodeStalls", want.DecodeStalls, got.DecodeStalls)
-	add("commitStalls", want.CommitStalls, got.CommitStalls)
-	add("renameStalls", want.RenameStalls, got.RenameStalls)
-	add("windowStalls", want.WindowStalls, got.WindowStalls)
-	add("storeForwards", want.StoreForwards, got.StoreForwards)
-	add("haltReason", want.HaltReason, got.HaltReason)
+	wv, gv := reflect.ValueOf(want), reflect.ValueOf(got)
+	for i := 0; i < wv.NumField(); i++ {
+		name, _, _ := strings.Cut(wv.Type().Field(i).Tag.Get("json"), ",")
+		// The row's name is not a metric; the per-unit map follows the
+		// scalars, unit by unit.
+		if name != "workload" && name != "fuUtil" {
+			add(name, wv.Field(i).Interface(), gv.Field(i).Interface())
+		}
+	}
 	units := make(map[string]bool)
 	for u := range want.FUUtil {
 		units[u] = true
@@ -277,16 +188,14 @@ func DiffMetrics(want, got Metrics) []FieldDiff {
 	}
 	sort.Strings(sorted)
 	for _, u := range sorted {
-		w, wok := want.FUUtil[u]
-		g, gok := got.FUUtil[u]
-		switch {
-		case !wok:
-			diffs = append(diffs, FieldDiff{Field: "fuUtil." + u, Want: "(absent)", Got: fmt.Sprint(g)})
-		case !gok:
-			diffs = append(diffs, FieldDiff{Field: "fuUtil." + u, Want: fmt.Sprint(w), Got: "(absent)"})
-		default:
-			add("fuUtil."+u, w, g)
+		var w, g any = "(absent)", "(absent)"
+		if v, ok := want.FUUtil[u]; ok {
+			w = v
 		}
+		if v, ok := got.FUUtil[u]; ok {
+			g = v
+		}
+		add("fuUtil."+u, w, g)
 	}
 	return diffs
 }

@@ -254,3 +254,26 @@ func TestInstantiateAllocatesOneImage(t *testing.T) {
 		t.Errorf("StepBack allocates %d bytes, want at most one %d-byte image + 96 KiB", got, image)
 	}
 }
+
+// TestCheckpointAllocations: encoding a machine allocates a handful of
+// buffers, not one slice per encoded byte. Snapshots, the store's
+// write-through and StateHash all take this path. Measured 10; the parent,
+// whose Writer.Byte built a slice per call, 649.
+func TestCheckpointAllocations(t *testing.T) {
+	w, _ := ByName("sort-insertion")
+	m, err := NewMachine(nil, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.StepN(3000)
+	var buf bytes.Buffer
+	got := testing.AllocsPerRun(20, func() {
+		buf.Reset()
+		if err := m.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 50 {
+		t.Errorf("Checkpoint makes %v allocations, want at most 50", got)
+	}
+}

@@ -75,9 +75,9 @@ type IntervalResult struct {
 
 // ParallelResult is the outcome of a parallel run.
 type ParallelResult struct {
-	// Report is the stitched statistics document: per-interval deltas
-	// folded with stats.Merge. Integer counters sum the intervals
-	// exactly; their values differ from a serial run only by the
+	// Report is the stitched statistics document: the per-interval
+	// counter deltas summed (stats.Counters) and every rate derived once
+	// from the sums. The counters differ from a serial run's only by the
 	// warm-up approximation (docs/parallel.md).
 	Report *Report `json:"report"`
 	// Intervals describes each interval in order.
@@ -115,11 +115,11 @@ type parallelWorker struct {
 	end       uint64 // successor's boundary; last worker runs to halt
 	warmup    uint64
 	last      bool
-	baseline  *stats.Report // statistics snapshot at start (nil = zero)
-	endReport *stats.Report // statistics snapshot at end
-	startHash uint64        // arch hash of the state measurement began from
-	endHash   uint64        // arch hash after reaching end (drained)
-	cycles    uint64        // measured detailed cycles
+	baseline  stats.Counters // statistics ledger at start
+	measured  stats.Counters // ledger at end minus baseline
+	startHash uint64         // arch hash of the state measurement began from
+	endHash   uint64         // arch hash after reaching end (drained)
+	cycles    uint64         // measured detailed cycles
 	healed    bool
 	err       error
 }
@@ -262,7 +262,7 @@ func (m *Machine) RunParallel(k int, opts ParallelOptions) (*ParallelResult, err
 			sim: hs, start: next.start, end: next.end, last: next.last,
 			warmup: 0, healed: true, startHash: w.endHash,
 		}
-		nw.baseline = hs.Report()
+		nw.baseline = hs.Counters()
 		if err := nw.measure(opts.MaxCycles); err != nil {
 			return nil, err
 		}
@@ -270,19 +270,21 @@ func (m *Machine) RunParallel(k int, opts ParallelOptions) (*ParallelResult, err
 	}
 
 	// Phase 5 — stitch statistics and adopt the final machine state.
-	var merged *stats.Report
+	var sum stats.Counters
 	result := &ParallelResult{Workers: len(workers), Healed: healed}
 	for _, w := range workers {
-		merged = stats.Merge(merged, stats.Diff(w.endReport, w.baseline))
+		sum = sum.Add(w.measured)
 		result.Intervals = append(result.Intervals, IntervalResult{
 			Start: w.start, End: w.end, Warmup: w.warmup,
 			Cycles: w.cycles, Healed: w.healed,
 		})
 	}
-	result.Report = merged
 	result.ScoutCommitted = total
 
+	// The last interval ran to the real halt: the halt story and the
+	// end-of-run gauges are its.
 	final := workers[len(workers)-1].sim
+	result.Report = stats.NewReport(&sum, final.Facts())
 	final.SyncDebugState(m.sim)
 	final.SetTracer(m.sim.Tracer())
 	m.sim = final
@@ -382,7 +384,7 @@ func (w *parallelWorker) runInterval(m *Machine, i int, sn scoutSnap, maxCycles 
 			return fmt.Errorf("sim: interval %d: warm-up ended at %d committed (halted=%v), want %d",
 				i, w.sim.Committed(), w.sim.Halted(), w.start)
 		}
-		w.baseline = w.sim.Report()
+		w.baseline = w.sim.Counters()
 		if parallelTestCorrupt != nil {
 			parallelTestCorrupt(i, w.sim)
 		}
@@ -396,7 +398,7 @@ func (w *parallelWorker) runInterval(m *Machine, i int, sn scoutSnap, maxCycles 
 }
 
 // measure runs the worker's measurement window [start, end) and records
-// its end report and (for non-final intervals) the coherent end-state
+// its counter delta and (for non-final intervals) the coherent end-state
 // hash. The final interval runs to the program's real halt — its
 // simulation becomes the machine's final state.
 func (w *parallelWorker) measure(maxCycles uint64) error {
@@ -415,8 +417,8 @@ func (w *parallelWorker) measure(maxCycles uint64) error {
 		// was either exact or already healed.
 	}
 	w.cycles = w.sim.Cycle() - before
-	w.endReport = w.sim.Report()
-	// Hash after the report: draining perturbs cache counters and must
+	w.measured = w.sim.Counters().Sub(w.baseline)
+	// Hash after the counters: draining perturbs cache counters and must
 	// not leak into the measured statistics. The last interval halted,
 	// so its state is already coherent (halt paths drain + flush).
 	if !w.last {
