@@ -169,7 +169,8 @@ func BenchmarkJSONShare(b *testing.B) {
 // the simulation are diminishing". The paper measures ~60% JSON share on
 // its Java stack; Go's encoder is faster, so the absolute share is lower
 // here, but the JSON-vs-simulation ordering — the actionable finding —
-// reproduces (see EXPERIMENTS.md E2).
+// reproduces, and still does with State on its own encoder (shares before
+// and after in docs/performance.md, "The step reply path").
 func TestJSONShareDominates(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("timing-shape test; race instrumentation distorts latencies")

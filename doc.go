@@ -9,7 +9,7 @@
 // The public API lives in riscvsim/sim; see README.md for a tour and
 // docs/architecture.md for the package inventory. The benchmarks in
 // bench_test.go regenerate every table and figure of the paper's
-// evaluation (EXPERIMENTS.md records paper-vs-measured results).
+// evaluation (docs/performance.md records the measured results).
 //
 // The simulation server speaks a versioned JSON protocol under /api/v1
 // (docs/api.md): typed request/response documents and a machine-readable

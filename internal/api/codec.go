@@ -48,8 +48,18 @@ func PutBuffer(b *bytes.Buffer) {
 // bodies (server, client, router): a fresh compressor costs about 1 MB of
 // deflate state and a fresh decompressor about 40 KB, against session
 // bodies of a few hundred bytes.
+//
+// This is the repository's one compressor, and its level is a measurement,
+// not a setting (docs/performance.md, "The step reply path"): on a 24–26 KB
+// step reply the default level spends 214–240 µs to send 3.1–3.9 KB,
+// BestSpeed 59–61 µs to send 3.5–4.3 KB, so BestSpeed answers sooner on
+// any link faster than about 22 Mbit/s and still removes 83–85 % of the
+// bytes. The wire contract leaves the level unspecified.
 var (
-	gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+	gzipWriters = sync.Pool{New: func() any {
+		gz, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed) // the level is valid
+		return gz
+	}}
 	gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
 )
 
@@ -93,17 +103,38 @@ var PooledCodec pooledCodec
 
 // Encode writes v to w as one JSON document.
 func (pooledCodec) Encode(w io.Writer, v any) error {
-	if buf, ok := w.(*bytes.Buffer); ok {
-		// Already buffered (the server's response path): stream straight in.
-		return json.NewEncoder(buf).Encode(v)
+	if buf, ok := w.(*bytes.Buffer); ok && buf.Available() > 0 {
+		// Buffered, with room (the server's response path, whose buffer
+		// comes from this pool): stream straight in.
+		return encodeInto(buf, v)
 	}
+	// Any other writer — and a buffer with no room, which the encoder's
+	// appends would grow a step at a time, allocating the document several
+	// times over — gets it in one Write from a pooled buffer that has held
+	// a document this size before.
 	buf := GetBuffer()
 	defer PutBuffer(buf)
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	if err := encodeInto(buf, v); err != nil {
 		return err
 	}
 	_, err := w.Write(buf.Bytes())
 	return err
+}
+
+// encodeInto appends v to buf as one line: a reply with an encoder of its
+// own (encode.go) writes itself into the buffer's spare room, anything else
+// is encoded by reflection. A failed encode leaves buf as it was.
+func encodeInto(buf *bytes.Buffer, v any) error {
+	a, ok := v.(appender)
+	if !ok {
+		return json.NewEncoder(buf).Encode(v)
+	}
+	doc, err := a.AppendJSON(buf.AvailableBuffer())
+	if err != nil {
+		return err
+	}
+	buf.Write(append(doc, '\n'))
+	return nil
 }
 
 // Decode reads exactly one JSON document from r into v.

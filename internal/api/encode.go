@@ -1,0 +1,138 @@
+package api
+
+import (
+	"strconv"
+
+	"riscvsim/internal/jsonenc"
+	"riscvsim/sim"
+)
+
+// Self-encoding replies. Every reply that can carry a processor State
+// appends itself around State's reflection-free encoder instead of being
+// walked by encoding/json, writing exactly the bytes the struct tags in
+// types.go define (TestEncoderMatchesReflection holds the two together).
+// Members without an encoder of their own — the statistics report, the
+// debug log, trace results, errors — go through jsonenc.Value.
+
+// appender is a reply that encodes itself; the codec prefers it.
+type appender interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+// appendMember appends `,"key":value` for a member encoded by reflection.
+func appendMember(dst []byte, key string, v any) ([]byte, error) {
+	return jsonenc.Value(append(dst, key...), v)
+}
+
+// appendState appends `"key":state`, null for a missing state.
+func appendState(dst []byte, key string, st *sim.State) ([]byte, error) {
+	dst = append(dst, key...)
+	if st == nil {
+		return append(dst, "null"...), nil
+	}
+	return st.AppendJSON(dst)
+}
+
+// AppendJSON appends the response as one JSON object.
+func (r *SessionStateResponse) AppendJSON(dst []byte) ([]byte, error) {
+	dst, err := appendState(append(dst, '{'), `"state":`, r.State)
+	return append(dst, '}'), err
+}
+
+// AppendJSON appends the response as one JSON object.
+func (r *SessionNewResponse) AppendJSON(dst []byte) ([]byte, error) {
+	dst = jsonenc.String(append(dst, `{"sessionId":`...), r.SessionID)
+	dst, err := appendState(dst, `,"state":`, r.State)
+	return append(dst, '}'), err
+}
+
+// AppendJSON appends the response as one JSON object.
+func (r *SimulateResponse) AppendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"halted":`...)
+	dst = strconv.AppendBool(dst, r.Halted)
+	if r.HaltReason != "" {
+		dst = jsonenc.String(append(dst, `,"haltReason":`...), r.HaltReason)
+	}
+	dst = append(dst, `,"cycles":`...)
+	dst = strconv.AppendUint(dst, r.Cycles, 10)
+	dst, err := appendMember(dst, `,"stats":`, r.Stats)
+	if err == nil && r.State != nil {
+		dst, err = appendState(dst, `,"state":`, r.State)
+	}
+	if err == nil && len(r.Log) > 0 {
+		dst, err = appendMember(dst, `,"log":`, r.Log)
+	}
+	if err == nil && r.Trace != nil {
+		dst, err = appendMember(dst, `,"trace":`, r.Trace)
+	}
+	if err == nil && r.Parallel != nil {
+		dst, err = appendMember(dst, `,"parallel":`, r.Parallel)
+	}
+	return append(dst, '}'), err
+}
+
+// AppendJSON appends the event as one JSON object.
+func (e *StreamEvent) AppendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendInt(dst, int64(e.Seq), 10)
+	dst = append(dst, `,"cycle":`...)
+	dst = strconv.AppendUint(dst, e.Cycle, 10)
+	dst = append(dst, `,"halted":`...)
+	dst = strconv.AppendBool(dst, e.Halted)
+	if e.HaltReason != "" {
+		dst = jsonenc.String(append(dst, `,"haltReason":`...), e.HaltReason)
+	}
+	if e.Done {
+		dst = append(dst, `,"done":true`...)
+	}
+	var err error
+	if e.State != nil {
+		dst, err = appendState(dst, `,"state":`, e.State)
+	}
+	if err == nil && e.Stats != nil {
+		dst, err = appendMember(dst, `,"stats":`, e.Stats)
+	}
+	if err == nil && e.Error != nil {
+		dst, err = appendMember(dst, `,"error":`, e.Error)
+	}
+	return append(dst, '}'), err
+}
+
+// AppendJSON appends the response as one JSON object.
+func (r *BatchResponse) AppendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"results":`...)
+	if r.Results == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range r.Results {
+			res := &r.Results[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"index":`...)
+			dst = strconv.AppendInt(dst, int64(res.Index), 10)
+			var err error
+			if res.Response != nil {
+				dst, err = res.Response.AppendJSON(append(dst, `,"response":`...))
+			}
+			if err == nil && res.Error != nil {
+				dst, err = appendMember(dst, `,"error":`, res.Error)
+			}
+			if err != nil {
+				return dst, err
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"succeeded":`...)
+	dst = strconv.AppendInt(dst, int64(r.Succeeded), 10)
+	dst = append(dst, `,"failed":`...)
+	dst = strconv.AppendInt(dst, int64(r.Failed), 10)
+	dst = append(dst, `,"workers":`...)
+	dst = strconv.AppendInt(dst, int64(r.Workers), 10)
+	dst = append(dst, `,"wallNanos":`...)
+	dst = strconv.AppendUint(dst, r.WallNanos, 10)
+	return append(dst, '}'), nil
+}

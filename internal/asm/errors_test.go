@@ -58,9 +58,23 @@ func TestOperandExpressionErrorMessages(t *testing.T) {
 		{"division by zero", "li x1, 4/0\n", "division by zero in operand expression"},
 		{"trailing operator", "li x1, 1+\n", "unexpected end of expression"},
 		{"bad percent operator", "lui x1, %mid(foo)\n", "expected hi or lo after %"},
+		// The evaluator recurses per level: without the bound, a few
+		// megabytes of these end the process with a stack overflow.
+		{"deep parentheses", "li x1, " + strings.Repeat("(", 2_000_000) + "1" + strings.Repeat(")", 2_000_000) + "\n", "nested too deeply"},
+		{"deep signs", "li x1, " + strings.Repeat("-", 100_000) + "1\n", "nested too deeply"},
+		{"deep relocations", "lui x1, " + strings.Repeat("%hi(", 100_000) + "1" + strings.Repeat(")", 100_000) + "\n", "nested too deeply"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { wantErrMsg(t, c.src, c.want) })
+	}
+	// Below the bound nothing changes.
+	deep := "li x1, " + strings.Repeat("(", 500) + "- -7" + strings.Repeat(")", 500) + "\n"
+	prog, err := Parse(deep, testSet, testRegs)
+	if err != nil {
+		t.Fatalf("500 levels of parentheses: %v", err)
+	}
+	if imm := prog.Instructions[0].Op("imm"); imm == nil || imm.Val != 7 {
+		t.Errorf("500 levels of parentheses evaluate to %+v, want 7", imm)
 	}
 }
 

@@ -42,7 +42,16 @@ type exprParser struct {
 	toks []Token
 	pos  int
 	syms SymbolTable
+	// depth counts the parseUnary calls in progress, each a level of
+	// parentheses, sign or %hi/%lo nesting.
+	depth int
 }
+
+// maxOperandNesting bounds that depth: the evaluator recurses per level,
+// and a request body of nothing but '(' or '-' would otherwise grow the
+// stack past Go's limit — a fatal error, not a panic. Real operands nest
+// a handful of levels.
+const maxOperandNesting = 1000
 
 func (p *exprParser) peek() (Token, bool) {
 	if p.pos < len(p.toks) {
@@ -104,6 +113,11 @@ func (p *exprParser) parseUnary() (int64, error) {
 	t, ok := p.peek()
 	if !ok {
 		return 0, fmt.Errorf("unexpected end of expression")
+	}
+	p.depth++
+	defer func() { p.depth-- }()
+	if p.depth > maxOperandNesting {
+		return 0, fmt.Errorf("operand expression is nested too deeply (limit %d)", maxOperandNesting)
 	}
 	switch t.Kind {
 	case TokMinus:

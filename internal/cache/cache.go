@@ -9,9 +9,13 @@
 package cache
 
 import (
+	"encoding/base64"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"riscvsim/internal/fault"
+	"riscvsim/internal/jsonenc"
 	"riscvsim/internal/memory"
 )
 
@@ -174,6 +178,16 @@ type Cache struct {
 	tick    uint64 // monotonic use counter for LRU/FIFO ordering
 	rng     uint64 // xorshift state for Random replacement (deterministic)
 	stats   Stats
+	// views caches what Lines last reported per line (set-major, like the
+	// line slab), each with its encoded fragment. Nil until the first
+	// Lines call, so a machine nobody looks at carries none. An entry is
+	// current while its enc is non-nil: whatever changes what a line
+	// displays — a store, a fill, a flush, a restore — drops the entry
+	// (dropView, DecodeState), and the next Lines rebuilds only those.
+	// Lines hands the slice itself out and sets lent; from then on a drop
+	// continues on a copy, so nothing a caller holds is written again.
+	views []LineView
+	lent  bool
 }
 
 // New builds a cache over the given backing memory. The configuration must
@@ -286,6 +300,7 @@ func (c *Cache) fill(si, tag int, now uint64) (int, uint64, *fault.Exception) {
 	if exc != nil {
 		return 0, 0, exc
 	}
+	c.dropView(si, w)
 	copy(ln.data, data)
 	ln.valid = true
 	ln.dirty = false
@@ -375,6 +390,9 @@ func (c *Cache) Access(tx *memory.Transaction, now uint64) (uint64, *fault.Excep
 // transaction payload and the line buffer.
 func (c *Cache) copyData(tx *memory.Transaction, si, w, block int) {
 	ln := &c.sets[si][w]
+	if tx.IsStore {
+		c.dropView(si, w)
+	}
 	lineBase := block * c.cfg.LineSize
 	for i := 0; i < tx.Size; i++ {
 		a := tx.Addr + i
@@ -410,6 +428,7 @@ func (c *Cache) FlushAll(now uint64) uint64 {
 					continue // flush is best-effort at simulation end
 				}
 				ln.dirty = false
+				c.dropView(si, w)
 				finish += uint64(c.backing.Config().StoreLatency)
 			}
 		}
@@ -427,27 +446,102 @@ type LineView struct {
 	Tag   int    `json:"tag"`
 	Addr  int    `json:"addr"`
 	Data  []byte `json:"data,omitempty"`
+
+	// enc is the view's JSON encoding as Lines built it, spliced by
+	// AppendJSON instead of encoding the fields again. It is immutable and
+	// describes the fields above as Lines returned them: a view whose
+	// exported fields are edited afterwards must be copied field by field
+	// (which leaves enc behind), and a view built anywhere else has none.
+	enc []byte
 }
 
-// Lines returns a snapshot of all cache lines for display.
+// AppendJSON appends the view as encoding/json writes it from the struct
+// tags above.
+func (lv *LineView) AppendJSON(dst []byte) []byte {
+	if lv.enc != nil {
+		return append(dst, lv.enc...)
+	}
+	dst = append(dst, `{"set":`...)
+	dst = strconv.AppendInt(dst, int64(lv.Set), 10)
+	dst = append(dst, `,"way":`...)
+	dst = strconv.AppendInt(dst, int64(lv.Way), 10)
+	dst = append(dst, `,"valid":`...)
+	dst = strconv.AppendBool(dst, lv.Valid)
+	dst = append(dst, `,"dirty":`...)
+	dst = strconv.AppendBool(dst, lv.Dirty)
+	dst = append(dst, `,"tag":`...)
+	dst = strconv.AppendInt(dst, int64(lv.Tag), 10)
+	dst = append(dst, `,"addr":`...)
+	dst = strconv.AppendInt(dst, int64(lv.Addr), 10)
+	if len(lv.Data) > 0 {
+		dst = append(dst, `,"data":`...)
+		dst = jsonenc.Bytes(dst, lv.Data)
+	}
+	return append(dst, '}')
+}
+
+// dropView marks what Lines last reported for a line as out of date.
+func (c *Cache) dropView(si, w int) {
+	if c.views == nil {
+		return
+	}
+	if c.lent {
+		c.views, c.lent = slices.Clone(c.views), false
+	}
+	c.views[si*c.cfg.Associativity+w] = LineView{}
+}
+
+// Lines returns a snapshot of all cache lines for display. Only the lines
+// that changed since the previous call are copied and encoded again, and
+// while none does, successive calls return the same slice. The result is
+// read-only: nothing in it is written after it is returned, so a caller
+// may keep and read it after the machine has moved on, and must not
+// write it either.
 func (c *Cache) Lines() []LineView {
 	if !c.cfg.Enabled {
 		return nil
 	}
-	out := make([]LineView, 0, c.cfg.Lines)
-	for si := range c.sets {
-		for w := range c.sets[si] {
+	if c.views == nil {
+		c.views = make([]LineView, c.cfg.Lines)
+	}
+	// One slab holds the data copies and fragments of every line rebuilt
+	// by this call: invalid lines encode to under 80 bytes, valid ones add
+	// their data raw and in base64.
+	var size int
+	for i := range c.views {
+		if c.views[i].enc == nil {
+			size += 80
+			if c.sets[i/c.cfg.Associativity][i%c.cfg.Associativity].valid {
+				size += 32 + c.cfg.LineSize + base64.StdEncoding.EncodedLen(c.cfg.LineSize)
+			}
+		}
+	}
+	if size > 0 {
+		slab := make([]byte, 0, size)
+		for i := range c.views {
+			lv := &c.views[i]
+			if lv.enc != nil {
+				continue
+			}
+			si, w := i/c.cfg.Associativity, i%c.cfg.Associativity
 			ln := &c.sets[si][w]
-			lv := LineView{Set: si, Way: w, Valid: ln.valid, Dirty: ln.dirty}
+			*lv = LineView{Set: si, Way: w, Valid: ln.valid, Dirty: ln.dirty}
 			if ln.valid {
 				lv.Tag = ln.tag
 				lv.Addr = c.lineAddr(si, ln.tag)
-				lv.Data = append([]byte(nil), ln.data...)
+				at := len(slab)
+				slab = append(slab, ln.data...)
+				lv.Data = slab[at:len(slab):len(slab)]
 			}
-			out = append(out, lv)
+			// Should the slab grow after all, the fragments cut so far
+			// keep the array they were written to.
+			at := len(slab)
+			slab = lv.AppendJSON(slab)
+			lv.enc = slab[at:len(slab):len(slab)]
 		}
 	}
-	return out
+	c.lent = true
+	return c.views
 }
 
 func max64(a, b uint64) uint64 {

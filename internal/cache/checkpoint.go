@@ -66,6 +66,7 @@ func (c *Cache) DecodeState(r *ckpt.Reader) {
 		r.Corrupt("cache has %d ways, machine has %d", ways, c.cfg.Associativity)
 		return
 	}
+	c.views, c.lent = nil, false // every line is about to change
 	for si := range c.sets {
 		for wi := range c.sets[si] {
 			ln := &c.sets[si][wi]

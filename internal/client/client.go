@@ -13,6 +13,7 @@ package client
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -72,7 +73,9 @@ func New(host string, port int, useGzip bool) *Client {
 
 // NewForURL builds a client for a full base URL (tests, load generator).
 func NewForURL(base string, useGzip bool) *Client {
-	tr := &http.Transport{DisableCompression: !useGzip, MaxIdleConnsPerHost: 256}
+	// The client negotiates gzip itself (send): left to the Transport,
+	// every response would get a decompressor of its own.
+	tr := &http.Transport{DisableCompression: true, MaxIdleConnsPerHost: 256}
 	return &Client{
 		base: base,
 		http: &http.Client{Transport: tr, Timeout: 120 * time.Second},
@@ -224,18 +227,55 @@ func (c *Client) get(path string, resp any) error {
 	return c.do(hreq, path, resp)
 }
 
+// send performs the HTTP exchange. A gzip client asks for a compressed
+// reply and gets the body back in the clear, inflated as it is read by a
+// pooled decompressor that closing the body returns.
+func (c *Client) send(hreq *http.Request) (*http.Response, error) {
+	if c.gzip {
+		hreq.Header.Set("Accept-Encoding", "gzip")
+	}
+	hresp, err := c.http.Do(hreq)
+	if err != nil {
+		return nil, err
+	}
+	if hresp.Header.Get("Content-Encoding") == "gzip" {
+		gr, err := api.GetGzipReader(hresp.Body)
+		if err != nil {
+			hresp.Body.Close()
+			return nil, err
+		}
+		hresp.Body = &gzipBody{Reader: gr, wire: hresp.Body}
+	}
+	return hresp, nil
+}
+
+// gzipBody is a compressed response body read in the clear.
+type gzipBody struct {
+	*gzip.Reader
+	wire io.Closer
+}
+
+// Close recycles the decompressor and closes the connection's body.
+func (b *gzipBody) Close() error {
+	api.PutGzipReader(b.Reader)
+	return b.wire.Close()
+}
+
 // do performs one exchange: anything but a 200 comes back as the typed
 // error of its envelope, a 200 is decoded into resp (nil discards it).
 func (c *Client) do(hreq *http.Request, path string, resp any) error {
-	hresp, err := c.http.Do(hreq)
+	hresp, err := c.send(hreq)
 	if err != nil {
 		return fmt.Errorf("client: %s: %w", path, err)
 	}
 	defer hresp.Body.Close()
-	data, err := io.ReadAll(hresp.Body)
-	if err != nil {
+	// Decoding copies what it keeps, so the body can live in a pooled buffer.
+	buf := api.GetBuffer()
+	defer api.PutBuffer(buf)
+	if _, err := buf.ReadFrom(hresp.Body); err != nil {
 		return fmt.Errorf("client: reading %s response: %w", path, err)
 	}
+	data := buf.Bytes()
 	if hresp.StatusCode != http.StatusOK {
 		return decodeError(path, hresp.StatusCode, hresp.Header, data)
 	}
@@ -295,7 +335,7 @@ func stream[E any](c *Client, path string, req any, fn func(*E) error, done func
 	if err != nil {
 		return nil, err
 	}
-	hresp, err := c.http.Do(hreq)
+	hresp, err := c.send(hreq)
 	if err != nil {
 		return nil, fmt.Errorf("client: %s: %w", path, err)
 	}

@@ -534,7 +534,7 @@ func (g *codegen) genCondBranch(cond *Expr, falseL string) {
 			g.genExpr(cond.R)
 			g.emit("mv t1, t0")
 			g.popInto(nil, "t0") // t0 = L, t1 = R
-			uns := cond.L.Type != nil && cond.L.Type.Kind == TyUInt
+			uns := unsignedOp(cond)
 			var br string
 			switch cond.Op {
 			case "==":
@@ -1030,8 +1030,7 @@ func (g *codegen) genPtrScale(e *Expr) {
 }
 
 func (g *codegen) genIntBinary(e *Expr) {
-	uns := e.Type != nil && e.Type.Kind == TyUInt
-	lUns := e.L.Type != nil && e.L.Type.Kind == TyUInt
+	uns := unsignedOp(e)
 	switch e.Op {
 	case "+":
 		g.emit("add t0, t0, t1")
@@ -1071,7 +1070,7 @@ func (g *codegen) genIntBinary(e *Expr) {
 	case "<<":
 		g.emit("sll t0, t0, t1")
 	case ">>":
-		if lUns {
+		if uns {
 			g.emit("srl t0, t0, t1")
 		} else {
 			g.emit("sra t0, t0, t1")
@@ -1083,14 +1082,14 @@ func (g *codegen) genIntBinary(e *Expr) {
 		g.emit("sub t0, t0, t1")
 		g.emit("snez t0, t0")
 	case "<":
-		g.emit("%s", pick(lUns, "sltu t0, t0, t1", "slt t0, t0, t1"))
+		g.emit("%s", pick(uns, "sltu t0, t0, t1", "slt t0, t0, t1"))
 	case ">":
-		g.emit("%s", pick(lUns, "sltu t0, t1, t0", "slt t0, t1, t0"))
+		g.emit("%s", pick(uns, "sltu t0, t1, t0", "slt t0, t1, t0"))
 	case "<=":
-		g.emit("%s", pick(lUns, "sltu t0, t1, t0", "slt t0, t1, t0"))
+		g.emit("%s", pick(uns, "sltu t0, t1, t0", "slt t0, t1, t0"))
 		g.emit("xori t0, t0, 1")
 	case ">=":
-		g.emit("%s", pick(lUns, "sltu t0, t0, t1", "slt t0, t0, t1"))
+		g.emit("%s", pick(uns, "sltu t0, t0, t1", "slt t0, t0, t1"))
 		g.emit("xori t0, t0, 1")
 	}
 }

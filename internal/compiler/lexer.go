@@ -38,8 +38,10 @@ type Token struct {
 	Text string
 	Int  int64
 	Flt  float64
-	Line int
-	Col  int
+	// Unsigned marks an integer literal written with a u suffix.
+	Unsigned bool
+	Line     int
+	Col      int
 }
 
 // Diag is a compiler diagnostic with a source position.
@@ -198,10 +200,14 @@ func (lx *lexer) lexNumber() Token {
 		}
 	}
 	text := lx.src[start:lx.pos]
-	// Suffixes (f, u, l) are accepted and ignored.
+	// Suffixes: f makes the literal a float, u makes it unsigned, l is
+	// accepted and ignored (long is int in this subset).
 	for lx.pos < len(lx.src) && strings.ContainsRune("fFuUlL", rune(lx.src[lx.pos])) {
-		if lx.src[lx.pos] == 'f' || lx.src[lx.pos] == 'F' {
+		switch lx.src[lx.pos] {
+		case 'f', 'F':
 			isFloat = true
+		case 'u', 'U':
+			t.Unsigned = true
 		}
 		lx.advance()
 	}

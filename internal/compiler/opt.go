@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"cmp"
 	"math"
 	"strings"
 )
@@ -123,6 +124,8 @@ func foldBinary(e *Expr) {
 	// Integer constant folding.
 	if l.Kind == EIntLit && r.Kind == EIntLit && e.Type != nil && e.Type.IsInteger() {
 		a, b := int32(l.Int), int32(r.Int)
+		ua, ub := uint32(a), uint32(b)
+		uns := unsignedOp(e)
 		var v int64
 		switch e.Op {
 		case "+":
@@ -135,12 +138,16 @@ func foldBinary(e *Expr) {
 			if b == 0 {
 				return // leave for runtime exception
 			}
-			v = int64(a / b)
+			if v = int64(a / b); uns {
+				v = int64(ua / ub)
+			}
 		case "%":
 			if b == 0 {
 				return
 			}
-			v = int64(a % b)
+			if v = int64(a % b); uns {
+				v = int64(ua % ub)
+			}
 		case "&":
 			v = int64(a & b)
 		case "|":
@@ -150,19 +157,28 @@ func foldBinary(e *Expr) {
 		case "<<":
 			v = int64(a << (uint32(b) & 31))
 		case ">>":
-			v = int64(a >> (uint32(b) & 31))
+			if v = int64(a >> (ub & 31)); uns {
+				v = int64(ua >> (ub & 31))
+			}
 		case "==":
 			v = boolToInt(a == b)
 		case "!=":
 			v = boolToInt(a != b)
-		case "<":
-			v = boolToInt(a < b)
-		case "<=":
-			v = boolToInt(a <= b)
-		case ">":
-			v = boolToInt(a > b)
-		case ">=":
-			v = boolToInt(a >= b)
+		case "<", "<=", ">", ">=":
+			order := cmp.Compare(a, b)
+			if uns {
+				order = cmp.Compare(ua, ub)
+			}
+			switch e.Op {
+			case "<":
+				v = boolToInt(order < 0)
+			case "<=":
+				v = boolToInt(order <= 0)
+			case ">":
+				v = boolToInt(order > 0)
+			default:
+				v = boolToInt(order >= 0)
+			}
 		case "&&":
 			v = boolToInt(a != 0 && b != 0)
 		case "||":

@@ -2,12 +2,50 @@ package compiler
 
 import "fmt"
 
+// maxNesting bounds how deep a program may nest — parentheses, unary
+// operators, casts, conditionals, assignments, statements inside
+// statements — and how long an operator, index or call chain may grow.
+// The parser follows the first kind frame by frame and builds the second
+// into trees as deep as the chain is long, which sema, the folder, the
+// unroller and the code generator then walk recursively: source text
+// alone used to drive any of them past Go's stack limit, a fatal error no
+// recover catches. The functions that can be active in themselves
+// (parseStmt, parseAssignExpr, parseUnary, the else arm of parseCondExpr)
+// and the loops that deepen a tree (operator, comma and postfix chains)
+// each take a unit of the bound, so the tree parse returns is no deeper
+// than maxNesting and the later walks need no bound of their own (the
+// unroller adds one block per loop it unrolls, the folder only removes
+// nodes). A level of parentheses costs two units — the expression inside
+// and its first operand — so a thousand of them fit; hand-written and
+// generated C stays far below that.
+const maxNesting = 2000
+
 // parser builds the AST via recursive descent with precedence climbing.
 type parser struct {
 	toks []Token
 	pos  int
 	errs DiagList
+	// depth is the nesting at the current token: one per enter.
+	depth   int
+	tooDeep bool
 }
+
+// enter accounts for one more level of nesting and reports whether the
+// bound still holds; either way the caller leaves the level when done.
+// Past the bound it records the one diagnostic that matters and moves to
+// the end of the input, so the frames above unwind without parsing — or
+// reporting — anything further.
+func (p *parser) enter() bool {
+	p.depth++
+	if p.depth > maxNesting && !p.tooDeep {
+		p.errf(p.cur(), "program is nested too deeply (limit %d)", maxNesting)
+		p.tooDeep = true
+		p.pos = len(p.toks) - 1
+	}
+	return !p.tooDeep
+}
+
+func (p *parser) leave(levels int) { p.depth -= levels }
 
 func parse(toks []Token) (*Program, DiagList) {
 	p := &parser{toks: toks}
@@ -45,6 +83,9 @@ func (p *parser) next() Token {
 }
 
 func (p *parser) errf(t Token, format string, args ...any) {
+	if p.tooDeep {
+		return // fallout of abandoning the parse, not the program's fault
+	}
 	p.errs = append(p.errs, &Diag{Line: t.Line, Col: t.Col, Msg: fmt.Sprintf(format, args...)})
 }
 
@@ -283,6 +324,10 @@ func (p *parser) parseBlock() *Stmt {
 
 func (p *parser) parseStmt() *Stmt {
 	t := p.cur()
+	defer p.leave(1)
+	if !p.enter() {
+		return &Stmt{Kind: SEmpty, Line: t.Line}
+	}
 	switch {
 	case p.isPunct("{"):
 		return p.parseBlock()
@@ -426,11 +471,17 @@ func (p *parser) parseDeclStmt() *Stmt {
 
 func (p *parser) parseExpr() *Expr {
 	e := p.parseAssignExpr()
+	links := 0
 	for p.isPunct(",") {
+		links++
+		if !p.enter() {
+			break
+		}
 		p.next()
 		r := p.parseAssignExpr()
 		e = &Expr{Kind: EBinary, Op: ",", L: e, R: r, Line: e.Line, Col: e.Col}
 	}
+	p.leave(links)
 	return e
 }
 
@@ -440,6 +491,10 @@ var compoundOps = map[string]string{
 }
 
 func (p *parser) parseAssignExpr() *Expr {
+	defer p.leave(1)
+	if !p.enter() {
+		return &Expr{Kind: EIntLit, Line: p.cur().Line, Col: p.cur().Col}
+	}
 	lhs := p.parseCondExpr()
 	t := p.cur()
 	if t.Kind != TPunct {
@@ -470,6 +525,10 @@ func (p *parser) parseCondExpr() *Expr {
 	t := p.next()
 	then := p.parseExpr()
 	p.expect(":")
+	defer p.leave(1)
+	if !p.enter() { // a chain of conditionals nests to the right
+		return cond
+	}
 	els := p.parseCondExpr()
 	return &Expr{Kind: ECond, L: cond, R: then, R2: els, Line: t.Line, Col: t.Col}
 }
@@ -487,23 +546,31 @@ var binPrec = map[string]int{
 
 func (p *parser) parseBinary(minPrec int) *Expr {
 	lhs := p.parseUnary()
+	links := 0
 	for {
 		t := p.cur()
-		if t.Kind != TPunct {
-			return lhs
-		}
 		prec, ok := binPrec[t.Text]
-		if !ok || prec < minPrec {
-			return lhs
+		if t.Kind != TPunct || !ok || prec < minPrec {
+			break
+		}
+		links++
+		if !p.enter() {
+			break
 		}
 		p.next()
 		rhs := p.parseBinary(prec + 1)
 		lhs = &Expr{Kind: EBinary, Op: t.Text, L: lhs, R: rhs, Line: t.Line, Col: t.Col}
 	}
+	p.leave(links)
+	return lhs
 }
 
 func (p *parser) parseUnary() *Expr {
 	t := p.cur()
+	defer p.leave(1)
+	if !p.enter() {
+		return &Expr{Kind: EIntLit, Line: t.Line, Col: t.Col}
+	}
 	if t.Kind == TPunct {
 		switch t.Text {
 		case "-", "!", "~":
@@ -584,9 +651,15 @@ func (p *parser) peekTypeAt(pos int) (*CType, bool) {
 
 func (p *parser) parsePostfix() *Expr {
 	e := p.parsePrimary()
+	links := 0
+	defer func() { p.leave(links) }()
 	for {
 		t := p.cur()
 		if t.Kind != TPunct {
+			return e
+		}
+		links++
+		if !p.enter() {
 			return e
 		}
 		switch t.Text {
@@ -629,7 +702,11 @@ func (p *parser) parsePrimary() *Expr {
 	switch t.Kind {
 	case TIntLit, TCharLit:
 		p.next()
-		return &Expr{Kind: EIntLit, Int: t.Int, Line: t.Line, Col: t.Col}
+		e := &Expr{Kind: EIntLit, Int: t.Int, Line: t.Line, Col: t.Col}
+		if t.Unsigned {
+			e.Type = typeUInt
+		}
+		return e
 	case TFloatLit:
 		p.next()
 		return &Expr{Kind: EFloatLit, Flt: t.Flt, Line: t.Line, Col: t.Col}

@@ -208,7 +208,9 @@ func (s *sema) expr(e *Expr) {
 	}
 	switch e.Kind {
 	case EIntLit:
-		e.Type = typeInt
+		if e.Type == nil { // a u suffix made it unsigned already
+			e.Type = typeInt
+		}
 	case EFloatLit:
 		e.Type = typeFloat
 	case EVar:
@@ -386,6 +388,21 @@ func (s *sema) binary(e *Expr) {
 		s.convertTo(e.R, t, e.Line)
 		e.Type = t
 	}
+}
+
+// unsignedOp reports whether the integer operation e works on unsigned
+// values: the one statement of that rule, for the code generator's choice
+// of instruction and the constant folder's choice of arithmetic alike. A
+// shift takes its signedness from the left operand alone; division,
+// remainder and the comparisons take it from both operands after the usual
+// arithmetic conversions, under which one unsigned operand makes the
+// operation unsigned.
+func unsignedOp(e *Expr) bool {
+	isUnsigned := func(t *CType) bool { return t != nil && t.Kind == TyUInt }
+	if e.Op == "<<" || e.Op == ">>" {
+		return isUnsigned(e.L.Type)
+	}
+	return isUnsigned(e.L.Type) || isUnsigned(e.R.Type)
 }
 
 // usualArith implements the usual arithmetic conversions for the subset.

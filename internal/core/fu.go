@@ -39,6 +39,9 @@ type FU struct {
 	// Statistics: count is this unit's part of the ledger (stats.Counters).
 	count       stats.FUCounters
 	totalCycles uint64
+
+	// head is the encoded start of the unit's FUView (viewHead).
+	head string
 }
 
 type inflightOp struct {
@@ -60,6 +63,15 @@ func (f *FU) Name() string { return f.spec.Name }
 
 // Class returns the unit's instruction class.
 func (f *FU) Class() isa.FUClass { return f.class }
+
+// viewHead returns the encoded name and class every FUView of the unit
+// opens with, built on first use.
+func (f *FU) viewHead() string {
+	if f.head == "" {
+		f.head = string(fuHead(nil, f.spec.Name, f.class.String()))
+	}
+	return f.head
+}
 
 // Busy reports whether any instruction occupies the unit.
 func (f *FU) Busy() bool { return len(f.inflight) > 0 }

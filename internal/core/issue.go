@@ -73,8 +73,3 @@ func (w *issueWindow) CountOccupancy() {
 		w.fullStalls++
 	}
 }
-
-// Snapshot lists the waiting instructions oldest-first (GUI display).
-func (w *issueWindow) Snapshot() []*SimInstr {
-	return append([]*SimInstr(nil), w.waiting...)
-}

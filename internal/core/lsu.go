@@ -328,9 +328,3 @@ func (l *LSU) DrainAll(now uint64) {
 
 // Drained reports whether no committed store is waiting for memory.
 func (l *LSU) Drained() bool { return len(l.committed) == 0 }
-
-// Loads returns the load-buffer contents (GUI display).
-func (l *LSU) Loads() []*SimInstr { return append([]*SimInstr(nil), l.loads...) }
-
-// Stores returns the store-buffer contents (GUI display).
-func (l *LSU) Stores() []*SimInstr { return append([]*SimInstr(nil), l.stores...) }

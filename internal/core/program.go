@@ -17,10 +17,10 @@ import (
 // concurrent sessions, batch entries, backward-step replays, snapshot
 // restores and the forks of a time-parallel run (docs/architecture.md).
 //
-// A Program is immutable once NewProgram returns. The single exception is
-// the fast-forward tables, built on first fast-forward use behind a
-// sync.Once and read-only afterwards. Simulations only ever read it: the
-// image in particular is the pristine load-time memory, and every
+// A Program is immutable once NewProgram returns. The exceptions are the
+// fast-forward tables and the display tables, each built on first use
+// behind a sync.Once and read-only afterwards. Simulations only ever read
+// it: the image in particular is the pristine load-time memory, and every
 // simulation works on its own copy.
 type Program struct {
 	regs   *isa.RegisterFile
@@ -45,6 +45,10 @@ type Program struct {
 	ffOnce   sync.Once
 	ffOps    []ffOp
 	blockEnd []int32
+
+	// Display tables (state.go), built by display.
+	dispOnce sync.Once
+	disp     *display
 }
 
 // NewProgram compiles an assembled program. image must be the memory the

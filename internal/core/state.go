@@ -29,11 +29,11 @@ type InstrView struct {
 	Mispredict  bool   `json:"mispredict,omitempty"`
 }
 
-func viewOf(si *SimInstr) InstrView {
+func (s *Simulation) viewOf(si *SimInstr) InstrView {
 	v := InstrView{
 		ID:          si.ID,
 		PC:          si.PC,
-		Text:        si.Static.String(),
+		Text:        s.prog.display().text[si.PC],
 		Phase:       si.Phase.String(),
 		FetchedAt:   si.FetchedAt,
 		DecodedAt:   si.DecodedAt,
@@ -60,6 +60,10 @@ type RegView struct {
 	Alias   string `json:"alias,omitempty"`
 	Value   string `json:"value"`
 	Renamed string `json:"renamed,omitempty"`
+
+	// head is the encoded view up to Alias, shared by every view of this
+	// register of the Program; a view built by hand has none.
+	head string
 }
 
 // FUView is one functional unit's display state.
@@ -70,6 +74,9 @@ type FUView struct {
 	InFlight int        `json:"inFlight,omitempty"`
 	Instr    *InstrView `json:"instr,omitempty"`
 	DoneAt   uint64     `json:"doneAt,omitempty"`
+
+	// head is the encoded view up to Class, built once per unit.
+	head string
 }
 
 // State is a complete snapshot of the processor for the schematic view
@@ -97,53 +104,102 @@ type State struct {
 
 	Stats *stats.Report `json:"stats"`
 	Log   []LogEntry    `json:"log,omitempty"`
+
+	// pointersEnc is Pointers encoded, shared by every state of the Program.
+	pointersEnc []byte
+}
+
+// display is what State shows of a Program whatever the simulation is
+// doing, built on the first State call of any of its simulations: the
+// text of every instruction, the encoded head of every register view and
+// the encoded pointer table.
+type display struct {
+	text     []string
+	regHeads [2][isa.NumRegs]string // by isa.RegClass
+	pointers []byte
+}
+
+func (p *Program) display() *display {
+	p.dispOnce.Do(func() {
+		d := &display{text: make([]string, len(p.instrs))}
+		for i, in := range p.instrs {
+			d.text[i] = in.String()
+		}
+		for i := 0; i < isa.NumRegs; i++ {
+			for class, desc := range [...]*isa.RegisterDesc{isa.RegInt: p.regs.Int(i), isa.RegFloat: p.regs.Float(i)} {
+				d.regHeads[class][i] = string(regHead(nil, desc.Name, firstAlias(desc)))
+			}
+		}
+		d.pointers = appendPointers(nil, p.image.Pointers())
+		p.disp = d
+	})
+	return p.disp
+}
+
+func firstAlias(desc *isa.RegisterDesc) string {
+	if len(desc.Aliases) > 0 {
+		return desc.Aliases[0]
+	}
+	return ""
+}
+
+// views projects the instructions of one pipeline structure; an empty one
+// stays nil, which is how the reply has always shown it.
+func (s *Simulation) views(sis []*SimInstr) []InstrView {
+	if len(sis) == 0 {
+		return nil
+	}
+	out := make([]InstrView, len(sis))
+	for i, si := range sis {
+		out[i] = s.viewOf(si)
+	}
+	return out
 }
 
 // State captures the current snapshot. includeLog controls whether the
 // debug log rides along (it can be large).
 func (s *Simulation) State(includeLog bool) *State {
 	st := &State{
-		Cycle:      s.cycle,
-		PC:         s.fetch.pc,
-		Halted:     s.halted,
-		HaltReason: s.haltReason,
-		Windows:    make(map[string][]InstrView, 4),
-		Stats:      s.Report(),
-		Pointers:   s.mem.Pointers(),
-		SpecRegs:   s.rf.LiveView(s.prog.regs),
-		CacheLines: s.l1.Lines(),
+		Cycle:       s.cycle,
+		PC:          s.fetch.pc,
+		Halted:      s.halted,
+		HaltReason:  s.haltReason,
+		Windows:     make(map[string][]InstrView, 4),
+		Stats:       s.Report(),
+		Pointers:    s.mem.Pointers(),
+		pointersEnc: s.prog.display().pointers,
+		SpecRegs:    s.rf.LiveView(s.prog.regs),
+		CacheLines:  s.l1.Lines(),
 	}
-	for _, si := range s.pendingDecode() {
-		st.DecodeBuffer = append(st.DecodeBuffer, viewOf(si))
+	st.DecodeBuffer = s.views(s.pendingDecode())
+	if n := s.rob.Len(); n > 0 {
+		st.ROB = make([]InstrView, 0, n)
+		s.rob.Walk(func(si *SimInstr, done bool) {
+			st.ROB = append(st.ROB, s.viewOf(si))
+		})
 	}
-	s.rob.Walk(func(si *SimInstr, done bool) {
-		st.ROB = append(st.ROB, viewOf(si))
-	})
 	for class, w := range s.windows {
-		var views []InstrView
-		for _, si := range w.Snapshot() {
-			views = append(views, viewOf(si))
-		}
-		st.Windows[isa.FUClass(class).String()] = views
+		st.Windows[isa.FUClass(class).String()] = s.views(w.waiting)
+	}
+	if len(s.fus) > 0 {
+		st.FUs = make([]FUView, 0, len(s.fus))
 	}
 	for _, fu := range s.fus {
-		fv := FUView{Name: fu.Name(), Class: fu.Class().String(), Busy: fu.Busy(), InFlight: fu.InFlight()}
+		fv := FUView{Name: fu.Name(), Class: fu.Class().String(), Busy: fu.Busy(), InFlight: fu.InFlight(), head: fu.viewHead()}
 		if fu.Busy() {
-			iv := viewOf(fu.Current())
+			iv := s.viewOf(fu.Current())
 			fv.Instr = &iv
 			fv.DoneAt = fu.nextDone()
 		}
 		st.FUs = append(st.FUs, fv)
 	}
-	for _, si := range s.lsu.Loads() {
-		st.LoadBuffer = append(st.LoadBuffer, viewOf(si))
-	}
-	for _, si := range s.lsu.Stores() {
-		st.StoreBuffer = append(st.StoreBuffer, viewOf(si))
-	}
+	st.LoadBuffer = s.views(s.lsu.loads)
+	st.StoreBuffer = s.views(s.lsu.stores)
+	st.IntRegs = make([]RegView, isa.NumRegs)
+	st.FloatRegs = make([]RegView, isa.NumRegs)
 	for i := 0; i < isa.NumRegs; i++ {
-		st.IntRegs = append(st.IntRegs, s.regView(isa.RegInt, i))
-		st.FloatRegs = append(st.FloatRegs, s.regView(isa.RegFloat, i))
+		st.IntRegs[i] = s.regView(isa.RegInt, i)
+		st.FloatRegs[i] = s.regView(isa.RegFloat, i)
 	}
 	if includeLog {
 		st.Log = s.log
@@ -158,9 +214,9 @@ func (s *Simulation) regView(class isa.RegClass, idx int) RegView {
 	} else {
 		desc = s.prog.regs.Float(idx)
 	}
-	rv := RegView{Name: desc.Name, Value: s.rf.ArchValue(class, idx).String()}
-	if len(desc.Aliases) > 0 {
-		rv.Alias = desc.Aliases[0]
+	rv := RegView{
+		Name: desc.Name, Alias: firstAlias(desc), Value: s.rf.ArchValue(class, idx).String(),
+		head: s.prog.display().regHeads[class][idx],
 	}
 	if tags := s.rf.RenamedCopies(class, idx); len(tags) > 0 {
 		rv.Renamed = rename.TagName(tags[len(tags)-1])

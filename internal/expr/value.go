@@ -246,6 +246,9 @@ func (v Value) Reinterpret(t Type) Value { return FromBits(v.bits, t) }
 // String renders the value according to its type, the same way the GUI's
 // register panes display the "intended value" instead of raw bits.
 func (v Value) String() string {
+	if v.bits == 0 && v.typ != Bool {
+		return "0" // most of a register file, most of the time
+	}
 	switch v.typ {
 	case Bool:
 		if v.bits != 0 {

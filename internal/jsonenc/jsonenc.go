@@ -1,0 +1,87 @@
+// Package jsonenc holds the append-style JSON primitives behind the
+// reflection-free encoders of the step reply (core.State and the views it
+// is made of): each appends to dst exactly the bytes encoding/json writes
+// for the same value with its default HTML escaping, so a hand-written
+// encoder and the reflective one stay byte-identical.
+package jsonenc
+
+import (
+	"bytes"
+	"encoding/base64"
+	"encoding/json"
+	"unicode/utf8"
+)
+
+const hex = "0123456789abcdef"
+
+// String appends s as a JSON string: quotes, backslashes and control
+// characters escaped, '<', '>' and '&' as \u00XX, U+2028 and U+2029 as
+// \u202X, and every invalid UTF-8 byte as \ufffd.
+func String(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			start = i + size
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// Bytes appends b the way encoding/json writes a []byte: a quoted
+// standard-base64 string, or null for a nil slice.
+func Bytes(dst, b []byte) []byte {
+	if b == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '"')
+	dst = base64.StdEncoding.AppendEncode(dst, b)
+	return append(dst, '"')
+}
+
+// Value appends v as encoding/json encodes it by reflection: the way in
+// for the sub-documents that keep no hand-written encoder.
+func Value(dst []byte, v any) ([]byte, error) {
+	buf := bytes.NewBuffer(dst)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		return dst, err
+	}
+	out := buf.Bytes()
+	return out[:len(out)-1], nil // Encode ends the document with a newline
+}

@@ -8,6 +8,7 @@ package rename
 
 import (
 	"fmt"
+	"strconv"
 
 	"riscvsim/internal/expr"
 	"riscvsim/internal/isa"
@@ -81,7 +82,7 @@ func (f *File) FreeCount() int { return len(f.free) }
 
 // TagName renders a speculative tag for display ("tg7"), matching the
 // GUI's renamed-register tags.
-func TagName(tag int) string { return fmt.Sprintf("tg%d", tag) }
+func TagName(tag int) string { return "tg" + strconv.Itoa(tag) }
 
 func (f *File) mapFor(class isa.RegClass) *[isa.NumRegs]int {
 	if class == isa.RegInt {

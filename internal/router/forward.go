@@ -132,10 +132,12 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 func sessionIDFromBody(body []byte, contentEncoding string) (string, error) {
 	raw := body
 	if strings.Contains(contentEncoding, "gzip") {
-		var err error
-		if raw, err = gunzip(body); err != nil {
+		clear := api.GetBuffer()
+		defer api.PutBuffer(clear)
+		if err := gunzip(clear, body); err != nil {
 			return "", fmt.Errorf("bad gzip body: %v", err)
 		}
+		raw = clear.Bytes()
 	}
 	var req struct {
 		SessionID string `json:"sessionId"`
@@ -211,36 +213,60 @@ func relayStream(w http.ResponseWriter, resp *http.Response) {
 // reply is a replica's complete answer, buffered before anything reaches
 // the client, so that a reply torn mid-body (a replica killed while
 // responding) is a failed attempt the loop may retry and the client sees
-// either a whole response or a typed error, never a truncated one. raw is
+// either a whole response or a typed error, never a truncated one. body is
 // the body as the replica framed it — gzipped when the client asked for
 // that — and is what gets relayed; nothing inflates it unless a finisher
 // has to read it. Truncation needs no inflating to be caught: a body cut
 // short of its Content-Length or chunk terminator fails the read itself.
+// Both buffers are pooled: whoever read the reply releases it once it is
+// relayed or parsed.
 type reply struct {
 	status int
 	header http.Header
-	raw    []byte
+	body   *bytes.Buffer
+	clear  *bytes.Buffer // body inflated, once inflate had to
 }
 
 func readReply(resp *http.Response) (reply, error) {
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	return reply{resp.StatusCode, resp.Header, raw}, err
+	rp := reply{resp.StatusCode, resp.Header, api.GetBuffer(), nil}
+	_, err := rp.body.ReadFrom(resp.Body)
+	return rp, err
+}
+
+// release returns the reply's buffers to the pool; nothing read from the
+// reply may be used afterwards.
+func (rp *reply) release() {
+	if rp.body != nil {
+		api.PutBuffer(rp.body)
+	}
+	if rp.clear != nil {
+		api.PutBuffer(rp.clear)
+	}
+	rp.body, rp.clear = nil, nil
 }
 
 // relay writes the reply to the client as the replica sent it.
 func (rp *reply) relay(w http.ResponseWriter) {
 	copyHeaders(w.Header(), rp.header)
 	w.WriteHeader(rp.status)
-	w.Write(rp.raw)
+	w.Write(rp.body.Bytes())
 }
 
 // inflate returns the body in the clear, for the callers that parse it.
 func (rp *reply) inflate() ([]byte, error) {
 	if !strings.Contains(rp.header.Get("Content-Encoding"), "gzip") {
-		return rp.raw, nil
+		return rp.body.Bytes(), nil
 	}
-	return gunzip(rp.raw)
+	if rp.clear == nil {
+		clear := api.GetBuffer()
+		if err := gunzip(clear, rp.body.Bytes()); err != nil {
+			api.PutBuffer(clear)
+			return nil, err
+		}
+		rp.clear = clear
+	}
+	return rp.clear.Bytes(), nil
 }
 
 // errorCode reads the stable error code out of a non-2xx reply.
@@ -252,14 +278,15 @@ func (rp *reply) errorCode() string {
 	return env.Err.Code
 }
 
-// gunzip inflates a complete gzip document on a pooled reader.
-func gunzip(data []byte) ([]byte, error) {
+// gunzip inflates a complete gzip document into dst on a pooled reader.
+func gunzip(dst *bytes.Buffer, data []byte) error {
 	gr, err := api.GetGzipReader(bytes.NewReader(data))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer api.PutGzipReader(gr)
-	return io.ReadAll(gr)
+	_, err = dst.ReadFrom(gr)
+	return err
 }
 
 // plan is what a placement contributes to the attempt loop: where each
@@ -401,11 +428,14 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, p
 			if resp.StatusCode == http.StatusTooManyRequests {
 				rt.shedRelayed.Add(1)
 			}
-			if p.stream || !p.finish(w, target, &rp) {
+			redraw := !p.stream && p.finish(w, target, &rp)
+			rp.release()
+			if !redraw {
 				return
 			}
 			continue
 		}
+		rp.release()
 		target.br.onFailure()
 		if !rt.retryable(target, err, ctx.Err()) {
 			rt.writeForwardFailure(w, ctx.Err(), http.StatusBadGateway, api.CodeNodeUnavailable, "forward to %s failed: %v", target.name, err)
@@ -577,6 +607,7 @@ func (rt *Router) postJSON(ctx context.Context, target *replica, path string, bo
 		return err
 	}
 	rp, err := readReply(resp)
+	defer rp.release()
 	if err != nil {
 		return err
 	}

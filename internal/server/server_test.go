@@ -537,3 +537,43 @@ func TestInstructionDescriptionsEndpoint(t *testing.T) {
 		t.Error("add instruction with its Listing 1 expression not found")
 	}
 }
+
+// TestDeeplyNestedSourceIsAnOrdinaryError: a megabyte of parentheses —
+// under MaxBodyBytes — used to end the process with a stack overflow in
+// the C parser (two megabytes did the same in the assembler's operand
+// evaluator), which no recover catches and which the router's retry would
+// have carried to the next replica. Both are diagnostics now: compile
+// reports it as data like any other, simulate and session/new as 422
+// build_failed, and the server answers the next request.
+func TestDeeplyNestedSourceIsAnOrdinaryError(t *testing.T) {
+	_, ts := newTestServer(t)
+	deepC := "int main(){ return " + strings.Repeat("(", 500_000) + "1" + strings.Repeat(")", 500_000) + "; }"
+	deepAsm := "li a0, " + strings.Repeat("(", 1_900_000) + "1" + strings.Repeat(")", 1_900_000) + "\n"
+
+	resp, body := postJSON(t, ts.URL+api.V1Prefix+"/compile", &api.CompileRequest{Code: deepC, Optimize: 2})
+	var cr api.CompileResponse
+	if err := json.Unmarshal(body, &cr); err != nil || resp.StatusCode != http.StatusOK ||
+		cr.Assembly != "" || !strings.Contains(cr.Errors, "nested too deeply") {
+		t.Errorf("compile: HTTP %d, %.200s", resp.StatusCode, body)
+	}
+	for _, c := range []struct {
+		path string
+		req  *api.SimulateRequest
+	}{
+		{"/simulate", &api.SimulateRequest{Code: deepC, Language: "c", Optimize: 2}},
+		{"/session/new", &api.SimulateRequest{Code: deepC, Language: "c"}},
+		{"/simulate", &api.SimulateRequest{Code: deepAsm}},
+	} {
+		resp, body := postJSON(t, ts.URL+api.V1Prefix+c.path, c.req)
+		var env api.ErrorEnvelope
+		if err := json.Unmarshal(body, &env); err != nil || resp.StatusCode != http.StatusUnprocessableEntity ||
+			env.Err.Code != api.CodeBuildFailed || !strings.Contains(env.Err.Message, "nested too deeply") {
+			t.Errorf("%s of %.12q...: HTTP %d, %.200s", c.path, c.req.Code, resp.StatusCode, body)
+		}
+	}
+	resp, body = postJSON(t, ts.URL+api.V1Prefix+"/simulate", &api.SimulateRequest{Code: tinyProgram})
+	var sr api.SimulateResponse
+	if err := json.Unmarshal(body, &sr); err != nil || resp.StatusCode != http.StatusOK || !sr.Halted {
+		t.Errorf("the request after the hostile ones: HTTP %d, %.200s", resp.StatusCode, body)
+	}
+}

@@ -277,3 +277,124 @@ func TestCheckpointAllocations(t *testing.T) {
 		t.Errorf("Checkpoint makes %v allocations, want at most 50", got)
 	}
 }
+
+// TestStepReplyAllocations: on a warm session a forward step's State and
+// its encoding allocate a bounded number of objects — the views of what is
+// in flight, the register values, the statistics report — and none per
+// cache line. Measured 68 on sort-insertion (the parent: 188, and 38 KB
+// against 16 KB). A machine nobody looks at keeps no views or fragments at
+// all: cache.TestLinesFollowEveryChange and core.TestStepAllocFree hold
+// that end (CI: step reply allocation gate).
+func TestStepReplyAllocations(t *testing.T) {
+	w, _ := ByName("sort-insertion")
+	m, err := NewMachine(nil, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.EnableSnapshots(0)
+	m.StepN(1500)
+	var doc []byte
+	reply := func() {
+		m.StepN(1)
+		if doc, err = m.State(false).AppendJSON(doc[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reply() // sizes doc and builds the first set of fragments
+	if got := testing.AllocsPerRun(200, reply); got > 100 {
+		t.Errorf("a step reply makes %v allocations, want at most 100", got)
+	}
+}
+
+// TestStateFollowsEveryMove: whatever moved the machine — single steps
+// through store hits, misses and evictions, a jump back across an interval
+// snapshot, a restore, a fork, the flush at halt — the next State, encoded
+// with the fragments earlier looks left behind, is byte for byte what
+// encoding/json writes for the state of a twin restored from a checkpoint
+// taken at that moment, which builds every view from scratch.
+func TestStateFollowsEveryMove(t *testing.T) {
+	for _, name := range []string{"sort-insertion", "memcpy-stream", "stride-thrash"} {
+		w, ok := ByName(name)
+		if !ok {
+			t.Fatalf("%s not in the corpus", name)
+		}
+		m, err := NewMachine(nil, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.EnableSnapshots(256)
+		check := func(where string, m *sim.Machine) {
+			t.Helper()
+			got, err := m.State(false).AppendJSON(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ckpt bytes.Buffer
+			if err := m.Checkpoint(&ckpt); err != nil {
+				t.Fatal(err)
+			}
+			twin, err := sim.Restore(&ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(twin.State(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s, %s at cycle %d: the state shows stale content:\n got %s\nwant %s", name, where, m.Cycle(), got, want)
+			}
+		}
+		check("cycle 0", m)
+		m.StepN(600)
+		check("after a jump", m)
+		for i := 0; i < 200; i++ {
+			m.StepN(1)
+			check("single step", m)
+		}
+		if err := m.GotoCycle(500); err != nil { // below the snapshot at 512: restores 256, replays
+			t.Fatal(err)
+		}
+		check("jump back across a snapshot", m)
+		if err := m.StepBack(); err != nil {
+			t.Fatal(err)
+		}
+		check("backward step", m)
+		m.StepN(40)
+		check("forward again", m)
+
+		var ckpt bytes.Buffer
+		if err := m.Checkpoint(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := sim.Restore(&ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("restored", restored)
+		restored.StepN(3)
+		check("restored, stepped", restored)
+
+		fork, err := m.Sim().Fresh()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewMachine(nil, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fork.State(false).AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := json.Marshal(fresh.State(false)); !bytes.Equal(got, want) {
+			t.Errorf("%s: a fork of a looked-at machine does not show a fresh machine's state", name)
+		}
+
+		m.Run(w.MaxCycles)
+		if !m.Halted() {
+			t.Fatalf("%s did not halt", name)
+		}
+		check("halted and flushed", m)
+	}
+}
