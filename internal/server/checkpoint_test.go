@@ -140,7 +140,7 @@ func TestSessionSpillAndRehydrateOnEviction(t *testing.T) {
 	}
 	// An eviction/rehydrate cycle must not demote the session's rewind
 	// acceleration: interval snapshots are re-enabled on rehydration.
-	if sess, ok := srv.store.Get(a); !ok {
+	if sess, ok := srv.store.Get(nil, a); !ok {
 		t.Error("rehydrated session missing from store")
 	} else if sess.machine.SnapshotInterval() == 0 {
 		t.Error("rehydrated session lost interval snapshots; backward steps replay from cycle 0")
@@ -334,7 +334,7 @@ func TestStoreTTLSweepSpills(t *testing.T) {
 	m.StepN(123)
 	base := time.Now()
 	st.now = func() time.Time { return base }
-	id := st.Add(m)
+	id := st.Add(nil, m)
 	// Idle past the TTL: the sweep spills rather than drops.
 	st.now = func() time.Time { return base.Add(2 * time.Minute) }
 	if n := st.Sweep(); n != 1 {
@@ -343,7 +343,7 @@ func TestStoreTTLSweepSpills(t *testing.T) {
 	if spilled, _, _ := st.Counters(); spilled != 1 {
 		t.Fatalf("spilled = %d, want 1", spilled)
 	}
-	sess, ok := st.Get(id)
+	sess, ok := st.Get(nil, id)
 	if !ok {
 		t.Fatal("idle-expired session did not rehydrate")
 	}
@@ -362,8 +362,8 @@ func TestRetiredSessionIsMarkedGone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := st.Add(m)
-	sess, ok := st.Get(id)
+	id := st.Add(nil, m)
+	sess, ok := st.Get(nil, id)
 	if !ok {
 		t.Fatal("session missing")
 	}
@@ -374,7 +374,7 @@ func TestRetiredSessionIsMarkedGone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Add(m2)
+	st.Add(nil, m2)
 
 	sess.mu.Lock()
 	gone := sess.gone
@@ -382,7 +382,7 @@ func TestRetiredSessionIsMarkedGone(t *testing.T) {
 	if !gone {
 		t.Fatal("retired session not marked gone")
 	}
-	fresh, ok := st.Get(id)
+	fresh, ok := st.Get(nil, id)
 	if !ok {
 		t.Fatal("spilled session did not rehydrate")
 	}
@@ -400,10 +400,10 @@ func TestRetiredSessionIsMarkedGone(t *testing.T) {
 // checkpoints older than SpillTTL are removed at store startup.
 func TestSpillDirGarbageCollection(t *testing.T) {
 	dir := t.TempDir()
-	stale := dir + "/s00000001.ckpt"
-	freshFile := dir + "/s00000002.ckpt"
+	stale := dir + "/s00000001.v1.ckpt"
+	freshFile := dir + "/s00000002.v1.ckpt"
 	for _, p := range []string{stale, freshFile} {
-		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+		if err := os.WriteFile(p, sealed([]byte("x")), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -129,7 +129,7 @@ func TestSessionRewindBarrierCode(t *testing.T) {
 	if barrier == 0 {
 		t.Fatal("no rewind barrier after fast-forward")
 	}
-	id := srv.store.Add(m)
+	id := srv.store.Add(nil, m)
 
 	resp, body := postJSON(t, ts.URL+"/api/v1/session/goto", &api.SessionGotoRequest{
 		SessionID: id, Cycle: barrier - 1,

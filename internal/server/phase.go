@@ -18,11 +18,13 @@ const (
 	phaseSimulate              // work on a built machine: runs, rewinds, checkpoint, restore, render
 	phaseReport                // building the reply document from the machine
 	phaseEncode                // serializing the reply
+	phaseStoreGet              // sessionStore.load: reading a stored checkpoint back into a machine
+	phaseStorePut              // sessionStore.save: sealing and writing a checkpoint to the store
 	numPhases
 )
 
 // phaseNames are the phases' keys in api.Metrics.PhaseNanos.
-var phaseNames = [numPhases]string{"queue", "decode", "build", "simulate", "report", "encode"}
+var phaseNames = [numPhases]string{"queue", "decode", "build", "simulate", "report", "encode", "store-get", "store-put"}
 
 // phaseTimer is one request's ledger. The adapter (Server.mount) starts
 // it, the request context carries it to whatever code does the phase's

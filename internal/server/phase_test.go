@@ -14,11 +14,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"riscvsim/internal/api"
+	"riscvsim/internal/store"
 	"riscvsim/internal/trace"
 	"riscvsim/sim"
 )
@@ -37,6 +39,8 @@ func TestPhasesPerRoute(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxInFlight = 1
 	opts.QueueTimeout = 5 * time.Millisecond
+	opts.Store = store.NewMem()
+	opts.WriteThrough = true
 	srv := New(opts)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -93,7 +97,11 @@ func TestPhasesPerRoute(t *testing.T) {
 				t.Fatal(err)
 			}
 			return resp
-		}, 200, phases{phaseDecode, phaseSimulate, phaseEncode}},
+		}, 200, phases{phaseDecode, phaseSimulate, phaseStorePut, phaseEncode}}, // written through
+		{"session step rehydrating", func() *http.Response {
+			srv.SpillSessions()
+			return post("/session/step", &api.SessionStepRequest{SessionID: sessionID, Steps: 1})()
+		}, 200, phases{phaseDecode, phaseStoreGet, phaseSimulate, phaseReport, phaseEncode}},
 		{"session restore", func() *http.Response {
 			return post("/session/restore", &api.SessionRestoreRequest{Checkpoint: ckpt.Checkpoint})()
 		}, 200, phases{phaseDecode, phaseSimulate, phaseReport, phaseEncode}},
@@ -150,6 +158,11 @@ func TestPhasesPerRoute(t *testing.T) {
 				t.Errorf("%s: phase %s booked nothing: %v", tc.name, phaseNames[p], moved)
 			}
 		}
+		for _, p := range (phases{phaseStoreGet, phaseStorePut}) {
+			if moved[p] != 0 && !slices.Contains(tc.want, p) {
+				t.Errorf("%s: booked %d ns to %s without going to the store", tc.name, moved[p], phaseNames[p])
+			}
+		}
 		if total := m.TotalNanos - before.TotalNanos; sum > total {
 			t.Errorf("%s: phases sum to %d ns, more than the request's total of %d ns: %v", tc.name, sum, total, moved)
 		}
@@ -160,13 +173,13 @@ func TestPhasesPerRoute(t *testing.T) {
 
 	// The wire names of the phases are pinned here, literally.
 	ledger := srv.Metrics().PhaseNanos
-	for _, name := range []string{"queue", "decode", "build", "simulate", "report", "encode"} {
+	for _, name := range []string{"queue", "decode", "build", "simulate", "report", "encode", "store-get", "store-put"} {
 		if _, ok := ledger[name]; !ok {
 			t.Errorf("phaseNanos lacks its %q key", name)
 		}
 	}
-	if len(ledger) != 6 {
-		t.Errorf("phaseNanos has %d keys, want 6: %v", len(ledger), ledger)
+	if len(ledger) != 8 {
+		t.Errorf("phaseNanos has %d keys, want 8: %v", len(ledger), ledger)
 	}
 
 	before := srv.Metrics().Requests

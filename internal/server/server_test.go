@@ -338,7 +338,7 @@ func TestSessionCreateRacesAssignedIDStep(t *testing.T) {
 		go func() { // steps the session as soon as it can be looked up
 			defer close(stepped)
 			for {
-				if sess, aerr := srv.lockSession(id); aerr == nil {
+				if sess, aerr := srv.lockSession(nil, id); aerr == nil {
 					sess.machine.Run(3)
 					sess.mu.Unlock()
 					return
@@ -375,7 +375,7 @@ func TestSessionCreateRacesAssignedIDStep(t *testing.T) {
 		if sn.SessionID != id || sn.State.Cycle != 0 {
 			t.Fatalf("session/new answered id %q at cycle %d, want %q at cycle 0", sn.SessionID, sn.State.Cycle, id)
 		}
-		sess, aerr := srv.lockSession(id)
+		sess, aerr := srv.lockSession(nil, id)
 		if aerr != nil {
 			t.Fatal(aerr)
 		}

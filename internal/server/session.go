@@ -36,13 +36,14 @@ func (s *Server) assignedSessionID(r *http.Request) (string, *api.Error) {
 // assigned ID another request can lock and run the machine the moment the
 // store has it.
 func (s *Server) publishSession(r *http.Request, m *sim.Machine, assigned string) (any, *api.Error) {
-	reporting := timerFrom(r.Context()).begin(phaseReport)
+	tm := timerFrom(r.Context())
+	reporting := tm.begin(phaseReport)
 	st := m.State(false)
 	reporting.end()
 	id := assigned
 	if assigned == "" {
-		id = s.store.Add(m)
-	} else if !s.store.AddWithID(assigned, m) {
+		id = s.store.Add(tm, m)
+	} else if !s.store.AddWithID(tm, assigned, m) {
 		return nil, api.Errorf(api.CodeSessionExists, "session %q already exists on this node", assigned)
 	}
 	return &api.SessionNewResponse{SessionID: id, State: st}, nil
@@ -68,25 +69,18 @@ func (s *Server) handleSessionNew(_ http.ResponseWriter, r *http.Request, req *a
 	return s.publishSession(r, m, assigned)
 }
 
-func (s *Server) getSession(id string) (*session, *api.Error) {
-	sess, ok := s.store.Get(id)
-	if !ok {
-		return nil, api.Errorf(api.CodeUnknownSession,
-			"unknown session %q (it may have been closed, evicted or expired)", id)
-	}
-	return sess, nil
-}
-
 // lockSession looks a session up and returns it with its mutex held.
 // If the session was retired (evicted and spilled) between the lookup
 // and the lock, the handler would otherwise mutate an orphaned machine
 // whose state the spill already captured — so it retries through the
-// store, which rehydrates the spilled copy.
-func (s *Server) lockSession(id string) (*session, *api.Error) {
+// store, which rehydrates the spilled copy. What the lookup spends in the
+// checkpoint store is booked to the request's timer.
+func (s *Server) lockSession(tm *phaseTimer, id string) (*session, *api.Error) {
 	for tries := 0; tries < 3; tries++ {
-		sess, aerr := s.getSession(id)
-		if aerr != nil {
-			return nil, aerr
+		sess, ok := s.store.Get(tm, id)
+		if !ok {
+			return nil, api.Errorf(api.CodeUnknownSession,
+				"unknown session %q (it may have been closed, evicted or expired)", id)
 		}
 		sess.mu.Lock()
 		if !sess.gone {
@@ -124,7 +118,7 @@ func gotoCycle(r *http.Request, sess *session, target uint64) *api.Error {
 }
 
 func (s *Server) handleSessionStep(_ http.ResponseWriter, r *http.Request, req *api.SessionStepRequest) (any, *api.Error) {
-	sess, aerr := s.lockSession(req.SessionID)
+	sess, aerr := s.lockSession(timerFrom(r.Context()), req.SessionID)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -143,7 +137,7 @@ func (s *Server) handleSessionStep(_ http.ResponseWriter, r *http.Request, req *
 }
 
 func (s *Server) handleSessionGoto(_ http.ResponseWriter, r *http.Request, req *api.SessionGotoRequest) (any, *api.Error) {
-	sess, aerr := s.lockSession(req.SessionID)
+	sess, aerr := s.lockSession(timerFrom(r.Context()), req.SessionID)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -165,18 +159,21 @@ func (s *Server) handleSessionClose(_ http.ResponseWriter, _ *http.Request, req 
 // binary snapshot format (base64 over JSON). The document is
 // self-contained: restore it here, on another server, or from the CLI.
 func (s *Server) handleSessionCheckpoint(_ http.ResponseWriter, r *http.Request, req *api.SessionCheckpointRequest) (any, *api.Error) {
-	sess, aerr := s.lockSession(req.SessionID)
+	tm := timerFrom(r.Context())
+	sess, aerr := s.lockSession(tm, req.SessionID)
 	if aerr != nil {
 		return nil, aerr
 	}
 	defer sess.mu.Unlock()
-	defer timerFrom(r.Context()).begin(phaseSimulate).end()
+	serializing := tm.begin(phaseSimulate)
 	var buf bytes.Buffer
-	if err := sess.machine.Checkpoint(&buf); err != nil {
+	err := sess.machine.Checkpoint(&buf)
+	serializing.end()
+	if err != nil {
 		return nil, api.WrapError(api.CodeInternal, err)
 	}
-	// Write-through policy (docs/deployment.md): the same bytes the
-	// client receives land in the checkpoint store, so any replica
+	// Write-through policy (docs/deployment.md): the stream the client
+	// receives also lands, sealed, in the checkpoint store, so any replica
 	// sharing it can serve the session from this point on. The store —
 	// not this process — is the session's authority after an explicit
 	// checkpoint. Durable tells the client whether that happened: only a
@@ -187,7 +184,7 @@ func (s *Server) handleSessionCheckpoint(_ http.ResponseWriter, r *http.Request,
 	// the response must describe the bytes in Checkpoint, not the
 	// adopted state.
 	cycle := sess.machine.Cycle()
-	durable := s.store.WriteThrough(sess, buf.Bytes())
+	durable := s.store.WriteThrough(tm, sess, &buf)
 	return &api.SessionCheckpointResponse{
 		SessionID:  req.SessionID,
 		Cycle:      cycle,
@@ -217,11 +214,11 @@ func (s *Server) handleSessionRestore(_ http.ResponseWriter, r *http.Request, re
 }
 
 func (s *Server) handleSessionRender(_ http.ResponseWriter, r *http.Request) (any, *api.Error) {
-	sess, aerr := s.lockSession(r.URL.Query().Get("session"))
+	tm := timerFrom(r.Context())
+	sess, aerr := s.lockSession(tm, r.URL.Query().Get("session"))
 	if aerr != nil {
 		return nil, aerr
 	}
-	tm := timerFrom(r.Context())
 	reporting := tm.begin(phaseReport)
 	st := sess.machine.State(false)
 	reporting.end()

@@ -75,7 +75,7 @@ func TestShutdownDrainsBeforeSpill(t *testing.T) {
 	// The spill captured the post-step state: a fresh node over the
 	// same store rehydrates at the stepped cycle.
 	fresh := newSessionStore(4, 0, backend, 0, false, nil)
-	sess, ok := fresh.Get(id)
+	sess, ok := fresh.Get(nil, id)
 	if !ok {
 		t.Fatal("spilled session did not rehydrate")
 	}

@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"container/list"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"riscvsim/internal/store"
@@ -54,10 +57,18 @@ type session struct {
 // mode rehydration leaves the blob in place — another node may need it —
 // where the single-node spill semantics move it (memory <-> store).
 //
-// Locking: st.mu guards only the in-memory table. Serialization, store
-// I/O and machine reconstruction all run outside it (eviction removes
-// the session from the table under the lock, then spills it after
-// release), so one session's store work never stalls the others. The
+// One door: every blob reaches the backend through save and comes back
+// through load, and nothing else in the server calls backend.Put or
+// backend.Get (CI's lint job counts the call sites). save seals what it
+// writes and load verifies the seal before a decoder sees a byte, so what
+// to do about a bad read — re-read once, drop the blob only when the
+// failure repeats — is decided in one place (docs/robustness.md).
+//
+// Locking: st.mu guards only the in-memory table, and table is the only
+// way onto it. Serialization, store I/O and machine reconstruction all
+// run outside it (eviction removes the session from the table under the
+// lock, then spills it after release), so one session's store work never
+// stalls the others, and sess.mu and st.mu are never held together. The
 // window between removal and the blob appearing can surface as a
 // transient miss — the same outcome an eviction always had before
 // spilling existed.
@@ -79,10 +90,8 @@ type sessionStore struct {
 	programs *programCache
 	lastGC   time.Time
 
-	// Lifecycle counters, guarded by mu (served by /api/v1/metrics).
-	spilled    uint64
-	rehydrated uint64
-	lost       uint64
+	// Lifecycle counters (served by /api/v1/metrics).
+	spilled, rehydrated, lost atomic.Uint64
 }
 
 func newSessionStore(max int, ttl time.Duration, backend store.Store, spillTTL time.Duration, writeThrough bool, debugf func(string, ...any)) *sessionStore {
@@ -143,8 +152,7 @@ func (st *sessionStore) logf(format string, args ...any) {
 // gcBackend expires stored checkpoints older than spillTTL (backends
 // that support age sweeps) so abandoned sessions cannot grow the store
 // without bound. Runs at startup and then at most once per
-// storeGCInterval, amortized over Add calls; it touches only immutable
-// fields, so it needs no lock.
+// storeGCInterval; it touches only immutable fields, so it needs no lock.
 func (st *sessionStore) gcBackend() {
 	if st.backend == nil || st.spillTTL <= 0 {
 		return
@@ -158,29 +166,72 @@ func (st *sessionStore) gcBackend() {
 	}
 }
 
-// Add stores a new session, evicting the least recently used one if the
-// store is at capacity, and returns its ID.
-func (st *sessionStore) Add(m *sim.Machine) string {
+// table is the one way onto the in-memory table. Under st.mu it sweeps
+// the idle-expired sessions and runs fn (nil: sweep only), which returns
+// the sessions it evicted; with the lock released it spills what both
+// removed and runs the stored-blob GC when that is due. It returns how
+// many sessions the sweep removed.
+func (st *sessionStore) table(tm *phaseTimer, fn func(now time.Time) (evicted []*session)) int {
 	st.mu.Lock()
 	now := st.now()
 	expired := st.sweepLocked(now)
-	runGC := st.backend != nil && st.spillTTL > 0 && now.Sub(st.lastGC) > storeGCInterval
-	if runGC {
+	var evicted []*session
+	if fn != nil {
+		evicted = fn(now)
+	}
+	gc := now.Sub(st.lastGC) > storeGCInterval
+	if gc {
 		st.lastGC = now
 	}
-	evicted := st.makeRoomLocked()
-	st.nextID++
-	id := fmt.Sprintf("s%08d", st.nextID)
-	sess := &session{id: id, machine: m, lastUsed: now}
-	st.byID[id] = st.lru.PushFront(sess)
 	st.mu.Unlock()
 
-	st.retire(expired, "idle TTL")
-	st.retire(evicted, "LRU capacity")
-	if runGC {
+	st.retire(tm, expired, "idle TTL")
+	st.retire(tm, evicted, "LRU capacity")
+	if gc {
 		st.gcBackend()
 	}
-	return id
+	return len(expired)
+}
+
+// touchLocked returns the live session under id, marked most recently
+// used, or nil.
+func (st *sessionStore) touchLocked(id string, now time.Time) *session {
+	el, ok := st.byID[id]
+	if !ok {
+		return nil
+	}
+	sess := el.Value.(*session)
+	sess.lastUsed = now
+	st.lru.MoveToFront(el)
+	return sess
+}
+
+// insert is the one way a session enters the table: under a fresh ID
+// (id ""), a router-assigned one, or the one its blob was stored under,
+// evicting the least recently used sessions if the table is full. A live
+// session already holding the ID wins — it may have advanced past the
+// caller's machine — and is returned with fresh false.
+func (st *sessionStore) insert(tm *phaseTimer, id string, m *sim.Machine, version uint64) (sess *session, fresh bool) {
+	st.table(tm, func(now time.Time) []*session {
+		if id == "" {
+			st.nextID++
+			id = fmt.Sprintf("s%08d", st.nextID)
+		} else if sess = st.touchLocked(id, now); sess != nil {
+			return nil
+		}
+		evicted := st.makeRoomLocked()
+		sess = &session{id: id, machine: m, lastUsed: now, version: version}
+		st.byID[id] = st.lru.PushFront(sess)
+		fresh = true
+		return evicted
+	})
+	return sess, fresh
+}
+
+// Add stores a new session and returns its ID.
+func (st *sessionStore) Add(tm *phaseTimer, m *sim.Machine) string {
+	sess, _ := st.insert(tm, "", m, 0)
+	return sess.id
 }
 
 // AddWithID stores a new session under a caller-assigned ID (the
@@ -189,50 +240,31 @@ func (st *sessionStore) Add(m *sim.Machine) string {
 // the ID is already live on this node. If the backend already holds a
 // blob under the ID, the session adopts its version so later writes
 // stay monotonic.
-func (st *sessionStore) AddWithID(id string, m *sim.Machine) bool {
+func (st *sessionStore) AddWithID(tm *phaseTimer, id string, m *sim.Machine) bool {
 	var version uint64
 	if st.backend != nil {
 		if v, err := st.backend.Version(id); err == nil {
 			version = v
 		}
 	}
-	st.mu.Lock()
-	now := st.now()
-	expired := st.sweepLocked(now)
-	if _, exists := st.byID[id]; exists {
-		st.mu.Unlock()
-		st.retire(expired, "idle TTL")
-		return false
-	}
-	evicted := st.makeRoomLocked()
-	sess := &session{id: id, machine: m, lastUsed: now, version: version}
-	st.byID[id] = st.lru.PushFront(sess)
-	st.mu.Unlock()
-
-	st.retire(expired, "idle TTL")
-	st.retire(evicted, "LRU capacity")
-	return true
+	_, fresh := st.insert(tm, id, m, version)
+	return fresh
 }
 
 // Get looks up a session and marks it most recently used. A session that
 // was spilled into the backend (eviction, a previous server process, or
 // another replica sharing the store) is transparently rehydrated.
-func (st *sessionStore) Get(id string) (*session, bool) {
-	st.mu.Lock()
-	now := st.now()
-	expired := st.sweepLocked(now)
-	if el, ok := st.byID[id]; ok {
-		sess := el.Value.(*session)
-		sess.lastUsed = now
-		st.lru.MoveToFront(el)
-		st.mu.Unlock()
-		st.retire(expired, "idle TTL")
-		st.fence(sess)
-		return sess, true
+func (st *sessionStore) Get(tm *phaseTimer, id string) (*session, bool) {
+	var sess *session
+	st.table(tm, func(now time.Time) []*session {
+		sess = st.touchLocked(id, now)
+		return nil
+	})
+	if sess == nil {
+		return st.rehydrate(tm, id)
 	}
-	st.mu.Unlock()
-	st.retire(expired, "idle TTL")
-	return st.rehydrate(id)
+	st.fence(tm, sess)
+	return sess, true
 }
 
 // fence converges an in-memory session on the store when another node
@@ -244,12 +276,9 @@ func (st *sessionStore) Get(id string) (*session, bool) {
 // fences: there the store is the session's authority by contract, and
 // every touch pays one backend.Version probe for it (a map lookup on
 // Mem, a readdir on Dir). Equal versions — the common case, the local
-// copy simply advanced past its own last checkpoint — pass untouched.
-// Transient probe/read/restore failures skip the fence; the next touch
-// retries. Un-checkpointed local progress is discarded on adoption,
-// which is exactly the tier's durability boundary ("a replica losing a
-// session loses at most the work since the last checkpoint").
-func (st *sessionStore) fence(sess *session) {
+// copy simply advanced past its own last checkpoint — pass untouched,
+// and a failed probe skips the fence; the next touch retries.
+func (st *sessionStore) fence(tm *phaseTimer, sess *session) {
 	if !st.writeThrough {
 		return
 	}
@@ -259,70 +288,46 @@ func (st *sessionStore) fence(sess *session) {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if v <= sess.version || sess.gone {
+	if v > sess.version && !sess.gone {
+		st.converge(tm, sess)
+	}
+}
+
+// converge replaces a live session's machine with the store's copy when
+// that copy is strictly newer. The caller holds sess.mu. Un-checkpointed
+// local progress is discarded, which is exactly the tier's durability
+// boundary ("a replica losing a session loses at most the work since the
+// last checkpoint"). When the store's copy cannot be loaded the session
+// keeps its machine AND its version: adopting only the version number
+// would let this node's older state be written under a newer version,
+// rolling the store back past a checkpoint another call was told is
+// durable. With the version unchanged its writes keep failing stale and
+// the next touch converges again — stale state must never win.
+func (st *sessionStore) converge(tm *phaseTimer, sess *session) {
+	m, v, ok := st.load(tm, sess.id)
+	if !ok || v <= sess.version {
 		return
 	}
-	data, v2, err := st.backend.Get(sess.id)
-	if err != nil || v2 <= sess.version {
-		return
-	}
-	m, err := st.programs.restoreSession(data)
-	if err != nil {
-		return
-	}
-	st.logf("session %s: local copy stale (v%d < store v%d), converging on store state at cycle %d",
-		sess.id, sess.version, v2, m.Cycle())
-	sess.machine = m
-	sess.version = v2
+	st.logf("session %s: local copy stale (v%d < store v%d), converged on store state at cycle %d",
+		sess.id, sess.version, v, m.Cycle())
+	sess.machine, sess.version = m, v
 }
 
 // rehydrate restores a stored session from the backend under its
-// original ID. Store I/O and machine reconstruction run without the
-// store lock; only the table re-insertion takes it.
-func (st *sessionStore) rehydrate(id string) (*session, bool) {
+// original ID.
+func (st *sessionStore) rehydrate(tm *phaseTimer, id string) (*session, bool) {
 	if st.backend == nil || !validSessionID(id) {
 		return nil, false
 	}
-	data, version, err := st.backend.Get(id)
-	if err != nil {
+	m, version, ok := st.load(tm, id)
+	if !ok {
 		return nil, false
 	}
-	m, err := st.programs.restoreSession(data)
-	if err != nil {
-		// A bad read may be transient (a torn page, an NFS hiccup, an
-		// injected chaos fault) — re-read once before concluding the blob
-		// itself is corrupt. Only a reproducible failure deletes it:
-		// deleting on a transient fault would turn a recoverable read
-		// error into the loss of an acknowledged checkpoint.
-		data2, version2, err2 := st.backend.Get(id)
-		if err2 == nil {
-			m, err = st.programs.restoreSession(data2)
-			version = version2
-		}
-		if err != nil {
-			st.logf("session %s: stored checkpoint unusable: %v", id, err)
-			st.backend.Delete(id)
-			return nil, false
-		}
+	sess, fresh := st.insert(tm, id, m, version)
+	if !fresh {
+		return sess, true // a concurrent request rehydrated it first
 	}
-
-	st.mu.Lock()
-	// A concurrent request may have rehydrated the session already; the
-	// in-memory copy wins (it may have advanced past our snapshot).
-	if el, ok := st.byID[id]; ok {
-		sess := el.Value.(*session)
-		sess.lastUsed = st.now()
-		st.lru.MoveToFront(el)
-		st.mu.Unlock()
-		return sess, true
-	}
-	evicted := st.makeRoomLocked()
-	sess := &session{id: id, machine: m, lastUsed: st.now(), version: version}
-	el := st.lru.PushFront(sess)
-	st.byID[id] = el
-	st.rehydrated++
-	st.mu.Unlock()
-
+	st.rehydrated.Add(1)
 	if !st.writeThrough {
 		// Single-node spill semantics: the blob moves between memory
 		// and store. In write-through mode the store is the authority
@@ -330,63 +335,118 @@ func (st *sessionStore) rehydrate(id string) (*session, bool) {
 		// with the version check ordering the eventual writes.
 		st.backend.Delete(id)
 	}
-	st.retire(evicted, "LRU capacity")
 	st.logf("session %s: rehydrated from store at cycle %d (v%d)", id, m.Cycle(), version)
 	return sess, true
 }
 
-// WriteThrough persists a just-taken checkpoint of the session into the
-// backend at the next version. The caller holds sess.mu (the checkpoint
-// handler does), which also guards the version counter. A stale write —
-// another node persisted a newer version meanwhile — is not an error:
-// last-writer-wins keeps the newer state, and this node's copy will be
-// superseded on the next ring-consistent touch.
-//
-// It reports whether the checkpoint is durably in the store — the
-// Durable flag of the checkpoint response, which is what the failover
-// contract (and the chaos harness's checkpoint-loss invariant) keys on.
-// A stale or failed write returns false: the client's copy of the bytes
-// is its only guarantee then.
-func (st *sessionStore) WriteThrough(sess *session, data []byte) bool {
-	if !st.writeThrough {
-		return false
+// A stored blob is a checkpoint stream followed by sealLen bytes: the
+// CRC-32C of the stream, little-endian. The stream itself checks its
+// header hash, section tags and footer but not its body, so a flipped
+// body byte can decode without error into a different machine
+// (docs/checkpoint.md "Integrity"); the seal is checked by code that
+// shares nothing with the decoder. Checkpoints handed to clients are the
+// bare stream and never carry it.
+const sealLen = 4
+
+var (
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+	errSeal    = errors.New("stored checkpoint fails its seal")
+)
+
+// seal appends the seal to the stream in buf, in place.
+func seal(buf *bytes.Buffer) {
+	buf.Write(binary.LittleEndian.AppendUint32(buf.AvailableBuffer(), crc32.Checksum(buf.Bytes(), castagnoli)))
+}
+
+// unseal returns the stream inside a stored blob, or errSeal.
+func unseal(blob []byte) ([]byte, error) {
+	n := len(blob) - sealLen
+	if n < 0 || crc32.Checksum(blob[:n], castagnoli) != binary.LittleEndian.Uint32(blob[n:]) {
+		return nil, errSeal
 	}
+	return blob[:n], nil
+}
+
+// load is the one read door: Get, verify the seal, rebuild the machine,
+// booked to the request's store-get phase. A blob that fails either
+// check may have been read badly (a torn page, an NFS hiccup, an injected
+// chaos fault) or be bad in the store, and one more read tells the two
+// apart: a transient fault yields the original machine, and only the
+// same version failing twice is dropped, so that it cannot wedge the ID.
+// Dropping on the first failure would turn a recoverable read error into
+// the loss of an acknowledged checkpoint. A failed Get is a miss and
+// deletes nothing.
+func (st *sessionStore) load(tm *phaseTimer, id string) (*sim.Machine, uint64, bool) {
+	defer tm.begin(phaseStoreGet).end()
+	var failed uint64 // the version the first read could not use
+	for read := 1; read <= 2; read++ {
+		blob, version, err := st.backend.Get(id)
+		if err != nil {
+			return nil, 0, false
+		}
+		var m *sim.Machine
+		if blob, err = unseal(blob); err == nil {
+			m, err = st.programs.restoreSession(blob)
+		}
+		if err == nil {
+			return m, version, true
+		}
+		st.logf("session %s: stored checkpoint v%d unusable on read %d: %v", id, version, read, err)
+		if read == 2 && version == failed {
+			st.backend.Delete(id)
+		}
+		failed = version
+	}
+	return nil, 0, false
+}
+
+// save is the one write door: it seals the checkpoint stream in buf,
+// Puts it at the session's next version (booked to the request's
+// store-put phase) and hands buf back as the bare stream. The caller
+// holds sess.mu, which also guards the version counter. It reports
+// whether the checkpoint is durably in the store.
+//
+// A stale write — another node persisted a newer version meanwhile — is
+// not an error: last-writer-wins keeps the newer state, and a session
+// that stays live converges on it. A session being retired has nothing
+// to converge, and nothing was lost: the authority lives elsewhere now.
+// Any other failure loses a retiring session and leaves a live one with
+// a checkpoint only its client holds.
+func (st *sessionStore) save(tm *phaseTimer, sess *session, buf *bytes.Buffer, cause string) bool {
+	writing := tm.begin(phaseStorePut)
+	n := buf.Len()
+	seal(buf)
 	version := sess.version + 1
-	err := st.backend.Put(sess.id, version, data)
+	err := st.backend.Put(sess.id, version, buf.Bytes())
+	buf.Truncate(n)
+	writing.end()
 	switch {
 	case err == nil:
 		sess.version = version
-		st.mu.Lock()
-		st.spilled++
-		st.mu.Unlock()
-		st.logf("session %s: checkpoint written through at cycle %d (v%d, %d bytes)",
-			sess.id, sess.machine.Cycle(), version, len(data))
+		st.spilled.Add(1)
+		st.logf("session %s: checkpoint stored at cycle %d (%s, v%d, %d bytes)", sess.id, sess.machine.Cycle(), cause, version, n)
 		return true
 	case errors.Is(err, store.ErrStale):
-		st.logf("session %s: write-through superseded by a newer store version: %v", sess.id, err)
-		// This copy of the session is stale: another node persisted a
-		// newer version (a health flap briefly gave two replicas the
-		// session). Adopting only the version NUMBER here would be a
-		// durability bug — our next checkpoint would carry this node's
-		// older machine state under a newer version, silently rolling
-		// the store's cycle back past state another client call already
-		// got a durable ack for. Converge on the store's copy instead:
-		// replace the machine with the newer state. If the read or the
-		// restore fails (transient), keep our version unchanged so
-		// subsequent writes keep failing stale (acks stay non-durable)
-		// and adoption is retried — stale state must never win.
-		if data, v, gerr := st.backend.Get(sess.id); gerr == nil && v > sess.version {
-			if m, rerr := st.programs.restoreSession(data); rerr == nil {
-				sess.machine = m
-				sess.version = v
-				st.logf("session %s: converged on store v%d at cycle %d", sess.id, v, m.Cycle())
-			}
+		st.logf("session %s: write superseded by a newer store version (%s): %v", sess.id, cause, err)
+		if !sess.gone {
+			st.converge(tm, sess)
 		}
-		return false
+	case sess.gone:
+		st.lost.Add(1)
+		st.logf("session %s: evicted (%s) and lost — spill failed: %v", sess.id, cause, err)
 	default:
-		st.logf("session %s: write-through failed: %v", sess.id, err)
-		return false
+		st.logf("session %s: %s failed: %v", sess.id, cause, err)
 	}
+	return false
+}
+
+// WriteThrough persists the just-taken checkpoint in buf (write-through
+// mode only). The caller holds sess.mu. The result is the Durable flag of
+// the checkpoint response, which is what the failover contract (and the
+// chaos harness's checkpoint-loss invariant) keys on: after a stale or
+// failed write the client's copy of the bytes is its only guarantee.
+func (st *sessionStore) WriteThrough(tm *phaseTimer, sess *session, buf *bytes.Buffer) bool {
+	return st.writeThrough && st.save(tm, sess, buf, "write-through")
 }
 
 // Remove deletes a session (and any stored copy); it reports whether
@@ -411,24 +471,17 @@ func (st *sessionStore) Remove(id string) bool {
 // Len returns the number of live in-memory sessions, sweeping expired
 // ones first so an idle server's metrics don't report (or retain) dead
 // sessions.
-func (st *sessionStore) Len() int {
-	st.mu.Lock()
-	expired := st.sweepLocked(st.now())
-	n := len(st.byID)
-	st.mu.Unlock()
-	st.retire(expired, "idle TTL")
+func (st *sessionStore) Len() (n int) {
+	st.table(nil, func(time.Time) []*session {
+		n = len(st.byID)
+		return nil
+	})
 	return n
 }
 
 // Sweep removes idle-expired sessions and returns how many were dropped
 // from memory.
-func (st *sessionStore) Sweep() int {
-	st.mu.Lock()
-	expired := st.sweepLocked(st.now())
-	st.mu.Unlock()
-	st.retire(expired, "idle TTL")
-	return len(expired)
-}
+func (st *sessionStore) Sweep() int { return st.table(nil, nil) }
 
 // SpillAll retires every live session (spilling each into the backend
 // when one is configured) and returns how many were processed. It is
@@ -443,15 +496,13 @@ func (st *sessionStore) SpillAll() int {
 	st.lru.Init()
 	st.byID = make(map[string]*list.Element)
 	st.mu.Unlock()
-	st.retire(all, "shutdown")
+	st.retire(nil, all, "shutdown")
 	return len(all)
 }
 
 // Counters returns the lifecycle counters (spilled, rehydrated, lost).
 func (st *sessionStore) Counters() (spilled, rehydrated, lost uint64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.spilled, st.rehydrated, st.lost
+	return st.spilled.Load(), st.rehydrated.Load(), st.lost.Load()
 }
 
 // sweepLocked removes sessions idle past the TTL from the table,
@@ -478,7 +529,7 @@ func (st *sessionStore) sweepLocked(now time.Time) []*session {
 }
 
 // makeRoomLocked removes least-recently-used sessions from the table
-// until an Add fits, returning them for retirement outside the lock.
+// until an insert fits, returning them for retirement outside the lock.
 func (st *sessionStore) makeRoomLocked() []*session {
 	var evicted []*session
 	for len(st.byID) >= st.max {
@@ -494,59 +545,30 @@ func (st *sessionStore) makeRoomLocked() []*session {
 	return evicted
 }
 
-// retire spills each removed session into the backend (or counts it
-// lost when spilling is unavailable). It runs WITHOUT the store lock:
-// the only locks taken are each session's own mutex (so a handler
-// mid-step finishes before serialization and the spill captures its
-// result) and a brief store-lock acquisition for the counters. sess.mu
-// and st.mu are never held together here, so no ordering cycle exists
-// with the handlers' store-then-session order.
-func (st *sessionStore) retire(retired []*session, cause string) {
+// retire spills each session removed from the table into the backend,
+// or counts it lost when there is none. It runs WITHOUT the store lock:
+// the only lock taken is each session's own mutex, so a handler mid-step
+// finishes before serialization and the spill captures its result.
+func (st *sessionStore) retire(tm *phaseTimer, retired []*session, cause string) {
 	for _, sess := range retired {
-		st.retireOne(sess, cause)
+		st.retireOne(tm, sess, cause)
 	}
 }
 
-func (st *sessionStore) retireOne(sess *session, cause string) {
+func (st *sessionStore) retireOne(tm *phaseTimer, sess *session, cause string) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	sess.gone = true
 	if st.backend == nil {
-		sess.mu.Lock()
-		sess.gone = true
-		sess.mu.Unlock()
-		st.mu.Lock()
-		st.lost++
-		st.mu.Unlock()
+		st.lost.Add(1)
 		st.logf("session %s: evicted (%s) and lost — no checkpoint store", sess.id, cause)
 		return
 	}
-	sess.mu.Lock()
 	var buf bytes.Buffer
-	err := sess.machine.Checkpoint(&buf)
-	cycle := sess.machine.Cycle()
-	version := sess.version + 1
-	if err == nil {
-		err = st.backend.Put(sess.id, version, buf.Bytes())
-		if err == nil {
-			sess.version = version
-		}
-	}
-	sess.gone = true
-	sess.mu.Unlock()
-	if errors.Is(err, store.ErrStale) {
-		// Another node already persisted a newer version: nothing was
-		// lost, the authority simply lives elsewhere now.
-		st.logf("session %s: eviction spill superseded by a newer store version (%s)", sess.id, cause)
+	if err := sess.machine.Checkpoint(&buf); err != nil {
+		st.lost.Add(1)
+		st.logf("session %s: evicted (%s) and lost — checkpoint failed: %v", sess.id, cause, err)
 		return
 	}
-	st.mu.Lock()
-	if err != nil {
-		st.lost++
-	} else {
-		st.spilled++
-	}
-	st.mu.Unlock()
-	if err != nil {
-		st.logf("session %s: evicted (%s) and lost — spill failed: %v", sess.id, cause, err)
-		return
-	}
-	st.logf("session %s: spilled to store at cycle %d (%s, v%d, %d bytes)", sess.id, cycle, cause, version, buf.Len())
+	st.save(tm, sess, &buf, cause)
 }

@@ -32,21 +32,21 @@ func dirStore(t testing.TB, path string) *store.Dir {
 
 func TestStoreEvictsLeastRecentlyUsed(t *testing.T) {
 	st := newSessionStore(3, 0, nil, 0, false, nil)
-	a := st.Add(testMachine(t))
-	b := st.Add(testMachine(t))
-	c := st.Add(testMachine(t))
+	a := st.Add(nil, testMachine(t))
+	b := st.Add(nil, testMachine(t))
+	c := st.Add(nil, testMachine(t))
 
 	// Touch a so b becomes the least recently used.
-	if _, ok := st.Get(a); !ok {
+	if _, ok := st.Get(nil, a); !ok {
 		t.Fatal("a missing")
 	}
-	d := st.Add(testMachine(t)) // evicts b, not a
+	d := st.Add(nil, testMachine(t)) // evicts b, not a
 
-	if _, ok := st.Get(b); ok {
+	if _, ok := st.Get(nil, b); ok {
 		t.Error("b should have been evicted (least recently used)")
 	}
 	for _, id := range []string{a, c, d} {
-		if _, ok := st.Get(id); !ok {
+		if _, ok := st.Get(nil, id); !ok {
 			t.Errorf("%s should have survived", id)
 		}
 	}
@@ -57,18 +57,18 @@ func TestStoreEvictsLeastRecentlyUsed(t *testing.T) {
 
 func TestStoreEvictionOrderIsRecency(t *testing.T) {
 	st := newSessionStore(2, 0, nil, 0, false, nil)
-	ids := []string{st.Add(testMachine(t)), st.Add(testMachine(t))}
+	ids := []string{st.Add(nil, testMachine(t)), st.Add(nil, testMachine(t))}
 	for i := 0; i < 4; i++ {
-		ids = append(ids, st.Add(testMachine(t)))
+		ids = append(ids, st.Add(nil, testMachine(t)))
 	}
 	// Only the last two can remain; every earlier one must be gone.
 	for _, id := range ids[:len(ids)-2] {
-		if _, ok := st.Get(id); ok {
+		if _, ok := st.Get(nil, id); ok {
 			t.Errorf("%s should have been evicted", id)
 		}
 	}
 	for _, id := range ids[len(ids)-2:] {
-		if _, ok := st.Get(id); !ok {
+		if _, ok := st.Get(nil, id); !ok {
 			t.Errorf("%s should remain", id)
 		}
 	}
@@ -79,29 +79,29 @@ func TestStoreIdleTTLSweep(t *testing.T) {
 	st := newSessionStore(10, time.Minute, nil, 0, false, nil)
 	st.now = func() time.Time { return now }
 
-	old := st.Add(testMachine(t))
+	old := st.Add(nil, testMachine(t))
 	now = now.Add(30 * time.Second)
-	fresh := st.Add(testMachine(t))
+	fresh := st.Add(nil, testMachine(t))
 
 	// 40 more seconds: old is 70s idle (expired), fresh 40s (alive).
 	now = now.Add(40 * time.Second)
 	if n := st.Sweep(); n != 1 {
 		t.Errorf("sweep removed %d, want 1", n)
 	}
-	if _, ok := st.Get(old); ok {
+	if _, ok := st.Get(nil, old); ok {
 		t.Error("idle session survived its TTL")
 	}
-	if _, ok := st.Get(fresh); !ok {
+	if _, ok := st.Get(nil, fresh); !ok {
 		t.Error("live session swept")
 	}
 
 	// Touching refreshes the TTL.
 	now = now.Add(50 * time.Second)
-	if _, ok := st.Get(fresh); !ok {
+	if _, ok := st.Get(nil, fresh); !ok {
 		t.Fatal("fresh expired too early")
 	}
 	now = now.Add(50 * time.Second) // 50s since touch, alive
-	if _, ok := st.Get(fresh); !ok {
+	if _, ok := st.Get(nil, fresh); !ok {
 		t.Error("touched session must survive a full TTL from the touch")
 	}
 }
@@ -110,14 +110,14 @@ func TestStoreSweepsOpportunistically(t *testing.T) {
 	now := time.Unix(1000, 0)
 	st := newSessionStore(10, time.Minute, nil, 0, false, nil)
 	st.now = func() time.Time { return now }
-	old := st.Add(testMachine(t))
+	old := st.Add(nil, testMachine(t))
 	now = now.Add(2 * time.Minute)
 	// A plain Add must sweep the expired session as a side effect.
-	st.Add(testMachine(t))
+	st.Add(nil, testMachine(t))
 	if st.Len() != 1 {
 		t.Errorf("len = %d, want 1 (expired session not swept on Add)", st.Len())
 	}
-	if _, ok := st.Get(old); ok {
+	if _, ok := st.Get(nil, old); ok {
 		t.Error("expired session still reachable")
 	}
 }
@@ -127,7 +127,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	var wg sync.WaitGroup
 	ids := make([]string, 8)
 	for i := range ids {
-		ids[i] = st.Add(testMachine(t))
+		ids[i] = st.Add(nil, testMachine(t))
 	}
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -136,9 +136,9 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				switch i % 4 {
 				case 0:
-					st.Add(testMachine(t))
+					st.Add(nil, testMachine(t))
 				case 1:
-					st.Get(ids[(g+i)%len(ids)])
+					st.Get(nil, ids[(g+i)%len(ids)])
 				case 2:
 					st.Remove(fmt.Sprintf("s%08d", i))
 				default:
@@ -165,14 +165,21 @@ func steppedMachine(t testing.TB, n uint64) *sim.Machine {
 	return m
 }
 
+// sealed returns a checkpoint stream as the session store stores it.
+func sealed(stream []byte) []byte {
+	buf := bytes.NewBuffer(bytes.Clone(stream))
+	seal(buf)
+	return buf.Bytes()
+}
+
 // TestRehydrateCorruptedBlob pins the corrupted/truncated-store path:
-// a blob that no longer decodes must surface as a miss (the ckpt
-// sentinel errors internally), never a panic, and the poisoned blob is
-// dropped so it cannot wedge the ID forever.
+// a blob that fails its seal, or passes it and does not decode, must
+// surface as a miss, never a panic, and the poisoned blob is dropped so
+// it cannot wedge the ID forever.
 func TestRehydrateCorruptedBlob(t *testing.T) {
 	backend := store.NewMem()
 	st := newSessionStore(4, 0, backend, 0, false, nil)
-	id := st.Add(steppedMachine(t, 50))
+	id := st.Add(nil, steppedMachine(t, 50))
 	if n := st.SpillAll(); n != 1 {
 		t.Fatalf("spilled %d, want 1", n)
 	}
@@ -180,16 +187,22 @@ func TestRehydrateCorruptedBlob(t *testing.T) {
 	if !backend.Corrupt(id, 40) {
 		t.Fatal("no blob to corrupt")
 	}
-	if _, ok := st.Get(id); ok {
+	if _, ok := st.Get(nil, id); ok {
 		t.Fatal("corrupted blob rehydrated")
 	}
 	if backend.Len() != 0 {
 		t.Error("poisoned blob not dropped after failed rehydration")
 	}
-	// Garbage that is not even a checkpoint header behaves the same.
-	backend.Put(id, 99, []byte("not a checkpoint"))
-	if _, ok := st.Get(id); ok {
-		t.Fatal("garbage blob rehydrated")
+	// Garbage that is not even a checkpoint header behaves the same,
+	// sealed (the decoder refuses it) or not (the seal does).
+	for _, garbage := range [][]byte{sealed([]byte("not a checkpoint")), []byte("not a checkpoint")} {
+		backend.Put(id, 99, garbage)
+		if _, ok := st.Get(nil, id); ok {
+			t.Fatal("garbage blob rehydrated")
+		}
+		if backend.Len() != 0 {
+			t.Error("garbage blob not dropped after failed rehydration")
+		}
 	}
 }
 
@@ -201,16 +214,16 @@ func TestRehydrateCorruptedBlob(t *testing.T) {
 func TestConcurrentRehydrationLastWriterWins(t *testing.T) {
 	backend := store.NewMem()
 	seedStore := newSessionStore(4, 0, backend, 0, true, nil)
-	id := seedStore.Add(steppedMachine(t, 10))
+	id := seedStore.Add(nil, steppedMachine(t, 10))
 	seedStore.SpillAll() // v1 in the store
 
 	nodeA := newSessionStore(4, 0, backend, 0, true, nil)
 	nodeB := newSessionStore(4, 0, backend, 0, true, nil)
-	sessA, ok := nodeA.Get(id)
+	sessA, ok := nodeA.Get(nil, id)
 	if !ok {
 		t.Fatal("node A rehydration failed")
 	}
-	sessB, ok := nodeB.Get(id)
+	sessB, ok := nodeB.Get(nil, id)
 	if !ok {
 		t.Fatal("node B rehydration failed")
 	}
@@ -227,7 +240,7 @@ func TestConcurrentRehydrationLastWriterWins(t *testing.T) {
 		t.Fatalf("store version = %d, %v; want 2 (node B's write)", v, err)
 	}
 	fresh := newSessionStore(4, 0, backend, 0, true, nil)
-	sess, ok := fresh.Get(id)
+	sess, ok := fresh.Get(nil, id)
 	if !ok {
 		t.Fatal("rehydration after the race failed")
 	}
@@ -243,9 +256,9 @@ func TestWriteThroughKeepsBlobOnRehydrate(t *testing.T) {
 	for _, wt := range []bool{true, false} {
 		backend := store.NewMem()
 		st := newSessionStore(4, 0, backend, 0, wt, nil)
-		id := st.Add(steppedMachine(t, 5))
+		id := st.Add(nil, steppedMachine(t, 5))
 		st.SpillAll()
-		if _, ok := st.Get(id); !ok {
+		if _, ok := st.Get(nil, id); !ok {
 			t.Fatalf("writeThrough=%v: rehydration failed", wt)
 		}
 		if kept := backend.Len() == 1; kept != wt {
@@ -261,11 +274,11 @@ func TestWriteThroughKeepsBlobOnRehydrate(t *testing.T) {
 func TestWriteThroughVersionsAreMonotonic(t *testing.T) {
 	backend := store.NewMem()
 	st := newSessionStore(4, 0, backend, 0, true, nil)
-	id := st.Add(steppedMachine(t, 5))
-	sess, _ := st.Get(id)
+	id := st.Add(nil, steppedMachine(t, 5))
+	sess, _ := st.Get(nil, id)
 	for want := uint64(1); want <= 3; want++ {
 		sess.mu.Lock()
-		st.WriteThrough(sess, checkpointBytes(t, sess.machine))
+		st.WriteThrough(nil, sess, bytes.NewBuffer(checkpointBytes(t, sess.machine)))
 		sess.mu.Unlock()
 		if v, _ := backend.Version(id); v != want {
 			t.Fatalf("after write-through %d: version %d", want, v)
@@ -274,12 +287,12 @@ func TestWriteThroughVersionsAreMonotonic(t *testing.T) {
 	// A second node creating the same ID (router-driven checkpoint
 	// handoff) adopts version 3 and writes 4, not 1.
 	other := newSessionStore(4, 0, backend, 0, true, nil)
-	if !other.AddWithID(id, steppedMachine(t, 5)) {
+	if !other.AddWithID(nil, id, steppedMachine(t, 5)) {
 		t.Fatal("AddWithID failed")
 	}
-	sess2, _ := other.Get(id)
+	sess2, _ := other.Get(nil, id)
 	sess2.mu.Lock()
-	other.WriteThrough(sess2, checkpointBytes(t, sess2.machine))
+	other.WriteThrough(nil, sess2, bytes.NewBuffer(checkpointBytes(t, sess2.machine)))
 	sess2.mu.Unlock()
 	if v, _ := backend.Version(id); v != 4 {
 		t.Fatalf("handoff write-through version = %d, want 4", v)
@@ -299,10 +312,10 @@ func checkpointBytes(t testing.TB, m *sim.Machine) []byte {
 // the router's create-retry dispatches on.
 func TestAddWithIDRejectsLiveDuplicate(t *testing.T) {
 	st := newSessionStore(4, 0, store.NewMem(), 0, true, nil)
-	if !st.AddWithID("s12345678", testMachine(t)) {
+	if !st.AddWithID(nil, "s12345678", testMachine(t)) {
 		t.Fatal("first AddWithID failed")
 	}
-	if st.AddWithID("s12345678", testMachine(t)) {
+	if st.AddWithID(nil, "s12345678", testMachine(t)) {
 		t.Fatal("duplicate AddWithID succeeded")
 	}
 }
@@ -311,10 +324,10 @@ func TestAddWithIDRejectsLiveDuplicate(t *testing.T) {
 // an empty shared store serves misses cleanly and allocates IDs from 1.
 func TestColdStartEmptyStore(t *testing.T) {
 	st := newSessionStore(4, 0, store.NewMem(), 0, true, nil)
-	if _, ok := st.Get("s00000007"); ok {
+	if _, ok := st.Get(nil, "s00000007"); ok {
 		t.Fatal("empty store produced a session")
 	}
-	if id := st.Add(testMachine(t)); id != "s00000001" {
+	if id := st.Add(nil, testMachine(t)); id != "s00000001" {
 		t.Errorf("first ID = %s, want s00000001", id)
 	}
 }
@@ -326,7 +339,7 @@ func TestNextIDResumesPastStoredSessions(t *testing.T) {
 	backend := store.NewMem()
 	backend.Put("s00000041", 3, []byte("blob"))
 	st := newSessionStore(4, 0, backend, 0, true, nil)
-	if id := st.Add(testMachine(t)); id != "s00000042" {
+	if id := st.Add(nil, testMachine(t)); id != "s00000042" {
 		t.Errorf("first ID = %s, want s00000042", id)
 	}
 }
@@ -337,7 +350,7 @@ func TestSpillFailureCountsLost(t *testing.T) {
 	backend := store.NewMem()
 	backend.FailPuts = fmt.Errorf("volume full")
 	st := newSessionStore(4, 0, backend, 0, false, nil)
-	st.Add(testMachine(t))
+	st.Add(nil, testMachine(t))
 	st.SpillAll()
 	if _, _, lost := st.Counters(); lost != 1 {
 		t.Errorf("lost = %d, want 1", lost)

@@ -126,7 +126,7 @@ func (s *Server) handleSessionLog(_ http.ResponseWriter, r *http.Request) (any, 
 		}
 		since = v
 	}
-	sess, aerr := s.lockSession(id)
+	sess, aerr := s.lockSession(timerFrom(r.Context()), id)
 	if aerr != nil {
 		return nil, aerr
 	}

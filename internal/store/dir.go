@@ -14,11 +14,9 @@ import (
 // crash mid-write never leaves a truncated blob under a valid name. A
 // directory on a shared volume is the docker-compose deployment's
 // multi-node store; a local directory is the single-node spill
-// directory the server always had.
-//
-// Pre-versioned spill files (`<id>.ckpt`, written by servers before the
-// store interface existed) read back as version 0, so an upgraded
-// server picks up an old spill directory transparently.
+// directory the server always had. Files under any other name, the
+// unversioned `<id>.ckpt` of servers before the store interface
+// included, are not blobs: never listed, read or removed.
 type Dir struct {
 	path string
 }
@@ -51,9 +49,6 @@ func validID(id string) bool {
 
 // file returns the versioned file name for id.
 func (d *Dir) file(id string, version uint64) string {
-	if version == 0 {
-		return filepath.Join(d.path, id+ext)
-	}
 	return filepath.Join(d.path, fmt.Sprintf("%s.v%d%s", id, version, ext))
 }
 
@@ -64,16 +59,12 @@ func parseName(name string) (id string, version uint64, ok bool) {
 	if !found {
 		return "", 0, false
 	}
-	if i := strings.LastIndex(base, ".v"); i > 0 {
-		v, err := strconv.ParseUint(base[i+2:], 10, 64)
-		if err == nil && validID(base[:i]) {
-			return base[:i], v, true
-		}
-	}
-	if !validID(base) {
+	i := strings.LastIndex(base, ".v")
+	if i <= 0 || !validID(base[:i]) {
 		return "", 0, false
 	}
-	return base, 0, true // legacy unversioned spill file
+	version, err := strconv.ParseUint(base[i+2:], 10, 64)
+	return base[:i], version, err == nil
 }
 
 // scan returns the newest stored version of id and its file name, or

@@ -121,39 +121,15 @@ func TestStoreList(t *testing.T) {
 	})
 }
 
-// TestDirLegacySpillFile proves pre-store spill files (`<id>.ckpt`, no
-// version) read back as version 0 and are superseded by any Put.
-func TestDirLegacySpillFile(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "s00000009.ckpt"), []byte("old spill"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, ver, err := d.Get("s00000009")
-	if err != nil || string(data) != "old spill" || ver != 0 {
-		t.Fatalf("legacy read: %q v%d err %v, want 'old spill' v0", data, ver, err)
-	}
-	if err := d.Put("s00000009", 1, []byte("versioned")); err != nil {
-		t.Fatal(err)
-	}
-	if data, ver, _ := d.Get("s00000009"); string(data) != "versioned" || ver != 1 {
-		t.Fatalf("after Put: %q v%d, want versioned v1", data, ver)
-	}
-	// The legacy file was cleaned up by the Put.
-	if _, err := os.Stat(filepath.Join(dir, "s00000009.ckpt")); !os.IsNotExist(err) {
-		t.Errorf("legacy file survived the versioned Put: %v", err)
-	}
-}
-
 // TestDirIgnoresForeignFiles proves non-blob files in the directory are
-// invisible to the store (and never deleted by it).
+// invisible to the store (and never deleted by it) — the unversioned
+// `<id>.ckpt` spill file of servers before the store interface among them.
 func TestDirIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
-	os.WriteFile(filepath.Join(dir, "README.txt"), []byte("not a blob"), 0o644)
-	os.WriteFile(filepath.Join(dir, "partial.ckpt.tmp"), []byte("crash leftover"), 0o644)
+	foreign := []string{"README.txt", "partial.ckpt.tmp", "s00000009.ckpt"}
+	for _, name := range foreign {
+		os.WriteFile(filepath.Join(dir, name), []byte("not a blob"), 0o644)
+	}
 	d, err := NewDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -162,8 +138,20 @@ func TestDirIgnoresForeignFiles(t *testing.T) {
 	if err != nil || len(entries) != 0 {
 		t.Fatalf("List = %v, %v; want empty", entries, err)
 	}
+	if _, _, err := d.Get("s00000009"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of an unversioned file's id: %v, want ErrNotFound", err)
+	}
 	if n := d.Sweep(0); n != 0 {
 		t.Fatalf("Sweep removed %d foreign files", n)
+	}
+	if err := d.Put("s00000009", 1, []byte("blob")); err != nil {
+		t.Fatal(err)
+	}
+	d.Delete("s00000009")
+	for _, name := range foreign {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("%s did not survive Put and Delete: %v", name, err)
+		}
 	}
 }
 
