@@ -312,39 +312,6 @@ func BenchmarkBatchFromCheckpoint(b *testing.B) {
 	})
 }
 
-// BenchmarkCheckpointCodec measures the snapshot primitives themselves:
-// encoding a warm machine and restoring it.
-func BenchmarkCheckpointCodec(b *testing.B) {
-	m, err := sim.NewFromAsm(sim.DefaultConfig(), batchHeavyLoop, "")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.Run(35_000)
-	var buf bytes.Buffer
-	if err := m.Checkpoint(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	b.Run("Encode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var out bytes.Buffer
-			if err := m.Checkpoint(&out); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(int64(len(data)))
-	})
-	b.Run("Restore", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.Restore(bytes.NewReader(data)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(int64(len(data)))
-	})
-}
-
 // TestBatchFasterThanSequential is the acceptance check: on a multi-core
 // host, one POST /api/v1/batch with 32 simulations completes in less
 // wall time than 32 sequential /simulate calls.
@@ -542,12 +509,15 @@ func benchSimulateMix(b *testing.B, unique bool) {
 	}
 }
 
-// BenchmarkSimulateRepeat is the classroom shape: everyone submits the
-// same four programs, so after warm-up every build is a cache hit.
+// BenchmarkSimulateRepeat is the classroom shape at the handler, no
+// network: everyone submits the same four programs, so after warm-up
+// every build is a cache hit. The benchmark's classroom_simulate workload
+// is the gated number; this one is for profiling the build path by hand.
 func BenchmarkSimulateRepeat(b *testing.B) { benchSimulateMix(b, false) }
 
-// BenchmarkSimulateUnique is its control: every source is distinct, every
-// build misses, and the number must not move when the cache does.
+// BenchmarkSimulateUnique is its control (unique_simulate in the
+// benchmark): every source is distinct, every build misses, and the
+// number must not move when the cache does.
 func BenchmarkSimulateUnique(b *testing.B) { benchSimulateMix(b, true) }
 
 // ---------------------------------------------------------------------------
@@ -565,21 +535,6 @@ func BenchmarkRenderState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		render.Schematic(st)
-	}
-}
-
-// BenchmarkStateSnapshot measures building the state document itself (the
-// server-side half of a GUI refresh).
-func BenchmarkStateSnapshot(b *testing.B) {
-	m, err := sim.NewFromAsm(sim.DefaultConfig(), loadgen.ProgramB, "")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.StepN(60)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.State(false)
 	}
 }
 
@@ -679,9 +634,9 @@ loop:
 // ---------------------------------------------------------------------------
 
 // BenchmarkSuite runs the full embedded corpus sequentially on the
-// default core — the end-to-end "simulator speed on realistic code"
-// number the perf-diff CI job tracks across PRs (complementing
-// BenchmarkSim's synthetic tight loop).
+// default core: "simulator speed on realistic code" (complementing
+// BenchmarkSim's synthetic tight loop), for profiling by hand. The
+// benchmark's corpus_detailed workload is the gated number.
 func BenchmarkSuite(b *testing.B) {
 	b.ReportAllocs()
 	var cycles uint64
@@ -700,9 +655,9 @@ func BenchmarkSuite(b *testing.B) {
 }
 
 // BenchmarkFastForward runs the full corpus in the fast-forward
-// functional mode (fused basic-block plans, architectural state only) —
-// the warm-up-leg throughput number the perf-diff CI job tracks alongside
-// the detailed-mode suite. Machines are assembled once outside the timer;
+// functional mode (fused basic-block plans, architectural state only),
+// for profiling by hand; the benchmark's corpus_fastforward workload is
+// the gated number. Machines are assembled once outside the timer;
 // each iteration re-runs the programs from a fresh dynamic state, so the
 // metric is pure fast-forward execution speed in simulated cycles/s.
 func BenchmarkFastForward(b *testing.B) {
@@ -746,10 +701,10 @@ func BenchmarkFastForward(b *testing.B) {
 // ≥50M-cycle detailed run (workload.LongStreamBench), serial versus
 // RunParallel at K ∈ {2, 4, 8}. Each sub-benchmark reports simulated
 // cycles per wall-clock second; the K-way numbers divided by Serial's
-// are the speedup the perf-diff CI job publishes into BENCH_<sha>.json
-// (target: ≥3x at K=8 on a multi-core runner — on fewer cores the
-// speedup degrades toward the scout+warm-up overhead floor, which is
-// itself the number worth tracking).
+// are the speedup, measured by hand (target: ≥3x at K=8 on a multi-core
+// host — on fewer cores the speedup degrades toward the scout+warm-up
+// overhead floor, and on 2 shared vCPUs it does not repeat, which is
+// why no gate runs it; docs/parallel.md).
 func BenchmarkParallel(b *testing.B) {
 	w := workload.LongStreamBench()
 
@@ -807,8 +762,9 @@ func BenchmarkSuiteParallel(b *testing.B) {
 }
 
 // BenchmarkSuiteWorkload breaks the corpus down per workload, so a
-// perf-diff delta names the behavior (pointer chase, FP chain, conflict
-// misses...) that got faster or slower rather than one blended number.
+// by-hand comparison names the behavior (pointer chase, FP chain,
+// conflict misses...) that got faster or slower rather than one blended
+// number.
 func BenchmarkSuiteWorkload(b *testing.B) {
 	for _, w := range workload.Corpus() {
 		w := w

@@ -89,7 +89,8 @@ loop:
 buf: .zero 256
 `
 
-// Result is one Table I row.
+// Result is one Table I row. Requests, the latencies and Throughput
+// count successful requests only; Errors counts the failed ones.
 type Result struct {
 	Mode       string        `json:"mode"`
 	Users      int           `json:"users"`
@@ -150,22 +151,28 @@ func Run(baseURL string, sc Scenario) (*Result, error) {
 			defer wg.Done()
 			time.Sleep(delay)
 			c := client.NewForURL(baseURL, sc.Gzip)
+			// A failed request is an error, never a sample: a fast
+			// rejection must not pull the latencies down or the
+			// throughput up.
+			served := func(t0 time.Time, err error) bool {
+				if err != nil {
+					errCh <- err
+					return false
+				}
+				latCh <- time.Since(t0)
+				return true
+			}
 			t0 := time.Now()
 			sess, err := c.NewSession(&api.SessionNewRequest{
 				SimulateRequest: api.SimulateRequest{Code: prog},
 			})
-			latCh <- time.Since(t0)
-			if err != nil {
-				errCh <- err
+			if !served(t0, err) {
 				return
 			}
 			for i := 0; i < sc.StepsPerUser; i++ {
 				time.Sleep(think)
 				t0 = time.Now()
-				_, err := c.Step(sess.SessionID, stepSize)
-				latCh <- time.Since(t0)
-				if err != nil {
-					errCh <- err
+				if _, err := c.Step(sess.SessionID, stepSize); !served(t0, err) {
 					return
 				}
 			}

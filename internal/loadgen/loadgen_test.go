@@ -3,11 +3,13 @@ package loadgen
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"riscvsim/internal/api"
 	"riscvsim/internal/server"
 )
 
@@ -43,6 +45,56 @@ func TestRunDirect(t *testing.T) {
 	}
 	if res.Throughput <= 0 {
 		t.Error("throughput not computed")
+	}
+}
+
+// TestRunCountsOnlySuccesses: a server that creates sessions but rejects
+// every step at once. Each user's session/new succeeds and its first step
+// fails, so the row holds one served request and one error per user, and
+// the fast rejections are neither latency samples nor throughput.
+func TestRunCountsOnlySuccesses(t *testing.T) {
+	srv := server.New(server.DefaultOptions()).Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == api.V1Prefix+"/session/step" {
+			http.Error(w, "shed", http.StatusTooManyRequests)
+			return
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	res, err := Run(ts.URL, tinyScenario(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != 4 || res.Errors != 4 {
+		t.Errorf("requests = %d, errors = %d; want 4 served session/new and 4 failed steps", res.Requests, res.Errors)
+	}
+	if want := float64(res.Requests) / res.Duration.Seconds(); res.Throughput != want {
+		t.Errorf("throughput = %.2f/s, want served requests over the run, %.2f/s", res.Throughput, want)
+	}
+}
+
+// TestRunThroughCluster drives the paper's workload through the router
+// onto three replicas over a directory store, the compose topology minus
+// containers.
+func TestRunThroughCluster(t *testing.T) {
+	c, err := SpawnCluster(3, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sc := tinyScenario(4)
+	sc.StepsPerUser, sc.StepSize = 5, 20
+	res, err := Run(c.RouterURL, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 {
+		t.Errorf("%d request errors through the router", res.Errors)
+	}
+	// 4 users x (1 new + 5 steps) = 24 requests.
+	if res.Requests != 4*6 {
+		t.Errorf("requests = %d, want 24", res.Requests)
 	}
 }
 
@@ -126,17 +178,8 @@ func TestResultString(t *testing.T) {
 		P90: 118 * time.Millisecond, Throughput: 25.96}
 	s := r.String()
 	for _, want := range []string{"Direct", "30", "70.00", "25.96"} {
-		if !contains(s, want) {
+		if !strings.Contains(s, want) {
 			t.Errorf("row %q missing %q", s, want)
 		}
 	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

@@ -1,21 +1,15 @@
-// Multi-node load testing: the distributed tier's capacity model
-// (docs/deployment.md). An in-process Cluster mirrors the compose
-// topology — N simserver replicas over one shared checkpoint store
-// behind the consistent-hash router — so the router path benches
-// without containers; RunMulti drives the paper's workload through a
-// router (in-process or remote) and reports requests/s plus a
-// sessions-per-GB sizing figure derived from measured checkpoint size.
+// Multi-node load target (docs/deployment.md). An in-process Cluster
+// mirrors the compose topology — N simserver replicas over one shared
+// checkpoint store behind the consistent-hash router — so Run can drive
+// the router path without containers; the benchmark's session_router
+// workload measures it.
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"time"
 
-	"riscvsim/internal/api"
-	"riscvsim/internal/client"
 	"riscvsim/internal/router"
 	"riscvsim/internal/server"
 	"riscvsim/internal/store"
@@ -26,7 +20,7 @@ type Cluster struct {
 	// RouterURL is the base URL load generators target.
 	RouterURL string
 
-	replicas map[string]*httptest.Server
+	replicas []*httptest.Server
 	rt       *router.Router
 	routerTS *httptest.Server
 }
@@ -47,7 +41,7 @@ func SpawnCluster(n int, storeDir string) (*Cluster, error) {
 		}
 		backend = d
 	}
-	c := &Cluster{replicas: make(map[string]*httptest.Server, n)}
+	c := &Cluster{}
 	var reps []router.Replica
 	for i := 0; i < n; i++ {
 		srv := server.New(server.Options{
@@ -58,7 +52,7 @@ func SpawnCluster(n int, storeDir string) (*Cluster, error) {
 		})
 		name := fmt.Sprintf("sim%d", i+1)
 		ts := httptest.NewServer(srv.Handler())
-		c.replicas[name] = ts
+		c.replicas = append(c.replicas, ts)
 		reps = append(reps, router.Replica{Name: name, URL: ts.URL})
 	}
 	rt, err := router.New(router.Options{
@@ -76,26 +70,6 @@ func SpawnCluster(n int, storeDir string) (*Cluster, error) {
 	return c, nil
 }
 
-// ReplicaNames lists the cluster's ring names.
-func (c *Cluster) ReplicaNames() []string {
-	names := make([]string, 0, len(c.replicas))
-	for n := range c.replicas {
-		names = append(names, n)
-	}
-	return names
-}
-
-// KillReplica terminates one replica abruptly (failover drills).
-func (c *Cluster) KillReplica(name string) bool {
-	ts, ok := c.replicas[name]
-	if !ok {
-		return false
-	}
-	ts.Close()
-	delete(c.replicas, name)
-	return true
-}
-
 // Close tears the cluster down.
 func (c *Cluster) Close() {
 	if c.routerTS != nil {
@@ -108,107 +82,3 @@ func (c *Cluster) Close() {
 		ts.Close()
 	}
 }
-
-// CapacityModel is the distributed tier's sizing sheet: measured
-// request throughput through the router plus a storage figure — how
-// many checkpointed sessions fit in a GiB of shared store.
-type CapacityModel struct {
-	Replicas        int     `json:"replicas"`
-	Users           int     `json:"users"`
-	Requests        int     `json:"requests"`
-	Errors          int     `json:"errors"`
-	RequestsPerSec  float64 `json:"requestsPerSec"`
-	MedianMs        float64 `json:"medianMs"`
-	P90Ms           float64 `json:"p90Ms"`
-	CheckpointBytes int     `json:"checkpointBytes"`
-	SessionsPerGB   float64 `json:"sessionsPerGB"`
-}
-
-func (m *CapacityModel) String() string {
-	return fmt.Sprintf("%d replicas  %4d users   median %8.2f ms   p90 %8.1f ms   %7.2f req/s   %.0f sessions/GB (%d B/ckpt)",
-		m.Replicas, m.Users, m.MedianMs, m.P90Ms, m.RequestsPerSec, m.SessionsPerGB, m.CheckpointBytes)
-}
-
-// RunMulti drives the scenario through a router and derives the
-// capacity model. replicas is reported, not enforced — pass what the
-// target topology runs.
-func RunMulti(routerURL string, replicas int, sc Scenario) (*CapacityModel, error) {
-	res, err := Run(routerURL, sc)
-	if err != nil {
-		return nil, err
-	}
-	ckptBytes, err := sampleCheckpointSize(routerURL, sc)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: sampling checkpoint size: %w", err)
-	}
-	m := &CapacityModel{
-		Replicas:        replicas,
-		Users:           res.Users,
-		Requests:        res.Requests,
-		Errors:          res.Errors,
-		RequestsPerSec:  res.Throughput,
-		MedianMs:        float64(res.Median.Microseconds()) / 1000,
-		P90Ms:           float64(res.P90.Microseconds()) / 1000,
-		CheckpointBytes: ckptBytes,
-	}
-	if ckptBytes > 0 {
-		m.SessionsPerGB = float64(1<<30) / float64(ckptBytes)
-	}
-	return m, nil
-}
-
-// sampleCheckpointSize measures one representative session's
-// checkpoint: the scenario's first program, advanced as far as one
-// user's whole run would advance it.
-func sampleCheckpointSize(routerURL string, sc Scenario) (int, error) {
-	prog := ProgramA
-	if len(sc.Programs) > 0 {
-		prog = sc.Programs[0]
-	}
-	stepSize := sc.StepSize
-	if stepSize <= 0 {
-		stepSize = 1
-	}
-	cl := client.NewForURL(routerURL, sc.Gzip)
-	sess, err := cl.NewSession(&api.SessionNewRequest{SimulateRequest: api.SimulateRequest{Code: prog}})
-	if err != nil {
-		return 0, err
-	}
-	defer cl.CloseSession(sess.SessionID)
-	if _, err := cl.Step(sess.SessionID, stepSize*int64(sc.StepsPerUser)); err != nil {
-		return 0, err
-	}
-	ck, err := cl.Checkpoint(sess.SessionID)
-	if err != nil {
-		return 0, err
-	}
-	return len(ck.Checkpoint), nil
-}
-
-// ringProbe hits the router's admin surface; used by callers that want
-// to confirm they are talking to a router (and how many replicas are
-// healthy) before a multi-node run.
-func ringProbe(routerURL string) (healthy int, err error) {
-	resp, err := http.Get(routerURL + "/admin/ring")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("GET /admin/ring: HTTP %d", resp.StatusCode)
-	}
-	var ring router.RingResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ring); err != nil {
-		return 0, err
-	}
-	for _, r := range ring.Replicas {
-		if r.Healthy {
-			healthy++
-		}
-	}
-	return healthy, nil
-}
-
-// HealthyReplicas reports how many replicas a router sees up, or an
-// error when the URL is not a router.
-func HealthyReplicas(routerURL string) (int, error) { return ringProbe(routerURL) }

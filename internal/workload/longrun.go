@@ -48,7 +48,7 @@ func LongStream(passes uint64) Workload {
 }
 
 // LongStreamBench is the canonical ≥50M-cycle benchmarking variant
-// (BenchmarkParallel, CI perf-diff).
+// (BenchmarkParallel, run by hand).
 func LongStreamBench() Workload {
 	return LongStream(LongStreamBenchPasses)
 }
