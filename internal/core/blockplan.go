@@ -129,16 +129,7 @@ func (s *Simulation) ffDrained() bool {
 // block per call, so every Step lands on a block commit boundary.
 func (s *Simulation) ffStep() {
 	if !s.ffDrained() {
-		now := s.cycle + 1
-		s.commitStep(now)
-		if !s.halted {
-			s.memoryStep(now)
-			s.completeStep(now)
-			s.issueStep(now)
-			s.renameStep(now)
-		}
-		s.cycle = now
-		s.checkPipelineEmpty(now)
+		s.pipelineCycle(false)
 		return
 	}
 	if !s.ffFlushed {
@@ -291,12 +282,9 @@ func (s *Simulation) ffGenericOp(o *ffOp, pc int) (int, bool) {
 	rp := &s.prog.rplans[pc]
 	for i := 0; i < int(rp.nsrc); i++ {
 		rs := &rp.srcs[i]
-		si.srcs[si.nsrc] = srcOperand{
-			name: rs.name, class: rs.class, reg: int(rs.reg),
-			captured: true, value: s.rf.ArchValue(rs.class, int(rs.reg)),
-		}
-		si.nsrc++
+		si.srcs[i] = srcOperand{captured: true, value: s.rf.ArchValue(rs.class, int(rs.reg))}
 	}
+	si.nsrc = rp.nsrc
 	si.hasDest = rp.hasDest
 	s.eng.executeGeneric(si, s.cycle)
 	if si.Exc.Occurred() {

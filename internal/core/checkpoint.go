@@ -66,8 +66,9 @@ func readRef(r *ckpt.Reader, table []*SimInstr) *SimInstr {
 
 // encodeInstr writes one dynamic instruction. The static instruction is
 // referenced by its code index (PC); srcs rename references are tag
-// indices into the rename file.
-func encodeInstr(w *ckpt.Writer, si *SimInstr) {
+// indices into the rename file, and each source's name, class and register
+// come from the rename plan rp.
+func encodeInstr(w *ckpt.Writer, si *SimInstr, rp *renamePlan) {
 	w.U64(si.ID)
 	w.Int(si.PC)
 	w.Byte(byte(si.Phase))
@@ -79,15 +80,16 @@ func encodeInstr(w *ckpt.Writer, si *SimInstr) {
 	w.U64(si.CommittedAt)
 	w.Len(int(si.nsrc))
 	for i := 0; i < int(si.nsrc); i++ {
-		src := &si.srcs[i]
-		w.String(src.name)
-		w.Byte(byte(src.class))
-		w.Int(src.reg)
-		w.Int(src.ref.Tag)
-		w.Value(src.ref.Value)
-		w.Bool(src.ref.Valid)
+		src, rs := &si.srcs[i], &rp.srcs[i]
+		w.String(rs.name)
+		w.Byte(byte(rs.class))
+		w.Int(int(rs.reg))
+		w.Int(int(src.tag))
+		// A tag without a value at rename read as zero.
+		w.Value(src.valueIf(src.valid))
+		w.Bool(src.valid)
 		w.Bool(src.captured)
-		w.Value(src.value)
+		w.Value(src.valueIf(src.captured))
 	}
 	w.Bool(si.hasDest)
 	if si.hasDest {
@@ -134,25 +136,27 @@ func (s *Simulation) decodeInstr(r *ckpt.Reader) *SimInstr {
 	si.ExecutedAt = r.U64()
 	si.MemoryAt = r.U64()
 	si.CommittedAt = r.U64()
+	rp := &s.prog.rplans[si.PC]
 	nsrc := r.Len(maxSrcOperands)
 	for i := 0; i < nsrc && r.Err() == nil; i++ {
-		var src srcOperand
-		src.name = r.String(64)
-		src.class = isa.RegClass(r.Byte())
-		src.reg = r.Int()
-		src.ref.Tag = r.Int()
-		src.ref.Value = r.Value()
-		src.ref.Valid = r.Bool()
-		src.captured = r.Bool()
-		src.value = r.Value()
+		name, class, reg := r.String(64), isa.RegClass(r.Byte()), r.Int()
+		tag, atRename, valid := r.Int(), r.Value(), r.Bool()
+		captured, value := r.Bool(), r.Value()
 		if r.Err() != nil {
 			break
 		}
-		if src.ref.Tag != rename.NoTag && (src.ref.Tag < 0 || src.ref.Tag >= s.rf.Size()) {
-			r.Corrupt("source rename tag %d outside file of %d", src.ref.Tag, s.rf.Size())
+		if rs := &rp.srcs[i]; i >= int(rp.nsrc) || rs.name != name || rs.class != class || int(rs.reg) != reg {
+			r.Corrupt("source %d (%s) does not match instruction %d", i, name, si.PC)
 			break
 		}
-		si.srcs[si.nsrc] = src
+		if tag != rename.NoTag && (tag < 0 || tag >= s.rf.Size()) {
+			r.Corrupt("source rename tag %d outside file of %d", tag, s.rf.Size())
+			break
+		}
+		if !captured {
+			value = atRename
+		}
+		si.srcs[i] = srcOperand{tag: int32(tag), valid: valid, captured: captured, value: value}
 		si.nsrc++
 	}
 	si.hasDest = r.Bool()
@@ -223,7 +227,7 @@ func (s *Simulation) EncodeState(w *ckpt.Writer) {
 	w.Section(ckpt.SecInstrs)
 	w.Len(len(table))
 	for _, si := range table {
-		encodeInstr(w, si)
+		encodeInstr(w, si, &s.prog.rplans[si.PC])
 	}
 
 	w.Section(ckpt.SecROB)
@@ -242,11 +246,14 @@ func (s *Simulation) EncodeState(w *ckpt.Writer) {
 	}
 
 	w.Section(ckpt.SecWindows)
+	var entries []*SimInstr
 	for _, win := range s.windows {
-		w.U64(win.occupancySum)
-		w.U64(win.fullStalls)
-		w.Len(len(win.waiting))
-		for _, si := range win.waiting {
+		occ, full := win.settled(s.counted)
+		w.U64(occ)
+		w.U64(full)
+		entries = s.windowEntries(win, entries[:0])
+		w.Len(len(entries))
+		for _, si := range entries {
 			instrRef(w, idx, si)
 		}
 	}
@@ -256,7 +263,7 @@ func (s *Simulation) EncodeState(w *ckpt.Writer) {
 	for _, fu := range s.fus {
 		w.Bool(fu.hasAccept)
 		w.U64(fu.lastAccept)
-		w.U64(fu.count.BusyCycles)
+		w.U64(fu.settled(s.counted).BusyCycles)
 		w.U64(fu.count.ExecCount)
 		w.U64(fu.totalCycles)
 		w.Len(len(fu.inflight))
@@ -402,15 +409,21 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 		}
 	}
 
+	// Candidates are not encoded: every restored entry starts as one,
+	// which is always safe (docs/checkpoint.md).
 	r.Section(ckpt.SecWindows)
 	for _, win := range s.windows {
 		win.occupancySum = r.U64()
 		win.fullStalls = r.U64()
+		win.bookedAt = s.counted
 		nw := r.Len(win.capacity)
-		win.waiting = win.waiting[:0]
 		for i := 0; i < nw && r.Err() == nil; i++ {
 			if si := readRef(r, table); si != nil {
-				win.waiting = append(win.waiting, si)
+				if si.ID == 0 || s.rob.entries[si.robIndex].instr != si || s.iq.slot[si.robIndex].id != 0 {
+					r.Corrupt("issue-window entry %d outside the ROB or listed twice", si.ID)
+					return
+				}
+				s.insertWindow(win, si)
 			}
 		}
 	}
@@ -426,13 +439,16 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 		fu.count.BusyCycles = r.U64()
 		fu.count.ExecCount = r.U64()
 		fu.totalCycles = r.U64()
+		fu.bookedAt = s.counted
 		ni := r.Len(len(table))
 		fu.inflight = fu.inflight[:0]
+		fu.minDone = noneDue
 		for i := 0; i < ni && r.Err() == nil; i++ {
 			si := readRef(r, table)
 			doneAt := r.U64()
 			if si != nil {
 				fu.inflight = append(fu.inflight, inflightOp{si: si, doneAt: doneAt})
+				fu.minDone = min(fu.minDone, doneAt)
 			}
 		}
 	}

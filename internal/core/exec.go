@@ -439,9 +439,10 @@ func (e *ExecEngine) Execute(si *SimInstr, now uint64) {
 // the instruction's compiled program, plus the post-evaluation capture of
 // branch outcomes, effective addresses and store payloads.
 func (e *ExecEngine) executeGeneric(si *SimInstr, now uint64) {
-	e.env.si = si
+	rp := &e.prog.rplans[si.PC]
+	e.env.si, e.env.rp = si, rp
 	res, err := e.ev.Eval(si.Static.Desc.Prog, &e.env)
-	e.env.si = nil
+	e.env.si, e.env.rp = nil, nil
 	if err != nil {
 		exc, ok := err.(*fault.Exception)
 		if !ok {
@@ -459,13 +460,9 @@ func (e *ExecEngine) executeGeneric(si *SimInstr, now uint64) {
 		if res.HasValue {
 			si.effAddr = int(res.Value.Int())
 		}
-		if desc.IsStore() {
+		if desc.IsStore() && rp.payload >= 0 {
 			// Capture the store payload from rs2 now.
-			for i := 0; i < int(si.nsrc); i++ {
-				if si.srcs[i].name == "rs2" {
-					si.storeData = si.srcs[i].value.Bits()
-				}
-			}
+			si.storeData = si.srcs[rp.payload].value.Bits()
 		}
 	}
 }

@@ -164,23 +164,12 @@ type execCase struct {
 }
 
 // prepInstr builds a SimInstr with captured operands, mirroring what
-// rename + srcsReady leave behind by execution time.
+// rename + capture leave behind by execution time.
 func prepInstr(in *asm.Instruction, c *execCase) *SimInstr {
 	si := &SimInstr{ID: 1, Static: in, PC: in.Index}
-	slot := 0
-	for i := range in.Desc.Args {
-		a := &in.Desc.Args[i]
-		if a.WriteBack || (a.Kind != isa.ArgRegInt && a.Kind != isa.ArgRegFloat) {
-			continue
-		}
-		si.srcs[si.nsrc] = srcOperand{
-			name:     a.Name,
-			class:    isa.RegInt,
-			captured: true,
-			value:    expr.NewInt(c.vals[slot]),
-		}
+	for _, v := range c.vals {
+		si.srcs[si.nsrc] = srcOperand{captured: true, value: expr.NewInt(v)}
 		si.nsrc++
-		slot++
 	}
 	si.predTaken = c.predTaken
 	si.predTarget = c.predTarget
@@ -253,9 +242,11 @@ func TestExecSpecializedMatchesInterpreter(t *testing.T) {
 					}
 				}
 
-				fastEng := &ExecEngine{prog: &Program{plans: make([]execPlan, in.Index+1)}, ev: expr.NewEvaluator()}
+				rplans := make([]renamePlan, in.Index+1)
+				rplans[in.Index] = newRenamePlans(&asm.Program{Instructions: []*asm.Instruction{in}})[0]
+				fastEng := &ExecEngine{prog: &Program{plans: make([]execPlan, in.Index+1), rplans: rplans}, ev: expr.NewEvaluator()}
 				fastEng.prog.plans[in.Index] = plan
-				slowEng := &ExecEngine{prog: &Program{plans: make([]execPlan, in.Index+1)}, ev: expr.NewEvaluator()}
+				slowEng := &ExecEngine{prog: &Program{plans: make([]execPlan, in.Index+1), rplans: rplans}, ev: expr.NewEvaluator()}
 				// slowEng's plans stay execFallback: the generic interpreter.
 
 				const rounds = 300
@@ -330,10 +321,24 @@ func TestExecSpecializationCoverage(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 func TestStepAllocFree(t *testing.T) {
-	// A mispredicting integer loop with loads and stores: exercises
-	// fetch, rename, issue, the specialized engine, the LSU, commit,
-	// flush recovery and instruction recycling.
-	sim := buildSim(t, config.Default(), `
+	pipelined := config.Default()
+	for i := range pipelined.Units {
+		pipelined.Units[i].Pipelined = true
+	}
+	for _, c := range []struct {
+		name string
+		cfg  *config.CPU
+	}{{"default", config.Default()}, {"wide4", config.Wide4()}, {"pipelined", pipelined}} {
+		t.Run(c.name, func(t *testing.T) { stepAllocFree(t, c.cfg) })
+	}
+}
+
+// stepAllocFree runs a mispredicting integer loop with loads and stores:
+// it exercises fetch, rename, issue (candidate and waiter lists), the
+// specialized engine, the LSU, commit, flush recovery and instruction
+// recycling.
+func stepAllocFree(t *testing.T, cfg *config.CPU) {
+	sim := buildSim(t, cfg, `
   la s0, buf
   li t0, 0
   li t1, 40000

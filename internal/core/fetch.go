@@ -31,11 +31,6 @@ type fetchUnit struct {
 	stalledUntil uint64    // flush-penalty stall
 	waitBranch   *SimInstr // jalr with unknown target: fetch parked
 
-	// scratch is the reusable Fetch result buffer; its contents are only
-	// valid until the next call, so each cycle's fetch group costs no
-	// allocation.
-	scratch []*SimInstr
-
 	// Statistics.
 	fetched     uint64
 	stallCycles uint64
@@ -75,18 +70,18 @@ func (f *fetchUnit) ClearWait(si *SimInstr) {
 	}
 }
 
-// Fetch produces up to width instructions for the decode buffer, following
-// predictions. Instruction instances come from the simulation's free list;
-// the returned slice is a reusable scratch buffer, valid until the next
-// call.
-func (f *fetchUnit) Fetch(now uint64, room int, s *Simulation) []*SimInstr {
+// Fetch appends up to width instructions to the decode buffer out,
+// following predictions, and returns it. Instruction instances come from
+// the simulation's free list.
+func (f *fetchUnit) Fetch(now uint64, room int, s *Simulation, out []*SimInstr) []*SimInstr {
 	if f.Stalled(now) {
 		f.stallCycles++
-		return nil
+		return out
 	}
-	out := f.scratch[:0]
+	start := len(out)
+	room = min(room, f.width)
 	jumpsTaken := 0
-	for len(out) < f.width && len(out) < room {
+	for len(out)-start < room {
 		if f.pc < 0 || f.pc >= len(f.prog.instrs) {
 			break
 		}
@@ -94,7 +89,7 @@ func (f *fetchUnit) Fetch(now uint64, room int, s *Simulation) []*SimInstr {
 		// one batch with no per-PC control-flow checks — same
 		// instructions, same order, same cycle as the scalar walk.
 		if nb := int(f.prog.nextBranch[f.pc]); f.pc < nb {
-			end := f.pc + min(f.width-len(out), room-len(out))
+			end := f.pc + room - (len(out) - start)
 			if end > nb {
 				end = nb
 			}
@@ -147,6 +142,5 @@ func (f *fetchUnit) Fetch(now uint64, room int, s *Simulation) []*SimInstr {
 			break
 		}
 	}
-	f.scratch = out
 	return out
 }

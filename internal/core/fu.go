@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"riscvsim/internal/asm"
 	"riscvsim/internal/config"
 	"riscvsim/internal/isa"
@@ -22,6 +24,9 @@ type FU struct {
 	// inflight holds executing instructions in issue order; a
 	// non-pipelined unit holds at most one.
 	inflight []inflightOp
+	// minDone is the earliest doneAt in inflight (noneDue when empty): the
+	// completion sub-step skips a unit with nothing due, the view shows it.
+	minDone uint64
 	// lastAccept enforces one issue per cycle for pipelined units.
 	lastAccept uint64
 	hasAccept  bool
@@ -30,15 +35,16 @@ type FU struct {
 	// are only valid until the next call.
 	doneScratch []*SimInstr
 
-	// sup/lat cache the spec's per-mnemonic support and latency tables,
-	// pre-resolved per static instruction (indexed by PC) so the issue
-	// path never does a string-map lookup.
-	sup []bool
+	// lat caches the spec's per-mnemonic latency table, pre-resolved per
+	// static instruction (indexed by PC) so the issue path never does a
+	// string-map lookup.
 	lat []uint64
 
-	// Statistics: count is this unit's part of the ledger (stats.Counters).
+	// Statistics: count is this unit's part of the ledger (stats.Counters),
+	// with BusyCycles stored as of bookedAt (settled).
 	count       stats.FUCounters
 	totalCycles uint64
+	bookedAt    uint64
 
 	// head is the encoded start of the unit's FUView (viewHead).
 	head string
@@ -55,8 +61,11 @@ func NewFU(spec *config.FUSpec) *FU {
 	if err != nil {
 		panic(err) // validated by config.Validate
 	}
-	return &FU{spec: spec, class: class}
+	return &FU{spec: spec, class: class, minDone: noneDue}
 }
+
+// noneDue is minDone of an empty unit.
+const noneDue = math.MaxUint64
 
 // Name returns the unit's display name.
 func (f *FU) Name() string { return f.spec.Name }
@@ -100,43 +109,27 @@ func (f *FU) Current() *SimInstr {
 	return f.inflight[0].si
 }
 
-// nextDone returns the earliest completion cycle (display).
-func (f *FU) nextDone() uint64 {
-	var min uint64
-	for i, op := range f.inflight {
-		if i == 0 || op.doneAt < min {
-			min = op.doneAt
-		}
-	}
-	return min
-}
-
-// precompute resolves the spec's per-mnemonic support and latency maps
-// once per static instruction, so the per-cycle issue path is two array
-// reads. Called by the simulation constructor.
-func (f *FU) precompute(prog *asm.Program) {
-	f.sup = make([]bool, len(prog.Instructions))
+// precompute resolves the spec's per-mnemonic maps once per static
+// instruction: latencies into lat, and support as bit unit%64 of word
+// unit/64 in the instruction's row of sup (stride words each).
+func (f *FU) precompute(prog *asm.Program, unit int, sup []uint64, stride int) {
 	f.lat = make([]uint64, len(prog.Instructions))
 	for i, in := range prog.Instructions {
-		f.sup[i] = f.spec.Supports(in.Desc.Name)
+		if f.class == in.Desc.Unit && f.spec.Supports(in.Desc.Name) {
+			sup[i*stride+unit>>6] |= 1 << (unit & 63)
+		}
 		f.lat[i] = uint64(f.spec.LatencyFor(in.Desc.Name))
 	}
 }
 
-// Supports reports whether this unit can execute the instruction.
-func (f *FU) Supports(si *SimInstr) bool {
-	if f.sup != nil {
-		return f.class == si.Static.Desc.Unit && f.sup[si.PC]
+// settled returns the unit's counters as of the counted-cycle clock;
+// callers store them before changing inflight.
+func (f *FU) settled(clock uint64) stats.FUCounters {
+	c := f.count
+	if len(f.inflight) > 0 {
+		c.BusyCycles += clock - f.bookedAt
 	}
-	return f.class == si.Static.Desc.Unit && f.spec.Supports(si.Static.Desc.Name)
-}
-
-// latencyFor returns the unit's latency for the instruction.
-func (f *FU) latencyFor(si *SimInstr) uint64 {
-	if f.lat != nil {
-		return f.lat[si.PC]
-	}
-	return uint64(f.spec.LatencyFor(si.Static.Desc.Name))
+	return c
 }
 
 // Accept starts executing the instruction (sub-step two of the paper's FU
@@ -145,12 +138,14 @@ func (f *FU) latencyFor(si *SimInstr) uint64 {
 // fallback — and the result is buffered until the completion sub-step at
 // now+latency. Evaluation errors become exceptions attached to the
 // instruction and raised at commit.
-func (f *FU) Accept(si *SimInstr, now uint64, eng *ExecEngine) {
+func (f *FU) Accept(si *SimInstr, now, clock uint64, eng *ExecEngine) {
 	if !f.CanAccept(now) {
 		panic("core: Accept on busy FU " + f.spec.Name)
 	}
-	lat := f.latencyFor(si)
+	lat := f.lat[si.PC]
+	f.count, f.bookedAt = f.settled(clock), clock
 	f.inflight = append(f.inflight, inflightOp{si: si, doneAt: now + lat})
+	f.minDone = min(f.minDone, now+lat)
 	f.lastAccept = now
 	f.hasAccept = true
 	f.count.ExecCount++
@@ -164,41 +159,37 @@ func (f *FU) Accept(si *SimInstr, now uint64, eng *ExecEngine) {
 // ReleaseDone detaches every instruction finishing at or before cycle now,
 // in issue order (sub-step one of the FU model). The returned slice is a
 // reusable scratch buffer, valid until the next call.
-func (f *FU) ReleaseDone(now uint64) []*SimInstr {
+func (f *FU) ReleaseDone(now, clock uint64) []*SimInstr {
+	f.count, f.bookedAt = f.settled(clock), clock
 	done := f.doneScratch[:0]
 	kept := f.inflight[:0]
+	f.minDone = noneDue
 	for _, op := range f.inflight {
 		if now >= op.doneAt {
 			done = append(done, op.si)
 		} else {
 			kept = append(kept, op)
+			f.minDone = min(f.minDone, op.doneAt)
 		}
 	}
-	for i := len(kept); i < len(f.inflight); i++ {
-		f.inflight[i] = inflightOp{}
-	}
+	// The tail keeps stale pointers to pooled instructions; nothing reads
+	// past the length, and clearing it costs a write barrier per cycle.
 	f.inflight = kept
 	f.doneScratch = done
 	return done
 }
 
 // AbortSquashed drops wrong-path instructions after a flush.
-func (f *FU) AbortSquashed() {
+func (f *FU) AbortSquashed(clock uint64) {
+	f.count, f.bookedAt = f.settled(clock), clock
 	kept := f.inflight[:0]
+	f.minDone = noneDue
 	for _, op := range f.inflight {
 		if !op.si.Squashed {
 			kept = append(kept, op)
+			f.minDone = min(f.minDone, op.doneAt)
 		}
 	}
-	for i := len(kept); i < len(f.inflight); i++ {
-		f.inflight[i] = inflightOp{}
-	}
+	clear(f.inflight[len(kept):])
 	f.inflight = kept
-}
-
-// CountBusy accumulates the busy-cycle statistic; called once per cycle.
-func (f *FU) CountBusy() {
-	if len(f.inflight) > 0 {
-		f.count.BusyCycles++
-	}
 }

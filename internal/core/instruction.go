@@ -45,16 +45,23 @@ func (p Phase) String() string {
 // of that size so dispatching an instruction never allocates.
 const maxSrcOperands = 3
 
-// srcOperand is one renamed source operand of a dynamic instruction.
+// srcOperand is one renamed source operand of a dynamic instruction; its
+// name, class and register are slot i of the instruction's rename plan.
 type srcOperand struct {
-	name  string // argument name (rs1, rs2, rs3)
-	class isa.RegClass
-	reg   int
-	ref   rename.SrcRef
+	tag   int32 // speculative register read, or rename.NoTag (architectural)
+	valid bool  // the value was available at rename
 	// captured is set once the value has been read and the rename
 	// reference released.
 	captured bool
-	value    expr.Value
+	value    expr.Value // as seen at rename, then as captured
+}
+
+// valueIf returns value when ok, else the zero Value.
+func (s *srcOperand) valueIf(ok bool) expr.Value {
+	if ok {
+		return s.value
+	}
+	return expr.Value{}
 }
 
 // SimInstr is a dynamic instruction instance flowing through the pipeline
@@ -84,27 +91,27 @@ type SimInstr struct {
 	// Destination rename, when the instruction writes a register.
 	hasDest   bool
 	destClass isa.RegClass
-	destReg   int
-	destTag   int
-	destPrev  int
-	// result holds the computed destination value until writeback.
-	result expr.Value
 	// resultReady marks that result has been computed by the FU.
 	resultReady bool
+	destReg     int
+	destTag     int
+	destPrev    int
+	// result holds the computed destination value until writeback.
+	result expr.Value
 
 	// Branch bookkeeping.
-	predTaken   bool
 	predTarget  int
+	actualTgt   int
+	predTaken   bool
 	predStall   bool // fetch stalled: target unknown at fetch (jalr BTB miss)
 	actualTaken bool
-	actualTgt   int
 	mispredict  bool
 
 	// Memory bookkeeping.
-	effAddr   int
 	addrReady bool
-	storeData uint64
 	memIssued bool
+	effAddr   int
+	storeData uint64
 	memDoneAt uint64
 
 	// Exception generated during execution, raised at commit (paper
@@ -131,36 +138,34 @@ func (si *SimInstr) String() string {
 	return fmt.Sprintf("#%d@%d %s", si.ID, si.PC, si.Static.String())
 }
 
-// srcsReady reports whether every source operand value is available,
-// refreshing validity from the rename file.
-func (si *SimInstr) srcsReady(rf *rename.File) bool {
+// capture reads the source operand values that are available, in order,
+// releasing their rename references, and returns the tag of the first one
+// that is not yet written back, or rename.NoTag when all are captured.
+func (si *SimInstr) capture(rf *rename.File) int {
 	for i := 0; i < int(si.nsrc); i++ {
 		s := &si.srcs[i]
 		if s.captured {
 			continue
 		}
-		if s.ref.Tag == rename.NoTag {
-			s.value = s.ref.Value
-			s.captured = true
-			continue
-		}
-		if v, ok := rf.Value(s.ref.Tag); ok {
+		if s.tag != rename.NoTag {
+			v, ok := rf.Value(int(s.tag))
+			if !ok {
+				return int(s.tag)
+			}
 			s.value = v
-			s.captured = true
-			rf.Release(s.ref.Tag)
-			continue
+			rf.Release(int(s.tag))
 		}
-		return false
+		s.captured = true
 	}
-	return true
+	return rename.NoTag
 }
 
 // releaseRefs drops any rename references still held (squash path).
 func (si *SimInstr) releaseRefs(rf *rename.File) {
 	for i := 0; i < int(si.nsrc); i++ {
 		s := &si.srcs[i]
-		if !s.captured && s.ref.Tag != rename.NoTag {
-			rf.Release(s.ref.Tag)
+		if !s.captured && s.tag != rename.NoTag {
+			rf.Release(int(s.tag))
 			s.captured = true
 		}
 	}
@@ -172,6 +177,7 @@ func (si *SimInstr) releaseRefs(rf *rename.File) {
 // engine's single reusable instance converts to expr.Env without boxing.
 type instrEnv struct {
 	si *SimInstr
+	rp *renamePlan // si's: names its source operands
 }
 
 // Get implements expr.Env.
@@ -180,7 +186,7 @@ func (e *instrEnv) Get(name string) (expr.Value, bool) {
 		return expr.NewInt(int32(e.si.PC)), true
 	}
 	for i := 0; i < int(e.si.nsrc); i++ {
-		if e.si.srcs[i].name == name {
+		if e.rp.srcs[i].name == name {
 			return e.si.srcs[i].value, true
 		}
 	}

@@ -222,8 +222,8 @@ func (l *LSU) Step(now uint64) (completed []*SimInstr, storeExc *fault.Exception
 	// Complete loads whose data has arrived. The completed slice is the
 	// reusable scratch, valid until the next Step.
 	completed = l.completedScratch[:0]
-	kept := l.loads[:0]
-	for _, ld := range l.loads {
+	kept := 0
+	for i, ld := range l.loads {
 		if ld.memIssued && now >= ld.memDoneAt && !ld.Squashed {
 			completed = append(completed, ld)
 			if l.onTrace != nil {
@@ -235,12 +235,13 @@ func (l *LSU) Step(now uint64) (completed []*SimInstr, storeExc *fault.Exception
 			}
 			continue
 		}
-		kept = append(kept, ld)
+		if kept != i { // only loads behind a completed one move
+			l.loads[kept] = ld
+		}
+		kept++
 	}
-	for i := len(kept); i < len(l.loads); i++ {
-		l.loads[i] = nil
-	}
-	l.loads = kept
+	clear(l.loads[kept:])
+	l.loads = l.loads[:kept]
 	l.completedScratch = completed
 	return completed, storeExc
 }

@@ -14,7 +14,7 @@ import (
 
 // renameSrc is one pre-resolved source operand of a static instruction.
 type renameSrc struct {
-	name  string // argument name, carried into srcOperand for the GUI
+	name  string // argument name, read by the interpreter and checkpoints
 	class isa.RegClass
 	reg   int32
 }
@@ -26,6 +26,7 @@ type renameSrc struct {
 type renamePlan struct {
 	srcs      [maxSrcOperands]renameSrc
 	nsrc      uint8
+	payload   int8 // slot of the source named rs2 (a store's payload), or -1
 	hasDest   bool
 	destClass isa.RegClass
 	destReg   int32
@@ -37,6 +38,7 @@ func newRenamePlans(prog *asm.Program) []renamePlan {
 	plans := make([]renamePlan, len(prog.Instructions))
 	for i, in := range prog.Instructions {
 		p := &plans[i]
+		p.payload = -1
 		desc := in.Desc
 		for j := range desc.Args {
 			a := &desc.Args[j]
@@ -46,6 +48,9 @@ func newRenamePlans(prog *asm.Program) []renamePlan {
 			class := isa.RegInt
 			if a.Kind == isa.ArgRegFloat {
 				class = isa.RegFloat
+			}
+			if a.Name == "rs2" {
+				p.payload = int8(p.nsrc)
 			}
 			p.srcs[p.nsrc] = renameSrc{
 				name: a.Name, class: class, reg: int32(in.Op(a.Name).Reg),

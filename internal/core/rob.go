@@ -43,7 +43,9 @@ func (r *ROB) Push(si *SimInstr) {
 	}
 	si.robIndex = r.tail
 	r.entries[r.tail] = robEntry{instr: si}
-	r.tail = (r.tail + 1) % len(r.entries)
+	if r.tail++; r.tail == len(r.entries) {
+		r.tail = 0
+	}
 	r.count++
 }
 
@@ -67,7 +69,9 @@ func (r *ROB) Pop() *SimInstr {
 	}
 	si := r.entries[r.head].instr
 	r.entries[r.head] = robEntry{}
-	r.head = (r.head + 1) % len(r.entries)
+	if r.head++; r.head == len(r.entries) {
+		r.head = 0
+	}
 	r.count--
 	return si
 }

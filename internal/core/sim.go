@@ -49,10 +49,14 @@ type Simulation struct {
 	fetch *fetchUnit
 
 	windows [isa.NumFUClasses]*issueWindow
+	iq      issueSlots
+	// fuSup has supStride words per static instruction: bit u = fus[u] runs it.
+	fuSup     []uint64
+	supStride int
 
 	// decodeBuf is the fetch→decode queue; entries before decodeHead have
-	// been consumed by rename. The buffer is compacted in place by
-	// fetchStep so its backing array is reused instead of reallocated.
+	// been consumed by rename (their stale pointers are never read).
+	// fetchStep compacts it only when the backing array runs out.
 	decodeBuf  []*SimInstr
 	decodeHead int
 	decodeCap  int
@@ -88,6 +92,9 @@ type Simulation struct {
 
 	cycle  uint64
 	nextID uint64
+	// counted is the cycle clock windows and units book their occupancy
+	// against (pipelineCycle); checkpoints carry settled sums, not it.
+	counted uint64
 
 	halted     bool
 	haltReason string
@@ -176,6 +183,7 @@ func newSimulation(cfg *config.CPU, p *Program, mem *memory.Main, entry int) (*S
 		rob:       NewROB(cfg.ROBSize),
 		lsu:       NewLSU(cfg.LoadBufferSize, cfg.StoreBufferSize, l1),
 		decodeCap: 2 * cfg.FetchWidth,
+		decodeBuf: make([]*SimInstr, 0, 16*cfg.FetchWidth),
 		eng:       newExecEngine(p),
 		logBound:  cfg.LogBound(),
 		ffStopPC:  -1,
@@ -185,9 +193,12 @@ func newSimulation(cfg *config.CPU, p *Program, mem *memory.Main, entry int) (*S
 	s.windows[isa.FP] = newIssueWindow(isa.FP, cfg.FPWindow)
 	s.windows[isa.LS] = newIssueWindow(isa.LS, cfg.LSWindow)
 	s.windows[isa.Branch] = newIssueWindow(isa.Branch, cfg.BranchWindow)
+	s.iq = issueSlots{slot: make([]issueSlot, cfg.ROBSize), waitHead: make([]int32, cfg.RenameRegisters)}
+	s.supStride = (len(cfg.Units) + 63) / 64
+	s.fuSup = make([]uint64, len(p.instrs)*s.supStride)
 	for i := range cfg.Units {
 		fu := NewFU(&cfg.Units[i])
-		fu.precompute(p.code)
+		fu.precompute(p.code, i, s.fuSup, s.supStride)
 		s.fus = append(s.fus, fu)
 	}
 	s.fetch = newFetchUnit(p, pred, cfg.FetchWidth, cfg.JumpsPerCycle, entry)
@@ -349,25 +360,27 @@ func (s *Simulation) Step() {
 		s.ffStep()
 		return
 	}
-	now := s.cycle + 1
+	s.pipelineCycle(true)
+}
 
+// pipelineCycle runs the blocks for one cycle; a fast-forward drain cycle
+// (detailed false) neither fetches nor counts toward the statistics.
+func (s *Simulation) pipelineCycle(detailed bool) {
+	now := s.cycle + 1
 	s.commitStep(now)
 	if !s.halted {
 		s.memoryStep(now)
 		s.completeStep(now)
 		s.issueStep(now)
 		s.renameStep(now)
-		s.fetchStep(now)
+		if detailed {
+			s.fetchStep(now)
+		}
 	}
-
-	s.robOccSum += uint64(s.rob.Len())
-	for _, w := range s.windows {
-		w.CountOccupancy()
+	if detailed {
+		s.robOccSum += uint64(s.rob.Len())
+		s.counted++
 	}
-	for _, fu := range s.fus {
-		fu.CountBusy()
-	}
-
 	s.cycle = now
 	s.checkPipelineEmpty(now)
 }
@@ -500,6 +513,7 @@ func (s *Simulation) memoryStep(now uint64) {
 			} else {
 				s.rf.SetValue(ld.destTag, LoadValue(ld.Static.Desc, ld.storeData))
 			}
+			s.wake(ld.destTag)
 		}
 		s.rob.MarkDone(ld)
 		ld.Phase = PhaseDone
@@ -511,7 +525,10 @@ func (s *Simulation) memoryStep(now uint64) {
 
 func (s *Simulation) completeStep(now uint64) {
 	for _, fu := range s.fus {
-		for _, si := range fu.ReleaseDone(now) {
+		if fu.minDone > now {
+			continue
+		}
+		for _, si := range fu.ReleaseDone(now, s.counted) {
 			s.completeInstr(si, now)
 		}
 	}
@@ -619,19 +636,20 @@ func (s *Simulation) writebackDest(si *SimInstr, now uint64) {
 	} else {
 		s.rf.SetValue(si.destTag, expr.NewInt(0))
 	}
+	s.wake(si.destTag)
 	if s.tracing(trace.StageWriteback) {
 		s.emit(now, si, trace.StageWriteback, rename.TagName(si.destTag))
 	}
 }
 
 func (s *Simulation) issueStep(now uint64) {
-	for _, fu := range s.fus {
-		if !fu.CanAccept(now) {
+	for i, fu := range s.fus {
+		w := s.windows[fu.class]
+		if len(w.cands) == 0 || !fu.CanAccept(now) {
 			continue
 		}
-		w := s.windows[fu.Class()]
-		if si := w.SelectReady(s.rf, fu); si != nil {
-			fu.Accept(si, now, s.eng)
+		if si := s.selectReady(w, i); si != nil {
+			fu.Accept(si, now, s.counted, s.eng)
 			if s.tracing(trace.StageIssue) {
 				s.emit(now, si, trace.StageIssue, fu.Name())
 			}
@@ -665,11 +683,9 @@ func (s *Simulation) renameStep(now uint64) {
 		for i := 0; i < int(rp.nsrc); i++ {
 			rs := &rp.srcs[i]
 			ref := s.rf.LookupSrc(rs.class, int(rs.reg))
-			si.srcs[si.nsrc] = srcOperand{
-				name: rs.name, class: rs.class, reg: int(rs.reg), ref: ref,
-			}
-			si.nsrc++
+			si.srcs[i] = srcOperand{tag: int32(ref.Tag), valid: ref.Valid, value: ref.Value}
 		}
+		si.nsrc = rp.nsrc
 
 		// Rename the destination; a write to x0 is architecturally
 		// discarded and allocates nothing (hasDest pre-excludes it).
@@ -693,7 +709,7 @@ func (s *Simulation) renameStep(now uint64) {
 		if desc.IsLoad() || desc.IsStore() {
 			s.lsu.Add(si)
 		}
-		w.Insert(si)
+		s.insertWindow(w, si)
 		si.Phase = PhaseDecoded
 		si.DecodedAt = now
 		if s.tracer != nil {
@@ -711,29 +727,25 @@ func (s *Simulation) renameStep(now uint64) {
 				s.emit(now, si, trace.StageDispatch, desc.Unit.String())
 			}
 		}
-		s.decodeBuf[s.decodeHead] = nil
 		s.decodeHead++
 		n++
 	}
 }
 
 func (s *Simulation) fetchStep(now uint64) {
-	// Compact the consumed prefix away so the backing array is reused.
-	if s.decodeHead > 0 {
-		kept := copy(s.decodeBuf, s.decodeBuf[s.decodeHead:])
-		for i := kept; i < len(s.decodeBuf); i++ {
-			s.decodeBuf[i] = nil
-		}
-		s.decodeBuf = s.decodeBuf[:kept]
-		s.decodeHead = 0
-	}
-	room := s.decodeCap - len(s.decodeBuf)
+	room := s.decodeCap - len(s.pendingDecode())
 	if room <= 0 {
 		return
 	}
-	fetched := s.fetch.Fetch(now, room, s)
+	// Compact only when the fetch could outgrow the backing array.
+	if len(s.decodeBuf)+room > cap(s.decodeBuf) {
+		s.decodeBuf = s.decodeBuf[:copy(s.decodeBuf, s.pendingDecode())]
+		s.decodeHead = 0
+	}
+	n := len(s.decodeBuf)
+	s.decodeBuf = s.fetch.Fetch(now, room, s, s.decodeBuf)
 	if s.tracing(trace.StageFetch) {
-		for _, si := range fetched {
+		for _, si := range s.decodeBuf[n:] {
 			detail := ""
 			if si.IsBranch() {
 				switch {
@@ -748,7 +760,6 @@ func (s *Simulation) fetchStep(now uint64) {
 			s.emit(now, si, trace.StageFetch, detail)
 		}
 	}
-	s.decodeBuf = append(s.decodeBuf, fetched...)
 }
 
 // flushAfter squashes everything younger than the mispredicted branch,
@@ -783,11 +794,9 @@ func (s *Simulation) flushAfter(si *SimInstr, now uint64) {
 		}
 	}
 	for _, fu := range s.fus {
-		fu.AbortSquashed()
+		fu.AbortSquashed(s.counted)
 	}
-	for _, w := range s.windows {
-		w.RemoveSquashed()
-	}
+	s.removeSquashedFromWindows()
 	s.lsu.RemoveSquashed()
 	if s.fetch.waitBranch != nil && s.fetch.waitBranch.Squashed {
 		s.fetch.ClearWait(s.fetch.waitBranch)
@@ -807,9 +816,8 @@ func (s *Simulation) flushAfter(si *SimInstr, now uint64) {
 	for _, sq := range squashed {
 		s.recycleInstr(sq)
 	}
-	for i := s.decodeHead; i < len(s.decodeBuf); i++ {
-		s.recycleInstr(s.decodeBuf[i])
-		s.decodeBuf[i] = nil
+	for _, d := range s.pendingDecode() {
+		s.recycleInstr(d)
 	}
 	s.decodeBuf = s.decodeBuf[:0]
 	s.decodeHead = 0
@@ -945,11 +953,12 @@ func (s *Simulation) Counters() stats.Counters {
 		Rename:       stats.RenameCounters{Allocations: rn.Allocations, StallsEmpty: rn.StallsEmpty},
 	}
 	for _, w := range s.windows {
-		c.WindowOccSum += w.occupancySum
-		c.WindowStalls += w.fullStalls
+		occ, full := w.settled(s.counted)
+		c.WindowOccSum += occ
+		c.WindowStalls += full
 	}
 	for i, fu := range s.fus {
-		c.FUs[i] = fu.count
+		c.FUs[i] = fu.settled(s.counted)
 	}
 	return c
 }

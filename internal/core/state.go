@@ -179,7 +179,7 @@ func (s *Simulation) State(includeLog bool) *State {
 		})
 	}
 	for class, w := range s.windows {
-		st.Windows[isa.FUClass(class).String()] = s.views(w.waiting)
+		st.Windows[isa.FUClass(class).String()] = s.views(s.windowEntries(w, nil))
 	}
 	if len(s.fus) > 0 {
 		st.FUs = make([]FUView, 0, len(s.fus))
@@ -189,7 +189,7 @@ func (s *Simulation) State(includeLog bool) *State {
 		if fu.Busy() {
 			iv := s.viewOf(fu.Current())
 			fv.Instr = &iv
-			fv.DoneAt = fu.nextDone()
+			fv.DoneAt = fu.minDone
 		}
 		st.FUs = append(st.FUs, fv)
 	}
