@@ -139,15 +139,15 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// line is one cache line with its buffered data. Write-back caches hold
-// data newer than memory in dirty lines.
+// line is one cache line's bookkeeping; its data lives in its set's chunk
+// (Cache.data). Write-back caches hold data newer than memory in dirty
+// lines.
 type line struct {
 	valid    bool
 	dirty    bool
 	tag      int
 	lastUse  uint64 // LRU timestamp
 	loadedAt uint64 // FIFO timestamp
-	data     []byte
 }
 
 // Stats are the cache statistics the runtime-statistics window reports
@@ -172,14 +172,18 @@ func (s Stats) HitRate() float64 {
 // Cache is the L1 cache. It implements memory.Port.
 type Cache struct {
 	cfg     Config
-	sets    [][]line
+	lines   []line // set-major: way w of set si is lines[si*Associativity+w]
 	numSets int
+	// data holds each set's line data, Associativity × LineSize bytes,
+	// allocated on the set's first fill or decode: a machine pays for the
+	// sets its program touches. Only valid lines are ever read.
+	data    [][]byte
 	backing *memory.Main
 	tick    uint64 // monotonic use counter for LRU/FIFO ordering
 	rng     uint64 // xorshift state for Random replacement (deterministic)
 	stats   Stats
-	// views caches what Lines last reported per line (set-major, like the
-	// line slab), each with its encoded fragment. Nil until the first
+	// views caches what Lines last reported per line (set-major, like
+	// lines), each with its encoded fragment. Nil until the first
 	// Lines call, so a machine nobody looks at carries none. An entry is
 	// current while its enc is non-nil: whatever changes what a line
 	// displays — a store, a fill, a flush, a restore — drops the entry
@@ -199,25 +203,26 @@ func New(cfg Config, backing *memory.Main) (*Cache, error) {
 	c := &Cache{cfg: cfg, backing: backing, rng: 0x9E3779B97F4A7C15}
 	if cfg.Enabled {
 		c.numSets = cfg.Lines / cfg.Associativity
-		c.sets = newSets(cfg, c.numSets)
+		c.lines = make([]line, cfg.Lines)
+		c.data = make([][]byte, c.numSets)
 	}
 	return c, nil
 }
 
-// newSets allocates an empty line array as one slab of lines and one of
-// line data, sliced per set and per way: three allocations per cache
-// instead of one per line, which was a third of a machine build's.
-func newSets(cfg Config, numSets int) [][]line {
-	lines := make([]line, numSets*cfg.Associativity)
-	data := make([]byte, len(lines)*cfg.LineSize)
-	for i := range lines {
-		lines[i].data = data[i*cfg.LineSize : (i+1)*cfg.LineSize : (i+1)*cfg.LineSize]
+// set returns the ways of set si.
+func (c *Cache) set(si int) []line {
+	a := c.cfg.Associativity
+	return c.lines[si*a : (si+1)*a : (si+1)*a]
+}
+
+// lineData returns the data of way w in set si, allocating the set's chunk
+// on first use.
+func (c *Cache) lineData(si, w int) []byte {
+	if c.data[si] == nil {
+		c.data[si] = make([]byte, c.cfg.Associativity*c.cfg.LineSize)
 	}
-	sets := make([][]line, numSets)
-	for i := range sets {
-		sets[i] = lines[i*cfg.Associativity : (i+1)*cfg.Associativity]
-	}
-	return sets
+	ls := c.cfg.LineSize
+	return c.data[si][w*ls : (w+1)*ls : (w+1)*ls]
 }
 
 // Config returns the cache configuration.
@@ -234,8 +239,8 @@ func (c *Cache) setIndexAndTag(addr int) (int, int) {
 
 // findWay returns the way holding tag in set si, or -1.
 func (c *Cache) findWay(si, tag int) int {
-	for w := range c.sets[si] {
-		if c.sets[si][w].valid && c.sets[si][w].tag == tag {
+	for w, ln := range c.set(si) {
+		if ln.valid && ln.tag == tag {
 			return w
 		}
 	}
@@ -244,7 +249,7 @@ func (c *Cache) findWay(si, tag int) int {
 
 // victimWay selects the way to replace in set si according to the policy.
 func (c *Cache) victimWay(si int) int {
-	ways := c.sets[si]
+	ways := c.set(si)
 	// Prefer an invalid way.
 	for w := range ways {
 		if !ways[w].valid {
@@ -284,24 +289,21 @@ func (c *Cache) victimWay(si int) int {
 // fill cost (victim write-back + line fetch).
 func (c *Cache) fill(si, tag int, now uint64) (int, uint64, *fault.Exception) {
 	w := c.victimWay(si)
-	ln := &c.sets[si][w]
+	ln := &c.set(si)[w]
 	var penalty uint64
 	if ln.valid {
 		c.stats.Evictions++
 		if ln.dirty {
-			if exc := c.writebackLine(si, ln); exc != nil {
+			if exc := c.writebackLine(si, w); exc != nil {
 				return 0, 0, exc
 			}
 			penalty += uint64(c.backing.Config().StoreLatency)
 		}
 	}
-	addr := c.lineAddr(si, tag)
-	data, exc := c.backing.ReadBytes(addr, c.cfg.LineSize)
-	if exc != nil {
+	if exc := c.backing.ReadInto(c.lineAddr(si, tag), c.lineData(si, w)); exc != nil {
 		return 0, 0, exc
 	}
 	c.dropView(si, w)
-	copy(ln.data, data)
 	ln.valid = true
 	ln.dirty = false
 	ln.tag = tag
@@ -315,13 +317,13 @@ func (c *Cache) lineAddr(si, tag int) int {
 	return (tag*c.numSets + si) * c.cfg.LineSize
 }
 
-func (c *Cache) writebackLine(si int, ln *line) *fault.Exception {
-	addr := c.lineAddr(si, ln.tag)
-	if exc := c.backing.WriteBytes(addr, ln.data); exc != nil {
+func (c *Cache) writebackLine(si, w int) *fault.Exception {
+	addr := c.lineAddr(si, c.set(si)[w].tag)
+	if exc := c.backing.WriteBytes(addr, c.lineData(si, w)); exc != nil {
 		return exc
 	}
 	c.stats.Writebacks++
-	c.stats.BytesWritten += uint64(len(ln.data))
+	c.stats.BytesWritten += uint64(c.cfg.LineSize)
 	return nil
 }
 
@@ -367,7 +369,7 @@ func (c *Cache) Access(tx *memory.Transaction, now uint64) (uint64, *fault.Excep
 		}
 		if w >= 0 {
 			c.tick++
-			c.sets[si][w].lastUse = c.tick
+			c.set(si)[w].lastUse = c.tick
 			c.copyData(tx, si, w, block)
 		}
 	}
@@ -389,7 +391,8 @@ func (c *Cache) Access(tx *memory.Transaction, now uint64) (uint64, *fault.Excep
 // copyData moves the bytes of tx that fall within line block between the
 // transaction payload and the line buffer.
 func (c *Cache) copyData(tx *memory.Transaction, si, w, block int) {
-	ln := &c.sets[si][w]
+	ln := &c.set(si)[w]
+	data := c.lineData(si, w)
 	if tx.IsStore {
 		c.dropView(si, w)
 	}
@@ -401,13 +404,13 @@ func (c *Cache) copyData(tx *memory.Transaction, si, w, block int) {
 		}
 		off := a - lineBase
 		if tx.IsStore {
-			ln.data[off] = byte(tx.Data >> (8 * i))
+			data[off] = byte(tx.Data >> (8 * i))
 			if c.cfg.Write == WriteBack {
 				ln.dirty = true
 			}
 		} else {
 			tx.Data &^= uint64(0xFF) << (8 * i)
-			tx.Data |= uint64(ln.data[off]) << (8 * i)
+			tx.Data |= uint64(data[off]) << (8 * i)
 		}
 	}
 }
@@ -420,17 +423,16 @@ func (c *Cache) FlushAll(now uint64) uint64 {
 		return now
 	}
 	finish := now
-	for si := range c.sets {
-		for w := range c.sets[si] {
-			ln := &c.sets[si][w]
-			if ln.valid && ln.dirty {
-				if exc := c.writebackLine(si, ln); exc != nil {
-					continue // flush is best-effort at simulation end
-				}
-				ln.dirty = false
-				c.dropView(si, w)
-				finish += uint64(c.backing.Config().StoreLatency)
+	for i := range c.lines {
+		ln := &c.lines[i]
+		if ln.valid && ln.dirty {
+			si, w := i/c.cfg.Associativity, i%c.cfg.Associativity
+			if exc := c.writebackLine(si, w); exc != nil {
+				continue // flush is best-effort at simulation end
 			}
+			ln.dirty = false
+			c.dropView(si, w)
+			finish += uint64(c.backing.Config().StoreLatency)
 		}
 	}
 	return finish
@@ -511,7 +513,7 @@ func (c *Cache) Lines() []LineView {
 	for i := range c.views {
 		if c.views[i].enc == nil {
 			size += 80
-			if c.sets[i/c.cfg.Associativity][i%c.cfg.Associativity].valid {
+			if c.lines[i].valid {
 				size += 32 + c.cfg.LineSize + base64.StdEncoding.EncodedLen(c.cfg.LineSize)
 			}
 		}
@@ -524,13 +526,13 @@ func (c *Cache) Lines() []LineView {
 				continue
 			}
 			si, w := i/c.cfg.Associativity, i%c.cfg.Associativity
-			ln := &c.sets[si][w]
+			ln := &c.lines[i]
 			*lv = LineView{Set: si, Way: w, Valid: ln.valid, Dirty: ln.dirty}
 			if ln.valid {
 				lv.Tag = ln.tag
 				lv.Addr = c.lineAddr(si, ln.tag)
 				at := len(slab)
-				slab = append(slab, ln.data...)
+				slab = append(slab, c.lineData(si, w)...)
 				lv.Data = slab[at:len(slab):len(slab)]
 			}
 			// Should the slab grow after all, the fragments cut so far

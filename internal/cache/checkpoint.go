@@ -22,19 +22,17 @@ func (c *Cache) EncodeState(w *ckpt.Writer) {
 	}
 	w.Int(c.numSets)
 	w.Int(c.cfg.Associativity)
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			ln := &c.sets[si][wi]
-			w.Bool(ln.valid)
-			if !ln.valid {
-				continue
-			}
-			w.Bool(ln.dirty)
-			w.Int(ln.tag)
-			w.U64(ln.lastUse)
-			w.U64(ln.loadedAt)
-			w.Bytes(ln.data)
+	for i := range c.lines {
+		ln := &c.lines[i]
+		w.Bool(ln.valid)
+		if !ln.valid {
+			continue
 		}
+		w.Bool(ln.dirty)
+		w.Int(ln.tag)
+		w.U64(ln.lastUse)
+		w.U64(ln.loadedAt)
+		w.Bytes(c.lineData(i/c.cfg.Associativity, i%c.cfg.Associativity))
 	}
 }
 
@@ -67,30 +65,25 @@ func (c *Cache) DecodeState(r *ckpt.Reader) {
 		return
 	}
 	c.views, c.lent = nil, false // every line is about to change
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			ln := &c.sets[si][wi]
-			ln.valid = r.Bool()
-			if !ln.valid {
-				ln.dirty = false
-				ln.tag = 0
-				ln.lastUse = 0
-				ln.loadedAt = 0
-				continue
-			}
-			ln.dirty = r.Bool()
-			ln.tag = r.Int()
-			ln.lastUse = r.U64()
-			ln.loadedAt = r.U64()
-			data := r.Bytes(c.cfg.LineSize)
-			if r.Err() != nil {
-				return
-			}
-			if len(data) != c.cfg.LineSize {
-				r.Corrupt("cache line of %d bytes, want %d", len(data), c.cfg.LineSize)
-				return
-			}
-			copy(ln.data, data)
+	for i := range c.lines {
+		ln := &c.lines[i]
+		ln.valid = r.Bool()
+		if !ln.valid {
+			*ln = line{}
+			continue
 		}
+		ln.dirty = r.Bool()
+		ln.tag = r.Int()
+		ln.lastUse = r.U64()
+		ln.loadedAt = r.U64()
+		data := r.Bytes(c.cfg.LineSize)
+		if r.Err() != nil {
+			return
+		}
+		if len(data) != c.cfg.LineSize {
+			r.Corrupt("cache line of %d bytes, want %d", len(data), c.cfg.LineSize)
+			return
+		}
+		copy(c.lineData(i/c.cfg.Associativity, i%c.cfg.Associativity), data)
 	}
 }

@@ -328,17 +328,22 @@ func TestStepAllocFree(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		cfg  *config.CPU
-	}{{"default", config.Default()}, {"wide4", config.Wide4()}, {"pipelined", pipelined}} {
-		t.Run(c.name, func(t *testing.T) { stepAllocFree(t, c.cfg) })
+		src  string
+	}{
+		{"default", config.Default(), mispredictLoop},
+		{"wide4", config.Wide4(), mispredictLoop},
+		{"pipelined", pipelined, mispredictLoop},
+		{"miss-heavy", config.Default(), strideWalk},
+	} {
+		t.Run(c.name, func(t *testing.T) { stepAllocFree(t, c.cfg, c.src) })
 	}
 }
 
-// stepAllocFree runs a mispredicting integer loop with loads and stores:
-// it exercises fetch, rename, issue (candidate and waiter lists), the
+// mispredictLoop is a mispredicting integer loop with loads and stores: it
+// exercises fetch, rename, issue (candidate and waiter lists), the
 // specialized engine, the LSU, commit, flush recovery and instruction
 // recycling.
-func stepAllocFree(t *testing.T, cfg *config.CPU) {
-	sim := buildSim(t, cfg, `
+const mispredictLoop = `
   la s0, buf
   li t0, 0
   li t1, 40000
@@ -357,20 +362,52 @@ odd:
 .data
 .align 4
 buf: .zero 64
-`)
+`
+
+// strideWalk increments one word per 64-byte line over 32 KiB, twice the
+// default L1: every access misses, fills a line from memory and evicts a
+// dirty one, which is written back.
+const strideWalk = `
+  la s0, buf
+  li t0, 0
+  li t1, 40000
+loop:
+  andi t2, t0, 511
+  slli t3, t2, 6
+  add  t3, t3, s0
+  lw   t4, 0(t3)
+  addi t4, t4, 1
+  sw   t4, 0(t3)
+  addi t0, t0, 1
+  bne  t0, t1, loop
+.data
+.align 4
+buf: .zero 32768
+`
+
+func stepAllocFree(t *testing.T, cfg *config.CPU, src string) {
+	sim := buildSim(t, cfg, src)
 	// Warm up: grow every scratch buffer, the free list, the rename
-	// structures and the log to their steady-state footprint.
-	sim.Run(20000)
+	// structures and the log to their steady-state footprint, and (for
+	// the stride walk) have every L1 set and memory page written once.
+	sim.Run(60000)
 	if sim.Halted() {
 		t.Fatal("program finished during warm-up; extend the loop")
 	}
-	avg := testing.AllocsPerRun(5000, func() {
-		sim.Step()
+	// AllocsPerRun rounds down, so a run is 50 steps: an allocation every
+	// few dozen cycles (one per L1 miss in the stride walk) shows.
+	avg := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 50; i++ {
+			sim.Step()
+		}
 	})
 	if sim.Halted() {
 		t.Fatal("program finished during measurement; extend the loop")
 	}
 	if avg != 0 {
-		t.Errorf("Step() allocates %.4f objects/op in steady state, want 0", avg)
+		t.Errorf("50 steps allocate %.4f objects in steady state, want 0", avg)
+	}
+	if misses := sim.l1.Stats().Misses; src == strideWalk && misses < 2000 {
+		t.Errorf("the stride walk missed the L1 %d times; it should miss on every access", misses)
 	}
 }

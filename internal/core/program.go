@@ -21,7 +21,7 @@ import (
 // fast-forward tables and the display tables, each built on first use
 // behind a sync.Once and read-only afterwards. Simulations only ever read
 // it: the image in particular is the pristine load-time memory, and every
-// simulation works on its own copy.
+// simulation works on its own copy-on-write clone of it.
 type Program struct {
 	regs   *isa.RegisterFile
 	code   *asm.Program
@@ -53,8 +53,10 @@ type Program struct {
 
 // NewProgram compiles an assembled program. image must be the memory the
 // program was assembled into; the Program takes ownership of it and it
-// must not be written afterwards.
+// must not be written afterwards. The image is frozen here, once, so the
+// Clone every machine starts from only reads it.
 func NewProgram(regs *isa.RegisterFile, code *asm.Program, image *memory.Main) *Program {
+	image.Freeze()
 	n := len(code.Instructions)
 	p := &Program{
 		regs: regs, code: code, instrs: code.Instructions, image: image,
@@ -106,14 +108,15 @@ const perInstrBytes = int(unsafe.Sizeof(asm.Instruction{}) + 3*unsafe.Sizeof(asm
 	unsafe.Sizeof(ffOp{}) + 2*unsafe.Sizeof(int32(0)))
 
 // RetainedBytes estimates the memory a Program keeps alive: the image
-// plus the per-instruction tables. Caches budget by it.
+// pages the assembler wrote plus the per-instruction tables. Caches budget
+// by it.
 func (p *Program) RetainedBytes() int {
-	return p.image.Size() + len(p.instrs)*perInstrBytes
+	return p.image.RetainedBytes() + len(p.instrs)*perInstrBytes
 }
 
 // NewSimulation builds a simulation of the program on the given
-// architecture, starting at instruction index entry, on a private copy of
-// the image. The architecture's memory must be the one the program was
+// architecture, starting at instruction index entry, on a private
+// copy-on-write clone of the image. The architecture's memory must be the one the program was
 // assembled into: the image's layout and latencies come with it.
 func (p *Program) NewSimulation(cfg *config.CPU, entry int) (*Simulation, error) {
 	if err := validate(cfg); err != nil {

@@ -886,7 +886,7 @@ func (s *Simulation) ReplayTo(target uint64) (*Simulation, error) {
 // Fresh returns a new simulation at cycle zero of the same Program on the
 // same architecture: the machine ReplayTo replays on, snapshot restores
 // decode into and time-parallel workers fork from. It costs the per-run
-// state and one copy of the image; nothing is assembled or specialized
+// state and a copy of the image's page table; nothing is assembled or specialized
 // again. The semantic engine carries over: determinism demands a re-run
 // computes exactly what the original did.
 func (s *Simulation) Fresh() (*Simulation, error) {

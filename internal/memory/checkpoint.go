@@ -6,20 +6,18 @@ import (
 	"riscvsim/internal/ckpt"
 )
 
-// ckptPageSize is the granularity of the sparse memory encoding: only
-// pages that differ from the base image (the freshly-loaded program) are
-// written, so a checkpoint of a 64 KiB machine that touched one array
-// costs a few pages, not the whole address space.
-const ckptPageSize = 1024
-
 // EncodeState writes the memory's dynamic state: access counters plus the
 // sparse set of pages that differ from base. base is the initial memory
 // image (program data as loaded), which restore has again once it has
-// resolved the embedded source, so only the delta travels. A nil base encodes
-// every non-zero page.
+// resolved the embedded source, so only the delta travels: a checkpoint of
+// a 64 KiB machine that touched one array costs a few pages, not the whole
+// address space. A page m still shares with base is skipped without
+// reading it; a page m owns is compared byte for byte, so one written back
+// to its original contents is skipped too. A nil base encodes every
+// non-zero page.
 func (m *Main) EncodeState(w *ckpt.Writer, base *Main) {
 	w.Section(ckpt.SecMemory)
-	w.Int(len(m.data))
+	w.Int(m.size)
 	w.U64(m.nextID)
 	w.U64(m.reads)
 	w.U64(m.writes)
@@ -27,28 +25,19 @@ func (m *Main) EncodeState(w *ckpt.Writer, base *Main) {
 	w.U64(m.bytesWritten)
 
 	var dirty []int
-	zero := make([]byte, ckptPageSize)
-	for off := 0; off < len(m.data); off += ckptPageSize {
-		end := off + ckptPageSize
-		if end > len(m.data) {
-			end = len(m.data)
-		}
-		ref := zero[:end-off]
+	for i, p := range m.pages {
+		ref := &zeroPage
 		if base != nil {
-			ref = base.data[off:end]
+			ref = base.pages[i]
 		}
-		if !bytes.Equal(m.data[off:end], ref) {
-			dirty = append(dirty, off)
+		if n := m.pageLen(i); p != ref && !bytes.Equal(p[:n], ref[:n]) {
+			dirty = append(dirty, i)
 		}
 	}
 	w.Len(len(dirty))
-	for _, off := range dirty {
-		end := off + ckptPageSize
-		if end > len(m.data) {
-			end = len(m.data)
-		}
-		w.Int(off / ckptPageSize)
-		w.Bytes(m.data[off:end])
+	for _, i := range dirty {
+		w.Int(i)
+		w.Bytes(m.pages[i][:m.pageLen(i)])
 	}
 }
 
@@ -57,8 +46,8 @@ func (m *Main) EncodeState(w *ckpt.Writer, base *Main) {
 // configuration — a copy of the same Program's image).
 func (m *Main) DecodeState(r *ckpt.Reader) {
 	r.Section(ckpt.SecMemory)
-	if size := r.Int(); r.Err() == nil && size != len(m.data) {
-		r.Corrupt("memory size %d, machine has %d", size, len(m.data))
+	if size := r.Int(); r.Err() == nil && size != m.size {
+		r.Corrupt("memory size %d, machine has %d", size, m.size)
 		return
 	}
 	m.nextID = r.U64()
@@ -67,18 +56,17 @@ func (m *Main) DecodeState(r *ckpt.Reader) {
 	m.bytesRead = r.U64()
 	m.bytesWritten = r.U64()
 
-	pages := r.Len((len(m.data) + ckptPageSize - 1) / ckptPageSize)
+	pages := r.Len(len(m.pages))
 	for i := 0; i < pages && r.Err() == nil; i++ {
 		idx := r.Int()
-		data := r.Bytes(ckptPageSize)
+		data := r.Bytes(pageSize)
 		if r.Err() != nil {
 			return
 		}
-		off := idx * ckptPageSize
-		if idx < 0 || off >= len(m.data) || off+len(data) > len(m.data) {
-			r.Corrupt("memory page %d outside %d bytes", idx, len(m.data))
+		if idx < 0 || idx >= len(m.pages) || len(data) > m.pageLen(idx) {
+			r.Corrupt("memory page %d outside %d bytes", idx, m.size)
 			return
 		}
-		copy(m.data[off:], data)
+		copy(m.writable(idx)[:], data)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
+	"unsafe"
 
 	"riscvsim/internal/fault"
 )
@@ -89,10 +91,31 @@ type Pointer struct {
 	Elem string
 }
 
+// pageSize is the granularity of copy-on-write sharing, and of the sparse
+// checkpoint encoding (checkpoint.go).
+const (
+	pageShift = 10
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+type page [pageSize]byte
+
+// zeroPage backs every page nobody has written. Memories share it and
+// never own it, so it is never written.
+var zeroPage page
+
 // Main is the simulated main memory.
 type Main struct {
 	cfg  Config
-	data []byte
+	size int
+	// pages holds the contents, pageSize bytes each (the last one may
+	// extend past size; those bytes stay zero). A page m does not own is
+	// shared — with a clone, the image it was cloned from, or zeroPage —
+	// and is copied before m first writes it, so a memory costs the pages
+	// it writes.
+	pages []*page
+	owned []bool
 
 	pointers  []Pointer
 	allocNext int // allocation cursor; starts after the call stack
@@ -115,15 +138,22 @@ func New(cfg Config) *Main {
 	if cfg.CallStackSize < 0 || cfg.CallStackSize > cfg.Size {
 		cfg.CallStackSize = cfg.Size / 4
 	}
-	return &Main{
+	n := (cfg.Size + pageSize - 1) / pageSize
+	m := &Main{
 		cfg:       cfg,
-		data:      make([]byte, cfg.Size),
+		size:      cfg.Size,
+		pages:     make([]*page, n),
+		owned:     make([]bool, n),
 		allocNext: cfg.CallStackSize,
 	}
+	for i := range m.pages {
+		m.pages[i] = &zeroPage
+	}
+	return m
 }
 
 // Size returns the memory capacity in bytes.
-func (m *Main) Size() int { return len(m.data) }
+func (m *Main) Size() int { return m.size }
 
 // Config returns the memory configuration.
 func (m *Main) Config() Config { return m.cfg }
@@ -137,12 +167,52 @@ func (m *Main) Pointers() []Pointer { return m.pointers }
 
 // checkRange validates an access against the allocated capacity.
 func (m *Main) checkRange(addr, size int) *fault.Exception {
-	if addr < 0 || size <= 0 || addr+size > len(m.data) {
+	if addr < 0 || size <= 0 || addr+size > m.size {
 		return fault.New(fault.InvalidMemoryAccess,
 			"access of %d bytes at address %d outside memory of %d bytes",
-			size, addr, len(m.data))
+			size, addr, m.size)
 	}
 	return nil
+}
+
+// writable returns page i for writing, first copying it if m does not own
+// it.
+func (m *Main) writable(i int) *page {
+	if !m.owned[i] {
+		p := new(page)
+		*p = *m.pages[i]
+		m.pages[i], m.owned[i] = p, true
+	}
+	return m.pages[i]
+}
+
+// pageLen returns how many bytes of page i lie inside the memory.
+func (m *Main) pageLen(i int) int {
+	return min(pageSize, m.size-i*pageSize)
+}
+
+// RetainedBytes returns what m keeps alive: its page table and every page
+// other than the shared zero page, whether m owns it or shares it.
+func (m *Main) RetainedBytes() int {
+	n := len(m.pages) * int(unsafe.Sizeof(&zeroPage)+unsafe.Sizeof(true))
+	for _, p := range m.pages {
+		if p != &zeroPage {
+			n += pageSize
+		}
+	}
+	return n
+}
+
+// Freeze gives up ownership of every page: m keeps its contents, and its
+// next write to a page copies it first. Freezing a frozen memory writes
+// nothing, and neither do Clone and the read paths of a frozen memory, so
+// any number of goroutines may clone it concurrently (a Program's image).
+func (m *Main) Freeze() {
+	for i, own := range m.owned {
+		if own {
+			m.owned[i] = false
+		}
+	}
 }
 
 // Access implements Port directly against main memory: the transaction's
@@ -172,19 +242,53 @@ func (m *Main) Access(tx *Transaction, now uint64) (uint64, *fault.Exception) {
 // FlushAll implements Port; main memory holds no buffered state.
 func (m *Main) FlushAll(now uint64) uint64 { return now }
 
-// readRaw returns size little-endian bytes at addr as a uint64.
+// readRaw returns size little-endian bytes at addr as a uint64. An access
+// within one page (every aligned one) loads that page once.
 func (m *Main) readRaw(addr, size int) uint64 {
+	if off := addr & pageMask; off+size <= pageSize {
+		p := m.pages[addr>>pageShift]
+		switch size {
+		case 4:
+			return uint64(binary.LittleEndian.Uint32(p[off:]))
+		case 1:
+			return uint64(p[off])
+		case 2:
+			return uint64(binary.LittleEndian.Uint16(p[off:]))
+		case 8:
+			return binary.LittleEndian.Uint64(p[off:])
+		}
+	}
 	var v uint64
 	for i := 0; i < size; i++ {
-		v |= uint64(m.data[addr+i]) << (8 * i)
+		a := addr + i
+		v |= uint64(m.pages[a>>pageShift][a&pageMask]) << (8 * i)
 	}
 	return v
 }
 
-// writeRaw stores the low size bytes of v at addr, little-endian.
+// writeRaw stores the low size bytes of v at addr, little-endian. An
+// access within one page checks its ownership once.
 func (m *Main) writeRaw(addr, size int, v uint64) {
+	if off := addr & pageMask; off+size <= pageSize {
+		p := m.writable(addr >> pageShift)
+		switch size {
+		case 4:
+			binary.LittleEndian.PutUint32(p[off:], uint32(v))
+			return
+		case 1:
+			p[off] = byte(v)
+			return
+		case 2:
+			binary.LittleEndian.PutUint16(p[off:], uint16(v))
+			return
+		case 8:
+			binary.LittleEndian.PutUint64(p[off:], v)
+			return
+		}
+	}
 	for i := 0; i < size; i++ {
-		m.data[addr+i] = byte(v >> (8 * i))
+		a := addr + i
+		m.writable(a >> pageShift)[a&pageMask] = byte(v >> (8 * i))
 	}
 }
 
@@ -209,11 +313,31 @@ func (m *Main) WriteRaw(addr, size int, v uint64) *fault.Exception {
 	return nil
 }
 
-// WriteTo streams the full memory contents to w (architectural state
-// hashing). It implements io.WriterTo.
+// WriteTo streams the full memory contents to w, page by page
+// (architectural state hashing). It implements io.WriterTo.
 func (m *Main) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(m.data)
-	return int64(n), err
+	var n int64
+	for i, p := range m.pages {
+		k, err := w.Write(p[:m.pageLen(i)])
+		n += int64(k)
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// ReadInto copies len(dst) bytes starting at addr into dst, bypassing
+// timing: a cache line fill reads into the line itself.
+func (m *Main) ReadInto(addr int, dst []byte) *fault.Exception {
+	if exc := m.checkRange(addr, len(dst)); exc != nil {
+		return exc
+	}
+	for len(dst) > 0 {
+		n := copy(dst, m.pages[addr>>pageShift][addr&pageMask:])
+		dst, addr = dst[n:], addr+n
+	}
+	return nil
 }
 
 // ReadBytes copies n bytes starting at addr. It is a debug/GUI interface
@@ -223,12 +347,12 @@ func (m *Main) ReadBytes(addr, n int) ([]byte, *fault.Exception) {
 		return nil, exc
 	}
 	out := make([]byte, n)
-	copy(out, m.data[addr:addr+n])
+	m.ReadInto(addr, out)
 	return out, nil
 }
 
 // WriteBytes stores b at addr, bypassing timing (program loading, memory
-// editor).
+// editor, cache write-backs).
 func (m *Main) WriteBytes(addr int, b []byte) *fault.Exception {
 	if len(b) == 0 {
 		return nil
@@ -236,25 +360,22 @@ func (m *Main) WriteBytes(addr int, b []byte) *fault.Exception {
 	if exc := m.checkRange(addr, len(b)); exc != nil {
 		return exc
 	}
-	copy(m.data[addr:], b)
+	for len(b) > 0 {
+		n := copy(m.writable(addr >> pageShift)[addr&pageMask:], b)
+		b, addr = b[n:], addr+n
+	}
 	return nil
 }
 
 // ReadWord reads a 32-bit little-endian word, bypassing timing.
 func (m *Main) ReadWord(addr int) (uint32, *fault.Exception) {
-	if exc := m.checkRange(addr, 4); exc != nil {
-		return 0, exc
-	}
-	return binary.LittleEndian.Uint32(m.data[addr:]), nil
+	v, exc := m.ReadRaw(addr, 4)
+	return uint32(v), exc
 }
 
 // WriteWord writes a 32-bit little-endian word, bypassing timing.
 func (m *Main) WriteWord(addr int, v uint32) *fault.Exception {
-	if exc := m.checkRange(addr, 4); exc != nil {
-		return exc
-	}
-	binary.LittleEndian.PutUint32(m.data[addr:], v)
-	return nil
+	return m.WriteRaw(addr, 4, uint64(v))
 }
 
 // Allocate reserves size bytes aligned to align (a power of two or 1),
@@ -269,9 +390,9 @@ func (m *Main) Allocate(name string, size, align int, elem string) (int, error) 
 		align = 1
 	}
 	addr := (m.allocNext + align - 1) &^ (align - 1)
-	if addr+size > len(m.data) {
+	if addr+size > m.size {
 		return 0, fmt.Errorf("memory: out of memory allocating %d bytes for %q (cursor %d, capacity %d)",
-			size, name, m.allocNext, len(m.data))
+			size, name, m.allocNext, m.size)
 	}
 	m.allocNext = addr + size
 	m.pointers = append(m.pointers, Pointer{Name: name, Addr: addr, Size: size, Elem: elem})
@@ -305,19 +426,22 @@ func (m *Main) Stats() Stats {
 }
 
 // Clone returns an independent copy of the memory: a simulation's working
-// copy of a program's image. The allocation registry is written only by
-// Allocate, which appends, so the copy shares its entries and is capped:
-// an Allocate on either side grows a private array.
+// copy of a program's image. It copies the page table, not the pages: both
+// sides share them and copy a page before writing it (Freeze). The
+// allocation registry is written only by Allocate, which appends, so the
+// copy shares its entries and is capped: an Allocate on either side grows
+// a private array.
 func (m *Main) Clone() *Main {
-	c := &Main{
+	m.Freeze()
+	return &Main{
 		cfg:       m.cfg,
-		data:      make([]byte, len(m.data)),
+		size:      m.size,
+		pages:     slices.Clone(m.pages),
+		owned:     make([]bool, len(m.owned)),
 		pointers:  m.pointers[:len(m.pointers):len(m.pointers)],
 		allocNext: m.allocNext,
 		nextID:    m.nextID,
 		reads:     m.reads, writes: m.writes,
 		bytesRead: m.bytesRead, bytesWritten: m.bytesWritten,
 	}
-	copy(c.data, m.data)
-	return c
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"sync"
 
 	"riscvsim/internal/api"
 	"riscvsim/internal/workload"
@@ -74,13 +75,19 @@ func (s *Server) handleSuite(_ http.ResponseWriter, r *http.Request, req *api.Su
 	}, nil
 }
 
+// sharedPresets holds one architecture per preset name, built on first
+// use and shared by every request that names it.
+var sharedPresets = sync.OnceValue(sim.Presets)
+
 // resolveConfig applies the Preset/Config precedence shared by simulate
-// and suite requests: Config overrides Preset overrides the default.
+// and suite requests: Config overrides Preset overrides the default. A
+// preset comes back shared, not copied: nothing in core, sim or server
+// writes a configuration after this returns, and nothing may.
 func resolveConfig(preset string, raw *json.RawMessage) (*sim.Config, *api.Error) {
 	if preset == "" {
 		preset = "default"
 	}
-	cfg, ok := sim.Preset(preset)
+	cfg, ok := sharedPresets()[preset]
 	if !ok {
 		return nil, api.Errorf(api.CodeUnknownPreset, "unknown preset %q", preset)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -148,6 +149,86 @@ func TestSharedProgramConcurrentUse(t *testing.T) {
 		}
 	}
 	wg.Wait()
+
+	// Eight machines of a Program nothing has instantiated yet, all
+	// incrementing every word of a 16-page table the assembler filled —
+	// half through the L1, half straight to memory (fast-forward) — so
+	// each copies every page before writing it: they end alike, and the
+	// image reads afterwards as a twin Program's does.
+	var heavy strings.Builder
+	heavy.WriteString(`
+  la   s0, tab
+  li   s1, 0
+pass:
+  li   t0, 0
+  li   t1, 4096
+word:
+  slli t2, t0, 2
+  add  t2, t2, s0
+  lw   t3, 0(t2)
+  addi t3, t3, 1
+  sw   t3, 0(t2)
+  addi t0, t0, 1
+  blt  t0, t1, word
+  addi s1, s1, 1
+  li   t4, 3
+  blt  s1, t4, pass
+  lw   a0, 0(s0)
+  ret
+.data
+.align 6
+tab:
+`)
+	for i := 0; i < 16; i++ {
+		fmt.Fprintf(&heavy, ".word %d\n.zero 1020\n", i+1)
+	}
+	var p, twin *sim.Program
+	for _, q := range []**sim.Program{&p, &twin} {
+		if *q, err = sim.Assemble(heavy.String(), config.Default().Memory); err != nil {
+			t.Fatal(err)
+		}
+	}
+	image := func(p *sim.Program) []byte {
+		m, err := p.NewMachine(config.Default(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := m.ReadMemory(0, config.Default().Memory.Size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var ends [8]outcome
+	for i := range ends {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := p.NewMachine(config.Default(), "")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if i%2 == 1 {
+				m.SetEngineMode(sim.EngineFastForward)
+			}
+			m.Run(1 << 20)
+			ends[i] = outcomeOf(t, m, m.Report())
+		}()
+	}
+	wg.Wait()
+	for i := 2; i < len(ends); i++ {
+		if ends[i] != ends[i%2] {
+			t.Errorf("store-heavy machine %d ended at cycle %d state %x, machine %d at cycle %d state %x",
+				i, ends[i].cycle, ends[i].stateHash, i%2, ends[i%2].cycle, ends[i%2].stateHash)
+		}
+	}
+	if ends[0].archHash != ends[1].archHash {
+		t.Error("the detailed and fast-forward machines disagree architecturally")
+	}
+	if !bytes.Equal(image(p), image(twin)) {
+		t.Error("machines running concurrently wrote the Program's image")
+	}
 }
 
 // TestProgramPristineAfterUse: a store-heavy run to halt plus a direct
@@ -217,42 +298,45 @@ func bytesPerCall(n int, f func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
 }
 
-// TestInstantiateAllocatesOneImage: a fork of a built machine (Fresh: what
+// TestInstantiateSharesTheImage: a fork of a built machine (Fresh: what
 // ReplayTo, RunParallel and the snapshot restore behind StepBack build
-// on) allocates one copy of the memory image and no plan tables. The
-// bounds sit between this build's cost and the parent's, which copied the
-// image twice and rebuilt every table per fork (CI: cached build
-// allocation gate).
-func TestInstantiateAllocatesOneImage(t *testing.T) {
+// on) copies the image's page table, not its pages, and builds no plan
+// tables. The bounds sit between this build's cost and the parent's,
+// which copied the 64 KiB image per fork (CI: cached build allocation
+// gate).
+func TestInstantiateSharesTheImage(t *testing.T) {
 	w, _ := ByName("sort-insertion")
 	m, err := NewMachine(nil, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	image := uint64(m.Sim().Memory().Size())
-	// One image, the L1 (16 KiB of lines plus tags), rename file,
-	// predictor, ROB and windows: measured 115 KB; the parent 186 KB.
-	if got := bytesPerCall(50, func() {
+	// The page table, the L1's line bookkeeping, rename file, predictor,
+	// ROB and windows: measured 27 KB; the parent 116 KB.
+	got := bytesPerCall(50, func() {
 		if _, err := m.Sim().Fresh(); err != nil {
 			t.Fatal(err)
 		}
-	}); got > image+64<<10 {
-		t.Errorf("Fresh allocates %d bytes, want at most one %d-byte image + 64 KiB", got, image)
+	})
+	if got > 40<<10 {
+		t.Errorf("Fresh allocates %d bytes, want at most 40 KiB", got)
 	}
+	t.Logf("Fresh: %d bytes", got)
 
 	m.EnableSnapshots(256)
 	m.Run(1000)
 	// A backward step decodes the snapshot at 768 into a fork and replays
-	// to 999: the fork plus the decoded state. Measured 128 KB; the
-	// parent 199 KB.
-	if got := bytesPerCall(50, func() {
+	// to 999: the fork, the pages and L1 sets the snapshot's delta writes,
+	// and the decoded state. Measured 38 KB; the parent 126 KB.
+	got = bytesPerCall(50, func() {
 		if err := m.StepBack(); err != nil {
 			t.Fatal(err)
 		}
 		m.Step()
-	}); got > image+96<<10 {
-		t.Errorf("StepBack allocates %d bytes, want at most one %d-byte image + 96 KiB", got, image)
+	})
+	if got > 56<<10 {
+		t.Errorf("StepBack allocates %d bytes, want at most 56 KiB", got)
 	}
+	t.Logf("StepBack: %d bytes", got)
 }
 
 // TestCheckpointAllocations: encoding a machine allocates a handful of
