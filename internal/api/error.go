@@ -87,16 +87,14 @@ const (
 	// Checkpoint codes (POST /api/v1/session/{checkpoint,restore} and
 	// checkpoint-carrying simulate/batch requests).
 
-	// CodeBadCheckpoint: the stream is not a checkpoint (bad magic) or
-	// its structure is corrupt.
+	// CodeBadCheckpoint: the stream is not a checkpoint (bad magic), fails
+	// its CRC-32C, or its structure is corrupt.
 	CodeBadCheckpoint = "bad_checkpoint"
-	// CodeCheckpointVersion: the checkpoint's format version is newer
-	// than this server supports.
+	// CodeCheckpointVersion: the checkpoint is not in this server's
+	// format version.
 	CodeCheckpointVersion = "checkpoint_version_unsupported"
-	// CodeCheckpointConfig: the embedded architecture document fails its
-	// integrity hash.
-	CodeCheckpointConfig = "checkpoint_config_mismatch"
-	// CodeCheckpointTruncated: the checkpoint stream ended early.
+	// CodeCheckpointTruncated: the stream does not end in the checkpoint
+	// footer and trailer.
 	CodeCheckpointTruncated = "checkpoint_truncated"
 )
 
@@ -113,8 +111,6 @@ func CheckpointError(err error) *Error {
 	switch {
 	case errors.Is(err, ckpt.ErrVersion):
 		code = CodeCheckpointVersion
-	case errors.Is(err, ckpt.ErrConfigHash):
-		code = CodeCheckpointConfig
 	case errors.Is(err, ckpt.ErrTruncated):
 		code = CodeCheckpointTruncated
 	}

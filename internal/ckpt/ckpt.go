@@ -1,8 +1,9 @@
 // Package ckpt implements the simulator's versioned binary checkpoint
 // wire format: the primitives every stateful package uses to serialize
 // itself (varint integers, length-prefixed byte strings, typed values),
-// the self-describing header (magic, format version, configuration hash)
-// and the stable sentinel errors the API layer maps onto machine-readable
+// the stream's frame (magic and format version in front, footer and
+// CRC-32C trailer behind, checked by Open before any decoder runs) and
+// the stable sentinel errors the API layer maps onto machine-readable
 // error codes.
 //
 // The format is strictly deterministic: encoding the same machine state
@@ -13,11 +14,11 @@
 package ckpt
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"io"
 
 	"riscvsim/internal/expr"
@@ -27,26 +28,38 @@ import (
 // Magic identifies a checkpoint stream ("RISC-V Simulator Checkpoint").
 const Magic = "RVSC"
 
-// Version is the current format version. Decoders reject newer versions;
-// older versions may be migrated in place when the layout allows it.
-const Version = 1
+// Version is the format version. Decoders accept this version only: a
+// reader of an older one would skip its CRC, so one flipped version byte
+// would defeat the check.
+const Version = 2
 
-// FooterMagic terminates a checkpoint so tail truncation is detectable
-// even when every section happened to decode.
+// FooterMagic ends the body of a checkpoint, just before the trailer, so
+// tail truncation is told apart from corruption.
 const FooterMagic uint32 = 0x4B435652 // "RVCK" little-endian
+
+// TrailerLen is the size of the trailer: the CRC-32C (Castagnoli) of
+// every byte before it, little-endian. It is the format's one integrity
+// check.
+const TrailerLen = 4
+
+// MaxStreamLen bounds the bytes a checkpoint reader takes from a stream.
+const MaxStreamLen = 1 << 28 // 256 MiB
+
+var (
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+	footer     = binary.AppendUvarint(nil, uint64(FooterMagic))
+)
 
 // Sentinel errors, mapped onto stable API error codes by internal/api.
 var (
 	// ErrBadMagic: the stream does not start with Magic.
 	ErrBadMagic = errors.New("ckpt: not a checkpoint stream (bad magic)")
-	// ErrVersion: the stream's format version is newer than this build.
+	// ErrVersion: the stream's format version is not Version.
 	ErrVersion = errors.New("ckpt: unsupported checkpoint format version")
-	// ErrConfigHash: the embedded configuration does not match the hash
-	// recorded in the header (corruption or tampering).
-	ErrConfigHash = errors.New("ckpt: configuration hash mismatch")
-	// ErrTruncated: the stream ended before the checkpoint was complete.
+	// ErrTruncated: the stream does not end in the footer and trailer.
 	ErrTruncated = errors.New("ckpt: truncated checkpoint stream")
-	// ErrCorrupt: a section tag, length or index is out of range.
+	// ErrCorrupt: the stream fails its CRC, or a section tag, length,
+	// index or cross-reference inside it is invalid.
 	ErrCorrupt = errors.New("ckpt: corrupt checkpoint stream")
 )
 
@@ -69,14 +82,6 @@ const (
 	SecLog       byte = 0x0D
 	SecDebug     byte = 0x0E
 )
-
-// ConfigHash is the header's integrity hash over the embedded
-// architecture JSON: FNV-1a 64.
-func ConfigHash(configJSON []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(configJSON)
-	return h.Sum64()
-}
 
 // MaxSliceLen bounds every length prefix a decoder accepts, so a corrupt
 // stream cannot drive an allocation of arbitrary size.
@@ -153,13 +158,6 @@ func (w *Writer) Int(v int) { w.I64(int64(v)) }
 // Len writes a count prefix (unsigned varint, read back with Reader.Len).
 func (w *Writer) Len(n int) { w.U64(uint64(n)) }
 
-// Fixed64 writes 8 little-endian bytes (used for the header hash so it is
-// readable in hex dumps).
-func (w *Writer) Fixed64(v uint64) {
-	binary.LittleEndian.PutUint64(w.scratch[:8], v)
-	w.Raw(w.scratch[:8])
-}
-
 // Bytes writes a length-prefixed byte string.
 func (w *Writer) Bytes(b []byte) {
 	w.U64(uint64(len(b)))
@@ -177,6 +175,42 @@ func (w *Writer) String(s string) {
 
 // Section writes a section tag.
 func (w *Writer) Section(tag byte) { w.Byte(tag) }
+
+// Header writes the front of a checkpoint stream: Magic and Version.
+func (w *Writer) Header() {
+	w.Raw([]byte(Magic))
+	w.U64(Version)
+}
+
+// Footer writes the footer that ends a checkpoint's body. The trailer
+// follows it (Summer.WriteTrailer).
+func (w *Writer) Footer() { w.Raw(footer) }
+
+// Summer passes writes through to an io.Writer and keeps the CRC-32C of
+// every byte it passed. A checkpoint writer puts one under its buffering,
+// so the trailer costs no second pass over the stream.
+type Summer struct {
+	w   io.Writer
+	crc uint32
+	buf [TrailerLen]byte
+}
+
+// NewSummer wraps w.
+func NewSummer(w io.Writer) *Summer { return &Summer{w: w} }
+
+// Write implements io.Writer.
+func (s *Summer) Write(p []byte) (int, error) {
+	n, err := s.w.Write(p)
+	s.crc = crc32.Update(s.crc, castagnoli, p[:n])
+	return n, err
+}
+
+// WriteTrailer writes the trailer: the CRC-32C of everything written
+// through s so far.
+func (s *Summer) WriteTrailer() error {
+	_, err := s.w.Write(binary.LittleEndian.AppendUint32(s.buf[:0], s.crc))
+	return err
+}
 
 // Value writes a typed expression value (type tag + raw bits).
 func (w *Writer) Value(v expr.Value) {
@@ -204,27 +238,81 @@ func (w *Writer) Exception(e *fault.Exception) {
 // Reader decodes checkpoint primitives. Errors are sticky and every
 // accessor returns a zero value after a failure, so decoders can run
 // straight through and check Err once; any short read surfaces as
-// ErrTruncated, any malformed length or tag as ErrCorrupt.
+// ErrTruncated, any malformed length, tag or encoding as ErrCorrupt.
+// Booleans and varints must be in the form the Writer writes, so a stream
+// that decodes re-encodes to the same bytes.
 type Reader struct {
-	r   *bufio.Reader
+	r   byteReader
 	err error
+	// framed: r is a body Open verified, so running out of it is a
+	// length inside the body that lies, not a short stream.
+	framed bool
 }
 
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+	Len() int // unread bytes
+}
+
+// NewReader wraps an in-memory stream (a *bytes.Reader or *bytes.Buffer).
+func NewReader(r byteReader) *Reader { return &Reader{r: r} }
+
+// Open checks a whole checkpoint stream in the format's read order and
+// returns a Reader over its body, positioned after the version and ending
+// before the footer. A wrong magic fails as ErrBadMagic, a version other
+// than Version as ErrVersion, a stream that does not end in the footer and
+// trailer as ErrTruncated, and a CRC mismatch as ErrCorrupt; no decoder
+// sees a byte of a stream that fails any of them.
+func Open(data []byte) (*Reader, error) {
+	if n := min(len(data), len(Magic)); string(data[:n]) != Magic[:n] {
+		return nil, ErrBadMagic
+	}
+	if len(data) < len(Magic) {
+		return nil, ErrTruncated
+	}
+	version, n := binary.Uvarint(data[len(Magic):])
+	if n == 0 {
+		return nil, ErrTruncated
+	}
+	if n < 0 || version != Version {
+		return nil, fmt.Errorf("%w: stream has version %d, this build reads %d", ErrVersion, version, Version)
+	}
+	start, end := len(Magic)+n, len(data)-TrailerLen-len(footer)
+	if end < start || !bytes.Equal(data[end:end+len(footer)], footer) {
+		return nil, ErrTruncated
+	}
+	sum := data[len(data)-TrailerLen:]
+	if crc32.Checksum(data[:len(data)-TrailerLen], castagnoli) != binary.LittleEndian.Uint32(sum) {
+		return nil, fmt.Errorf("%w: CRC-32C mismatch", ErrCorrupt)
+	}
+	return &Reader{r: bytes.NewReader(data[start:end]), framed: true}, nil
+}
 
 // Err returns the first decode error, or nil.
 func (r *Reader) Err() error { return r.err }
 
-// fail latches the first error, mapping EOF onto ErrTruncated.
+// End requires the body to be read exactly: bytes left before the footer
+// are corruption.
+func (r *Reader) End() {
+	if r.err != nil {
+		return
+	}
+	if _, err := r.r.ReadByte(); err == nil {
+		r.Corrupt("bytes left before the footer")
+	}
+}
+
+// fail latches a short read, the only error an in-memory stream gives:
+// ErrTruncated, or ErrCorrupt inside a body Open verified.
 func (r *Reader) fail(err error) {
 	if r.err != nil || err == nil {
 		return
 	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		err = ErrTruncated
+	r.err = ErrTruncated
+	if r.framed {
+		r.err = fmt.Errorf("%w: a section runs into the footer", ErrCorrupt)
 	}
-	r.err = err
 }
 
 // Corrupt latches a formatted ErrCorrupt (decoders use it for failed
@@ -254,41 +342,45 @@ func (r *Reader) Byte() byte {
 	return b
 }
 
-// Bool reads a boolean.
-func (r *Reader) Bool() bool { return r.Byte() != 0 }
+// Bool reads a boolean, 0 or 1.
+func (r *Reader) Bool() bool {
+	b := r.Byte()
+	if b > 1 {
+		r.Corrupt("boolean byte 0x%02x", b)
+		return false
+	}
+	return b == 1
+}
 
-// U64 reads an unsigned varint.
+// U64 reads an unsigned varint in its shortest form.
 func (r *Reader) U64() uint64 {
 	if r.err != nil {
 		return 0
 	}
+	n := r.r.Len()
 	v, err := binary.ReadUvarint(r.r)
-	r.fail(err)
-	return v
+	var shortest [binary.MaxVarintLen64]byte
+	switch {
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		r.fail(err)
+	case err != nil:
+		r.Corrupt("%v", err)
+	case n-r.r.Len() != binary.PutUvarint(shortest[:], v):
+		r.Corrupt("varint not in its shortest form")
+	default:
+		return v
+	}
+	return 0
 }
 
-// I64 reads a signed varint.
+// I64 reads a signed varint (zigzag).
 func (r *Reader) I64() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(r.r)
-	r.fail(err)
-	return v
+	u := r.U64()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Int reads a signed int.
 func (r *Reader) Int() int { return int(r.I64()) }
-
-// Fixed64 reads 8 little-endian bytes.
-func (r *Reader) Fixed64() uint64 {
-	var b [8]byte
-	r.Raw(b[:])
-	if r.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b[:])
-}
 
 // Len reads a length prefix, validating it against max (and the global
 // MaxSliceLen bound).

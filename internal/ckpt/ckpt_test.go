@@ -19,7 +19,6 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	w.U64(1<<63 + 17)
 	w.I64(-42)
 	w.Int(12345)
-	w.Fixed64(0xDEADBEEFCAFEF00D)
 	w.Bytes([]byte{1, 2, 3})
 	w.String("hello")
 	w.Section(SecCore)
@@ -48,9 +47,6 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	}
 	if got := r.Int(); got != 12345 {
 		t.Errorf("Int = %d", got)
-	}
-	if got := r.Fixed64(); got != 0xDEADBEEFCAFEF00D {
-		t.Errorf("Fixed64 = %x", got)
 	}
 	if got := r.Bytes(10); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Errorf("Bytes = %v", got)
@@ -122,5 +118,105 @@ func TestErrorsAreSticky(t *testing.T) {
 	_ = r.Bytes(4)
 	if r.Err() != first {
 		t.Errorf("error not sticky: %v then %v", first, r.Err())
+	}
+}
+
+// stream frames body as a checkpoint stream: header, body, footer and
+// trailer.
+func stream(body []byte) []byte {
+	var buf bytes.Buffer
+	sum := NewSummer(&buf)
+	w := NewWriter(sum)
+	w.Header()
+	w.Raw(body)
+	w.Footer()
+	if err := sum.WriteTrailer(); err != nil || w.Err() != nil {
+		panic("writing to a buffer failed")
+	}
+	return buf.Bytes()
+}
+
+func TestOpenReadOrder(t *testing.T) {
+	good := stream([]byte{7, 8, 9})
+	r, err := Open(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body [3]byte
+	r.Raw(body[:])
+	r.End()
+	if err := r.Err(); err != nil || body != [3]byte{7, 8, 9} {
+		t.Fatalf("body %v, err %v", body, err)
+	}
+
+	flip := func(i int, x byte) []byte {
+		b := bytes.Clone(good)
+		b[i] ^= x
+		return b
+	}
+	v1 := bytes.Clone(good)
+	v1[len(Magic)] = 1
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"empty", nil, ErrTruncated},
+		{"magic prefix", []byte("RV"), ErrTruncated},
+		{"bad magic", flip(0, 0x41), ErrBadMagic},
+		{"short bad magic", []byte("XY"), ErrBadMagic},
+		{"no version", []byte(Magic), ErrTruncated},
+		{"version 1", v1, ErrVersion},
+		{"version overflow", append([]byte(Magic), bytes.Repeat([]byte{0xFF}, 11)...), ErrVersion},
+		{"torn trailer", good[:len(good)-1], ErrTruncated},
+		{"flipped footer", flip(len(good)-TrailerLen-1, 0x01), ErrTruncated},
+		{"flipped body", flip(len(Magic)+1, 0x01), ErrCorrupt},
+		{"flipped trailer", flip(len(good)-1, 0x80), ErrCorrupt},
+	} {
+		if _, err := Open(tc.data); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestVerifiedBodyIsExact: once Open has checked the CRC, a length that
+// runs into the footer and bytes left over are both corruption.
+func TestVerifiedBodyIsExact(t *testing.T) {
+	r, _ := Open(stream([]byte{5, 1}))
+	r.Bytes(10) // claims 5 bytes, has 1
+	if !errors.Is(r.Err(), ErrCorrupt) {
+		t.Errorf("overlong length: err = %v, want ErrCorrupt", r.Err())
+	}
+	r, _ = Open(stream([]byte{1, 2}))
+	r.Byte()
+	r.End()
+	if !errors.Is(r.Err(), ErrCorrupt) {
+		t.Errorf("leftover byte: err = %v, want ErrCorrupt", r.Err())
+	}
+}
+
+// TestNonCanonicalEncodingsAreCorrupt: a boolean other than 0 or 1 and a
+// varint longer than its shortest form would re-encode to other bytes.
+func TestNonCanonicalEncodingsAreCorrupt(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		data []byte
+		read func(r *Reader)
+	}{
+		{"bool 2", []byte{2}, func(r *Reader) { r.Bool() }},
+		{"padded zero", []byte{0x80, 0x00}, func(r *Reader) { r.U64() }},
+		{"padded int", []byte{0x81, 0x80, 0x00}, func(r *Reader) { r.Int() }},
+		{"11-byte varint", bytes.Repeat([]byte{0xFF}, 11), func(r *Reader) { r.U64() }},
+		{"10th byte > 1", append(bytes.Repeat([]byte{0xFF}, 9), 0x02), func(r *Reader) { r.U64() }},
+	} {
+		r := NewReader(bytes.NewReader(tc.data))
+		tc.read(r)
+		if !errors.Is(r.Err(), ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, r.Err())
+		}
+	}
+	r := NewReader(bytes.NewReader(append(bytes.Repeat([]byte{0xFF}, 9), 0x01)))
+	if got := r.U64(); got != 1<<64-1 || r.Err() != nil {
+		t.Errorf("max varint = %x, err %v", got, r.Err())
 	}
 }

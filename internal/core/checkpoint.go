@@ -64,6 +64,36 @@ func readRef(r *ckpt.Reader, table []*SimInstr) *SimInstr {
 	return table[i]
 }
 
+// readAt reads a reference that must be table[want]: every live
+// instruction sits in exactly one of the ROB, the decode buffer and the
+// committed-store queue, in table order.
+func readAt(r *ckpt.Reader, table []*SimInstr, want int) *SimInstr {
+	i := r.Int()
+	if r.Err() == nil && (i != want || want >= len(table)) {
+		r.Corrupt("reference %d where the instruction table places entry %d of %d", i, want, len(table))
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	return table[i]
+}
+
+// readLive reads a reference that must name an instruction in the ROB.
+func (s *Simulation) readLive(r *ckpt.Reader, table []*SimInstr) *SimInstr {
+	si := readRef(r, table)
+	if r.Err() == nil && (si == nil || !s.inROB(si)) {
+		r.Corrupt("reference to an instruction outside the ROB")
+		return nil
+	}
+	return si
+}
+
+// inROB reports whether si is a decoded ROB entry (instructions elsewhere
+// keep robIndex 0, whose entry is some other instruction or none).
+func (s *Simulation) inROB(si *SimInstr) bool {
+	return s.rob.entries[si.robIndex].instr == si
+}
+
 // encodeInstr writes one dynamic instruction. The static instruction is
 // referenced by its code index (PC); srcs rename references are tag
 // indices into the rename file, and each source's name, class and register
@@ -165,10 +195,15 @@ func (s *Simulation) decodeInstr(r *ckpt.Reader) *SimInstr {
 		si.destReg = r.Int()
 		si.destTag = r.Int()
 		si.destPrev = r.Int()
-		if r.Err() == nil && (si.destTag < 0 || si.destTag >= s.rf.Size()) {
-			r.Corrupt("destination rename tag %d outside file of %d", si.destTag, s.rf.Size())
+		if r.Err() == nil && (si.destTag < 0 || si.destTag >= s.rf.Size() ||
+			si.destPrev != rename.NoTag && (si.destPrev < 0 || si.destPrev >= s.rf.Size())) {
+			r.Corrupt("destination rename tags %d / %d outside file of %d", si.destTag, si.destPrev, s.rf.Size())
 			return si
 		}
+	}
+	if r.Err() == nil && si.hasDest && (!rp.hasDest || si.destClass != rp.destClass || si.destReg != int(rp.destReg)) {
+		r.Corrupt("destination %s%d does not match instruction %d", si.destClass, si.destReg, si.PC)
+		return si
 	}
 	si.result = r.Value()
 	si.resultReady = r.Bool()
@@ -326,6 +361,56 @@ func (s *Simulation) EncodeState(w *ckpt.Writer) {
 	w.U64(s.bpSkipID)
 }
 
+// checkInstrs checks what the instruction records claim against where
+// the decoder placed them: the ROB (the first count entries) and the
+// committed stores (the entries after the ndec in the decode buffer) are
+// renamed and the decode buffer is not; none is squashed; and committed
+// stores, ROB and decode buffer run in program order. Then it hands the
+// ROB's destinations and source references to the rename file's own
+// check.
+func (s *Simulation) checkInstrs(r *ckpt.Reader, table []*SimInstr, count, ndec int) {
+	if r.Err() != nil {
+		return
+	}
+	var last uint64
+	for _, part := range [][]*SimInstr{table[count+ndec:], table[:count+ndec]} {
+		for _, si := range part {
+			if si.ID <= last || si.ID > s.nextID {
+				r.Corrupt("instruction %d out of program order", si.ID)
+				return
+			}
+			last = si.ID
+		}
+	}
+	var dests []rename.Dest
+	var srcs []int
+	for i, si := range table {
+		rp := &s.prog.rplans[si.PC]
+		rob, committed := i < count, i >= count+ndec
+		placed := si.nsrc == 0 && !si.hasDest // not renamed yet
+		if rob || committed {
+			placed = si.nsrc == rp.nsrc && si.hasDest == rp.hasDest
+		}
+		if si.Squashed || !placed || committed && (!si.IsStore() || si.holdsRefs()) {
+			r.Corrupt("instruction %d squashed, or renamed where it is not", si.ID)
+			return
+		}
+		if !rob {
+			continue
+		}
+		if si.hasDest {
+			dests = append(dests, rename.Dest{Tag: si.destTag, Class: si.destClass, Index: si.destReg,
+				Done: s.rob.entries[si.robIndex].done})
+		}
+		for j := 0; j < int(si.nsrc); j++ {
+			if src := &si.srcs[j]; !src.captured && src.tag != rename.NoTag {
+				srcs = append(srcs, int(src.tag))
+			}
+		}
+	}
+	s.rf.CheckHolders(r, dests, srcs, s.halted && s.exception != nil)
+}
+
 // DecodeState restores an encoded simulation state onto s, which must be
 // freshly built from the same configuration and Program the
 // checkpoint was taken from (the sim facade resolves them from the
@@ -378,8 +463,8 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 	if r.Err() != nil {
 		return
 	}
-	if head < 0 || head >= s.rob.Cap() || count < 0 || count > s.rob.Cap() {
-		r.Corrupt("ROB head %d / count %d outside capacity %d", head, count, s.rob.Cap())
+	if head < 0 || head >= s.rob.Cap() || count < 0 || count > s.rob.Cap() || count > len(table) {
+		r.Corrupt("ROB head %d / count %d outside capacity %d or table of %d", head, count, s.rob.Cap(), len(table))
 		return
 	}
 	s.rob.head = head
@@ -389,10 +474,9 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 		s.rob.entries[i] = robEntry{}
 	}
 	for i := 0; i < count && r.Err() == nil; i++ {
-		si := readRef(r, table)
+		si := readAt(r, table, i)
 		done := r.Bool()
-		if si == nil {
-			r.Corrupt("nil instruction in ROB slot %d", i)
+		if r.Err() != nil {
 			return
 		}
 		pos := (head + i) % s.rob.Cap()
@@ -404,7 +488,7 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 	s.decodeBuf = s.decodeBuf[:0]
 	s.decodeHead = 0
 	for i := 0; i < ndec && r.Err() == nil; i++ {
-		if si := readRef(r, table); si != nil {
+		if si := readAt(r, table, count+i); si != nil {
 			s.decodeBuf = append(s.decodeBuf, si)
 		}
 	}
@@ -417,18 +501,22 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 		win.fullStalls = r.U64()
 		win.bookedAt = s.counted
 		nw := r.Len(win.capacity)
+		last := -1 // ROB position of the previous entry: oldest first
 		for i := 0; i < nw && r.Err() == nil; i++ {
-			if si := readRef(r, table); si != nil {
-				if si.ID == 0 || s.rob.entries[si.robIndex].instr != si || s.iq.slot[si.robIndex].id != 0 {
-					r.Corrupt("issue-window entry %d outside the ROB or listed twice", si.ID)
+			if si := s.readLive(r, table); si != nil {
+				pos := s.rob.position(si.robIndex)
+				if pos <= last || s.iq.slot[si.robIndex].id != 0 || si.Static.Desc.Unit != win.class {
+					r.Corrupt("issue-window entry %d out of order, listed twice or of another unit", si.ID)
 					return
 				}
+				last = pos
 				s.insertWindow(win, si)
 			}
 		}
 	}
 
 	r.Section(ckpt.SecFUs)
+	held := make([]bool, s.rob.Cap()) // by ROB slot: executing or buffered
 	if nf := r.Int(); r.Err() == nil && nf != len(s.fus) {
 		r.Corrupt("%d functional units, machine has %d", nf, len(s.fus))
 		return
@@ -444,9 +532,14 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 		fu.inflight = fu.inflight[:0]
 		fu.minDone = noneDue
 		for i := 0; i < ni && r.Err() == nil; i++ {
-			si := readRef(r, table)
+			si := s.readLive(r, table)
 			doneAt := r.U64()
 			if si != nil {
+				if held[si.robIndex] || s.iq.slot[si.robIndex].id != 0 || s.rob.entries[si.robIndex].done || si.Static.Desc.Unit != fu.class {
+					r.Corrupt("instruction %d executes twice, while waiting to issue, after completing or on another unit", si.ID)
+					return
+				}
+				held[si.robIndex] = true
 				fu.inflight = append(fu.inflight, inflightOp{si: si, doneAt: doneAt})
 				fu.minDone = min(fu.minDone, doneAt)
 			}
@@ -455,13 +548,35 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 
 	r.Section(ckpt.SecLSU)
 	l := s.lsu
-	for _, q := range []*[]*SimInstr{&l.loads, &l.stores, &l.committed} {
-		nq := r.Len(len(table))
-		*q = (*q)[:0]
+	clear(held)
+	for _, q := range []struct {
+		buf   *[]*SimInstr
+		cap   int
+		store bool
+	}{{&l.loads, l.loadCap, false}, {&l.stores, l.storeCap, true}} {
+		nq := r.Len(q.cap)
+		*q.buf = (*q.buf)[:0]
+		var last uint64 // program order
 		for i := 0; i < nq && r.Err() == nil; i++ {
-			if si := readRef(r, table); si != nil {
-				*q = append(*q, si)
+			if si := s.readLive(r, table); si != nil {
+				if si.ID <= last || held[si.robIndex] || si.IsStore() != q.store || !q.store && !si.IsLoad() {
+					r.Corrupt("memory buffer entry %d out of order, listed twice or of the wrong kind", si.ID)
+					return
+				}
+				last, held[si.robIndex] = si.ID, true
+				*q.buf = append(*q.buf, si)
 			}
+		}
+	}
+	nc := r.Len(len(table))
+	if r.Err() == nil && count+ndec+nc != len(table) {
+		r.Corrupt("%d committed stores leave the instruction table of %d uncovered", nc, len(table))
+		return
+	}
+	l.committed = l.committed[:0]
+	for i := 0; i < nc && r.Err() == nil; i++ {
+		if si := readAt(r, table, count+ndec+i); si != nil {
+			l.committed = append(l.committed, si)
 		}
 	}
 	l.count.Loads = r.U64()
@@ -480,8 +595,13 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 	s.fetch.waitBranch = readRef(r, table)
 	s.fetch.fetched = r.U64()
 	s.fetch.stallCycles = r.U64()
+	if wb := s.fetch.waitBranch; wb != nil && (!wb.IsBranch() || !wb.predStall) {
+		r.Corrupt("fetch waits on instruction %d, which is not a parked jump", wb.ID)
+		return
+	}
 
 	s.rf.DecodeState(r)
+	s.checkInstrs(r, table, count, ndec)
 	s.pred.DecodeState(r)
 	s.l1.DecodeState(r)
 	s.mem.DecodeState(r)

@@ -160,6 +160,16 @@ func (si *SimInstr) capture(rf *rename.File) int {
 	return rename.NoTag
 }
 
+// holdsRefs reports whether a source still holds a rename reference.
+func (si *SimInstr) holdsRefs() bool {
+	for i := 0; i < int(si.nsrc); i++ {
+		if s := &si.srcs[i]; !s.captured && s.tag != rename.NoTag {
+			return true
+		}
+	}
+	return false
+}
+
 // releaseRefs drops any rename references still held (squash path).
 func (si *SimInstr) releaseRefs(rf *rename.File) {
 	for i := 0; i < int(si.nsrc); i++ {

@@ -36,6 +36,9 @@ func (r *ROB) Len() int { return r.count }
 // Cap returns the buffer capacity.
 func (r *ROB) Cap() int { return len(r.entries) }
 
+// position returns the age rank of slot i: 0 for the head.
+func (r *ROB) position(i int) int { return (i - r.head + len(r.entries)) % len(r.entries) }
+
 // Push allocates a slot for the instruction, which must not be full.
 func (r *ROB) Push(si *SimInstr) {
 	if r.Full() {

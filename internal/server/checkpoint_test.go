@@ -281,8 +281,8 @@ func TestCheckpointEndpointErrorCodes(t *testing.T) {
 	copy(badMagic, "XXXX")
 	badVersion := append([]byte(nil), valid...)
 	badVersion[4] = 99
-	badHash := append([]byte(nil), valid...)
-	badHash[20] ^= 0xFF
+	badCRC := append([]byte(nil), valid...)
+	badCRC[20] ^= 0xFF
 
 	cases := []struct {
 		name     string
@@ -292,7 +292,7 @@ func TestCheckpointEndpointErrorCodes(t *testing.T) {
 	}{
 		{"bad magic", badMagic, api.CodeBadCheckpoint, http.StatusBadRequest},
 		{"newer version", badVersion, api.CodeCheckpointVersion, http.StatusUnprocessableEntity},
-		{"config hash mismatch", badHash, api.CodeCheckpointConfig, http.StatusUnprocessableEntity},
+		{"crc mismatch", badCRC, api.CodeBadCheckpoint, http.StatusBadRequest},
 		{"truncated", valid[:len(valid)/3], api.CodeCheckpointTruncated, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
@@ -403,7 +403,7 @@ func TestSpillDirGarbageCollection(t *testing.T) {
 	stale := dir + "/s00000001.v1.ckpt"
 	freshFile := dir + "/s00000002.v1.ckpt"
 	for _, p := range []string{stale, freshFile} {
-		if err := os.WriteFile(p, sealed([]byte("x")), 0o644); err != nil {
+		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

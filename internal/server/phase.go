@@ -19,7 +19,7 @@ const (
 	phaseReport                // building the reply document from the machine
 	phaseEncode                // serializing the reply
 	phaseStoreGet              // sessionStore.load: reading a stored checkpoint back into a machine
-	phaseStorePut              // sessionStore.save: sealing and writing a checkpoint to the store
+	phaseStorePut              // sessionStore.save: writing a checkpoint to the store
 	numPhases
 )
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"container/list"
 	"fmt"
 	"hash/maphash"
@@ -152,7 +151,7 @@ func (c *programCache) compileC(csrc string, optimize int, mem sim.MemoryConfig)
 // from a checkpoint gets them re-enabled instead of being silently
 // demoted to from-zero replays.
 func (c *programCache) restoreSession(data []byte) (*sim.Machine, error) {
-	m, err := sim.RestoreWith(bytes.NewReader(data), c.assemble)
+	m, err := sim.RestoreWith(data, c.assemble)
 	if err != nil {
 		return nil, err
 	}

@@ -308,7 +308,7 @@ func statusForCode(code string) int {
 		return http.StatusRequestEntityTooLarge
 	case api.CodeUnknownPreset, api.CodeBadConfig, api.CodeBuildFailed,
 		api.CodeMemFill, api.CodeUnprocessable, api.CodeRewindBarrier,
-		api.CodeCheckpointVersion, api.CodeCheckpointConfig:
+		api.CodeCheckpointVersion:
 		return http.StatusUnprocessableEntity
 	case api.CodeBadCheckpoint, api.CodeCheckpointTruncated:
 		return http.StatusBadRequest
@@ -503,7 +503,7 @@ func (s *Server) buildMachine(req *api.SimulateRequest) (*sim.Machine, *api.Erro
 	var m *sim.Machine
 	if len(req.Checkpoint) > 0 {
 		var err error
-		m, err = sim.RestoreWith(bytes.NewReader(req.Checkpoint), programs.assemble)
+		m, err = sim.RestoreWith(req.Checkpoint, programs.assemble)
 		if err != nil {
 			return nil, api.CheckpointError(err)
 		}

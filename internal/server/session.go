@@ -173,7 +173,7 @@ func (s *Server) handleSessionCheckpoint(_ http.ResponseWriter, r *http.Request,
 		return nil, api.WrapError(api.CodeInternal, err)
 	}
 	// Write-through policy (docs/deployment.md): the stream the client
-	// receives also lands, sealed, in the checkpoint store, so any replica
+	// receives also lands, as it is, in the checkpoint store, so any replica
 	// sharing it can serve the session from this point on. The store —
 	// not this process — is the session's authority after an explicit
 	// checkpoint. Durable tells the client whether that happened: only a
@@ -184,7 +184,7 @@ func (s *Server) handleSessionCheckpoint(_ http.ResponseWriter, r *http.Request,
 	// the response must describe the bytes in Checkpoint, not the
 	// adopted state.
 	cycle := sess.machine.Cycle()
-	durable := s.store.WriteThrough(tm, sess, &buf)
+	durable := s.store.WriteThrough(tm, sess, buf.Bytes())
 	return &api.SessionCheckpointResponse{
 		SessionID:  req.SessionID,
 		Cycle:      cycle,

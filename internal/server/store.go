@@ -3,10 +3,8 @@ package server
 import (
 	"bytes"
 	"container/list"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -59,10 +57,11 @@ type session struct {
 //
 // One door: every blob reaches the backend through save and comes back
 // through load, and nothing else in the server calls backend.Put or
-// backend.Get (CI's lint job counts the call sites). save seals what it
-// writes and load verifies the seal before a decoder sees a byte, so what
-// to do about a bad read — re-read once, drop the blob only when the
-// failure repeats — is decided in one place (docs/robustness.md).
+// backend.Get (CI's lint job counts the call sites). A blob is the bare
+// checkpoint stream, whose CRC-32C trailer the restore checks before a
+// decoder sees a byte, so what to do about a bad read — re-read once, drop
+// the blob only when the failure repeats — is decided in one place
+// (docs/robustness.md).
 //
 // Locking: st.mu guards only the in-memory table, and table is the only
 // way onto it. Serialization, store I/O and machine reconstruction all
@@ -339,37 +338,9 @@ func (st *sessionStore) rehydrate(tm *phaseTimer, id string) (*session, bool) {
 	return sess, true
 }
 
-// A stored blob is a checkpoint stream followed by sealLen bytes: the
-// CRC-32C of the stream, little-endian. The stream itself checks its
-// header hash, section tags and footer but not its body, so a flipped
-// body byte can decode without error into a different machine
-// (docs/checkpoint.md "Integrity"); the seal is checked by code that
-// shares nothing with the decoder. Checkpoints handed to clients are the
-// bare stream and never carry it.
-const sealLen = 4
-
-var (
-	castagnoli = crc32.MakeTable(crc32.Castagnoli)
-	errSeal    = errors.New("stored checkpoint fails its seal")
-)
-
-// seal appends the seal to the stream in buf, in place.
-func seal(buf *bytes.Buffer) {
-	buf.Write(binary.LittleEndian.AppendUint32(buf.AvailableBuffer(), crc32.Checksum(buf.Bytes(), castagnoli)))
-}
-
-// unseal returns the stream inside a stored blob, or errSeal.
-func unseal(blob []byte) ([]byte, error) {
-	n := len(blob) - sealLen
-	if n < 0 || crc32.Checksum(blob[:n], castagnoli) != binary.LittleEndian.Uint32(blob[n:]) {
-		return nil, errSeal
-	}
-	return blob[:n], nil
-}
-
-// load is the one read door: Get, verify the seal, rebuild the machine,
-// booked to the request's store-get phase. A blob that fails either
-// check may have been read badly (a torn page, an NFS hiccup, an injected
+// load is the one read door: Get and restore the machine (the restore
+// checks the stream's CRC before it decodes), booked to the request's
+// store-get phase. A blob that fails to restore may have been read badly (a torn page, an NFS hiccup, an injected
 // chaos fault) or be bad in the store, and one more read tells the two
 // apart: a transient fault yields the original machine, and only the
 // same version failing twice is dropped, so that it cannot wedge the ID.
@@ -384,10 +355,7 @@ func (st *sessionStore) load(tm *phaseTimer, id string) (*sim.Machine, uint64, b
 		if err != nil {
 			return nil, 0, false
 		}
-		var m *sim.Machine
-		if blob, err = unseal(blob); err == nil {
-			m, err = st.programs.restoreSession(blob)
-		}
+		m, err := st.programs.restoreSession(blob)
 		if err == nil {
 			return m, version, true
 		}
@@ -400,10 +368,9 @@ func (st *sessionStore) load(tm *phaseTimer, id string) (*sim.Machine, uint64, b
 	return nil, 0, false
 }
 
-// save is the one write door: it seals the checkpoint stream in buf,
-// Puts it at the session's next version (booked to the request's
-// store-put phase) and hands buf back as the bare stream. The caller
-// holds sess.mu, which also guards the version counter. It reports
+// save is the one write door: it Puts the checkpoint stream blob at the
+// session's next version, booked to the request's store-put phase. The
+// caller holds sess.mu, which also guards the version counter. It reports
 // whether the checkpoint is durably in the store.
 //
 // A stale write — another node persisted a newer version meanwhile — is
@@ -412,19 +379,16 @@ func (st *sessionStore) load(tm *phaseTimer, id string) (*sim.Machine, uint64, b
 // to converge, and nothing was lost: the authority lives elsewhere now.
 // Any other failure loses a retiring session and leaves a live one with
 // a checkpoint only its client holds.
-func (st *sessionStore) save(tm *phaseTimer, sess *session, buf *bytes.Buffer, cause string) bool {
+func (st *sessionStore) save(tm *phaseTimer, sess *session, blob []byte, cause string) bool {
 	writing := tm.begin(phaseStorePut)
-	n := buf.Len()
-	seal(buf)
 	version := sess.version + 1
-	err := st.backend.Put(sess.id, version, buf.Bytes())
-	buf.Truncate(n)
+	err := st.backend.Put(sess.id, version, blob)
 	writing.end()
 	switch {
 	case err == nil:
 		sess.version = version
 		st.spilled.Add(1)
-		st.logf("session %s: checkpoint stored at cycle %d (%s, v%d, %d bytes)", sess.id, sess.machine.Cycle(), cause, version, n)
+		st.logf("session %s: checkpoint stored at cycle %d (%s, v%d, %d bytes)", sess.id, sess.machine.Cycle(), cause, version, len(blob))
 		return true
 	case errors.Is(err, store.ErrStale):
 		st.logf("session %s: write superseded by a newer store version (%s): %v", sess.id, cause, err)
@@ -440,13 +404,13 @@ func (st *sessionStore) save(tm *phaseTimer, sess *session, buf *bytes.Buffer, c
 	return false
 }
 
-// WriteThrough persists the just-taken checkpoint in buf (write-through
+// WriteThrough persists the just-taken checkpoint blob (write-through
 // mode only). The caller holds sess.mu. The result is the Durable flag of
 // the checkpoint response, which is what the failover contract (and the
 // chaos harness's checkpoint-loss invariant) keys on: after a stale or
 // failed write the client's copy of the bytes is its only guarantee.
-func (st *sessionStore) WriteThrough(tm *phaseTimer, sess *session, buf *bytes.Buffer) bool {
-	return st.writeThrough && st.save(tm, sess, buf, "write-through")
+func (st *sessionStore) WriteThrough(tm *phaseTimer, sess *session, blob []byte) bool {
+	return st.writeThrough && st.save(tm, sess, blob, "write-through")
 }
 
 // Remove deletes a session (and any stored copy); it reports whether
@@ -570,5 +534,5 @@ func (st *sessionStore) retireOne(tm *phaseTimer, sess *session, cause string) {
 		st.logf("session %s: evicted (%s) and lost — checkpoint failed: %v", sess.id, cause, err)
 		return
 	}
-	st.save(tm, sess, &buf, cause)
+	st.save(tm, sess, buf.Bytes(), cause)
 }

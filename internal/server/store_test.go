@@ -165,17 +165,9 @@ func steppedMachine(t testing.TB, n uint64) *sim.Machine {
 	return m
 }
 
-// sealed returns a checkpoint stream as the session store stores it.
-func sealed(stream []byte) []byte {
-	buf := bytes.NewBuffer(bytes.Clone(stream))
-	seal(buf)
-	return buf.Bytes()
-}
-
 // TestRehydrateCorruptedBlob pins the corrupted/truncated-store path:
-// a blob that fails its seal, or passes it and does not decode, must
-// surface as a miss, never a panic, and the poisoned blob is dropped so
-// it cannot wedge the ID forever.
+// a blob that does not restore must surface as a miss, never a panic, and
+// the poisoned blob is dropped so it cannot wedge the ID forever.
 func TestRehydrateCorruptedBlob(t *testing.T) {
 	backend := store.NewMem()
 	st := newSessionStore(4, 0, backend, 0, false, nil)
@@ -193,16 +185,13 @@ func TestRehydrateCorruptedBlob(t *testing.T) {
 	if backend.Len() != 0 {
 		t.Error("poisoned blob not dropped after failed rehydration")
 	}
-	// Garbage that is not even a checkpoint header behaves the same,
-	// sealed (the decoder refuses it) or not (the seal does).
-	for _, garbage := range [][]byte{sealed([]byte("not a checkpoint")), []byte("not a checkpoint")} {
-		backend.Put(id, 99, garbage)
-		if _, ok := st.Get(nil, id); ok {
-			t.Fatal("garbage blob rehydrated")
-		}
-		if backend.Len() != 0 {
-			t.Error("garbage blob not dropped after failed rehydration")
-		}
+	// Garbage that is not even a checkpoint header behaves the same.
+	backend.Put(id, 99, []byte("not a checkpoint"))
+	if _, ok := st.Get(nil, id); ok {
+		t.Fatal("garbage blob rehydrated")
+	}
+	if backend.Len() != 0 {
+		t.Error("garbage blob not dropped after failed rehydration")
 	}
 }
 
@@ -278,7 +267,7 @@ func TestWriteThroughVersionsAreMonotonic(t *testing.T) {
 	sess, _ := st.Get(nil, id)
 	for want := uint64(1); want <= 3; want++ {
 		sess.mu.Lock()
-		st.WriteThrough(nil, sess, bytes.NewBuffer(checkpointBytes(t, sess.machine)))
+		st.WriteThrough(nil, sess, checkpointBytes(t, sess.machine))
 		sess.mu.Unlock()
 		if v, _ := backend.Version(id); v != want {
 			t.Fatalf("after write-through %d: version %d", want, v)
@@ -292,7 +281,7 @@ func TestWriteThroughVersionsAreMonotonic(t *testing.T) {
 	}
 	sess2, _ := other.Get(nil, id)
 	sess2.mu.Lock()
-	other.WriteThrough(nil, sess2, bytes.NewBuffer(checkpointBytes(t, sess2.machine)))
+	other.WriteThrough(nil, sess2, checkpointBytes(t, sess2.machine))
 	sess2.mu.Unlock()
 	if v, _ := backend.Version(id); v != 4 {
 		t.Fatalf("handoff write-through version = %d, want 4", v)

@@ -43,10 +43,9 @@ type Entry struct {
 
 // Store is a versioned checkpoint blob store. Implementations must be
 // safe for concurrent use; blobs are opaque bytes the store never
-// inspects. The server stores a sim checkpoint stream sealed with a
-// checksum and verifies the seal on every read before decoding anything
-// (internal/server/store.go): the stream's own checks do not cover its
-// body, so corruption does not reliably surface at restore time.
+// inspects. The server stores sim checkpoint streams, whose CRC-32C
+// trailer the restore checks before decoding anything
+// (internal/server/store.go, docs/checkpoint.md "Integrity").
 type Store interface {
 	// Put stores data under id at the given version. It fails with
 	// ErrStale when the store already holds version >= the given one.

@@ -121,7 +121,7 @@ func TestSharedProgramConcurrentUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	restoreShared := func(data []byte) (*sim.Machine, error) {
-		return sim.RestoreWith(bytes.NewReader(data), func(src string, mem sim.MemoryConfig) (*sim.Program, error) {
+		return sim.RestoreWith(data, func(src string, mem sim.MemoryConfig) (*sim.Program, error) {
 			if src != shared.Source() {
 				return nil, fmt.Errorf("checkpoint embeds a different source")
 			}

@@ -13,14 +13,16 @@ import (
 // Checkpoint/restore: the versioned binary snapshot of a complete machine.
 //
 // A checkpoint is self-contained: the header carries the architecture
-// JSON (guarded by a hash), the assembly source and the entry point, and
-// the body carries every piece of dynamic state — architectural and
-// speculative registers, ROB, issue windows, LSU queues, functional
-// units, fetch/branch state, cache contents, memory (sparse pages),
-// cycle counters and statistics. Restore resolves the source to a
-// compiled Program (assembling it, or finding it in the caller's cache:
-// RestoreWith), instantiates it and overlays the dynamic state, yielding a machine that is cycle-for-cycle deterministic
-// with the original. docs/checkpoint.md documents the binary layout.
+// JSON, the assembly source and the entry point, and the body carries
+// every piece of dynamic state — architectural and speculative registers,
+// ROB, issue windows, LSU queues, functional units, fetch/branch state,
+// cache contents, memory (sparse pages), cycle counters and statistics. A
+// CRC-32C trailer covers all of it and is checked before any decoder
+// runs. Restore resolves the source to a compiled Program (assembling it,
+// or finding it in the caller's cache: RestoreWith), instantiates it and
+// overlays the dynamic state, yielding a machine that is cycle-for-cycle
+// deterministic with the original. docs/checkpoint.md documents the
+// binary layout.
 
 // header size bounds for the decoder.
 const (
@@ -38,60 +40,51 @@ func (m *Machine) Checkpoint(w io.Writer) error {
 		}
 		m.cfgJSON = data
 	}
-	cfgJSON := m.cfgJSON
-	bw := bufio.NewWriter(w)
+	sum := ckpt.NewSummer(w)
+	bw := bufio.NewWriter(sum)
 	cw := ckpt.NewWriter(bw)
-	cw.Raw([]byte(ckpt.Magic))
-	cw.U64(ckpt.Version)
-	cw.Fixed64(ckpt.ConfigHash(cfgJSON))
-	cw.Bytes(cfgJSON)
+	cw.Header()
+	cw.Bytes(m.cfgJSON)
 	cw.String(m.prog.src)
 	cw.Int(m.entry)
 	m.sim.EncodeState(cw)
-	cw.U64(uint64(ckpt.FooterMagic))
+	cw.Footer()
 	if err := cw.Err(); err != nil {
 		return err
 	}
-	return bw.Flush()
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	return sum.WriteTrailer()
 }
 
-// Restore rebuilds a machine from a checkpoint stream. The restored
-// machine produces the same State and Report as the original at every
-// future step. Decoding failures return errors wrapping the ckpt sentinel
-// errors (ErrBadMagic, ErrVersion, ErrConfigHash, ErrTruncated,
-// ErrCorrupt), which the server maps onto stable API error codes.
-func Restore(r io.Reader) (*Machine, error) { return RestoreWith(r, Assemble) }
+// Restore rebuilds a machine from a checkpoint stream of at most
+// ckpt.MaxStreamLen bytes. The restored machine produces the same State
+// and Report as the original at every future step. Decoding failures
+// return errors wrapping the ckpt sentinel errors (ErrBadMagic,
+// ErrVersion, ErrTruncated, ErrCorrupt), which the server maps onto
+// stable API error codes.
+func Restore(r io.Reader) (*Machine, error) {
+	data, err := io.ReadAll(io.LimitReader(r, ckpt.MaxStreamLen+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(data) > ckpt.MaxStreamLen {
+		return nil, fmt.Errorf("%w: stream longer than %d bytes", ckpt.ErrCorrupt, ckpt.MaxStreamLen)
+	}
+	return RestoreWith(data, Assemble)
+}
 
-// RestoreWith is Restore with the embedded source resolved through
-// assemble instead of assembled afresh: a caller holding a cache of
-// Programs passes its lookup, so a checkpoint of a program it already
-// runs costs no assembly.
-func RestoreWith(r io.Reader, assemble func(src string, mem MemoryConfig) (*Program, error)) (*Machine, error) {
-	cr := ckpt.NewReader(r)
-	var magic [4]byte
-	cr.Raw(magic[:])
-	if err := cr.Err(); err != nil {
+// RestoreWith is Restore from a checkpoint held in memory, with the
+// embedded source resolved through assemble instead of assembled afresh:
+// a caller holding a cache of Programs passes its lookup, so a checkpoint
+// of a program it already runs costs no assembly. data is only read.
+func RestoreWith(data []byte, assemble func(src string, mem MemoryConfig) (*Program, error)) (*Machine, error) {
+	cr, err := ckpt.Open(data)
+	if err != nil {
 		return nil, err
 	}
-	if string(magic[:]) != ckpt.Magic {
-		return nil, ckpt.ErrBadMagic
-	}
-	version := cr.U64()
-	if err := cr.Err(); err != nil {
-		return nil, err
-	}
-	if version == 0 || version > ckpt.Version {
-		return nil, fmt.Errorf("%w: stream has version %d, this build supports <= %d",
-			ckpt.ErrVersion, version, ckpt.Version)
-	}
-	wantHash := cr.Fixed64()
 	cfgJSON := cr.Bytes(maxConfigJSON)
-	if err := cr.Err(); err != nil {
-		return nil, err
-	}
-	if ckpt.ConfigHash(cfgJSON) != wantHash {
-		return nil, ckpt.ErrConfigHash
-	}
 	src := cr.String(maxSource)
 	entry := cr.Int()
 	if err := cr.Err(); err != nil {
@@ -114,13 +107,15 @@ func RestoreWith(r io.Reader, assemble func(src string, mem MemoryConfig) (*Prog
 		return nil, fmt.Errorf("%w: rebuilding machine: %v", ckpt.ErrCorrupt, err)
 	}
 	s.DecodeState(cr)
-	if footer := cr.U64(); cr.Err() == nil && uint32(footer) != ckpt.FooterMagic {
-		cr.Corrupt("bad footer 0x%08x", footer)
-	}
+	cr.End()
 	if err := cr.Err(); err != nil {
 		return nil, err
 	}
-	return newMachine(cfg, p, s, entry), nil
+	m := newMachine(cfg, p, s, entry)
+	// The header it came with, as it came: the machine re-encodes to the
+	// same bytes even from a document Export would have spelled otherwise.
+	m.cfgJSON = cfgJSON
+	return m, nil
 }
 
 // StateHash returns a 64-bit FNV-1a digest of the machine's checkpoint

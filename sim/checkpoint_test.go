@@ -47,7 +47,7 @@ data: .zero 1024
 
 // newLoopMachine builds the loop machine and fills its array with
 // deterministic pseudo-random values derived from seed.
-func newLoopMachine(t *testing.T, seed uint64) *Machine {
+func newLoopMachine(t testing.TB, seed uint64) *Machine {
 	t.Helper()
 	m, err := NewFromAsm(DefaultConfig(), loopProgram, "")
 	if err != nil {
@@ -72,8 +72,17 @@ func newLoopMachine(t *testing.T, seed uint64) *Machine {
 	return m
 }
 
+// HaltingPrograms halt each way a machine can: by returning, and on an
+// exception, whose faulting instruction leaves the ROB without committing
+// its destination. Exported for the external tests.
+var HaltingPrograms = []string{
+	"li a0, 42\nret\n",
+	"li a0, 7\nli a1, 0\ndiv a2, a0, a1\naddi a3, a2, 1\nret\n",
+	"li t0, -4\nlw t1, 0(t0)\naddi t2, t1, 1\nret\n",
+}
+
 // checkpointBytes round-trips a machine through its binary encoding.
-func checkpointBytes(t *testing.T, m *Machine) []byte {
+func checkpointBytes(t testing.TB, m *Machine) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := m.Checkpoint(&buf); err != nil {
@@ -208,7 +217,7 @@ loop:
 	m.StepN(20)
 	data := checkpointBytes(t, m)
 
-	golden := filepath.Join("testdata", "checkpoint_v1.golden")
+	golden := filepath.Join("testdata", "checkpoint_v2.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -241,25 +250,50 @@ func TestRestoreRejectsBadMagic(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsNewerVersion also rejects version 1: a v1 reader would
+// skip the CRC.
 func TestRestoreRejectsNewerVersion(t *testing.T) {
-	m := newLoopMachine(t, 1)
-	data := checkpointBytes(t, m)
-	bad := append([]byte(nil), data...)
-	bad[4] = 99 // version varint directly after the 4-byte magic
-	if _, err := Restore(bytes.NewReader(bad)); !errors.Is(err, ckpt.ErrVersion) {
-		t.Errorf("err = %v, want ErrVersion", err)
+	data := checkpointBytes(t, newLoopMachine(t, 1))
+	for _, v := range []byte{99, 1} {
+		bad := bytes.Clone(data)
+		bad[4] = v // version varint directly after the 4-byte magic
+		if _, err := Restore(bytes.NewReader(bad)); !errors.Is(err, ckpt.ErrVersion) {
+			t.Errorf("version %d: err = %v, want ErrVersion", v, err)
+		}
 	}
 }
 
-func TestRestoreRejectsConfigHashMismatch(t *testing.T) {
+// flipError is the error the format's read order gives a checkpoint of n
+// bytes with byte i flipped and its CRC left alone: the magic, then the
+// one-byte version, then the footer varint before the trailer, then the
+// CRC over everything else.
+func flipError(i, n int) error {
+	switch {
+	case i < len(ckpt.Magic):
+		return ckpt.ErrBadMagic
+	case i == len(ckpt.Magic):
+		return ckpt.ErrVersion
+	case i >= n-ckpt.TrailerLen-5 && i < n-ckpt.TrailerLen:
+		return ckpt.ErrTruncated
+	default:
+		return ckpt.ErrCorrupt
+	}
+}
+
+// TestRestoreRejectsEveryByteFlip: CRC-32C detects every burst of 32 bits
+// or fewer, so no single flipped byte restores, and each fails with the
+// error the read order names for its position.
+func TestRestoreRejectsEveryByteFlip(t *testing.T) {
 	m := newLoopMachine(t, 1)
+	m.StepN(1500)
 	data := checkpointBytes(t, m)
-	bad := append([]byte(nil), data...)
-	// Flip one byte inside the embedded configuration JSON (which starts
-	// after magic(4) + version(1) + hash(8) + a short length varint).
-	bad[20] ^= 0xFF
-	if _, err := Restore(bytes.NewReader(bad)); !errors.Is(err, ckpt.ErrConfigHash) {
-		t.Errorf("err = %v, want ErrConfigHash", err)
+	bad := bytes.Clone(data)
+	for i := range bad {
+		bad[i] ^= 0x41
+		if _, err := RestoreWith(bad, Assemble); !errors.Is(err, flipError(i, len(bad))) {
+			t.Errorf("byte %d of %d flipped: err = %v, want %v", i, len(bad), err, flipError(i, len(bad)))
+		}
+		bad[i] = data[i]
 	}
 }
 

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -114,5 +115,55 @@ func TestStateTrajectoryPinned(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("state trajectory drifted: got %q, want %q", got[i], want[i])
 		}
+	}
+}
+
+// TestEveryStateRestores checkpoints every corpus run, and every way a
+// machine halts, on every trajectory shape at a spread of cycles and
+// requires each checkpoint to restore and re-encode to the same bytes: the
+// decoders' cross-checks must accept every state a machine reaches, not
+// only the states other tests restore.
+func TestEveryStateRestores(t *testing.T) {
+	const stride, limit = 53, 4000
+	for _, c := range trajectoryConfigs() {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			check := func(name string, m *sim.Machine) {
+				same := func(string, sim.MemoryConfig) (*sim.Program, error) { return m.Program(), nil }
+				var buf, again bytes.Buffer
+				for !m.Halted() && m.Cycle() < limit {
+					m.StepN(stride)
+					buf.Reset()
+					if err := m.Checkpoint(&buf); err != nil {
+						t.Fatal(err)
+					}
+					r, err := sim.RestoreWith(buf.Bytes(), same)
+					if err != nil {
+						t.Fatalf("%s at cycle %d: %v", name, m.Cycle(), err)
+					}
+					again.Reset()
+					if err := r.Checkpoint(&again); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
+						t.Fatalf("%s at cycle %d: restored machine re-encodes differently (%v)", name, m.Cycle(), err)
+					}
+				}
+			}
+			for _, w := range workload.Corpus() {
+				m, err := workload.NewMachine(c.cfg, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(w.Name, m)
+			}
+			for _, src := range sim.HaltingPrograms {
+				m, err := sim.NewFromAsm(c.cfg, src, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if check(src, m); !m.Halted() {
+					t.Fatalf("%q did not halt", src)
+				}
+			}
+		})
 	}
 }
