@@ -1,11 +1,12 @@
-// Command loadtest reproduces the paper's Table I end-to-end: it launches
-// (or targets) a simulation server and drives the paper's load scenarios —
-// {Direct, Docker} × {30, 100} users, each performing 40 interactive
-// simulation steps with a 4 s ramp-up and 1 s think time, gzip enabled —
-// reporting median latency, 90th-percentile latency and throughput. With
-// -url it drives one Remote row per user count against that server (or a
-// simrouter). It exits 2 on a malformed -users and 1 when a row saw a
-// failed request.
+// Command loadtest reproduces the paper's Table I end-to-end: it drives
+// the paper's load scenario against a simulation server — 30 and 100
+// users, each performing 40 interactive simulation steps with a 4 s
+// ramp-up and 1 s think time, gzip enabled — and reports median latency,
+// 90th-percentile latency and throughput, one row per user count.
+// Without -url it spawns an in-process server (the Direct rows); with
+// -url it targets a running server, a container or a simrouter, which is
+// how CI's distributed-smoke job measures the Docker and Remote rows. It
+// exits 2 on a malformed -users and 1 when a row saw a failed request.
 package main
 
 import (
@@ -23,10 +24,9 @@ import (
 
 func main() {
 	var (
-		url       = flag.String("url", "", "target server URL (empty = spawn in-process servers)")
+		url       = flag.String("url", "", "target server URL (empty = spawn an in-process server)")
 		users     = flag.String("users", "30,100", "comma-separated user counts")
 		timeScale = flag.Float64("time-scale", 1.0, "scale factor for ramp-up and think time (1.0 = the paper's real-time pacing)")
-		noDocker  = flag.Bool("skip-docker", false, "skip the Docker-shim scenarios")
 		batch     = flag.Int("batch", 0, "run an HPC sweep of N simulations via POST /api/v1/batch vs sequential /simulate and exit")
 		seed      = flag.Int64("seed", 0, "deterministic user→program assignment seed (0 = round-robin); same plumbing as riscvsim -fuzz-seed")
 	)
@@ -76,12 +76,6 @@ func main() {
 		direct := httptest.NewServer(server.New(server.DefaultOptions()).Handler())
 		rows("Direct", direct.URL)
 		direct.Close()
-		if !*noDocker {
-			// Docker rows via the containerization shim (loadgen.DockerShim).
-			docker := httptest.NewServer(loadgen.DefaultDockerShim(server.New(server.DefaultOptions()).Handler()))
-			rows("Docker", docker.URL)
-			docker.Close()
-		}
 	}
 	if failed {
 		os.Exit(1)

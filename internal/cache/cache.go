@@ -119,16 +119,24 @@ func DefaultConfig() Config {
 	}
 }
 
+// Upper bounds on an enabled cache's geometry, each 8x the presets' value
+// (256 lines of 64 B): a cache allocates bookkeeping per line up front and
+// a set's data on its first fill (docs/api.md lists every bound).
+const (
+	MaxLines    = 2048
+	MaxLineSize = 512
+)
+
 // Validate checks geometric consistency.
 func (c Config) Validate() error {
 	if !c.Enabled {
 		return nil
 	}
-	if c.Lines <= 0 {
-		return fmt.Errorf("cache: Lines must be positive, got %d", c.Lines)
+	if c.Lines <= 0 || c.Lines > MaxLines {
+		return fmt.Errorf("cache: Lines must be in [1, %d], got %d", MaxLines, c.Lines)
 	}
-	if c.LineSize <= 0 || c.LineSize&(c.LineSize-1) != 0 {
-		return fmt.Errorf("cache: LineSize must be a positive power of two, got %d", c.LineSize)
+	if c.LineSize <= 0 || c.LineSize > MaxLineSize || c.LineSize&(c.LineSize-1) != 0 {
+		return fmt.Errorf("cache: LineSize must be a power of two in [1, %d], got %d", MaxLineSize, c.LineSize)
 	}
 	if c.Associativity <= 0 || c.Lines%c.Associativity != 0 {
 		return fmt.Errorf("cache: Associativity %d must divide Lines %d", c.Associativity, c.Lines)

@@ -123,6 +123,21 @@ func (c *CPU) LogBound() int {
 	return DefaultMaxLogEntries
 }
 
+// Upper bounds on the architecture document. Building a machine costs
+// memory linear in each of these fields (a 16 Mi-entry BTB alone would take
+// ~400 MB), so without them ~2 KB of JSON could ask for gigabytes. Each is
+// at least 8x the largest preset value (wide-8, or the shared defaults);
+// docs/api.md lists them with the cache's and predictor's own bounds.
+const (
+	MaxROBSize         = 1024     // wide-8: 128
+	MaxRenameRegisters = 2048     // wide-8: 192
+	MaxWidth           = 64       // fetchWidth, commitWidth, jumpsPerCycle; wide-8: 8, 8, 3
+	MaxWindowSize      = 256      // each issue window and load/store buffer; wide-8: 32
+	MaxUnits           = 128      // functional units; wide-8: 16
+	MaxMemorySize      = 16 << 20 // bytes; every preset: 64 KiB
+	MaxLogBound        = 1 << 15  // maxLogEntries; default 4096
+)
+
 // Validate checks the whole configuration and returns every problem found,
 // mirroring the configuration validation step of simulation initialization
 // (paper §III-A).
@@ -131,35 +146,30 @@ func (c *CPU) Validate() []error {
 	add := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
-	if c.ROBSize <= 0 {
-		add("config: robSize must be positive, got %d", c.ROBSize)
-	}
-	if c.FetchWidth <= 0 {
-		add("config: fetchWidth must be positive, got %d", c.FetchWidth)
-	}
-	if c.CommitWidth <= 0 {
-		add("config: commitWidth must be positive, got %d", c.CommitWidth)
+	for _, f := range []struct {
+		name  string
+		v, hi int
+	}{
+		{"robSize", c.ROBSize, MaxROBSize},
+		{"renameRegisters", c.RenameRegisters, MaxRenameRegisters},
+		{"fetchWidth", c.FetchWidth, MaxWidth},
+		{"commitWidth", c.CommitWidth, MaxWidth},
+		{"jumpsPerCycle", c.JumpsPerCycle, MaxWidth},
+		{"fxWindow", c.FXWindow, MaxWindowSize}, {"fpWindow", c.FPWindow, MaxWindowSize},
+		{"lsWindow", c.LSWindow, MaxWindowSize}, {"branchWindow", c.BranchWindow, MaxWindowSize},
+		{"loadBufferSize", c.LoadBufferSize, MaxWindowSize}, {"storeBufferSize", c.StoreBufferSize, MaxWindowSize},
+		{"units (functional unit count)", len(c.Units), MaxUnits},
+		{"memory size", c.Memory.Size, MaxMemorySize},
+	} {
+		if f.v <= 0 || f.v > f.hi {
+			add("config: %s must be in [1, %d], got %d", f.name, f.hi, f.v)
+		}
 	}
 	if c.FlushPenalty < 0 {
 		add("config: flushPenalty must be non-negative, got %d", c.FlushPenalty)
 	}
-	if c.JumpsPerCycle <= 0 {
-		add("config: jumpsPerCycle must be positive, got %d", c.JumpsPerCycle)
-	}
-	for _, w := range []struct {
-		n string
-		v int
-	}{
-		{"fxWindow", c.FXWindow}, {"fpWindow", c.FPWindow},
-		{"lsWindow", c.LSWindow}, {"branchWindow", c.BranchWindow},
-		{"loadBufferSize", c.LoadBufferSize}, {"storeBufferSize", c.StoreBufferSize},
-	} {
-		if w.v <= 0 {
-			add("config: %s must be positive, got %d", w.n, w.v)
-		}
-	}
-	if c.MaxLogEntries < 0 {
-		add("config: maxLogEntries must be non-negative, got %d", c.MaxLogEntries)
+	if c.MaxLogEntries < 0 || c.MaxLogEntries > MaxLogBound {
+		add("config: maxLogEntries must be in [0, %d], got %d", MaxLogBound, c.MaxLogEntries)
 	}
 	if c.SnapshotInterval < 0 {
 		add("config: snapshotInterval must be non-negative, got %d", c.SnapshotInterval)
@@ -167,9 +177,6 @@ func (c *CPU) Validate() []error {
 	if c.RenameRegisters < c.ROBSize {
 		add("config: renameRegisters (%d) must be at least robSize (%d) so every in-flight instruction can rename a destination",
 			c.RenameRegisters, c.ROBSize)
-	}
-	if len(c.Units) == 0 {
-		add("config: at least one functional unit is required")
 	}
 	seen := map[string]bool{}
 	hasClass := map[string]bool{}
@@ -199,9 +206,6 @@ func (c *CPU) Validate() []error {
 	}
 	if err := c.Cache.Validate(); err != nil {
 		errs = append(errs, err)
-	}
-	if c.Memory.Size <= 0 {
-		add("config: memory size must be positive, got %d", c.Memory.Size)
 	}
 	if c.Memory.CallStackSize < 0 || c.Memory.CallStackSize > c.Memory.Size {
 		add("config: callStackSize %d out of range", c.Memory.CallStackSize)

@@ -10,6 +10,13 @@
 // energy) with documented scaling rules, not a sign-off power model. The
 // value for students is in the *relative* numbers: doubling the ROB or
 // going 4-wide has a visible, explainable price.
+//
+// The constants below are teaching figures. They cite no source, and
+// nothing validates them against silicon or a synthesis flow. What checks
+// them is only their shape: the ordering tests here and in
+// sim/extensions_test.go (a larger ROB, cache or width costs more; more
+// work costs more energy) and Example_debugger's pinned cost table for
+// the default core, which fails when a constant it uses moves.
 package costmodel
 
 import (
@@ -22,10 +29,10 @@ import (
 )
 
 // Area unit: kGE (thousand gate equivalents). Energy unit: pJ per event.
-// The constants are loosely calibrated to published educational RISC-V
-// core breakdowns (e.g. in-order RV32 cores ≈ 30-50 kGE, an FPU roughly
-// doubling that) — close enough for the comparative questions the paper
-// poses ("reasonable manufacturing cost and power consumption", §I-B).
+// The constants are first-order teaching figures, meant for the
+// comparative questions the paper poses ("reasonable manufacturing cost
+// and power consumption", §I-B) and validated by nothing (see the package
+// comment).
 const (
 	kgePerArchRegFile  = 12.0 // 2x32 regs, 64-bit containers
 	kgePerRenameReg    = 0.35 // speculative register + tracking

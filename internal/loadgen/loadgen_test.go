@@ -4,8 +4,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,62 +93,6 @@ func TestRunThroughCluster(t *testing.T) {
 	// 4 users x (1 new + 5 steps) = 24 requests.
 	if res.Requests != 4*6 {
 		t.Errorf("requests = %d, want 24", res.Requests)
-	}
-}
-
-func TestRunThroughDockerShim(t *testing.T) {
-	srv := server.New(server.DefaultOptions())
-	shim := &DockerShim{ProxyDelay: 3 * time.Millisecond, Parallelism: 1}
-	ts := httptest.NewServer(shim.Wrap(srv.Handler()))
-	defer ts.Close()
-	res, err := Run(ts.URL, tinyScenario(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 {
-		t.Errorf("%d request errors", res.Errors)
-	}
-	// Every request pays at least the proxy delay.
-	if res.Median < 3*time.Millisecond {
-		t.Errorf("median %v below the shim's proxy delay", res.Median)
-	}
-}
-
-// TestDockerShimLimitsConcurrencyAndDelays pins the two mechanisms the
-// shim models, neither of which depends on how loaded the host is: the
-// wrapped handler never runs more than Parallelism calls at once, and no
-// request completes in under ProxyDelay.
-func TestDockerShimLimitsConcurrencyAndDelays(t *testing.T) {
-	const requests = 16
-	var running, peak atomic.Int32
-	inner := http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
-		n := running.Add(1)
-		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
-		}
-		time.Sleep(time.Millisecond) // hold the slot so calls would overlap if allowed to
-		running.Add(-1)
-	})
-	shim := (&DockerShim{ProxyDelay: 2 * time.Millisecond, Parallelism: 2}).Wrap(inner)
-
-	took := make([]time.Duration, requests)
-	var wg sync.WaitGroup
-	for i := range took {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			start := time.Now()
-			shim.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil))
-			took[i] = time.Since(start)
-		}(i)
-	}
-	wg.Wait()
-	if got := peak.Load(); got < 1 || got > int32(shim.Parallelism) {
-		t.Errorf("peak concurrency in the wrapped handler = %d, want 1..%d", got, shim.Parallelism)
-	}
-	for i, d := range took {
-		if d < shim.ProxyDelay {
-			t.Errorf("request %d completed in %v, under the %v proxy delay", i, d, shim.ProxyDelay)
-		}
 	}
 }
 

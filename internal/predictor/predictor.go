@@ -78,13 +78,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// Upper bounds on the tables, each 8x the presets' value (128 BTB and 256
+// PHT entries): both are allocated whole when the predictor is built
+// (docs/api.md lists every bound).
+const (
+	MaxBTBSize = 1024
+	MaxPHTSize = 2048
+)
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.BTBSize <= 0 {
-		return fmt.Errorf("predictor: BTBSize must be positive, got %d", c.BTBSize)
+	if c.BTBSize <= 0 || c.BTBSize > MaxBTBSize {
+		return fmt.Errorf("predictor: BTBSize must be in [1, %d], got %d", MaxBTBSize, c.BTBSize)
 	}
-	if c.PHTSize <= 0 {
-		return fmt.Errorf("predictor: PHTSize must be positive, got %d", c.PHTSize)
+	if c.PHTSize <= 0 || c.PHTSize > MaxPHTSize {
+		return fmt.Errorf("predictor: PHTSize must be in [1, %d], got %d", MaxPHTSize, c.PHTSize)
 	}
 	max := c.maxCounter()
 	if c.DefaultState < 0 || (c.Kind != ZeroBit && c.DefaultState > max) {
