@@ -580,9 +580,8 @@ func BenchmarkSimTraceCommitOnly(b *testing.B) {
 }
 
 // BenchmarkStep is the single-cycle micro-benchmark behind the
-// allocation gate: steady-state Step() must stay at 0 allocs/op (run
-// with -benchmem; TestStepAllocFree in internal/core is the hard CI
-// check). The machine is warmed first so every scratch buffer and the
+// allocation contract: steady-state Step() must stay at 0 allocs/op (run
+// with -benchmem; TestStepAllocFree in internal/core is the hard check). The machine is warmed first so every scratch buffer and the
 // instruction free list have reached their steady-state footprint.
 func BenchmarkStep(b *testing.B) {
 	m, err := sim.NewFromAsm(sim.DefaultConfig(), `

@@ -87,7 +87,7 @@ func checkReplies(t testing.TB, where string, m *sim.Machine, includeLog bool) {
 // architectures, wherever a session can stand — cycle 0, after a jump,
 // after each of 50 single steps, after a backward step, after a
 // checkpoint and restore, at halt, with the debug log — the replies'
-// own encoder writes what encoding/json writes (CI: golden-metrics).
+// own encoder writes what encoding/json writes.
 func TestEncoderMatchesReflection(t *testing.T) {
 	for _, preset := range []string{"scalar", "default", "wide4"} {
 		for _, w := range workload.Corpus() {

@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -31,19 +33,9 @@ func runCSim(t testing.TB, src string, opt int) *core.Simulation {
 	if err != nil {
 		t.Fatalf("Compile(-O%d): %v", opt, err)
 	}
-	cfg := config.Default()
-	mem := memory.New(cfg.Memory)
-	prog, err := asm.Assemble(res.Assembly, testSet, testRegs, mem)
+	sim, err := loadC(res.Assembly, "main")
 	if err != nil {
-		t.Fatalf("assembling compiler output (-O%d): %v\n--- assembly ---\n%s", opt, err, res.Assembly)
-	}
-	entry, err := prog.EntryPoint("main")
-	if err != nil {
-		t.Fatalf("no main: %v", err)
-	}
-	sim, err := core.New(cfg, testSet, testRegs, prog, mem, entry)
-	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("-O%d: %v\n--- assembly ---\n%s", opt, err, res.Assembly)
 	}
 	sim.Run(3_000_000)
 	if !sim.Halted() {
@@ -53,6 +45,23 @@ func runCSim(t testing.TB, src string, opt int) *core.Simulation {
 		t.Fatalf("-O%d: runtime exception: %v\n--- assembly ---\n%s", opt, exc, res.Assembly)
 	}
 	return sim
+}
+
+// loadC assembles compiler output onto a machine of the default
+// architecture, entered at the code label entry ("" is index 0, where the
+// code generator puts main).
+func loadC(assembly, entry string) (*core.Simulation, error) {
+	cfg := config.Default()
+	mem := memory.New(cfg.Memory)
+	prog, err := asm.Assemble(assembly, testSet, testRegs, mem)
+	if err != nil {
+		return nil, fmt.Errorf("assembling compiler output: %w", err)
+	}
+	e, err := prog.EntryPoint(entry)
+	if err != nil {
+		return nil, err
+	}
+	return core.New(cfg, testSet, testRegs, prog, mem, e)
 }
 
 // checkAllOpts runs the program at -O0..-O3 and requires the same result.
@@ -433,6 +442,31 @@ func TestTypeErrors(t *testing.T) {
 	for _, src := range cases {
 		if _, err := Compile(src, 0); err == nil {
 			t.Errorf("Compile(%q) should fail", src)
+		}
+	}
+}
+
+// TestGlobalAndFunctionShareAName: a global and a function of one name
+// would be one assembly label, so the later declaration is a C diagnostic
+// at its own line, in either order, not an assembler error at a line of
+// the generated assembly.
+func TestGlobalAndFunctionShareAName(t *testing.T) {
+	cases := map[string]int{
+		"int A; int A(){return 1;} int main(){return 0;}":             1,
+		"int A(){return 1;} int A; int main(){return 0;}":             1,
+		"int A;\nint A(){return 1;}\nint main(){return 0;}":           2,
+		"int A(){return 1;}\n\nint A;\nint main(){return 0;}":         3,
+		"int A();\nint A;\nint A(){return 1;}\nint main(){return 0;}": 2,
+	}
+	for src, line := range cases {
+		_, err := Compile(src, 0)
+		var dl DiagList
+		if !errors.As(err, &dl) || len(dl) != 1 {
+			t.Errorf("Compile(%q) = %v, want one diagnostic", src, err)
+			continue
+		}
+		if dl[0].Line != line || !strings.Contains(dl[0].Msg, "different kind of symbol") {
+			t.Errorf("Compile(%q): %v, want a redeclaration at line %d", src, dl[0], line)
 		}
 	}
 }

@@ -43,6 +43,19 @@ func analyze(ast *Program) (*program, DiagList) {
 			s.errf(g.Line, 1, "global %q redefined", g.Name)
 			continue
 		}
+		if _, clash := s.funcs[g.Name]; clash {
+			// Both would be one assembly label: the later of the global
+			// and the function's first declaration is the redeclaration.
+			line := g.Line
+			for _, f := range ast.Funcs {
+				if f.Name == g.Name {
+					line = max(line, f.Line)
+					break
+				}
+			}
+			s.errf(line, 1, "%q redeclared as a different kind of symbol", g.Name)
+			continue
+		}
 		sym := &Symbol{Name: g.Name, Kind: SymGlobal, Type: g.Type, Extern: g.Extern}
 		g.Sym = sym
 		s.scopes[0][g.Name] = sym

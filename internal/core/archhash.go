@@ -14,8 +14,8 @@ import (
 // an ecall halt the detailed front end has speculatively run ahead of the
 // commit point), so a fast-forward run and a detailed run of the same
 // program produce the same digest exactly when they agree architecturally.
-// The fast-forward-equivalence CI gate and the three-way co-simulation
-// fuzzer compare runs across engine modes with it; StateHash (sim
+// The fast-forward equivalence gate (TestFastForwardEquivalence) and the
+// co-simulation fuzzer compare runs across engine modes with it; StateHash (sim
 // package) remains the full cycle-accurate digest within one mode.
 func (s *Simulation) ArchHash() uint64 {
 	h := fnv.New64a()

@@ -28,7 +28,7 @@ import (
 // committed instruction stream — and therefore every architectural
 // register, memory byte, the committed count and the halt story — is
 // identical to a detailed run of the same program (ArchHash pins this;
-// the fast-forward-equivalence CI gate proves it on the corpus), while
+// TestFastForwardEquivalence proves it on the corpus), while
 // timing state (cycle counts, stall counters, cache/predictor contents)
 // is deliberately not modeled.
 //

@@ -317,7 +317,7 @@ func TestExecSpecializationCoverage(t *testing.T) {
 
 // ---------------------------------------------------------------------------
 // Zero-allocation contract: in steady state, Step() must not touch the
-// heap (the CI allocation gate runs this test).
+// heap.
 // ---------------------------------------------------------------------------
 
 func TestStepAllocFree(t *testing.T) {

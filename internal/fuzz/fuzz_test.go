@@ -40,11 +40,13 @@ func TestGeneratedProgramsAssembleAndTerminate(t *testing.T) {
 	}
 }
 
-// TestCosimSmoke is the CI fuzz gate: >=2,000 generated programs across
-// three core widths (1/2/4-wide), co-simulated in lockstep between the
-// specialized detailed engine and the forced-interpreter functional
-// path, with zero divergences. Seeds are fixed, so the run is fully
-// deterministic.
+// TestCosimSmoke is the bounded co-simulation gate: >=2,000 generated
+// programs across three core widths (1/2/4-wide), each co-simulated on
+// every leg of Run (the specialized engine against the forced interpreter
+// in lockstep, the fast-forward pair at block boundaries, the time-parallel
+// coordinator against the serial run), with zero divergences. Seeds are
+// fixed and the shards seed-stable, so the run is fully deterministic on
+// any GOMAXPROCS.
 func TestCosimSmoke(t *testing.T) {
 	const perConfig = 700 // 3 x 700 = 2,100 programs
 	configs := []struct {

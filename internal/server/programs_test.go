@@ -506,8 +506,7 @@ func TestRestoreAndParseShareTheRequestsProgram(t *testing.T) {
 // the default example once its Program is cached: the per-run structures
 // and a page table over the shared image, no image copy, no architecture
 // document, no lexing, assembling or plan tables. Measured 25 KB; 122 KB
-// before the image was shared, 196 KB uncached (CI: cached build
-// allocation gate).
+// before the image was shared, 196 KB uncached.
 func TestCachedBuildAllocation(t *testing.T) {
 	s := New(DefaultOptions())
 	req := &api.SimulateRequest{Code: classroomAsm}

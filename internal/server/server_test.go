@@ -224,14 +224,21 @@ func TestCompileEndpoint(t *testing.T) {
 
 func TestCompileErrorsAreData(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+api.V1Prefix+"/compile", &api.CompileRequest{Code: "int main() { return x; }"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compiler diagnostics should be 200, got %d", resp.StatusCode)
-	}
-	var cr api.CompileResponse
-	json.Unmarshal(body, &cr)
-	if !strings.Contains(cr.Errors, "undeclared") {
-		t.Errorf("diagnostics = %q", cr.Errors)
+	for src, want := range map[string]string{
+		"int main() { return x; }": "undeclared",
+		// A global and a function of one name: a diagnostic at the C line,
+		// not an assembler error at a line of the generated assembly.
+		"int A; int A(){return 1;} int main(){return 0;}": "1:1: \"A\" redeclared as a different kind of symbol",
+	} {
+		resp, body := postJSON(t, ts.URL+api.V1Prefix+"/compile", &api.CompileRequest{Code: src})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("compiler diagnostics should be 200, got %d", resp.StatusCode)
+		}
+		var cr api.CompileResponse
+		json.Unmarshal(body, &cr)
+		if !strings.Contains(cr.Errors, want) || cr.Assembly != "" {
+			t.Errorf("%s: diagnostics = %q, assembly %d bytes; want %q", src, cr.Errors, len(cr.Assembly), want)
+		}
 	}
 }
 

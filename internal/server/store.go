@@ -57,11 +57,11 @@ type session struct {
 //
 // One door: every blob reaches the backend through save and comes back
 // through load, and nothing else in the server calls backend.Put or
-// backend.Get (CI's lint job counts the call sites). A blob is the bare
-// checkpoint stream, whose CRC-32C trailer the restore checks before a
-// decoder sees a byte, so what to do about a bad read — re-read once, drop
-// the blob only when the failure repeats — is decided in one place
-// (docs/robustness.md).
+// backend.Get (TestArchitectureRules allows one call site each). A blob is
+// the bare checkpoint stream, whose CRC-32C trailer the restore checks
+// before a decoder sees a byte, so what to do about a bad read — re-read
+// once, drop the blob only when the failure repeats — is decided in one
+// place (docs/robustness.md).
 //
 // Locking: st.mu guards only the in-memory table, and table is the only
 // way onto it. Serialization, store I/O and machine reconstruction all

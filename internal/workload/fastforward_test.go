@@ -6,11 +6,12 @@ import (
 	"riscvsim/sim"
 )
 
-// TestFastForwardEquivalence is the fast-forward equivalence gate (CI job
-// fast-forward-equivalence): every corpus workload, run end to end in
-// fast-forward functional mode, must reach the exact architectural state
-// of the detailed run — same a0 checksum, same committed-instruction
-// count, same halt story, same ArchHash over all registers and memory.
+// TestFastForwardEquivalence is the fast-forward equivalence gate: every
+// corpus workload, run end to end in fast-forward functional mode, must
+// reach the exact architectural state of the detailed run — same a0
+// checksum, same committed-instruction count, same halt story, same
+// ArchHash over all registers and memory. Any delta means the block
+// plans' semantics drifted from the pipeline's.
 func TestFastForwardEquivalence(t *testing.T) {
 	for _, w := range Corpus() {
 		t.Run(w.Name, func(t *testing.T) {

@@ -6,14 +6,14 @@ import (
 	"riscvsim/sim"
 )
 
-// TestParallelEquivalence is the parallel-equivalence gate (CI job
-// parallel-equivalence): every corpus workload, run time-parallel at
-// K ∈ {2, 4}, must end in the exact architectural state of the serial
-// detailed run — same ArchHash over all registers and memory, same a0
-// checksum, same committed-instruction count, same halt story — and the
-// stitched report must telescope to the serial committed count. Short
-// workloads may degenerate to fewer workers (or to the serial fallback);
-// the equality contract holds regardless of how the run was split.
+// TestParallelEquivalence is the parallel-equivalence gate: every corpus
+// workload, run time-parallel at K ∈ {2, 4}, must end in the exact
+// architectural state of the serial detailed run — same ArchHash over all
+// registers and memory, same a0 checksum, same committed-instruction
+// count, same halt story — and the stitched report must telescope to the
+// serial committed count. Short workloads may degenerate to fewer workers
+// (or to the serial fallback); the equality contract holds regardless of
+// how the run was split.
 func TestParallelEquivalence(t *testing.T) {
 	for _, w := range Corpus() {
 		w := w

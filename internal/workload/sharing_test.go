@@ -302,8 +302,7 @@ func bytesPerCall(n int, f func()) uint64 {
 // ReplayTo, RunParallel and the snapshot restore behind StepBack build
 // on) copies the image's page table, not its pages, and builds no plan
 // tables. The bounds sit between this build's cost and the parent's,
-// which copied the 64 KiB image per fork (CI: cached build allocation
-// gate).
+// which copied the 64 KiB image per fork.
 func TestInstantiateSharesTheImage(t *testing.T) {
 	w, _ := ByName("sort-insertion")
 	m, err := NewMachine(nil, w)
@@ -368,7 +367,7 @@ func TestCheckpointAllocations(t *testing.T) {
 // cache line. Measured 68 on sort-insertion (the parent: 188, and 38 KB
 // against 16 KB). A machine nobody looks at keeps no views or fragments at
 // all: cache.TestLinesFollowEveryChange and core.TestStepAllocFree hold
-// that end (CI: step reply allocation gate).
+// that end.
 func TestStepReplyAllocations(t *testing.T) {
 	w, _ := ByName("sort-insertion")
 	m, err := NewMachine(nil, w)

@@ -139,7 +139,7 @@ func TestCheckpointRoundTripMidRun(t *testing.T) {
 	}
 }
 
-// TestCheckpointDeterminism is the CI determinism gate: snapshot mid-run,
+// TestCheckpointDeterminism is the determinism gate: snapshot mid-run,
 // restore, and compare per-cycle state hashes for 10k cycles across 3
 // seeds. A hash is a digest of the complete checkpoint encoding, so equal
 // hashes mean byte-identical machine state.
