@@ -509,11 +509,11 @@ func BenchmarkRenderState(b *testing.B) {
 		b.Fatal(err)
 	}
 	m.StepN(60)
-	st := m.State(false)
+	st, l1 := m.State(false), m.Sim().Cache().Config()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		render.Schematic(st)
+		render.Schematic(st, l1)
 	}
 }
 

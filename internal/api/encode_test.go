@@ -141,23 +141,60 @@ func TestEncoderMatchesReflection(t *testing.T) {
 }
 
 // TestEncoderWithoutCache: a disabled cache has no lines and the member
-// is omitted.
+// is omitted; an enabled one omits it too until a line is valid, and from
+// then on lists exactly the valid lines.
 func TestEncoderWithoutCache(t *testing.T) {
+	w, _ := workload.ByName("memcpy-stream")
+	reply := func(where string, m *sim.Machine) ([]byte, *core.State) {
+		t.Helper()
+		checkReplies(t, where, m, false)
+		var doc bytes.Buffer
+		if err := PooledCodec.Encode(&doc, &SessionStateResponse{State: m.State(false)}); err != nil {
+			t.Fatal(err)
+		}
+		var back SessionStateResponse
+		if err := json.Unmarshal(doc.Bytes(), &back); err != nil {
+			t.Fatal(err)
+		}
+		return doc.Bytes(), back.State
+	}
+
 	cfg := config.Default()
 	cfg.Cache.Enabled = false
-	w, _ := workload.ByName("memcpy-stream")
-	m, err := workload.NewMachine(cfg, w)
+	off, err := workload.NewMachine(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.StepN(500)
-	checkReplies(t, "cache off", m, false)
-	var doc bytes.Buffer
-	if err := PooledCodec.Encode(&doc, &SessionStateResponse{State: m.State(false)}); err != nil {
+	off.StepN(500)
+	if doc, _ := reply("cache off", off); bytes.Contains(doc, []byte("cacheLines")) {
+		t.Error("a machine without a cache reports cache lines")
+	}
+
+	on, err := workload.NewMachine(nil, w)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(doc.Bytes(), []byte("cacheLines")) {
-		t.Error("a machine without a cache reports cache lines")
+	if doc, _ := reply("cache on, cycle 0", on); bytes.Contains(doc, []byte("cacheLines")) {
+		t.Error("a cache with no valid line reports cache lines")
+	}
+	on.StepN(500)
+	_, st := reply("cache on, cycle 500", on)
+	// Write-back allocates on every miss, so each miss that evicted
+	// nothing left one more line valid.
+	cs := on.Sim().Cache().Stats()
+	if valid := int(cs.Misses - cs.Evictions); valid == 0 || len(st.CacheLines) != valid {
+		t.Fatalf("cycle 500: %d cache lines reported, %d are valid", len(st.CacheLines), valid)
+	}
+	for i, lv := range st.CacheLines {
+		if !lv.Valid || len(lv.Data) != 64 {
+			t.Errorf("line %d/%d reported with valid=%v and %d data bytes", lv.Set, lv.Way, lv.Valid, len(lv.Data))
+		}
+		if i == 0 {
+			continue
+		}
+		if prev := st.CacheLines[i-1]; lv.Set < prev.Set || lv.Set == prev.Set && lv.Way <= prev.Way {
+			t.Errorf("line %d/%d reported after %d/%d", lv.Set, lv.Way, prev.Set, prev.Way)
+		}
 	}
 }
 

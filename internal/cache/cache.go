@@ -190,16 +190,20 @@ type Cache struct {
 	tick    uint64 // monotonic use counter for LRU/FIFO ordering
 	rng     uint64 // xorshift state for Random replacement (deterministic)
 	stats   Stats
-	// views caches what Lines last reported per line (set-major, like
-	// lines), each with its encoded fragment. Nil until the first
-	// Lines call, so a machine nobody looks at carries none. An entry is
-	// current while its enc is non-nil: whatever changes what a line
-	// displays — a store, a fill, a flush, a restore — drops the entry
-	// (dropView, DecodeState), and the next Lines rebuilds only those.
-	// Lines hands the slice itself out and sets lent; from then on a drop
-	// continues on a copy, so nothing a caller holds is written again.
-	views []LineView
-	lent  bool
+	// views caches what Lines last reported: one entry per valid line, in
+	// set-major order, each with its encoded fragment. Nil until the
+	// first Lines call, so a machine nobody looks at carries none. An
+	// entry is current while its enc is non-nil: whatever changes what a
+	// valid line displays — a store, a refill, a flush — drops the entry
+	// (dropView), and the next Lines rebuilds only those. A line that
+	// turns valid has no entry yet: the fill clears indexed, and the next
+	// Lines lays out the slice again, keeping the entries it had. A
+	// restore discards every entry (DecodeState). Lines hands the slice
+	// itself out and sets lent; from then on a drop continues on a copy,
+	// so nothing a caller holds is written again.
+	views   []LineView
+	indexed bool
+	lent    bool
 }
 
 // New builds a cache over the given backing memory. The configuration must
@@ -311,7 +315,11 @@ func (c *Cache) fill(si, tag int, now uint64) (int, uint64, *fault.Exception) {
 	if exc := c.backing.ReadInto(c.lineAddr(si, tag), c.lineData(si, w)); exc != nil {
 		return 0, 0, exc
 	}
-	c.dropView(si, w)
+	if ln.valid {
+		c.dropView(si, w)
+	} else {
+		c.indexed = false
+	}
 	ln.valid = true
 	ln.dirty = false
 	ln.tag = tag
@@ -490,40 +498,74 @@ func (lv *LineView) AppendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// dropView marks what Lines last reported for a line as out of date.
+// dropView marks what Lines last reported for a valid line as out of
+// date. A line Lines has not listed yet has nothing to drop.
 func (c *Cache) dropView(si, w int) {
 	if c.views == nil {
+		return
+	}
+	k, found := slices.BinarySearchFunc(c.views, si*c.cfg.Associativity+w, func(lv LineView, key int) int {
+		return lv.Set*c.cfg.Associativity + lv.Way - key
+	})
+	if !found {
 		return
 	}
 	if c.lent {
 		c.views, c.lent = slices.Clone(c.views), false
 	}
-	c.views[si*c.cfg.Associativity+w] = LineView{}
+	c.views[k].enc = nil
 }
 
-// Lines returns a snapshot of all cache lines for display. Only the lines
-// that changed since the previous call are copied and encoded again, and
-// while none does, successive calls return the same slice. The result is
-// read-only: nothing in it is written after it is returned, so a caller
-// may keep and read it after the machine has moved on, and must not
-// write it either.
+// index lays views out again after lines turned valid: one entry per
+// valid line in set-major order, keeping every entry it already had.
+// The new entries carry only their position; Lines builds the rest.
+func (c *Cache) index() {
+	n := 0
+	for i := range c.lines {
+		if c.lines[i].valid {
+			n++
+		}
+	}
+	var views []LineView
+	if n > 0 {
+		views = make([]LineView, 0, n)
+	}
+	old := c.views
+	for i := range c.lines {
+		if !c.lines[i].valid {
+			continue
+		}
+		si, w := i/c.cfg.Associativity, i%c.cfg.Associativity
+		if len(old) > 0 && old[0].Set == si && old[0].Way == w {
+			views, old = append(views, old[0]), old[1:]
+			continue
+		}
+		views = append(views, LineView{Set: si, Way: w})
+	}
+	c.views, c.indexed, c.lent = views, true, false
+}
+
+// Lines returns a snapshot of the valid cache lines for display, in
+// set-major order; an invalid line shows nothing but its position, so it
+// is not listed. Only the lines that changed since the previous call are
+// copied and encoded again, and while none does, successive calls return
+// the same slice. The result is read-only: nothing in it is written after
+// it is returned, so a caller may keep and read it after the machine has
+// moved on, and must not write it either.
 func (c *Cache) Lines() []LineView {
 	if !c.cfg.Enabled {
 		return nil
 	}
-	if c.views == nil {
-		c.views = make([]LineView, c.cfg.Lines)
+	if !c.indexed {
+		c.index()
 	}
 	// One slab holds the data copies and fragments of every line rebuilt
-	// by this call: invalid lines encode to under 80 bytes, valid ones add
-	// their data raw and in base64.
+	// by this call: a line encodes to under 112 bytes besides its data,
+	// which it carries raw and in base64.
 	var size int
 	for i := range c.views {
 		if c.views[i].enc == nil {
-			size += 80
-			if c.lines[i].valid {
-				size += 32 + c.cfg.LineSize + base64.StdEncoding.EncodedLen(c.cfg.LineSize)
-			}
+			size += 112 + c.cfg.LineSize + base64.StdEncoding.EncodedLen(c.cfg.LineSize)
 		}
 	}
 	if size > 0 {
@@ -533,19 +575,15 @@ func (c *Cache) Lines() []LineView {
 			if lv.enc != nil {
 				continue
 			}
-			si, w := i/c.cfg.Associativity, i%c.cfg.Associativity
-			ln := &c.lines[i]
-			*lv = LineView{Set: si, Way: w, Valid: ln.valid, Dirty: ln.dirty}
-			if ln.valid {
-				lv.Tag = ln.tag
-				lv.Addr = c.lineAddr(si, ln.tag)
-				at := len(slab)
-				slab = append(slab, c.lineData(si, w)...)
-				lv.Data = slab[at:len(slab):len(slab)]
-			}
+			si, w := lv.Set, lv.Way
+			ln := &c.set(si)[w]
+			*lv = LineView{Set: si, Way: w, Valid: true, Dirty: ln.dirty, Tag: ln.tag, Addr: c.lineAddr(si, ln.tag)}
+			at := len(slab)
+			slab = append(slab, c.lineData(si, w)...)
+			lv.Data = slab[at:len(slab):len(slab)]
 			// Should the slab grow after all, the fragments cut so far
 			// keep the array they were written to.
-			at := len(slab)
+			at = len(slab)
 			slab = lv.AppendJSON(slab)
 			lv.enc = slab[at:len(slab):len(slab)]
 		}

@@ -64,7 +64,7 @@ func (c *Cache) DecodeState(r *ckpt.Reader) {
 		r.Corrupt("cache has %d ways, machine has %d", ways, c.cfg.Associativity)
 		return
 	}
-	c.views, c.lent = nil, false // every line is about to change
+	c.views, c.indexed, c.lent = nil, false, false // every line is about to change
 	for i := range c.lines {
 		ln := &c.lines[i]
 		ln.valid = r.Bool()

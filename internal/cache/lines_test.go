@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -13,11 +14,12 @@ import (
 
 // checkLines holds what Lines reports — with whatever views and fragments
 // it kept from earlier calls — to a Lines rebuilt with every one of them
-// dropped, and each view's spliced encoding to encoding/json's.
+// dropped, each view's spliced encoding to encoding/json's, and the list
+// to the valid lines in set-major order.
 func checkLines(t *testing.T, where string, c *Cache) []LineView {
 	t.Helper()
 	got := c.Lines()
-	c.views, c.lent = nil, false
+	c.views, c.indexed, c.lent = nil, false, false
 	want := c.Lines()
 	if !reflect.DeepEqual(got, want) {
 		for i := range got {
@@ -27,6 +29,7 @@ func checkLines(t *testing.T, where string, c *Cache) []LineView {
 		}
 		t.Fatalf("%s: Lines differs from a rebuild", where)
 	}
+	checkValidOnly(t, where, c, got)
 	for i := range got {
 		oracle, err := json.Marshal(&got[i])
 		if err != nil {
@@ -42,6 +45,127 @@ func checkLines(t *testing.T, where string, c *Cache) []LineView {
 		}
 	}
 	return got
+}
+
+// checkValidOnly: lines lists exactly the valid lines of c, each once, in
+// set-major order, each with its line's data.
+func checkValidOnly(t *testing.T, where string, c *Cache, lines []LineView) {
+	t.Helper()
+	k := 0
+	for i := range c.lines {
+		if !c.lines[i].valid {
+			continue
+		}
+		si, w := i/c.cfg.Associativity, i%c.cfg.Associativity
+		if k >= len(lines) {
+			t.Fatalf("%s: line %d/%d is valid and not listed", where, si, w)
+		}
+		if lv := lines[k]; lv.Set != si || lv.Way != w || !lv.Valid || !bytes.Equal(lv.Data, c.lineData(si, w)) {
+			t.Fatalf("%s: entry %d is line %d/%d (valid=%v), want valid line %d/%d with its data", where, k, lv.Set, lv.Way, lv.Valid, si, w)
+		}
+		k++
+	}
+	if k != len(lines) {
+		t.Fatalf("%s: %d lines listed, %d are valid", where, len(lines), k)
+	}
+}
+
+// TestLinesColdCache: a cache nothing has been loaded into lists no line
+// and builds nothing.
+func TestLinesColdCache(t *testing.T) {
+	c, _ := newCache(t, DefaultConfig())
+	if allocs := testing.AllocsPerRun(10, func() {
+		if lines := c.Lines(); lines != nil {
+			t.Fatalf("a cold cache lists %d lines", len(lines))
+		}
+	}); allocs != 0 {
+		t.Errorf("Lines on a cold cache allocates %v objects, want 0", allocs)
+	}
+	if c.views != nil {
+		t.Error("a cold cache holds views")
+	}
+}
+
+// TestLinesListsEveryFill: after k fills in scattered order, Lines lists
+// exactly k lines, in set-major order, and a fill encodes only the line
+// it added: every line listed before keeps its fragment.
+func TestLinesListsEveryFill(t *testing.T) {
+	cfg := Config{Enabled: true, Lines: 32, LineSize: 16, Associativity: 2, Replacement: LRU, Write: WriteBack, AccessDelay: 1}
+	c, _ := newCache(t, cfg)
+	// Two tags for each of the 16 sets, in an order that lands neither
+	// set-major nor way-major.
+	var blocks []int
+	for b := 0; b < 32; b++ {
+		blocks = append(blocks, (b*13)%32)
+	}
+	var before []LineView
+	for k, b := range blocks {
+		if _, exc := c.Access(&memory.Transaction{Addr: b * cfg.LineSize, Size: 4}, uint64(k)); exc != nil {
+			t.Fatal(exc)
+		}
+		lines := c.Lines()
+		if len(lines) != k+1 {
+			t.Fatalf("after %d fills Lines lists %d lines", k+1, len(lines))
+		}
+		kept := 0
+		for _, lv := range lines {
+			if kept < len(before) && before[kept].Set == lv.Set && before[kept].Way == lv.Way {
+				if &lv.enc[0] != &before[kept].enc[0] {
+					t.Fatalf("after %d fills line %d/%d, listed before, was encoded again", k+1, lv.Set, lv.Way)
+				}
+				kept++
+			}
+		}
+		if kept != len(before) {
+			t.Fatalf("after %d fills %d of the %d lines listed before are listed", k+1, kept, len(before))
+		}
+		before = lines
+		for i := 1; i < len(lines); i++ {
+			if prev, lv := lines[i-1], lines[i]; lv.Set < prev.Set || lv.Set == prev.Set && lv.Way <= prev.Way {
+				t.Fatalf("after %d fills entry %d is %d/%d, after %d/%d", k+1, i, lv.Set, lv.Way, prev.Set, prev.Way)
+			}
+		}
+		checkValidOnly(t, fmt.Sprintf("after %d fills", k+1), c, lines)
+	}
+}
+
+// TestLinesStoreReencodesOneLine: a store to a listed line copies the
+// listed entries, not one per line of the cache, and encodes that line
+// alone again; every other entry keeps the fragment it had.
+func TestLinesStoreReencodesOneLine(t *testing.T) {
+	c, _ := newCache(t, DefaultConfig())
+	for _, addr := range []int{0, 4096, 640, 8192, 96} {
+		if _, exc := c.Access(&memory.Transaction{Addr: addr, Size: 4}, 0); exc != nil {
+			t.Fatal(exc)
+		}
+	}
+	before := c.Lines()
+	kept := append([]LineView(nil), before...)
+	if _, exc := c.Access(&memory.Transaction{Addr: 644, Size: 4, IsStore: true, Data: 0xABCD}, 1); exc != nil {
+		t.Fatal(exc)
+	}
+	after := c.Lines()
+	if len(after) != len(before) || cap(after) >= c.cfg.Lines {
+		t.Fatalf("after the store Lines lists %d entries with room for %d, want the %d listed before", len(after), cap(after), len(before))
+	}
+	si, _ := c.setIndexAndTag(644)
+	rebuilt := 0
+	for i := range after {
+		if &after[i].enc[0] == &before[i].enc[0] {
+			continue
+		}
+		rebuilt++
+		if after[i].Set != si || !after[i].Dirty {
+			t.Errorf("line %d/%d was encoded again; only the stored line should be", after[i].Set, after[i].Way)
+		}
+	}
+	if rebuilt != 1 {
+		t.Errorf("%d lines encoded again after one store, want 1", rebuilt)
+	}
+	if !reflect.DeepEqual(before, kept) {
+		t.Error("the store wrote the lines Lines returned before it")
+	}
+	checkLines(t, "after the store", c)
 }
 
 // TestLinesFollowEveryChange: after each thing that can change what a

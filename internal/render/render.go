@@ -9,14 +9,17 @@ import (
 	"fmt"
 	"strings"
 
+	"riscvsim/internal/cache"
 	"riscvsim/internal/core"
 )
 
 // blockWidth is the inner width of a rendered block box.
 const blockWidth = 46
 
-// Schematic renders the full processor view from a state snapshot.
-func Schematic(st *core.State) string {
+// Schematic renders the full processor view from a state snapshot. The
+// state lists only the valid cache lines, so the L1's geometry comes from
+// the configuration of the cache that state was taken from.
+func Schematic(st *core.State, l1 cache.Config) string {
 	var sb strings.Builder
 	sb.Grow(1 << 14)
 
@@ -64,22 +67,21 @@ func Schematic(st *core.State) string {
 		block(&sb, "Rename file", fmt.Sprintf("%d live", len(st.SpecRegs)), lines)
 	}
 
-	// Cache lines (valid only), grouped like the cache pane.
-	valid := 0
+	// Cache lines (the state lists the valid ones), grouped like the
+	// cache pane.
+	l1Status := "off"
 	var cacheLines []string
-	for _, cl := range st.CacheLines {
-		if cl.Valid {
-			valid++
-			if len(cacheLines) < 8 {
-				d := ""
-				if cl.Dirty {
-					d = " dirty"
-				}
-				cacheLines = append(cacheLines, fmt.Sprintf("set %2d way %d  addr %6d%s", cl.Set, cl.Way, cl.Addr, d))
+	if l1.Enabled {
+		l1Status = fmt.Sprintf("%d/%d lines valid", len(st.CacheLines), l1.Lines)
+		for _, cl := range st.CacheLines[:min(len(st.CacheLines), 8)] {
+			d := ""
+			if cl.Dirty {
+				d = " dirty"
 			}
+			cacheLines = append(cacheLines, fmt.Sprintf("set %2d way %d  addr %6d%s", cl.Set, cl.Way, cl.Addr, d))
 		}
 	}
-	block(&sb, "L1 cache", fmt.Sprintf("%d/%d lines valid", valid, len(st.CacheLines)), cacheLines)
+	block(&sb, "L1 cache", l1Status, cacheLines)
 
 	// Memory pointers (Fig. 2: allocated arrays and their addresses).
 	var ptrLines []string

@@ -221,8 +221,9 @@ func (s *Server) handleSessionRender(_ http.ResponseWriter, r *http.Request) (an
 	}
 	reporting := tm.begin(phaseReport)
 	st := sess.machine.State(false)
+	l1 := sess.machine.Sim().Cache().Config()
 	reporting.end()
 	sess.mu.Unlock()
 	defer tm.begin(phaseSimulate).end()
-	return &api.RenderResponse{Schematic: render.Schematic(st)}, nil
+	return &api.RenderResponse{Schematic: render.Schematic(st, l1)}, nil
 }

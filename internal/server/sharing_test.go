@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 
 	"riscvsim/internal/api"
+	"riscvsim/internal/cache"
 	"riscvsim/internal/workload"
 )
 
@@ -41,13 +43,20 @@ func TestSessionsShareProgramAndFragments(t *testing.T) {
 		}
 		return json.NewDecoder(resp.Body).Decode(into)
 	}
+	// A whole state lists every valid cache line, and only those, in
+	// set-major order, each with its 64 bytes of data.
 	checkState := func(st *api.SessionStateResponse) error {
-		if st.State == nil || len(st.State.CacheLines) != 256 || len(st.State.IntRegs) != 32 {
+		if st.State == nil || len(st.State.IntRegs) != 32 {
 			return fmt.Errorf("reply is not a whole state")
 		}
-		for _, lv := range st.State.CacheLines {
-			if lv.Valid != (len(lv.Data) == 64) {
-				return fmt.Errorf("cycle %d: line %d/%d valid=%v with %d data bytes", st.State.Cycle, lv.Set, lv.Way, lv.Valid, len(lv.Data))
+		for i, lv := range st.State.CacheLines {
+			if !lv.Valid || len(lv.Data) != 64 {
+				return fmt.Errorf("cycle %d: line %d/%d listed with valid=%v and %d data bytes", st.State.Cycle, lv.Set, lv.Way, lv.Valid, len(lv.Data))
+			}
+			if i > 0 {
+				if prev := st.State.CacheLines[i-1]; lv.Set < prev.Set || lv.Set == prev.Set && lv.Way <= prev.Way {
+					return fmt.Errorf("cycle %d: line %d/%d listed after %d/%d", st.State.Cycle, lv.Set, lv.Way, prev.Set, prev.Way)
+				}
 			}
 		}
 		return nil
@@ -98,6 +107,17 @@ func TestSessionsShareProgramAndFragments(t *testing.T) {
 			t.Fatal(err)
 		}
 		alone.StepN(st.State.Cycle)
+		// The valid lines of the machine alone, copied field by field: a
+		// decoded reply carries no fragment.
+		var valid []cache.LineView
+		for _, lv := range alone.Sim().Cache().Lines() {
+			if lv.Valid {
+				valid = append(valid, cache.LineView{Set: lv.Set, Way: lv.Way, Valid: true, Dirty: lv.Dirty, Tag: lv.Tag, Addr: lv.Addr, Data: lv.Data})
+			}
+		}
+		if !reflect.DeepEqual(st.State.CacheLines, valid) {
+			t.Errorf("session %d at cycle %d lists %d cache lines, not the %d valid lines of a machine stepped there alone", s, st.State.Cycle, len(st.State.CacheLines), len(valid))
+		}
 		got, _ := json.Marshal(st.State)
 		want, _ := json.Marshal(alone.State(false))
 		if !bytes.Equal(got, want) {

@@ -364,10 +364,11 @@ func TestCheckpointAllocations(t *testing.T) {
 // TestStepReplyAllocations: on a warm session a forward step's State and
 // its encoding allocate a bounded number of objects — the views of what is
 // in flight, the register values, the statistics report — and none per
-// cache line. Measured 68 on sort-insertion (the parent: 188, and 38 KB
-// against 16 KB). A machine nobody looks at keeps no views or fragments at
-// all: cache.TestLinesFollowEveryChange and core.TestStepAllocFree hold
-// that end.
+// cache line. Measured 65 on sort-insertion, with the state listing only
+// the valid lines and before it did (before fragments were kept: 188,
+// and 38 KB against 16 KB). A machine nobody looks at keeps no views or
+// fragments at all: cache.TestLinesColdCache, TestLinesFollowEveryChange
+// and core.TestStepAllocFree hold that end.
 func TestStepReplyAllocations(t *testing.T) {
 	w, _ := ByName("sort-insertion")
 	m, err := NewMachine(nil, w)
