@@ -112,15 +112,20 @@ func TestTableIShape(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 // driveJSONWorkload sends interactive step requests with full state
-// payloads — the web client's request pattern.
+// payloads — the web client's request pattern. Each seeds the first word
+// of the buffer the program overwrites before reading it, so every
+// request runs the same instructions yet none repeats one before it: a
+// repeated request would be answered from the reply memo, with no
+// simulation and no encoding to measure.
 func driveJSONWorkload(tb testing.TB, ts *httptest.Server, n int) {
-	body, _ := json.Marshal(&api.SimulateRequest{
-		Code:         loadgen.ProgramB,
-		Steps:        40,
-		IncludeState: true,
-		IncludeLog:   true,
-	})
 	for i := 0; i < n; i++ {
+		body, _ := json.Marshal(&api.SimulateRequest{
+			Code:         loadgen.ProgramB,
+			Steps:        40,
+			MemFills:     []api.MemFill{{Label: "buf", Values: []int64{int64(i)}}},
+			IncludeState: true,
+			IncludeLog:   true,
+		})
 		resp, err := http.Post(ts.URL+api.V1Prefix+"/simulate", "application/json", bytes.NewReader(body))
 		if err != nil {
 			tb.Fatal(err)
@@ -189,10 +194,14 @@ loop:
   bne t1, t2, loop
 `
 
+// batchSweepRequests are batchSweepSize runs of batchHeavyLoop. Their
+// cycle budgets differ, all far past the loop's halt, so each does the
+// same work but no two are the same request: /api/v1/simulate answers a
+// repeated request from its reply memo, and none of these is one.
 func batchSweepRequests() []api.SimulateRequest {
 	reqs := make([]api.SimulateRequest, batchSweepSize)
 	for i := range reqs {
-		reqs[i] = api.SimulateRequest{Code: batchHeavyLoop}
+		reqs[i] = api.SimulateRequest{Code: batchHeavyLoop, Steps: 1_000_000 + uint64(i)}
 	}
 	return reqs
 }
@@ -304,19 +313,20 @@ func TestBatchFasterThanSequential(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs a multi-core host")
 	}
-	srv := server.New(server.DefaultOptions())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
 	reqs := batchSweepRequests()
-
-	// Warm up (JIT-free, but first requests pay connection setup).
-	if _, err := loadgen.BatchSweep(ts.URL, reqs[:2], false); err != nil {
-		t.Fatal(err)
-	}
 	// A single wall-clock sample can lose to scheduler noise on shared
-	// CI runners; the claim holds if any of a few attempts shows it.
+	// CI runners; the claim holds if any of a few attempts shows it. Each
+	// attempt has a server of its own: on a shared one the sequential side
+	// would repeat the previous attempt's requests and be answered from
+	// the reply memo instead of simulating.
 	const attempts = 3
 	for attempt := 1; ; attempt++ {
+		ts := httptest.NewServer(server.New(server.DefaultOptions()).Handler())
+		t.Cleanup(ts.Close)
+		// Warm up (JIT-free, but first requests pay connection setup).
+		if _, err := loadgen.BatchSweep(ts.URL, reqs[:2], false); err != nil {
+			t.Fatal(err)
+		}
 		seq, err := loadgen.SequentialSweep(ts.URL, reqs, false)
 		if err != nil {
 			t.Fatal(err)
@@ -475,9 +485,10 @@ func benchSimulateMix(b *testing.B, unique bool) {
 			b.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body.String())
 		}
 	}
-	// Warm-up: two passes of the mix, since the cache stores a source the
-	// second time it is built.
-	warmup := 2 * len(mix)
+	// Warm-up: four passes of the mix, since the cache stores a source the
+	// second time it is built and a reply the second time its request runs
+	// on the stored Program.
+	warmup := 4 * len(mix)
 	for i := 0; i < warmup; i++ {
 		post(i)
 	}
@@ -489,9 +500,10 @@ func benchSimulateMix(b *testing.B, unique bool) {
 }
 
 // BenchmarkSimulateRepeat is the classroom shape at the handler, no
-// network: everyone submits the same four programs, so after warm-up
-// every build is a cache hit. The benchmark's classroom_simulate workload
-// is the gated number; this one is for profiling the build path by hand.
+// network: everyone submits the same four requests, so after warm-up
+// every one is answered from the reply memoized on its cached Program.
+// The benchmark's classroom_simulate workload is the gated number; this
+// one is for profiling the memo-hit path by hand.
 func BenchmarkSimulateRepeat(b *testing.B) { benchSimulateMix(b, false) }
 
 // BenchmarkSimulateUnique is its control (unique_simulate in the

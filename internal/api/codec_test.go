@@ -106,7 +106,7 @@ func TestMetricsWireNames(t *testing.T) {
 		"batchRequests", "batchSimulations", "suiteRequests", "suiteWorkloads", "streamEvents",
 		"sessions_spilled", "sessions_rehydrated", "sessions_lost",
 		"inFlight", "shed", "deadlineExceeded",
-		"programCacheHits", "programCacheMisses", "programCacheEvictions", "programCacheEntries", "programCacheBytes",
+		"programCacheHits", "programCacheReplyHits", "programCacheMisses", "programCacheEvictions", "programCacheEntries", "programCacheBytes",
 		"phaseNanos",
 	} {
 		if _, ok := doc[key]; !ok {

@@ -470,8 +470,12 @@ type Metrics struct {
 	// source text that found its compiled Program, lookups that had to
 	// build it (a C request that misses looks up twice, the C text and
 	// the assembly it compiles to), Programs dropped to stay within the
-	// byte budget, and what the cache holds now.
+	// byte budget, and what the cache holds now. ReplyHits counts the
+	// /simulate requests answered from a reply memoized on their
+	// Program's entry; each is also one of the hits, and the memoized
+	// replies count in the bytes.
 	ProgramCacheHits      uint64 `json:"programCacheHits"`
+	ProgramCacheReplyHits uint64 `json:"programCacheReplyHits"`
 	ProgramCacheMisses    uint64 `json:"programCacheMisses"`
 	ProgramCacheEvictions uint64 `json:"programCacheEvictions"`
 	ProgramCacheEntries   int    `json:"programCacheEntries"`

@@ -14,6 +14,8 @@ package compiler
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 )
 
@@ -38,7 +40,8 @@ type Token struct {
 	Text string
 	Int  int64
 	Flt  float64
-	// Unsigned marks an integer literal written with a u suffix.
+	// Unsigned marks an integer literal of type unsigned int: written
+	// with a u suffix, or a hex or octal one above INT_MAX.
 	Unsigned bool
 	Line     int
 	Col      int
@@ -218,10 +221,25 @@ func (lx *lexer) lexNumber() Token {
 	} else {
 		t.Kind = TIntLit
 		var v int64
-		if strings.HasPrefix(text, "0x") || strings.HasPrefix(text, "0X") {
+		decimal := false
+		switch {
+		case strings.HasPrefix(text, "0x") || strings.HasPrefix(text, "0X"):
 			fmt.Sscanf(text[2:], "%x", &v)
-		} else {
+		case len(text) > 1 && text[0] == '0':
+			u, err := strconv.ParseUint(text[1:], 8, 63)
+			if err != nil {
+				lx.errf(t.Line, t.Col, "invalid octal constant %q", text)
+			}
+			v = int64(u)
+		default:
+			decimal = true
 			fmt.Sscanf(text, "%d", &v)
+		}
+		// C99 6.4.4.1: an unsuffixed hex or octal constant too large for
+		// int is unsigned int when that holds it; a decimal one stays
+		// signed.
+		if !decimal && v > math.MaxInt32 && v <= math.MaxUint32 {
+			t.Unsigned = true
 		}
 		t.Int = v
 	}

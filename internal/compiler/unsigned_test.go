@@ -2,6 +2,9 @@ package compiler
 
 import (
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -34,6 +37,16 @@ func TestUnsignedConstants(t *testing.T) {
 		{"A < B", "-1", "5", 1},
 		{"(A / B) == -3", "-7", "2", 1},
 		{"(A % B) == -1", "-7", "2", 1},
+		// C99 6.4.4.1: an unsuffixed hex or octal constant above INT_MAX
+		// is unsigned int; one within int, and any decimal one, is int.
+		{"(A >> B) == 1", "0x80000000", "31", 1},
+		{"(A / B) == 0x7FFFFFFF", "0xFFFFFFFF", "2", 1},
+		{"A > B", "0xFFFFFFFF", "0", 1},
+		{"A > B", "0x80000000", "-1", 0},
+		{"(A >> B) == 1", "020000000000", "31", 1},
+		{"A == B", "010", "8", 1},
+		{"A > B", "0x7FFFFFFF", "-1", 1},
+		{"A > B", "2147483647", "-1", 1},
 	}
 	subst := func(expr, a, b string) string {
 		out := ""
@@ -49,9 +62,16 @@ func TestUnsignedConstants(t *testing.T) {
 		}
 		return out
 	}
+	// typeOf is the C99 type of a literal, so the locals and globals
+	// declare what the constant form computes with.
 	typeOf := func(lit string) string {
 		if lit[len(lit)-1] == 'u' {
 			return "unsigned int"
+		}
+		if len(lit) > 1 && lit[0] == '0' {
+			if v, err := strconv.ParseUint(lit, 0, 64); err == nil && v > math.MaxInt32 {
+				return "unsigned int"
+			}
 		}
 		return "int"
 	}
@@ -68,5 +88,9 @@ func TestUnsignedConstants(t *testing.T) {
 				}
 			}
 		}
+	}
+	// A leading 0 makes a literal octal, where 8 and 9 are no digits.
+	if _, err := Compile("int main() { return 08; }", 0); err == nil || !strings.Contains(err.Error(), "octal") {
+		t.Errorf("08 compiled: %v", err)
 	}
 }

@@ -206,7 +206,7 @@ func TestCappedStreamStopsWhenClientLeaves(t *testing.T) {
 		{"/session/trace", &burstTracer{filter: trace.NoFilter}},
 	} {
 		srv, ts := newTestServer(t)
-		m, aerr := srv.buildMachine(&api.SimulateRequest{Code: spinProgram})
+		m, aerr := srv.buildMachine(&api.SimulateRequest{Code: spinProgram}, nil)
 		if aerr != nil {
 			t.Fatal(aerr)
 		}
@@ -266,7 +266,7 @@ func TestRunLoopTellsDeadlineFromCancel(t *testing.T) {
 		{"client gone", canceled, api.CodeInternal, 0, 0},
 		{"deadline", expired, api.CodeDeadlineExceeded, 0, 1},
 	} {
-		m, aerr := srv.buildMachine(&api.SimulateRequest{Code: spinProgram})
+		m, aerr := srv.buildMachine(&api.SimulateRequest{Code: spinProgram}, nil)
 		if aerr != nil {
 			t.Fatal(aerr)
 		}

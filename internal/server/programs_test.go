@@ -49,7 +49,7 @@ second:
 
 func mustBuild(t *testing.T, s *Server, req *api.SimulateRequest) *sim.Machine {
 	t.Helper()
-	m, aerr := s.buildMachine(req)
+	m, aerr := s.buildMachine(req, nil)
 	if aerr != nil {
 		t.Fatalf("build: %v", aerr)
 	}
@@ -126,14 +126,14 @@ func TestProgramCacheKeyAliasing(t *testing.T) {
 
 	// Language: C text is never looked up as assembly or the reverse, in
 	// either order.
-	if _, aerr := s.buildMachine(&api.SimulateRequest{Code: classroomC}); aerr == nil || aerr.Code != api.CodeBuildFailed {
+	if _, aerr := s.buildMachine(&api.SimulateRequest{Code: classroomC}, nil); aerr == nil || aerr.Code != api.CodeBuildFailed {
 		t.Errorf("C text assembled: %v", aerr)
 	}
 	c0 := mustBuildStored(t, s, &api.SimulateRequest{Code: classroomC, Language: "c"})
-	if _, aerr := s.buildMachine(&api.SimulateRequest{Code: classroomC}); aerr == nil {
+	if _, aerr := s.buildMachine(&api.SimulateRequest{Code: classroomC}, nil); aerr == nil {
 		t.Error("C text assembled once its C build was cached")
 	}
-	if _, aerr := s.buildMachine(&api.SimulateRequest{Code: classroomAsm, Language: "c"}); aerr == nil {
+	if _, aerr := s.buildMachine(&api.SimulateRequest{Code: classroomAsm, Language: "c"}, nil); aerr == nil {
 		t.Error("assembly text compiled as C because its assembly build was cached")
 	}
 	if again := mustBuild(t, s, &api.SimulateRequest{Code: classroomC, Language: "c"}); again.Program() != c0.Program() {
@@ -164,14 +164,14 @@ func TestProgramCacheKeyAliasing(t *testing.T) {
 			t.Errorf("entry for a0=%d computed a0=%d", want, a0)
 		}
 	}
-	if _, aerr := s.buildMachine(&api.SimulateRequest{Code: entryAsm, Entry: "third"}); aerr == nil {
+	if _, aerr := s.buildMachine(&api.SimulateRequest{Code: entryAsm, Entry: "third"}, nil); aerr == nil {
 		t.Error("an undefined entry label built")
 	}
 
 	// Failed builds are not cached.
 	before := s.Metrics().ProgramCacheEntries
 	for i := 0; i < 3; i++ {
-		if _, aerr := s.buildMachine(&api.SimulateRequest{Code: "bogus t0, t1"}); aerr == nil {
+		if _, aerr := s.buildMachine(&api.SimulateRequest{Code: "bogus t0, t1"}, nil); aerr == nil {
 			t.Fatal("bogus source built")
 		}
 	}
@@ -403,9 +403,12 @@ func TestProgramCacheMetricsByMix(t *testing.T) {
 
 // TestCachedBuildByteIdentical: a request answered from a cached Program
 // gets the bytes an uncached build answers with, and its machine
-// checkpoints to the same bytes.
+// checkpoints to the same bytes. Through /api/v1/simulate the request runs
+// on its cached Program, has its reply stored, and is then answered from
+// the memo: every body, gzip off and on, is the uncached encoding.
 func TestCachedBuildByteIdentical(t *testing.T) {
-	s := New(DefaultOptions())
+	s, ts := newTestServer(t)
+	cached := func(req *api.SimulateRequest) (*sim.Machine, *api.Error) { return s.buildMachine(req, nil) }
 	for _, req := range []api.SimulateRequest{
 		{Code: classroomAsm, IncludeState: true, IncludeLog: true},
 		{Code: spillProgram, Steps: 60, IncludeState: true},
@@ -414,7 +417,7 @@ func TestCachedBuildByteIdentical(t *testing.T) {
 		{Code: entryAsm, Entry: "second"},
 	} {
 		var responses, checkpoints [][]byte
-		for _, build := range []func(*api.SimulateRequest) (*sim.Machine, *api.Error){BuildMachine, s.buildMachine, s.buildMachine, s.buildMachine} {
+		for _, build := range []func(*api.SimulateRequest) (*sim.Machine, *api.Error){BuildMachine, cached, cached, cached} {
 			m, aerr := build(&req)
 			if aerr != nil {
 				t.Fatal(aerr)
@@ -446,6 +449,24 @@ func TestCachedBuildByteIdentical(t *testing.T) {
 			if !bytes.Equal(responses[i], responses[0]) {
 				t.Errorf("%q: response of cached build %d differs from the uncached build's", req.Code[:12], i)
 			}
+		}
+
+		// The Program is stored: the first POST runs on it, the second
+		// stores its reply, the other six are answered from the memo.
+		want := uncachedReply(t, &req)
+		before := s.Metrics().ProgramCacheReplyHits
+		for i := 0; i < 8; i++ {
+			gz := i%2 == 1
+			status, body, err := simulateBody(ts.URL, &req, gz)
+			if err != nil || status != http.StatusOK {
+				t.Fatalf("%q: POST %d: status %d, %v", req.Code[:12], i, status, err)
+			}
+			if !bytes.Equal(body, want) {
+				t.Errorf("%q: POST %d (gzip %v) differs from the uncached reply", req.Code[:12], i, gz)
+			}
+		}
+		if hits := s.Metrics().ProgramCacheReplyHits - before; hits != 6 {
+			t.Errorf("%q: %d of 8 POSTs answered from the memo, want 6", req.Code[:12], hits)
 		}
 	}
 }
@@ -511,7 +532,7 @@ func TestCachedBuildAllocation(t *testing.T) {
 	s := New(DefaultOptions())
 	req := &api.SimulateRequest{Code: classroomAsm}
 	build := func() {
-		if _, aerr := s.buildMachine(req); aerr != nil {
+		if _, aerr := s.buildMachine(req, nil); aerr != nil {
 			t.Fatal(aerr)
 		}
 	}

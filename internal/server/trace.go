@@ -68,7 +68,7 @@ func (s *Server) handleSessionTrace(w http.ResponseWriter, r *http.Request, req 
 			maxEvents = min(maxEvents, opts.Limit)
 		}
 	}
-	m, aerr := s.build(r.Context(), &req.SimulateRequest)
+	m, aerr := s.build(r.Context(), &req.SimulateRequest, nil)
 	if aerr != nil {
 		return nil, aerr
 	}
