@@ -17,8 +17,8 @@ import (
 
 // TestArchitectureRules holds the repository to its "one X" rules: one
 // clock on the request path, one hop in the router, one statement of the
-// rate formulas, one compressor, one door to the checkpoint store and one
-// integrity check. Each rule is an allow-list of the places a name may be
+// rate formulas, one compressor, one door to the checkpoint store, one
+// integrity check and one LRU. Each rule is an allow-list of the places a name may be
 // referenced, checked on the syntax of every non-test .go file under the
 // root (bench/ included; testdata and hidden directories skipped). Imports
 // are resolved by path, so an alias or a dot-import does not hide a
@@ -443,6 +443,29 @@ var archRules = []*archRule{
 			{"grep form", "internal/store/dir.go", "package store\nimport \"hash/crc32\"\nvar _ = crc32.ChecksumIEEE\n", false},
 			{"raw-string path", "sim/checkpoint.go", "package sim\nimport c `hash/crc32`\nvar _ = c.ChecksumIEEE\n", false},
 			{"the format", "internal/ckpt/ckpt.go", "package ckpt\nimport \"hash/crc32\"\nvar table = crc32.MakeTable(crc32.Castagnoli)\n", true},
+		},
+	},
+	{
+		// The server's bounded, recency-ordered maps — Programs, memoized
+		// replies, sessions — are one generic lru (internal/server/lru.go)
+		// that each user guards with its own mutex; a container/list import
+		// anywhere else is a second hand-written LRU in the making.
+		name: "one LRU",
+		fix:  "keep recency order in the lru of internal/server/lru.go, not a list of your own",
+		check: func(c *cursor) (string, bool) {
+			is, ok := c.node().(*ast.ImportSpec)
+			if !ok {
+				return "", false
+			}
+			if ip, _ := strconv.Unquote(is.Path.Value); ip != "container/list" {
+				return "", false
+			}
+			return "container/list import", c.file.path == "internal/server/lru.go"
+		},
+		plants: []plant{
+			{"grep form", "internal/server/store.go", "package server\nimport \"container/list\"\nvar order = list.New()\n", false},
+			{"aliased import", "internal/router/breaker.go", "package router\nimport recent \"container/list\"\nvar order = recent.New()\n", false},
+			{"the lru", "internal/server/lru.go", "package server\nimport \"container/list\"\nvar order = list.New()\n", true},
 		},
 	},
 }

@@ -501,7 +501,7 @@ func benchSimulateMix(b *testing.B, unique bool) {
 
 // BenchmarkSimulateRepeat is the classroom shape at the handler, no
 // network: everyone submits the same four requests, so after warm-up
-// every one is answered from the reply memoized on its cached Program.
+// every one is answered from its memoized reply.
 // The benchmark's classroom_simulate workload is the gated number; this
 // one is for profiling the memo-hit path by hand.
 func BenchmarkSimulateRepeat(b *testing.B) { benchSimulateMix(b, false) }

@@ -126,14 +126,6 @@ func (c *Cluster) ReplicaNames() []string {
 	return names
 }
 
-// Alive reports whether the named replica currently has a live process.
-func (c *Cluster) Alive(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.replicas[name]
-	return ok && r.ts != nil
-}
-
 // AliveCount returns how many replicas currently run.
 func (c *Cluster) AliveCount() int {
 	c.mu.Lock()

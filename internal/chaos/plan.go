@@ -151,9 +151,6 @@ func (p *Plan) Config() Config { return p.cfg }
 // still-failing infrastructure.
 func (p *Plan) Disable() { p.enabled.Store(false) }
 
-// Enable turns fault injection (back) on.
-func (p *Plan) Enable() { p.enabled.Store(true) }
-
 // counter returns site's occurrence counter, creating it on first use.
 func (p *Plan) counter(site string) *atomic.Uint64 {
 	p.mu.Lock()

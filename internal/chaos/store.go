@@ -147,10 +147,3 @@ func (f *FaultStore) Violations() []string {
 	defer f.mu.Unlock()
 	return append([]string(nil), f.violations...)
 }
-
-// PutHistory returns the ordered successful Put versions for id.
-func (f *FaultStore) PutHistory(id string) []uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]uint64(nil), f.history[id]...)
-}

@@ -65,9 +65,9 @@ var (
 
 // Section tags give every block of the stream a one-byte self-describing
 // marker, so decoding failures carry context and layout drift is caught
-// immediately rather than as garbage state.
+// immediately rather than as garbage state. The stream's header is
+// untagged, so no section is 0x01.
 const (
-	SecHeader    byte = 0x01
 	SecCore      byte = 0x02
 	SecInstrs    byte = 0x03
 	SecROB       byte = 0x04

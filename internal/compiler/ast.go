@@ -244,7 +244,6 @@ const (
 	SymGlobal SymbolKind = iota
 	SymLocal
 	SymParam
-	SymFunc
 )
 
 // Symbol is a resolved name: its type and storage.

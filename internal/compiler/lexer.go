@@ -13,6 +13,7 @@
 package compiler
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -220,28 +221,31 @@ func (lx *lexer) lexNumber() Token {
 		fmt.Sscanf(text, "%g", &t.Flt)
 	} else {
 		t.Kind = TIntLit
-		var v int64
-		decimal := false
+		base, digits := 10, text
 		switch {
 		case strings.HasPrefix(text, "0x") || strings.HasPrefix(text, "0X"):
-			fmt.Sscanf(text[2:], "%x", &v)
+			base, digits = 16, text[2:]
 		case len(text) > 1 && text[0] == '0':
-			u, err := strconv.ParseUint(text[1:], 8, 63)
-			if err != nil {
-				lx.errf(t.Line, t.Col, "invalid octal constant %q", text)
-			}
-			v = int64(u)
+			base, digits = 8, text[1:]
+		}
+		// The subset's widest integer type is unsigned int, so a constant
+		// it cannot hold is a diagnostic, never a truncation.
+		v, err := strconv.ParseUint(digits, base, 32)
+		switch {
+		case err == nil:
+		case digits == "":
+			lx.errf(t.Line, t.Col, "hexadecimal constant %q has no digits", text)
+		case errors.Is(err, strconv.ErrRange):
+			lx.errf(t.Line, t.Col, "integer constant %q is too large for unsigned int", text)
 		default:
-			decimal = true
-			fmt.Sscanf(text, "%d", &v)
+			lx.errf(t.Line, t.Col, "invalid octal constant %q", text)
 		}
 		// C99 6.4.4.1: an unsuffixed hex or octal constant too large for
-		// int is unsigned int when that holds it; a decimal one stays
-		// signed.
-		if !decimal && v > math.MaxInt32 && v <= math.MaxUint32 {
+		// int is unsigned int; a decimal one stays signed.
+		if base != 10 && v > math.MaxInt32 {
 			t.Unsigned = true
 		}
-		t.Int = v
+		t.Int = int64(v)
 	}
 	return t
 }

@@ -47,6 +47,12 @@ func TestUnsignedConstants(t *testing.T) {
 		{"A == B", "010", "8", 1},
 		{"A > B", "0x7FFFFFFF", "-1", 1},
 		{"A > B", "2147483647", "-1", 1},
+		// UINT_MAX is the largest constant in every base; a decimal one
+		// above INT_MAX stays as it is, so INT_MIN can be written.
+		{"A == B", "037777777777", "0xFFFFFFFF", 1},
+		{"A == B", "4294967295u", "0xFFFFFFFF", 1},
+		{"A < B", "-2147483648", "0", 1},
+		{"A == B", "-2147483648", "0x80000000", 1},
 	}
 	subst := func(expr, a, b string) string {
 		out := ""
@@ -89,8 +95,23 @@ func TestUnsignedConstants(t *testing.T) {
 			}
 		}
 	}
-	// A leading 0 makes a literal octal, where 8 and 9 are no digits.
-	if _, err := Compile("int main() { return 08; }", 0); err == nil || !strings.Contains(err.Error(), "octal") {
-		t.Errorf("08 compiled: %v", err)
+	// A constant the subset cannot hold or read is a diagnostic, never
+	// a truncation. A leading 0 makes a literal octal, where 8 and 9 are
+	// no digits.
+	for lit, msg := range map[string]string{
+		"08":                   "octal",
+		"0x100000000":          "too large",
+		"0x1FFFFFFFF":          "too large",
+		"0xFFFFFFFFFFFFFFFFFF": "too large",
+		"040000000000":         "too large",
+		"4294967296":           "too large",
+		"4294967296u":          "too large",
+		"99999999999999999999": "too large",
+		"0x":                   "no digits",
+		"0xu":                  "no digits",
+	} {
+		if _, err := Compile("int main() { return "+lit+"; }", 0); err == nil || !strings.Contains(err.Error(), msg) {
+			t.Errorf("%s: %v, want a diagnostic saying %q", lit, err, msg)
+		}
 	}
 }

@@ -56,9 +56,6 @@ func ParseType(s string) (Type, error) {
 // IsFloat reports whether the type is a floating-point type.
 func (t Type) IsFloat() bool { return t == Float || t == Double }
 
-// IsSigned reports whether the type is a signed integer type.
-func (t Type) IsSigned() bool { return t == Int || t == Long }
-
 // Width returns the operand width in bytes.
 func (t Type) Width() int {
 	switch t {

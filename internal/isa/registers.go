@@ -176,7 +176,4 @@ const (
 	RegZero = 0 // x0
 	RegRA   = 1 // x1: return address
 	RegSP   = 2 // x2: stack pointer
-	RegGP   = 3 // x3: global pointer
-	RegA0   = 10
-	RegA1   = 11
 )

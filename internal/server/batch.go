@@ -110,6 +110,6 @@ func (s *Server) runBatchItem(ctx context.Context, i int, req *api.SimulateReque
 			res = api.BatchResult{Index: i, Error: api.Errorf(api.CodeInternal, "simulation panicked: %v", r)}
 		}
 	}()
-	resp, aerr := s.runSimulate(ctx, req)
+	_, resp, aerr := s.simulate(ctx, req)
 	return api.BatchResult{Index: i, Response: resp, Error: aerr}
 }

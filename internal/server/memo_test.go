@@ -71,27 +71,30 @@ func uncachedReply(t testing.TB, req *api.SimulateRequest) []byte {
 	return buf.Bytes()
 }
 
-// checkCharges walks the cache: its bytes are the sum of its entries',
-// each entry's are its Program's charge plus its replies' and their
-// keys', and the total is within the budget.
+// checkCharges walks the cache's LRU: each entry is charged its key and
+// its Program's retained bytes or its reply's length, the charges sum to
+// the cache's bytes, and the total is within the budget.
 func checkCharges(t *testing.T, c *programCache) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	total := 0
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*programEntry)
-		want := len(e.key.text) + e.prog.RetainedBytes()
-		for k, reply := range e.replies {
-			want += len(reply) + k.size()
+	for el := c.entries.order.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*lruEntry[cacheKey, cached])
+		want := e.key.size() + len(e.val.reply)
+		if e.val.prog != nil {
+			want += e.val.prog.RetainedBytes()
 		}
-		if e.bytes != want {
-			t.Errorf("entry of %d-byte source charged %d bytes, holds %d", len(e.key.text), e.bytes, want)
+		if e.key.reply != (e.val.prog == nil) {
+			t.Errorf("entry of %d-byte source: reply key %v holds a Program %v", len(e.key.prog.text), e.key.reply, e.val.prog != nil)
 		}
-		total += e.bytes
+		if e.size != want {
+			t.Errorf("entry of %d-byte source charged %d bytes, holds %d", len(e.key.prog.text), e.size, want)
+		}
+		total += e.size
 	}
-	if total != c.bytes || c.bytes > c.budget {
-		t.Errorf("cache charged %d bytes, entries hold %d, budget %d", c.bytes, total, c.budget)
+	if total != c.entries.size || total > c.entries.budget {
+		t.Errorf("cache charged %d bytes, entries hold %d, budget %d", c.entries.size, total, c.entries.budget)
 	}
 }
 
@@ -353,9 +356,9 @@ func TestReplyMemoWithinBudget(t *testing.T) {
 
 // TestReplyMemoConcurrent: identical requests sent at once race from the
 // memo's miss through the run to the store, and memo hits are answered
-// while other sources evict their Program — the budget holds the default
-// example's Program with its three replies, not that and another. Every body must still be the uncached
-// answer. Under -race this is the check that a stored reply is never
+// while another source's Program and reply evict entries — the budget
+// holds the default example's Program with its three replies, not those
+// and another Program. Every body must still be the uncached answer. Under -race this is the check that a stored reply is never
 // written again (CI: race job, -count=5).
 func TestReplyMemoConcurrent(t *testing.T) {
 	s, ts := newTestServer(t)
@@ -402,45 +405,52 @@ func TestReplyMemoConcurrent(t *testing.T) {
 	}
 }
 
-// TestReplyMemoStoreAfterEviction: a reply whose Program entry was
-// evicted between the lookup and the store, and whose source was stored
-// again under a new entry meanwhile, is stored on neither.
-func TestReplyMemoStoreAfterEviction(t *testing.T) {
-	mem := sim.DefaultMemoryConfig()
-	c := newProgramCache(programCharge(t, classroomAsm) + programCharge(t, spillProgram) - 1)
-	admit := func(src string) *programEntry {
+// TestReplyMemoOutlivesItsProgram: a memoized reply is an entry of its
+// own, so evicting the Program its request ran leaves it in the cache, and
+// the request is still answered from it with the uncached reply, byte for
+// byte, without building the Program again.
+func TestReplyMemoOutlivesItsProgram(t *testing.T) {
+	s, ts := newTestServer(t)
+	req := &api.SimulateRequest{Code: classroomAsm, IncludeState: true}
+	want, key := uncachedReply(t, req), replyKeyOf(req)
+	// The budget holds the request's Program and its reply, and not
+	// those and another Program as well.
+	s.programs = newProgramCache(programCharge(t, classroomAsm) + len(want) + key.size())
+	post := func(req *api.SimulateRequest) []byte {
 		t.Helper()
-		for i := 0; i < 3; i++ {
-			if _, err := c.assemble(src, mem); err != nil {
-				t.Fatal(err)
-			}
-			if el, ok := c.byKey[programKey{mem: mem, text: src}]; ok {
-				return el.Value.(*programEntry)
-			}
+		status, body, err := simulateBody(ts.URL, req, false)
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("status %d, %v: %s", status, err, body)
 		}
-		t.Fatalf("%d-byte source never stored", len(src))
-		return nil
+		return body
 	}
-	first := admit(classroomAsm)
-	l := &replyLookup{req: &api.SimulateRequest{Code: classroomAsm}}
-	for i := 0; i < 2 && l.entry == nil; i++ {
-		c.assembleFor(classroomAsm, mem, l)
+	post(req)
+	post(req) // stores the Program and the reply
+	if m := s.Metrics(); m.ProgramCacheEntries != 2 {
+		t.Fatalf("%d entries after the second request, want its Program and its reply", m.ProgramCacheEntries)
 	}
-	if l.entry != first {
-		t.Fatal("the second lookup did not mark the reply for storing")
-	}
-	admit(spillProgram) // evicts the default example's entry
-	if second := admit(classroomAsm); second == first {
-		t.Fatal("the default example was not evicted and stored again")
-	}
-	c.memoize(l, []byte("{}\n"))
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*programEntry); len(e.replies) != 0 {
-			t.Errorf("a reply looked up on an evicted entry was stored on the %d-byte source's", len(e.key.text))
+	// The reply is the most recently used entry: storing a second source
+	// evicts the request's Program and keeps its reply.
+	mem := sim.DefaultMemoryConfig()
+	for i := 0; i < 2; i++ {
+		if _, err := s.programs.assemble(spillProgram, mem); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(first.replies) != 0 {
-		t.Error("a reply was stored on an evicted entry")
+	s.programs.mu.Lock()
+	_, programKept := s.programs.entries.get(cacheKey{prog: programKey{mem: mem, text: classroomAsm}})
+	_, replyKept := s.programs.entries.get(key)
+	s.programs.mu.Unlock()
+	if programKept || !replyKept {
+		t.Fatalf("after another source was stored: Program kept %v, reply kept %v; want false, true", programKept, replyKept)
 	}
-	checkCharges(t, c)
+	checkCharges(t, s.programs)
+	s.ResetMetrics()
+	if body := post(req); !bytes.Equal(body, want) {
+		t.Errorf("reply outliving its Program differs from the uncached reply:\n got %s\nwant %s", body, want)
+	}
+	if m := s.Metrics(); m.ProgramCacheReplyHits != 1 || m.ProgramCacheMisses != 0 || m.ProgramCacheHits != 0 {
+		t.Errorf("%d reply hits, %d Program misses, %d Program hits; want the reply answered without a build (1, 0, 0)",
+			m.ProgramCacheReplyHits, m.ProgramCacheMisses, m.ProgramCacheHits)
+	}
 }

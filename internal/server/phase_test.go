@@ -75,10 +75,14 @@ func TestPhasesPerRoute(t *testing.T) {
 		status int
 		want   phases
 	}{
-		// A source is cached on its second build, so the third finds it.
+		// A source and a reply are cached the second time they are looked
+		// up, so the third request is answered from its memoized reply,
+		// looked up in the build phase, and another request on the same
+		// source runs on the cached Program.
 		{"simulate miss", post("/simulate", simulate), 200, full},
 		{"simulate stored", post("/simulate", simulate), 200, full},
-		{"simulate hit", post("/simulate", simulate), 200, full},
+		{"simulate memoized", post("/simulate", simulate), 200, phases{phaseDecode, phaseBuild}},
+		{"simulate hit", post("/simulate", &api.SimulateRequest{Code: tinyProgram, IncludeState: true, Steps: 1000}), 200, full},
 		{"batch", post("/batch", &api.BatchRequest{Requests: []api.SimulateRequest{
 			{Code: spillProgram}, {Code: spillProgram, Preset: "scalar"}, {Code: tinyProgram}, {Code: spillProgram},
 		}}), 200, full},
@@ -206,7 +210,7 @@ func TestCappedStreamStopsWhenClientLeaves(t *testing.T) {
 		{"/session/trace", &burstTracer{filter: trace.NoFilter}},
 	} {
 		srv, ts := newTestServer(t)
-		m, aerr := srv.buildMachine(&api.SimulateRequest{Code: spinProgram}, nil)
+		m, aerr := srv.buildMachine(&api.SimulateRequest{Code: spinProgram})
 		if aerr != nil {
 			t.Fatal(aerr)
 		}
@@ -266,7 +270,7 @@ func TestRunLoopTellsDeadlineFromCancel(t *testing.T) {
 		{"client gone", canceled, api.CodeInternal, 0, 0},
 		{"deadline", expired, api.CodeDeadlineExceeded, 0, 1},
 	} {
-		m, aerr := srv.buildMachine(&api.SimulateRequest{Code: spinProgram}, nil)
+		m, aerr := srv.buildMachine(&api.SimulateRequest{Code: spinProgram})
 		if aerr != nil {
 			t.Fatal(aerr)
 		}

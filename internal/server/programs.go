@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
@@ -11,16 +10,16 @@ import (
 	"riscvsim/sim"
 )
 
-// programCacheBudget bounds the bytes the cache retains. An entry keeps
+// programCacheBudget bounds the bytes the cache retains. A Program keeps
 // its source text, the image pages the assembler wrote and about 0.35 KB
 // of tables per instruction — 2.7 KB for the default example, 113 KB for
-// the 310-instruction quicksort -O0 — and the /simulate replies memoized
-// on it, 1.5 KB each without a processor state and about 6 KB with one.
-// 8 MiB is 70 programs of the larger kind, several times what a class
-// working through a handful of examples submits. It is not larger
-// because whatever the cache retains is live heap the collector marks on
-// every cycle whether or not it is ever asked for again
-// (docs/performance.md).
+// the 310-instruction quicksort -O0 — and a memoized /simulate reply is
+// 1.5 KB without a processor state and about 6 KB with one, plus its
+// request's source. 8 MiB is 70 programs of the larger kind, several
+// times what a class working through a handful of examples submits. It
+// is not larger because whatever the cache retains is live heap the
+// collector marks on every cycle whether or not it is ever asked for
+// again (docs/performance.md).
 const programCacheBudget = 8 << 20
 
 // programKey identifies a compiled Program by everything it depends on.
@@ -35,23 +34,11 @@ type programKey struct {
 	text     string
 }
 
-type programEntry struct {
-	key  programKey
-	prog *sim.Program
-	// replies are the encoded /simulate replies of the requests that ran
-	// this Program, by the rest of the request: the memo a repeated
-	// request is answered from. Their bytes count in the entry's, so
-	// evicting the Program drops them.
-	replies map[runKey][]byte
-	bytes   int
-}
-
-// runKey is a /simulate request but for its source, which the key of the
-// Program entry holding the memo already is: the two together are the
-// whole request, compared in full. A request carrying a checkpoint or
-// asking for a time-parallel run is never memoized, so the checkpoint has
-// no place here (TestReplyMemoKeysEveryField holds this to the fields of
-// api.SimulateRequest).
+// runKey is a /simulate request but for its source: with the source
+// text it is the whole request, compared in full. A request carrying a
+// checkpoint or asking for a time-parallel run is never memoized, so the
+// checkpoint has no place here (TestReplyMemoKeysEveryField holds this to
+// the fields of api.SimulateRequest).
 type runKey struct {
 	language, entry, preset      string
 	config                       string // the architecture document, byte for byte
@@ -98,29 +85,35 @@ func appendMemFills(b []byte, fills []api.MemFill) []byte {
 	return b
 }
 
-// size is what a memoized reply's key is charged: its variable-length
+// cacheKey names an entry of the program cache: a Program by its
+// programKey, or, when reply is set, a memoized /simulate reply by its
+// request's source text and runKey. The runKey holds the language,
+// optimize level, preset and configuration, so a reply's key determines
+// its Program's too.
+type cacheKey struct {
+	prog  programKey
+	run   runKey
+	reply bool
+}
+
+// replyKeyOf is the key req's reply is memoized under.
+func replyKeyOf(req *api.SimulateRequest) cacheKey {
+	return cacheKey{prog: programKey{text: req.Code}, run: runKeyOf(req), reply: true}
+}
+
+// size is what an entry is charged for its key: the variable-length
 // parts.
-func (k *runKey) size() int {
-	return len(k.language) + len(k.entry) + len(k.preset) + len(k.config) + len(k.memFills) +
-		len(k.trace.Stages) + len(k.trace.PCRange)
+func (k *cacheKey) size() int {
+	r := &k.run
+	return len(k.prog.text) + len(r.language) + len(r.entry) + len(r.preset) + len(r.config) +
+		len(r.memFills) + len(r.trace.Stages) + len(r.trace.PCRange)
 }
 
-// replyLookup carries one /simulate request through its Program lookup.
-// On a hit whose memo holds the request, reply is the answer; otherwise,
-// when the request was seen before, entry and key say where the reply its
-// run produces is to be stored (programCache.memoize).
-type replyLookup struct {
-	req   *api.SimulateRequest
+// cached is an entry of the program cache: a Program, or the encoded
+// reply a request was answered with.
+type cached struct {
+	prog  *sim.Program
 	reply []byte
-	entry *programEntry
-	key   runKey
-}
-
-// replySight is what the admission slots remember of a reply: the entry
-// it would be stored on and its key.
-type replySight struct {
-	entry *programEntry
-	key   runKey
 }
 
 // programCache is the server's bounded LRU of compiled Programs: the
@@ -131,56 +124,44 @@ type replySight struct {
 // what it keeps alive itself. A nil *programCache caches nothing: every
 // lookup builds.
 //
-// A Program's entry also memoizes the encoded /simulate replies of the
-// requests that ran it (runKey): the simulation is deterministic, so a
-// repeated request is answered with the bytes its first run produced.
-// The memo is consulted only on a Program hit and is charged to the same
-// budget.
+// The same LRU memoizes the encoded /simulate replies: the simulation is
+// deterministic in its request, so a repeated request is answered with
+// the bytes its first run produced, before anything is built. A reply is
+// an entry of its own, charged to the same budget; it does not need its
+// Program to stay cached.
 //
 // A source is stored the second time it is built, not the first, and a
-// reply the second time its request runs on a cached Program: seen
-// remembers, by hash, the keys that missed once. Sources that never
-// repeat then retain nothing, so a stream of them costs what it costs
-// uncached instead of filling the cache with Programs the collector has
-// to mark (measured: +9 % CPU per request on such a stream when every
-// miss was stored). The hashes only time the admission; a collision
-// admits a source one build early or late and never selects a Program.
+// reply the second time its request runs: seen remembers, by hash, the
+// keys that missed once. Sources that never repeat then retain nothing,
+// so a stream of them costs what it costs uncached instead of filling
+// the cache with Programs the collector has to mark (measured: +9 % CPU
+// per request on such a stream when every miss was stored). The hashes
+// only time the admission; a collision admits a key one sighting early or
+// late and never selects an entry.
 type programCache struct {
-	budget int
-
-	mu    sync.Mutex
-	byKey map[programKey]*list.Element
-	lru   *list.List // of *programEntry; front = most recent
-	bytes int
-	seen  [1024]uint64 // direct-mapped by hash
-	seed  maphash.Seed
+	mu      sync.Mutex
+	entries *lru[cacheKey, cached]
+	seen    [1024]uint64 // direct-mapped by hash
+	seed    maphash.Seed
 
 	hits, misses, evictions, replyHits uint64
 }
 
 func newProgramCache(budget int) *programCache {
-	return &programCache{
-		budget: budget, seed: maphash.MakeSeed(),
-		byKey: make(map[programKey]*list.Element), lru: list.New(),
-	}
+	return &programCache{entries: newLRU[cacheKey, cached](budget), seed: maphash.MakeSeed()}
 }
 
 // resolve returns the Program stored under key, or builds it, storing it
 // if the key has missed before. Failed builds are not stored. Concurrent
-// misses on one key each build; the first stored is returned to all. A
-// non-nil l is a /simulate request whose reply memo a hit consults.
-func (c *programCache) resolve(key programKey, l *replyLookup, build func() (*sim.Program, error)) (*sim.Program, error) {
+// misses on one key each build; the first stored is returned to all.
+func (c *programCache) resolve(key programKey, build func() (*sim.Program, error)) (*sim.Program, error) {
 	if c == nil {
 		return build()
 	}
+	k := cacheKey{prog: key}
 	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(el)
+	if e, ok := c.entries.get(k); ok {
 		c.hits++
-		e := el.Value.(*programEntry)
-		if l != nil {
-			c.consult(e, l)
-		}
 		c.mu.Unlock()
 		return e.prog, nil
 	}
@@ -191,24 +172,47 @@ func (c *programCache) resolve(key programKey, l *replyLookup, build func() (*si
 	if err != nil {
 		return nil, err
 	}
-	size := len(key.text) + p.RetainedBytes()
-	if size > c.budget {
-		return p, nil
-	}
-	h := maphash.Comparable(c.seed, key)
+	h := maphash.Comparable(c.seed, k)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		return el.Value.(*programEntry).prog, nil
+	if e, ok := c.entries.get(k); ok {
+		return e.prog, nil
 	}
-	if !c.sighted(h) {
-		return p, nil
+	if c.sighted(h) {
+		c.add(k, cached{prog: p}, p.RetainedBytes())
 	}
-	e := &programEntry{key: key, prog: p, bytes: size}
-	c.byKey[key] = c.lru.PushFront(e)
-	c.bytes += e.bytes
-	c.evict()
 	return p, nil
+}
+
+// reply returns the reply memoized under k. On a miss it reports whether
+// k was looked up before, in which case the reply the request's run
+// produces is to be stored (putReply).
+func (c *programCache) reply(k cacheKey) (body []byte, store bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries.get(k); ok {
+		c.replyHits++
+		return e.reply, false
+	}
+	return nil, c.sighted(maphash.Comparable(c.seed, k))
+}
+
+// putReply stores body, the encoded reply of the request keyed k. It is
+// kept as it is and must not be written again. A concurrent twin of the
+// request stored first keeps its bytes, which are the same.
+func (c *programCache) putReply(k cacheKey, body []byte) {
+	c.mu.Lock()
+	c.add(k, cached{reply: body}, len(body))
+	c.mu.Unlock()
+}
+
+// add stores e under k, charged its key and size bytes. The caller holds
+// mu.
+func (c *programCache) add(k cacheKey, e cached, size int) {
+	c.evictions += uint64(len(c.entries.add(k, e, k.size()+size)))
 }
 
 // sighted reports whether hash h was seen before, remembering it if not.
@@ -222,75 +226,20 @@ func (c *programCache) sighted(h uint64) bool {
 	return false
 }
 
-// evict drops least recently used entries, replies and all, until the
-// cache is within its budget. The caller holds mu.
-func (c *programCache) evict() {
-	for c.bytes > c.budget {
-		old := c.lru.Remove(c.lru.Back()).(*programEntry)
-		delete(c.byKey, old.key)
-		c.bytes -= old.bytes
-		c.evictions++
-	}
-}
-
-// consult looks l's request up in e's reply memo: a stored reply answers
-// it; otherwise, if the request ran on e before, l is marked to store the
-// reply this run produces. The caller holds mu.
-func (c *programCache) consult(e *programEntry, l *replyLookup) {
-	k := runKeyOf(l.req)
-	if reply, ok := e.replies[k]; ok {
-		c.replyHits++
-		l.reply = reply
-		return
-	}
-	if c.sighted(maphash.Comparable(c.seed, replySight{e, k})) {
-		l.entry, l.key = e, k
-	}
-}
-
-// memoize stores reply, the encoded answer to l's request, on the entry
-// consult chose, unless that entry was evicted meanwhile, a concurrent
-// twin of the request stored it first, or the entry would outgrow the
-// whole budget. reply is kept as it is and must not be written again.
-func (c *programCache) memoize(l *replyLookup, reply []byte) {
-	e, size := l.entry, len(reply)+l.key.size()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[e.key]
-	if !ok || el.Value != e || e.replies[l.key] != nil || e.bytes+size > c.budget {
-		return
-	}
-	if e.replies == nil {
-		e.replies = make(map[runKey][]byte)
-	}
-	e.replies[l.key] = reply
-	e.bytes += size
-	c.bytes += size
-	c.lru.MoveToFront(el)
-	c.evict()
-}
-
 // assemble resolves assembly source. Its signature is the lookup
 // sim.RestoreWith takes, so a checkpoint finds the Program of the request
 // that produced it.
 func (c *programCache) assemble(src string, mem sim.MemoryConfig) (*sim.Program, error) {
-	return c.assembleFor(src, mem, nil)
-}
-
-// assembleFor is assemble for a /simulate request whose reply memo a hit
-// consults (resolve).
-func (c *programCache) assembleFor(src string, mem sim.MemoryConfig, l *replyLookup) (*sim.Program, error) {
-	return c.resolve(programKey{mem: mem, text: src}, l, func() (*sim.Program, error) {
+	return c.resolve(programKey{mem: mem, text: src}, func() (*sim.Program, error) {
 		return sim.Assemble(src, mem)
 	})
 }
 
 // compileC resolves C source. The generated assembly is resolved through
 // assemble, so the Program is also found under that text — which is what
-// a checkpoint of the resulting machine embeds. Only the C text's lookup
-// consults l's reply memo.
-func (c *programCache) compileC(csrc string, optimize int, mem sim.MemoryConfig, l *replyLookup) (*sim.Program, error) {
-	return c.resolve(programKey{c: true, optimize: optimize, mem: mem, text: csrc}, l, func() (*sim.Program, error) {
+// a checkpoint of the resulting machine embeds.
+func (c *programCache) compileC(csrc string, optimize int, mem sim.MemoryConfig) (*sim.Program, error) {
+	return c.resolve(programKey{c: true, optimize: optimize, mem: mem, text: csrc}, func() (*sim.Program, error) {
 		res, err := sim.CompileC(csrc, optimize)
 		if err != nil {
 			return nil, err
@@ -328,7 +277,7 @@ type programCacheStats struct {
 func (c *programCache) stats() programCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return programCacheStats{c.hits, c.misses, c.evictions, c.replyHits, c.lru.Len(), c.bytes}
+	return programCacheStats{c.hits, c.misses, c.evictions, c.replyHits, c.entries.len(), c.entries.size}
 }
 
 func (c *programCache) resetCounters() {

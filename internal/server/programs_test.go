@@ -49,7 +49,7 @@ second:
 
 func mustBuild(t *testing.T, s *Server, req *api.SimulateRequest) *sim.Machine {
 	t.Helper()
-	m, aerr := s.buildMachine(req, nil)
+	m, aerr := s.buildMachine(req)
 	if aerr != nil {
 		t.Fatalf("build: %v", aerr)
 	}
@@ -126,14 +126,14 @@ func TestProgramCacheKeyAliasing(t *testing.T) {
 
 	// Language: C text is never looked up as assembly or the reverse, in
 	// either order.
-	if _, aerr := s.buildMachine(&api.SimulateRequest{Code: classroomC}, nil); aerr == nil || aerr.Code != api.CodeBuildFailed {
+	if _, aerr := s.buildMachine(&api.SimulateRequest{Code: classroomC}); aerr == nil || aerr.Code != api.CodeBuildFailed {
 		t.Errorf("C text assembled: %v", aerr)
 	}
 	c0 := mustBuildStored(t, s, &api.SimulateRequest{Code: classroomC, Language: "c"})
-	if _, aerr := s.buildMachine(&api.SimulateRequest{Code: classroomC}, nil); aerr == nil {
+	if _, aerr := s.buildMachine(&api.SimulateRequest{Code: classroomC}); aerr == nil {
 		t.Error("C text assembled once its C build was cached")
 	}
-	if _, aerr := s.buildMachine(&api.SimulateRequest{Code: classroomAsm, Language: "c"}, nil); aerr == nil {
+	if _, aerr := s.buildMachine(&api.SimulateRequest{Code: classroomAsm, Language: "c"}); aerr == nil {
 		t.Error("assembly text compiled as C because its assembly build was cached")
 	}
 	if again := mustBuild(t, s, &api.SimulateRequest{Code: classroomC, Language: "c"}); again.Program() != c0.Program() {
@@ -164,14 +164,14 @@ func TestProgramCacheKeyAliasing(t *testing.T) {
 			t.Errorf("entry for a0=%d computed a0=%d", want, a0)
 		}
 	}
-	if _, aerr := s.buildMachine(&api.SimulateRequest{Code: entryAsm, Entry: "third"}, nil); aerr == nil {
+	if _, aerr := s.buildMachine(&api.SimulateRequest{Code: entryAsm, Entry: "third"}); aerr == nil {
 		t.Error("an undefined entry label built")
 	}
 
 	// Failed builds are not cached.
 	before := s.Metrics().ProgramCacheEntries
 	for i := 0; i < 3; i++ {
-		if _, aerr := s.buildMachine(&api.SimulateRequest{Code: "bogus t0, t1"}, nil); aerr == nil {
+		if _, aerr := s.buildMachine(&api.SimulateRequest{Code: "bogus t0, t1"}); aerr == nil {
 			t.Fatal("bogus source built")
 		}
 	}
@@ -222,9 +222,9 @@ func TestProgramCacheBudgetAndLRU(t *testing.T) {
 		if _, err := c.assemble(saltedAsm(1), mem); err != nil {
 			t.Fatal(err)
 		}
-		if st := c.stats(); st.bytes > c.budget || st.entries > slots {
+		if st := c.stats(); st.bytes > c.entries.budget || st.entries > slots {
 			t.Fatalf("after %d sources the cache holds %d bytes in %d entries, budget %d (%d entries)",
-				i+1, st.bytes, st.entries, c.budget, slots)
+				i+1, st.bytes, st.entries, c.entries.budget, slots)
 		}
 	}
 	st := c.stats()
@@ -278,8 +278,9 @@ func TestProgramCacheBudgetAndLRU(t *testing.T) {
 
 // TestProgramCacheMetricsByMix replays the shape of the benchmark's two
 // simulate mixes and reads the traffic off /api/v1/metrics: a class
-// repeating a few templates hits every time once each was built twice,
-// and sources that never repeat never hit and are never stored.
+// repeating a few templates is answered from memoized replies every time
+// once each ran twice, and sources that never repeat never hit and are
+// never stored.
 func TestProgramCacheMetricsByMix(t *testing.T) {
 	srv, ts := newTestServer(t)
 	templates := []api.SimulateRequest{
@@ -288,24 +289,29 @@ func TestProgramCacheMetricsByMix(t *testing.T) {
 		{Code: classroomC, Language: "c"},
 		{Code: classroomC, Language: "c", Optimize: 2},
 	}
-	// The six texts a pass looks up — the four sent plus the two
-	// assemblies the C texts compile to — and what each entry is charged:
-	// its text and what its Program retains (tables and the image pages
-	// the assembler wrote, not the whole address space).
+	// The ten keys a pass looks up — the four requests' replies, and the
+	// six texts they build: the four sent plus the two assemblies the C
+	// texts compile to — and what each entry is charged: a Program its
+	// text and what it retains (tables and the image pages the assembler
+	// wrote, not the whole address space), a reply its length and its
+	// request's variable-length fields.
 	mem := sim.DefaultMemoryConfig()
-	var keys []programKey
+	var keys []cacheKey
 	charged := 0
 	for _, tpl := range templates {
+		reply := replyKeyOf(&tpl)
+		keys = append(keys, reply)
+		charged += reply.size() + len(uncachedReply(t, &tpl))
 		src := tpl.Code
 		if tpl.Language == "c" {
-			keys = append(keys, programKey{c: true, optimize: tpl.Optimize, mem: mem, text: tpl.Code})
+			keys = append(keys, cacheKey{prog: programKey{c: true, optimize: tpl.Optimize, mem: mem, text: tpl.Code}})
 			res, err := sim.CompileC(tpl.Code, tpl.Optimize)
 			if err != nil {
 				t.Fatal(err)
 			}
 			src = res.Assembly
 		}
-		keys = append(keys, programKey{mem: mem, text: src})
+		keys = append(keys, cacheKey{prog: programKey{mem: mem, text: src}})
 		p, err := sim.Assemble(src, mem)
 		if err != nil {
 			t.Fatal(err)
@@ -316,7 +322,7 @@ func TestProgramCacheMetricsByMix(t *testing.T) {
 		}
 	}
 	// Admission remembers a key's first miss in one of 1,024 slots picked
-	// by a randomly seeded hash; two of the six sharing a slot would be
+	// by a randomly seeded hash; two of the ten sharing a slot would be
 	// stored a pass late. Reseed until they do not, so the counts below
 	// hold whatever the seed.
 	for slots := map[uint64]bool{}; len(slots) < len(keys); {
@@ -351,9 +357,9 @@ func TestProgramCacheMetricsByMix(t *testing.T) {
 		return m
 	}
 
-	// Classroom: warm up with two passes, then 40 requests all hit. A pass
-	// looks up six texts: the four sent plus the two assemblies the C
-	// texts compile to.
+	// Classroom: warm up with two passes, then 40 requests are all
+	// answered from their memoized replies and build nothing. A warm-up
+	// pass misses four replies and six texts; the second stores all ten.
 	for i := range templates {
 		simulate(&templates[i])
 	}
@@ -364,8 +370,8 @@ func TestProgramCacheMetricsByMix(t *testing.T) {
 		simulate(&templates[i])
 	}
 	warm := metrics()
-	if warm.ProgramCacheHits != 0 || warm.ProgramCacheMisses != 12 || warm.ProgramCacheEntries != 6 {
-		t.Errorf("after warm-up: %d hits, %d misses, %d entries; want 0, 12, 6",
+	if warm.ProgramCacheHits != 0 || warm.ProgramCacheMisses != 12 || warm.ProgramCacheEntries != 10 {
+		t.Errorf("after warm-up: %d hits, %d misses, %d entries; want 0, 12, 10",
 			warm.ProgramCacheHits, warm.ProgramCacheMisses, warm.ProgramCacheEntries)
 	}
 	if warm.ProgramCacheBytes != charged {
@@ -375,11 +381,11 @@ func TestProgramCacheMetricsByMix(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		simulate(&templates[i%len(templates)])
 	}
-	if m := metrics(); m.ProgramCacheHits != 40 || m.ProgramCacheMisses != 0 || m.ProgramCacheEvictions != 0 {
-		t.Errorf("classroom mix: %d hits, %d misses, %d evictions over 40 requests; want 40, 0, 0",
-			m.ProgramCacheHits, m.ProgramCacheMisses, m.ProgramCacheEvictions)
+	if m := metrics(); m.ProgramCacheReplyHits != 40 || m.ProgramCacheHits != 0 || m.ProgramCacheMisses != 0 || m.ProgramCacheEvictions != 0 {
+		t.Errorf("classroom mix: %d reply hits, %d hits, %d misses, %d evictions over 40 requests; want 40, 0, 0, 0",
+			m.ProgramCacheReplyHits, m.ProgramCacheHits, m.ProgramCacheMisses, m.ProgramCacheEvictions)
 	}
-	if m := metrics(); m.ProgramCacheEntries != 6 {
+	if m := metrics(); m.ProgramCacheEntries != 10 {
 		t.Errorf("ResetMetrics or the hits changed the entry count to %d", m.ProgramCacheEntries)
 	}
 
@@ -394,21 +400,24 @@ func TestProgramCacheMetricsByMix(t *testing.T) {
 		}
 		simulate(&req)
 	}
-	// 20 assembly requests miss once, 20 C requests twice; none is stored.
-	if m := metrics(); m.ProgramCacheHits != 0 || m.ProgramCacheMisses != 60 || m.ProgramCacheEntries != 6 || m.ProgramCacheEvictions != 0 {
-		t.Errorf("unique mix: %d hits, %d misses, %d entries, %d evictions over 40 requests; want 0, 60, 6, 0",
-			m.ProgramCacheHits, m.ProgramCacheMisses, m.ProgramCacheEntries, m.ProgramCacheEvictions)
+	// 20 assembly requests miss once, 20 C requests twice; no reply hits
+	// and nothing is stored.
+	if m := metrics(); m.ProgramCacheHits != 0 || m.ProgramCacheReplyHits != 0 || m.ProgramCacheMisses != 60 ||
+		m.ProgramCacheEntries != 10 || m.ProgramCacheEvictions != 0 {
+		t.Errorf("unique mix: %d hits, %d reply hits, %d misses, %d entries, %d evictions over 40 requests; want 0, 0, 60, 10, 0",
+			m.ProgramCacheHits, m.ProgramCacheReplyHits, m.ProgramCacheMisses, m.ProgramCacheEntries, m.ProgramCacheEvictions)
 	}
 }
 
 // TestCachedBuildByteIdentical: a request answered from a cached Program
 // gets the bytes an uncached build answers with, and its machine
 // checkpoints to the same bytes. Through /api/v1/simulate the request runs
-// on its cached Program, has its reply stored, and is then answered from
-// the memo: every body, gzip off and on, is the uncached encoding.
+// on its cached Program, runs again and has its reply stored, and is then
+// answered from the memo: every body, gzip off and on, is the uncached
+// encoding.
 func TestCachedBuildByteIdentical(t *testing.T) {
 	s, ts := newTestServer(t)
-	cached := func(req *api.SimulateRequest) (*sim.Machine, *api.Error) { return s.buildMachine(req, nil) }
+	cached := func(req *api.SimulateRequest) (*sim.Machine, *api.Error) { return s.buildMachine(req) }
 	for _, req := range []api.SimulateRequest{
 		{Code: classroomAsm, IncludeState: true, IncludeLog: true},
 		{Code: spillProgram, Steps: 60, IncludeState: true},
@@ -432,7 +441,7 @@ func TestCachedBuildByteIdentical(t *testing.T) {
 		uncached := New(DefaultOptions())
 		uncached.programs = nil
 		for _, srv := range []*Server{uncached, s, s, s} {
-			resp, aerr := srv.runSimulate(context.Background(), &req)
+			_, resp, aerr := srv.simulate(context.Background(), &req)
 			if aerr != nil {
 				t.Fatal(aerr)
 			}
@@ -452,7 +461,8 @@ func TestCachedBuildByteIdentical(t *testing.T) {
 		}
 
 		// The Program is stored: the first POST runs on it, the second
-		// stores its reply, the other six are answered from the memo.
+		// runs again and stores its reply, the other six are answered from
+		// the memo.
 		want := uncachedReply(t, &req)
 		before := s.Metrics().ProgramCacheReplyHits
 		for i := 0; i < 8; i++ {
@@ -532,7 +542,7 @@ func TestCachedBuildAllocation(t *testing.T) {
 	s := New(DefaultOptions())
 	req := &api.SimulateRequest{Code: classroomAsm}
 	build := func() {
-		if _, aerr := s.buildMachine(req, nil); aerr != nil {
+		if _, aerr := s.buildMachine(req); aerr != nil {
 			t.Fatal(aerr)
 		}
 	}

@@ -481,9 +481,9 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) *api.E
 
 // build is the handlers' build step: buildMachine, booked to the build
 // phase.
-func (s *Server) build(ctx context.Context, req *api.SimulateRequest, l *replyLookup) (*sim.Machine, *api.Error) {
+func (s *Server) build(ctx context.Context, req *api.SimulateRequest) (*sim.Machine, *api.Error) {
 	defer timerFrom(ctx).begin(phaseBuild).end()
-	return s.buildMachine(req, l)
+	return s.buildMachine(req)
 }
 
 // BuildMachine constructs a machine from request fields, attaching the
@@ -493,16 +493,13 @@ func (s *Server) build(ctx context.Context, req *api.SimulateRequest, l *replyLo
 // machines (chaos, distsmoke, the benchmark) are built with exactly the
 // server's semantics; it caches nothing.
 func BuildMachine(req *api.SimulateRequest) (*sim.Machine, *api.Error) {
-	return new(Server).buildMachine(req, nil)
+	return new(Server).buildMachine(req)
 }
 
 // buildMachine resolves the request's source (or its checkpoint's) to a
 // compiled Program through the server's Program cache — a zero Server has
-// none — and instantiates it. A non-nil l is a /simulate request's lookup
-// in the reply memo: when the memo answers it, buildMachine builds
-// nothing and returns neither machine nor error, and l.reply is the
-// answer.
-func (s *Server) buildMachine(req *api.SimulateRequest, l *replyLookup) (*sim.Machine, *api.Error) {
+// none — and instantiates it.
+func (s *Server) buildMachine(req *api.SimulateRequest) (*sim.Machine, *api.Error) {
 	programs := s.programs
 	var m *sim.Machine
 	if len(req.Checkpoint) > 0 {
@@ -521,13 +518,10 @@ func (s *Server) buildMachine(req *api.SimulateRequest, l *replyLookup) (*sim.Ma
 		entry := req.Entry
 		if strings.EqualFold(req.Language, "c") {
 			// Compiled programs start at the first instruction.
-			p, err = programs.compileC(req.Code, req.Optimize, cfg.Memory, l)
+			p, err = programs.compileC(req.Code, req.Optimize, cfg.Memory)
 			entry = ""
 		} else {
-			p, err = programs.assembleFor(req.Code, cfg.Memory, l)
-		}
-		if l != nil && l.reply != nil {
-			return nil, nil
+			p, err = programs.assemble(req.Code, cfg.Memory)
 		}
 		if err == nil {
 			m, err = p.NewMachine(cfg, entry)
@@ -630,24 +624,16 @@ func traceFilter(opts *api.TraceOptions) (sim.TraceFilter, *api.Error) {
 // the run left behind: the CLI's one in-process path, whose -checkpoint
 // and -dump read that machine.
 func Simulate(req *api.SimulateRequest) (*sim.Machine, *api.SimulateResponse, *api.Error) {
-	return new(Server).simulate(context.Background(), req, nil)
-}
-
-// runSimulate executes one SimulateRequest start-to-finish: the shared
-// core of /api/v1/simulate and each /api/v1/batch entry.
-func (s *Server) runSimulate(ctx context.Context, req *api.SimulateRequest) (*api.SimulateResponse, *api.Error) {
-	_, resp, aerr := s.simulate(ctx, req, nil)
-	return resp, aerr
+	return new(Server).simulate(context.Background(), req)
 }
 
 // simulate builds the request's machine, runs it and reports. A zero
 // Server serves: it builds uncached. Parallelism >= 2 makes the run
 // time-parallel (docs/parallel.md) with a stitched report: the final
 // architectural state — and therefore State — is bit-exact versus serial;
-// Stats carries the merged per-interval deltas. A non-nil l consults the
-// reply memo (buildMachine): on a memo hit simulate returns nothing and
-// l.reply is the answer.
-func (s *Server) simulate(ctx context.Context, req *api.SimulateRequest, l *replyLookup) (*sim.Machine, *api.SimulateResponse, *api.Error) {
+// Stats carries the merged per-interval deltas. It is the shared core of
+// /api/v1/simulate and each /api/v1/batch entry.
+func (s *Server) simulate(ctx context.Context, req *api.SimulateRequest) (*sim.Machine, *api.SimulateResponse, *api.Error) {
 	parallel := req.Parallelism >= 2
 	switch {
 	case !parallel:
@@ -658,8 +644,8 @@ func (s *Server) simulate(ctx context.Context, req *api.SimulateRequest, l *repl
 	case len(req.Checkpoint) != 0:
 		return nil, nil, api.Errorf(api.CodeBadRequest, "parallelism requires a from-zero run, not a checkpoint restore")
 	}
-	m, aerr := s.build(ctx, req, l)
-	if m == nil {
+	m, aerr := s.build(ctx, req)
+	if aerr != nil {
 		return nil, nil, aerr
 	}
 	var ring *sim.TraceRing
@@ -717,23 +703,29 @@ func (s *Server) simulate(ctx context.Context, req *api.SimulateRequest, l *repl
 	return m, resp, nil
 }
 
-// handleSimulate answers a request its Program's reply memo holds with the
-// stored bytes; any other runs, and the second time a request runs on a
-// cached Program its encoded reply is stored (programs.go). Error replies,
-// checkpoint restores and time-parallel runs are never stored: the first
-// may be transient, the second has no Program entry to key on, and no
-// test holds the third's stitched report byte-identical run to run.
+// handleSimulate answers a request whose reply is memoized with the
+// stored bytes, looked up before anything is built and booked to the
+// build phase; any other runs, and the second time a request runs its
+// encoded reply is stored (programs.go). Error replies, checkpoint
+// restores and time-parallel runs are never stored: the first may be
+// transient, the second would be keyed on a whole checkpoint, and no test
+// holds the third's stitched report byte-identical run to run.
 func (s *Server) handleSimulate(_ http.ResponseWriter, r *http.Request, req *api.SimulateRequest) (any, *api.Error) {
 	ctx := r.Context()
-	if len(req.Checkpoint) > 0 || req.Parallelism >= 2 {
-		return s.runSimulate(ctx, req)
+	var key cacheKey
+	store := false
+	if len(req.Checkpoint) == 0 && req.Parallelism < 2 {
+		looking := timerFrom(ctx).begin(phaseBuild)
+		key = replyKeyOf(req)
+		reply, again := s.programs.reply(key)
+		looking.end()
+		if reply != nil {
+			return encoded(reply), nil
+		}
+		store = again
 	}
-	l := &replyLookup{req: req}
-	_, resp, aerr := s.simulate(ctx, req, l)
-	switch {
-	case l.reply != nil:
-		return encoded(l.reply), nil
-	case aerr != nil || l.entry == nil:
+	_, resp, aerr := s.simulate(ctx, req)
+	if aerr != nil || !store {
 		return resp, aerr
 	}
 	buf := api.GetBuffer()
@@ -742,7 +734,7 @@ func (s *Server) handleSimulate(_ http.ResponseWriter, r *http.Request, req *api
 		return resp, nil // reply encodes it again and answers the failure
 	}
 	body := bytes.Clone(buf.Bytes())
-	s.programs.memoize(l, body)
+	s.programs.putReply(key, body)
 	return encoded(body), nil
 }
 

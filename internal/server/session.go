@@ -54,7 +54,7 @@ func (s *Server) handleSessionNew(_ http.ResponseWriter, r *http.Request, req *a
 	if aerr != nil {
 		return nil, aerr
 	}
-	m, aerr := s.build(r.Context(), &req.SimulateRequest, nil)
+	m, aerr := s.build(r.Context(), &req.SimulateRequest)
 	if aerr != nil {
 		return nil, aerr
 	}

@@ -2,9 +2,9 @@ package server
 
 import (
 	"bytes"
-	"container/list"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -34,11 +34,12 @@ type session struct {
 	lastUsed time.Time
 }
 
-// sessionStore is the interactive session table: an LRU-ordered map with
-// a capacity bound and an idle TTL. When the store is full the least
-// recently used session is evicted (new users always get a slot); idle
-// sessions past the TTL are swept opportunistically on every operation,
-// so no janitor goroutine is needed.
+// sessionStore is the interactive session table: an lru (lru.go) with a
+// capacity bound, each session charged 1 against it, and an idle TTL.
+// When the store is full the least recently used session is evicted (new
+// users always get a slot); idle sessions past the TTL are swept
+// opportunistically on every operation, so no janitor goroutine is
+// needed.
 //
 // With a checkpoint-store backend configured (internal/store; a local
 // directory, a shared volume, or the in-memory fake), eviction is no
@@ -73,13 +74,11 @@ type session struct {
 // spilling existed.
 type sessionStore struct {
 	mu           sync.Mutex
-	max          int
 	ttl          time.Duration // 0 = no idle expiry
 	backend      store.Store   // nil = spilling disabled
 	writeThrough bool
 	spillTTL     time.Duration // age at which stored blobs are GC'd (0 = never)
-	byID         map[string]*list.Element
-	lru          *list.List // front = most recent, back = least recent
+	sessions     *lru[string, *session]
 	nextID       uint64
 	now          func() time.Time     // injectable clock for tests
 	debugf       func(string, ...any) // debug-level logger (may be nil)
@@ -95,13 +94,11 @@ type sessionStore struct {
 
 func newSessionStore(max int, ttl time.Duration, backend store.Store, spillTTL time.Duration, writeThrough bool, debugf func(string, ...any)) *sessionStore {
 	st := &sessionStore{
-		max:          max,
 		ttl:          ttl,
 		backend:      backend,
 		writeThrough: writeThrough && backend != nil,
 		spillTTL:     spillTTL,
-		byID:         make(map[string]*list.Element),
-		lru:          list.New(),
+		sessions:     newLRU[string, *session](max),
 		now:          time.Now,
 		debugf:       debugf,
 	}
@@ -195,13 +192,11 @@ func (st *sessionStore) table(tm *phaseTimer, fn func(now time.Time) (evicted []
 // touchLocked returns the live session under id, marked most recently
 // used, or nil.
 func (st *sessionStore) touchLocked(id string, now time.Time) *session {
-	el, ok := st.byID[id]
+	sess, ok := st.sessions.get(id)
 	if !ok {
 		return nil
 	}
-	sess := el.Value.(*session)
 	sess.lastUsed = now
-	st.lru.MoveToFront(el)
 	return sess
 }
 
@@ -218,11 +213,9 @@ func (st *sessionStore) insert(tm *phaseTimer, id string, m *sim.Machine, versio
 		} else if sess = st.touchLocked(id, now); sess != nil {
 			return nil
 		}
-		evicted := st.makeRoomLocked()
 		sess = &session{id: id, machine: m, lastUsed: now, version: version}
-		st.byID[id] = st.lru.PushFront(sess)
 		fresh = true
-		return evicted
+		return st.sessions.add(id, sess, 1)
 	})
 	return sess, fresh
 }
@@ -417,11 +410,7 @@ func (st *sessionStore) WriteThrough(tm *phaseTimer, sess *session, blob []byte)
 // the session existed in memory or in the backend.
 func (st *sessionStore) Remove(id string) bool {
 	st.mu.Lock()
-	el, ok := st.byID[id]
-	if ok {
-		st.lru.Remove(el)
-		delete(st.byID, id)
-	}
+	ok := st.sessions.remove(id)
 	st.mu.Unlock()
 	if st.backend != nil && validSessionID(id) {
 		if _, err := st.backend.Version(id); err == nil {
@@ -437,7 +426,7 @@ func (st *sessionStore) Remove(id string) bool {
 // sessions.
 func (st *sessionStore) Len() (n int) {
 	st.table(nil, func(time.Time) []*session {
-		n = len(st.byID)
+		n = st.sessions.len()
 		return nil
 	})
 	return n
@@ -453,13 +442,9 @@ func (st *sessionStore) Sweep() int { return st.table(nil, nil) }
 // rehydrates all of them on their next touch.
 func (st *sessionStore) SpillAll() int {
 	st.mu.Lock()
-	var all []*session
-	for el := st.lru.Front(); el != nil; el = el.Next() {
-		all = append(all, el.Value.(*session))
-	}
-	st.lru.Init()
-	st.byID = make(map[string]*list.Element)
+	all := st.dropOldestLocked(func(*session) bool { return true })
 	st.mu.Unlock()
+	slices.Reverse(all) // most recently used first
 	st.retire(nil, all, "shutdown")
 	return len(all)
 }
@@ -470,43 +455,28 @@ func (st *sessionStore) Counters() (spilled, rehydrated, lost uint64) {
 }
 
 // sweepLocked removes sessions idle past the TTL from the table,
-// walking from the LRU end (the list is recency-ordered, so it stops at
+// walking from the LRU end (the table is recency-ordered, so it stops at
 // the first live one). The removed sessions are returned for the caller
 // to retire once the store lock is released.
 func (st *sessionStore) sweepLocked(now time.Time) []*session {
 	if st.ttl <= 0 {
 		return nil
 	}
-	var expired []*session
-	for el := st.lru.Back(); el != nil; {
-		sess := el.Value.(*session)
-		if now.Sub(sess.lastUsed) < st.ttl {
-			break
-		}
-		prev := el.Prev()
-		st.lru.Remove(el)
-		delete(st.byID, sess.id)
-		expired = append(expired, sess)
-		el = prev
-	}
-	return expired
+	return st.dropOldestLocked(func(sess *session) bool { return now.Sub(sess.lastUsed) >= st.ttl })
 }
 
-// makeRoomLocked removes least-recently-used sessions from the table
-// until an insert fits, returning them for retirement outside the lock.
-func (st *sessionStore) makeRoomLocked() []*session {
-	var evicted []*session
-	for len(st.byID) >= st.max {
-		el := st.lru.Back()
-		if el == nil {
-			break
+// dropOldestLocked removes sessions from the table's least recently used
+// end for as long as drop says so, returning them oldest first.
+func (st *sessionStore) dropOldestLocked(drop func(*session) bool) []*session {
+	var dropped []*session
+	for {
+		id, sess, ok := st.sessions.oldest()
+		if !ok || !drop(sess) {
+			return dropped
 		}
-		st.lru.Remove(el)
-		sess := el.Value.(*session)
-		delete(st.byID, sess.id)
-		evicted = append(evicted, sess)
+		st.sessions.remove(id)
+		dropped = append(dropped, sess)
 	}
-	return evicted
 }
 
 // retire spills each session removed from the table into the backend,

@@ -68,7 +68,7 @@ func (s *Server) handleSessionTrace(w http.ResponseWriter, r *http.Request, req 
 			maxEvents = min(maxEvents, opts.Limit)
 		}
 	}
-	m, aerr := s.build(r.Context(), &req.SimulateRequest, nil)
+	m, aerr := s.build(r.Context(), &req.SimulateRequest)
 	if aerr != nil {
 		return nil, aerr
 	}

@@ -122,16 +122,6 @@ type Report struct {
 	Workloads []Metrics `json:"workloads"`
 }
 
-// Find returns the row for the named workload.
-func (r *Report) Find(name string) (Metrics, bool) {
-	for _, m := range r.Workloads {
-		if m.Workload == name {
-			return m, true
-		}
-	}
-	return Metrics{}, false
-}
-
 // Table renders the report as an aligned text table for the CLI.
 func (r *Report) Table() string {
 	var sb strings.Builder

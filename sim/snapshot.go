@@ -50,12 +50,6 @@ func (m *Machine) EnableSnapshots(interval uint64) {
 	}
 }
 
-// DisableSnapshots turns interval snapshots off and drops retained ones.
-func (m *Machine) DisableSnapshots() {
-	m.snapInterval = 0
-	m.snaps = nil
-}
-
 // SnapshotInterval returns the configured cycle spacing, 0 when off. The
 // spacing can grow over a long run as the retention bound thins old
 // snapshots.
