@@ -18,7 +18,7 @@ import (
 // TestArchitectureRules holds the repository to its "one X" rules: one
 // clock on the request path, one hop in the router, one statement of the
 // rate formulas, one compressor, one door to the checkpoint store, one
-// integrity check and one LRU. Each rule is an allow-list of the places a name may be
+// integrity check, one LRU and one way back to an earlier cycle. Each rule is an allow-list of the places a name may be
 // referenced, checked on the syntax of every non-test .go file under the
 // root (bench/ included; testdata and hidden directories skipped). Imports
 // are resolved by path, so an alias or a dot-import does not hide a
@@ -466,6 +466,29 @@ var archRules = []*archRule{
 			{"grep form", "internal/server/store.go", "package server\nimport \"container/list\"\nvar order = list.New()\n", false},
 			{"aliased import", "internal/router/breaker.go", "package router\nimport recent \"container/list\"\nvar order = recent.New()\n", false},
 			{"the lru", "internal/server/lru.go", "package server\nimport \"container/list\"\nvar order = list.New()\n", true},
+		},
+	},
+	{
+		// A machine reaches an earlier cycle or a fork — rewinds, snapshot
+		// restores, the time-parallel scout, workers and hashes — through
+		// one restore from its snapshot list, whose floor is the machine's
+		// own cycle 0 (sim/snapshot.go, docs/architecture.md "Program and
+		// machine"); a core.Fresh anywhere else is a second cycle 0 in the
+		// making, one that forgets what was written before the first cycle.
+		name: "one way back",
+		fix:  "fork or rewind through Machine.restore (sim/snapshot.go), not core.Fresh",
+		once: []string{"Fresh"},
+		check: func(c *cursor) (string, bool) {
+			if c.selector() != "Fresh" || path.Dir(c.file.path) == "internal/core" {
+				return "", false
+			}
+			return "Fresh", c.in("sim", "(*Machine).restore")
+		},
+		plants: []plant{
+			{"method call", "sim/parallel.go", "package sim\nfunc (m *Machine) fork() { ns, _ := m.sim.Fresh(); _ = ns }\n", false},
+			{"method value", "internal/server/session.go", "package server\nfunc fork(m *sim.Machine) { fresh := m.Sim().Fresh; fresh() }\n", false},
+			{"second call in restore", "sim/snapshot.go", "package sim\nfunc (m *Machine) restore() { m.sim.Fresh(); m.sim.Fresh() }\n", false},
+			{"the one restore", "sim/snapshot.go", "package sim\nfunc (m *Machine) restore() { ns, err := m.sim.Fresh(); _, _ = ns, err }\n", true},
 		},
 	},
 }

@@ -562,6 +562,35 @@ func TestConstantFolding(t *testing.T) {
 	}
 }
 
+// TestFoldKeepsSideEffects: x*0 folds to 0 only when x has no side
+// effect; a call, assignment or increment in the dropped operand still
+// runs, at every level, as it does at -O0.
+func TestFoldKeepsSideEffects(t *testing.T) {
+	cases := []struct {
+		name, body string
+		want       int32
+	}{
+		{"call times zero", "int y = f() * 0; int z = 0 * f(); return n * 10 + y + z;", 20},
+		{"assignment times zero", "int x = 3; int y = (x = 9) * 0; return x + y;", 9},
+		{"increment times zero", "int i = 4; int y = 0 * i++; int z = (++i) * 0; return i + y + z;", 6},
+		{"nested call", "return (1 + f()) * 0 + n;", 1},
+		{"pure operand", "int x = 7; return x * 0 + 0 * (x + 1) + n;", 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			checkAllOpts(t, "int n;\nint f() { n = n + 1; return 5; }\nint main() { "+c.body+" }", c.want)
+		})
+	}
+	// A pure operand still folds away.
+	r1, err := Compile("int main() { int x = 7; return x * 0; }", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(r1.Assembly, "mul") {
+		t.Errorf("-O1 should fold x*0 to 0:\n%s", r1.Assembly)
+	}
+}
+
 func TestStrengthReduction(t *testing.T) {
 	src := `
 int a[16];

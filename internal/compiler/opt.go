@@ -50,7 +50,7 @@ func foldStmt(st *Stmt) {
 }
 
 // foldExpr rewrites e in place when it reduces to a literal, and applies
-// algebraic identities (x+0, x*1, x*0).
+// algebraic identities (x+0, x*1, and x*0 when x has no side effect).
 func foldExpr(e *Expr) {
 	if e == nil {
 		return
@@ -219,7 +219,7 @@ func foldBinary(e *Expr) {
 				*e = *l
 			case r.Int == 1 && (e.Op == "*" || e.Op == "/"):
 				*e = *l
-			case r.Int == 0 && e.Op == "*":
+			case r.Int == 0 && e.Op == "*" && pure(l):
 				replaceInt(e, 0)
 			}
 			return
@@ -230,11 +230,24 @@ func foldBinary(e *Expr) {
 				*e = *r
 			case l.Int == 1 && e.Op == "*":
 				*e = *r
-			case l.Int == 0 && e.Op == "*":
+			case l.Int == 0 && e.Op == "*" && pure(r):
 				replaceInt(e, 0)
 			}
 		}
 	}
+}
+
+// pure reports whether evaluating e has no side effect — no assignment,
+// increment or call anywhere in it — so an identity may drop it.
+func pure(e *Expr) bool {
+	if e == nil {
+		return true
+	}
+	switch e.Kind {
+	case EAssign, ECall, EPreIncr, EPostIncr:
+		return false
+	}
+	return pure(e.L) && pure(e.R) && pure(e.R2)
 }
 
 // ---------------------------------------------------------------------------

@@ -140,33 +140,6 @@ func TestWatchValidation(t *testing.T) {
 	sim.ClearWatches()
 }
 
-func TestBreakpointsSurviveBackwardStep(t *testing.T) {
-	sim := buildSim(t, config.Default(), `
-li t0, 0
-li t1, 8
-loop:
-  addi t0, t0, 1
-  bne t0, t1, loop
-`)
-	sim.AddBreakpoint(2)
-	sim.Run(100_000)
-	if !sim.Paused() {
-		t.Fatal("should pause")
-	}
-	back, err := sim.StepBack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Breakpoints()) != 1 {
-		t.Error("breakpoints lost across backward step")
-	}
-	// The rewound simulation can run and re-trigger the breakpoint.
-	back.Run(100_000)
-	if !back.Paused() && !back.Halted() {
-		t.Error("rewound simulation stuck")
-	}
-}
-
 func TestPausedStateIsInert(t *testing.T) {
 	sim := buildSim(t, config.Default(), "li t0, 1\nli t1, 2\n")
 	sim.AddBreakpoint(1)

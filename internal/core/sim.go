@@ -850,42 +850,12 @@ func (s *Simulation) checkPipelineEmpty(now uint64) {
 }
 
 // ---------------------------------------------------------------------------
-// Backward simulation
+// Forks
 // ---------------------------------------------------------------------------
 
-// StepBack returns a new simulation positioned one cycle earlier. Following
-// the paper (§III-B), backward simulation is implemented as a forward
-// re-run of t−1 clock cycles from the initial state, which requires the
-// simulation to be deterministic (it is: the only pseudo-randomness, the
-// cache's Random policy, uses a fixed-seed generator).
-func (s *Simulation) StepBack() (*Simulation, error) {
-	if s.cycle == 0 {
-		return nil, fmt.Errorf("core: already at cycle 0")
-	}
-	return s.ReplayTo(s.cycle - 1)
-}
-
-// ReplayTo returns a fresh simulation advanced to the given cycle.
-func (s *Simulation) ReplayTo(target uint64) (*Simulation, error) {
-	ns, err := s.Fresh()
-	if err != nil {
-		return nil, err
-	}
-	ns.VerboseLog = s.VerboseLog
-	for ns.cycle < target && !ns.halted {
-		ns.Step()
-	}
-	// The tracer carries over only after the replay loop: rewinding must
-	// not re-emit the past into an attached collector, but forward steps
-	// from the new position keep tracing.
-	ns.SetTracer(s.tracer)
-	ns.SyncDebugState(s)
-	return ns, nil
-}
-
 // Fresh returns a new simulation at cycle zero of the same Program on the
-// same architecture: the machine ReplayTo replays on, snapshot restores
-// decode into and time-parallel workers fork from. It costs the per-run
+// same architecture: what the sim facade's one restore decodes a snapshot
+// into, for rewinds and time-parallel forks alike. It costs the per-run
 // state and a copy of the image's page table; nothing is assembled or specialized
 // again. The semantic engine carries over: determinism demands a re-run
 // computes exactly what the original did.
@@ -900,7 +870,7 @@ func (s *Simulation) Fresh() (*Simulation, error) {
 
 // ClearDebugState drops breakpoints, watches and any pause, so a
 // snapshot-restored simulation can catch up to a rewind target without
-// pausing mid-replay (same contract as ReplayTo's replay loop).
+// pausing mid-replay.
 func (s *Simulation) ClearDebugState() {
 	s.breakpoints = nil
 	s.watches = nil

@@ -392,55 +392,6 @@ add x16, x6, x8
 	}
 }
 
-func TestBackwardSimulationMatchesForward(t *testing.T) {
-	src := `
-li t0, 0
-li t1, 1
-li t2, 30
-loop:
-  add t0, t0, t1
-  addi t1, t1, 1
-  bne t1, t2, loop
-`
-	sim := buildSim(t, config.Default(), src)
-	for i := 0; i < 40; i++ {
-		sim.Step()
-	}
-	// Forward reference: a fresh run to cycle 39.
-	fwd, err := sim.ReplayTo(39)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Backward step from 40.
-	back, err := sim.StepBack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Cycle() != 39 || fwd.Cycle() != 39 {
-		t.Fatalf("cycles: back=%d fwd=%d", back.Cycle(), fwd.Cycle())
-	}
-	// The architectural state must be identical (determinism).
-	for i := 0; i < isa.NumRegs; i++ {
-		bv := back.Registers().ArchValue(isa.RegInt, i)
-		fv := fwd.Registers().ArchValue(isa.RegInt, i)
-		if bv.Bits() != fv.Bits() {
-			t.Errorf("x%d differs: back=%v fwd=%v", i, bv, fv)
-		}
-	}
-	br, fr := back.Report(), fwd.Report()
-	if br.Committed != fr.Committed || br.ROBFlushes != fr.ROBFlushes ||
-		br.Fetched != fr.Fetched {
-		t.Errorf("reports differ: back=%+v fwd=%+v", br, fr)
-	}
-}
-
-func TestBackwardAtCycleZeroFails(t *testing.T) {
-	sim := buildSim(t, config.Default(), "nop\n")
-	if _, err := sim.StepBack(); err == nil {
-		t.Error("StepBack at cycle 0 should fail")
-	}
-}
-
 func TestDeterministicRuns(t *testing.T) {
 	src := `
 li t0, 0

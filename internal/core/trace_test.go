@@ -140,28 +140,3 @@ func TestTraceOffByDefault(t *testing.T) {
 		t.Error("fresh simulation has a tracer attached")
 	}
 }
-
-func TestTraceReplayDoesNotReEmit(t *testing.T) {
-	sim := buildSim(t, config.Default(), tracedLoop)
-	ring := trace.NewRing(1<<14, trace.NoFilter)
-	sim.SetTracer(ring)
-	sim.Run(8)
-	before := ring.Total()
-	if before == 0 {
-		t.Fatal("no events in the first 8 cycles")
-	}
-	back, err := sim.StepBack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ring.Total(); got != before {
-		t.Errorf("rewind re-emitted events: total %d -> %d", before, got)
-	}
-	if back.Tracer() == nil {
-		t.Fatal("tracer did not carry over to the replayed simulation")
-	}
-	back.Step()
-	if got := ring.Total(); got <= before {
-		t.Error("forward stepping after a rewind emitted no events")
-	}
-}

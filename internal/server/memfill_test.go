@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -94,5 +96,75 @@ func TestMemFillElemSize8Overflow(t *testing.T) {
 	}
 	if err := ApplyMemFill(m, api.MemFill{Label: "buf", ElemSize: 8, Random: 2}); err == nil {
 		t.Error("random overflow not caught")
+	}
+}
+
+// rewindFillProgram reads filled memory before its first snapshot and
+// after its second, so a replay that loses the fills changes a0.
+const rewindFillProgram = `
+  la t0, data
+  lw a0, 0(t0)
+  li t1, 0
+  li t2, 3000
+loop:
+  addi t1, t1, 1
+  bne t1, t2, loop
+  lw t3, 4(t0)
+  add a0, a0, t3
+.data
+data: .word 0, 0
+`
+
+// TestSessionRewindKeepsMemFills: memFills are part of a session's own
+// cycle 0, so a backward step or a goto below the first snapshot re-runs
+// on them and replies what the forward run to that cycle replies.
+func TestSessionRewindKeepsMemFills(t *testing.T) {
+	_, ts := newTestServer(t)
+	open := func() string {
+		resp, body := postJSON(t, ts.URL+"/api/v1/session/new", &api.SessionNewRequest{SimulateRequest: api.SimulateRequest{
+			Code: rewindFillProgram, MemFills: []api.MemFill{{Label: "data", Values: []int64{5, 7}}},
+		}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("session/new: status %d: %s", resp.StatusCode, body)
+		}
+		var sr api.SessionNewResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		return sr.SessionID
+	}
+	step := func(id string, steps int64) []byte {
+		st, resp, body := stepSession(t, ts.URL, id, steps)
+		if st == nil {
+			t.Fatalf("step %d: status %d: %s", steps, resp.StatusCode, body)
+		}
+		return body
+	}
+	fwd := open()
+	want := step(fwd, 100)
+
+	back := open()
+	step(back, 2500)
+	if got := step(back, -2400); !bytes.Equal(got, want) {
+		t.Error("a step back to cycle 100 replies otherwise than the forward run to it")
+	}
+	gone := open()
+	step(gone, 2500)
+	resp, got := postJSON(t, ts.URL+"/api/v1/session/goto", &api.SessionGotoRequest{SessionID: gone, Cycle: 100})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("goto: status %d: %s", resp.StatusCode, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("a goto to cycle 100 replies otherwise than the forward run to it")
+	}
+
+	var end api.SessionStateResponse
+	if err := json.Unmarshal(step(back, 100_000), &end); err != nil {
+		t.Fatal(err)
+	}
+	for _, reg := range end.State.IntRegs {
+		if reg.Name == "x10" && reg.Value != "12" {
+			t.Errorf("a0 after re-running = %s, want 12", reg.Value)
+		}
 	}
 }

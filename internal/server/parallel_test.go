@@ -8,6 +8,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"riscvsim/internal/api"
@@ -76,6 +77,37 @@ func TestV1SimulateParallel(t *testing.T) {
 	for i, v := range serial.State.IntRegs {
 		if par.State.IntRegs[i] != v {
 			t.Errorf("x%d = %v, want %v", i, par.State.IntRegs[i], v)
+		}
+	}
+}
+
+// TestV1SimulateParallelMemFills: the scout and every worker fork from
+// the machine's own cycle 0, so a parallel run honours memFills and ends
+// in the serial run's state.
+func TestV1SimulateParallelMemFills(t *testing.T) {
+	_, ts := newTestServer(t)
+	code := strings.Replace(parallelProgram, "  mv a0, t0\n", "  la t3, data\n  lw t4, 0(t3)\n  add a0, t0, t4\n.data\ndata: .word 0\n", 1)
+	run := func(parallelism int) *api.SimulateResponse {
+		resp, body := postJSON(t, ts.URL+"/api/v1/simulate", &api.SimulateRequest{
+			Code: code, Parallelism: parallelism, WarmupCycles: 512, IncludeState: true,
+			MemFills: []api.MemFill{{Label: "data", Values: []int64{100}}},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("parallelism %d: status %d: %s", parallelism, resp.StatusCode, body)
+		}
+		var sr api.SimulateResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		return &sr
+	}
+	serial, par := run(0), run(4)
+	if par.Parallel == nil || par.Parallel.Workers < 2 {
+		t.Fatalf("the run did not split: %+v", par.Parallel)
+	}
+	for i, v := range serial.State.IntRegs {
+		if par.State.IntRegs[i] != v {
+			t.Errorf("x%d = %v, want the serial run's %v", i, par.State.IntRegs[i], v)
 		}
 	}
 }

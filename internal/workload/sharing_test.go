@@ -299,8 +299,8 @@ func bytesPerCall(n int, f func()) uint64 {
 }
 
 // TestInstantiateSharesTheImage: a fork of a built machine (Fresh: what
-// ReplayTo, RunParallel and the snapshot restore behind StepBack build
-// on) copies the image's page table, not its pages, and builds no plan
+// the one restore behind StepBack, GotoCycle and RunParallel builds on)
+// copies the image's page table, not its pages, and builds no plan
 // tables. The bounds sit between this build's cost and the parent's,
 // which copied the 64 KiB image per fork.
 func TestInstantiateSharesTheImage(t *testing.T) {

@@ -112,6 +112,9 @@ func RestoreWith(data []byte, assemble func(src string, mem MemoryConfig) (*Prog
 		return nil, err
 	}
 	m := newMachine(cfg, p, s, entry)
+	// A checkpoint taken at cycle 0 holds that machine's own cycle 0,
+	// which rewinds start from instead of the Program's image.
+	m.dirtyFloor = s.Cycle() == 0
 	// The header it came with, as it came: the machine re-encodes to the
 	// same bytes even from a document Export would have spelled otherwise.
 	m.cfgJSON = cfgJSON

@@ -26,6 +26,7 @@ func (m *Machine) FastForwardTo(target uint64) uint64 {
 	if target <= start {
 		return 0
 	}
+	m.sealFloor()
 	prev := m.sim.EngineMode()
 	m.SetEngineMode(EngineFastForward)
 	m.sim.Run(target - start)
@@ -39,6 +40,7 @@ func (m *Machine) FastForwardTo(target uint64) uint64 {
 // mode. maxCycles bounds the search — the PC may never be reached. It
 // reports whether the machine stopped exactly at pc.
 func (m *Machine) FastForwardToPC(pc int, maxCycles uint64) (bool, uint64) {
+	m.sealFloor()
 	start := m.sim.Cycle()
 	prev := m.sim.EngineMode()
 	m.SetEngineMode(EngineFastForward)
@@ -79,7 +81,7 @@ func (m *Machine) noteModeSwitch(mode EngineMode) {
 		return
 	}
 	m.ffBarrier = c
-	m.dropSnapshotsBelow(c)
+	m.snaps.dropBelow(c)
 	m.forceSnapshot()
 }
 

@@ -1,24 +1,22 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
 
-	"riscvsim/internal/ckpt"
 	"riscvsim/internal/core"
 	"riscvsim/internal/stats"
 )
 
 // Time-parallel simulation (docs/parallel.md): one long run is split into
 // K intervals along the committed-instruction axis and the intervals are
-// simulated in detailed mode concurrently, one goroutine and one
-// core.Fresh fork each. Interval start states are produced speculatively
-// by a serial fast-forward scout pass (~15× detailed speed) that drops
-// state snapshots at known committed counts; each worker restores the
-// snapshot below its interval, runs a detailed warm-up prefix whose
-// metrics are discarded (fast-forward cannot reproduce timing state —
+// simulated in detailed mode concurrently, one goroutine and one fork
+// (Machine.restore) each. Interval start states are produced
+// speculatively by a serial fast-forward scout pass (~15× detailed speed)
+// from the machine's own cycle 0 that keeps a snapshot list along the
+// committed axis; each worker restores the snapshot below its interval,
+// runs a detailed warm-up prefix whose metrics are discarded (fast-forward cannot reproduce timing state —
 // caches, predictor, occupancies), and measures its interval as a
 // statistics delta. The coordinator verifies every speculation: interval
 // i's detailed end state must hash-equal interval i+1's start state
@@ -100,14 +98,6 @@ type ParallelResult struct {
 // exercised end to end.
 var parallelTestCorrupt func(interval int, s *core.Simulation)
 
-// scoutSnap is one speculative start-state candidate: the dynamic state
-// section at a known committed-instruction count. data == nil is the
-// implicit cycle-zero candidate.
-type scoutSnap struct {
-	committed uint64
-	data      []byte
-}
-
 // parallelWorker is one interval's execution state.
 type parallelWorker struct {
 	sim       *core.Simulation
@@ -147,6 +137,7 @@ func (m *Machine) RunParallel(k int, opts ParallelOptions) (*ParallelResult, err
 	if m.sim.Halted() || m.sim.Paused() {
 		return nil, fmt.Errorf("sim: RunParallel requires a runnable machine")
 	}
+	m.sealFloor()
 	warmup := opts.WarmupInstructions
 	if warmup == 0 {
 		warmup = DefaultWarmupInstructions
@@ -190,14 +181,14 @@ func (m *Machine) RunParallel(k int, opts ParallelOptions) (*ParallelResult, err
 	// `warmup` long; the snapshot spacing bounds the imbalance.
 	workers := make([]*parallelWorker, 0, k)
 	workers = append(workers, &parallelWorker{start: 0})
-	chosen := []scoutSnap{{}}
+	chosen := []snapshot{snaps.floor}
 	for i := 1; i < k; i++ {
 		nominal := total * uint64(i) / uint64(k)
 		var snapAt uint64
 		if nominal > warmup {
 			snapAt = nominal - warmup
 		}
-		sn := latestSnapAtOrBelow(snaps, snapAt)
+		sn := snaps.latest(snapAt, byCommitted)
 		start := sn.committed + warmup
 		prev := workers[len(workers)-1]
 		if start <= prev.start+parallelMinMeasure || start+parallelMinMeasure > total {
@@ -215,17 +206,7 @@ func (m *Machine) RunParallel(k int, opts ParallelOptions) (*ParallelResult, err
 		}
 	}
 
-	// Phase 3 — fork and run all intervals concurrently. Forks are built
-	// serially (cheap: static world is shared); everything else runs in
-	// the goroutines.
-	for _, w := range workers {
-		ws, err := m.sim.Fresh()
-		if err != nil {
-			return nil, err
-		}
-		ws.ClearDebugState()
-		w.sim = ws
-	}
+	// Phase 3 — fork and run all intervals concurrently.
 	var wg sync.WaitGroup
 	for i, w := range workers {
 		wg.Add(1)
@@ -285,67 +266,40 @@ func (m *Machine) RunParallel(k int, opts ParallelOptions) (*ParallelResult, err
 	// end-of-run gauges are its.
 	final := workers[len(workers)-1].sim
 	result.Report = stats.NewReport(&sum, final.Facts())
-	final.SyncDebugState(m.sim)
-	final.SetTracer(m.sim.Tracer())
-	m.sim = final
+	m.adopt(final)
 	// The parallel region has no serial timing history: barrier rewinds
 	// into it, exactly like a fast-forwarded prefix.
 	m.ffBarrier = final.Cycle()
-	m.dropSnapshotsBelow(m.ffBarrier)
+	m.snaps.dropBelow(m.ffBarrier)
 	return result, nil
 }
 
-// scoutPass runs the whole program once in fast-forward mode on a fork,
-// capturing state snapshots at known committed counts. Snapshot spacing
-// starts at the warm-up length (so boundaries land within one warm-up of
-// their nominal split) and doubles whenever the retained count exceeds
-// its bound, classic adaptive thinning.
-func (m *Machine) scoutPass(k int, warmup, maxCycles uint64) (uint64, []scoutSnap, error) {
-	scout, err := m.sim.Fresh()
+// scoutPass runs the whole program once in fast-forward mode on a fork
+// of the machine's own cycle 0, keeping a snapshot list along the
+// committed axis. Its spacing starts at the warm-up length (so boundaries
+// land within one warm-up of their nominal split) and its bound grows
+// with k.
+func (m *Machine) scoutPass(k int, warmup, maxCycles uint64) (uint64, *snapList, error) {
+	scout, err := m.restore(m.snaps.floor, 0)
 	if err != nil {
 		return 0, nil, err
 	}
-	scout.ClearDebugState()
 	scout.SetEngineMode(core.EngineFastForward)
 	budget := maxCycles * uint64(m.cfg.CommitWidth)
 	if budget < maxCycles { // overflow
 		budget = maxCycles
 	}
-	stride := warmup
-	if stride < 1024 {
-		stride = 1024
-	}
-	retain := 8 * k
-	if retain < 16 {
-		retain = 16
-	}
-	var snaps []scoutSnap
+	snaps := &snapList{floor: m.snaps.floor, spacing: max(warmup, 1024), bound: max(8*k, 16)}
 	for !scout.Halted() && scout.Cycle() < budget {
-		next := scout.Committed() + stride
-		scout.RunToCommitted(next, budget-scout.Cycle())
+		scout.RunToCommitted(scout.Committed()+snaps.spacing, budget-scout.Cycle())
 		if scout.Halted() || scout.Paused() {
 			break
 		}
-		var buf bytes.Buffer
-		w := ckpt.NewWriter(&buf)
-		scout.EncodeState(w)
-		if err := w.Err(); err != nil {
+		sn, err := capture(scout)
+		if err != nil {
 			return 0, nil, fmt.Errorf("sim: scout snapshot: %w", err)
 		}
-		snaps = append(snaps, scoutSnap{committed: scout.Committed(), data: buf.Bytes()})
-		if len(snaps) > retain {
-			kept := snaps[:0]
-			for i := range snaps {
-				if i%2 == 1 {
-					kept = append(kept, snaps[i])
-				}
-			}
-			for i := len(kept); i < len(snaps); i++ {
-				snaps[i] = scoutSnap{}
-			}
-			snaps = kept
-			stride *= 2
-		}
+		snaps.add(sn)
 	}
 	if !scout.Halted() {
 		return 0, nil, fmt.Errorf("sim: program did not halt within the scout budget of %d committed instructions — time-parallel simulation requires a terminating run", budget)
@@ -353,31 +307,16 @@ func (m *Machine) scoutPass(k int, warmup, maxCycles uint64) (uint64, []scoutSna
 	return scout.Committed(), snaps, nil
 }
 
-// latestSnapAtOrBelow picks the youngest snapshot not past the target
-// committed count; the zero value is the implicit cycle-zero start.
-func latestSnapAtOrBelow(snaps []scoutSnap, target uint64) scoutSnap {
-	best := scoutSnap{}
-	for _, sn := range snaps {
-		if sn.committed > target {
-			break
-		}
-		best = sn
-	}
-	return best
-}
-
-// runInterval executes one worker: restore the speculative start
+// runInterval executes one worker: fork from the speculative start
 // snapshot, run the detailed warm-up to the measurement boundary, record
 // the baseline and the start-state hash, then measure to the interval
 // end.
-func (w *parallelWorker) runInterval(m *Machine, i int, sn scoutSnap, maxCycles uint64) error {
-	if sn.data != nil {
-		r := ckpt.NewReader(bytes.NewReader(sn.data))
-		w.sim.DecodeState(r)
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("sim: interval %d: restoring scout state: %w", i, err)
-		}
+func (w *parallelWorker) runInterval(m *Machine, i int, sn snapshot, maxCycles uint64) error {
+	ws, err := m.restore(sn, 0)
+	if err != nil {
+		return fmt.Errorf("sim: interval %d: restoring scout state: %w", i, err)
 	}
+	w.sim = ws
 	if w.start > 0 {
 		w.sim.RunToCommitted(w.start, maxCycles)
 		if w.sim.Committed() != w.start || w.sim.Halted() {
@@ -429,22 +368,15 @@ func (w *parallelWorker) measure(maxCycles uint64) error {
 }
 
 // coherentHash computes the architectural hash of a live simulation
-// without perturbing it: the state round-trips through a scratch fork
-// which is drained and hashed in its place.
+// without perturbing it: the state round-trips through a fork which is
+// drained and hashed in its place.
 func coherentHash(m *Machine, s *core.Simulation) (uint64, error) {
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
-	s.EncodeState(w)
-	if err := w.Err(); err != nil {
-		return 0, err
-	}
-	scratch, err := m.sim.Fresh()
+	sn, err := capture(s)
 	if err != nil {
 		return 0, err
 	}
-	r := ckpt.NewReader(bytes.NewReader(buf.Bytes()))
-	scratch.DecodeState(r)
-	if err := r.Err(); err != nil {
+	scratch, err := m.restore(sn, 0)
+	if err != nil {
 		return 0, err
 	}
 	scratch.DrainCoherent()

@@ -125,6 +125,48 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestParallelKeepsCycleZeroWrites: the scout and every worker fork
+// from the machine's own cycle 0, so memory written before the first
+// cycle reaches a parallel run as it reaches the serial one.
+func TestParallelKeepsCycleZeroWrites(t *testing.T) {
+	fill := make([]byte, 1024)
+	for i := range fill {
+		fill[i] = byte(i*7 + 1)
+	}
+	run := func(k int) *Machine {
+		m, err := NewFromAsm(DefaultConfig(), srcParallel, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.WriteMemory(8192, fill); err != nil {
+			t.Fatal(err)
+		}
+		if k == 1 {
+			m.Run(parTestMaxCycles)
+			return m
+		}
+		res, err := m.RunParallel(k, parTestOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Healed != 0 {
+			t.Errorf("%d intervals healed: the scout ran without the writes", res.Healed)
+		}
+		return m
+	}
+	ref, par := run(1), run(4)
+	if got, want := par.ArchStateHash(), ref.ArchStateHash(); got != want {
+		t.Errorf("ArchStateHash %#x, want the serial run's %#x", got, want)
+	}
+	got, err := par.ReadMemory(16384, len(fill))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(fill) {
+		t.Error("the copy loop's destination lacks the bytes written at cycle 0")
+	}
+}
+
 // TestParallelHealing: corrupt one interval's speculative start state via
 // the test hook — verification must detect the mismatch and heal by
 // re-running from the exact predecessor state, still ending bit-exact.

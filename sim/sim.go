@@ -11,6 +11,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -136,11 +137,12 @@ type Machine struct {
 	// headers (per-cycle state hashing re-encodes the header each time).
 	cfgJSON []byte
 
-	// Interval snapshots (snapshot.go): spacing, retained captures and
-	// the retention bound. snapInterval == 0 means off.
-	snapInterval uint64
-	snaps        []snapshot
-	maxSnaps     int
+	// snaps is the one way back (snapshot.go): its floor is the
+	// machine's own cycle 0, and interval snapshots above it are on when
+	// its spacing is nonzero. dirtyFloor records a write at cycle 0 that
+	// the floor must capture before the first cycle runs.
+	snaps      snapList
+	dirtyFloor bool
 
 	// ffBarrier is the cycle of the most recent engine-mode transition
 	// involving fast-forward (fastforward.go): cycles below it have no
@@ -237,6 +239,7 @@ func NewFromC(cfg *Config, csrc string, opt int) (*Machine, error) {
 
 // Step advances one clock cycle.
 func (m *Machine) Step() {
+	m.sealFloor()
 	m.sim.Step()
 	m.maybeSnapshot()
 }
@@ -253,8 +256,7 @@ func (m *Machine) Run(maxCycles uint64) uint64 { return m.runForward(maxCycles) 
 // the re-run starts from the nearest snapshot instead of cycle zero.
 func (m *Machine) StepBack() error {
 	if m.sim.Cycle() == 0 {
-		_, err := m.sim.StepBack() // canonical "already at cycle 0" error
-		return err
+		return errors.New("sim: already at cycle 0")
 	}
 	return m.rewindTo(m.sim.Cycle() - 1)
 }
@@ -316,13 +318,18 @@ func (m *Machine) FloatReg(name string) (float64, error) {
 	return m.sim.Registers().ArchValue(isa.RegFloat, d.Index).Double(), nil
 }
 
-// SetIntReg initializes an architectural integer register (before running).
+// SetIntReg initializes an architectural integer register (before
+// running: a write at cycle 0 is part of the machine's own cycle 0, which
+// rewinds and forks start from).
 func (m *Machine) SetIntReg(name string, v int32) error {
 	d, ok := m.prog.core.Registers().Lookup(name)
 	if !ok || d.Class != isa.RegInt {
 		return fmt.Errorf("sim: no integer register %q", name)
 	}
 	m.sim.Registers().SetArchValue(isa.RegInt, d.Index, expr.NewInt(v))
+	if m.sim.Cycle() == 0 {
+		m.dirtyFloor = true
+	}
 	return nil
 }
 
@@ -335,10 +342,14 @@ func (m *Machine) ReadMemory(addr, n int) ([]byte, error) {
 	return b, nil
 }
 
-// WriteMemory stores bytes into simulated memory (memory editor).
+// WriteMemory stores bytes into simulated memory (memory editor). Like
+// SetIntReg, a write at cycle 0 is part of the machine's own cycle 0.
 func (m *Machine) WriteMemory(addr int, b []byte) error {
 	if exc := m.sim.Memory().WriteBytes(addr, b); exc != nil {
 		return exc
+	}
+	if m.sim.Cycle() == 0 {
+		m.dirtyFloor = true
 	}
 	return nil
 }
@@ -430,6 +441,7 @@ func (m *Machine) Resume() { m.sim.Resume() }
 // RunToBreak runs until a breakpoint/watch pauses, the program halts, or
 // maxCycles elapse. It reports whether the machine is paused at a trigger.
 func (m *Machine) RunToBreak(maxCycles uint64) bool {
+	m.sealFloor()
 	m.sim.Run(maxCycles)
 	return m.sim.Paused()
 }

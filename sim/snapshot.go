@@ -5,19 +5,24 @@ import (
 	"fmt"
 
 	"riscvsim/internal/ckpt"
+	"riscvsim/internal/core"
 )
 
-// Interval snapshots: periodic in-memory checkpoints taken while the
-// machine runs forward, so backward simulation restores from the nearest
-// snapshot at or below the target and replays only the remainder —
-// O(interval) instead of the paper's O(cycle) re-run from zero (§III-B).
-// The simulation is deterministic, so a snapshot-restored replay is
-// cycle-for-cycle identical to a from-zero replay (pinned by
-// TestSnapshotRewindMatchesReplay).
+// One way back: every earlier cycle and every fork a machine reaches is
+// a restore from its snapshot list. The paper's backward simulation is a
+// deterministic forward re-run (§III-B); the list's floor is the
+// machine's own cycle 0, and interval snapshots taken while the machine
+// runs forward let a rewind restore the nearest entry at or below the
+// target and replay only the remainder — O(interval) instead of
+// O(cycle). A snapshot-restored replay is cycle-for-cycle identical to
+// a replay from the floor (pinned by TestSnapshotRewindMatchesReplay).
+// Time-parallel simulation (parallel.go) keeps a list of the same type
+// along the committed-instruction axis.
 //
 // Snapshots are off by default: batch runs never rewind and should not
-// pay the encoding cost. Interactive surfaces (server debug sessions, the
-// architecture's snapshotInterval knob) turn them on.
+// pay the encoding cost, so the list holds only its floor. Interactive
+// surfaces (server debug sessions, the architecture's snapshotInterval
+// knob) turn them on.
 
 // DefaultSnapshotInterval is the cycle spacing used when snapshots are
 // enabled without an explicit interval. Rewind cost is one state decode
@@ -31,10 +36,75 @@ const DefaultSnapshotInterval = 1024
 // whole run (classic adaptive checkpointing).
 const defaultMaxSnapshots = 32
 
-// snapshot is one retained state capture.
+// snapshot is one retained state capture: where it sits on both axes of
+// a run, and its dynamic state section. data == nil is the Program's
+// pristine cycle 0, which a fork reaches at no cost.
 type snapshot struct {
-	cycle uint64
-	data  []byte
+	cycle, committed uint64
+	data             []byte
+}
+
+func byCycle(s *snapshot) uint64     { return s.cycle }
+func byCommitted(s *snapshot) uint64 { return s.committed }
+
+// snapList is an adaptive snapshot list: the floor, then captures
+// ascending on both axes, spacing apart on the axis its user captures
+// along. Past bound captures it thins.
+type snapList struct {
+	floor   snapshot
+	above   []snapshot
+	spacing uint64
+	bound   int
+}
+
+// add appends a capture. When the captures exceed the bound, every
+// second one is kept (those on the doubled spacing's boundaries) and the
+// spacing doubles.
+func (l *snapList) add(s snapshot) {
+	l.above = append(l.above, s)
+	if len(l.above) <= l.bound {
+		return
+	}
+	kept := l.above[:0]
+	for i := 1; i < len(l.above); i += 2 {
+		kept = append(kept, l.above[i])
+	}
+	clear(l.above[len(kept):])
+	l.above = kept
+	l.spacing *= 2
+}
+
+// latest returns the youngest entry whose coordinate on axis is at or
+// below limit; the floor when no capture is.
+func (l *snapList) latest(limit uint64, axis func(*snapshot) uint64) snapshot {
+	for i := len(l.above) - 1; i >= 0; i-- {
+		if axis(&l.above[i]) <= limit {
+			return l.above[i]
+		}
+	}
+	return l.floor
+}
+
+// dropBelow discards the captures older than cycle c; the floor stays.
+func (l *snapList) dropBelow(c uint64) {
+	kept := l.above[:0]
+	for _, s := range l.above {
+		if s.cycle >= c {
+			kept = append(kept, s)
+		}
+	}
+	clear(l.above[len(kept):])
+	l.above = kept
+}
+
+// capture encodes s's dynamic state section only: a snapshot is
+// in-process and bound to its machine's Program, so it needs no header,
+// source or config (Machine.Checkpoint stays the portable format).
+func capture(s *core.Simulation) (snapshot, error) {
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf)
+	s.EncodeState(w)
+	return snapshot{cycle: s.Cycle(), committed: s.Committed(), data: buf.Bytes()}, w.Err()
 }
 
 // EnableSnapshots turns interval snapshots on. interval is the cycle
@@ -44,24 +114,41 @@ func (m *Machine) EnableSnapshots(interval uint64) {
 	if interval == 0 {
 		interval = DefaultSnapshotInterval
 	}
-	m.snapInterval = interval
-	if m.maxSnaps == 0 {
-		m.maxSnaps = defaultMaxSnapshots
+	m.snaps.spacing = interval
+	if m.snaps.bound == 0 {
+		m.snaps.bound = defaultMaxSnapshots
 	}
 }
 
 // SnapshotInterval returns the configured cycle spacing, 0 when off. The
 // spacing can grow over a long run as the retention bound thins old
 // snapshots.
-func (m *Machine) SnapshotInterval() uint64 { return m.snapInterval }
+func (m *Machine) SnapshotInterval() uint64 { return m.snaps.spacing }
 
-// SnapshotCount returns the number of retained snapshots.
-func (m *Machine) SnapshotCount() int { return len(m.snaps) }
+// SnapshotCount returns the number of retained snapshots above cycle 0.
+func (m *Machine) SnapshotCount() int { return len(m.snaps.above) }
+
+// sealFloor makes the machine's own cycle 0 the floor of its list before
+// the first cycle runs. Every forward path calls it. When nothing was
+// written at cycle 0 the floor stays the Program's pristine start, at no
+// cost; otherwise the state is encoded once, and captures taken from an
+// earlier cycle 0 go.
+func (m *Machine) sealFloor() {
+	if !m.dirtyFloor {
+		return
+	}
+	m.dirtyFloor = false
+	if f, err := capture(m.sim); err == nil {
+		m.snaps.floor = f
+		m.snaps.above = nil
+	}
+}
 
 // runForward advances up to maxCycles, pausing at snapshot boundaries to
 // capture state. With snapshots off it is exactly the core's Run.
 func (m *Machine) runForward(maxCycles uint64) uint64 {
-	if m.snapInterval == 0 {
+	m.sealFloor()
+	if m.snaps.spacing == 0 {
 		return m.sim.Run(maxCycles)
 	}
 	start := m.sim.Cycle()
@@ -70,7 +157,7 @@ func (m *Machine) runForward(maxCycles uint64) uint64 {
 		if done >= maxCycles || m.sim.Halted() || m.sim.Paused() {
 			break
 		}
-		chunk := m.snapInterval - m.sim.Cycle()%m.snapInterval
+		chunk := m.snaps.spacing - m.sim.Cycle()%m.snaps.spacing
 		if rem := maxCycles - done; chunk > rem {
 			chunk = rem
 		}
@@ -85,151 +172,87 @@ func (m *Machine) runForward(maxCycles uint64) uint64 {
 // maybeSnapshot captures state when the machine sits on a snapshot
 // boundary it has not covered yet.
 func (m *Machine) maybeSnapshot() {
-	if m.snapInterval == 0 {
+	if m.snaps.spacing == 0 || m.sim.Cycle()%m.snaps.spacing != 0 {
 		return
 	}
+	m.forceSnapshot()
+}
+
+// forceSnapshot captures state at the current cycle regardless of
+// interval alignment — also the anchor at an engine-mode transition
+// (fastforward.go), where rewinds must be able to land without replaying
+// across the fast-forwarded region.
+func (m *Machine) forceSnapshot() {
 	c := m.sim.Cycle()
-	if c == 0 || c%m.snapInterval != 0 || m.sim.Halted() || m.sim.Paused() {
+	if m.snaps.spacing == 0 || c == 0 || m.sim.Halted() || m.sim.Paused() {
 		return
 	}
-	if n := len(m.snaps); n > 0 && m.snaps[n-1].cycle >= c {
+	if n := len(m.snaps.above); n > 0 && m.snaps.above[n-1].cycle >= c {
 		// Re-running over ground an earlier pass covered: the run is
 		// deterministic, so the retained snapshots are still valid.
 		return
 	}
-	m.captureSnapshot(c)
-}
-
-// forceSnapshot captures state at the current cycle regardless of
-// interval alignment — the anchor at an engine-mode transition
-// (fastforward.go), where rewinds must be able to land without replaying
-// across the fast-forwarded region.
-func (m *Machine) forceSnapshot() {
-	if m.snapInterval == 0 {
-		return
-	}
-	c := m.sim.Cycle()
-	if c == 0 || m.sim.Halted() || m.sim.Paused() {
-		return
-	}
-	if n := len(m.snaps); n > 0 && m.snaps[n-1].cycle >= c {
-		return
-	}
-	m.captureSnapshot(c)
-}
-
-// dropSnapshotsBelow discards snapshots older than cycle c — they became
-// unreachable when an engine-mode transition at c erased the replayable
-// history below it.
-func (m *Machine) dropSnapshotsBelow(c uint64) {
-	kept := m.snaps[:0]
-	for i := range m.snaps {
-		if m.snaps[i].cycle >= c {
-			kept = append(kept, m.snaps[i])
-		}
-	}
-	for i := len(kept); i < len(m.snaps); i++ {
-		m.snaps[i] = snapshot{}
-	}
-	m.snaps = kept
-}
-
-// captureSnapshot encodes and retains the current state at cycle c,
-// thinning the retained set when it exceeds the bound.
-func (m *Machine) captureSnapshot(c uint64) {
-	// Snapshots are in-process and bound to this machine, so only the
-	// dynamic state section is encoded — no header, no embedded source,
-	// no config round-trip (Machine.Checkpoint stays the portable
-	// format).
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
-	m.sim.EncodeState(w)
-	if w.Err() != nil {
-		return // never let snapshot bookkeeping break the run
-	}
-	m.snaps = append(m.snaps, snapshot{cycle: c, data: buf.Bytes()})
-	if len(m.snaps) > m.maxSnaps {
-		// Thin: keep every second snapshot (those on the doubled
-		// interval's boundaries) and double the spacing.
-		kept := m.snaps[:0]
-		for i := range m.snaps {
-			if i%2 == 1 {
-				kept = append(kept, m.snaps[i])
-			}
-		}
-		for i := len(kept); i < len(m.snaps); i++ {
-			m.snaps[i] = snapshot{}
-		}
-		m.snaps = kept
-		m.snapInterval *= 2
+	if s, err := capture(m.sim); err == nil { // never let snapshot bookkeeping break the run
+		m.snaps.add(s)
 	}
 }
 
-// nearestSnapshot returns the index of the youngest snapshot at or below
-// target, or -1.
-func (m *Machine) nearestSnapshot(target uint64) int {
-	best := -1
-	for i := range m.snaps {
-		if m.snaps[i].cycle > target {
-			break
-		}
-		best = i
-	}
-	return best
-}
-
-// rewindTo repositions the machine at an earlier cycle: restore from the
-// nearest snapshot and replay the remainder, falling back to the paper's
-// from-zero replay when no snapshot precedes the target. After an
-// engine-mode transition (fastforward.go) the cycles below the barrier
-// have no timing history and from-zero replay would re-run the
-// fast-forwarded region under different semantics of time, so only
-// snapshot restores at or above the barrier are sound there.
+// rewindTo repositions the machine at an earlier cycle from the youngest
+// list entry at or below it. After an engine-mode transition
+// (fastforward.go) the cycles below the barrier have no timing history
+// and a replay from below it would re-run the fast-forwarded region under
+// different semantics of time, so only entries at or above the barrier
+// are sound there.
 func (m *Machine) rewindTo(target uint64) error {
-	if m.ffBarrier > 0 && target < m.ffBarrier {
+	if target < m.ffBarrier {
 		return m.errBelowBarrier(target)
 	}
-	if m.snapInterval > 0 {
-		if i := m.nearestSnapshot(target); i >= 0 && m.snaps[i].cycle >= m.ffBarrier {
-			return m.restoreSnapshot(i, target)
-		}
-	}
-	if m.ffBarrier > 0 {
+	from := m.snaps.latest(target, byCycle)
+	if from.cycle < m.ffBarrier {
 		return fmt.Errorf("sim: cannot replay to cycle %d: replay would cross the fast-forwarded region below cycle %d and no snapshot covers it: %w", target, m.ffBarrier, ErrRewindBarrier)
 	}
-	ns, err := m.sim.ReplayTo(target)
+	ns, err := m.restore(from, target)
 	if err != nil {
 		return err
 	}
-	m.sim = ns
+	m.adopt(ns)
 	return nil
 }
 
-// restoreSnapshot rebuilds the simulation from snapshot i and replays
-// forward to target. The new simulation is a fork of the machine's
-// Program on the same architecture (core.Fresh), so the restore cost is
-// one image copy and decoding dynamic state — not re-assembly. Mirrors
-// ReplayTo's contract: the catch-up replay never pauses and never
-// re-emits trace events; current debug state and the tracer carry over
-// afterwards.
-func (m *Machine) restoreSnapshot(i int, target uint64) error {
+// restore is the one way to an earlier cycle or a fork: a new simulation
+// of the machine's Program on its architecture (core.Fresh: one page
+// table copy, nothing assembled again) given from's state, then replayed
+// to cycle target with debug state cleared, so the replay never pauses
+// and, with no tracer attached, emits nothing. A start from cycle 0 runs
+// with the machine's current verbosity. Rewinds adopt the result; the
+// time-parallel scout, workers and hashes keep it as a fork.
+func (m *Machine) restore(from snapshot, target uint64) (*core.Simulation, error) {
 	ns, err := m.sim.Fresh()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	r := ckpt.NewReader(bytes.NewReader(m.snaps[i].data))
-	ns.DecodeState(r)
-	if err := r.Err(); err != nil {
-		return err
+	if from.data != nil {
+		r := ckpt.NewReader(bytes.NewReader(from.data))
+		ns.DecodeState(r)
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+	}
+	if from.cycle == 0 {
+		ns.VerboseLog = m.sim.VerboseLog
 	}
 	ns.ClearDebugState()
 	if target > ns.Cycle() {
 		ns.Run(target - ns.Cycle())
 	}
+	return ns, nil
+}
+
+// adopt makes ns the machine's simulation. Debug state, verbosity and
+// the tracer carry over from the one it replaces; retained snapshots
+// stay, since determinism keeps them valid for scrubbing forward again.
+func (m *Machine) adopt(ns *core.Simulation) {
 	ns.SyncDebugState(m.sim)
 	ns.SetTracer(m.sim.Tracer())
 	m.sim = ns
-	// Retained snapshots stay — determinism keeps them valid for
-	// scrubbing forward again.
-	return nil
 }

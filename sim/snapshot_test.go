@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -142,7 +143,7 @@ func TestSnapshotConfigKnob(t *testing.T) {
 
 // TestSnapshotRewindKeepsDebugState: breakpoints added after a snapshot
 // survive a snapshot-accelerated rewind, and the catch-up replay itself
-// never pauses (ReplayTo's contract).
+// never pauses (the one restore's contract).
 func TestSnapshotRewindKeepsDebugState(t *testing.T) {
 	m, err := NewFromAsm(DefaultConfig(), snapshotLoop, "")
 	if err != nil {
@@ -164,5 +165,319 @@ func TestSnapshotRewindKeepsDebugState(t *testing.T) {
 	}
 	if !m.RunToBreak(1_000) {
 		t.Error("breakpoint did not trigger after snapshot rewind")
+	}
+}
+
+// TestBackwardSimulationMatchesForward: a backward step lands on the
+// machine a forward run to the same cycle reaches (the paper's
+// determinism argument, §III-B), with snapshots off so the re-run starts
+// from cycle 0.
+func TestBackwardSimulationMatchesForward(t *testing.T) {
+	const src = `
+li t0, 0
+li t1, 1
+li t2, 30
+loop:
+  add t0, t0, t1
+  addi t1, t1, 1
+  bne t1, t2, loop
+`
+	back, err := NewFromAsm(DefaultConfig(), src, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	back.StepN(40)
+	if err := back.StepBack(); err != nil {
+		t.Fatal(err)
+	}
+	fwd, err := NewFromAsm(DefaultConfig(), src, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd.StepN(39)
+	if back.Cycle() != 39 || fwd.Cycle() != 39 {
+		t.Fatalf("cycles: back=%d fwd=%d", back.Cycle(), fwd.Cycle())
+	}
+	if bh, fh := back.StateHash(), fwd.StateHash(); bh != fh {
+		t.Errorf("state after StepBack %016x, forward run %016x", bh, fh)
+	}
+	br, fr := back.Report(), fwd.Report()
+	if br.Committed != fr.Committed || br.ROBFlushes != fr.ROBFlushes || br.Fetched != fr.Fetched {
+		t.Errorf("reports differ: back=%+v fwd=%+v", br, fr)
+	}
+}
+
+// TestBackwardAtCycleZeroFails: there is nothing before cycle 0, also
+// after a rewind has landed there.
+func TestBackwardAtCycleZeroFails(t *testing.T) {
+	m, err := NewFromAsm(DefaultConfig(), "nop\nnop\n", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.StepBack(); err == nil {
+		t.Error("StepBack at cycle 0 should fail")
+	}
+	m.StepN(2)
+	if err := m.GotoCycle(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.StepBack(); err == nil || m.Cycle() != 0 {
+		t.Errorf("StepBack after rewinding to cycle 0: err %v, cycle %d", err, m.Cycle())
+	}
+}
+
+// TestBreakpointsSurviveBackwardStep: a backward step from a breakpoint
+// pause keeps the breakpoint, and the rewound machine re-triggers it.
+func TestBreakpointsSurviveBackwardStep(t *testing.T) {
+	m, err := NewFromAsm(DefaultConfig(), `
+li t0, 0
+li t1, 8
+loop:
+  addi t0, t0, 1
+  bne t0, t1, loop
+`, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddBreakpoint(2); err != nil {
+		t.Fatal(err)
+	}
+	if !m.RunToBreak(100_000) {
+		t.Fatal("should pause")
+	}
+	if err := m.StepBack(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Paused() {
+		t.Error("the replay to the previous cycle paused")
+	}
+	if got := m.Sim().Breakpoints(); len(got) != 1 || got[0] != 2 {
+		t.Errorf("breakpoints after backward step = %v, want [2]", got)
+	}
+	if !m.RunToBreak(100_000) && !m.Halted() {
+		t.Error("rewound machine stuck")
+	}
+}
+
+// rv32mReplaySrc exercises RV32M corner cases (overflowing division,
+// high products of mixed signs) so a replay in another engine than the
+// run's would land elsewhere.
+const rv32mReplaySrc = `
+  li t0, -2147483648
+  li t1, -1
+  li t2, 1
+  li t3, 7
+  li a1, 0
+loop:
+  div a2, t0, t1
+  rem a3, t0, t1
+  divu a4, t3, t2
+  remu a5, t3, t2
+  mulh a6, t0, t1
+  mulhsu a7, t0, t3
+  add a1, a1, a2
+  add a1, a1, a6
+  addi t3, t3, 3
+  addi t2, t2, 1
+  li t4, 40
+  bne t2, t4, loop
+`
+
+// TestReplayKeepsEngineMode: a rewind replays in the engine that
+// produced the run, from cycle 0 and from a snapshot alike, and lands
+// where a forward run in that engine does.
+func TestReplayKeepsEngineMode(t *testing.T) {
+	for _, interval := range []uint64{0, 64} {
+		m, err := NewFromAsm(DefaultConfig(), rv32mReplaySrc, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if interval > 0 {
+			m.EnableSnapshots(interval)
+		}
+		m.SetEngineMode(EngineInterpreter)
+		m.Run(1_000)
+		fwd, err := NewFromAsm(DefaultConfig(), rv32mReplaySrc, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fwd.SetEngineMode(EngineInterpreter)
+		for _, target := range []uint64{150, 9} {
+			if err := m.GotoCycle(target); err != nil {
+				t.Fatal(err)
+			}
+			if m.EngineMode() != EngineInterpreter {
+				t.Errorf("interval %d: rewind to %d dropped the engine mode: %v", interval, target, m.EngineMode())
+			}
+			other, err := NewFromAsm(DefaultConfig(), rv32mReplaySrc, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			other.SetEngineMode(EngineInterpreter)
+			other.StepN(target)
+			if m.StateHash() != other.StateHash() {
+				t.Errorf("interval %d: rewind to %d differs from a forward run", interval, target)
+			}
+		}
+		fwd.Run(1_000)
+		if err := m.GotoCycle(fwd.Cycle()); err != nil {
+			t.Fatal(err)
+		}
+		if m.StateHash() != fwd.StateHash() {
+			t.Errorf("interval %d: re-run after rewinds ends elsewhere", interval)
+		}
+	}
+}
+
+// cycleZeroWriteSrc reads a word written before the first cycle both
+// early and late in the run, so a rewind that loses the write changes a0.
+const cycleZeroWriteSrc = `
+  la t0, data
+  lw a0, 0(t0)
+  li t1, 0
+  li t2, 1500
+loop:
+  addi t1, t1, 1
+  bne t1, t2, loop
+  lw t3, 4(t0)
+  add a0, a0, t3
+  add a0, a0, s1
+.data
+data: .word 0, 0
+`
+
+// newCycleZeroWriter builds cycleZeroWriteSrc with data = {5, 7} and
+// s1 = 100 written before the first cycle.
+func newCycleZeroWriter(t *testing.T, interval uint64) *Machine {
+	t.Helper()
+	m, err := NewFromAsm(DefaultConfig(), cycleZeroWriteSrc, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if interval > 0 {
+		m.EnableSnapshots(interval)
+	}
+	addr, _, _ := m.LookupLabel("data")
+	if err := m.WriteMemory(addr, []byte{5, 0, 0, 0, 7, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetIntReg("s1", 100); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestRewindKeepsCycleZeroWrites: memory and registers written before
+// the first cycle are part of the machine's own cycle 0, so a rewind
+// below the first snapshot — or with snapshots off — re-runs on them.
+// A machine with no such write keeps the Program's pristine start as its
+// floor and encodes nothing for it.
+func TestRewindKeepsCycleZeroWrites(t *testing.T) {
+	for _, interval := range []uint64{0, 1024} {
+		m := newCycleZeroWriter(t, interval)
+		m.Run(2_000)
+		ref := newCycleZeroWriter(t, interval)
+		ref.StepN(m.Cycle() - 1)
+		if err := m.StepBack(); err != nil {
+			t.Fatal(err)
+		}
+		if m.StateHash() != ref.StateHash() {
+			t.Errorf("interval %d: StepBack from the last cycle differs from a forward run", interval)
+		}
+		if err := m.GotoCycle(200); err != nil {
+			t.Fatal(err)
+		}
+		ref = newCycleZeroWriter(t, interval)
+		ref.StepN(200)
+		if m.StateHash() != ref.StateHash() {
+			t.Errorf("interval %d: rewind to cycle 200 differs from a forward run", interval)
+		}
+		m.Run(1_000_000)
+		if a0, _ := m.IntReg("a0"); !m.Halted() || a0 != 112 {
+			t.Errorf("interval %d: re-run after rewinding: halted %v, a0 = %d, want 112", interval, m.Halted(), a0)
+		}
+		if m.snaps.floor.data == nil {
+			t.Errorf("interval %d: floor is the Program's image despite writes at cycle 0", interval)
+		}
+	}
+
+	plain, err := NewFromAsm(DefaultConfig(), cycleZeroWriteSrc, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain.Run(100)
+	if err := plain.StepBack(); err != nil {
+		t.Fatal(err)
+	}
+	if plain.snaps.floor.data != nil {
+		t.Error("a machine with no write at cycle 0 encoded its floor")
+	}
+}
+
+// TestRewindKeepsRewrittenCycleZero: cycle 0 is the machine's own also
+// when it is rewritten after a rewind there, or arrives in a checkpoint
+// taken at cycle 0. Snapshots taken from the cycle 0 it replaced go.
+func TestRewindKeepsRewrittenCycleZero(t *testing.T) {
+	m := newCycleZeroWriter(t, 256)
+	m.Run(1_000)
+	if err := m.GotoCycle(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetIntReg("s1", 200); err != nil {
+		t.Fatal(err)
+	}
+	m.Run(1_000)
+	if err := m.GotoCycle(600); err != nil {
+		t.Fatal(err)
+	}
+	m.Run(1_000_000)
+	if a0, _ := m.IntReg("a0"); a0 != 212 {
+		t.Errorf("rewritten cycle 0: a0 = %d, want 212", a0)
+	}
+
+	var buf bytes.Buffer
+	if err := newCycleZeroWriter(t, 0).Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Run(300)
+	if err := r.GotoCycle(100); err != nil {
+		t.Fatal(err)
+	}
+	r.Run(1_000_000)
+	if a0, _ := r.IntReg("a0"); a0 != 112 {
+		t.Errorf("checkpoint taken at cycle 0: a0 = %d, want 112", a0)
+	}
+}
+
+// TestSnapList: one thinning rule (keep every second capture, double the
+// spacing) and one search on either axis, with the floor below both.
+func TestSnapList(t *testing.T) {
+	l := snapList{spacing: 10, bound: 4}
+	for i := uint64(1); i <= 5; i++ {
+		l.add(snapshot{cycle: 10 * i, committed: 3 * i, data: []byte{byte(i)}})
+	}
+	var cycles []uint64
+	for _, s := range l.above {
+		cycles = append(cycles, s.cycle)
+	}
+	if len(cycles) != 2 || cycles[0] != 20 || cycles[1] != 40 || l.spacing != 20 {
+		t.Fatalf("after thinning: cycles %v spacing %d, want [20 40] 20", cycles, l.spacing)
+	}
+	if got := l.latest(39, byCycle); got.cycle != 20 {
+		t.Errorf("latest at or below cycle 39 = %d, want 20", got.cycle)
+	}
+	if got := l.latest(12, byCommitted); got.cycle != 40 {
+		t.Errorf("latest at or below committed 12 = cycle %d, want 40", got.cycle)
+	}
+	if got := l.latest(5, byCommitted); got.data != nil || got.cycle != 0 {
+		t.Errorf("below every capture: %+v, want the floor", got)
+	}
+	l.dropBelow(30)
+	if len(l.above) != 1 || l.latest(25, byCycle).cycle != 0 {
+		t.Errorf("dropBelow(30) kept %d captures", len(l.above))
 	}
 }

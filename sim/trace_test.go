@@ -205,3 +205,32 @@ skip:
 			last.Cycle, m.Cycle())
 	}
 }
+
+// TestTraceReplayDoesNotReEmit: a backward step replays silently, and
+// the tracer stays attached for the cycles run after it.
+func TestTraceReplayDoesNotReEmit(t *testing.T) {
+	m, err := NewFromAsm(DefaultConfig(), traceTestProgram, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := NewTraceRing(1<<14, NoTraceFilter())
+	m.SetTracer(ring)
+	m.Run(8)
+	before := ring.Total()
+	if before == 0 {
+		t.Fatal("no events in the first 8 cycles")
+	}
+	if err := m.StepBack(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ring.Total(); got != before {
+		t.Errorf("rewind re-emitted events: total %d -> %d", before, got)
+	}
+	if m.Tracer() == nil {
+		t.Fatal("tracer did not carry over to the replayed simulation")
+	}
+	m.Step()
+	if got := ring.Total(); got <= before {
+		t.Error("forward stepping after a rewind emitted no events")
+	}
+}
