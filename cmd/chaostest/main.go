@@ -4,7 +4,8 @@
 // fault-injecting checkpoint store behind the real router — drives a
 // seed-derived sequence of create/step/checkpoint/kill/revive
 // operations through it with faults firing on the store and network
-// paths, then checks the tier's invariants with faults off:
+// paths at chaos.DefaultFaults' rates (each of the seven fault classes at
+// 5%), then checks the tier's invariants with faults off:
 //
 //   - an acked durable checkpoint is never lost (the session stays
 //     reachable at or past the acked cycle),
@@ -43,13 +44,6 @@ func main() {
 		storeDir  = flag.String("store-dir", "", "back the shared store with this directory (empty = in-memory)")
 		minimize  = flag.Bool("minimize", true, "shrink a failing schedule to its shortest failing prefix")
 		dropAcked = flag.Bool("drop-acked-puts", false, "plant the acked-checkpoint-loss bug in the store (harness self-test: the campaign MUST fail)")
-		putErr    = flag.Float64("store-put-err", 0.05, "store write failure probability")
-		getErr    = flag.Float64("store-get-err", 0.05, "store read failure probability")
-		corrupt   = flag.Float64("store-corrupt", 0.05, "transient corrupt/torn store read probability")
-		storeLat  = flag.Float64("store-latency", 0.05, "store latency spike probability")
-		netDrop   = flag.Float64("net-drop", 0.05, "replica connection drop probability")
-		netTorn   = flag.Float64("net-torn", 0.05, "torn (mid-body cut) response probability")
-		netSlow   = flag.Float64("net-slow", 0.05, "slow replica response probability")
 		reproOut  = flag.String("repro-out", "", "append failing reproducer command lines to this file (CI artifact)")
 		verbose   = flag.Bool("v", false, "per-schedule result lines")
 	)
@@ -64,19 +58,10 @@ func main() {
 	failures := 0
 	for i := 0; i < *schedules; i++ {
 		seed := seeds.Derive(*baseSeed, i)
-		cfg := chaos.Config{
-			Seed:          seed,
-			StorePutErr:   *putErr,
-			StoreGetErr:   *getErr,
-			StoreCorrupt:  *corrupt,
-			StoreLatency:  *storeLat,
-			NetDrop:       *netDrop,
-			NetTorn:       *netTorn,
-			NetSlow:       *netSlow,
-			DropAckedPuts: *dropAcked,
-			Replicas:      *replicas,
-			StoreDir:      scopedDir(*storeDir, i),
-		}
+		cfg := chaos.DefaultFaults(seed)
+		cfg.DropAckedPuts = *dropAcked
+		cfg.Replicas = *replicas
+		cfg.StoreDir = scopedDir(*storeDir, i)
 		sched := chaos.BuildSchedule(seed, *ops, *sessions, replicaNames)
 		res, err := chaos.Run(cfg, sched)
 		if err != nil {

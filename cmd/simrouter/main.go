@@ -6,7 +6,14 @@
 // write-through checkpoint.
 //
 // Replicas must run with -assigned-ids and share a -spill-dir (or
-// equivalent store volume) with -write-through for failover to work.
+// equivalent store volume) for failover to work: -assigned-ids with a
+// store turns on write-through.
+//
+// The retry and breaker policy is fixed: at most 3 re-forwards per
+// request after a dial failure, drawn from a retry budget of 10 tokens
+// that every successful forward refills by 0.1; a replica's breaker trips
+// after 3 consecutive failures and half-opens after 2 × -health-interval.
+// Buffered request bodies are bounded at 4 MiB, the replicas' own limit.
 package main
 
 import (
@@ -26,12 +33,7 @@ func main() {
 			"comma-separated replica list, name=url pairs (sim1=http://sim1:8042,...); bare URLs take their host as the ring name")
 		healthInterval = flag.Duration("health-interval", time.Second, "replica health probe spacing")
 		healthTimeout  = flag.Duration("health-timeout", 500*time.Millisecond, "one health probe's budget")
-		retries        = flag.Int("retries", 3, "re-forward attempts after a replica failure")
 		retryBackoff   = flag.Duration("retry-backoff", 100*time.Millisecond, "base of the jittered exponential backoff between re-forward attempts")
-		retryBudget    = flag.Float64("retry-budget", 10, "aggregate retry token bucket: each retry spends one token, successful forwards earn retry-budget-ratio back; empty bucket = fail fast")
-		budgetRatio    = flag.Float64("retry-budget-ratio", 0.1, "retry tokens earned per successful forward")
-		breakerTrips   = flag.Int("breaker-threshold", 3, "consecutive forward failures that trip a replica's circuit breaker")
-		breakerCool    = flag.Duration("breaker-cooldown", 0, "how long a tripped breaker stays open before half-opening (0 = 2x health-interval)")
 		requestTimeout = flag.Duration("request-timeout", 0, "end-to-end deadline per forwarded request, streaming endpoints exempt (0 = none)")
 		debug          = flag.Bool("debug", false, "log routing decisions, health transitions and migrations")
 	)
@@ -42,17 +44,12 @@ func main() {
 		log.Fatalf("-replicas: %v", err)
 	}
 	rt, err := router.New(router.Options{
-		Replicas:         reps,
-		HealthInterval:   *healthInterval,
-		HealthTimeout:    *healthTimeout,
-		Retries:          *retries,
-		RetryBackoff:     *retryBackoff,
-		RetryBudget:      *retryBudget,
-		RetryBudgetRatio: *budgetRatio,
-		BreakerThreshold: *breakerTrips,
-		BreakerCooldown:  *breakerCool,
-		RequestTimeout:   *requestTimeout,
-		Debug:            *debug,
+		Replicas:       reps,
+		HealthInterval: *healthInterval,
+		HealthTimeout:  *healthTimeout,
+		RetryBackoff:   *retryBackoff,
+		RequestTimeout: *requestTimeout,
+		Debug:          *debug,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -2,6 +2,13 @@
 // container, serving the JSON API that both the web client and the CLI
 // consume (§III-D). TLS termination belongs to a front proxy (the paper
 // uses nginx), so this binary speaks plain HTTP.
+//
+// Session lifetimes are fixed: a session idle for 15 minutes is evicted
+// (spilled to -spill-dir when there is one), a spilled checkpoint older
+// than 24 hours is garbage-collected, and a request body may be at most
+// 4 MiB. With -assigned-ids and a spill directory, every explicit
+// checkpoint is also written through to the store, so replicas sharing
+// it can fail over (docs/deployment.md).
 package main
 
 import (
@@ -25,12 +32,9 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8042", "listen address")
 		maxSessions = flag.Int("max-sessions", 256, "interactive session cap (LRU eviction beyond it)")
-		sessionTTL  = flag.Duration("session-ttl", 15*time.Minute, "evict sessions idle longer than this (negative = never)")
 		spillDir    = flag.String("spill-dir", "auto",
 			"checkpoint evicted sessions into this directory and rehydrate them on the next touch; \"auto\" scopes a temp directory to -addr so instances don't share session namespaces (empty = evictions lose sessions)")
-		spillTTL     = flag.Duration("spill-ttl", 24*time.Hour, "garbage-collect spilled checkpoints older than this (negative = keep forever)")
-		writeThrough = flag.Bool("write-through", false, "persist explicit checkpoints to the spill store (distributed tier: the store becomes the session's authority, so replicas sharing -spill-dir can fail over)")
-		assignedIDs  = flag.Bool("assigned-ids", false, "accept router-assigned session IDs via the "+"X-Riscvsim-Session-Id"+" header on create/restore (required behind simrouter)")
+		assignedIDs  = flag.Bool("assigned-ids", false, "accept router-assigned session IDs via the "+"X-Riscvsim-Session-Id"+" header on create/restore, and write explicit checkpoints through to the spill store (required behind simrouter: replicas sharing -spill-dir can then fail over)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "on SIGINT/SIGTERM, wait up to this long for in-flight requests before spilling sessions")
 		debug        = flag.Bool("debug", false, "debug-level logging (session spill/eviction events)")
 		noGzip       = flag.Bool("no-gzip", false, "disable response compression")
@@ -63,11 +67,8 @@ func main() {
 
 	srv := server.New(server.Options{
 		MaxSessions:      *maxSessions,
-		SessionTTL:       *sessionTTL,
 		DisableGzip:      *noGzip,
 		Store:            spill,
-		SpillTTL:         *spillTTL,
-		WriteThrough:     *writeThrough,
 		AllowAssignedIDs: *assignedIDs,
 		MaxInFlight:      *maxInFlight,
 		MaxQueue:         *maxQueue,

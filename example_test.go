@@ -105,7 +105,16 @@ func Example_quickstart() {
 func Example_quicksort() {
 	fmt.Println("quicksort in C, compiled by the built-in compiler:")
 	for opt := 0; opt <= 3; opt++ {
-		m, err := sim.NewFromC(sim.DefaultConfig(), quicksortC, opt)
+		res, err := sim.CompileC(quicksortC, opt)
+		if err != nil {
+			panic(fmt.Sprintf("-O%d: %v", opt, err))
+		}
+		cfg := sim.DefaultConfig()
+		prog, err := sim.Assemble(res.Assembly, cfg.Memory)
+		if err != nil {
+			panic(fmt.Sprintf("-O%d: %v", opt, err))
+		}
+		m, err := prog.NewMachine(cfg, "")
 		if err != nil {
 			panic(fmt.Sprintf("-O%d: %v", opt, err))
 		}

@@ -17,8 +17,7 @@ const (
 	// CodeBadRequest: the request parsed but is semantically invalid
 	// (missing fields, out-of-range values).
 	CodeBadRequest = "bad_request"
-	// CodeBodyTooLarge: the request body exceeds the server's
-	// MaxBodyBytes limit.
+	// CodeBodyTooLarge: the request body exceeds MaxBodyBytes.
 	CodeBodyTooLarge = "body_too_large"
 	// CodeUnknownPreset: SimulateRequest.Preset names no known preset.
 	CodeUnknownPreset = "unknown_preset"

@@ -19,6 +19,11 @@ import (
 // V1Prefix is the path prefix of the versioned API.
 const V1Prefix = "/api/v1"
 
+// MaxBodyBytes bounds every request body (4 MiB): a server answers a
+// longer one with 413 body_too_large, and the router, which buffers
+// bodies to retry them, holds them to the same limit.
+const MaxBodyBytes = 4 << 20
+
 // MemFill populates a labelled allocation before simulation, mirroring the
 // Memory Settings window (user values, repeated constants or random
 // values; paper §II-C).

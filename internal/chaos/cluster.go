@@ -98,7 +98,6 @@ func (c *Cluster) startReplica(name string, ln net.Listener) *httptest.Server {
 	srv := server.New(server.Options{
 		MaxSessions:      256,
 		Store:            c.Store,
-		WriteThrough:     true,
 		AllowAssignedIDs: true,
 		MaxInFlight:      c.cfg.MaxInFlight,
 		MaxQueue:         c.cfg.MaxQueue,

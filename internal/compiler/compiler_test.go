@@ -591,6 +591,15 @@ func TestFoldKeepsSideEffects(t *testing.T) {
 	}
 }
 
+// TestFloatFoldRoundsToFloat32: a folded float expression takes the value
+// the run computes, each operation rounded to float32, not the exact
+// float64 one (1e8 + 1 is 1e8 in float32).
+func TestFloatFoldRoundsToFloat32(t *testing.T) {
+	checkAllOpts(t, "int main(){ float a = 100000000.0f + 1.0f - 100000000.0f; return (int)a; }", 0)
+	checkAllOpts(t, "int main(){ float a = -(16777216.0f + 1.0f); return (int)(a + 16777216.0f); }", 0)
+	checkAllOpts(t, "int main(){ float a = (float)16777217; return (int)(a - 16777216.0f); }", 0)
+}
+
 func TestStrengthReduction(t *testing.T) {
 	src := `
 int a[16];

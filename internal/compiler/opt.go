@@ -75,9 +75,7 @@ func foldExpr(e *Expr) {
 				replaceInt(e, int64(^int32(e.L.Int)))
 			}
 		} else if e.L.Kind == EFloatLit && e.Op == "-" {
-			flt := -e.L.Flt
-			ty := e.Type
-			*e = Expr{Kind: EFloatLit, Flt: flt, Type: ty, Line: e.Line, Col: e.Col}
+			replaceFloat(e, -e.L.Flt)
 		}
 	case ECast:
 		// Fold numeric casts of literals.
@@ -91,18 +89,11 @@ func foldExpr(e *Expr) {
 			}
 			replaceInt(e, v)
 		} else if e.L.Kind == EIntLit && e.Cast.IsFloat() {
-			f := float64(e.L.Int)
-			ty := e.Type
-			*e = Expr{Kind: EFloatLit, Flt: f, Type: ty, Line: e.Line, Col: e.Col}
+			replaceFloat(e, float64(e.L.Int))
 		} else if e.L.Kind == EFloatLit && e.Cast.IsInteger() {
 			replaceInt(e, int64(int32(e.L.Flt)))
 		} else if e.L.Kind == EFloatLit && e.Cast.IsFloat() {
-			f := e.L.Flt
-			if e.Cast.Kind == TyFloat {
-				f = float64(float32(f))
-			}
-			ty := e.Type
-			*e = Expr{Kind: EFloatLit, Flt: f, Type: ty, Line: e.Line, Col: e.Col}
+			replaceFloat(e, e.L.Flt)
 		}
 	}
 }
@@ -110,6 +101,17 @@ func foldExpr(e *Expr) {
 func replaceInt(e *Expr, v int64) {
 	ty := e.Type
 	*e = Expr{Kind: EIntLit, Int: int64(int32(v)), Type: ty, Line: e.Line, Col: e.Col}
+}
+
+// replaceFloat rewrites e as the literal v, rounded to float32 when e is
+// float-typed: a fold computes what the run would, one rounding per
+// operation, so -O1 and up agree with -O0.
+func replaceFloat(e *Expr, v float64) {
+	ty := e.Type
+	if ty != nil && ty.Kind == TyFloat {
+		v = float64(float32(v))
+	}
+	*e = Expr{Kind: EFloatLit, Flt: v, Type: ty, Line: e.Line, Col: e.Col}
 }
 
 func boolToInt(b bool) int64 {
@@ -207,8 +209,7 @@ func foldBinary(e *Expr) {
 		default:
 			return
 		}
-		ty := e.Type
-		*e = Expr{Kind: EFloatLit, Flt: v, Type: ty, Line: e.Line, Col: e.Col}
+		replaceFloat(e, v)
 		return
 	}
 	// Algebraic identities (integer only; pointer arithmetic excluded).

@@ -61,9 +61,6 @@ func (s *Simulation) AddWatch(addr, size int) error {
 	return nil
 }
 
-// ClearWatches removes all watchpoints.
-func (s *Simulation) ClearWatches() { s.watches = nil }
-
 // Paused reports whether a breakpoint or watchpoint paused the simulation.
 func (s *Simulation) Paused() bool { return s.paused }
 

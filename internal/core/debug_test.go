@@ -137,7 +137,6 @@ func TestWatchValidation(t *testing.T) {
 	if err := sim.AddWatch(0, 4); err != nil {
 		t.Errorf("valid watch rejected: %v", err)
 	}
-	sim.ClearWatches()
 }
 
 func TestPausedStateIsInert(t *testing.T) {

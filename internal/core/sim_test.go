@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 
 	"riscvsim/internal/asm"
@@ -494,7 +495,7 @@ fadd.s f1, f2, f3
 			t.Errorf("text report missing %q", want)
 		}
 	}
-	if _, err := r.JSON(); err != nil {
+	if _, err := json.Marshal(r); err != nil {
 		t.Errorf("JSON export: %v", err)
 	}
 }

@@ -3,6 +3,8 @@ package isa
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 
 	"riscvsim/internal/expr"
 )
@@ -76,28 +78,13 @@ func (s *Set) MarshalJSON() ([]byte, error) {
 	}
 	// Deterministic order: pseudos sorted by registration is not tracked,
 	// so sort by name for stable output.
-	names := make([]string, 0, len(s.pseudos))
-	for n := range s.pseudos {
-		names = append(names, n)
-	}
-	sortStrings(names)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(s.pseudos)) {
 		p := s.pseudos[n]
 		out.Pseudos = append(out.Pseudos, jsonPseudo{
 			Name: p.Name, Operands: p.Operands, Expansion: p.Expansion,
 		})
 	}
 	return json.MarshalIndent(out, "", "  ")
-}
-
-// sortStrings is an insertion sort so the package avoids importing sort for
-// one call site... actually, simplicity wins: delegate.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // LoadSet parses an instruction set from the paper's JSON format. The

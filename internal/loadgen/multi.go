@@ -25,8 +25,8 @@ type Cluster struct {
 	routerTS *httptest.Server
 }
 
-// SpawnCluster builds n in-process replicas (write-through, assigned
-// IDs — the compose services' configuration) over one shared store and
+// SpawnCluster builds n in-process replicas (assigned IDs, and so
+// write-through — the compose services' configuration) over one shared store and
 // fronts them with the router. storeDir == "" keeps checkpoints in
 // memory; otherwise they land in that directory like a compose volume.
 func SpawnCluster(n int, storeDir string) (*Cluster, error) {
@@ -47,7 +47,6 @@ func SpawnCluster(n int, storeDir string) (*Cluster, error) {
 		srv := server.New(server.Options{
 			MaxSessions:      256,
 			Store:            backend,
-			WriteThrough:     true,
 			AllowAssignedIDs: true,
 		})
 		name := fmt.Sprintf("sim%d", i+1)

@@ -19,6 +19,22 @@ import (
 // fast with the same typed node_unavailable the caller would have
 // gotten after futile retries — just sooner and cheaper.
 
+// The fixed retry and breaker policy.
+const (
+	// retries caps re-forwards after a dial failure. Only dial errors
+	// retry: the request never reached the replica, so a retry cannot
+	// double-execute it. Mid-response failures do not.
+	retries = 3
+	// retryBudgetTokens caps the aggregate retry token bucket, and every
+	// successful forward earns retryBudgetRatio tokens back: at most ~10%
+	// of steady-state traffic can be retries.
+	retryBudgetTokens = 10
+	retryBudgetRatio  = 0.1
+	// breakerThreshold is the count of consecutive forward failures that
+	// trips a replica's breaker.
+	breakerThreshold = 3
+)
+
 // breaker states.
 const (
 	breakerClosed   = iota // normal: traffic flows, failures counted
@@ -33,13 +49,12 @@ type breaker struct {
 	failures int       // consecutive forward failures while closed
 	openedAt time.Time // when the breaker last tripped
 
-	threshold int           // consecutive failures that trip it
-	cooldown  time.Duration // open -> half-open delay
-	now       func() time.Time
+	cooldown time.Duration // open -> half-open delay
+	now      func() time.Time
 }
 
-func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	return &breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
+func newBreaker(cooldown time.Duration) *breaker {
+	return &breaker{cooldown: cooldown, now: time.Now}
 }
 
 // allow reports whether traffic may flow to the replica. An open breaker
@@ -71,7 +86,7 @@ func (b *breaker) onSuccess() {
 }
 
 // onFailure books a failed forward: a half-open trial failing re-opens
-// immediately; a closed breaker trips after threshold consecutive
+// immediately; a closed breaker trips after breakerThreshold consecutive
 // failures.
 func (b *breaker) onFailure() {
 	b.mu.Lock()
@@ -82,7 +97,7 @@ func (b *breaker) onFailure() {
 		return
 	}
 	b.failures++
-	if b.state == breakerClosed && b.failures >= b.threshold {
+	if b.state == breakerClosed && b.failures >= breakerThreshold {
 		b.state = breakerOpen
 		b.openedAt = b.now()
 	}
@@ -126,23 +141,20 @@ func (b *breaker) stateName() string {
 }
 
 // retryBudget is the token bucket bounding aggregate retries. Successful
-// forwards earn ratio tokens (capped at max); each retry spends one.
-// The bucket starts full so cold-start and low-traffic retries work.
+// forwards earn retryBudgetRatio tokens (capped at retryBudgetTokens);
+// each retry spends one. The bucket starts full so cold-start and
+// low-traffic retries work.
 type retryBudget struct {
 	mu     sync.Mutex
 	tokens float64
-	max    float64
-	ratio  float64
 }
 
-func newRetryBudget(max, ratio float64) *retryBudget {
-	return &retryBudget{tokens: max, max: max, ratio: ratio}
-}
+func newRetryBudget() *retryBudget { return &retryBudget{tokens: retryBudgetTokens} }
 
 // credit books one successful forward.
 func (b *retryBudget) credit() {
 	b.mu.Lock()
-	b.tokens = math.Min(b.max, b.tokens+b.ratio)
+	b.tokens = math.Min(retryBudgetTokens, b.tokens+retryBudgetRatio)
 	b.mu.Unlock()
 }
 

@@ -113,14 +113,14 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	if r.Body == nil {
 		return nil, true
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.opts.MaxBodyBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, api.MaxBodyBytes+1))
 	if err != nil {
 		writeAPIError(w, http.StatusBadRequest, api.CodeBadRequest, "router: reading body: %v", err)
 		return nil, false
 	}
-	if int64(len(body)) > rt.opts.MaxBodyBytes {
+	if int64(len(body)) > api.MaxBodyBytes {
 		writeAPIError(w, http.StatusRequestEntityTooLarge, api.CodeBodyTooLarge,
-			"request body exceeds %d bytes", rt.opts.MaxBodyBytes)
+			"request body exceeds %d bytes", api.MaxBodyBytes)
 		return nil, false
 	}
 	return body, true
@@ -352,7 +352,7 @@ func sessionID(place api.Placement, r *http.Request, body []byte) (string, *api.
 // whatever the replica answered.
 func (rt *Router) statelessPlan() plan {
 	return plan{
-		attempts:  rt.opts.Retries + 1,
+		attempts:  retries + 1,
 		pick:      func() (*replica, string) { return rt.nextHealthy(), "" },
 		finish:    func(w http.ResponseWriter, _ *replica, rp *reply) bool { rp.relay(w); return false },
 		exhausted: "retries exhausted: %v",
@@ -366,7 +366,7 @@ func (rt *Router) statelessPlan() plan {
 // checkpoint exists.
 func (rt *Router) sessionPlan(id string, ends bool) plan {
 	return plan{
-		attempts: rt.opts.Retries + 1,
+		attempts: retries + 1,
 		pick:     func() (*replica, string) { return rt.owner(id), "" },
 		finish: func(w http.ResponseWriter, target *replica, rp *reply) bool {
 			rt.finishSession(w, id, ends, target, rp)

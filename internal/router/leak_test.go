@@ -42,7 +42,7 @@ func TestRouterForwarderDoesNotLeakGoroutines(t *testing.T) {
 
 	backend := store.NewMem()
 	live := httptest.NewServer(server.New(server.Options{
-		MaxSessions: 16, Store: backend, WriteThrough: true, AllowAssignedIDs: true,
+		MaxSessions: 16, Store: backend, AllowAssignedIDs: true,
 	}).Handler())
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL

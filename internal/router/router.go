@@ -76,7 +76,10 @@ func ParseReplicas(s string) ([]Replica, error) {
 	return out, nil
 }
 
-// Options configures a Router.
+// Options configures a Router. The retry and breaker policy is fixed
+// (the constants in breaker.go; a tripped breaker cools down for 2 ×
+// HealthInterval), and buffered request bodies are bounded by
+// api.MaxBodyBytes, the replicas' own limit.
 type Options struct {
 	Replicas []Replica
 
@@ -84,34 +87,13 @@ type Options struct {
 	HealthInterval time.Duration
 	// HealthTimeout bounds one probe (default 500ms).
 	HealthTimeout time.Duration
-	// Retries caps re-forwards after a dial failure (default 3). Only
-	// dial errors retry: the request never reached the replica, so a
-	// retry cannot double-execute it. Mid-response failures do not.
-	Retries int
 	// RetryBackoff is the base of the jittered exponential retry
 	// backoff (default 100ms, capped at maxBackoff).
 	RetryBackoff time.Duration
-	// RetryBudget caps the aggregate retry token bucket (default 10):
-	// successful forwards earn RetryBudgetRatio tokens each, every retry
-	// spends one, and an empty bucket fails fast instead of amplifying
-	// overload (docs/robustness.md).
-	RetryBudget float64
-	// RetryBudgetRatio is the earn rate per successful forward (default
-	// 0.1: at most ~10% of steady-state traffic can be retries).
-	RetryBudgetRatio float64
-	// BreakerThreshold trips a replica's circuit breaker after this many
-	// consecutive forward failures (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before
-	// half-opening for trial traffic (default 2x HealthInterval).
-	BreakerCooldown time.Duration
 	// RequestTimeout bounds each forwarded request end-to-end (0 = no
 	// deadline). Streaming endpoints (session/stream, session/trace) are
 	// exempt — they pace themselves and end on client disconnect.
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds buffered request bodies (default 4 MiB,
-	// matching the replicas' own limit).
-	MaxBodyBytes int64
 	// Debug enables routing-decision logging.
 	Debug bool
 }
@@ -184,26 +166,8 @@ func New(opts Options) (*Router, error) {
 	if opts.HealthTimeout <= 0 {
 		opts.HealthTimeout = 500 * time.Millisecond
 	}
-	if opts.Retries <= 0 {
-		opts.Retries = 3
-	}
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = 100 * time.Millisecond
-	}
-	if opts.RetryBudget <= 0 {
-		opts.RetryBudget = 10
-	}
-	if opts.RetryBudgetRatio <= 0 {
-		opts.RetryBudgetRatio = 0.1
-	}
-	if opts.BreakerThreshold <= 0 {
-		opts.BreakerThreshold = 3
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = 2 * opts.HealthInterval
-	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 4 << 20
 	}
 	debugf := func(string, ...any) {}
 	if opts.Debug {
@@ -221,12 +185,12 @@ func New(opts Options) (*Router, error) {
 		stop:     make(chan struct{}),
 		debugf:   debugf,
 	}
-	rt.budget = newRetryBudget(opts.RetryBudget, opts.RetryBudgetRatio)
+	rt.budget = newRetryBudget()
 	for _, r := range opts.Replicas {
 		rt.replicas = append(rt.replicas, &replica{
 			name:    r.Name,
 			baseURL: strings.TrimRight(r.URL, "/"),
-			br:      newBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
+			br:      newBreaker(2 * opts.HealthInterval),
 		})
 	}
 	// The URL space is the server's own table; anything else is forwarded

@@ -47,7 +47,6 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 		srv := server.New(server.Options{
 			MaxSessions:      16,
 			Store:            c.backend,
-			WriteThrough:     true,
 			AllowAssignedIDs: true,
 		})
 		tr := &testReplica{name: fmt.Sprintf("sim%d", i+1)}
@@ -64,7 +63,6 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 		Replicas:       reps,
 		HealthInterval: 50 * time.Millisecond,
 		HealthTimeout:  300 * time.Millisecond,
-		Retries:        3,
 		RetryBackoff:   10 * time.Millisecond,
 	})
 	if err != nil {
@@ -298,7 +296,7 @@ func TestRouterMigrationOnRecovery(t *testing.T) {
 	backend := store.NewMem()
 	newReplicaServer := func() http.Handler {
 		return server.New(server.Options{
-			MaxSessions: 16, Store: backend, WriteThrough: true, AllowAssignedIDs: true,
+			MaxSessions: 16, Store: backend, AllowAssignedIDs: true,
 		}).Handler()
 	}
 	live := httptest.NewServer(newReplicaServer())

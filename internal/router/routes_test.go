@@ -97,7 +97,7 @@ func TestEveryRouteThroughRouter(t *testing.T) {
 		t.Run(fmt.Sprintf("gzip=%v", gz), func(t *testing.T) {
 			c := newTestCluster(t, 2)
 			direct := httptest.NewServer(server.New(server.Options{
-				MaxSessions: 16, Store: store.NewMem(), WriteThrough: true, AllowAssignedIDs: true,
+				MaxSessions: 16, Store: store.NewMem(), AllowAssignedIDs: true,
 			}).Handler())
 			defer direct.Close()
 

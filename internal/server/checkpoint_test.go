@@ -397,7 +397,7 @@ func TestRetiredSessionIsMarkedGone(t *testing.T) {
 }
 
 // TestSpillDirGarbageCollection pins the unbounded-growth fix: spilled
-// checkpoints older than SpillTTL are removed at store startup.
+// checkpoints older than the spill TTL are removed at store startup.
 func TestSpillDirGarbageCollection(t *testing.T) {
 	dir := t.TempDir()
 	stale := dir + "/s00000001.v1.ckpt"

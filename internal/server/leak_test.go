@@ -40,12 +40,12 @@ func TestSessionStoreDoesNotLeakGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	srv := New(Options{
-		MaxSessions:  4, // small cap: session churn forces spill/evict cycles
-		Store:        store.NewMem(),
-		WriteThrough: true,
-		MaxInFlight:  2,
-		MaxQueue:     2,
-		QueueTimeout: 100 * time.Millisecond,
+		MaxSessions:      4, // small cap: session churn forces spill/evict cycles
+		Store:            store.NewMem(),
+		AllowAssignedIDs: true, // with a store: write-through
+		MaxInFlight:      2,
+		MaxQueue:         2,
+		QueueTimeout:     100 * time.Millisecond,
 	})
 	ts := httptest.NewServer(srv.Handler())
 

@@ -40,7 +40,7 @@ func TestPhasesPerRoute(t *testing.T) {
 	opts.MaxInFlight = 1
 	opts.QueueTimeout = 5 * time.Millisecond
 	opts.Store = store.NewMem()
-	opts.WriteThrough = true
+	opts.AllowAssignedIDs = true // with a store: write-through
 	srv := New(opts)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

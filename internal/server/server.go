@@ -38,16 +38,13 @@ import (
 	"riscvsim/sim"
 )
 
-// Options configures the server.
+// Options configures the server. Session lifetimes are fixed
+// (sessionTTL, spillTTL), and request bodies are bounded by
+// api.MaxBodyBytes.
 type Options struct {
 	// MaxSessions bounds the interactive session store; the least
 	// recently used session is evicted when a new one would exceed it.
 	MaxSessions int
-	// SessionTTL expires sessions idle longer than this (0 = default;
-	// negative = never expire).
-	SessionTTL time.Duration
-	// MaxBodyBytes bounds request bodies.
-	MaxBodyBytes int64
 	// DisableGzip turns off response compression (for the E3 bench).
 	DisableGzip bool
 	// Store, when set, enables transparent session spill: a session
@@ -58,21 +55,17 @@ type Options struct {
 	// store across replicas. Nil disables spilling; evictions then lose
 	// sessions (counted in the sessions_lost metric).
 	Store store.Store
-	// SpillTTL garbage-collects spilled checkpoints older than this so
-	// abandoned sessions cannot grow the store without bound (0 =
-	// default 24h; negative = keep forever).
-	SpillTTL time.Duration
-	// WriteThrough persists every explicit session checkpoint
-	// (POST /api/v1/session/checkpoint) into the checkpoint store, making
-	// the store the authority for the session's state: any replica
-	// sharing it can rehydrate the session, which is the distributed
-	// tier's failover contract (docs/deployment.md). Requires a store.
-	WriteThrough bool
 	// AllowAssignedIDs accepts a caller-chosen session ID (the
 	// api.SessionIDHeader request header) on session create/restore.
 	// The consistent-hash router assigns IDs so a session's owner
 	// replica is computable before the session exists; direct
 	// deployments leave this off so IDs stay server-generated.
+	//
+	// With a Store it also turns on write-through: every explicit
+	// session checkpoint (POST /api/v1/session/checkpoint) is persisted
+	// into the store, making the store the authority for the session's
+	// state, so any replica sharing it can rehydrate the session. That is
+	// the distributed tier's failover contract (docs/deployment.md).
 	AllowAssignedIDs bool
 	// MaxInFlight caps concurrently executing simulation-bearing
 	// requests (simulate, batch, suite, session create/step/goto/
@@ -97,9 +90,18 @@ type Options struct {
 	Debug bool
 }
 
+// Session lifetimes.
+const (
+	// sessionTTL evicts a session idle longer than this.
+	sessionTTL = 15 * time.Minute
+	// spillTTL garbage-collects stored checkpoints older than this, so
+	// abandoned sessions cannot grow the store without bound.
+	spillTTL = 24 * time.Hour
+)
+
 // DefaultOptions returns production defaults.
 func DefaultOptions() Options {
-	return Options{MaxSessions: 256, MaxBodyBytes: 4 << 20, SessionTTL: 15 * time.Minute}
+	return Options{MaxSessions: 256}
 }
 
 // Server is the simulation server.
@@ -122,23 +124,6 @@ func New(opts Options) *Server {
 	if opts.MaxSessions <= 0 {
 		opts.MaxSessions = 256
 	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 4 << 20
-	}
-	if opts.SessionTTL == 0 {
-		opts.SessionTTL = 15 * time.Minute
-	}
-	ttl := opts.SessionTTL
-	if ttl < 0 {
-		ttl = 0 // sentinel: never expire
-	}
-	if opts.SpillTTL == 0 {
-		opts.SpillTTL = 24 * time.Hour
-	}
-	spillTTL := opts.SpillTTL
-	if spillTTL < 0 {
-		spillTTL = 0 // sentinel: never GC
-	}
 	var debugf func(string, ...any)
 	if opts.Debug {
 		debugf = func(format string, args ...any) {
@@ -152,7 +137,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:     opts,
 		mux:      http.NewServeMux(),
-		store:    newSessionStore(opts.MaxSessions, ttl, opts.Store, spillTTL, opts.WriteThrough, debugf),
+		store:    newSessionStore(opts.MaxSessions, sessionTTL, opts.Store, spillTTL, opts.AllowAssignedIDs, debugf),
 		adm:      newAdmission(opts.MaxInFlight, maxQueue, opts.QueueTimeout),
 		programs: newProgramCache(programCacheBudget),
 	}
@@ -464,15 +449,16 @@ func (s *Server) runMachine(ctx context.Context, m *sim.Machine, n uint64) (uint
 	return total, nil
 }
 
-// decode reads a request body through the codec, enforcing MaxBodyBytes,
+// decode reads a request body through the codec, enforcing
+// api.MaxBodyBytes,
 // and books the decode phase.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) *api.Error {
 	defer timerFrom(r.Context()).begin(phaseDecode).end()
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, api.MaxBodyBytes)
 	if err := api.PooledCodec.Decode(body, into); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			return api.Errorf(api.CodeBodyTooLarge, "request body exceeds %d bytes", s.opts.MaxBodyBytes)
+			return api.Errorf(api.CodeBodyTooLarge, "request body exceeds %d bytes", api.MaxBodyBytes)
 		}
 		return api.Errorf(api.CodeBadJSON, "bad JSON request: %v", err)
 	}
@@ -765,7 +751,7 @@ func (s *Server) handleParseAsm(_ http.ResponseWriter, r *http.Request, req *api
 // handleCheckConfig validates an architecture document. The body is the
 // raw configuration JSON; it flows through the codec layer like every
 // other request, so its parse time lands in the decode phase and
-// MaxBodyBytes applies.
+// api.MaxBodyBytes applies.
 func (s *Server) handleCheckConfig(w http.ResponseWriter, r *http.Request) (any, *api.Error) {
 	var raw json.RawMessage
 	if aerr := s.decode(w, r, &raw); aerr != nil {

@@ -546,7 +546,7 @@ func TestInstructionDescriptionsEndpoint(t *testing.T) {
 }
 
 // TestDeeplyNestedSourceIsAnOrdinaryError: a megabyte of parentheses —
-// under MaxBodyBytes — used to end the process with a stack overflow in
+// under api.MaxBodyBytes — used to end the process with a stack overflow in
 // the C parser (two megabytes did the same in the assembler's operand
 // evaluator), which no recover catches and which the router's retry would
 // have carried to the next replica. Both are diagnostics now: compile

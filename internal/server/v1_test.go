@@ -89,7 +89,7 @@ func TestV1Routing(t *testing.T) {
 // TestErrorEnvelopeCodes exercises one request per failure class and
 // checks the stable code and HTTP status of each.
 func TestErrorEnvelopeCodes(t *testing.T) {
-	srv := New(Options{MaxBodyBytes: 512})
+	srv := New(DefaultOptions())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -112,7 +112,7 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		{name: "mem fill", body: &api.SimulateRequest{Code: tinyProgram,
 			MemFills: []api.MemFill{{Label: "nope", Values: []int64{1}}}},
 			wantCode: api.CodeMemFill, wantStatus: 422},
-		{name: "body too large", body: &api.SimulateRequest{Code: strings.Repeat("nop\n", 1000)},
+		{name: "body too large", body: &api.SimulateRequest{Code: strings.Repeat("nop\n", api.MaxBodyBytes/4)},
 			wantCode: api.CodeBodyTooLarge, wantStatus: 413},
 	}
 	for _, c := range cases {
@@ -426,11 +426,11 @@ func TestCheckConfigThroughCodecLayer(t *testing.T) {
 }
 
 func TestCheckConfigHonoursMaxBodyBytes(t *testing.T) {
-	srv := New(Options{MaxBodyBytes: 64})
+	srv := New(DefaultOptions())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	resp, body := postRaw(t, ts.URL+"/api/v1/checkConfig",
-		`{"pad": "`+strings.Repeat("x", 200)+`"}`)
+		`{"pad": "`+strings.Repeat("x", api.MaxBodyBytes)+`"}`)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("status %d, want 413: %s", resp.StatusCode, body)
 	}

@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -77,11 +76,6 @@ type Report struct {
 	WindowOccup  float64         `json:"windowMeanOccupancy"`
 	WindowStalls uint64          `json:"windowFullStalls"`
 	RenameStalls uint64          `json:"renameFullStalls"`
-}
-
-// JSON serializes the report with indentation.
-func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // FormatText renders the report for terminal output, mirroring the

@@ -56,7 +56,7 @@ func TestFormatTextSections(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	r := sampleReport()
-	data, err := r.JSON()
+	data, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,8 +93,8 @@ loop:
 		t.Errorf("cost text incomplete:\n%s", text)
 	}
 	// Area-only estimation without a run.
-	area := EstimateArea(Wide4Config())
-	if area.TotalKGE <= EstimateArea(ScalarConfig()).TotalKGE {
+	area := EstimateArea(preset(t, "wide4"))
+	if area.TotalKGE <= EstimateArea(preset(t, "scalar")).TotalKGE {
 		t.Error("wide core should cost more than scalar")
 	}
 }
@@ -116,7 +116,7 @@ func TestPipelinedConfigThroughFacade(t *testing.T) {
 	if !got.Units[0].Pipelined {
 		t.Error("Pipelined flag lost in config round trip")
 	}
-	m, err := NewFromC(cfg, "int main() { return 6 * 7; }", 2)
+	m, err := newFromC(cfg, "int main() { return 6 * 7; }", 2)
 	if err != nil {
 		t.Fatal(err)
 	}

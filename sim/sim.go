@@ -90,12 +90,6 @@ func ParseTraceFilter(stages, pcRange string) (TraceFilter, error) {
 // DefaultConfig returns the standard 2-wide superscalar preset.
 func DefaultConfig() *Config { return config.Default() }
 
-// ScalarConfig returns the 1-wide scalar preset.
-func ScalarConfig() *Config { return config.Scalar() }
-
-// Wide4Config returns the aggressive 4-wide preset.
-func Wide4Config() *Config { return config.Wide4() }
-
 // WidthConfig returns a preset with the given fetch/commit width (1, 2, 4
 // or 8).
 func WidthConfig(width int) (*Config, error) { return config.WidthPreset(width) }
@@ -220,21 +214,6 @@ func NewFromAsm(cfg *Config, src, entry string) (*Machine, error) {
 		return nil, err
 	}
 	return p.NewMachine(cfg, entry)
-}
-
-// NewFromC compiles C source at the given optimization level, then
-// assembles and builds a machine starting at main (or the first
-// instruction when no main exists).
-func NewFromC(cfg *Config, csrc string, opt int) (*Machine, error) {
-	res, err := compiler.Compile(csrc, opt)
-	if err != nil {
-		return nil, err
-	}
-	m, err := NewFromAsm(cfg, res.Assembly, "")
-	if err != nil {
-		return nil, fmt.Errorf("sim: assembling compiler output: %w", err)
-	}
-	return m, nil
 }
 
 // Step advances one clock cycle.
@@ -441,8 +420,7 @@ func (m *Machine) Resume() { m.sim.Resume() }
 // RunToBreak runs until a breakpoint/watch pauses, the program halts, or
 // maxCycles elapse. It reports whether the machine is paused at a trigger.
 func (m *Machine) RunToBreak(maxCycles uint64) bool {
-	m.sealFloor()
-	m.sim.Run(maxCycles)
+	m.runForward(maxCycles)
 	return m.sim.Paused()
 }
 

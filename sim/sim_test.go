@@ -28,8 +28,32 @@ addi a0, a0, 2
 	}
 }
 
+// newFromC compiles C source at opt and builds a machine entered at its
+// first instruction, where the code generator puts main.
+func newFromC(cfg *Config, src string, opt int) (*Machine, error) {
+	res, err := CompileC(src, opt)
+	if err != nil {
+		return nil, err
+	}
+	p, err := Assemble(res.Assembly, cfg.Memory)
+	if err != nil {
+		return nil, err
+	}
+	return p.NewMachine(cfg, "")
+}
+
+// preset returns the named architecture preset.
+func preset(t testing.TB, name string) *Config {
+	t.Helper()
+	cfg, ok := Preset(name)
+	if !ok {
+		t.Fatalf("no preset %q", name)
+	}
+	return cfg
+}
+
 func TestCFlow(t *testing.T) {
-	m, err := NewFromC(DefaultConfig(), `
+	m, err := newFromC(DefaultConfig(), `
 int square(int x) { return x * x; }
 int main() { return square(7); }`, 2)
 	if err != nil {
@@ -134,7 +158,7 @@ func TestPresetsAvailable(t *testing.T) {
 }
 
 func TestConfigRoundTripThroughFacade(t *testing.T) {
-	cfg := Wide4Config()
+	cfg := preset(t, "wide4")
 	data, err := cfg.Export()
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +194,7 @@ func TestErrorPaths(t *testing.T) {
 	if _, err := NewFromAsm(DefaultConfig(), "nop\n", "missing"); err == nil {
 		t.Error("bad entry should fail")
 	}
-	if _, err := NewFromC(DefaultConfig(), "int main( {", 0); err == nil {
+	if _, err := newFromC(DefaultConfig(), "int main( {", 0); err == nil {
 		t.Error("bad C should fail")
 	}
 	m, _ := NewFromAsm(DefaultConfig(), "nop\n", "")

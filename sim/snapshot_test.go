@@ -168,6 +168,41 @@ func TestSnapshotRewindKeepsDebugState(t *testing.T) {
 	}
 }
 
+// TestRunToBreakTakesSnapshots: a run to a breakpoint captures interval
+// snapshots as Run does, so a rewind after it starts from the nearest
+// one, not from cycle 0.
+func TestRunToBreakTakesSnapshots(t *testing.T) {
+	run := func(toBreak bool) *Machine {
+		m, err := NewFromAsm(DefaultConfig(), snapshotLoop, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.EnableSnapshots(100)
+		if toBreak {
+			m.RunToBreak(3_000)
+		} else {
+			m.Run(3_000)
+		}
+		return m
+	}
+	ran, broke := run(false), run(true)
+	if broke.Cycle() != ran.Cycle() {
+		t.Fatalf("RunToBreak stopped at cycle %d, Run at %d", broke.Cycle(), ran.Cycle())
+	}
+	if ran.SnapshotCount() == 0 || broke.SnapshotCount() != ran.SnapshotCount() {
+		t.Errorf("snapshots after RunToBreak = %d, after Run = %d", broke.SnapshotCount(), ran.SnapshotCount())
+	}
+	if err := broke.GotoCycle(2_950); err != nil {
+		t.Fatal(err)
+	}
+	if err := ran.GotoCycle(2_950); err != nil {
+		t.Fatal(err)
+	}
+	if broke.StateHash() != ran.StateHash() {
+		t.Error("rewinds after RunToBreak and Run land on different machines")
+	}
+}
+
 // TestBackwardSimulationMatchesForward: a backward step lands on the
 // machine a forward run to the same cycle reaches (the paper's
 // determinism argument, §III-B), with snapshots off so the re-run starts

@@ -29,13 +29,14 @@ func trajectoryConfigs() []struct {
 	}
 	pressure := sim.DefaultConfig()
 	pressure.RenameRegisters = pressure.ROBSize
+	presets := sim.Presets()
 	return []struct {
 		name string
 		cfg  *sim.Config
 	}{
 		{"default", sim.DefaultConfig()},
-		{"scalar", sim.ScalarConfig()},
-		{"wide4", sim.Wide4Config()},
+		{"scalar", presets["scalar"]},
+		{"wide4", presets["wide4"]},
 		{"pipelined", pipelined},
 		{"rename-pressure", pressure},
 	}
