@@ -9,16 +9,20 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"riscvsim/internal/stats"
 )
 
 // TestArchitectureRules holds the repository to its "one X" rules: one
 // clock on the request path, one hop in the router, one statement of the
 // rate formulas, one compressor, one door to the checkpoint store, one
-// integrity check, one LRU and one way back to an earlier cycle. Each rule is an allow-list of the places a name may be
+// integrity check, one LRU, one way back to an earlier cycle and one
+// ledger codec. Each rule is an allow-list of the places a name may be
 // referenced, checked on the syntax of every non-test .go file under the
 // root (bench/ included; testdata and hidden directories skipped). Imports
 // are resolved by path, so an alias or a dot-import does not hide a
@@ -491,11 +495,93 @@ var archRules = []*archRule{
 			{"the one restore", "sim/snapshot.go", "package sim\nfunc (m *Machine) restore() { ns, err := m.sim.Fresh(); _, _ = ns, err }\n", true},
 		},
 	},
+	{
+		// The statistics ledger crosses a checkpoint as one section,
+		// written and read by its own reflective codec (stats.Counters
+		// EncodeState / DecodeState, docs/checkpoint.md); a counter a
+		// component's codec writes by hand is a second copy of the
+		// ledger's layout in the making. In a state codec — an
+		// EncodeState or DecodeState, or any function of a checkpoint.go
+		// — a ledger slot (ledger, stats) is only handed to the
+		// ledger codec, Counters() only encoded, and no ledger field is
+		// selected from a chain.
+		name: "one ledger",
+		fix:  "let the ledger's own codec carry counters (s.Counters().EncodeState / s.ledger.DecodeState)",
+		check: func(c *cursor) (string, bool) {
+			sel, ok := c.node().(*ast.SelectorExpr)
+			if !ok || path.Dir(c.file.path) == "internal/stats" ||
+				path.Base(c.file.path) != "checkpoint.go" && !strings.HasSuffix(c.fn, ".EncodeState") && !strings.HasSuffix(c.fn, ".DecodeState") {
+				return "", false
+			}
+			name := sel.Sel.Name
+			switch {
+			case name == "Counters":
+				return "Counters() read", codecReceiver(c.stack, true, "EncodeState")
+			case slices.Contains(ledgerSlots, name):
+				return "ledger slot " + name + " read", codecReceiver(c.stack, false, "EncodeState", "DecodeState")
+			case ledgerFields[name]:
+				_, local := sel.X.(*ast.Ident)
+				return "ledger field " + name, local
+			}
+			return "", false
+		},
+		plants: []plant{
+			{"grep form", "internal/cache/checkpoint.go", "package cache\nfunc (c *Cache) EncodeState(w *ckpt.Writer) { w.U64(c.stats.Hits) }\n", false},
+			{"helper in a checkpoint file", "internal/core/checkpoint.go", "package core\nfunc encodeLSU(w *ckpt.Writer, l *LSU) { w.U64(l.stats.Loads) }\n", false},
+			{"settled copy read by hand", "internal/core/checkpoint.go", "package core\nfunc (s *Simulation) EncodeState(w *ckpt.Writer) { c := s.Counters(); w.U64(c.Cycles) }\n", false},
+			{"slot of another name", "internal/predictor/predictor.go", "package predictor\nfunc (p *Predictor) DecodeState(r *ckpt.Reader) { p.tally.Correct = r.U64() }\n", false},
+			{"the ledger codec", "internal/core/checkpoint.go", "package core\nfunc (s *Simulation) EncodeState(w *ckpt.Writer) { s.Counters().EncodeState(w); w.Bool(si.Squashed) }\nfunc (s *Simulation) DecodeState(r *ckpt.Reader) { s.ledger.DecodeState(r) }\n", true},
+		},
+	},
 }
 
 func isIdent(e ast.Expr, name string) bool {
 	id, ok := e.(*ast.Ident)
 	return ok && id.Name == name
+}
+
+// ledgerSlots are the names a component gives its slot of the ledger.
+var ledgerSlots = []string{"ledger", "stats"}
+
+// ledgerFields names every field of stats.Counters, at any depth.
+var ledgerFields = func() map[string]bool {
+	names := map[string]bool{}
+	var walk func(t reflect.Type)
+	walk = func(t reflect.Type) {
+		switch t.Kind() {
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				names[t.Field(i).Name] = true
+				walk(t.Field(i).Type)
+			}
+		case reflect.Slice, reflect.Array:
+			walk(t.Elem())
+		}
+	}
+	walk(reflect.TypeOf(stats.Counters{}))
+	return names
+}()
+
+// codecReceiver reports whether the selector at the top of the stack —
+// or, when called, its call — is the receiver of a call to one of
+// methods: s.ledger.DecodeState(r), s.Counters().EncodeState(w).
+func codecReceiver(stack []ast.Node, called bool, methods ...string) bool {
+	i := len(stack) - 1
+	if called {
+		if call, ok := stack[i-1].(*ast.CallExpr); !ok || call.Fun != stack[i] {
+			return false
+		}
+		i--
+	}
+	if i < 2 {
+		return false
+	}
+	sel, ok := stack[i-1].(*ast.SelectorExpr)
+	if !ok || sel.X != stack[i] || !slices.Contains(methods, sel.Sel.Name) {
+		return false
+	}
+	call, ok := stack[i-2].(*ast.CallExpr)
+	return ok && call.Fun == sel
 }
 
 // rateWrite returns the field name a node writes: a selector assigned to

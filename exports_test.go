@@ -184,7 +184,6 @@ var exportAllowList = map[string]string{
 	"internal/cache.ParseWritePolicy":             "paper feature: the settings window's write-policy names; the config document carries the number",
 	"internal/predictor.(Predictor).CounterState": "paper feature: the branch predictor's state display (Fig. 1)",
 	"internal/predictor.StateName":                "paper feature: names a two-bit counter state for that display",
-	"internal/rename.(File).FreeCount":            "paper feature: the rename file's free-register count for the register view",
 	"internal/expr.(Value).Reinterpret":           "paper feature: fmv.x.w / fmv.w.x semantics for user-written instruction expressions",
 
 	// Hooks for tests.

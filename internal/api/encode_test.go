@@ -181,7 +181,7 @@ func TestEncoderWithoutCache(t *testing.T) {
 	_, st := reply("cache on, cycle 500", on)
 	// Write-back allocates on every miss, so each miss that evicted
 	// nothing left one more line valid.
-	cs := on.Sim().Cache().Stats()
+	cs := on.Sim().Counters().Cache
 	if valid := int(cs.Misses - cs.Evictions); valid == 0 || len(st.CacheLines) != valid {
 		t.Fatalf("cycle 500: %d cache lines reported, %d are valid", len(st.CacheLines), valid)
 	}

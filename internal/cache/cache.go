@@ -189,7 +189,8 @@ type Cache struct {
 	backing *memory.Main
 	tick    uint64 // monotonic use counter for LRU/FIFO ordering
 	rng     uint64 // xorshift state for Random replacement (deterministic)
-	stats   Stats
+	// stats is the cache's slot of its simulation's statistics ledger.
+	stats *Stats
 	// views caches what Lines last reported: one entry per valid line, in
 	// set-major order, each with its encoded fragment. Nil until the
 	// first Lines call, so a machine nobody looks at carries none. An
@@ -206,13 +207,13 @@ type Cache struct {
 	lent    bool
 }
 
-// New builds a cache over the given backing memory. The configuration must
-// be valid (see Config.Validate).
-func New(cfg Config, backing *memory.Main) (*Cache, error) {
+// New builds a cache over the given backing memory that counts into st.
+// The configuration must be valid (see Config.Validate).
+func New(cfg Config, backing *memory.Main, st *Stats) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{cfg: cfg, backing: backing, rng: 0x9E3779B97F4A7C15}
+	c := &Cache{cfg: cfg, backing: backing, rng: 0x9E3779B97F4A7C15, stats: st}
 	if cfg.Enabled {
 		c.numSets = cfg.Lines / cfg.Associativity
 		c.lines = make([]line, cfg.Lines)
@@ -239,9 +240,6 @@ func (c *Cache) lineData(si, w int) []byte {
 
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
-
-// Stats returns the collected statistics.
-func (c *Cache) Stats() Stats { return c.stats }
 
 // setIndexAndTag splits an address into its set index and tag.
 func (c *Cache) setIndexAndTag(addr int) (int, int) {

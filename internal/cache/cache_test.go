@@ -14,7 +14,7 @@ func newBacking() *memory.Main {
 func newCache(t *testing.T, cfg Config) (*Cache, *memory.Main) {
 	t.Helper()
 	m := newBacking()
-	c, err := New(cfg, m)
+	c, err := New(cfg, m, new(Stats))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestMissThenHit(t *testing.T) {
 	if rd.Data != 0xCAFEBABE {
 		t.Errorf("read %#x, want 0xCAFEBABE", rd.Data)
 	}
-	st := c.Stats()
+	st := *c.stats
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("stats = %+v, want 1 hit 1 miss", st)
 	}
@@ -145,8 +145,8 @@ func TestEvictionWritesBackDirtyLine(t *testing.T) {
 	if v != 11 {
 		t.Errorf("dirty line not written back on eviction: memory=%d, want 11", v)
 	}
-	if c.Stats().Writebacks != 1 {
-		t.Errorf("writebacks = %d, want 1", c.Stats().Writebacks)
+	if c.stats.Writebacks != 1 {
+		t.Errorf("writebacks = %d, want 1", c.stats.Writebacks)
 	}
 }
 
@@ -197,12 +197,12 @@ func TestRandomReplacementIsDeterministic(t *testing.T) {
 			Replacement: Random, Write: WriteBack, AccessDelay: 1, ReplacementDelay: 2,
 		}
 		m := newBacking()
-		c, _ := New(cfg, m)
+		c, _ := New(cfg, m, new(Stats))
 		var hits []uint64
 		for i := 0; i < 50; i++ {
 			addr := (i * 37 % 16) * 16
 			c.Access(&memory.Transaction{Addr: addr, Size: 4}, uint64(i))
-			hits = append(hits, c.Stats().Hits)
+			hits = append(hits, c.stats.Hits)
 		}
 		return hits
 	}
@@ -227,7 +227,7 @@ func TestLineCrossingAccess(t *testing.T) {
 
 func TestDisabledCachePassesThrough(t *testing.T) {
 	m := newBacking()
-	c, err := New(Config{Enabled: false}, m)
+	c, err := New(Config{Enabled: false}, m, new(Stats))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestPropertyCacheCoherentWithItself(t *testing.T) {
 		c, err := New(Config{
 			Enabled: true, Lines: 8, LineSize: 16, Associativity: assoc,
 			Replacement: pol, Write: WriteBack, AccessDelay: 1, ReplacementDelay: 3,
-		}, m)
+		}, m, new(Stats))
 		if err != nil {
 			return false
 		}
@@ -319,7 +319,7 @@ func TestPropertyCacheCoherentWithItself(t *testing.T) {
 func TestPropertyFlushMakesMemoryCoherent(t *testing.T) {
 	f := func(addrs []uint16, val uint32) bool {
 		m := newBacking()
-		c, _ := New(smallCfgQuick(), m)
+		c, _ := New(smallCfgQuick(), m, new(Stats))
 		shadow := map[int]uint32{}
 		for i, a := range addrs {
 			addr := (int(a) % (64*1024 - 4)) &^ 3

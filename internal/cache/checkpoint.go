@@ -3,20 +3,14 @@ package cache
 import "riscvsim/internal/ckpt"
 
 // EncodeState writes the cache's dynamic state: the replacement clocks,
-// the deterministic RNG, the statistics and every valid line with its
-// buffered data (dirty write-back lines hold data newer than memory, so
-// they are part of the machine state, not a derivable optimization).
+// the deterministic RNG and every valid line with its buffered data
+// (dirty write-back lines hold data newer than memory, so they are part
+// of the machine state, not a derivable optimization).
 func (c *Cache) EncodeState(w *ckpt.Writer) {
 	w.Section(ckpt.SecCache)
 	w.Bool(c.cfg.Enabled)
 	w.U64(c.tick)
 	w.U64(c.rng)
-	w.U64(c.stats.Accesses)
-	w.U64(c.stats.Hits)
-	w.U64(c.stats.Misses)
-	w.U64(c.stats.Evictions)
-	w.U64(c.stats.Writebacks)
-	w.U64(c.stats.BytesWritten)
 	if !c.cfg.Enabled {
 		return
 	}
@@ -47,12 +41,6 @@ func (c *Cache) DecodeState(r *ckpt.Reader) {
 	}
 	c.tick = r.U64()
 	c.rng = r.U64()
-	c.stats.Accesses = r.U64()
-	c.stats.Hits = r.U64()
-	c.stats.Misses = r.U64()
-	c.stats.Evictions = r.U64()
-	c.stats.Writebacks = r.U64()
-	c.stats.BytesWritten = r.U64()
 	if !enabled || r.Err() != nil {
 		return
 	}

@@ -87,8 +87,8 @@ type CPU struct {
 	// MaxLogEntries bounds the in-memory debug log; the core keeps the
 	// newest entries once the bound is reached. 0 selects
 	// DefaultMaxLogEntries (the field is omitted from exported documents
-	// at that default, keeping existing architecture JSON — and its
-	// checkpoint config hash — stable).
+	// at that default, keeping existing architecture JSON — and the
+	// checkpoint headers that embed it — byte-stable).
 	MaxLogEntries int `json:"maxLogEntries,omitempty"`
 
 	// SnapshotInterval, when positive, makes machines built from this
@@ -96,7 +96,7 @@ type CPU struct {
 	// many cycles, so backward stepping restores from the nearest
 	// snapshot instead of replaying from cycle zero (O(interval) instead
 	// of O(cycle)). 0 — the default, omitted from exported documents so
-	// config hashes stay stable — leaves snapshots off for batch runs;
+	// they stay byte-stable — leaves snapshots off for batch runs;
 	// interactive debug sessions enable them explicitly.
 	SnapshotInterval int `json:"snapshotInterval,omitempty"`
 

@@ -155,8 +155,8 @@ func TestLogBoundKnob(t *testing.T) {
 		t.Error("negative maxLogEntries should fail validation")
 	}
 	// The knob must not leak into exported documents at its default, so
-	// existing architecture JSON (and checkpoint config hashes) stay
-	// byte-stable.
+	// existing architecture JSON (and the checkpoint headers that embed
+	// it) stay byte-stable.
 	c.MaxLogEntries = 0
 	data, err := c.Export()
 	if err != nil {

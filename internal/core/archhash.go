@@ -31,9 +31,9 @@ func (s *Simulation) ArchHash() uint64 {
 		w64(s.rf.ArchValue(isa.RegFloat, i).Bits())
 	}
 	s.mem.WriteTo(h)
-	w64(s.committedCount)
-	w64(s.flops)
-	for _, n := range s.dynMix {
+	w64(s.ledger.Committed)
+	w64(s.ledger.Flops)
+	for _, n := range s.ledger.DynamicMix {
 		w64(n)
 	}
 	if s.halted {

@@ -136,7 +136,7 @@ func (s *Simulation) ffStep() {
 		// A detailed prefix may have left dirty lines in the cache;
 		// fast-forward reads memory directly, so make it coherent once
 		// per switchover.
-		s.l1.FlushAll(s.cycle)
+		s.l1.FlushAll(s.ledger.Cycles)
 		s.ffFlushed = true
 	}
 	pc := s.fetch.pc
@@ -146,8 +146,8 @@ func (s *Simulation) ffStep() {
 		// detailed pipeline draining empty.
 		s.halted = true
 		s.haltReason = "pipeline empty"
-		s.logf(s.cycle, "halt: pipeline empty after %d committed instructions", s.committedCount)
-		s.l1.FlushAll(s.cycle)
+		s.logf(s.ledger.Cycles, "halt: pipeline empty after %d committed instructions", s.ledger.Committed)
+		s.l1.FlushAll(s.ledger.Cycles)
 		return
 	}
 	s.ffRunBlock(pc)
@@ -161,7 +161,7 @@ func (s *Simulation) ffRunBlock(start int) {
 	ops := s.prog.ffOps[start:s.prog.blockEnd[start]]
 	for i := range ops {
 		pc := start + i
-		if s.commitLimit != 0 && s.committedCount >= s.commitLimit {
+		if s.commitLimit != 0 && s.ledger.Committed >= s.commitLimit {
 			// Commit-limit cut (RunToCommitted): stop before retiring
 			// past the boundary; any PC is a legal block boundary, and
 			// the caller's loop exits before re-entering the block.
@@ -176,7 +176,7 @@ func (s *Simulation) ffRunBlock(start int) {
 		}
 		o := &ops[i]
 		next := pc + 1
-		s.cycle++
+		s.ledger.Cycles++
 		if s.eng.forceGeneric || o.op == execFallback {
 			n, ok := s.ffGenericOp(o, pc)
 			if !ok {
@@ -186,15 +186,15 @@ func (s *Simulation) ffRunBlock(start int) {
 		} else if !s.ffSpecOp(o, pc, &next) {
 			return
 		}
-		s.committedCount++
-		s.dynMix[o.typ]++
-		s.flops += uint64(o.flops)
+		s.ledger.Committed++
+		s.ledger.DynamicMix[o.typ]++
+		s.ledger.Flops += uint64(o.flops)
 		s.fetch.pc = next
 		if o.halts {
 			s.halted = true
 			s.haltReason = fmt.Sprintf("%s executed (the simulator runs no OS; environment calls end the program)", o.static.Desc.Name)
-			s.logf(s.cycle, "halt: %s", s.haltReason)
-			s.l1.FlushAll(s.cycle)
+			s.logf(s.ledger.Cycles, "halt: %s", s.haltReason)
+			s.l1.FlushAll(s.ledger.Cycles)
 			return
 		}
 	}
@@ -263,10 +263,10 @@ func (s *Simulation) ffSpecOp(o *ffOp, pc int, next *int) bool {
 // ffFault ends the run exactly as a detailed commit would raise the
 // exception: the faulting instruction does not count as committed.
 func (s *Simulation) ffFault(exc *fault.Exception, pc int) {
-	exc.Cycle = s.cycle
+	exc.Cycle = s.ledger.Cycles
 	exc.PC = pc
 	s.fetch.pc = pc
-	s.haltWithException(exc, s.cycle)
+	s.haltWithException(exc, s.ledger.Cycles)
 }
 
 // ffGenericOp executes one operation through the expression interpreter —
@@ -286,7 +286,7 @@ func (s *Simulation) ffGenericOp(o *ffOp, pc int) (int, bool) {
 	}
 	si.nsrc = rp.nsrc
 	si.hasDest = rp.hasDest
-	s.eng.executeGeneric(si, s.cycle)
+	s.eng.executeGeneric(si, s.ledger.Cycles)
 	if si.Exc.Occurred() {
 		s.ffFault(si.Exc, pc)
 		return 0, false

@@ -227,36 +227,12 @@ func (s *Simulation) decodeInstr(r *ckpt.Reader) *SimInstr {
 // the configuration/program level, which the caller's header carries).
 func (s *Simulation) EncodeState(w *ckpt.Writer) {
 	w.Section(ckpt.SecCore)
-	w.U64(s.cycle)
 	w.U64(s.nextID)
 	w.Bool(s.halted)
 	w.String(s.haltReason)
 	w.Exception(s.exception)
 	w.Bool(s.VerboseLog)
-	w.U64(s.committedCount)
-	w.U64(s.squashedCount)
-	w.U64(s.flops)
-	w.U64(s.robFlushes)
-	w.U64(s.decodeStalls)
-	w.U64(s.commitStalls)
-	w.U64(s.renameStalls)
-	w.U64(s.robOccSum)
-	// Dynamic mix: non-zero counters in ascending key order — the same
-	// bytes the historical map encoding produced (a map entry only ever
-	// existed once its counter was incremented).
-	nmix := 0
-	for _, n := range s.dynMix {
-		if n != 0 {
-			nmix++
-		}
-	}
-	w.Len(nmix)
-	for k, n := range s.dynMix {
-		if n != 0 {
-			w.Int(k)
-			w.U64(n)
-		}
-	}
+	s.Counters().EncodeState(w)
 
 	table, idx := s.liveInstrs()
 	w.Section(ckpt.SecInstrs)
@@ -283,9 +259,6 @@ func (s *Simulation) EncodeState(w *ckpt.Writer) {
 	w.Section(ckpt.SecWindows)
 	var entries []*SimInstr
 	for _, win := range s.windows {
-		occ, full := win.settled(s.counted)
-		w.U64(occ)
-		w.U64(full)
 		entries = s.windowEntries(win, entries[:0])
 		w.Len(len(entries))
 		for _, si := range entries {
@@ -298,9 +271,6 @@ func (s *Simulation) EncodeState(w *ckpt.Writer) {
 	for _, fu := range s.fus {
 		w.Bool(fu.hasAccept)
 		w.U64(fu.lastAccept)
-		w.U64(fu.settled(s.counted).BusyCycles)
-		w.U64(fu.count.ExecCount)
-		w.U64(fu.totalCycles)
 		w.Len(len(fu.inflight))
 		for _, op := range fu.inflight {
 			instrRef(w, idx, op.si)
@@ -316,22 +286,11 @@ func (s *Simulation) EncodeState(w *ckpt.Writer) {
 			instrRef(w, idx, si)
 		}
 	}
-	w.U64(l.count.Loads)
-	w.U64(l.count.Stores)
-	w.U64(l.count.Forwards)
-	w.U64(l.count.StallsUnknown)
-	w.U64(l.count.StallsPartial)
-	w.U64(l.count.BusBusyCycles)
-	w.U64(l.count.LoadBufStalls)
-	w.U64(l.count.StoreBufStalls)
-	w.U64(l.drainedStores)
 
 	w.Section(ckpt.SecFetch)
 	w.Int(s.fetch.pc)
 	w.U64(s.fetch.stalledUntil)
 	instrRef(w, idx, s.fetch.waitBranch)
-	w.U64(s.fetch.fetched)
-	w.U64(s.fetch.stallCycles)
 
 	s.rf.EncodeState(w)
 	s.pred.EncodeState(w)
@@ -418,34 +377,12 @@ func (s *Simulation) checkInstrs(r *ckpt.Reader, table []*SimInstr, count, ndec 
 // s must be discarded.
 func (s *Simulation) DecodeState(r *ckpt.Reader) {
 	r.Section(ckpt.SecCore)
-	s.cycle = r.U64()
 	s.nextID = r.U64()
 	s.halted = r.Bool()
 	s.haltReason = r.String(1 << 16)
 	s.exception = r.Exception()
 	s.VerboseLog = r.Bool()
-	s.committedCount = r.U64()
-	s.squashedCount = r.U64()
-	s.flops = r.U64()
-	s.robFlushes = r.U64()
-	s.decodeStalls = r.U64()
-	s.commitStalls = r.U64()
-	s.renameStalls = r.U64()
-	s.robOccSum = r.U64()
-	nmix := r.Len(256)
-	s.dynMix = [isa.NumInstrTypes]uint64{}
-	for i := 0; i < nmix && r.Err() == nil; i++ {
-		k := r.Int()
-		n := r.U64()
-		if r.Err() != nil {
-			break
-		}
-		if k < 0 || k >= isa.NumInstrTypes {
-			r.Corrupt("dynamic-mix instruction type %d out of range", k)
-			return
-		}
-		s.dynMix[k] = n
-	}
+	s.ledger.DecodeState(r)
 
 	r.Section(ckpt.SecInstrs)
 	n := r.Len(1 << 20)
@@ -497,9 +434,6 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 	// which is always safe (docs/checkpoint.md).
 	r.Section(ckpt.SecWindows)
 	for _, win := range s.windows {
-		win.occupancySum = r.U64()
-		win.fullStalls = r.U64()
-		win.bookedAt = s.counted
 		nw := r.Len(win.capacity)
 		last := -1 // ROB position of the previous entry: oldest first
 		for i := 0; i < nw && r.Err() == nil; i++ {
@@ -524,10 +458,6 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 	for _, fu := range s.fus {
 		fu.hasAccept = r.Bool()
 		fu.lastAccept = r.U64()
-		fu.count.BusyCycles = r.U64()
-		fu.count.ExecCount = r.U64()
-		fu.totalCycles = r.U64()
-		fu.bookedAt = s.counted
 		ni := r.Len(len(table))
 		fu.inflight = fu.inflight[:0]
 		fu.minDone = noneDue
@@ -579,22 +509,11 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 			l.committed = append(l.committed, si)
 		}
 	}
-	l.count.Loads = r.U64()
-	l.count.Stores = r.U64()
-	l.count.Forwards = r.U64()
-	l.count.StallsUnknown = r.U64()
-	l.count.StallsPartial = r.U64()
-	l.count.BusBusyCycles = r.U64()
-	l.count.LoadBufStalls = r.U64()
-	l.count.StoreBufStalls = r.U64()
-	l.drainedStores = r.U64()
 
 	r.Section(ckpt.SecFetch)
 	s.fetch.pc = r.Int()
 	s.fetch.stalledUntil = r.U64()
 	s.fetch.waitBranch = readRef(r, table)
-	s.fetch.fetched = r.U64()
-	s.fetch.stallCycles = r.U64()
 	if wb := s.fetch.waitBranch; wb != nil && (!wb.IsBranch() || !wb.predStall) {
 		r.Corrupt("fetch waits on instruction %d, which is not a parked jump", wb.ID)
 		return

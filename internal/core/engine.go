@@ -82,4 +82,4 @@ func (s *Simulation) PC() int { return s.fetch.pc }
 
 // Committed returns the number of committed instructions so far, without
 // assembling a statistics report.
-func (s *Simulation) Committed() uint64 { return s.committedCount }
+func (s *Simulation) Committed() uint64 { return s.ledger.Committed }

@@ -407,7 +407,7 @@ func stepAllocFree(t *testing.T, cfg *config.CPU, src string) {
 	if avg != 0 {
 		t.Errorf("50 steps allocate %.4f objects in steady state, want 0", avg)
 	}
-	if misses := sim.l1.Stats().Misses; src == strideWalk && misses < 2000 {
+	if misses := sim.ledger.Cache.Misses; src == strideWalk && misses < 2000 {
 		t.Errorf("the stride walk missed the L1 %d times; it should miss on every access", misses)
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "riscvsim/internal/predictor"
+import (
+	"riscvsim/internal/predictor"
+	"riscvsim/internal/stats"
+)
 
 // fetchInfo is the pre-decoded control-flow summary of one static
 // instruction, computed once per Program so the per-cycle fetch loop
@@ -31,13 +34,12 @@ type fetchUnit struct {
 	stalledUntil uint64    // flush-penalty stall
 	waitBranch   *SimInstr // jalr with unknown target: fetch parked
 
-	// Statistics.
-	fetched     uint64
-	stallCycles uint64
+	// ledger is the simulation's; fetch counts Fetched and FetchStalls.
+	ledger *stats.Counters
 }
 
-func newFetchUnit(prog *Program, pred *predictor.Predictor, width, jumps, entry int) *fetchUnit {
-	return &fetchUnit{prog: prog, pred: pred, width: width, jumps: jumps, pc: entry}
+func newFetchUnit(prog *Program, pred *predictor.Predictor, width, jumps, entry int, ledger *stats.Counters) *fetchUnit {
+	return &fetchUnit{prog: prog, pred: pred, width: width, jumps: jumps, pc: entry, ledger: ledger}
 }
 
 // AtEnd reports whether the PC has run off the code segment (the program
@@ -75,7 +77,7 @@ func (f *fetchUnit) ClearWait(si *SimInstr) {
 // the simulation's free list.
 func (f *fetchUnit) Fetch(now uint64, room int, s *Simulation, out []*SimInstr) []*SimInstr {
 	if f.Stalled(now) {
-		f.stallCycles++
+		f.ledger.FetchStalls++
 		return out
 	}
 	start := len(out)
@@ -95,7 +97,7 @@ func (f *fetchUnit) Fetch(now uint64, room int, s *Simulation, out []*SimInstr) 
 			}
 			for ; f.pc < end; f.pc++ {
 				si := s.newInstr(f.prog.instrs[f.pc], f.pc, now)
-				f.fetched++
+				f.ledger.Fetched++
 				out = append(out, si)
 			}
 			continue
@@ -103,7 +105,7 @@ func (f *fetchUnit) Fetch(now uint64, room int, s *Simulation, out []*SimInstr) 
 		st := f.prog.instrs[f.pc]
 		fi := &f.prog.finfo[f.pc]
 		si := s.newInstr(st, f.pc, now)
-		f.fetched++
+		f.ledger.Fetched++
 		out = append(out, si)
 
 		if !fi.isBranch {

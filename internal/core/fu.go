@@ -40,11 +40,10 @@ type FU struct {
 	// string-map lookup.
 	lat []uint64
 
-	// Statistics: count is this unit's part of the ledger (stats.Counters),
-	// with BusyCycles stored as of bookedAt (settled).
-	count       stats.FUCounters
-	totalCycles uint64
-	bookedAt    uint64
+	// stats is this unit's slot of the simulation's statistics ledger,
+	// its BusyCycles booked up to bookedAt (settle).
+	stats    *stats.FUCounters
+	bookedAt uint64
 
 	// head is the encoded start of the unit's FUView (viewHead).
 	head string
@@ -55,13 +54,14 @@ type inflightOp struct {
 	doneAt uint64
 }
 
-// NewFU builds a functional unit from its configuration entry.
-func NewFU(spec *config.FUSpec) *FU {
+// NewFU builds a functional unit from its configuration entry that counts
+// into st.
+func NewFU(spec *config.FUSpec, st *stats.FUCounters) *FU {
 	class, err := isa.ParseFUClass(spec.Class)
 	if err != nil {
 		panic(err) // validated by config.Validate
 	}
-	return &FU{spec: spec, class: class, minDone: noneDue}
+	return &FU{spec: spec, class: class, minDone: noneDue, stats: st}
 }
 
 // noneDue is minDone of an empty unit.
@@ -122,14 +122,19 @@ func (f *FU) precompute(prog *asm.Program, unit int, sup []uint64, stride int) {
 	}
 }
 
-// settled returns the unit's counters as of the counted-cycle clock;
-// callers store them before changing inflight.
-func (f *FU) settled(clock uint64) stats.FUCounters {
-	c := f.count
+// settle adds the busy cycles since bookedAt, up to the counted-cycle
+// clock, to c.
+func (f *FU) settle(c *stats.FUCounters, clock uint64) {
 	if len(f.inflight) > 0 {
 		c.BusyCycles += clock - f.bookedAt
 	}
-	return c
+}
+
+// book settles the unit's own counters to clock; callers book before
+// changing inflight.
+func (f *FU) book(clock uint64) {
+	f.settle(f.stats, clock)
+	f.bookedAt = clock
 }
 
 // Accept starts executing the instruction (sub-step two of the paper's FU
@@ -143,13 +148,12 @@ func (f *FU) Accept(si *SimInstr, now, clock uint64, eng *ExecEngine) {
 		panic("core: Accept on busy FU " + f.spec.Name)
 	}
 	lat := f.lat[si.PC]
-	f.count, f.bookedAt = f.settled(clock), clock
+	f.book(clock)
 	f.inflight = append(f.inflight, inflightOp{si: si, doneAt: now + lat})
 	f.minDone = min(f.minDone, now+lat)
 	f.lastAccept = now
 	f.hasAccept = true
-	f.count.ExecCount++
-	f.totalCycles += lat
+	f.stats.ExecCount++
 	si.IssuedAt = now
 	si.Phase = PhaseIssued
 
@@ -160,7 +164,7 @@ func (f *FU) Accept(si *SimInstr, now, clock uint64, eng *ExecEngine) {
 // in issue order (sub-step one of the FU model). The returned slice is a
 // reusable scratch buffer, valid until the next call.
 func (f *FU) ReleaseDone(now, clock uint64) []*SimInstr {
-	f.count, f.bookedAt = f.settled(clock), clock
+	f.book(clock)
 	done := f.doneScratch[:0]
 	kept := f.inflight[:0]
 	f.minDone = noneDue
@@ -181,7 +185,7 @@ func (f *FU) ReleaseDone(now, clock uint64) []*SimInstr {
 
 // AbortSquashed drops wrong-path instructions after a flush.
 func (f *FU) AbortSquashed(clock uint64) {
-	f.count, f.bookedAt = f.settled(clock), clock
+	f.book(clock)
 	kept := f.inflight[:0]
 	f.minDone = noneDue
 	for _, op := range f.inflight {

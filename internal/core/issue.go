@@ -3,6 +3,7 @@ package core
 import (
 	"riscvsim/internal/isa"
 	"riscvsim/internal/rename"
+	"riscvsim/internal/stats"
 )
 
 // Wakeup/select (docs/architecture.md "Issue"): a window's candidates are
@@ -19,32 +20,33 @@ type issueWindow struct {
 	// cands holds the slots of the candidates, oldest first.
 	cands []int32
 
-	// Statistics over the counted cycles up to bookedAt (resize).
-	occupancySum uint64
-	fullStalls   uint64
-	bookedAt     uint64
+	// ledger is the simulation's: the window books its occupancy and
+	// full cycles into WindowOccSum and WindowStalls up to bookedAt
+	// (resize).
+	ledger   *stats.Counters
+	bookedAt uint64
 }
 
-func newIssueWindow(class isa.FUClass, capacity int) *issueWindow {
-	return &issueWindow{class: class, capacity: capacity, cands: make([]int32, 0, capacity)}
+func newIssueWindow(class isa.FUClass, capacity int, ledger *stats.Counters) *issueWindow {
+	return &issueWindow{class: class, capacity: capacity, cands: make([]int32, 0, capacity), ledger: ledger}
 }
 
 // Full reports whether the window cannot accept another instruction.
 func (w *issueWindow) Full() bool { return w.n >= w.capacity }
 
-// settled returns the occupancy statistics as of the counted-cycle clock.
-func (w *issueWindow) settled(clock uint64) (occupancySum, fullStalls uint64) {
+// settle adds the occupancy and full cycles since bookedAt, up to the
+// counted-cycle clock, to c.
+func (w *issueWindow) settle(c *stats.Counters, clock uint64) {
 	span := clock - w.bookedAt
-	occupancySum, fullStalls = w.occupancySum+span*uint64(w.n), w.fullStalls
+	c.WindowOccSum += span * uint64(w.n)
 	if w.Full() {
-		fullStalls += span
+		c.WindowStalls += span
 	}
-	return occupancySum, fullStalls
 }
 
 // resize books the occupancy so far and changes it by delta.
 func (w *issueWindow) resize(delta int, clock uint64) {
-	w.occupancySum, w.fullStalls = w.settled(clock)
+	w.settle(w.ledger, clock)
 	w.bookedAt = clock
 	w.n += delta
 }

@@ -48,15 +48,14 @@ type LSU struct {
 	completedScratch []*SimInstr
 	tx               memory.Transaction
 
-	// Statistics: count is the LSU's part of the ledger (stats.Counters).
-	count         stats.LSUStat
-	drainedStores uint64
+	// stats is the LSU's slot of the simulation's statistics ledger.
+	stats *stats.LSUStat
 }
 
 // NewLSU builds the load/store subsystem over a memory port (the L1 cache
-// or raw memory).
-func NewLSU(loadCap, storeCap int, port memory.Port) *LSU {
-	return &LSU{loadCap: loadCap, storeCap: storeCap, port: port}
+// or raw memory) that counts into st.
+func NewLSU(loadCap, storeCap int, port memory.Port, st *stats.LSUStat) *LSU {
+	return &LSU{loadCap: loadCap, storeCap: storeCap, port: port, stats: st}
 }
 
 // CanAccept reports whether a new memory instruction of the given kind has
@@ -64,13 +63,13 @@ func NewLSU(loadCap, storeCap int, port memory.Port) *LSU {
 func (l *LSU) CanAccept(isStore bool) bool {
 	if isStore {
 		if len(l.stores) >= l.storeCap {
-			l.count.StoreBufStalls++
+			l.stats.StoreBufStalls++
 			return false
 		}
 		return true
 	}
 	if len(l.loads) >= l.loadCap {
-		l.count.LoadBufStalls++
+		l.stats.LoadBufStalls++
 		return false
 	}
 	return true
@@ -80,10 +79,10 @@ func (l *LSU) CanAccept(isStore bool) bool {
 func (l *LSU) Add(si *SimInstr) {
 	if si.IsStore() {
 		l.stores = append(l.stores, si)
-		l.count.Stores++
+		l.stats.Stores++
 	} else {
 		l.loads = append(l.loads, si)
-		l.count.Loads++
+		l.stats.Loads++
 	}
 }
 
@@ -107,7 +106,7 @@ func (l *LSU) olderStoreConflict(ld *SimInstr) (bool, *SimInstr) {
 			return false, nil, false
 		}
 		if !st.addrReady {
-			l.count.StallsUnknown++
+			l.stats.StallsUnknown++
 			return true, nil, true
 		}
 		stW := st.Static.Desc.MemWidth
@@ -117,7 +116,7 @@ func (l *LSU) olderStoreConflict(ld *SimInstr) (bool, *SimInstr) {
 			if st.effAddr <= ld.effAddr && st.effAddr+stW >= ld.effAddr+ldW {
 				return false, st, false
 			}
-			l.count.StallsPartial++
+			l.stats.StallsPartial++
 			return true, nil, true
 		}
 		return false, nil, false
@@ -168,8 +167,7 @@ func (l *LSU) Step(now uint64) (completed []*SimInstr, storeExc *fault.Exception
 		n := copy(l.committed, l.committed[1:])
 		l.committed[n] = nil
 		l.committed = l.committed[:n]
-		l.drainedStores++
-		l.count.BusBusyCycles++
+		l.stats.BusBusyCycles++
 		// Nothing references a drained store anymore.
 		if l.onRecycle != nil {
 			l.onRecycle(st)
@@ -196,7 +194,7 @@ func (l *LSU) Step(now uint64) (completed []*SimInstr, storeExc *fault.Exception
 			ld.memDoneAt = now + 1
 			ld.memIssued = true
 			ld.storeData = raw // reuse field as the forwarded payload
-			l.count.Forwards++
+			l.stats.Forwards++
 			continue
 		}
 		if !portFree {
@@ -216,7 +214,7 @@ func (l *LSU) Step(now uint64) (completed []*SimInstr, storeExc *fault.Exception
 		ld.memDoneAt = finish
 		ld.memIssued = true
 		portFree = false
-		l.count.BusBusyCycles++
+		l.stats.BusBusyCycles++
 	}
 
 	// Complete loads whose data has arrived. The completed slice is the
@@ -306,9 +304,9 @@ func (l *LSU) RemoveSquashed() {
 // it must reach memory before the final cache flush even though the
 // one-store-per-cycle drain schedule never got to it — otherwise the
 // final memory image silently loses it. Timing is over at this point, so
-// the port occupancy counter is not advanced; drainedStores still is,
-// because the store does drain. Faults cannot occur here: the address
-// was bounds-checked at execute, before the store could commit.
+// the port occupancy counter is not advanced. Faults cannot occur here:
+// the address was bounds-checked at execute, before the store could
+// commit.
 func (l *LSU) DrainAll(now uint64) {
 	for _, st := range l.committed {
 		l.tx = memory.Transaction{
@@ -316,7 +314,6 @@ func (l *LSU) DrainAll(now uint64) {
 			IsStore: true, Data: st.storeData,
 		}
 		l.port.Access(&l.tx, now)
-		l.drainedStores++
 		if l.onRecycle != nil {
 			l.onRecycle(st)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"riscvsim/internal/asm"
 	"riscvsim/internal/cache"
@@ -90,7 +91,10 @@ type Simulation struct {
 	// cache, so steady-state stepping allocates nothing.
 	freeInstrs []*SimInstr
 
-	cycle  uint64
+	// ledger is the run's statistics (paper §II-D): every stage and
+	// component counts into its field in place. Its Cycles is the
+	// machine's clock.
+	ledger stats.Counters
 	nextID uint64
 	// counted is the cycle clock windows and units book their occupancy
 	// against (pipelineCycle); checkpoints carry settled sums, not it.
@@ -99,17 +103,6 @@ type Simulation struct {
 	halted     bool
 	haltReason string
 	exception  *fault.Exception
-
-	// Statistics counters.
-	committedCount uint64
-	squashedCount  uint64
-	flops          uint64
-	robFlushes     uint64
-	dynMix         [isa.NumInstrTypes]uint64
-	decodeStalls   uint64
-	commitStalls   uint64
-	renameStalls   uint64
-	robOccSum      uint64
 
 	// Debugging (paper §V future work): breakpoints/watches pause the
 	// simulation at commit without ending it.
@@ -164,44 +157,43 @@ func newSimulation(cfg *config.CPU, p *Program, mem *memory.Main, entry int) (*S
 	if entry < 0 || (entry >= len(p.instrs) && len(p.instrs) > 0) {
 		return nil, fmt.Errorf("core: entry point %d outside code of %d instructions", entry, len(p.instrs))
 	}
-	l1, err := cache.New(cfg.Cache, mem)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := predictor.New(cfg.Predictor)
-	if err != nil {
-		return nil, err
-	}
 	s := &Simulation{
 		cfg:       cfg,
 		prog:      p,
 		entry:     entry,
 		mem:       mem,
-		l1:        l1,
-		pred:      pred,
-		rf:        rename.NewFile(cfg.RenameRegisters),
 		rob:       NewROB(cfg.ROBSize),
-		lsu:       NewLSU(cfg.LoadBufferSize, cfg.StoreBufferSize, l1),
 		decodeCap: 2 * cfg.FetchWidth,
 		decodeBuf: make([]*SimInstr, 0, 16*cfg.FetchWidth),
 		eng:       newExecEngine(p),
 		logBound:  cfg.LogBound(),
 		ffStopPC:  -1,
+		ledger:    stats.Counters{FUs: make([]stats.FUCounters, len(cfg.Units))},
 	}
+	var err error
+	if s.l1, err = cache.New(cfg.Cache, mem, &s.ledger.Cache); err != nil {
+		return nil, err
+	}
+	if s.pred, err = predictor.New(cfg.Predictor, &s.ledger.Predictor); err != nil {
+		return nil, err
+	}
+	mem.CountInto(&s.ledger.Memory)
+	s.rf = rename.NewFile(cfg.RenameRegisters, &s.ledger.Rename)
+	s.lsu = NewLSU(cfg.LoadBufferSize, cfg.StoreBufferSize, s.l1, &s.ledger.LSU)
 	s.lsu.onRecycle = s.recycleInstr
-	s.windows[isa.FX] = newIssueWindow(isa.FX, cfg.FXWindow)
-	s.windows[isa.FP] = newIssueWindow(isa.FP, cfg.FPWindow)
-	s.windows[isa.LS] = newIssueWindow(isa.LS, cfg.LSWindow)
-	s.windows[isa.Branch] = newIssueWindow(isa.Branch, cfg.BranchWindow)
+	s.windows[isa.FX] = newIssueWindow(isa.FX, cfg.FXWindow, &s.ledger)
+	s.windows[isa.FP] = newIssueWindow(isa.FP, cfg.FPWindow, &s.ledger)
+	s.windows[isa.LS] = newIssueWindow(isa.LS, cfg.LSWindow, &s.ledger)
+	s.windows[isa.Branch] = newIssueWindow(isa.Branch, cfg.BranchWindow, &s.ledger)
 	s.iq = issueSlots{slot: make([]issueSlot, cfg.ROBSize), waitHead: make([]int32, cfg.RenameRegisters)}
 	s.supStride = (len(cfg.Units) + 63) / 64
 	s.fuSup = make([]uint64, len(p.instrs)*s.supStride)
 	for i := range cfg.Units {
-		fu := NewFU(&cfg.Units[i])
+		fu := NewFU(&cfg.Units[i], &s.ledger.FUs[i])
 		fu.precompute(p.code, i, s.fuSup, s.supStride)
 		s.fus = append(s.fus, fu)
 	}
-	s.fetch = newFetchUnit(p, pred, cfg.FetchWidth, cfg.JumpsPerCycle, entry)
+	s.fetch = newFetchUnit(p, s.pred, cfg.FetchWidth, cfg.JumpsPerCycle, entry, &s.ledger)
 
 	// Register initialization (paper §III-C): the call stack lives at the
 	// bottom of memory and x2 (sp) points at its end; the return address
@@ -319,7 +311,7 @@ func (s *Simulation) emit(now uint64, si *SimInstr, st trace.Stage, detail strin
 }
 
 // Cycle returns the number of executed cycles.
-func (s *Simulation) Cycle() uint64 { return s.cycle }
+func (s *Simulation) Cycle() uint64 { return s.ledger.Cycles }
 
 // Halted reports whether the simulation has ended.
 func (s *Simulation) Halted() bool { return s.halted }
@@ -366,7 +358,7 @@ func (s *Simulation) Step() {
 // pipelineCycle runs the blocks for one cycle; a fast-forward drain cycle
 // (detailed false) neither fetches nor counts toward the statistics.
 func (s *Simulation) pipelineCycle(detailed bool) {
-	now := s.cycle + 1
+	now := s.ledger.Cycles + 1
 	s.commitStep(now)
 	if !s.halted {
 		s.memoryStep(now)
@@ -378,21 +370,21 @@ func (s *Simulation) pipelineCycle(detailed bool) {
 		}
 	}
 	if detailed {
-		s.robOccSum += uint64(s.rob.Len())
+		s.ledger.ROBOccSum += uint64(s.rob.Len())
 		s.counted++
 	}
-	s.cycle = now
+	s.ledger.Cycles = now
 	s.checkPipelineEmpty(now)
 }
 
 // Run advances until the simulation halts or maxCycles elapse. It returns
 // the number of cycles executed in this call.
 func (s *Simulation) Run(maxCycles uint64) uint64 {
-	start := s.cycle
-	for !s.halted && !s.paused && s.cycle-start < maxCycles {
+	start := s.ledger.Cycles
+	for !s.halted && !s.paused && s.ledger.Cycles-start < maxCycles {
 		s.Step()
 	}
-	return s.cycle - start
+	return s.ledger.Cycles - start
 }
 
 // RunToCommitted advances until exactly target instructions have
@@ -407,12 +399,12 @@ func (s *Simulation) Run(maxCycles uint64) uint64 {
 func (s *Simulation) RunToCommitted(target, maxCycles uint64) uint64 {
 	prev := s.commitLimit
 	s.commitLimit = target
-	start := s.cycle
-	for !s.halted && !s.paused && s.committedCount < target && s.cycle-start < maxCycles {
+	start := s.ledger.Cycles
+	for !s.halted && !s.paused && s.ledger.Committed < target && s.ledger.Cycles-start < maxCycles {
 		s.Step()
 	}
 	s.commitLimit = prev
-	return s.cycle - start
+	return s.ledger.Cycles - start
 }
 
 // DrainCoherent makes the memory hierarchy architecturally coherent —
@@ -422,8 +414,8 @@ func (s *Simulation) RunToCommitted(target, maxCycles uint64) uint64 {
 // clean), so callers either discard the machine afterwards or accept the
 // perturbation; in-flight speculative state is untouched.
 func (s *Simulation) DrainCoherent() {
-	s.lsu.DrainAll(s.cycle)
-	s.l1.FlushAll(s.cycle)
+	s.lsu.DrainAll(s.ledger.Cycles)
+	s.l1.FlushAll(s.ledger.Cycles)
 }
 
 // ---------------------------------------------------------------------------
@@ -432,12 +424,12 @@ func (s *Simulation) DrainCoherent() {
 
 func (s *Simulation) commitStep(now uint64) {
 	for n := 0; n < s.cfg.CommitWidth; n++ {
-		if s.commitLimit != 0 && s.committedCount >= s.commitLimit {
+		if s.commitLimit != 0 && s.ledger.Committed >= s.commitLimit {
 			return
 		}
 		if s.rob.Empty() || !s.rob.HeadDone() {
 			if n == 0 && !s.rob.Empty() {
-				s.commitStalls++
+				s.ledger.CommitStalls++
 			}
 			return
 		}
@@ -474,9 +466,9 @@ func (s *Simulation) commitStep(now uint64) {
 			s.lsu.OnCommitStore(si)
 			s.checkWatches(si, now)
 		}
-		s.committedCount++
-		s.dynMix[si.Static.Desc.Type]++
-		s.flops += uint64(si.Static.Desc.Flops)
+		s.ledger.Committed++
+		s.ledger.DynamicMix[si.Static.Desc.Type]++
+		s.ledger.Flops += uint64(si.Static.Desc.Flops)
 		if s.VerboseLog {
 			s.logf(now, "commit %s", si)
 		}
@@ -663,16 +655,16 @@ func (s *Simulation) renameStep(now uint64) {
 		si := s.decodeBuf[s.decodeHead]
 		desc := si.Static.Desc
 		if s.rob.Full() {
-			s.decodeStalls++
+			s.ledger.DecodeStalls++
 			return
 		}
 		w := s.windows[desc.Unit]
 		if w.Full() {
-			s.decodeStalls++
+			s.ledger.DecodeStalls++
 			return
 		}
 		if (desc.IsLoad() || desc.IsStore()) && !s.lsu.CanAccept(desc.IsStore()) {
-			s.decodeStalls++
+			s.ledger.DecodeStalls++
 			return
 		}
 
@@ -695,7 +687,7 @@ func (s *Simulation) renameStep(now uint64) {
 				// Rename file exhausted: undo source refs and stall.
 				si.releaseRefs(s.rf)
 				si.nsrc = 0
-				s.renameStalls++
+				s.ledger.RenameStalls++
 				return
 			}
 			si.hasDest = true
@@ -765,7 +757,7 @@ func (s *Simulation) fetchStep(now uint64) {
 // flushAfter squashes everything younger than the mispredicted branch,
 // restores the rename map, redirects fetch and applies the flush penalty.
 func (s *Simulation) flushAfter(si *SimInstr, now uint64) {
-	s.robFlushes++
+	s.ledger.ROBFlushes++
 	squashed := s.rob.SquashAfter(si) // youngest first
 	traceSquash := s.tracing(trace.StageSquash)
 	var squashDetail string
@@ -779,7 +771,7 @@ func (s *Simulation) flushAfter(si *SimInstr, now uint64) {
 		if sq.hasDest {
 			s.rf.Squash(sq.destTag, sq.destPrev)
 		}
-		s.squashedCount++
+		s.ledger.Squashed++
 		if traceSquash {
 			s.emit(now, sq, trace.StageSquash, squashDetail)
 		}
@@ -788,7 +780,7 @@ func (s *Simulation) flushAfter(si *SimInstr, now uint64) {
 	for _, d := range s.pendingDecode() {
 		d.Squashed = true
 		d.Phase = PhaseSquashed
-		s.squashedCount++
+		s.ledger.Squashed++
 		if traceSquash {
 			s.emit(now, d, trace.StageSquash, squashDetail)
 		}
@@ -844,7 +836,7 @@ func (s *Simulation) checkPipelineEmpty(now uint64) {
 	if s.fetch.AtEnd() && len(s.pendingDecode()) == 0 && s.rob.Empty() && s.lsu.Drained() {
 		s.halted = true
 		s.haltReason = "pipeline empty"
-		s.logf(now, "halt: pipeline empty after %d committed instructions", s.committedCount)
+		s.logf(now, "halt: pipeline empty after %d committed instructions", s.ledger.Committed)
 		s.l1.FlushAll(now)
 	}
 }
@@ -897,38 +889,17 @@ func (s *Simulation) SyncDebugState(o *Simulation) {
 // Statistics
 // ---------------------------------------------------------------------------
 
-// Counters gathers the run's statistics ledger from the components that
-// count (paper §II-D). Nothing is derived here: stats.NewReport owns every
-// rate.
+// Counters returns a copy of the run's statistics ledger (paper §II-D)
+// with the window and unit sums booked lazily (settle) settled to now.
+// Nothing is derived here: stats.NewReport owns every rate.
 func (s *Simulation) Counters() stats.Counters {
-	rn := s.rf.Stats()
-	c := stats.Counters{
-		Cycles:       s.cycle,
-		Committed:    s.committedCount,
-		Fetched:      s.fetch.fetched,
-		Squashed:     s.squashedCount,
-		Flops:        s.flops,
-		ROBFlushes:   s.robFlushes,
-		FetchStalls:  s.fetch.stallCycles,
-		DecodeStalls: s.decodeStalls,
-		CommitStalls: s.commitStalls,
-		RenameStalls: s.renameStalls,
-		ROBOccSum:    s.robOccSum,
-		DynamicMix:   s.dynMix,
-		FUs:          make([]stats.FUCounters, len(s.fus)),
-		LSU:          s.lsu.count,
-		Predictor:    s.pred.Stats(),
-		Cache:        s.l1.Stats(),
-		Memory:       s.mem.Stats(),
-		Rename:       stats.RenameCounters{Allocations: rn.Allocations, StallsEmpty: rn.StallsEmpty},
-	}
+	c := s.ledger
+	c.FUs = slices.Clone(c.FUs)
 	for _, w := range s.windows {
-		occ, full := w.settled(s.counted)
-		c.WindowOccSum += occ
-		c.WindowStalls += full
+		w.settle(&c, s.counted)
 	}
 	for i, fu := range s.fus {
-		c.FUs[i] = fu.settled(s.counted)
+		fu.settle(&c.FUs[i], s.counted)
 	}
 	return c
 }
@@ -936,13 +907,12 @@ func (s *Simulation) Counters() stats.Counters {
 // Facts returns what the statistics document states beside the counters:
 // the architecture, the program's static mix and how the run stands now.
 func (s *Simulation) Facts() stats.Facts {
-	rn := s.rf.Stats()
 	f := stats.Facts{
 		Arch:        s.cfg,
 		StaticMix:   s.prog.staticMix,
 		HaltReason:  s.haltReason,
-		RenameInUse: rn.InUse,
-		RenameFree:  rn.Free,
+		RenameInUse: s.rf.Size() - s.rf.FreeCount(),
+		RenameFree:  s.rf.FreeCount(),
 	}
 	if s.exception != nil {
 		f.ExceptionMsg = s.exception.Error()

@@ -160,7 +160,7 @@ func (s *Simulation) views(sis []*SimInstr) []InstrView {
 // debug log rides along (it can be large).
 func (s *Simulation) State(includeLog bool) *State {
 	st := &State{
-		Cycle:       s.cycle,
+		Cycle:       s.ledger.Cycles,
 		PC:          s.fetch.pc,
 		Halted:      s.halted,
 		HaltReason:  s.haltReason,

@@ -6,12 +6,12 @@ import (
 	"riscvsim/internal/ckpt"
 )
 
-// EncodeState writes the memory's dynamic state: access counters plus the
-// sparse set of pages that differ from base. base is the initial memory
-// image (program data as loaded), which restore has again once it has
-// resolved the embedded source, so only the delta travels: a checkpoint of
-// a 64 KiB machine that touched one array costs a few pages, not the whole
-// address space. A page m still shares with base is skipped without
+// EncodeState writes the memory's dynamic state: the transaction counter
+// plus the sparse set of pages that differ from base. base is the initial
+// memory image (program data as loaded), which restore has again once it
+// has resolved the embedded source, so only the delta travels: a
+// checkpoint of a 64 KiB machine that touched one array costs a few
+// pages, not the whole address space. A page m still shares with base is skipped without
 // reading it; a page m owns is compared byte for byte, so one written back
 // to its original contents is skipped too. A nil base encodes every
 // non-zero page.
@@ -19,10 +19,6 @@ func (m *Main) EncodeState(w *ckpt.Writer, base *Main) {
 	w.Section(ckpt.SecMemory)
 	w.Int(m.size)
 	w.U64(m.nextID)
-	w.U64(m.reads)
-	w.U64(m.writes)
-	w.U64(m.bytesRead)
-	w.U64(m.bytesWritten)
 
 	var dirty []int
 	for i, p := range m.pages {
@@ -51,10 +47,6 @@ func (m *Main) DecodeState(r *ckpt.Reader) {
 		return
 	}
 	m.nextID = r.U64()
-	m.reads = r.U64()
-	m.writes = r.U64()
-	m.bytesRead = r.U64()
-	m.bytesWritten = r.U64()
 
 	pages := r.Len(len(m.pages))
 	for i := 0; i < pages && r.Err() == nil; i++ {

@@ -122,11 +122,9 @@ type Main struct {
 
 	nextID uint64
 
-	// Statistics.
-	reads        uint64
-	writes       uint64
-	bytesRead    uint64
-	bytesWritten uint64
+	// stats is the memory's slot of its simulation's statistics ledger;
+	// nil (an image, or a memory no simulation counts) counts nothing.
+	stats *Stats
 }
 
 // New allocates a memory of the configured size. The call stack occupies
@@ -227,14 +225,19 @@ func (m *Main) Access(tx *Transaction, now uint64) (uint64, *fault.Exception) {
 	tx.IssuedAt = now
 	if tx.IsStore {
 		m.writeRaw(tx.Addr, tx.Size, tx.Data)
-		m.writes++
-		m.bytesWritten += uint64(tx.Size)
 		tx.FinishAt = now + uint64(m.cfg.StoreLatency)
 	} else {
 		tx.Data = m.readRaw(tx.Addr, tx.Size)
-		m.reads++
-		m.bytesRead += uint64(tx.Size)
 		tx.FinishAt = now + uint64(m.cfg.LoadLatency)
+	}
+	if st := m.stats; st != nil {
+		if tx.IsStore {
+			st.Writes++
+			st.BytesWritten += uint64(tx.Size)
+		} else {
+			st.Reads++
+			st.BytesRead += uint64(tx.Size)
+		}
 	}
 	return tx.FinishAt, nil
 }
@@ -417,20 +420,15 @@ type Stats struct {
 	BytesWritten uint64 `json:"bytesWritten"`
 }
 
-// Stats returns the access counters.
-func (m *Main) Stats() Stats {
-	return Stats{
-		Reads: m.reads, Writes: m.writes,
-		BytesRead: m.bytesRead, BytesWritten: m.bytesWritten,
-	}
-}
+// CountInto makes m count its accesses into st from now on.
+func (m *Main) CountInto(st *Stats) { m.stats = st }
 
 // Clone returns an independent copy of the memory: a simulation's working
 // copy of a program's image. It copies the page table, not the pages: both
 // sides share them and copy a page before writing it (Freeze). The
 // allocation registry is written only by Allocate, which appends, so the
 // copy shares its entries and is capped: an Allocate on either side grows
-// a private array.
+// a private array. The copy counts nothing until CountInto.
 func (m *Main) Clone() *Main {
 	m.Freeze()
 	return &Main{
@@ -441,7 +439,5 @@ func (m *Main) Clone() *Main {
 		pointers:  m.pointers[:len(m.pointers):len(m.pointers)],
 		allocNext: m.allocNext,
 		nextID:    m.nextID,
-		reads:     m.reads, writes: m.writes,
-		bytesRead: m.bytesRead, bytesWritten: m.bytesWritten,
 	}
 }

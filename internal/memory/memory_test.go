@@ -145,10 +145,12 @@ func TestStackPointerInit(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	m := newMem(t)
+	m.Access(&Transaction{Addr: 0, Size: 4}, 0) // before CountInto: not counted
+	var st Stats
+	m.CountInto(&st)
 	m.Access(&Transaction{Addr: 0, Size: 4, IsStore: true, Data: 1}, 0)
 	m.Access(&Transaction{Addr: 0, Size: 4}, 0)
 	m.Access(&Transaction{Addr: 0, Size: 2}, 0)
-	st := m.Stats()
 	if st.Writes != 1 || st.Reads != 2 {
 		t.Errorf("stats = %+v", st)
 	}

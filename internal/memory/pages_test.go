@@ -155,15 +155,12 @@ func TestSizeNotAPageMultiple(t *testing.T) {
 type flatRef []byte
 
 // encode is EncodeState's wire form computed from flat arrays: the
-// counters, then every page that differs from base (zeros when nil).
+// transaction counter, then every page that differs from base (zeros
+// when nil).
 func (f flatRef) encode(w *ckpt.Writer, m *Main, base flatRef) {
 	w.Section(ckpt.SecMemory)
 	w.Int(len(f))
 	w.U64(m.nextID)
-	w.U64(m.reads)
-	w.U64(m.writes)
-	w.U64(m.bytesRead)
-	w.U64(m.bytesWritten)
 	if base == nil {
 		base = make(flatRef, len(f))
 	}

@@ -3,7 +3,7 @@ package predictor
 import "riscvsim/internal/ckpt"
 
 // EncodeState writes the predictor's trained state: BTB entries, PHT
-// counters, the active history register(s) and the outcome statistics.
+// counters and the active history register(s).
 func (p *Predictor) EncodeState(w *ckpt.Writer) {
 	w.Section(ckpt.SecPredictor)
 	w.Int(len(p.btb))
@@ -21,11 +21,6 @@ func (p *Predictor) EncodeState(w *ckpt.Writer) {
 	for _, h := range p.localHist {
 		w.U64(uint64(h))
 	}
-	w.U64(p.stats.Predictions)
-	w.U64(p.stats.Correct)
-	w.U64(p.stats.Mispredicts)
-	w.U64(p.stats.BTBHits)
-	w.U64(p.stats.BTBMisses)
 }
 
 // DecodeState applies an encoded predictor state onto p, which must have
@@ -63,9 +58,4 @@ func (p *Predictor) DecodeState(r *ckpt.Reader) {
 	for i := range p.localHist {
 		p.localHist[i] = uint32(r.U64())
 	}
-	p.stats.Predictions = r.U64()
-	p.stats.Correct = r.U64()
-	p.stats.Mispredicts = r.U64()
-	p.stats.BTBHits = r.U64()
-	p.stats.BTBMisses = r.U64()
 }

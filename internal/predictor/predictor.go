@@ -148,11 +148,13 @@ type Predictor struct {
 	globalHist uint32
 	localHist  []uint32
 	histMask   uint32
-	stats      Stats
+	// stats is the predictor's slot of its simulation's statistics ledger.
+	stats *Stats
 }
 
-// New builds a predictor. The configuration must be valid.
-func New(cfg Config) (*Predictor, error) {
+// New builds a predictor that counts into st. The configuration must be
+// valid.
+func New(cfg Config, st *Stats) (*Predictor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -161,6 +163,7 @@ func New(cfg Config) (*Predictor, error) {
 		btb:      make([]btbEntry, cfg.BTBSize),
 		pht:      make([]uint8, cfg.PHTSize),
 		histMask: (uint32(1) << cfg.HistoryBits) - 1,
+		stats:    st,
 	}
 	for i := range p.pht {
 		p.pht[i] = uint8(cfg.DefaultState)
@@ -173,9 +176,6 @@ func New(cfg Config) (*Predictor, error) {
 
 // Config returns the predictor configuration.
 func (p *Predictor) Config() Config { return p.cfg }
-
-// Stats returns the collected statistics.
-func (p *Predictor) Stats() Stats { return p.stats }
 
 // phtIndex combines the branch PC with the active history register.
 func (p *Predictor) phtIndex(pc int) int {

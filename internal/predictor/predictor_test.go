@@ -7,7 +7,7 @@ import (
 
 func mustNew(t *testing.T, cfg Config) *Predictor {
 	t.Helper()
-	p, err := New(cfg)
+	p, err := New(cfg, new(Stats))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestStatsAccounting(t *testing.T) {
 	p := mustNew(t, twoBitCfg())
 	p.Update(4, true, true, 8, true)
 	p.Update(4, true, false, 8, false)
-	st := p.Stats()
+	st := *p.stats
 	if st.Predictions != 2 || st.Correct != 1 || st.Mispredicts != 1 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -227,7 +227,7 @@ func TestPropertyTwoBitConvergence(t *testing.T) {
 	f := func(pcRaw uint16, def uint8, dir bool) bool {
 		cfg := Config{BTBSize: 32, PHTSize: 128, Kind: TwoBit,
 			DefaultState: int(def % 4), GlobalHistory: true, HistoryBits: 0}
-		p, err := New(cfg)
+		p, err := New(cfg, new(Stats))
 		if err != nil {
 			return false
 		}
@@ -246,12 +246,12 @@ func TestPropertyTwoBitConvergence(t *testing.T) {
 // Property: prediction accuracy statistics never exceed prediction count.
 func TestPropertyStatsConsistent(t *testing.T) {
 	f := func(outcomes []bool) bool {
-		p, _ := New(DefaultConfig())
+		var st Stats
+		p, _ := New(DefaultConfig(), &st)
 		for i, o := range outcomes {
 			pred := p.Predict(i%50, true)
 			p.Update(i%50, true, o, i+1, pred.Taken == o)
 		}
-		st := p.Stats()
 		return st.Correct+st.Mispredicts == st.Predictions &&
 			st.Predictions == uint64(len(outcomes))
 	}

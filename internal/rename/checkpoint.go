@@ -43,8 +43,6 @@ func (f *File) EncodeState(w *ckpt.Writer) {
 	for i := range f.mapFloat {
 		w.Int(f.mapFloat[i])
 	}
-	w.U64(f.allocs)
-	w.U64(f.stallsEmpty)
 }
 
 // DecodeState applies an encoded rename state onto f, which must have
@@ -125,8 +123,6 @@ func (f *File) DecodeState(r *ckpt.Reader) {
 	}
 	readMap(isa.RegInt)
 	readMap(isa.RegFloat)
-	f.allocs = r.U64()
-	f.stallsEmpty = r.U64()
 }
 
 // renames reports whether tag is a live, uncommitted copy of (class, idx).

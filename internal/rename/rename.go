@@ -51,15 +51,15 @@ type File struct {
 	mapInt   [isa.NumRegs]int
 	mapFloat [isa.NumRegs]int
 
-	// Statistics.
-	allocs      uint64
-	stallsEmpty uint64
+	// stats is the file's slot of its simulation's statistics ledger.
+	stats *Counters
 }
 
 // NewFile builds a rename file with size speculative registers (the
-// "register rename file size" setting of the paper's Memory tab).
-func NewFile(size int) *File {
-	f := &File{spec: make([]specReg, size), free: make([]int, 0, size)}
+// "register rename file size" setting of the paper's Memory tab) that
+// counts into st.
+func NewFile(size int, st *Counters) *File {
+	f := &File{spec: make([]specReg, size), free: make([]int, 0, size), stats: st}
 	for i := size - 1; i >= 0; i-- {
 		f.free = append(f.free, i)
 	}
@@ -104,7 +104,7 @@ func (f *File) archFor(class isa.RegClass) *[isa.NumRegs]expr.Value {
 // exhausted, in which case decode must stall.
 func (f *File) Alloc(class isa.RegClass, idx int) (tag, prev int, ok bool) {
 	if len(f.free) == 0 {
-		f.stallsEmpty++
+		f.stats.StallsEmpty++
 		return NoTag, NoTag, false
 	}
 	tag = f.free[len(f.free)-1]
@@ -119,7 +119,7 @@ func (f *File) Alloc(class isa.RegClass, idx int) (tag, prev int, ok bool) {
 		// The rename map itself holds one reference.
 		refs: 1,
 	}
-	f.allocs++
+	f.stats.Allocations++
 	return tag, prev, true
 }
 
@@ -258,22 +258,19 @@ func (f *File) SetArchValue(class isa.RegClass, idx int, v expr.Value) {
 	f.archFor(class)[idx] = v
 }
 
-// Stats reports rename-file counters.
+// Counters are the rename file's additive statistics.
+type Counters struct {
+	Allocations uint64
+	StallsEmpty uint64
+}
+
+// Stats is what the statistics document reports of the rename file: its
+// counters and the occupancy it ended with.
 type Stats struct {
 	Allocations uint64 `json:"allocations"`
 	StallsEmpty uint64 `json:"stallsEmpty"`
 	InUse       int    `json:"inUse"`
 	Free        int    `json:"free"`
-}
-
-// Stats returns the counters.
-func (f *File) Stats() Stats {
-	return Stats{
-		Allocations: f.allocs,
-		StallsEmpty: f.stallsEmpty,
-		InUse:       len(f.spec) - len(f.free),
-		Free:        len(f.free),
-	}
 }
 
 // SpecView describes one speculative register for the GUI (renamed tag,

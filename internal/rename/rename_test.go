@@ -9,7 +9,7 @@ import (
 )
 
 func TestAllocAndCommitFlow(t *testing.T) {
-	f := NewFile(4)
+	f := NewFile(4, new(Counters))
 	tag, prev, ok := f.Alloc(isa.RegInt, 5)
 	if !ok || prev != NoTag {
 		t.Fatalf("Alloc = (%d, %d, %v)", tag, prev, ok)
@@ -40,7 +40,7 @@ func TestAllocAndCommitFlow(t *testing.T) {
 }
 
 func TestRenameChainNewestWins(t *testing.T) {
-	f := NewFile(8)
+	f := NewFile(8, new(Counters))
 	t1, _, _ := f.Alloc(isa.RegInt, 3)
 	t2, prev2, _ := f.Alloc(isa.RegInt, 3)
 	if prev2 != t1 {
@@ -68,7 +68,7 @@ func TestRenameChainNewestWins(t *testing.T) {
 }
 
 func TestConsumerHoldsRegisterAlive(t *testing.T) {
-	f := NewFile(2)
+	f := NewFile(2, new(Counters))
 	tag, _, _ := f.Alloc(isa.RegInt, 1)
 	src := f.LookupSrc(isa.RegInt, 1) // consumer takes a reference
 	f.SetValue(tag, expr.NewInt(7))
@@ -84,19 +84,20 @@ func TestConsumerHoldsRegisterAlive(t *testing.T) {
 }
 
 func TestAllocExhaustionStalls(t *testing.T) {
-	f := NewFile(2)
+	var st Counters
+	f := NewFile(2, &st)
 	f.Alloc(isa.RegInt, 1)
 	f.Alloc(isa.RegInt, 2)
 	if _, _, ok := f.Alloc(isa.RegInt, 3); ok {
 		t.Error("Alloc must fail when the rename file is exhausted")
 	}
-	if f.Stats().StallsEmpty != 1 {
-		t.Errorf("StallsEmpty = %d, want 1", f.Stats().StallsEmpty)
+	if st.StallsEmpty != 1 || st.Allocations != 2 {
+		t.Errorf("counters = %+v, want 2 allocations and 1 stall", st)
 	}
 }
 
 func TestSquashRestoresMapping(t *testing.T) {
-	f := NewFile(8)
+	f := NewFile(8, new(Counters))
 	t1, _, _ := f.Alloc(isa.RegInt, 3)
 	f.SetValue(t1, expr.NewInt(10))
 	t2, prev2, _ := f.Alloc(isa.RegInt, 3)
@@ -114,7 +115,7 @@ func TestSquashRestoresMapping(t *testing.T) {
 }
 
 func TestSquashChainYoungestFirst(t *testing.T) {
-	f := NewFile(8)
+	f := NewFile(8, new(Counters))
 	t1, p1, _ := f.Alloc(isa.RegInt, 4)
 	t2, p2, _ := f.Alloc(isa.RegInt, 4)
 	t3, p3, _ := f.Alloc(isa.RegInt, 4)
@@ -132,7 +133,7 @@ func TestSquashChainYoungestFirst(t *testing.T) {
 }
 
 func TestX0CommitIsDiscarded(t *testing.T) {
-	f := NewFile(4)
+	f := NewFile(4, new(Counters))
 	tag, _, _ := f.Alloc(isa.RegInt, isa.RegZero)
 	f.SetValue(tag, expr.NewInt(99))
 	f.Commit(tag)
@@ -146,7 +147,7 @@ func TestX0CommitIsDiscarded(t *testing.T) {
 }
 
 func TestIntAndFloatFilesAreSeparate(t *testing.T) {
-	f := NewFile(8)
+	f := NewFile(8, new(Counters))
 	ti, _, _ := f.Alloc(isa.RegInt, 7)
 	tf, _, _ := f.Alloc(isa.RegFloat, 7)
 	f.SetValue(ti, expr.NewInt(1))
@@ -162,7 +163,7 @@ func TestIntAndFloatFilesAreSeparate(t *testing.T) {
 }
 
 func TestRenamedCopiesList(t *testing.T) {
-	f := NewFile(8)
+	f := NewFile(8, new(Counters))
 	t1, _, _ := f.Alloc(isa.RegInt, 6)
 	t2, _, _ := f.Alloc(isa.RegInt, 6)
 	copies := f.RenamedCopies(isa.RegInt, 6)
@@ -177,7 +178,7 @@ func TestRenamedCopiesList(t *testing.T) {
 
 func TestLiveView(t *testing.T) {
 	regs := isa.NewRegisterFile()
-	f := NewFile(8)
+	f := NewFile(8, new(Counters))
 	tag, _, _ := f.Alloc(isa.RegInt, 10)
 	f.SetValue(tag, expr.NewInt(123))
 	views := f.LiveView(regs)
@@ -200,12 +201,17 @@ func TestPropertyRegisterConservation(t *testing.T) {
 	}
 	f := func(steps []step) bool {
 		const capacity = 16
-		file := NewFile(capacity)
+		file := NewFile(capacity, new(Counters))
 		type live struct{ tag, prev int }
 		var stack []live
 		for _, s := range steps {
-			st := file.Stats()
-			if st.InUse+st.Free != capacity {
+			inUse := 0
+			for _, r := range file.spec {
+				if r.inUse {
+					inUse++
+				}
+			}
+			if inUse+file.FreeCount() != capacity {
 				return false
 			}
 			if s.Commit && len(stack) > 0 {

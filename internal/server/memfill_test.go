@@ -168,3 +168,42 @@ func TestSessionRewindKeepsMemFills(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoredSessionRewindsOnItsFills: a checkpoint carries its
+// machine's own cycle 0, so a session restored at cycle 50 that goes back
+// to cycle 1 re-runs on its memFills, not on the Program's image.
+func TestRestoredSessionRewindsOnItsFills(t *testing.T) {
+	_, ts := newTestServer(t)
+	call := func(route string, req, out any) {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/api/v1/session/"+route, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", route, resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var opened api.SessionNewResponse
+	call("new", &api.SessionNewRequest{SimulateRequest: api.SimulateRequest{
+		Code: rewindFillProgram, MemFills: []api.MemFill{{Label: "data", Values: []int64{105, 7}}},
+	}}, &opened)
+	var st api.SessionStateResponse
+	call("step", &api.SessionStepRequest{SessionID: opened.SessionID, Steps: 50}, &st)
+	var cp api.SessionCheckpointResponse
+	call("checkpoint", &api.SessionCheckpointRequest{SessionID: opened.SessionID}, &cp)
+	var restored api.SessionNewResponse
+	call("restore", &api.SessionRestoreRequest{Checkpoint: cp.Checkpoint}, &restored)
+	call("goto", &api.SessionGotoRequest{SessionID: restored.SessionID, Cycle: 1}, &st)
+	call("step", &api.SessionStepRequest{SessionID: restored.SessionID, Steps: 100_000}, &st)
+
+	a0 := "missing"
+	for _, reg := range st.State.IntRegs {
+		if reg.Name == "x10" {
+			a0 = reg.Value
+		}
+	}
+	if !st.State.Halted || a0 != "112" {
+		t.Errorf("restored at cycle 50, back to cycle 1, re-run: halted %v, a0 = %s, want 112", st.State.Halted, a0)
+	}
+}

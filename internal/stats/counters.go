@@ -4,6 +4,7 @@ import (
 	"reflect"
 
 	"riscvsim/internal/cache"
+	"riscvsim/internal/ckpt"
 	"riscvsim/internal/config"
 	"riscvsim/internal/isa"
 	"riscvsim/internal/memory"
@@ -12,10 +13,12 @@ import (
 )
 
 // Counters is the statistics ledger: every additive integer a run
-// accumulates, and nothing else — no rates, no names, no gauges. Because
-// every leaf is a uint64 that only ever grows, a run's statistics form an
-// interval algebra: Sub slices an interval out of two snapshots of one
-// run, Add stitches adjacent intervals, and for any boundary
+// accumulates, and nothing else — no rates, no names, no gauges. A
+// simulation owns one and every component counts into its slot of it in
+// place; core's Counters returns a settled copy. Because every leaf is a
+// uint64 that only ever grows, a run's statistics form an interval
+// algebra: Sub slices an interval out of two snapshots of one run, Add
+// stitches adjacent intervals, and for any boundary
 //
 //	prefix.Add(full.Sub(prefix)) == full
 //
@@ -23,10 +26,10 @@ import (
 // per-interval deltas this way. Rates are never combined: NewReport
 // derives them once from the final counters.
 //
-// Add, Sub and the completeness test walk this type by reflection, so the
-// struct definition is the only list of its fields: a new counter is one
-// field here, the line in core that gathers it and the line in NewReport
-// that publishes it (docs/architecture.md "Statistics").
+// Add, Sub, the checkpoint codec and the completeness test walk this type
+// by reflection, so the struct definition is the only list of its fields:
+// a new counter is one field here, the line that increments it and the
+// line in NewReport that publishes it (docs/architecture.md "Statistics").
 type Counters struct {
 	Cycles     uint64
 	Committed  uint64
@@ -56,7 +59,7 @@ type Counters struct {
 	Predictor predictor.Stats
 	Cache     cache.Stats
 	Memory    memory.Stats
-	Rename    RenameCounters
+	Rename    rename.Counters
 }
 
 // FUCounters is the additive part of one functional unit's FUStat.
@@ -65,18 +68,13 @@ type FUCounters struct {
 	ExecCount  uint64
 }
 
-// RenameCounters is the additive part of rename.Stats (InUse and Free are
-// gauges and travel in Facts).
-type RenameCounters struct {
-	Allocations uint64
-	StallsEmpty uint64
-}
-
 // Add returns c + o: the statistics of two adjacent intervals as one. The
 // zero Counters is the identity, so a fold over intervals needs no seed.
 // The result shares no storage with either operand.
 func (c Counters) Add(o Counters) Counters {
-	zipValue(reflect.ValueOf(&c).Elem(), reflect.ValueOf(o), func(a, b uint64) uint64 { return a + b })
+	zipValue(reflect.ValueOf(&c).Elem(), reflect.ValueOf(o), func(a, b reflect.Value) {
+		a.SetUint(a.Uint() + b.Uint())
+	}, own)
 	return c
 }
 
@@ -84,36 +82,69 @@ func (c Counters) Add(o Counters) Counters {
 // taken earlier. Subtraction saturates at zero so a misordered pair
 // degrades to zeros instead of wrapping.
 func (c Counters) Sub(o Counters) Counters {
-	zipValue(reflect.ValueOf(&c).Elem(), reflect.ValueOf(o), func(a, b uint64) uint64 {
-		if a < b {
-			return 0
-		}
-		return a - b
-	})
+	zipValue(reflect.ValueOf(&c).Elem(), reflect.ValueOf(o), func(a, b reflect.Value) {
+		a.SetUint(a.Uint() - min(a.Uint(), b.Uint()))
+	}, own)
 	return c
 }
 
-// zipValue applies op leaf by leaf, dst = op(dst, src). Slices are
-// reallocated (to the longer operand's length) before they are written, so
-// dst never aliases the value it was copied from. A leaf that is not a
-// uint64 panics: the ledger holds additive integers only.
-func zipValue(dst, src reflect.Value, op func(a, b uint64) uint64) {
+// own reallocates dst to the longer operand's length before it is
+// written, so a result never aliases the value it was copied from.
+func own(dst, src reflect.Value) int {
+	n := max(dst.Len(), src.Len())
+	fresh := reflect.MakeSlice(dst.Type(), n, n)
+	reflect.Copy(fresh, dst)
+	dst.Set(fresh)
+	return src.Len()
+}
+
+// EncodeState writes the ledger as one checkpoint section: every leaf in
+// declaration order, a slice behind its length.
+func (c Counters) EncodeState(w *ckpt.Writer) {
+	w.Section(ckpt.SecLedger)
+	v := reflect.ValueOf(&c).Elem()
+	zipValue(v, v, func(_, leaf reflect.Value) { w.U64(leaf.Uint()) }, func(_, s reflect.Value) int {
+		w.Len(s.Len())
+		return s.Len()
+	})
+}
+
+// DecodeState reads a ledger EncodeState wrote into c in place. c's slices
+// already have the machine's lengths (one FUs entry per functional unit);
+// an encoded length that differs is corruption.
+func (c *Counters) DecodeState(r *ckpt.Reader) {
+	r.Section(ckpt.SecLedger)
+	v := reflect.ValueOf(c).Elem()
+	zipValue(v, v, func(leaf, _ reflect.Value) { leaf.SetUint(r.U64()) }, func(s, _ reflect.Value) int {
+		if n := r.Len(s.Len()); r.Err() == nil && n != s.Len() {
+			r.Corrupt("ledger %s of %d entries, machine has %d", s.Type(), n, s.Len())
+		}
+		if r.Err() != nil {
+			return 0
+		}
+		return s.Len()
+	})
+}
+
+// zipValue walks dst and src in step and calls leaf at every uint64. At a
+// slice, span returns how many elements to walk, after sizing dst if it
+// must. A leaf that is not a uint64 panics: the ledger holds additive
+// integers only.
+func zipValue(dst, src reflect.Value, leaf func(dst, src reflect.Value), span func(dst, src reflect.Value) int) {
 	switch dst.Kind() {
 	case reflect.Uint64:
-		dst.SetUint(op(dst.Uint(), src.Uint()))
+		leaf(dst, src)
 	case reflect.Struct:
 		for i := 0; i < dst.NumField(); i++ {
-			zipValue(dst.Field(i), src.Field(i), op)
+			zipValue(dst.Field(i), src.Field(i), leaf, span)
 		}
 	case reflect.Slice:
-		n := max(dst.Len(), src.Len())
-		fresh := reflect.MakeSlice(dst.Type(), n, n)
-		reflect.Copy(fresh, dst)
-		dst.Set(fresh)
-		fallthrough
+		for i, n := 0, span(dst, src); i < n; i++ {
+			zipValue(dst.Index(i), src.Index(i), leaf, span)
+		}
 	case reflect.Array:
 		for i := 0; i < src.Len(); i++ {
-			zipValue(dst.Index(i), src.Index(i), op)
+			zipValue(dst.Index(i), src.Index(i), leaf, span)
 		}
 	default:
 		panic("stats: Counters leaf of kind " + dst.Kind().String())

@@ -1,16 +1,20 @@
 package stats
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"riscvsim/internal/cache"
+	"riscvsim/internal/ckpt"
 	"riscvsim/internal/config"
 	"riscvsim/internal/isa"
 	"riscvsim/internal/memory"
 	"riscvsim/internal/predictor"
+	"riscvsim/internal/rename"
 )
 
 // intervalCounters builds a synthetic interval ledger scaled by f.
@@ -39,7 +43,7 @@ func intervalCounters(f uint64) Counters {
 		Predictor: predictor.Stats{Predictions: 200 * f, Correct: 180 * f, Mispredicts: 20 * f, BTBHits: 11 * f, BTBMisses: 7 * f},
 		Cache:     cache.Stats{Accesses: 400 * f, Hits: 380 * f, Misses: 20 * f, Evictions: 6 * f, Writebacks: 4 * f, BytesWritten: 256 * f},
 		Memory:    memory.Stats{Reads: 30 * f, Writes: 12 * f, BytesRead: 960 * f, BytesWritten: 384 * f},
-		Rename:    RenameCounters{Allocations: 1200 * f, StallsEmpty: 2 * f},
+		Rename:    rename.Counters{Allocations: 1200 * f, StallsEmpty: 2 * f},
 	}
 }
 
@@ -212,5 +216,42 @@ func TestReportCompleteness(t *testing.T) {
 			t.Errorf("Counters%s does not reach the document", values[old])
 		}
 		leaf.SetUint(old)
+	}
+}
+
+// TestLedgerRoundTrip: with every leaf set to a distinct value, the
+// ledger decodes to what it encoded, so a field added to Counters crosses
+// a checkpoint with no codec edit. A stream whose FUs length is not the
+// machine's is corrupt, not misread.
+func TestLedgerRoundTrip(t *testing.T) {
+	c := Counters{FUs: make([]FUCounters, 3)}
+	n := uint64(0)
+	walkNumbers(reflect.ValueOf(&c).Elem(), "", func(_ string, v reflect.Value) {
+		n++
+		v.SetUint(n<<40 | n)
+	})
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf)
+	c.EncodeState(w)
+	if w.Err() != nil {
+		t.Fatal(w.Err())
+	}
+
+	got := Counters{FUs: make([]FUCounters, 3)}
+	r := ckpt.NewReader(bytes.NewReader(buf.Bytes()))
+	got.DecodeState(r)
+	r.End()
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	countersEqual(t, "round trip", got, c)
+
+	for _, units := range []int{2, 4} {
+		other := Counters{FUs: make([]FUCounters, units)}
+		r := ckpt.NewReader(bytes.NewReader(buf.Bytes()))
+		other.DecodeState(r)
+		if !errors.Is(r.Err(), ckpt.ErrCorrupt) {
+			t.Errorf("3 units into a machine of %d: err = %v, want ErrCorrupt", units, r.Err())
+		}
 	}
 }

@@ -16,12 +16,13 @@ import (
 // JSON, the assembly source and the entry point, and the body carries
 // every piece of dynamic state — architectural and speculative registers,
 // ROB, issue windows, LSU queues, functional units, fetch/branch state,
-// cache contents, memory (sparse pages), cycle counters and statistics. A
-// CRC-32C trailer covers all of it and is checked before any decoder
-// runs. Restore resolves the source to a compiled Program (assembling it,
-// or finding it in the caller's cache: RestoreWith), instantiates it and
-// overlays the dynamic state, yielding a machine that is cycle-for-cycle
-// deterministic with the original. docs/checkpoint.md documents the
+// cache contents, memory (sparse pages), the statistics ledger — and the
+// machine's own cycle 0, which its rewinds start from. A CRC-32C trailer
+// covers all of it and is checked before any decoder runs. Restore
+// resolves the source to a compiled Program (assembling it, or finding it
+// in the caller's cache: RestoreWith), instantiates it and overlays the
+// dynamic state, yielding a machine that is cycle-for-cycle deterministic
+// with the original. docs/checkpoint.md documents the
 // binary layout.
 
 // header size bounds for the decoder.
@@ -31,8 +32,11 @@ const (
 )
 
 // Checkpoint serializes the machine's complete state to w in the
-// versioned binary snapshot format.
+// versioned binary snapshot format. The floor section is the machine's
+// own cycle 0 (sealed first if it was written since), empty when that is
+// the Program's pristine start.
 func (m *Machine) Checkpoint(w io.Writer) error {
+	m.sealFloor()
 	if m.cfgJSON == nil {
 		data, err := m.cfg.Export()
 		if err != nil {
@@ -48,6 +52,8 @@ func (m *Machine) Checkpoint(w io.Writer) error {
 	cw.String(m.prog.src)
 	cw.Int(m.entry)
 	m.sim.EncodeState(cw)
+	cw.Section(ckpt.SecFloor)
+	cw.Bytes(m.snaps.floor.data)
 	cw.Footer()
 	if err := cw.Err(); err != nil {
 		return err
@@ -107,14 +113,25 @@ func RestoreWith(data []byte, assemble func(src string, mem MemoryConfig) (*Prog
 		return nil, fmt.Errorf("%w: rebuilding machine: %v", ckpt.ErrCorrupt, err)
 	}
 	s.DecodeState(cr)
+	cr.Section(ckpt.SecFloor)
+	floor := cr.Bytes(ckpt.MaxStreamLen)
 	cr.End()
 	if err := cr.Err(); err != nil {
 		return nil, err
 	}
 	m := newMachine(cfg, p, s, entry)
-	// A checkpoint taken at cycle 0 holds that machine's own cycle 0,
-	// which rewinds start from instead of the Program's image.
-	m.dirtyFloor = s.Cycle() == 0
+	if len(floor) > 0 {
+		// Decoded once here, so a corrupt floor fails the restore and
+		// not the first rewind.
+		m.snaps.floor.data = floor
+		f, err := m.restore(m.snaps.floor, 0)
+		if err == nil && f.Cycle() != 0 {
+			err = fmt.Errorf("it is at cycle %d", f.Cycle())
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: cycle-0 floor: %v", ckpt.ErrCorrupt, err)
+		}
+	}
 	// The header it came with, as it came: the machine re-encodes to the
 	// same bytes even from a document Export would have spelled otherwise.
 	m.cfgJSON = cfgJSON

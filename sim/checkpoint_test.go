@@ -217,7 +217,7 @@ loop:
 	m.StepN(20)
 	data := checkpointBytes(t, m)
 
-	golden := filepath.Join("testdata", "checkpoint_v2.golden")
+	golden := filepath.Join("testdata", "checkpoint_v3.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

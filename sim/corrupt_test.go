@@ -113,7 +113,7 @@ func TestResealedFlipsNeverPanic(t *testing.T) {
 // re-encodes to the same bytes and then steps and checkpoints without
 // panicking.
 func FuzzCheckpointDecode(f *testing.F) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v2.golden"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v3.golden"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -123,6 +123,19 @@ func FuzzCheckpointDecode(f *testing.F) {
 		m.StepN(cycle)
 		f.Add(checkpointBytes(f, m))
 	}
+	// A machine restored past cycle 0 carries the floor its checkpoint
+	// brought: the loop machine's array is written before the first cycle.
+	m := newLoopMachine(f, 2)
+	m.StepN(37)
+	restored, err := RestoreWith(checkpointBytes(f, m), Assemble)
+	if err != nil {
+		f.Fatal(err)
+	}
+	restored.StepN(20)
+	if restored.snaps.floor.data == nil {
+		f.Fatal("restored seed machine has no floor")
+	}
+	f.Add(checkpointBytes(f, restored))
 	for _, src := range HaltingPrograms {
 		halted, err := NewFromAsm(DefaultConfig(), src, "")
 		if err != nil {
