@@ -7,64 +7,86 @@ import (
 
 // Error-path coverage with exact-message assertions. The messages are
 // part of the editor contract — the server streams them as diagnostics
-// and the CLI prints them verbatim — so they are pinned here rather than
-// matched loosely.
+// and the CLI prints them verbatim — so the whole ErrorList text, with
+// every line:col, is pinned here rather than matched loosely.
+
+type errorCase struct {
+	name, src, want string
+}
 
 func wantErrMsg(t *testing.T, src, want string) {
 	t.Helper()
 	err := parseErr(t, src)
-	if !strings.Contains(err.Error(), want) {
-		t.Errorf("Assemble(%q) error = %q, want it to contain %q", src, err.Error(), want)
+	if err.Error() != want {
+		t.Errorf("Assemble(%.40q) error = %q, want %q", src, err.Error(), want)
 	}
 }
 
-func TestParserErrorMessages(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
-		{"duplicate label", "foo:\nfoo:\n  ecall\n", `duplicate label "foo"`},
-		{"unknown instruction", "frobnicate x1, x2\n", `unknown instruction "frobnicate"`},
-		{"unknown register", "add x1, x2, x99\n", `unknown register "x99"`},
-		{"non-numeric alignment", ".align zz\n", ".align expects a numeric power-of-two exponent"},
-		{"bad alignment exponent", ".align 17\n", `bad alignment exponent "17"`},
-		{"unsupported directive", ".bogus 1\n", `unsupported directive ".bogus"`},
-		{"stray token", "add x1, x2, x3 extra\n", `add: operand "x3 extra" must be a register`},
+var parserErrorCases = []errorCase{
+	{"duplicate label", "foo:\nfoo:\n  ecall\n", `line 2:1: duplicate label "foo"`},
+	{"unknown instruction", "frobnicate x1, x2\n", `line 1:1: unknown instruction "frobnicate"`},
+	{"unknown register", "add x1, x2, x99\n", `line 1:13: unknown register "x99"`},
+	{"non-numeric alignment", ".align zz\n", "line 1:1: .align expects a numeric power-of-two exponent"},
+	{"bad alignment exponent", ".align 17\n", `line 1:1: bad alignment exponent "17"`},
+	{"unsupported directive", ".bogus 1\n", `line 1:1: unsupported directive ".bogus"`},
+	{"stray token", "add x1, x2, x3 extra\n", `line 1:1: add: operand "x3 extra" must be a register`},
+}
+
+var lexerErrorCases = []errorCase{
+	{"unterminated block comment", "add x1, x1, x1\n/* never closed\n", "line 3:1: unterminated block comment"},
+	{"unterminated string", ".ascii \"abc\n", `line 1:8: unterminated string "\"abc"`},
+	{"unterminated character literal", "li x1, 'a\n", "line 1:8: unterminated character literal"},
+	{"unexpected character", "add x1`, x1, x1\n", "line 1:7: unexpected character \"`\""},
+	// Lexer diagnostics come first, then the parser's, each in source
+	// order; a block comment's newlines still count lines.
+	{"lexer errors before parser errors",
+		"frob x1\n.ascii \"abc\n  add x1, x2, x99 /* a\n b */ ecall @\n",
+		"4 errors:\n" +
+			"  line 2:8: unterminated string \"\\\"abc\"\n" +
+			"  line 4:13: unexpected character \"@\"\n" +
+			"  line 1:1: unknown instruction \"frob\"\n" +
+			"  line 3:15: unknown register \"x99\""},
+}
+
+var operandErrorCases = []errorCase{
+	{"undefined symbol", "li x1, no_such_symbol\n", `line 1:0: undefined symbol "no_such_symbol"`},
+	{"missing close paren", "li x1, (1+2\n", `line 1:0: missing ')' in expression`},
+	{"division by zero", "li x1, 4/0\n", "line 1:0: division by zero in operand expression"},
+	{"trailing operator", "li x1, 1+\n", "line 1:0: unexpected end of expression"},
+	{"bad percent operator", "lui x1, %mid(foo)\n", "line 1:0: expected hi or lo after %"},
+	// The evaluator recurses per level: without the bound, a few
+	// megabytes of these end the process with a stack overflow.
+	{"deep parentheses", "li x1, " + strings.Repeat("(", 2_000_000) + "1" + strings.Repeat(")", 2_000_000) + "\n", "line 1:0: operand expression is nested too deeply (limit 1000)"},
+	{"deep signs", "li x1, " + strings.Repeat("-", 100_000) + "1\n", "line 1:0: operand expression is nested too deeply (limit 1000)"},
+	{"deep relocations", "lui x1, " + strings.Repeat("%hi(", 100_000) + "1" + strings.Repeat(")", 100_000) + "\n", "line 1:0: operand expression is nested too deeply (limit 1000)"},
+}
+
+// HostileSources returns the source of every diagnostic case in this
+// file, as seeds for FuzzAssemble (an external test package).
+func HostileSources() []string {
+	var out []string
+	for _, cases := range [][]errorCase{parserErrorCases, lexerErrorCases, operandErrorCases} {
+		for _, c := range cases {
+			out = append(out, c.src)
+		}
 	}
-	for _, c := range cases {
+	return out
+}
+
+func TestParserErrorMessages(t *testing.T) {
+	for _, c := range parserErrorCases {
 		t.Run(c.name, func(t *testing.T) { wantErrMsg(t, c.src, c.want) })
 	}
 }
 
 func TestLexerErrorMessages(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
-		{"unterminated block comment", "add x1, x1, x1\n/* never closed\n", "unterminated block comment"},
-		{"unterminated string", ".ascii \"abc\n", "unterminated string"},
-		{"unterminated character literal", "li x1, 'a\n", "unterminated character literal"},
-		{"unexpected character", "add x1`, x1, x1\n", "unexpected character \"`\""},
-	}
-	for _, c := range cases {
+	for _, c := range lexerErrorCases {
 		t.Run(c.name, func(t *testing.T) { wantErrMsg(t, c.src, c.want) })
 	}
 }
 
 func TestOperandExpressionErrorMessages(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
-		{"undefined symbol", "li x1, no_such_symbol\n", `undefined symbol "no_such_symbol"`},
-		{"missing close paren", "li x1, (1+2\n", `missing ')' in expression`},
-		{"division by zero", "li x1, 4/0\n", "division by zero in operand expression"},
-		{"trailing operator", "li x1, 1+\n", "unexpected end of expression"},
-		{"bad percent operator", "lui x1, %mid(foo)\n", "expected hi or lo after %"},
-		// The evaluator recurses per level: without the bound, a few
-		// megabytes of these end the process with a stack overflow.
-		{"deep parentheses", "li x1, " + strings.Repeat("(", 2_000_000) + "1" + strings.Repeat(")", 2_000_000) + "\n", "nested too deeply"},
-		{"deep signs", "li x1, " + strings.Repeat("-", 100_000) + "1\n", "nested too deeply"},
-		{"deep relocations", "lui x1, " + strings.Repeat("%hi(", 100_000) + "1" + strings.Repeat(")", 100_000) + "\n", "nested too deeply"},
-	}
-	for _, c := range cases {
+	for _, c := range operandErrorCases {
 		t.Run(c.name, func(t *testing.T) { wantErrMsg(t, c.src, c.want) })
 	}
 	// Below the bound nothing changes.
@@ -81,13 +103,8 @@ func TestOperandExpressionErrorMessages(t *testing.T) {
 // TestErrorListAggregates pins that multiple offending lines all appear
 // in one ErrorList, which is what lets the editor mark every line.
 func TestErrorListAggregates(t *testing.T) {
-	err := parseErr(t, "frobnicate x1\nblargh x2\n  ecall\n")
-	msg := err.Error()
-	if !strings.Contains(msg, `unknown instruction "frobnicate"`) ||
-		!strings.Contains(msg, `unknown instruction "blargh"`) {
-		t.Errorf("ErrorList should report both bad lines, got %q", msg)
-	}
-	if !strings.Contains(msg, "2 errors:") {
-		t.Errorf("ErrorList header missing, got %q", msg)
-	}
+	wantErrMsg(t, "frobnicate x1\nblargh x2\n  ecall\n",
+		"2 errors:\n"+
+			"  line 1:1: unknown instruction \"frobnicate\"\n"+
+			"  line 2:1: unknown instruction \"blargh\"")
 }

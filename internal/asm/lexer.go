@@ -7,6 +7,7 @@ package asm
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -81,25 +82,62 @@ func (l ErrorList) Err() error {
 	return l
 }
 
-// Lex tokenizes assembly source. Comments run from '#' or "//" to the end
-// of the line; "/* */" blocks are also supported. Every physical line ends
-// with a TokNewline token so the parser can recover per line.
-func Lex(src string) ([]Token, ErrorList) {
-	toks := make([]Token, 0, len(src)/3) // assembly runs about three source bytes per token
-	var errs ErrorList
-	line, col := 1, 1
-	i := 0
+// lexer tokenizes assembly source one physical line at a time, so the
+// parser holds one line's tokens, never the whole stream. Comments run
+// from '#' or "//" to the end of the line; "/* */" blocks are also
+// supported, and a newline inside one still ends a line so the parser can
+// recover per line. Its diagnostics collect in errs.
+type lexer struct {
+	src       string
+	i         int
+	line, col int  // 1-based position of src[i]
+	inComment bool // inside a "/* */" block
+	errs      ErrorList
+}
+
+func newLexer(src string) lexer { return lexer{src: src, line: 1, col: 1} }
+
+// next overwrites toks with the tokens of the next line, ending with its
+// TokNewline; it returns no tokens once the source is exhausted.
+func (lx *lexer) next(toks []Token) []Token {
+	toks = toks[:0]
+	src, i, line, col := lx.src, lx.i, lx.line, lx.col
 	emit := func(kind TokKind, text string, c int) {
+		if len(toks) == cap(toks) {
+			// Double, where append would grow a long line by a quarter
+			// at a time and allocate five times its final size.
+			toks = append(make([]Token, 0, 2*cap(toks)+16), toks...)
+		}
 		toks = append(toks, Token{Kind: kind, Text: text, Line: line, Col: c})
 	}
-	for i < len(src) {
+	// newline ends the line at src[i] == '\n'.
+	newline := func() []Token {
+		emit(TokNewline, "\n", col)
+		lx.i, lx.line, lx.col = i+1, line+1, 1
+		return toks
+	}
+	for i < len(src) || lx.inComment {
+		if lx.inComment {
+			for i < len(src) && !(src[i] == '*' && i+1 < len(src) && src[i+1] == '/') {
+				if src[i] == '\n' {
+					return newline()
+				}
+				i++
+				col++
+			}
+			lx.inComment = false
+			if i >= len(src) {
+				lx.errs = append(lx.errs, &Error{Line: line, Col: col, Msg: "unterminated block comment"})
+				break
+			}
+			i += 2
+			col += 2
+			continue
+		}
 		c := src[i]
 		switch {
 		case c == '\n':
-			emit(TokNewline, "\n", col)
-			line++
-			col = 1
-			i++
+			return newline()
 		case c == ' ' || c == '\t' || c == '\r':
 			i++
 			col++
@@ -114,21 +152,7 @@ func Lex(src string) ([]Token, ErrorList) {
 		case c == '/' && i+1 < len(src) && src[i+1] == '*':
 			i += 2
 			col += 2
-			for i < len(src) && !(src[i] == '*' && i+1 < len(src) && src[i+1] == '/') {
-				if src[i] == '\n' {
-					emit(TokNewline, "\n", col)
-					line++
-					col = 0
-				}
-				i++
-				col++
-			}
-			if i >= len(src) {
-				errs = append(errs, &Error{Line: line, Col: col, Msg: "unterminated block comment"})
-			} else {
-				i += 2
-				col += 2
-			}
+			lx.inComment = true
 		case c == '"':
 			start, startCol := i, col
 			i++
@@ -157,7 +181,7 @@ func Lex(src string) ([]Token, ErrorList) {
 				col++
 			}
 			if !closed {
-				errs = append(errs, &Error{Line: line, Col: startCol,
+				lx.errs = append(lx.errs, &Error{Line: line, Col: startCol,
 					Msg: fmt.Sprintf("unterminated string %q", src[start:min(i, start+12)])})
 			}
 			emit(TokString, sb.String(), startCol)
@@ -238,20 +262,21 @@ func Lex(src string) ([]Token, ErrorList) {
 				i++
 				col++
 			} else {
-				errs = append(errs, &Error{Line: line, Col: startCol, Msg: "unterminated character literal"})
+				lx.errs = append(lx.errs, &Error{Line: line, Col: startCol, Msg: "unterminated character literal"})
 			}
-			emit(TokNumber, fmt.Sprintf("%d", val), startCol)
+			emit(TokNumber, strconv.Itoa(int(val)), startCol)
 		default:
-			errs = append(errs, &Error{Line: line, Col: col,
+			lx.errs = append(lx.errs, &Error{Line: line, Col: col,
 				Msg: fmt.Sprintf("unexpected character %q", string(c))})
 			i++
 			col++
 		}
 	}
-	if len(toks) == 0 || toks[len(toks)-1].Kind != TokNewline {
+	lx.i, lx.line, lx.col = i, line, col
+	if len(toks) > 0 {
 		emit(TokNewline, "\n", col)
 	}
-	return toks, errs
+	return toks
 }
 
 // unescape decodes one backslash escape at the start of s, returning the

@@ -21,6 +21,12 @@ type operandExpr struct {
 
 func (o *operandExpr) String() string { return o.text }
 
+// newOperandExpr keeps a copy of an operand's tokens for the second pass:
+// the parser reuses the line buffer they come from.
+func newOperandExpr(g []Token, text string) *operandExpr {
+	return &operandExpr{toks: append([]Token(nil), g...), text: text}
+}
+
 // evalOperand evaluates an operand expression such as `arr+64`, `-12`,
 // `%lo(x)` or `(N+1)*4`. Supported: + - * / %, unary minus, parentheses,
 // integer literals, character literals (already lexed to numbers), label

@@ -20,43 +20,45 @@ const (
 	secData
 )
 
-// parser holds the first-pass state.
+// parser holds the first-pass state. It is handed one line of tokens at
+// a time and splits operands into scratch that every line reuses, so
+// what it allocates is what the Program keeps.
 type parser struct {
 	set  *isa.Set
 	regs *isa.RegisterFile
-	toks []Token
-	pos  int
 	errs ErrorList
+	// groups[d] holds the operand groups at pseudo-expansion depth d and
+	// lits[d] the template operands that expansion spells out.
+	groups [maxExpansion + 2][][]Token
+	lits   [maxExpansion + 2][]Token
 
 	prog    *Program
 	sect    section
 	pending []string // labels awaiting their statement
-	curLine int
 }
 
 // Parse runs the assembler's first pass: tokenization and processing of
 // instructions and memory directives (paper §III-C). The returned program
 // still needs Load to allocate memory and resolve label expressions.
 func Parse(src string, set *isa.Set, regs *isa.RegisterFile) (*Program, error) {
-	toks, lexErrs := Lex(src)
 	p := &parser{
 		set:  set,
 		regs: regs,
-		toks: toks,
-		errs: lexErrs,
 		prog: &Program{
 			Symbols:    make(SymbolTable),
 			codeLabels: make(map[string]int),
 		},
 	}
-	for p.pos < len(p.toks) {
-		p.parseLine()
+	lx := newLexer(src)
+	for line := lx.next(nil); len(line) > 0; line = lx.next(line) {
+		p.parseLine(line)
 	}
 	// Code labels are known after the first pass.
 	for name, idx := range p.prog.codeLabels {
 		p.prog.Symbols[name] = int64(idx)
 	}
-	return p.prog, p.errs.Err()
+	// Lexer diagnostics come first, then the parser's, each in source order.
+	return p.prog, append(lx.errs, p.errs...).Err()
 }
 
 // Assemble is the full pipeline: parse, allocate, resolve and write the
@@ -76,67 +78,30 @@ func (p *parser) errf(tok Token, format string, args ...any) {
 	p.errs = append(p.errs, &Error{Line: tok.Line, Col: tok.Col, Msg: fmt.Sprintf(format, args...)})
 }
 
-func (p *parser) peek() Token { return p.toks[p.pos] }
-
-func (p *parser) next() Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
-	} else {
-		p.pos = len(p.toks)
-	}
-	return t
-}
-
-// skipLine advances past the next newline (error recovery).
-func (p *parser) skipLine() {
-	for p.pos < len(p.toks) {
-		if p.next().Kind == TokNewline {
-			return
-		}
-	}
-}
-
-// lineTokens collects the tokens up to the newline, consuming it.
-func (p *parser) lineTokens() []Token {
-	start := p.pos
-	for p.pos < len(p.toks) && p.toks[p.pos].Kind != TokNewline {
-		p.pos++
-	}
-	line := p.toks[start:p.pos]
-	if p.pos < len(p.toks) {
-		p.pos++ // newline
-	}
-	return line
-}
-
-func (p *parser) parseLine() {
+// parseLine parses one line's tokens, which end with its TokNewline.
+func (p *parser) parseLine(line []Token) {
 	// Labels: ident ':' (possibly several on one line). GAS-style local
 	// labels (.L1) lex as directive tokens but define labels all the same.
-	for p.pos+1 < len(p.toks) &&
-		(p.toks[p.pos].Kind == TokIdent || p.toks[p.pos].Kind == TokDir) &&
-		p.toks[p.pos+1].Kind == TokColon {
-		label := p.toks[p.pos].Text
+	for (line[0].Kind == TokIdent || line[0].Kind == TokDir) && line[1].Kind == TokColon {
+		label := line[0].Text
 		_, dupSym := p.prog.Symbols[label]
 		_, dupCode := p.prog.codeLabels[label]
 		if dupSym || dupCode || p.isPending(label) {
-			p.errf(p.toks[p.pos], "duplicate label %q", label)
+			p.errf(line[0], "duplicate label %q", label)
 		} else {
 			p.pending = append(p.pending, label)
 		}
-		p.pos += 2
+		line = line[2:]
 	}
-	t := p.peek()
-	switch t.Kind {
+	switch t := line[0]; t.Kind {
 	case TokNewline:
-		p.pos++
+		// A blank or label-only line.
 	case TokDir:
-		p.parseDirective()
+		p.parseDirective(t, line[1:len(line)-1])
 	case TokIdent:
-		p.parseInstruction()
+		p.expand(t, p.operands(line[1:len(line)-1]), 0)
 	default:
 		p.errf(t, "expected instruction, directive or label, got %q", t.Text)
-		p.skipLine()
 	}
 }
 
@@ -169,10 +134,10 @@ func (p *parser) dataItemFor(line int) *DataItem {
 	return item
 }
 
-// splitOperands splits the remainder of the line into comma-separated
-// operand token groups (respecting parentheses).
-func splitOperands(line []Token) [][]Token {
-	var groups [][]Token
+// operands splits the remainder of the line into comma-separated operand
+// token groups (respecting parentheses), in the depth-0 scratch.
+func (p *parser) operands(line []Token) [][]Token {
+	groups := p.groups[0][:0]
 	depth, start := 0, 0
 	for i, t := range line {
 		switch t.Kind {
@@ -190,10 +155,16 @@ func splitOperands(line []Token) [][]Token {
 	if start < len(line) || len(groups) > 0 {
 		groups = append(groups, line[start:])
 	}
+	p.groups[0] = groups
 	return groups
 }
 
+// groupText spells an operand group for display; a one-token group is the
+// token's own text.
 func groupText(g []Token) string {
+	if len(g) == 1 {
+		return g[0].Text
+	}
 	var sb strings.Builder
 	for i, t := range g {
 		if i > 0 && needSpace(g[i-1], t) {
@@ -213,9 +184,8 @@ func needSpace(a, b Token) bool {
 // Directives
 // ---------------------------------------------------------------------------
 
-func (p *parser) parseDirective() {
-	dir := p.next()
-	line := p.lineTokens()
+// parseDirective handles the directive dir with the rest of its line.
+func (p *parser) parseDirective(dir Token, line []Token) {
 	name := strings.ToLower(dir.Text)
 	switch name {
 	case ".text":
@@ -274,7 +244,7 @@ func (p *parser) parseDirective() {
 		item := p.dataItemFor(dir.Line)
 		item.Align = int(n)
 	case ".equ", ".set":
-		groups := splitOperands(line)
+		groups := p.operands(line)
 		if len(groups) != 2 || len(groups[0]) != 1 || groups[0][0].Kind != TokIdent {
 			p.errf(dir, "%s expects `name, expression`", name)
 			return
@@ -302,7 +272,7 @@ func (p *parser) dataElems(dir Token, line []Token, size int) {
 	if item.Align < size {
 		item.Align = size
 	}
-	groups := splitOperands(line)
+	groups := p.operands(line)
 	if len(groups) == 0 {
 		p.errf(dir, "%s expects at least one value", dir.Text)
 		return
@@ -316,10 +286,7 @@ func (p *parser) dataElems(dir Token, line []Token, size int) {
 		if v, err := evalOperand(g, p.prog.Symbols); err == nil {
 			item.Elems = append(item.Elems, DataElem{Size: size, Val: v})
 		} else {
-			item.Elems = append(item.Elems, DataElem{
-				Size: size,
-				expr: &operandExpr{toks: append([]Token(nil), g...), text: groupText(g)},
-			})
+			item.Elems = append(item.Elems, DataElem{Size: size, expr: newOperandExpr(g, groupText(g))})
 		}
 	}
 }
@@ -329,7 +296,7 @@ func (p *parser) floatElems(dir Token, line []Token, size int) {
 	if item.Align < size {
 		item.Align = size
 	}
-	groups := splitOperands(line)
+	groups := p.operands(line)
 	for _, g := range groups {
 		neg := false
 		i := 0
@@ -368,7 +335,7 @@ func (p *parser) stringData(dir Token, line []Token, zeroTerm bool) {
 }
 
 func (p *parser) skipData(dir Token, line []Token) {
-	groups := splitOperands(line)
+	groups := p.operands(line)
 	if len(groups) < 1 {
 		p.errf(dir, "%s expects a byte count", dir.Text)
 		return
@@ -386,18 +353,15 @@ func (p *parser) skipData(dir Token, line []Token) {
 // Instructions
 // ---------------------------------------------------------------------------
 
-func (p *parser) parseInstruction() {
-	mn := p.next()
-	line := p.lineTokens()
-	groups := splitOperands(line)
-	p.expand(mn, groups, 0)
-}
+// maxExpansion bounds pseudo-instruction nesting, which guards against
+// cyclic pseudo definitions in user-loaded ISAs.
+const maxExpansion = 4
 
 // expand resolves pseudo-instructions (possibly recursively) and assembles
-// the final instruction. depth guards against cyclic pseudo definitions in
-// user-loaded ISAs.
+// the final instruction. Each expansion writes its operands into the
+// scratch of the next depth.
 func (p *parser) expand(mn Token, groups [][]Token, depth int) {
-	if depth > 4 {
+	if depth > maxExpansion {
 		p.errf(mn, "pseudo-instruction expansion too deep for %q", mn.Text)
 		return
 	}
@@ -410,7 +374,7 @@ func (p *parser) expand(mn Token, groups [][]Token, depth int) {
 		}
 		for _, tmpl := range ps.Expansion {
 			newMn := Token{Kind: TokIdent, Text: tmpl[0], Line: mn.Line, Col: mn.Col}
-			var newGroups [][]Token
+			newGroups, lits := p.groups[depth+1][:0], p.lits[depth+1][:0]
 			for _, opTmpl := range tmpl[1:] {
 				if strings.HasPrefix(opTmpl, "$") {
 					idx := int(opTmpl[1] - '0')
@@ -424,9 +388,11 @@ func (p *parser) expand(mn Token, groups [][]Token, depth int) {
 					if opTmpl[0] == '-' || (opTmpl[0] >= '0' && opTmpl[0] <= '9') {
 						kind = TokNumber
 					}
-					newGroups = append(newGroups, []Token{{Kind: kind, Text: opTmpl, Line: mn.Line, Col: mn.Col}})
+					lits = append(lits, Token{Kind: kind, Text: opTmpl, Line: mn.Line, Col: mn.Col})
+					newGroups = append(newGroups, lits[len(lits)-1:])
 				}
 			}
+			p.groups[depth+1], p.lits[depth+1] = newGroups, lits
 			p.expand(newMn, newGroups, depth+1)
 		}
 		return
@@ -485,23 +451,25 @@ func (p *parser) assemble(mn Token, desc *isa.Desc, groups [][]Token) {
 			return false
 		}
 		op := Operand{Arg: arg, Text: groupText(g)}
-		if v, err := evalOperand(g, p.prog.Symbols); err == nil && !usesFutureSymbols(g, p.prog.Symbols) {
+		if namesSymbol(g) {
+			op.expr = newOperandExpr(g, op.Text)
+		} else if v, err := evalOperand(g, p.prog.Symbols); err == nil {
 			op.Val = v
 		} else {
-			op.expr = &operandExpr{toks: append([]Token(nil), g...), text: groupText(g)}
+			op.expr = newOperandExpr(g, op.Text)
 		}
 		in.Ops = append(in.Ops, op)
 		return true
 	}
 
 	// splitAddress decomposes `imm(reg)`, `(reg)` or `imm` into its parts.
-	splitAddress := func(g []Token) (immToks []Token, regTok *Token, ok bool) {
+	splitAddress := func(g []Token) (immToks, regToks []Token) {
 		// Find a trailing "( ident )".
 		if len(g) >= 3 && g[len(g)-1].Kind == TokRParen &&
 			g[len(g)-2].Kind == TokIdent && g[len(g)-3].Kind == TokLParen {
-			return g[:len(g)-3], &g[len(g)-2], true
+			return g[:len(g)-3], g[len(g)-2 : len(g)-1]
 		}
-		return g, nil, true
+		return g, nil
 	}
 
 	wrong := func(want string) {
@@ -574,10 +542,10 @@ func (p *parser) assemble(mn Token, desc *isa.Desc, groups [][]Token) {
 		if !bindReg(regArg, groups[0]) {
 			return
 		}
-		immToks, regTok, _ := splitAddress(groups[1])
+		immToks, regToks := splitAddress(groups[1])
 		// 3-operand GAS form `lw rd, sym, tmp` — the temp register is
 		// advisory and ignored.
-		if regTok == nil {
+		if regToks == nil {
 			if len(immToks) == 0 {
 				wrong(regArg + ", imm(rs1)")
 				return
@@ -589,12 +557,12 @@ func (p *parser) assemble(mn Token, desc *isa.Desc, groups [][]Token) {
 			in.Ops = append(in.Ops, Operand{Arg: desc.Arg("rs1"), Reg: 0, Text: "x0"})
 		} else {
 			if len(immToks) == 0 {
-				immToks = []Token{{Kind: TokNumber, Text: "0", Line: mn.Line, Col: mn.Col}}
+				immToks = zeroOffset
 			}
 			if !bindImm("imm", immToks) {
 				return
 			}
-			if !bindReg("rs1", []Token{*regTok}) {
+			if !bindReg("rs1", regToks) {
 				return
 			}
 		}
@@ -626,6 +594,9 @@ func (p *parser) assemble(mn Token, desc *isa.Desc, groups [][]Token) {
 	p.prog.Instructions = append(p.prog.Instructions, in)
 }
 
+// zeroOffset is the offset of an address written `(reg)`.
+var zeroOffset = []Token{{Kind: TokNumber, Text: "0"}}
+
 // bindJalr handles jalr's flexible source forms.
 func (p *parser) bindJalr(mn Token, desc *isa.Desc, in *Instruction, groups [][]Token) bool {
 	bindRegTok := func(argName string, t Token) bool {
@@ -638,6 +609,15 @@ func (p *parser) bindJalr(mn Token, desc *isa.Desc, in *Instruction, groups [][]
 		return true
 	}
 	immZero := Operand{Arg: desc.Arg("imm"), Val: 0, Text: "0"}
+	bindImm := func(g []Token) {
+		op := Operand{Arg: desc.Arg("imm"), Text: groupText(g)}
+		if v, err := evalOperand(g, p.prog.Symbols); err == nil {
+			op.Val = v
+		} else {
+			op.expr = newOperandExpr(g, op.Text)
+		}
+		in.Ops = append(in.Ops, op)
+	}
 
 	switch len(groups) {
 	case 1: // jalr rs1  (rd = ra)
@@ -663,18 +643,10 @@ func (p *parser) bindJalr(mn Token, desc *isa.Desc, in *Instruction, groups [][]
 			if !bindRegTok("rs1", g[len(g)-2]) {
 				return false
 			}
-			immToks := g[:len(g)-3]
-			if len(immToks) == 0 {
+			if immToks := g[:len(g)-3]; len(immToks) == 0 {
 				in.Ops = append(in.Ops, immZero)
 			} else {
-				v, err := evalOperand(immToks, p.prog.Symbols)
-				if err != nil {
-					in.Ops = append(in.Ops, Operand{Arg: desc.Arg("imm"),
-						expr: &operandExpr{toks: append([]Token(nil), immToks...), text: groupText(immToks)},
-						Text: groupText(immToks)})
-				} else {
-					in.Ops = append(in.Ops, Operand{Arg: desc.Arg("imm"), Val: v, Text: groupText(immToks)})
-				}
+				bindImm(immToks)
 			}
 		} else if len(g) == 1 && g[0].Kind == TokIdent {
 			if !bindRegTok("rs1", g[0]) {
@@ -693,14 +665,7 @@ func (p *parser) bindJalr(mn Token, desc *isa.Desc, in *Instruction, groups [][]
 		if !bindRegTok("rd", groups[0][0]) || !bindRegTok("rs1", groups[1][0]) {
 			return false
 		}
-		v, err := evalOperand(groups[2], p.prog.Symbols)
-		if err != nil {
-			in.Ops = append(in.Ops, Operand{Arg: desc.Arg("imm"),
-				expr: &operandExpr{toks: append([]Token(nil), groups[2]...), text: groupText(groups[2])},
-				Text: groupText(groups[2])})
-		} else {
-			in.Ops = append(in.Ops, Operand{Arg: desc.Arg("imm"), Val: v, Text: groupText(groups[2])})
-		}
+		bindImm(groups[2])
 	default:
 		p.errf(mn, "jalr expects 1-3 operands, got %d", len(groups))
 		return false
@@ -708,24 +673,14 @@ func (p *parser) bindJalr(mn Token, desc *isa.Desc, in *Instruction, groups [][]
 	return true
 }
 
-// usesFutureSymbols reports whether the expression references identifiers
-// not yet in the symbol table — those must wait for the second pass even
-// though evaluation with the current table happened to succeed (it could
-// only succeed spuriously, so any identifier forces deferral).
-func usesFutureSymbols(g []Token, syms SymbolTable) bool {
-	for i := 0; i < len(g); i++ {
-		t := g[i]
-		if t.Kind == TokIdent || t.Kind == TokDir {
-			if t.Text == "hi" || t.Text == "lo" {
-				if i > 0 && g[i-1].Kind == TokPercent {
-					continue
-				}
-			}
-			if _, ok := syms[t.Text]; !ok {
-				return true
-			}
-			// Even known symbols may move (data labels get their
-			// final address at allocation), so defer all of them.
+// namesSymbol reports whether the expression names a symbol (the hi/lo of
+// a %hi/%lo operator aside). Such an operand waits for the second pass even
+// when every name is already known: data labels get their final address
+// at allocation.
+func namesSymbol(g []Token) bool {
+	for i, t := range g {
+		reloc := i > 0 && g[i-1].Kind == TokPercent && (t.Text == "hi" || t.Text == "lo")
+		if (t.Kind == TokIdent || t.Kind == TokDir) && !reloc {
 			return true
 		}
 	}

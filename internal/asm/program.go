@@ -257,7 +257,7 @@ func (p *Program) Load(mem *memory.Main) error {
 				e.Val = v
 				e.expr = nil
 			}
-			buf := make([]byte, e.Size)
+			var buf [8]byte // elements are 1, 2, 4 or 8 bytes wide
 			bits := uint64(e.Val)
 			if e.Float {
 				bits = floatBits(e.FVal, e.Size)
@@ -265,7 +265,7 @@ func (p *Program) Load(mem *memory.Main) error {
 			for b := 0; b < e.Size; b++ {
 				buf[b] = byte(bits >> (8 * b))
 			}
-			if exc := mem.WriteBytes(addr, buf); exc != nil {
+			if exc := mem.WriteBytes(addr, buf[:e.Size]); exc != nil {
 				errs = append(errs, &Error{Line: item.Line, Msg: exc.Error()})
 			}
 			addr += e.Size

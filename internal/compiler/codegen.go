@@ -32,9 +32,9 @@ func Compile(src string, opt int) (*Result, error) {
 	if opt > 3 {
 		opt = 3
 	}
-	toks, lexErrs := lex(src)
-	ast, parseErrs := parse(toks)
-	errs := append(lexErrs, parseErrs...)
+	lx := newLexer(src)
+	ast, parseErrs := parse(lx)
+	errs := append(lx.errs, parseErrs...)
 	if err := errs.Err(); err != nil {
 		return nil, err
 	}

@@ -103,12 +103,14 @@ func (lx *lexer) errf(line, col int, format string, args ...any) {
 	lx.errs = append(lx.errs, &Diag{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)})
 }
 
-// lex tokenizes C source, stripping // and /* */ comments and
-// #-directives (the subset has no preprocessor; #include lines are
-// ignored so realistic sources still compile).
-func lex(src string) ([]Token, DiagList) {
-	lx := &lexer{src: src, line: 1, col: 1}
-	var toks []Token
+func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
+
+// token returns the next C token, TEOF at the end of the source, after
+// stripping // and /* */ comments and #-directives (the subset has no
+// preprocessor; #include lines are ignored so realistic sources still
+// compile). The parser pulls tokens one at a time, so no token array is
+// ever built.
+func (lx *lexer) token() Token {
 	for lx.pos < len(lx.src) {
 		c := lx.src[lx.pos]
 		switch {
@@ -143,19 +145,18 @@ func lex(src string) ([]Token, DiagList) {
 				lx.errf(startLine, startCol, "unterminated block comment")
 			}
 		case isCDigit(c) || (c == '.' && isCDigit(lx.peek(1))):
-			toks = append(toks, lx.lexNumber())
+			return lx.lexNumber()
 		case isCIdentStart(c):
-			toks = append(toks, lx.lexIdent())
+			return lx.lexIdent()
 		case c == '\'':
-			toks = append(toks, lx.lexChar())
+			return lx.lexChar()
 		case c == '"':
-			toks = append(toks, lx.lexString())
+			return lx.lexString()
 		default:
-			toks = append(toks, lx.lexPunct())
+			return lx.lexPunct()
 		}
 	}
-	toks = append(toks, Token{Kind: TEOF, Line: lx.line, Col: lx.col})
-	return toks, lx.errs
+	return Token{Kind: TEOF, Line: lx.line, Col: lx.col}
 }
 
 func (lx *lexer) peek(n int) byte {

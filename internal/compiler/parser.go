@@ -21,10 +21,13 @@ import "fmt"
 const maxNesting = 2000
 
 // parser builds the AST via recursive descent with precedence climbing.
+// It pulls tokens from the lexer as it goes and looks at most one token
+// ahead.
 type parser struct {
-	toks []Token
-	pos  int
-	errs DiagList
+	lx        *lexer
+	tok, peek Token // the current token and the one after it
+	pos       int   // tokens consumed, for progress checks
+	errs      DiagList
 	// depth is the nesting at the current token: one per enter.
 	depth   int
 	tooDeep bool
@@ -40,28 +43,32 @@ func (p *parser) enter() bool {
 	if p.depth > maxNesting && !p.tooDeep {
 		p.errf(p.cur(), "program is nested too deeply (limit %d)", maxNesting)
 		p.tooDeep = true
-		p.pos = len(p.toks) - 1
+		for !p.at(TEOF) {
+			p.next()
+		}
 	}
 	return !p.tooDeep
 }
 
 func (p *parser) leave(levels int) { p.depth -= levels }
 
-func parse(toks []Token) (*Program, DiagList) {
-	p := &parser{toks: toks}
+func parse(lx *lexer) (*Program, DiagList) {
+	p := &parser{lx: lx}
+	p.tok = lx.token()
+	p.peek = lx.token()
 	prog := &Program{}
 	for !p.at(TEOF) {
 		start := p.pos
 		p.parseTopLevel(prog)
 		if p.pos == start {
 			// Ensure progress on malformed input.
-			p.pos++
+			p.next()
 		}
 	}
 	return prog, p.errs
 }
 
-func (p *parser) cur() Token        { return p.toks[p.pos] }
+func (p *parser) cur() Token        { return p.tok }
 func (p *parser) at(k TokKind) bool { return p.cur().Kind == k }
 
 func (p *parser) isPunct(s string) bool {
@@ -75,8 +82,9 @@ func (p *parser) isKeyword(s string) bool {
 }
 
 func (p *parser) next() Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
+	t := p.tok
+	if t.Kind != TEOF {
+		p.tok, p.peek = p.peek, p.lx.token()
 		p.pos++
 	}
 	return t
@@ -269,7 +277,7 @@ func (p *parser) parseInitList() []*Expr {
 func (p *parser) parseFunc(prog *Program, name string, ret *CType, nameTok Token) {
 	p.expect("(")
 	fd := &FuncDecl{Name: name, Ret: ret, Line: nameTok.Line}
-	if p.isKeyword("void") && p.toks[p.pos+1].Text == ")" {
+	if p.isKeyword("void") && p.peek.Text == ")" {
 		p.next()
 	}
 	for !p.isPunct(")") && !p.at(TEOF) {
@@ -315,7 +323,7 @@ func (p *parser) parseBlock() *Stmt {
 		start := p.pos
 		blk.Body = append(blk.Body, p.parseStmt())
 		if p.pos == start {
-			p.pos++
+			p.next()
 		}
 	}
 	p.expect("}")
@@ -598,7 +606,7 @@ func (p *parser) parseUnary() *Expr {
 			return &Expr{Kind: EPreIncr, Op: op, L: e, Line: t.Line, Col: t.Col}
 		case "(":
 			// Cast or parenthesized expression.
-			if ty, isType := p.peekTypeAt(p.pos + 1); isType {
+			if startsType(p.peek) {
 				p.next() // (
 				base, _ := p.parseBaseType()
 				cast := base
@@ -606,7 +614,6 @@ func (p *parser) parseUnary() *Expr {
 					p.next()
 					cast = ptrTo(cast)
 				}
-				_ = ty
 				p.expect(")")
 				e := p.parseUnary()
 				return &Expr{Kind: ECast, Cast: cast, L: e, Line: t.Line, Col: t.Col}
@@ -616,7 +623,7 @@ func (p *parser) parseUnary() *Expr {
 	if t.Kind == TKeyword && t.Text == "sizeof" {
 		p.next()
 		if p.isPunct("(") {
-			if _, isType := p.peekTypeAt(p.pos + 1); isType {
+			if startsType(p.peek) {
 				p.next()
 				base, _ := p.parseBaseType()
 				ty := base
@@ -634,19 +641,16 @@ func (p *parser) parseUnary() *Expr {
 	return p.parsePostfix()
 }
 
-func (p *parser) peekTypeAt(pos int) (*CType, bool) {
-	if pos >= len(p.toks) {
-		return nil, false
-	}
-	t := p.toks[pos]
+// startsType reports whether t begins a type name.
+func startsType(t Token) bool {
 	if t.Kind != TKeyword {
-		return nil, false
+		return false
 	}
 	switch t.Text {
 	case "void", "char", "int", "unsigned", "float", "double", "long", "short", "const":
-		return nil, true
+		return true
 	}
-	return nil, false
+	return false
 }
 
 func (p *parser) parsePostfix() *Expr {

@@ -224,7 +224,7 @@ func (s *Simulation) ffSpecOp(o *ffOp, pc int, next *int) bool {
 		*next = int(a + b)
 	case execLoadAddr, execStoreAddr:
 		addr := int(a + b)
-		if exc := s.checkAddress(o.static.Desc, addr); exc != nil {
+		if exc := s.checkAddress(o.static, addr); exc != nil {
 			s.ffFault(exc, pc)
 			return false
 		}
@@ -296,7 +296,7 @@ func (s *Simulation) ffGenericOp(o *ffOp, pc int) (int, bool) {
 	case desc.IsBranch():
 		next = si.actualTgt
 	case desc.IsLoad(), desc.IsStore():
-		if exc := s.checkAddress(desc, si.effAddr); exc != nil {
+		if exc := s.checkAddress(si.Static, si.effAddr); exc != nil {
 			s.ffFault(exc, pc)
 			return 0, false
 		}

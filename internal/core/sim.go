@@ -580,7 +580,7 @@ func (s *Simulation) completeInstr(si *SimInstr, now uint64) {
 			// memory unit (it stays in the load buffer).
 			si.addrReady = true
 			si.Phase = PhaseMemory
-			if exc := s.checkAddress(desc, si.effAddr); exc != nil {
+			if exc := s.checkAddress(si.Static, si.effAddr); exc != nil {
 				si.raise(exc, now)
 			}
 			if si.Exc.Occurred() {
@@ -590,7 +590,7 @@ func (s *Simulation) completeInstr(si *SimInstr, now uint64) {
 			}
 		case desc.IsStore():
 			si.addrReady = true
-			if exc := s.checkAddress(desc, si.effAddr); exc != nil {
+			if exc := s.checkAddress(si.Static, si.effAddr); exc != nil {
 				si.raise(exc, now)
 			}
 			s.rob.MarkDone(si)
@@ -606,14 +606,22 @@ func (s *Simulation) completeInstr(si *SimInstr, now uint64) {
 // checkAddress validates a computed effective address against the memory
 // capacity, for the detailed pipeline and fast-forward alike so both fault
 // with the same story. Accesses to unauthorized addresses raise at the
-// instruction's own commit (paper §III-B).
-func (s *Simulation) checkAddress(d *isa.Desc, addr int) *fault.Exception {
-	if addr < 0 || addr+d.MemWidth > s.mem.Size() {
-		return fault.New(fault.InvalidMemoryAccess,
-			"%s accesses %d bytes at address %d outside memory of %d bytes",
-			d.Name, d.MemWidth, addr, s.mem.Size())
+// instruction's own commit (paper §III-B). The call stack takes the
+// bottom of memory and grows down, so an access below address 0 through
+// sp has run off the space reserved for it: a stack overflow.
+func (s *Simulation) checkAddress(in *asm.Instruction, addr int) *fault.Exception {
+	d := in.Desc
+	if addr >= 0 && addr+d.MemWidth <= s.mem.Size() {
+		return nil
 	}
-	return nil
+	if base := in.Op("rs1"); addr < 0 && base != nil && base.Reg == isa.RegSP {
+		return fault.New(fault.StackOverflow,
+			"%s accesses %d bytes at address %d, below the %d-byte call stack",
+			d.Name, d.MemWidth, addr, s.mem.Config().CallStackSize)
+	}
+	return fault.New(fault.InvalidMemoryAccess,
+		"%s accesses %d bytes at address %d outside memory of %d bytes",
+		d.Name, d.MemWidth, addr, s.mem.Size())
 }
 
 // writebackDest publishes the computed result to the rename file; faulting
