@@ -25,6 +25,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -119,19 +120,24 @@ func TestTableIShape(t *testing.T) {
 // simulation and no encoding to measure.
 func driveJSONWorkload(tb testing.TB, ts *httptest.Server, n int) {
 	for i := 0; i < n; i++ {
-		body, _ := json.Marshal(&api.SimulateRequest{
-			Code:         loadgen.ProgramB,
-			Steps:        40,
-			MemFills:     []api.MemFill{{Label: "buf", Values: []int64{int64(i)}}},
-			IncludeState: true,
-			IncludeLog:   true,
-		})
-		resp, err := http.Post(ts.URL+api.V1Prefix+"/simulate", "application/json", bytes.NewReader(body))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		resp.Body.Close()
+		postJSONRequest(tb, ts, i)
 	}
+}
+
+// postJSONRequest sends driveJSONWorkload's i-th request.
+func postJSONRequest(tb testing.TB, ts *httptest.Server, i int) {
+	body, _ := json.Marshal(&api.SimulateRequest{
+		Code:         loadgen.ProgramB,
+		Steps:        40,
+		MemFills:     []api.MemFill{{Label: "buf", Values: []int64{int64(i)}}},
+		IncludeState: true,
+		IncludeLog:   true,
+	})
+	resp, err := http.Post(ts.URL+api.V1Prefix+"/simulate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	resp.Body.Close()
 }
 
 func BenchmarkJSONShare(b *testing.B) {
@@ -154,7 +160,10 @@ func BenchmarkJSONShare(b *testing.B) {
 // its Java stack; Go's encoder is faster, so the absolute share is lower
 // here, but the JSON-vs-simulation ordering — the actionable finding —
 // reproduces, and still does with State on its own encoder (shares before
-// and after in docs/performance.md, "The step reply path").
+// and after in docs/performance.md, "The step reply path"). The typical
+// request decides: each request's JSON and simulation time are taken from
+// the metrics it moved and the medians compared, so one request slowed by
+// a collection or a descheduled thread cannot.
 func TestJSONShareDominates(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("timing-shape test; race instrumentation distorts latencies")
@@ -163,13 +172,22 @@ func TestJSONShareDominates(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	srv.ResetMetrics()
-	driveJSONWorkload(t, ts, 50)
-	m := srv.Metrics()
-	t.Logf("JSON share = %.1f%% (paper: ~60%%), sim share = %.1f%%",
-		100*m.JSONShare, 100*float64(m.SimNanos)/float64(m.TotalNanos))
-	if m.JSONNanos <= m.SimNanos {
-		t.Errorf("JSON time (%d ns) should exceed simulation time (%d ns) on interactive requests",
-			m.JSONNanos, m.SimNanos)
+	const n = 51
+	jsonNanos, simNanos := make([]uint64, n), make([]uint64, n)
+	var last api.Metrics
+	for i := range n {
+		postJSONRequest(t, ts, i)
+		m := srv.Metrics()
+		jsonNanos[i], simNanos[i] = m.JSONNanos-last.JSONNanos, m.SimNanos-last.SimNanos
+		last = m
+	}
+	slices.Sort(jsonNanos)
+	slices.Sort(simNanos)
+	j, s := jsonNanos[n/2], simNanos[n/2]
+	t.Logf("JSON share = %.1f%% (paper: ~60%%), sim share = %.1f%%; median request: JSON %d ns, simulation %d ns",
+		100*last.JSONShare, 100*float64(last.SimNanos)/float64(last.TotalNanos), j, s)
+	if j <= s {
+		t.Errorf("median request's JSON time (%d ns) should exceed its simulation time (%d ns) on interactive requests", j, s)
 	}
 }
 

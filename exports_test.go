@@ -180,8 +180,6 @@ var exportAllowList = map[string]string{
 	"internal/memory.(Main).DumpBinary":           "paper feature: the binary memory dump (§II-C); no route exports it yet",
 	"internal/memory.(Main).ReadWord":             "paper feature: the memory window's word view, bypassing timing",
 	"internal/memory.(Main).WriteWord":            "paper feature: the memory window's word edit, bypassing timing",
-	"internal/cache.ParsePolicy":                  "paper feature: the settings window's replacement-policy names; the config document carries the number",
-	"internal/cache.ParseWritePolicy":             "paper feature: the settings window's write-policy names; the config document carries the number",
 	"internal/predictor.(Predictor).CounterState": "paper feature: the branch predictor's state display (Fig. 1)",
 	"internal/predictor.StateName":                "paper feature: names a two-bit counter state for that display",
 	"internal/expr.(Value).Reinterpret":           "paper feature: fmv.x.w / fmv.w.x semantics for user-written instruction expressions",

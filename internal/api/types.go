@@ -410,8 +410,7 @@ type TraceStreamEvent struct {
 // ---------------------------------------------------------------------------
 
 // SessionLogResponse pages through a session's debug log. The log is
-// bounded (config.CPU maxLogEntries, default 4096, newest entries kept),
-// so a pager that falls too far behind observes a gap — Dropped entries
+// bounded (4096 entries, the newest kept), so a pager that falls too far behind observes a gap — Dropped entries
 // older than the returned window are gone.
 type SessionLogResponse struct {
 	SessionID string         `json:"sessionId"`

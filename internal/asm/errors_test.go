@@ -61,11 +61,20 @@ var operandErrorCases = []errorCase{
 	{"deep relocations", "lui x1, " + strings.Repeat("%hi(", 100_000) + "1" + strings.Repeat(")", 100_000) + "\n", "line 1:0: operand expression is nested too deeply (limit 1000)"},
 }
 
+// dataErrorCases place data items that do not fit memory. The error is
+// on the item's line like every other diagnostic; byte counts near the
+// int range must not wrap the allocation cursor past the capacity check.
+var dataErrorCases = []errorCase{
+	{"data past capacity", ".data\nbuf: .zero 70000\n", `line 2:0: memory: out of memory allocating 70000 bytes for "buf" (cursor 1024, capacity 65536)`},
+	{"one huge item", ".data\n.zero 9223372036854775807\n.word 1\n", `line 2:0: memory: out of memory allocating 9223372036854775807 bytes for "" (cursor 1024, capacity 65536)`},
+	{"two huge items", ".data\n.zero 9223372036854775807\n.zero 9223372036854775807\n.word 5\n", `line 2:0: memory: out of memory allocating 9223372036854775807 bytes for "" (cursor 1024, capacity 65536)`},
+}
+
 // HostileSources returns the source of every diagnostic case in this
 // file, as seeds for FuzzAssemble (an external test package).
 func HostileSources() []string {
 	var out []string
-	for _, cases := range [][]errorCase{parserErrorCases, lexerErrorCases, operandErrorCases} {
+	for _, cases := range [][]errorCase{parserErrorCases, lexerErrorCases, operandErrorCases, dataErrorCases} {
 		for _, c := range cases {
 			out = append(out, c.src)
 		}
@@ -97,6 +106,12 @@ func TestOperandExpressionErrorMessages(t *testing.T) {
 	}
 	if imm := prog.Instructions[0].Op("imm"); imm == nil || imm.Val != 7 {
 		t.Errorf("500 levels of parentheses evaluate to %+v, want 7", imm)
+	}
+}
+
+func TestDataErrorMessages(t *testing.T) {
+	for _, c := range dataErrorCases {
+		t.Run(c.name, func(t *testing.T) { wantErrMsg(t, c.src, c.want) })
 	}
 }
 

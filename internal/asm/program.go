@@ -213,7 +213,7 @@ func (p *Program) Load(mem *memory.Main) error {
 		}
 		addr, err := mem.Allocate(name, item.Size(), item.Align, item.elemTypeName())
 		if err != nil {
-			return err
+			return ErrorList{{Line: item.Line, Msg: err.Error()}}
 		}
 		item.Addr = addr
 		for _, l := range item.Labels {

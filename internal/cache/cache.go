@@ -39,16 +39,6 @@ func (p ReplacementPolicy) String() string {
 	return fmt.Sprintf("policy(%d)", uint8(p))
 }
 
-// ParsePolicy is the inverse of String.
-func ParsePolicy(s string) (ReplacementPolicy, error) {
-	for i, n := range policyNames {
-		if n == s {
-			return ReplacementPolicy(i), nil
-		}
-	}
-	return LRU, fmt.Errorf("cache: unknown replacement policy %q", s)
-}
-
 // WritePolicy selects the store behaviour.
 type WritePolicy uint8
 
@@ -70,16 +60,6 @@ func (p WritePolicy) String() string {
 		return writePolicyNames[p]
 	}
 	return fmt.Sprintf("writePolicy(%d)", uint8(p))
-}
-
-// ParseWritePolicy is the inverse of String.
-func ParseWritePolicy(s string) (WritePolicy, error) {
-	for i, n := range writePolicyNames {
-		if n == s {
-			return WritePolicy(i), nil
-		}
-	}
-	return WriteBack, fmt.Errorf("cache: unknown write policy %q", s)
 }
 
 // Config holds the Cache tab parameters (paper §II-C).

@@ -347,21 +347,3 @@ func smallCfgQuick() Config {
 		Replacement: LRU, Write: WriteBack, AccessDelay: 1, ReplacementDelay: 5,
 	}
 }
-
-func TestPolicyParseRoundTrip(t *testing.T) {
-	for _, p := range []ReplacementPolicy{LRU, FIFO, Random} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	for _, w := range []WritePolicy{WriteBack, WriteThrough} {
-		got, err := ParseWritePolicy(w.String())
-		if err != nil || got != w {
-			t.Errorf("ParseWritePolicy(%q) = %v, %v", w.String(), got, err)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Error("ParsePolicy(bogus) should fail")
-	}
-}

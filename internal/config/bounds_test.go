@@ -3,6 +3,7 @@ package config_test
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"riscvsim/internal/cache"
@@ -36,7 +37,6 @@ func atMax() *config.CPU {
 	c.BranchWindow = config.MaxWindowSize
 	c.LoadBufferSize = config.MaxWindowSize
 	c.StoreBufferSize = config.MaxWindowSize
-	c.MaxLogEntries = config.MaxLogBound
 	c.Units = nil
 	classes := []string{"FX", "FP", "LS", "Branch"}
 	for i := 0; i < config.MaxUnits; i++ {
@@ -86,8 +86,8 @@ func TestMachineAtEveryMaximumWithinCeiling(t *testing.T) {
 // FuzzImportConfig feeds architecture documents to Import. A rejected
 // document must come back as an error alone; an accepted one must build a
 // machine within allocCeiling that steps 100 cycles without panicking.
-// The seeds, every preset's export and the document at every maximum, run
-// under go test.
+// The seeds, every preset's export, the document at every maximum and one
+// naming a retired key, run under go test.
 func FuzzImportConfig(f *testing.F) {
 	for _, w := range []int{1, 2, 4, 8} { // every preset, and wide-8
 		c, err := config.WidthPreset(w)
@@ -105,6 +105,9 @@ func FuzzImportConfig(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(doc)
+	// A retired key (TestRetiredKeysRejected) is refused like any other
+	// unknown one.
+	f.Add([]byte(strings.Replace(string(doc), "{", `{"snapshotInterval": 1024,`, 1)))
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		cfg, err := config.Import(doc)
 		if err != nil {

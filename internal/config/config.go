@@ -23,7 +23,9 @@ type FUSpec struct {
 	Name string `json:"name"`
 	// Class routes instructions: "FX", "FP", "LS" or "Branch".
 	Class string `json:"class"`
-	// Latency is the default execution latency in cycles.
+	// Latency is the default execution latency in cycles: that of every
+	// instruction of the class when Ops is empty, else of each mnemonic
+	// Ops lists without a positive latency.
 	Latency int `json:"latency"`
 	// Ops optionally restricts the unit to specific mnemonics and/or
 	// overrides their latency. An empty map means the unit executes any
@@ -84,22 +86,6 @@ type CPU struct {
 	StoreBufferSize int `json:"storeBufferSize"`
 	RenameRegisters int `json:"renameRegisters"`
 
-	// MaxLogEntries bounds the in-memory debug log; the core keeps the
-	// newest entries once the bound is reached. 0 selects
-	// DefaultMaxLogEntries (the field is omitted from exported documents
-	// at that default, keeping existing architecture JSON — and the
-	// checkpoint headers that embed it — byte-stable).
-	MaxLogEntries int `json:"maxLogEntries,omitempty"`
-
-	// SnapshotInterval, when positive, makes machines built from this
-	// architecture keep periodic in-memory state snapshots every that
-	// many cycles, so backward stepping restores from the nearest
-	// snapshot instead of replaying from cycle zero (O(interval) instead
-	// of O(cycle)). 0 — the default, omitted from exported documents so
-	// they stay byte-stable — leaves snapshots off for batch runs;
-	// interactive debug sessions enable them explicitly.
-	SnapshotInterval int `json:"snapshotInterval,omitempty"`
-
 	// Functional units tab.
 	Units []FUSpec `json:"units"`
 
@@ -109,18 +95,6 @@ type CPU struct {
 	Memory memory.Config `json:"memory"`
 	// Branch prediction tab.
 	Predictor predictor.Config `json:"predictor"`
-}
-
-// DefaultMaxLogEntries is the debug-log bound used when the architecture
-// document does not set maxLogEntries.
-const DefaultMaxLogEntries = 4096
-
-// LogBound returns the effective debug-log bound.
-func (c *CPU) LogBound() int {
-	if c.MaxLogEntries > 0 {
-		return c.MaxLogEntries
-	}
-	return DefaultMaxLogEntries
 }
 
 // Upper bounds on the architecture document. Building a machine costs
@@ -135,7 +109,6 @@ const (
 	MaxWindowSize      = 256      // each issue window and load/store buffer; wide-8: 32
 	MaxUnits           = 128      // functional units; wide-8: 16
 	MaxMemorySize      = 16 << 20 // bytes; every preset: 64 KiB
-	MaxLogBound        = 1 << 15  // maxLogEntries; default 4096
 )
 
 // Validate checks the whole configuration and returns every problem found,
@@ -167,12 +140,6 @@ func (c *CPU) Validate() []error {
 	}
 	if c.FlushPenalty < 0 {
 		add("config: flushPenalty must be non-negative, got %d", c.FlushPenalty)
-	}
-	if c.MaxLogEntries < 0 || c.MaxLogEntries > MaxLogBound {
-		add("config: maxLogEntries must be in [0, %d], got %d", MaxLogBound, c.MaxLogEntries)
-	}
-	if c.SnapshotInterval < 0 {
-		add("config: snapshotInterval must be non-negative, got %d", c.SnapshotInterval)
 	}
 	if c.RenameRegisters < c.ROBSize {
 		add("config: renameRegisters (%d) must be at least robSize (%d) so every in-flight instruction can rename a destination",

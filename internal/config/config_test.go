@@ -141,28 +141,24 @@ func TestScalarPresetIsNarrow(t *testing.T) {
 	}
 }
 
-func TestLogBoundKnob(t *testing.T) {
-	c := Default()
-	if c.LogBound() != DefaultMaxLogEntries {
-		t.Errorf("default log bound = %d, want %d", c.LogBound(), DefaultMaxLogEntries)
-	}
-	c.MaxLogEntries = 128
-	if c.LogBound() != 128 {
-		t.Errorf("log bound = %d, want the configured 128", c.LogBound())
-	}
-	c.MaxLogEntries = -1
-	if errs := c.Validate(); len(errs) == 0 {
-		t.Error("negative maxLogEntries should fail validation")
-	}
-	// The knob must not leak into exported documents at its default, so
-	// existing architecture JSON (and the checkpoint headers that embed
-	// it) stay byte-stable.
-	c.MaxLogEntries = 0
-	data, err := c.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(data), "maxLogEntries") {
-		t.Error("zero maxLogEntries should be omitted from exports")
+// TestRetiredKeysRejected: maxLogEntries and snapshotInterval were a
+// debug-log bound and a rewind spacing, not parts of the processor, and
+// left the document. A document naming either is refused with the key
+// named, and no preset's export spells either.
+func TestRetiredKeysRejected(t *testing.T) {
+	for _, key := range []string{"maxLogEntries", "snapshotInterval"} {
+		doc, err := Default().Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc = []byte(strings.Replace(string(doc), "{", `{"`+key+`": 8,`, 1))
+		if c, err := Import(doc); c != nil || err == nil || !strings.Contains(err.Error(), `unknown field "`+key+`"`) {
+			t.Errorf("document naming %s: Import = %v, %v; want an error naming the key", key, c, err)
+		}
+		for name, c := range Presets() {
+			if data, _ := c.Export(); strings.Contains(string(data), key) {
+				t.Errorf("preset %q exports %s", name, key)
+			}
+		}
 	}
 }

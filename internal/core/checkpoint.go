@@ -526,7 +526,7 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 	s.mem.DecodeState(r)
 
 	r.Section(ckpt.SecLog)
-	nlog := r.Len(s.logBound)
+	nlog := r.Len(logBound)
 	s.log = s.log[:0]
 	for i := 0; i < nlog && r.Err() == nil; i++ {
 		e := LogEntry{Cycle: r.U64(), Msg: r.String(1 << 16)}

@@ -24,9 +24,9 @@ type LogEntry struct {
 	Msg   string `json:"msg"`
 }
 
-// The debug-log bound is an architecture knob (config.CPU.MaxLogEntries,
-// default config.DefaultMaxLogEntries); the core keeps the newest entries
-// once the bound is reached.
+// logBound bounds the debug log: once it is reached the oldest half goes,
+// so the newest entries are kept.
+const logBound = 4096
 
 // Simulation is one processor simulation instance: the step manager that
 // owns all pipeline blocks, arranged in a queue based on their position in
@@ -113,7 +113,6 @@ type Simulation struct {
 	bpSkipID    uint64
 
 	log        []LogEntry
-	logBound   int
 	VerboseLog bool
 
 	// tracer receives typed stage events (the structured pipeline-trace
@@ -166,7 +165,6 @@ func newSimulation(cfg *config.CPU, p *Program, mem *memory.Main, entry int) (*S
 		decodeCap: 2 * cfg.FetchWidth,
 		decodeBuf: make([]*SimInstr, 0, 16*cfg.FetchWidth),
 		eng:       newExecEngine(p),
-		logBound:  cfg.LogBound(),
 		ffStopPC:  -1,
 		ledger:    stats.Counters{FUs: make([]stats.FUCounters, len(cfg.Units))},
 	}
@@ -245,11 +243,11 @@ func (s *Simulation) pendingDecode() []*SimInstr {
 }
 
 func (s *Simulation) logf(now uint64, format string, args ...any) {
-	if len(s.log) >= s.logBound {
+	if len(s.log) >= logBound {
 		// Keep the newest entries: drop the oldest half by re-slicing —
 		// no element copying here; append reclaims the dead prefix the
 		// next time it grows the slice.
-		s.log = s.log[len(s.log)-s.logBound/2:]
+		s.log = s.log[len(s.log)-logBound/2:]
 	}
 	s.log = append(s.log, LogEntry{Cycle: now, Msg: fmt.Sprintf(format, args...)})
 }

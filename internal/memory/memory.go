@@ -393,7 +393,9 @@ func (m *Main) Allocate(name string, size, align int, elem string) (int, error) 
 		align = 1
 	}
 	addr := (m.allocNext + align - 1) &^ (align - 1)
-	if addr+size > m.size {
+	// Compared as room left, not as an end address: addr+size can
+	// overflow.
+	if size > m.size-addr {
 		return 0, fmt.Errorf("memory: out of memory allocating %d bytes for %q (cursor %d, capacity %d)",
 			size, name, m.allocNext, m.size)
 	}

@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -118,6 +119,16 @@ func TestAllocateOutOfMemory(t *testing.T) {
 	m := newMem(t)
 	if _, err := m.Allocate("big", 1<<20, 1, "byte"); err == nil {
 		t.Error("allocating beyond capacity should fail")
+	}
+	// A size whose end address overflows int must fail too, and leave
+	// the cursor where it was.
+	for i := 0; i < 2; i++ {
+		if addr, err := m.Allocate("huge", math.MaxInt, 1, "byte"); err == nil {
+			t.Fatalf("allocating %d bytes succeeded at %d", math.MaxInt, addr)
+		}
+	}
+	if addr, err := m.Allocate("word", 4, 4, "word"); err != nil || addr < 0 || addr+4 > m.Size() {
+		t.Errorf("allocation after the refused ones: %d, %v", addr, err)
 	}
 }
 

@@ -35,16 +35,6 @@ func (t Type) String() string {
 	return fmt.Sprintf("predictorType(%d)", uint8(t))
 }
 
-// ParseType is the inverse of String.
-func ParseType(s string) (Type, error) {
-	for i, n := range typeNames {
-		if n == s {
-			return Type(i), nil
-		}
-	}
-	return TwoBit, fmt.Errorf("predictor: unknown type %q", s)
-}
-
 // Config holds the Branch prediction tab parameters.
 type Config struct {
 	// BTBSize is the number of branch target buffer entries.

@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -41,7 +43,6 @@ var boundedFields = []struct {
 		}
 	}},
 	{"memory size", config.MaxMemorySize, config.MaxMemorySize + 1, func(c *sim.Config, n int) { c.Memory.Size = n }},
-	{"maxLogEntries", config.MaxLogBound, config.MaxLogBound + 1, func(c *sim.Config, n int) { c.MaxLogEntries = n }},
 	// Lines must stay a multiple of the associativity (4), LineSize a
 	// power of two.
 	{"Lines", cache.MaxLines, cache.MaxLines + 4, func(c *sim.Config, n int) { c.Cache.Lines = n }},
@@ -109,5 +110,36 @@ func TestConfigBoundsOnEveryRoute(t *testing.T) {
 				t.Errorf("%s = %d on /session/restore: %d %q, want 400 %q", f.name, f.past, status, code, api.CodeBadCheckpoint)
 			}
 		})
+	}
+}
+
+// TestRetiredConfigKeysOnEveryRoute: a document naming maxLogEntries or
+// snapshotInterval, keys the architecture document no longer has, is a
+// diagnostic on /checkConfig, 422 bad_config on /simulate and, inside a
+// re-sealed checkpoint header, ckpt.ErrCorrupt and 400 bad_checkpoint on
+// /session/restore.
+func TestRetiredConfigKeysOnEveryRoute(t *testing.T) {
+	h := New(DefaultOptions()).Handler()
+	blob := checkpointBytes(t, steppedMachine(t, 10))
+	for _, key := range []string{"maxLogEntries", "snapshotInterval"} {
+		doc := json.RawMessage(strings.Replace(string(*configJSON(t, func(*sim.Config) {})), "{", `{"`+key+`": 8,`, 1))
+
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, api.V1Prefix+"/checkConfig", bytes.NewReader(doc)))
+		var check api.ParseAsmResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &check); err != nil || rec.Code != http.StatusOK || check.OK || !strings.Contains(check.Errors, key) {
+			t.Errorf("%s on /checkConfig: %d %s, want 200 with ok false naming the key", key, rec.Code, rec.Body.Bytes())
+		}
+		if status, code := postCheckpoint(t, h, "/simulate", &api.SimulateRequest{Code: "li a0, 1", Config: &doc}, false); status != http.StatusUnprocessableEntity || code != api.CodeBadConfig {
+			t.Errorf("%s on /simulate: %d %q, want 422 %q", key, status, code, api.CodeBadConfig)
+		}
+
+		ck := withConfig(t, blob, doc)
+		if _, err := sim.Restore(bytes.NewReader(ck)); !errors.Is(err, ckpt.ErrCorrupt) || !strings.Contains(err.Error(), key) {
+			t.Errorf("%s in a checkpoint header: restore error %v, want ckpt.ErrCorrupt naming the key", key, err)
+		}
+		if status, code := postCheckpoint(t, h, "/session/restore", &api.SessionRestoreRequest{Checkpoint: ck}, false); status != http.StatusBadRequest || code != api.CodeBadCheckpoint {
+			t.Errorf("%s on /session/restore: %d %q, want 400 %q", key, status, code, api.CodeBadCheckpoint)
+		}
 	}
 }

@@ -108,6 +108,19 @@ func TestSessionCheckpointRestoreEndpoints(t *testing.T) {
 	}
 }
 
+// TestNewSessionKeepsSnapshots: a session's machine takes interval
+// snapshots as it runs, so its backward steps restore from the nearest.
+func TestNewSessionKeepsSnapshots(t *testing.T) {
+	srv, ts := newSpillServer(t, DefaultOptions())
+	id := openSession(t, ts.URL, spillProgram)
+	if st, _, body := stepSession(t, ts.URL, id, sim.DefaultSnapshotInterval+1); st == nil {
+		t.Fatalf("step: %s", body)
+	}
+	if sess, ok := srv.store.Get(nil, id); !ok || sess.machine.SnapshotCount() == 0 {
+		t.Error("a new session took no interval snapshot; backward steps replay from cycle 0")
+	}
+}
+
 func TestSessionSpillAndRehydrateOnEviction(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxSessions = 1
@@ -142,7 +155,7 @@ func TestSessionSpillAndRehydrateOnEviction(t *testing.T) {
 	// acceleration: interval snapshots are re-enabled on rehydration.
 	if sess, ok := srv.store.Get(nil, a); !ok {
 		t.Error("rehydrated session missing from store")
-	} else if sess.machine.SnapshotInterval() == 0 {
+	} else if sess.machine.StepN(sim.DefaultSnapshotInterval); sess.machine.SnapshotCount() == 0 {
 		t.Error("rehydrated session lost interval snapshots; backward steps replay from cycle 0")
 	}
 	_ = b

@@ -262,9 +262,7 @@ func (c *programCache) restoreSession(data []byte) (*sim.Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.SnapshotInterval() == 0 {
-		m.EnableSnapshots(0)
-	}
+	m.EnableSnapshots(0)
 	return m, nil
 }
 

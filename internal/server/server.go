@@ -524,6 +524,10 @@ func (s *Server) buildMachine(req *api.SimulateRequest) (*sim.Machine, *api.Erro
 			return nil, api.WrapError(api.CodeMemFill, err)
 		}
 	}
+	// Seal the filled cycle 0, the floor rewinds start from, now: its
+	// capture is part of building the machine, not of its first run,
+	// and is booked to the build phase. StepN(0) runs no cycle.
+	m.StepN(0)
 	return m, nil
 }
 

@@ -61,11 +61,8 @@ func (s *Server) handleSessionNew(_ http.ResponseWriter, r *http.Request, req *a
 	// Interactive sessions are the debug surface: keep interval
 	// snapshots so backward stepping restores from the nearest snapshot
 	// instead of replaying from cycle zero (batch endpoints never rewind
-	// and stay snapshot-free). An architecture-level snapshotInterval
-	// already enabled them with a custom spacing.
-	if m.SnapshotInterval() == 0 {
-		m.EnableSnapshots(0)
-	}
+	// and stay snapshot-free).
+	m.EnableSnapshots(0)
 	return s.publishSession(r, m, assigned)
 }
 

@@ -119,7 +119,7 @@ func RestoreWith(data []byte, assemble func(src string, mem MemoryConfig) (*Prog
 	if err := cr.Err(); err != nil {
 		return nil, err
 	}
-	m := newMachine(cfg, p, s, entry)
+	m := &Machine{cfg: cfg, prog: p, sim: s, entry: entry}
 	if len(floor) > 0 {
 		// Decoded once here, so a corrupt floor fails the restore and
 		// not the first rewind.

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -147,6 +148,14 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 		f.Add(checkpointBytes(f, halted))
 	}
+	// A header naming a retired architecture key, which restore refuses.
+	retired := newLoopMachine(f, 3)
+	doc, err := retired.cfg.Export()
+	if err != nil {
+		f.Fatal(err)
+	}
+	retired.cfgJSON = []byte(strings.Replace(string(doc), "{", `{"maxLogEntries": 8,`, 1))
+	f.Add(checkpointBytes(f, retired))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = bytes.Clone(data)

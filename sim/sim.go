@@ -195,15 +195,7 @@ func (p *Program) NewMachine(cfg *Config, entry string) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newMachine(cfg, p, s, e), nil
-}
-
-func newMachine(cfg *Config, p *Program, s *core.Simulation, entry int) *Machine {
-	m := &Machine{cfg: cfg, prog: p, sim: s, entry: entry}
-	if cfg.SnapshotInterval > 0 {
-		m.EnableSnapshots(uint64(cfg.SnapshotInterval))
-	}
-	return m
+	return &Machine{cfg: cfg, prog: p, sim: s, entry: e}, nil
 }
 
 // NewFromAsm assembles RISC-V assembly source and builds a machine. entry

@@ -21,8 +21,7 @@ import (
 //
 // Snapshots are off by default: batch runs never rewind and should not
 // pay the encoding cost, so the list holds only its floor. Interactive
-// surfaces (server debug sessions, the architecture's snapshotInterval
-// knob) turn them on.
+// surfaces (server debug sessions) turn them on with EnableSnapshots.
 
 // DefaultSnapshotInterval is the cycle spacing used when snapshots are
 // enabled without an explicit interval. Rewind cost is one state decode
@@ -119,11 +118,6 @@ func (m *Machine) EnableSnapshots(interval uint64) {
 		m.snaps.bound = defaultMaxSnapshots
 	}
 }
-
-// SnapshotInterval returns the configured cycle spacing, 0 when off. The
-// spacing can grow over a long run as the retention bound thins old
-// snapshots.
-func (m *Machine) SnapshotInterval() uint64 { return m.snaps.spacing }
 
 // SnapshotCount returns the number of retained snapshots above cycle 0.
 func (m *Machine) SnapshotCount() int { return len(m.snaps.above) }

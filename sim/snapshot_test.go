@@ -110,8 +110,8 @@ loop:
 	if got := m.SnapshotCount(); got > defaultMaxSnapshots {
 		t.Errorf("%d snapshots retained, bound is %d", got, defaultMaxSnapshots)
 	}
-	if m.SnapshotInterval() <= 64 {
-		t.Errorf("interval stayed %d; thinning should have doubled it", m.SnapshotInterval())
+	if m.snaps.spacing <= 64 {
+		t.Errorf("interval stayed %d; thinning should have doubled it", m.snaps.spacing)
 	}
 	// The retained set must still accelerate a deep rewind correctly.
 	if err := m.GotoCycle(100_000); err != nil {
@@ -119,25 +119,6 @@ loop:
 	}
 	if m.Cycle() != 100_000 {
 		t.Errorf("rewind landed on %d", m.Cycle())
-	}
-}
-
-// TestSnapshotConfigKnob: the architecture-level snapshotInterval enables
-// snapshots on machines built from it.
-func TestSnapshotConfigKnob(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SnapshotInterval = 777
-	m, err := NewFromAsm(cfg, snapshotLoop, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.SnapshotInterval() != 777 {
-		t.Errorf("interval = %d, want 777", m.SnapshotInterval())
-	}
-	cfg2 := DefaultConfig()
-	cfg2.SnapshotInterval = -1
-	if errs := cfg2.Validate(); len(errs) == 0 {
-		t.Error("negative snapshotInterval should fail validation")
 	}
 }
 

@@ -170,42 +170,6 @@ func TestTraceSurvivesGotoCycle(t *testing.T) {
 	}
 }
 
-// TestLogBoundKeepsNewest: the maxLogEntries knob bounds the debug log
-// and the newest entries survive trimming.
-func TestLogBoundKeepsNewest(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxLogEntries = 8
-	// A tight mispredicting loop writes one flush line per iteration.
-	m, err := NewFromAsm(cfg, `
-  addi t0, x0, 0
-  addi t1, x0, 64
-loop:
-  addi t0, t0, 1
-  andi t2, t0, 1
-  bne  t2, x0, skip
-  addi t3, x0, 7
-skip:
-  bne  t0, t1, loop
-`, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Run(1_000_000)
-	log := m.Log()
-	if len(log) == 0 {
-		t.Fatal("expected flush entries in the debug log")
-	}
-	if len(log) > 8 {
-		t.Fatalf("log has %d entries, bound is 8", len(log))
-	}
-	// The final halt line is the newest entry and must have survived.
-	last := log[len(log)-1]
-	if last.Cycle != m.Cycle() {
-		t.Errorf("newest log entry is from cycle %d, machine halted at %d (oldest-kept semantics?)",
-			last.Cycle, m.Cycle())
-	}
-}
-
 // TestTraceReplayDoesNotReEmit: a backward step replays silently, and
 // the tracer stays attached for the cycles run after it.
 func TestTraceReplayDoesNotReEmit(t *testing.T) {
