@@ -21,8 +21,8 @@ import (
 // TestArchitectureRules holds the repository to its "one X" rules: one
 // clock on the request path, one hop in the router, one statement of the
 // rate formulas, one compressor, one door to the checkpoint store, one
-// integrity check, one LRU, one way back to an earlier cycle and one
-// ledger codec. Each rule is an allow-list of the places a name may be
+// integrity check, one LRU, one way back to an earlier cycle, one ledger
+// codec and one schema of the architecture document. Each rule is an allow-list of the places a name may be
 // referenced, checked on the syntax of every non-test .go file under the
 // root (bench/ included; testdata and hidden directories skipped). Imports
 // are resolved by path, so an alias or a dot-import does not hide a
@@ -533,6 +533,84 @@ var archRules = []*archRule{
 			{"the ledger codec", "internal/core/checkpoint.go", "package core\nfunc (s *Simulation) EncodeState(w *ckpt.Writer) { s.Counters().EncodeState(w); w.Bool(si.Squashed) }\nfunc (s *Simulation) DecodeState(r *ckpt.Reader) { s.ledger.DecodeState(r) }\n", true},
 		},
 	},
+	{
+		// The architecture document's domain is stated once, in
+		// config.Schema and its rules (internal/config/schema.go), which
+		// CPU.Validate walks. A Validate method on another architecture
+		// type, or a comparison against a Max* constant of an architecture
+		// package, is a second statement of it in the making.
+		name: "one schema",
+		fix:  "state the domain as a row or rule of config.Schema (internal/config/schema.go)",
+		once: []string{"config.(*CPU).Validate"},
+		check: func(c *cursor) (string, bool) {
+			inSchema := c.file.path == "internal/config/schema.go"
+			switch n := c.node().(type) {
+			case *ast.FuncDecl:
+				dir := path.Dir(c.file.path)
+				if n.Name.Name == "Validate" && n.Recv != nil && slices.Contains(archTypes[dir], receiverType(n.Recv.List[0].Type)) {
+					return path.Base(dir) + "." + funcName(n), inSchema
+				}
+			case *ast.BinaryExpr:
+				if n.Op != token.LSS && n.Op != token.GTR && n.Op != token.LEQ && n.Op != token.GEQ && n.Op != token.EQL && n.Op != token.NEQ {
+					return "", false
+				}
+				for _, e := range []ast.Expr{n.X, n.Y} {
+					if name := archBound(c.file, e); name != "" {
+						return "comparison with " + name, inSchema
+					}
+				}
+			}
+			return "", false
+		},
+		plants: []plant{
+			{"cache validator", "internal/cache/cache.go", "package cache\nfunc (c Config) Validate() error { return nil }\n", false},
+			{"bound in the predictor", "internal/predictor/predictor.go", "package predictor\nfunc (c Config) fits() bool { return c.BTBSize > MaxBTBSize }\n", false},
+			{"aliased import", "internal/core/sim.go", "package core\nimport pr \"riscvsim/internal/predictor\"\nfunc fits(c pr.Config) bool { return c.PHTSize <= pr.MaxPHTSize }\n", false},
+			{"dot import", "internal/server/server.go", "package server\nimport . \"riscvsim/internal/cache\"\nfunc fits(c Config) bool { return MaxLines >= c.Lines }\n", false},
+			{"the schema", "internal/config/schema.go", "package config\nfunc (c *CPU) Validate() []error {\n\tif c.ROBSize > MaxROBSize {\n\t\treturn nil\n\t}\n\treturn nil\n}\n", true},
+		},
+	},
+}
+
+// archTypes are the types of the architecture document, by package.
+var archTypes = map[string][]string{
+	"internal/config":    {"CPU", "FUSpec"},
+	"internal/cache":     {"Config"},
+	"internal/predictor": {"Config"},
+	"internal/memory":    {"Config"},
+}
+
+// archBound names e if it is a Max* constant of an architecture package:
+// selected through its import, whatever the alias, or bare inside the
+// package or where it is dot-imported.
+func archBound(f *srcFile, e ast.Expr) string {
+	pkgOf := func(ip string) string {
+		if dir, ok := strings.CutPrefix(ip, "riscvsim/"); ok && archTypes[dir] != nil {
+			return path.Base(dir)
+		}
+		return ""
+	}
+	switch e := e.(type) {
+	case *ast.SelectorExpr:
+		if x, ok := e.X.(*ast.Ident); ok && strings.HasPrefix(e.Sel.Name, "Max") {
+			if pkg := pkgOf(f.imports[x.Name]); pkg != "" {
+				return pkg + "." + e.Sel.Name
+			}
+		}
+	case *ast.Ident:
+		if !strings.HasPrefix(e.Name, "Max") {
+			return ""
+		}
+		if archTypes[path.Dir(f.path)] != nil {
+			return path.Base(path.Dir(f.path)) + "." + e.Name
+		}
+		for _, ip := range f.dots {
+			if pkg := pkgOf(ip); pkg != "" {
+				return pkg + "." + e.Name
+			}
+		}
+	}
+	return ""
 }
 
 func isIdent(e ast.Expr, name string) bool {

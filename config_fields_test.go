@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"iter"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -27,8 +28,9 @@ var configAllowList = map[string]string{
 // TestEveryConfigFieldObservable holds every settable leaf of the
 // architecture document to doing something. For each number, bool, enum
 // and string it tries valid values — twice and half a number, the bounds
-// Validate accepts, the flipped bool, every other enum member, another
-// label — on the default, scalar and wide-4 presets, and requires one of
+// its config.Schema row states, the flipped bool, every other enum member,
+// another label — on the default, scalar and wide-4 presets (every leaf
+// must have a row, and every row but the unit count a leaf), and requires one of
 // them to move a number on the workload corpus: a stats.Counters field,
 // the halt reason, the wall time or the cost estimate (the report's echo
 // of the architecture's name does not count). A leaf that moves nothing
@@ -52,9 +54,16 @@ func TestEveryConfigFieldObservable(t *testing.T) {
 	}
 	wg.Wait()
 
+	domains := map[string]domain{}
+	for _, f := range config.Schema {
+		if f.Path != "units" {
+			domains[f.Path] = domain{lo: f.Lo, hi: f.Hi, enum: f.Member != nil}
+		}
+	}
 	p := prober[config.CPU]{
-		docs:  presets,
-		valid: func(c *config.CPU) bool { return len(c.Validate()) == 0 },
+		docs:    presets,
+		domains: domains,
+		valid:   func(c *config.CPU) bool { return len(c.Validate()) == 0 },
 		moves: func(i int, c *config.CPU) bool {
 			for j, w := range corpus {
 				if !reflect.DeepEqual(outcomeOf(c, w), base[i][j]) {
@@ -66,6 +75,16 @@ func TestEveryConfigFieldObservable(t *testing.T) {
 	}
 	paths := p.paths()
 	t.Logf("%d settable leaves", len(paths))
+	for _, path := range paths {
+		if _, ok := domains[path]; !ok {
+			t.Errorf("%s is a settable leaf without a row in config.Schema", path)
+		}
+	}
+	for path := range domains {
+		if !slices.Contains(paths, path) {
+			t.Errorf("config.Schema has a row for %s, which is no settable leaf", path)
+		}
+	}
 	for path := range configAllowList {
 		if !slices.Contains(paths, path) {
 			t.Errorf("%s is allow-listed but is no settable leaf: drop it from configAllowList", path)
@@ -108,7 +127,11 @@ func TestEveryConfigFieldObservable(t *testing.T) {
 		}
 		docs := []*doc{{Width: 2, Dead: 3, Units: []unit{{"A", 1}, {"B", 2}}, Ops: map[string]int{"add": 1, "mul": 3}}}
 		p := prober[doc]{
-			docs:  docs,
+			docs: docs,
+			domains: map[string]domain{
+				"width": {lo: 1, hi: 8}, "dead": {hi: config.Unbounded},
+				"units[].latency": {lo: 1, hi: config.Unbounded}, "ops{}": {hi: config.Unbounded},
+			},
 			valid: func(d *doc) bool { return d.Width >= 1 && d.Width <= 8 && d.Dead >= 0 },
 			moves: func(i int, d *doc) bool { return measure(d) != measure(docs[i]) },
 		}
@@ -146,13 +169,23 @@ func outcomeOf(cfg *config.CPU, w workload.Workload) runOutcome {
 	return runOutcome{counters: m.Sim().Counters(), halt: rep.HaltReason, wallTime: rep.WallTimeSec, cost: *cost}
 }
 
+// domain is what a prober knows of an integer leaf's values: its bounds
+// (hi config.Unbounded, lo math.MinInt where none), and whether it is an
+// enum whose members are every number between them.
+type domain struct {
+	lo, hi int
+	enum   bool
+}
+
 // prober varies one leaf of a document at a time. A leaf is named by its
 // JSON path with slice indices collapsed ("units[].latency") and map
 // values as "{}" ("units[].ops{}"); it is observable when some valid
 // value at some occurrence moves a number.
 type prober[T any] struct {
-	docs  []*T
-	valid func(*T) bool
+	docs []*T
+	// domains holds every integer leaf's domain, by path.
+	domains map[string]domain
+	valid   func(*T) bool
 	// moves reports whether a variant of docs[i] moves a number.
 	moves func(i int, variant *T) bool
 }
@@ -227,7 +260,7 @@ func (p prober[T]) observable(path string) bool {
 			if l.path != path {
 				continue
 			}
-			for v := range p.variants(d, k, l.v) {
+			for v := range p.variants(d, k, l) {
 				if p.moves(i, v) {
 					return true
 				}
@@ -238,12 +271,10 @@ func (p prober[T]) observable(path string) bool {
 }
 
 // variants yields the valid documents that differ from d in its k-th leaf
-// alone, whose value is cur: a bool flipped; every other member of an
-// enum (an integer type whose String names its values from 0 up, and
-// prints any other n as "...(n)"); a string with
-// another label; a number twice and half, then the largest and smallest
-// values Validate accepts.
-func (p prober[T]) variants(d *T, k int, cur reflect.Value) iter.Seq[*T] {
+// l alone: a bool flipped; a string with another label; a float twice and
+// half; every other member of an enum; any other integer twice and half,
+// then its domain's bounds.
+func (p prober[T]) variants(d *T, k int, l leaf) iter.Seq[*T] {
 	data, err := json.Marshal(d)
 	if err != nil {
 		panic(err)
@@ -259,6 +290,7 @@ func (p prober[T]) variants(d *T, k int, cur reflect.Value) iter.Seq[*T] {
 		}
 		return c
 	}
+	cur := l.v
 	typ := cur.Type()
 	of := func(x any) reflect.Value { return reflect.ValueOf(x).Convert(typ) }
 	return func(yield func(*T) bool) {
@@ -271,52 +303,22 @@ func (p prober[T]) variants(d *T, k int, cur reflect.Value) iter.Seq[*T] {
 			c := with(x)
 			return c == nil || yield(c)
 		}
-		switch {
+		switch dom, known := p.domains[l.path]; {
 		case typ.Kind() == reflect.Bool:
 			try(of(!cur.Bool()))
 		case typ.Kind() == reflect.String:
 			try(of(cur.String() + "'"))
 		case typ.Kind() == reflect.Float64:
 			_ = try(of(2*cur.Float())) && try(of(cur.Float()/2))
-		case typ.Implements(reflect.TypeFor[fmt.Stringer]()) && (cur.CanInt() || cur.CanUint()):
-			for n := 0; n < 256; n++ {
-				x := of(n)
-				if strings.HasSuffix(x.Interface().(fmt.Stringer).String(), fmt.Sprintf("(%d)", n)) || !try(x) {
-					return
-				}
+		case !cur.CanInt() || !known:
+			panic(fmt.Sprintf("no probe values for the %s leaf %s", typ, l.path))
+		case dom.enum:
+			for n := dom.lo; n <= dom.hi && try(of(n)); n++ {
 			}
-		case cur.CanInt():
-			n := cur.Int()
-			ok := func(x int64) bool { return x == n || with(of(x)) != nil }
-			_ = try(of(2*n)) && try(of(n/2)) && try(of(bound(n, 1<<31, ok))) && try(of(bound(n, -1, ok)))
 		default:
-			panic(fmt.Sprintf("no probe values for a %s leaf", typ))
+			n := cur.Int()
+			_ = try(of(2*n)) && try(of(n/2)) &&
+				(dom.lo == math.MinInt || try(of(dom.lo))) && (dom.hi == config.Unbounded || try(of(dom.hi)))
 		}
 	}
-}
-
-// bound walks from the valid value n toward limit to the last value ok
-// accepts: the step doubles while values pass and starts again at one
-// after a miss.
-func bound(n, limit int64, ok func(int64) bool) int64 {
-	dir := int64(1)
-	if limit < n {
-		dir = -1
-	}
-	good, step := n, int64(1)
-	for good != limit {
-		x := good + dir*step
-		if dir*(x-limit) > 0 {
-			x = limit
-		}
-		if ok(x) {
-			good, step = x, 2*step
-			continue
-		}
-		if step == 1 {
-			break
-		}
-		step = 1
-	}
-	return good
 }

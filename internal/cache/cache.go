@@ -20,7 +20,7 @@ import (
 )
 
 // ReplacementPolicy selects the victim line within a set.
-type ReplacementPolicy uint8
+type ReplacementPolicy int
 
 // Replacement policies offered by the paper's settings window.
 const (
@@ -33,14 +33,14 @@ var policyNames = [...]string{"LRU", "FIFO", "Random"}
 
 // String returns the display name of the policy.
 func (p ReplacementPolicy) String() string {
-	if int(p) < len(policyNames) {
+	if uint(p) < uint(len(policyNames)) {
 		return policyNames[p]
 	}
-	return fmt.Sprintf("policy(%d)", uint8(p))
+	return fmt.Sprintf("policy(%d)", int(p))
 }
 
 // WritePolicy selects the store behaviour.
-type WritePolicy uint8
+type WritePolicy int
 
 // Store behaviours offered by the paper's settings window.
 const (
@@ -56,10 +56,10 @@ var writePolicyNames = [...]string{"write-back", "write-through"}
 
 // String returns the display name of the policy.
 func (p WritePolicy) String() string {
-	if int(p) < len(writePolicyNames) {
+	if uint(p) < uint(len(writePolicyNames)) {
 		return writePolicyNames[p]
 	}
-	return fmt.Sprintf("writePolicy(%d)", uint8(p))
+	return fmt.Sprintf("writePolicy(%d)", int(p))
 }
 
 // Config holds the Cache tab parameters (paper §II-C).
@@ -97,34 +97,6 @@ func DefaultConfig() Config {
 		AccessDelay:      1,
 		ReplacementDelay: 10,
 	}
-}
-
-// Upper bounds on an enabled cache's geometry, each 8x the presets' value
-// (256 lines of 64 B): a cache allocates bookkeeping per line up front and
-// a set's data on its first fill (docs/api.md lists every bound).
-const (
-	MaxLines    = 2048
-	MaxLineSize = 512
-)
-
-// Validate checks geometric consistency.
-func (c Config) Validate() error {
-	if !c.Enabled {
-		return nil
-	}
-	if c.Lines <= 0 || c.Lines > MaxLines {
-		return fmt.Errorf("cache: Lines must be in [1, %d], got %d", MaxLines, c.Lines)
-	}
-	if c.LineSize <= 0 || c.LineSize > MaxLineSize || c.LineSize&(c.LineSize-1) != 0 {
-		return fmt.Errorf("cache: LineSize must be a power of two in [1, %d], got %d", MaxLineSize, c.LineSize)
-	}
-	if c.Associativity <= 0 || c.Lines%c.Associativity != 0 {
-		return fmt.Errorf("cache: Associativity %d must divide Lines %d", c.Associativity, c.Lines)
-	}
-	if c.AccessDelay < 0 || c.ReplacementDelay < 0 {
-		return fmt.Errorf("cache: delays must be non-negative")
-	}
-	return nil
 }
 
 // line is one cache line's bookkeeping; its data lives in its set's chunk
@@ -188,18 +160,15 @@ type Cache struct {
 }
 
 // New builds a cache over the given backing memory that counts into st.
-// The configuration must be valid (see Config.Validate).
-func New(cfg Config, backing *memory.Main, st *Stats) (*Cache, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// The configuration must be valid (config.CPU.Validate checks it).
+func New(cfg Config, backing *memory.Main, st *Stats) *Cache {
 	c := &Cache{cfg: cfg, backing: backing, rng: 0x9E3779B97F4A7C15, stats: st}
 	if cfg.Enabled {
 		c.numSets = cfg.Lines / cfg.Associativity
 		c.lines = make([]line, cfg.Lines)
 		c.data = make([][]byte, c.numSets)
 	}
-	return c, nil
+	return c
 }
 
 // set returns the ways of set si.
@@ -221,12 +190,6 @@ func (c *Cache) lineData(si, w int) []byte {
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// setIndexAndTag splits an address into its set index and tag.
-func (c *Cache) setIndexAndTag(addr int) (int, int) {
-	block := addr / c.cfg.LineSize
-	return block % c.numSets, block / c.numSets
-}
-
 // findWay returns the way holding tag in set si, or -1.
 func (c *Cache) findWay(si, tag int) int {
 	for w, ln := range c.set(si) {
@@ -246,16 +209,7 @@ func (c *Cache) victimWay(si int) int {
 			return w
 		}
 	}
-	switch c.cfg.Replacement {
-	case FIFO:
-		oldest, at := 0, ways[0].loadedAt
-		for w := 1; w < len(ways); w++ {
-			if ways[w].loadedAt < at {
-				oldest, at = w, ways[w].loadedAt
-			}
-		}
-		return oldest
-	case Random:
+	if c.cfg.Replacement == Random {
 		// xorshift64* — deterministic so that backward simulation
 		// (a re-run of the same cycle count) reproduces identical
 		// cache states.
@@ -263,15 +217,16 @@ func (c *Cache) victimWay(si int) int {
 		c.rng ^= c.rng << 25
 		c.rng ^= c.rng >> 27
 		return int((c.rng * 0x2545F4914F6CDD1D) >> 33 % uint64(len(ways)))
-	default: // LRU
-		oldest, at := 0, ways[0].lastUse
-		for w := 1; w < len(ways); w++ {
-			if ways[w].lastUse < at {
-				oldest, at = w, ways[w].lastUse
-			}
-		}
-		return oldest
 	}
+	// LRU evicts the way used longest ago, FIFO the way loaded longest ago.
+	oldest := 0
+	for w := 1; w < len(ways); w++ {
+		if c.cfg.Replacement == FIFO && ways[w].loadedAt < ways[oldest].loadedAt ||
+			c.cfg.Replacement != FIFO && ways[w].lastUse < ways[oldest].lastUse {
+			oldest = w
+		}
+	}
+	return oldest
 }
 
 // fill loads the line containing addr into set si, evicting a victim. It
@@ -348,7 +303,7 @@ func (c *Cache) Access(tx *memory.Transaction, now uint64) (uint64, *fault.Excep
 			if tx.IsStore && c.cfg.Write == WriteThrough {
 				// No-write-allocate: the store goes straight to
 				// memory below.
-				finish = max64(finish, now+uint64(c.cfg.AccessDelay)+uint64(c.backing.Config().StoreLatency))
+				finish = max(finish, now+uint64(c.cfg.AccessDelay)+uint64(c.backing.Config().StoreLatency))
 				continue
 			}
 			var penalty uint64
@@ -357,7 +312,7 @@ func (c *Cache) Access(tx *memory.Transaction, now uint64) (uint64, *fault.Excep
 			if exc != nil {
 				return now, exc
 			}
-			finish = max64(finish, now+uint64(c.cfg.AccessDelay)+uint64(c.cfg.ReplacementDelay)+penalty)
+			finish = max(finish, now+uint64(c.cfg.AccessDelay)+uint64(c.cfg.ReplacementDelay)+penalty)
 		} else {
 			c.stats.Hits++
 		}
@@ -375,7 +330,7 @@ func (c *Cache) Access(tx *memory.Transaction, now uint64) (uint64, *fault.Excep
 			return now, exc
 		}
 		c.stats.BytesWritten += uint64(tx.Size)
-		finish = max64(finish, shadow.FinishAt)
+		finish = max(finish, shadow.FinishAt)
 	}
 	tx.HitCache = hit
 	tx.FinishAt = finish
@@ -568,11 +523,4 @@ func (c *Cache) Lines() []LineView {
 	}
 	c.lent = true
 	return c.views
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

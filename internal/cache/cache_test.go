@@ -14,37 +14,13 @@ func newBacking() *memory.Main {
 func newCache(t *testing.T, cfg Config) (*Cache, *memory.Main) {
 	t.Helper()
 	m := newBacking()
-	c, err := New(cfg, m, new(Stats))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, m
+	return New(cfg, m, new(Stats)), m
 }
 
 func smallCfg() Config {
 	return Config{
 		Enabled: true, Lines: 8, LineSize: 16, Associativity: 2,
 		Replacement: LRU, Write: WriteBack, AccessDelay: 1, ReplacementDelay: 5,
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{Enabled: true, Lines: 0, LineSize: 16, Associativity: 1},
-		{Enabled: true, Lines: 8, LineSize: 15, Associativity: 1},
-		{Enabled: true, Lines: 8, LineSize: 16, Associativity: 3},
-		{Enabled: true, Lines: 8, LineSize: 16, Associativity: 1, AccessDelay: -1},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("case %d: Validate should fail for %+v", i, cfg)
-		}
-	}
-	if err := (Config{Enabled: false}).Validate(); err != nil {
-		t.Errorf("disabled cache should validate: %v", err)
-	}
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Errorf("default config should validate: %v", err)
 	}
 }
 
@@ -197,7 +173,7 @@ func TestRandomReplacementIsDeterministic(t *testing.T) {
 			Replacement: Random, Write: WriteBack, AccessDelay: 1, ReplacementDelay: 2,
 		}
 		m := newBacking()
-		c, _ := New(cfg, m, new(Stats))
+		c := New(cfg, m, new(Stats))
 		var hits []uint64
 		for i := 0; i < 50; i++ {
 			addr := (i * 37 % 16) * 16
@@ -227,10 +203,7 @@ func TestLineCrossingAccess(t *testing.T) {
 
 func TestDisabledCachePassesThrough(t *testing.T) {
 	m := newBacking()
-	c, err := New(Config{Enabled: false}, m, new(Stats))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(Config{Enabled: false}, m, new(Stats))
 	tx := &memory.Transaction{Addr: 100, Size: 4, IsStore: true, Data: 5}
 	finish, exc := c.Access(tx, 0)
 	if exc != nil {
@@ -278,13 +251,10 @@ func TestPropertyCacheCoherentWithItself(t *testing.T) {
 		assoc := []int{1, 2, 4}[assocSel%3]
 		pol := ReplacementPolicy(polSel % 3)
 		m := newBacking()
-		c, err := New(Config{
+		c := New(Config{
 			Enabled: true, Lines: 8, LineSize: 16, Associativity: assoc,
 			Replacement: pol, Write: WriteBack, AccessDelay: 1, ReplacementDelay: 3,
 		}, m, new(Stats))
-		if err != nil {
-			return false
-		}
 		shadow := map[int]uint32{}
 		now := uint64(0)
 		for _, o := range ops {
@@ -319,7 +289,7 @@ func TestPropertyCacheCoherentWithItself(t *testing.T) {
 func TestPropertyFlushMakesMemoryCoherent(t *testing.T) {
 	f := func(addrs []uint16, val uint32) bool {
 		m := newBacking()
-		c, _ := New(smallCfgQuick(), m, new(Stats))
+		c := New(smallCfgQuick(), m, new(Stats))
 		shadow := map[int]uint32{}
 		for i, a := range addrs {
 			addr := (int(a) % (64*1024 - 4)) &^ 3

@@ -148,7 +148,7 @@ func TestLinesStoreReencodesOneLine(t *testing.T) {
 	if len(after) != len(before) || cap(after) >= c.cfg.Lines {
 		t.Fatalf("after the store Lines lists %d entries with room for %d, want the %d listed before", len(after), cap(after), len(before))
 	}
-	si, _ := c.setIndexAndTag(644)
+	si := 644 / c.cfg.LineSize % c.numSets
 	rebuilt := 0
 	for i := range after {
 		if &after[i].enc[0] == &before[i].enc[0] {

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"riscvsim/internal/cache"
 	"riscvsim/internal/config"
-	"riscvsim/internal/predictor"
 	"riscvsim/sim"
 )
 
@@ -22,44 +20,39 @@ const allocCeiling = 16 << 20
 // tinyProgram is the 3-line program every bounded machine runs.
 const tinyProgram = "main:\n  li a0, 1\n  ret\n"
 
-// atMax returns the default architecture with every bounded field at its
-// maximum at once.
+// atMax returns the default architecture with every bounded leaf of
+// config.Schema at its bound at once: every enum at its last member, and
+// as many units as the count allows, cycling through the four classes. A
+// local history per PHT entry costs the most, so global history is off.
 func atMax() *config.CPU {
 	c := config.Default()
-	c.ROBSize = config.MaxROBSize
-	c.RenameRegisters = config.MaxRenameRegisters
-	c.FetchWidth = config.MaxWidth
-	c.CommitWidth = config.MaxWidth
-	c.JumpsPerCycle = config.MaxWidth
-	c.FXWindow = config.MaxWindowSize
-	c.FPWindow = config.MaxWindowSize
-	c.LSWindow = config.MaxWindowSize
-	c.BranchWindow = config.MaxWindowSize
-	c.LoadBufferSize = config.MaxWindowSize
-	c.StoreBufferSize = config.MaxWindowSize
-	c.Units = nil
-	classes := []string{"FX", "FP", "LS", "Branch"}
-	for i := 0; i < config.MaxUnits; i++ {
-		c.Units = append(c.Units, config.FUSpec{Name: fmt.Sprintf("U%d", i), Class: classes[i%len(classes)], Latency: 1})
+	for _, f := range config.Schema {
+		switch {
+		case f.Hi == config.Unbounded:
+		case f.Of != nil:
+			*f.Of(c) = f.Hi
+		case f.Path == "units":
+			classes := []string{"FX", "FP", "LS", "Branch"}
+			c.Units = nil
+			for i := 0; i < f.Hi; i++ {
+				c.Units = append(c.Units, config.FUSpec{Name: fmt.Sprintf("U%d", i), Class: classes[i%len(classes)], Latency: 1})
+			}
+		}
 	}
-	c.Memory.Size = config.MaxMemorySize
-	c.Cache.Lines = cache.MaxLines
-	c.Cache.LineSize = cache.MaxLineSize
-	c.Predictor.BTBSize = predictor.MaxBTBSize
-	c.Predictor.PHTSize = predictor.MaxPHTSize
-	c.Predictor.GlobalHistory = false // a local history per PHT entry as well
+	c.Predictor.GlobalHistory = false
 	return c
 }
 
 // buildWithinCeiling builds a machine for cfg, steps it 100 cycles and
-// fails if that allocated more than allocCeiling.
-func buildWithinCeiling(t *testing.T, cfg *config.CPU) uint64 {
+// fails if that allocated more than allocCeiling. It returns the build's
+// error, if any, for the caller to judge.
+func buildWithinCeiling(t *testing.T, cfg *config.CPU) (uint64, error) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	m, err := sim.NewFromAsm(cfg, tinyProgram, "main")
 	if err != nil {
-		t.Fatalf("accepted architecture does not build: %v", err)
+		return 0, err
 	}
 	m.Run(100)
 	runtime.ReadMemStats(&after)
@@ -68,7 +61,7 @@ func buildWithinCeiling(t *testing.T, cfg *config.CPU) uint64 {
 	if alloc > allocCeiling {
 		t.Fatalf("building and stepping allocated %d bytes, ceiling %d", alloc, allocCeiling)
 	}
-	return alloc
+	return alloc, nil
 }
 
 func TestMachineAtEveryMaximumWithinCeiling(t *testing.T) {
@@ -80,14 +73,21 @@ func TestMachineAtEveryMaximumWithinCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatalf("every field at its maximum is rejected: %v", err)
 	}
-	t.Logf("every bounded field at its maximum: %d bytes", buildWithinCeiling(t, cfg))
+	alloc, err := buildWithinCeiling(t, cfg)
+	if err != nil {
+		t.Fatalf("every field at its maximum does not build: %v", err)
+	}
+	t.Logf("every bounded field at its maximum: %d bytes", alloc)
 }
 
 // FuzzImportConfig feeds architecture documents to Import. A rejected
 // document must come back as an error alone; an accepted one must build a
-// machine within allocCeiling that steps 100 cycles without panicking.
-// The seeds, every preset's export, the document at every maximum and one
-// naming a retired key, run under go test.
+// machine within allocCeiling that steps 100 cycles without panicking (or
+// refuse the program, when no unit executes one of its instructions), and
+// every enum in it must print as a member's name, not as "...(n)". The
+// seeds, every preset's export, the document at every maximum, one naming
+// a retired key, and the default with each enum at its last member and
+// one past it, run under go test.
 func FuzzImportConfig(f *testing.F) {
 	for _, w := range []int{1, 2, 4, 8} { // every preset, and wide-8
 		c, err := config.WidthPreset(w)
@@ -108,6 +108,20 @@ func FuzzImportConfig(f *testing.F) {
 	// A retired key (TestRetiredKeysRejected) is refused like any other
 	// unknown one.
 	f.Add([]byte(strings.Replace(string(doc), "{", `{"snapshotInterval": 1024,`, 1)))
+	for _, field := range config.Schema {
+		if field.Member == nil || field.Of == nil {
+			continue
+		}
+		for _, n := range []int{field.Hi, field.Hi + 1} {
+			c := config.Default()
+			*field.Of(c) = n
+			doc, err := c.Export()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(doc)
+		}
+	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		cfg, err := config.Import(doc)
 		if err != nil {
@@ -116,6 +130,15 @@ func FuzzImportConfig(f *testing.F) {
 			}
 			return
 		}
-		buildWithinCeiling(t, cfg)
+		for _, e := range []fmt.Stringer{cfg.Cache.Replacement, cfg.Cache.Write, cfg.Predictor.Kind} {
+			if name := e.String(); strings.HasSuffix(name, ")") {
+				t.Fatalf("accepted document holds %s, no member of its enum", name)
+			}
+		}
+		// An accepted architecture builds, unless no unit of it executes
+		// one of the program's instructions.
+		if _, err := buildWithinCeiling(t, cfg); err != nil && !strings.Contains(err.Error(), "no functional unit executes") {
+			t.Fatalf("accepted architecture does not build: %v", err)
+		}
 	})
 }

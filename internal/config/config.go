@@ -5,7 +5,9 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"strings"
@@ -52,10 +54,7 @@ func (f *FUSpec) LatencyFor(name string) int {
 	if l, ok := f.Ops[name]; ok && l > 0 {
 		return l
 	}
-	if f.Latency > 0 {
-		return f.Latency
-	}
-	return 1
+	return max(f.Latency, 1)
 }
 
 // CPU is the complete architecture description.
@@ -97,101 +96,6 @@ type CPU struct {
 	Predictor predictor.Config `json:"predictor"`
 }
 
-// Upper bounds on the architecture document. Building a machine costs
-// memory linear in each of these fields (a 16 Mi-entry BTB alone would take
-// ~400 MB), so without them ~2 KB of JSON could ask for gigabytes. Each is
-// at least 8x the largest preset value (wide-8, or the shared defaults);
-// docs/api.md lists them with the cache's and predictor's own bounds.
-const (
-	MaxROBSize         = 1024     // wide-8: 128
-	MaxRenameRegisters = 2048     // wide-8: 192
-	MaxWidth           = 64       // fetchWidth, commitWidth, jumpsPerCycle; wide-8: 8, 8, 3
-	MaxWindowSize      = 256      // each issue window and load/store buffer; wide-8: 32
-	MaxUnits           = 128      // functional units; wide-8: 16
-	MaxMemorySize      = 16 << 20 // bytes; every preset: 64 KiB
-)
-
-// Validate checks the whole configuration and returns every problem found,
-// mirroring the configuration validation step of simulation initialization
-// (paper §III-A).
-func (c *CPU) Validate() []error {
-	var errs []error
-	add := func(format string, args ...any) {
-		errs = append(errs, fmt.Errorf(format, args...))
-	}
-	for _, f := range []struct {
-		name  string
-		v, hi int
-	}{
-		{"robSize", c.ROBSize, MaxROBSize},
-		{"renameRegisters", c.RenameRegisters, MaxRenameRegisters},
-		{"fetchWidth", c.FetchWidth, MaxWidth},
-		{"commitWidth", c.CommitWidth, MaxWidth},
-		{"jumpsPerCycle", c.JumpsPerCycle, MaxWidth},
-		{"fxWindow", c.FXWindow, MaxWindowSize}, {"fpWindow", c.FPWindow, MaxWindowSize},
-		{"lsWindow", c.LSWindow, MaxWindowSize}, {"branchWindow", c.BranchWindow, MaxWindowSize},
-		{"loadBufferSize", c.LoadBufferSize, MaxWindowSize}, {"storeBufferSize", c.StoreBufferSize, MaxWindowSize},
-		{"units (functional unit count)", len(c.Units), MaxUnits},
-		{"memory size", c.Memory.Size, MaxMemorySize},
-	} {
-		if f.v <= 0 || f.v > f.hi {
-			add("config: %s must be in [1, %d], got %d", f.name, f.hi, f.v)
-		}
-	}
-	if c.FlushPenalty < 0 {
-		add("config: flushPenalty must be non-negative, got %d", c.FlushPenalty)
-	}
-	if c.RenameRegisters < c.ROBSize {
-		add("config: renameRegisters (%d) must be at least robSize (%d) so every in-flight instruction can rename a destination",
-			c.RenameRegisters, c.ROBSize)
-	}
-	seen := map[string]bool{}
-	hasClass := map[string]bool{}
-	for i := range c.Units {
-		u := &c.Units[i]
-		if u.Name == "" {
-			add("config: unit %d has no name", i)
-		}
-		if seen[u.Name] {
-			add("config: duplicate unit name %q", u.Name)
-		}
-		seen[u.Name] = true
-		switch u.Class {
-		case "FX", "FP", "LS", "Branch":
-			hasClass[u.Class] = true
-		default:
-			add("config: unit %q has unknown class %q", u.Name, u.Class)
-		}
-		if u.Latency <= 0 && len(u.Ops) == 0 {
-			add("config: unit %q needs a positive latency", u.Name)
-		}
-	}
-	for _, cl := range []string{"FX", "LS", "Branch"} {
-		if !hasClass[cl] {
-			add("config: no %s unit configured; integer programs cannot execute", cl)
-		}
-	}
-	if err := c.Cache.Validate(); err != nil {
-		errs = append(errs, err)
-	}
-	if c.Memory.CallStackSize < 0 || c.Memory.CallStackSize > c.Memory.Size {
-		add("config: callStackSize %d out of range", c.Memory.CallStackSize)
-	}
-	if c.Memory.LoadLatency < 0 || c.Memory.StoreLatency < 0 {
-		add("config: memory latencies must be non-negative")
-	}
-	if err := c.Predictor.Validate(); err != nil {
-		errs = append(errs, err)
-	}
-	if c.CoreClockHz <= 0 {
-		add("config: coreClockHz must be positive, got %g", c.CoreClockHz)
-	}
-	return errs
-}
-
-// MarshalJSON / import–export round-trip uses the standard encoding; the
-// wrapper functions add validation.
-
 // Export serializes the architecture to indented JSON, the format the GUI
 // exchanges via its import/export buttons.
 func (c *CPU) Export() ([]byte, error) {
@@ -216,17 +120,13 @@ func (c *CPU) Fingerprint() (string, error) {
 // Import parses and validates an architecture description.
 func Import(data []byte) (*CPU, error) {
 	var c CPU
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
 		return nil, fmt.Errorf("config: bad architecture JSON: %w", err)
 	}
 	if errs := c.Validate(); len(errs) > 0 {
-		msgs := make([]string, len(errs))
-		for i, e := range errs {
-			msgs[i] = e.Error()
-		}
-		return nil, fmt.Errorf("config: invalid architecture:\n  %s", strings.Join(msgs, "\n  "))
+		return nil, fmt.Errorf("config: invalid architecture:\n  %s", strings.ReplaceAll(errors.Join(errs...).Error(), "\n", "\n  "))
 	}
 	return &c, nil
 }

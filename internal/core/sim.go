@@ -168,13 +168,8 @@ func newSimulation(cfg *config.CPU, p *Program, mem *memory.Main, entry int) (*S
 		ffStopPC:  -1,
 		ledger:    stats.Counters{FUs: make([]stats.FUCounters, len(cfg.Units))},
 	}
-	var err error
-	if s.l1, err = cache.New(cfg.Cache, mem, &s.ledger.Cache); err != nil {
-		return nil, err
-	}
-	if s.pred, err = predictor.New(cfg.Predictor, &s.ledger.Predictor); err != nil {
-		return nil, err
-	}
+	s.l1 = cache.New(cfg.Cache, mem, &s.ledger.Cache)
+	s.pred = predictor.New(cfg.Predictor, &s.ledger.Predictor)
 	mem.CountInto(&s.ledger.Memory)
 	s.rf = rename.NewFile(cfg.RenameRegisters, &s.ledger.Rename)
 	s.lsu = NewLSU(cfg.LoadBufferSize, cfg.StoreBufferSize, s.l1, &s.ledger.LSU)
@@ -190,6 +185,11 @@ func newSimulation(cfg *config.CPU, p *Program, mem *memory.Main, entry int) (*S
 		fu := NewFU(&cfg.Units[i], &s.ledger.FUs[i])
 		fu.precompute(p.code, i, s.fuSup, s.supStride)
 		s.fus = append(s.fus, fu)
+	}
+	for i, in := range p.instrs {
+		if !slices.ContainsFunc(s.fuSup[i*s.supStride:(i+1)*s.supStride], func(w uint64) bool { return w != 0 }) {
+			return nil, fmt.Errorf("core: no functional unit executes %s (line %d)", in.Desc.Name, in.Line)
+		}
 	}
 	s.fetch = newFetchUnit(p, s.pred, cfg.FetchWidth, cfg.JumpsPerCycle, entry, &s.ledger)
 

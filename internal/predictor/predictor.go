@@ -10,8 +10,9 @@ package predictor
 
 import "fmt"
 
-// Type selects the counter automaton in the PHT.
-type Type uint8
+// Type selects the counter automaton in the PHT. Its value is the
+// counter's width in bits: an n-bit counter saturates at 1<<n - 1.
+type Type int
 
 // Predictor types from the paper's settings window.
 const (
@@ -29,10 +30,10 @@ var typeNames = [...]string{"zero-bit", "one-bit", "two-bit"}
 
 // String returns the display name of the predictor type.
 func (t Type) String() string {
-	if int(t) < len(typeNames) {
+	if uint(t) < uint(len(typeNames)) {
 		return typeNames[t]
 	}
-	return fmt.Sprintf("predictorType(%d)", uint8(t))
+	return fmt.Sprintf("predictorType(%d)", int(t))
 }
 
 // Config holds the Branch prediction tab parameters.
@@ -65,44 +66,6 @@ func DefaultConfig() Config {
 		DefaultState:  2,
 		GlobalHistory: true,
 		HistoryBits:   8,
-	}
-}
-
-// Upper bounds on the tables, each 8x the presets' value (128 BTB and 256
-// PHT entries): both are allocated whole when the predictor is built
-// (docs/api.md lists every bound).
-const (
-	MaxBTBSize = 1024
-	MaxPHTSize = 2048
-)
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.BTBSize <= 0 || c.BTBSize > MaxBTBSize {
-		return fmt.Errorf("predictor: BTBSize must be in [1, %d], got %d", MaxBTBSize, c.BTBSize)
-	}
-	if c.PHTSize <= 0 || c.PHTSize > MaxPHTSize {
-		return fmt.Errorf("predictor: PHTSize must be in [1, %d], got %d", MaxPHTSize, c.PHTSize)
-	}
-	max := c.maxCounter()
-	if c.DefaultState < 0 || (c.Kind != ZeroBit && c.DefaultState > max) {
-		return fmt.Errorf("predictor: DefaultState %d out of range [0,%d] for %s",
-			c.DefaultState, max, c.Kind)
-	}
-	if c.HistoryBits < 0 || c.HistoryBits > 30 {
-		return fmt.Errorf("predictor: HistoryBits %d out of range [0,30]", c.HistoryBits)
-	}
-	return nil
-}
-
-func (c Config) maxCounter() int {
-	switch c.Kind {
-	case OneBit:
-		return 1
-	case TwoBit:
-		return 3
-	default:
-		return 1
 	}
 }
 
@@ -143,11 +106,8 @@ type Predictor struct {
 }
 
 // New builds a predictor that counts into st. The configuration must be
-// valid.
-func New(cfg Config, st *Stats) (*Predictor, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// valid (config.CPU.Validate checks it).
+func New(cfg Config, st *Stats) *Predictor {
 	p := &Predictor{
 		cfg:      cfg,
 		btb:      make([]btbEntry, cfg.BTBSize),
@@ -161,7 +121,7 @@ func New(cfg Config, st *Stats) (*Predictor, error) {
 	if !cfg.GlobalHistory {
 		p.localHist = make([]uint32, cfg.PHTSize)
 	}
-	return p, nil
+	return p
 }
 
 // Config returns the predictor configuration.
@@ -208,13 +168,10 @@ func (p *Predictor) Predict(pc int, conditional bool) Prediction {
 	if conditional {
 		idx := p.phtIndex(pc)
 		pred.PHTIndex = idx
-		switch p.cfg.Kind {
-		case ZeroBit:
+		if p.cfg.Kind == ZeroBit {
 			pred.Taken = p.cfg.DefaultState != 0
-		case OneBit:
-			pred.Taken = p.pht[idx] >= 1
-		default:
-			pred.Taken = p.pht[idx] >= 2
+		} else { // the counter's upper half predicts taken
+			pred.Taken = p.pht[idx] >= 1<<(p.cfg.Kind-1)
 		}
 	}
 	return pred
@@ -233,7 +190,7 @@ func (p *Predictor) Update(pc int, conditional, taken bool, target int, predicte
 	if conditional && p.cfg.Kind != ZeroBit {
 		idx := p.phtIndex(pc)
 		c := p.pht[idx]
-		max := uint8(p.cfg.maxCounter())
+		max := uint8(1)<<p.cfg.Kind - 1
 		if taken {
 			if c < max {
 				c++

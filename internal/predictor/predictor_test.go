@@ -7,33 +7,11 @@ import (
 
 func mustNew(t *testing.T, cfg Config) *Predictor {
 	t.Helper()
-	p, err := New(cfg, new(Stats))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return New(cfg, new(Stats))
 }
 
 func twoBitCfg() Config {
 	return Config{BTBSize: 16, PHTSize: 64, Kind: TwoBit, DefaultState: 2, GlobalHistory: true, HistoryBits: 4}
-}
-
-func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{BTBSize: 0, PHTSize: 16, Kind: TwoBit},
-		{BTBSize: 16, PHTSize: 0, Kind: TwoBit},
-		{BTBSize: 16, PHTSize: 16, Kind: TwoBit, DefaultState: 4},
-		{BTBSize: 16, PHTSize: 16, Kind: OneBit, DefaultState: 2},
-		{BTBSize: 16, PHTSize: 16, Kind: TwoBit, HistoryBits: 31},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("case %d should fail validation: %+v", i, cfg)
-		}
-	}
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Errorf("default config invalid: %v", err)
-	}
 }
 
 func TestZeroBitIsStatic(t *testing.T) {
@@ -227,10 +205,7 @@ func TestPropertyTwoBitConvergence(t *testing.T) {
 	f := func(pcRaw uint16, def uint8, dir bool) bool {
 		cfg := Config{BTBSize: 32, PHTSize: 128, Kind: TwoBit,
 			DefaultState: int(def % 4), GlobalHistory: true, HistoryBits: 0}
-		p, err := New(cfg, new(Stats))
-		if err != nil {
-			return false
-		}
+		p := New(cfg, new(Stats))
 		pc := int(pcRaw)
 		for i := 0; i < 3; i++ {
 			pred := p.Predict(pc, true)
@@ -247,7 +222,7 @@ func TestPropertyTwoBitConvergence(t *testing.T) {
 func TestPropertyStatsConsistent(t *testing.T) {
 	f := func(outcomes []bool) bool {
 		var st Stats
-		p, _ := New(DefaultConfig(), &st)
+		p := New(DefaultConfig(), &st)
 		for i, o := range outcomes {
 			pred := p.Predict(i%50, true)
 			p.Update(i%50, true, o, i+1, pred.Taken == o)

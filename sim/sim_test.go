@@ -247,6 +247,40 @@ bnez t0, loop
 	wg.Wait()
 }
 
+// TestUnexecutableInstructionRejectedAtBuild: a program with an
+// instruction that no unit executes builds no machine, and the error names
+// the mnemonic and its line. Such a machine used to spin to the cycle
+// limit: an LS unit whose ops misspell "lw" left every store waiting.
+func TestUnexecutableInstructionRejectedAtBuild(t *testing.T) {
+	const src = "main:\n  li a0, 1\n  sw a0, 0(sp)\n  ret\n"
+	typo := DefaultConfig()
+	for i := range typo.Units {
+		if typo.Units[i].Class == "LS" {
+			typo.Units[i].Ops = map[string]int{"lww": 2}
+		}
+	}
+	bogus := DefaultConfig()
+	for i := range bogus.Units {
+		if bogus.Units[i].Class == "FX" {
+			bogus.Units[i].Ops = map[string]int{"bogus": 1}
+		}
+	}
+	for _, tc := range []struct {
+		cfg  *Config
+		want string
+	}{
+		{typo, "core: no functional unit executes sw (line 3)"},
+		{bogus, "core: no functional unit executes addi (line 2)"},
+	} {
+		if errs := tc.cfg.Validate(); len(errs) > 0 {
+			t.Fatalf("the architecture itself is valid: %v", errs)
+		}
+		if _, err := NewFromAsm(tc.cfg, src, "main"); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("NewFromAsm: %v, want an error containing %q", err, tc.want)
+		}
+	}
+}
+
 // TestInvalidConfigRejectedAtBuild: an architecture that fails validation
 // builds no machine, from source or from an already compiled Program.
 func TestInvalidConfigRejectedAtBuild(t *testing.T) {
