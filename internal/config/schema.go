@@ -20,8 +20,8 @@ type Field struct {
 	// "units" is the unit count.
 	Path string
 	// Lo and Hi bound an integer leaf; an enum's Hi is its last member.
-	// Building a machine costs memory linear in each bounded size, so a
-	// bound is at least 8x the largest preset value.
+	// Building a machine costs memory linear in each size, so a size's
+	// Hi is at least 8x its largest preset value.
 	Lo, Hi int
 	// Member names an enum's value n.
 	Member func(n int) string
@@ -38,7 +38,7 @@ type Field struct {
 // Schema is the architecture document's one statement of its domain, one
 // row per settable leaf in document order. Validate walks it with rules;
 // docs/api.md's bounds table, the observability walk's probe values, the
-// bounds tests and the fuzz seeds derive from it. It is not to be written.
+// bounds tests and the fuzz seeds derive from it. Nothing writes it.
 var Schema = []Field{
 	{Path: "name"},
 	{Path: "coreClockHz", preset: 100e6, clock: func(c *CPU) *float64 { return &c.CoreClockHz }},
