@@ -3,41 +3,44 @@ package riscvsim
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"os"
+	"go/types"
+	"maps"
 	"path"
-	"path/filepath"
-	"reflect"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
-
-	"riscvsim/internal/stats"
 )
 
 // TestArchitectureRules holds the repository to its "one X" rules: one
 // clock on the request path, one hop in the router, one statement of the
 // rate formulas, one compressor, one door to the checkpoint store, one
 // integrity check, one LRU, one way back to an earlier cycle, one ledger
-// codec and one schema of the architecture document. Each rule is an allow-list of the places a name may be
-// referenced, checked on the syntax of every non-test .go file under the
-// root (bench/ included; testdata and hidden directories skipped). Imports
-// are resolved by path, so an alias or a dot-import does not hide a
-// reference, and a reference is placed by its file and its enclosing
-// function.
+// codec and one schema of the architecture document. Each rule is an
+// allow-list of the places an object may be referenced, checked on every
+// non-test .go file under the root (bench/ included; testdata and hidden
+// directories skipped), type-checked by the loader in loader_test.go.
+// A reference is the object an identifier resolves to, so an alias, a
+// dot-import, a method value or a copy of a field does not hide one, and a
+// same-named object of another type or package is not one. A reference
+// is placed by its file and its enclosing function.
 //
-// Each rule also checks planted sources at virtual paths: a form a text
-// search would catch and a form it would miss must both be reported, and
-// an allowed form must not be, so a rule cannot pass by reporting nothing
-// or everything.
+// Each rule also checks sources planted at virtual paths, each checked as
+// one more file of the package at its path: a form a text search would
+// catch and a form it would miss must both be reported, and an allowed
+// form must not be, so a rule cannot pass by reporting nothing or
+// everything.
 func TestArchitectureRules(t *testing.T) {
-	tree := parseTree(t, ".")
+	tr := typedTree(t)
+	var files []*srcFile
+	for _, p := range tr.pkgs {
+		files = append(files, p.files...)
+	}
 	for _, r := range archRules {
 		t.Run(r.name, func(t *testing.T) {
-			out, seen := r.violations(tree)
+			out, seen := r.violations(files)
 			for _, v := range out {
 				t.Error(v)
 			}
@@ -48,16 +51,19 @@ func TestArchitectureRules(t *testing.T) {
 			}
 			for _, p := range r.plants {
 				t.Run(p.name, func(t *testing.T) {
-					f, err := parseSource(token.NewFileSet(), p.path, p.src)
+					srcs := map[string]string{p.path: p.src}
+					maps.Copy(srcs, r.scaffold)
+					l, err := tr.plant(srcs)
 					if err != nil {
 						t.Fatal(err)
 					}
 					var here []string // violations at the planted file
-					out, _ := r.violations([]*srcFile{f})
-					for _, v := range out {
-						if strings.Contains(v, p.path+":") {
-							here = append(here, v)
+					for _, f := range l.planted {
+						if f.path != p.path {
+							continue
 						}
+						out, _ := r.violations([]*srcFile{f})
+						here = append(here, out...)
 					}
 					switch {
 					case p.allowed && len(here) > 0:
@@ -69,70 +75,6 @@ func TestArchitectureRules(t *testing.T) {
 			}
 		})
 	}
-}
-
-// srcFile is one parsed source file with its imports resolved.
-type srcFile struct {
-	path    string // slash-separated, relative to the root
-	fset    *token.FileSet
-	ast     *ast.File
-	imports map[string]string // local name -> import path
-	dots    []string          // dot-imported paths
-}
-
-func parseTree(t *testing.T, root string) []*srcFile {
-	t.Helper()
-	fset := token.NewFileSet()
-	var files []*srcFile
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if p != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		f, err := parseSource(fset, filepath.ToSlash(p), string(src))
-		files = append(files, f)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return files
-}
-
-func parseSource(fset *token.FileSet, p, src string) (*srcFile, error) {
-	af, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
-	if err != nil {
-		return nil, err
-	}
-	f := &srcFile{path: p, fset: fset, ast: af, imports: map[string]string{}}
-	for _, is := range af.Imports {
-		ip, err := strconv.Unquote(is.Path.Value)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case is.Name == nil:
-			f.imports[path.Base(ip)] = ip
-		case is.Name.Name == ".":
-			f.dots = append(f.dots, ip)
-		case is.Name.Name != "_":
-			f.imports[is.Name.Name] = ip
-		}
-	}
-	return f, nil
 }
 
 // cursor is a node in the walk of one file: its ancestors, the node last.
@@ -154,44 +96,34 @@ func (c *cursor) parent() ast.Node {
 // in reports whether the node is inside function fn of the package in dir.
 func (c *cursor) in(dir, fn string) bool { return path.Dir(c.file.path) == dir && c.fn == fn }
 
-// ref reports which of the names exported by the package at importPath the
-// node refers to, as "pkg.Name", or "" if none: a selector on the
-// package's import name (whatever its alias), or a bare identifier where
-// the package is dot-imported. A local that shadows the import name is
-// taken for the package: a false report here is safer than a missed one.
-func (c *cursor) ref(importPath string, names ...string) string {
-	switch n := c.node().(type) {
+// ref names, as objName does, the object the node refers to: a selector's
+// selected object, or an identifier's where it is not the name of a
+// selector. Any other node, or a node that refers to nothing the rules
+// name, is "".
+func (c *cursor) ref() string {
+	if p, ok := c.parent().(*ast.SelectorExpr); ok && p.Sel == c.node() {
+		return ""
+	}
+	return c.refOf(c.node())
+}
+
+// refOf names the object an identifier or a selector refers to.
+func (c *cursor) refOf(n ast.Node) string {
+	switch n := n.(type) {
 	case *ast.SelectorExpr:
-		if x, ok := n.X.(*ast.Ident); ok && c.file.imports[x.Name] == importPath && slices.Contains(names, n.Sel.Name) {
-			return path.Base(importPath) + "." + n.Sel.Name
-		}
+		return objName(c.file.info.Uses[n.Sel])
 	case *ast.Ident:
-		if !slices.Contains(c.file.dots, importPath) || !slices.Contains(names, n.Name) {
-			return ""
-		}
-		switch p := c.parent().(type) {
-		case *ast.SelectorExpr:
-			if p.Sel == n {
-				return ""
-			}
-		case *ast.KeyValueExpr:
-			if p.Key == n {
-				return ""
-			}
-		case *ast.FuncDecl, *ast.Field, *ast.ValueSpec, *ast.TypeSpec, *ast.ImportSpec:
-			return ""
-		}
-		return path.Base(importPath) + "." + n.Name
+		return objName(c.file.info.Uses[n])
 	}
 	return ""
 }
 
-// selector returns the selected name if the node is a selector x.name.
-func (c *cursor) selector() string {
+// selected returns the object a selector node selects, or nil.
+func (c *cursor) selected() types.Object {
 	if s, ok := c.node().(*ast.SelectorExpr); ok {
-		return s.Sel.Name
+		return c.file.info.Uses[s.Sel]
 	}
-	return ""
+	return nil
 }
 
 func funcName(fd *ast.FuncDecl) string {
@@ -209,7 +141,7 @@ func funcName(fd *ast.FuncDecl) string {
 	return "?." + fd.Name.Name // a generic receiver: no rule names one
 }
 
-// archRule allows references to some names only at some places.
+// archRule allows references to some objects only at some places.
 type archRule struct {
 	name string
 	fix  string // where the thing belongs
@@ -220,6 +152,9 @@ type archRule struct {
 	// once lists keys whose allowed references must number exactly one.
 	once   []string
 	plants []plant
+	// scaffold holds files planted beside every plant of the rule and not
+	// checked: declarations the plants refer to that the tree lacks.
+	scaffold map[string]string
 }
 
 // plant is a source planted at a virtual path to prove a rule can fail.
@@ -266,11 +201,27 @@ func (r *archRule) violations(files []*srcFile) ([]string, map[string]int) {
 	return out, seen
 }
 
-var rateFields = []string{"IPC", "WallTimeSec", "FlopsPerSec", "ROBOccupancy", "WindowOccup", "BusyPct", "PredAccuracy", "CacheHitRate"}
+// rateFields are the rates stats.NewReport derives, and reportCopies
+// the fields of the suite's metrics row that workload.FromReport rounds
+// them into, each with the rate it copies.
+var (
+	rateFields = []string{
+		"internal/stats.(Report).IPC", "internal/stats.(Report).WallTimeSec", "internal/stats.(Report).FlopsPerSec",
+		"internal/stats.(Report).ROBOccupancy", "internal/stats.(Report).WindowOccup", "internal/stats.(FUStat).BusyPct",
+		"internal/stats.(Report).PredAccuracy", "internal/stats.(Report).CacheHitRate",
+	}
+	reportCopies = map[string]string{
+		"internal/workload.(Metrics).IPC":          "internal/stats.(Report).IPC",
+		"internal/workload.(Metrics).PredAccuracy": "internal/stats.(Report).PredAccuracy",
+	}
+)
 
 // suiteRates are the rates workload.FromReport derives for the suite's
 // metrics row.
-var suiteRates = []string{"CPI", "BranchMPKI", "CacheMissRate"}
+var suiteRates = []string{"internal/workload.(Metrics).CPI", "internal/workload.(Metrics).BranchMPKI", "internal/workload.(Metrics).CacheMissRate"}
+
+// short drops the package path from a name objName made.
+func short(name string) string { return name[strings.LastIndex(name, ".")+1:] }
 
 var archRules = []*archRule{
 	{
@@ -286,12 +237,12 @@ var archRules = []*archRule{
 			if path.Dir(c.file.path) != "internal/server" {
 				return "", false
 			}
-			key := c.ref("time", "Now", "Since", "Until")
-			if key == "" {
+			key := c.ref()
+			if key != "time.Now" && key != "time.Since" && key != "time.Until" {
 				return "", false
 			}
 			kv, _ := c.parent().(*ast.KeyValueExpr)
-			asNow := kv != nil && kv.Value == c.node() && isIdent(kv.Key, "now") && c.in("internal/server", "newSessionStore")
+			asNow := kv != nil && kv.Value == c.node() && c.refOf(kv.Key) == "internal/server.(sessionStore).now" && c.in("internal/server", "newSessionStore")
 			return key, path.Base(c.file.path) == "phase.go" || c.in("internal/server", "(*Server).fanOut") || asNow
 		},
 		plants: []plant{
@@ -311,7 +262,7 @@ var archRules = []*archRule{
 		fix:  "forward requests through Router.forward",
 		once: []string{"forwardOnce"},
 		check: func(c *cursor) (string, bool) {
-			if c.selector() != "forwardOnce" {
+			if c.ref() != "internal/router.(Router).forwardOnce" {
 				return "", false
 			}
 			return "forwardOnce", c.in("internal/router", "(*Router).forward")
@@ -319,8 +270,8 @@ var archRules = []*archRule{
 		plants: []plant{
 			{"grep form", "internal/router/health.go", "package router\nfunc (rt *Router) probe(t *replica) {\n\trt.forwardOnce(t, nil, nil, \"\")\n}\n", false},
 			{"method value", "internal/router/health.go", "package router\nfunc (rt *Router) probe() { send := rt.forwardOnce; _ = send }\n", false},
-			{"second call in forward", "internal/router/forward.go", "package router\nfunc (rt *Router) forward() {\n\trt.forwardOnce(a, r, b, \"\")\n\trt.forwardOnce(a, r, b, \"\")\n}\n", false},
-			{"the attempt loop", "internal/router/forward.go", "package router\nfunc (rt *Router) forward() { resp, err := rt.forwardOnce(a, r, b, \"\"); _, _ = resp, err }\n", true},
+			{"second call in forward", "internal/router/forward.go", "package router\nfunc (rt *Router) forward() {\n\trt.forwardOnce(nil, nil, nil, \"\")\n\trt.forwardOnce(nil, nil, nil, \"\")\n}\n", false},
+			{"the attempt loop", "internal/router/forward.go", "package router\nfunc (rt *Router) forward() { resp, err := rt.forwardOnce(nil, nil, nil, \"\"); _, _ = resp, err }\n", true},
 		},
 	},
 	{
@@ -336,25 +287,26 @@ var archRules = []*archRule{
 			name, keyed := rateWrite(c)
 			switch {
 			case slices.Contains(rateFields, name):
-				return name + " written", c.in("internal/stats", "NewReport") ||
-					keyed != nil && c.in("internal/workload", "FromReport") && roundsSame(keyed.Value, name)
+				return short(name) + " written", c.in("internal/stats", "NewReport")
+			case reportCopies[name] != "":
+				return short(name) + " written", keyed != nil && c.in("internal/workload", "FromReport") && roundsSame(c, keyed.Value, reportCopies[name])
 			case slices.Contains(suiteRates, name):
-				return name + " written", c.in("internal/workload", "FromReport")
+				return short(name) + " written", c.in("internal/workload", "FromReport")
 			}
-			if sel := c.selector(); sel == "Accuracy" || sel == "HitRate" {
-				return "." + sel, c.in("internal/stats", "NewReport")
+			if ref := c.ref(); ref == "internal/predictor.(Stats).Accuracy" || ref == "internal/cache.(Stats).HitRate" {
+				return "." + short(ref), c.in("internal/stats", "NewReport")
 			}
 			return "", false
 		},
 		plants: []plant{
-			{"grep form", "internal/server/suite.go", "package server\nfunc fix(r *stats.Report) { r.IPC = 1 }\n", false},
-			{"tuple assignment", "internal/server/suite.go", "package server\nfunc fix(r *stats.Report) { r.IPC, r.BusyPct = 1, 2 }\n", false},
-			{"increment", "internal/render/table.go", "package render\nfunc fix(r *stats.Report) { r.WallTimeSec++ }\n", false},
-			{"round6 of another field", "internal/workload/metrics.go", "package workload\nfunc FromReport(r *stats.Report) Metrics { return Metrics{IPC: round6(r.CacheHitRate)} }\n", false},
+			{"grep form", "internal/server/suite.go", "package server\nimport \"riscvsim/internal/stats\"\nfunc fix(r *stats.Report) { r.IPC = 1 }\n", false},
+			{"tuple assignment", "internal/server/suite.go", "package server\nimport \"riscvsim/internal/stats\"\nfunc fix(r *stats.Report) { r.IPC, r.ROBOccupancy = 1, 2 }\n", false},
+			{"increment", "internal/render/table.go", "package render\nimport \"riscvsim/internal/stats\"\nfunc fix(r *stats.Report) { r.WallTimeSec++ }\n", false},
+			{"round6 of another field", "internal/workload/metrics.go", "package workload\nimport \"riscvsim/internal/stats\"\nfunc FromReport(r *stats.Report) Metrics { return Metrics{IPC: round6(r.CacheHitRate)} }\n", false},
 			{"outside NewReport in stats", "internal/stats/merge.go", "package stats\nfunc (r *Report) add(o *Report) { r.FlopsPerSec += o.FlopsPerSec }\n", false},
-			{"suite rate elsewhere", "internal/server/suite.go", "package server\nfunc fix(m *workload.Metrics) { m.CPI = 2 }\n", false},
-			{"hit rate elsewhere", "internal/render/table.go", "package render\nfunc hits(s cache.Stats) float64 { return s.HitRate() }\n", false},
-			{"the suite row", "internal/workload/metrics.go", "package workload\nfunc FromReport(r *stats.Report) Metrics {\n\tm := Metrics{IPC: round6(r.IPC)}\n\tm.CPI = round6(1)\n\treturn m\n}\n", true},
+			{"suite rate elsewhere", "internal/server/suite.go", "package server\nimport \"riscvsim/internal/workload\"\nfunc fix(m *workload.Metrics) { m.CPI = 2 }\n", false},
+			{"hit rate elsewhere", "internal/render/table.go", "package render\nimport \"riscvsim/internal/cache\"\nfunc hits(s cache.Stats) float64 { return s.HitRate() }\n", false},
+			{"the suite row", "internal/workload/metrics.go", "package workload\nimport \"riscvsim/internal/stats\"\nfunc FromReport(r *stats.Report) Metrics {\n\tm := Metrics{IPC: round6(r.IPC)}\n\tm.CPI = round6(1)\n\treturn m\n}\n", true},
 		},
 	},
 	{
@@ -366,10 +318,11 @@ var archRules = []*archRule{
 		fix:  "compress through api.GetGzipWriter (internal/api/codec.go), not a compressor of your own",
 		once: []string{"compressor"},
 		check: func(c *cursor) (string, bool) {
-			if c.ref("compress/gzip", "NewWriter", "NewWriterLevel") == "" && c.ref("compress/flate", "NewWriter", "NewWriterDict") == "" {
-				return "", false
+			switch c.ref() {
+			case "compress/gzip.NewWriter", "compress/gzip.NewWriterLevel", "compress/flate.NewWriter", "compress/flate.NewWriterDict":
+				return "compressor", c.file.path == "internal/api/codec.go"
 			}
-			return "compressor", c.file.path == "internal/api/codec.go"
+			return "", false
 		},
 		plants: []plant{
 			{"grep form", "internal/server/gzip.go", "package server\nimport (\"compress/gzip\"; \"io\")\nfunc wrap(w io.Writer) io.Writer { return gzip.NewWriter(w) }\n", false},
@@ -391,7 +344,7 @@ var archRules = []*archRule{
 		fix:  "go through sessionStore.load / sessionStore.save",
 		once: []string{"backend.Get", "backend.Put"},
 		check: func(c *cursor) (string, bool) {
-			if path.Dir(c.file.path) != "internal/server" || c.selector() != "backend" {
+			if c.ref() != "internal/server.(sessionStore).backend" {
 				return "", false
 			}
 			n := c.node()
@@ -405,13 +358,17 @@ var archRules = []*archRule{
 				}
 				return "", false
 			case *ast.BinaryExpr:
-				if (p.Op == token.EQL || p.Op == token.NEQ) && (isIdent(p.X, "nil") || isIdent(p.Y, "nil")) {
+				if (p.Op == token.EQL || p.Op == token.NEQ) && (isNil(c, p.X) || isNil(c, p.Y)) {
 					return "", false
 				}
 			case *ast.TypeAssertExpr:
 				return "", false
 			case *ast.AssignStmt:
-				if slices.Contains(p.Lhs, ast.Expr(n.(*ast.SelectorExpr))) {
+				if slices.Contains(p.Lhs, n.(ast.Expr)) {
+					return "", false
+				}
+			case *ast.KeyValueExpr:
+				if p.Key == n {
 					return "", false
 				}
 			}
@@ -421,8 +378,8 @@ var archRules = []*archRule{
 			{"grep form", "internal/server/session.go", "package server\nfunc (st *sessionStore) peek(id string) { st.backend.Get(id) }\n", false},
 			{"field copied", "internal/server/session.go", "package server\nfunc (st *sessionStore) peek(id string) { b := st.backend; b.Get(id) }\n", false},
 			{"method value", "internal/server/stream.go", "package server\nfunc (st *sessionStore) peek(id string) { get := st.backend.Get; get(id) }\n", false},
-			{"second Put in save", "internal/server/store.go", "package server\nfunc (st *sessionStore) save() { st.backend.Put(a, 1, b); st.backend.Put(a, 2, b) }\n", false},
-			{"probes and doors", "internal/server/store.go", "package server\nfunc (st *sessionStore) load(id string) {\n\tif st.backend != nil {\n\t\t_, _ = st.backend.(store.Sweeper)\n\t\tst.backend.Version(id)\n\t\tst.backend.Get(id)\n\t}\n}\n", true},
+			{"second Put in save", "internal/server/store.go", "package server\nfunc (st *sessionStore) save() { st.backend.Put(\"a\", 1, nil); st.backend.Put(\"a\", 2, nil) }\n", false},
+			{"probes and doors", "internal/server/store.go", "package server\nimport \"riscvsim/internal/store\"\nfunc (st *sessionStore) load(id string) {\n\tif st.backend != nil {\n\t\t_, _ = st.backend.(store.Sweeper)\n\t\tst.backend.Version(id)\n\t\tst.backend.Get(id)\n\t}\n}\n", true},
 		},
 	},
 	{
@@ -434,11 +391,7 @@ var archRules = []*archRule{
 		name: "one integrity check",
 		fix:  "check checkpoint integrity in internal/ckpt (ckpt.Open), not with a CRC of your own",
 		check: func(c *cursor) (string, bool) {
-			is, ok := c.node().(*ast.ImportSpec)
-			if !ok {
-				return "", false
-			}
-			if ip, _ := strconv.Unquote(is.Path.Value); ip != "hash/crc32" {
+			if importOf(c) != "hash/crc32" {
 				return "", false
 			}
 			return "hash/crc32 import", strings.HasPrefix(c.file.path, "internal/ckpt/")
@@ -457,11 +410,7 @@ var archRules = []*archRule{
 		name: "one LRU",
 		fix:  "keep recency order in the lru of internal/server/lru.go, not a list of your own",
 		check: func(c *cursor) (string, bool) {
-			is, ok := c.node().(*ast.ImportSpec)
-			if !ok {
-				return "", false
-			}
-			if ip, _ := strconv.Unquote(is.Path.Value); ip != "container/list" {
+			if importOf(c) != "container/list" {
 				return "", false
 			}
 			return "container/list import", c.file.path == "internal/server/lru.go"
@@ -483,14 +432,14 @@ var archRules = []*archRule{
 		fix:  "fork or rewind through Machine.restore (sim/snapshot.go), not core.Fresh",
 		once: []string{"Fresh"},
 		check: func(c *cursor) (string, bool) {
-			if c.selector() != "Fresh" || path.Dir(c.file.path) == "internal/core" {
+			if c.ref() != "internal/core.(Simulation).Fresh" || path.Dir(c.file.path) == "internal/core" {
 				return "", false
 			}
 			return "Fresh", c.in("sim", "(*Machine).restore")
 		},
 		plants: []plant{
 			{"method call", "sim/parallel.go", "package sim\nfunc (m *Machine) fork() { ns, _ := m.sim.Fresh(); _ = ns }\n", false},
-			{"method value", "internal/server/session.go", "package server\nfunc fork(m *sim.Machine) { fresh := m.Sim().Fresh; fresh() }\n", false},
+			{"method value", "internal/server/session.go", "package server\nimport \"riscvsim/sim\"\nfunc fork(m *sim.Machine) { fresh := m.Sim().Fresh; fresh() }\n", false},
 			{"second call in restore", "sim/snapshot.go", "package sim\nfunc (m *Machine) restore() { m.sim.Fresh(); m.sim.Fresh() }\n", false},
 			{"the one restore", "sim/snapshot.go", "package sim\nfunc (m *Machine) restore() { ns, err := m.sim.Fresh(); _, _ = ns, err }\n", true},
 		},
@@ -500,37 +449,44 @@ var archRules = []*archRule{
 		// written and read by its own reflective codec (stats.Counters
 		// EncodeState / DecodeState, docs/checkpoint.md); a counter a
 		// component's codec writes by hand is a second copy of the
-		// ledger's layout in the making. In a state codec — an
-		// EncodeState or DecodeState, or any function of a checkpoint.go
-		// — a ledger slot (ledger, stats) is only handed to the
-		// ledger codec, Counters() only encoded, and no ledger field is
-		// selected from a chain.
+		// ledger's layout in the making. The ledger's types are
+		// stats.Counters and every struct type it holds. In a state codec
+		// — an EncodeState or DecodeState, or any function of a
+		// checkpoint.go — a slot of a ledger type (a field whatever its
+		// name) is only handed to the ledger codec, the ledger a method
+		// returns only encoded, and no field of a ledger type is selected
+		// from a chain.
 		name: "one ledger",
 		fix:  "let the ledger's own codec carry counters (s.Counters().EncodeState / s.ledger.DecodeState)",
 		check: func(c *cursor) (string, bool) {
-			sel, ok := c.node().(*ast.SelectorExpr)
-			if !ok || path.Dir(c.file.path) == "internal/stats" ||
+			obj := c.selected()
+			if obj == nil || path.Dir(c.file.path) == "internal/stats" ||
 				path.Base(c.file.path) != "checkpoint.go" && !strings.HasSuffix(c.fn, ".EncodeState") && !strings.HasSuffix(c.fn, ".DecodeState") {
 				return "", false
 			}
-			name := sel.Sel.Name
-			switch {
-			case name == "Counters":
-				return "Counters() read", codecReceiver(c.stack, true, "EncodeState")
-			case slices.Contains(ledgerSlots, name):
-				return "ledger slot " + name + " read", codecReceiver(c.stack, false, "EncodeState", "DecodeState")
-			case ledgerFields[name]:
-				_, local := sel.X.(*ast.Ident)
-				return "ledger field " + name, local
+			switch o := obj.(type) {
+			case *types.Func:
+				if res := o.Signature().Results(); res.Len() == 1 && isLedger(res.At(0).Type()) {
+					return o.Name() + "() read", codecReceiver(c, true, "EncodeState")
+				}
+			case *types.Var:
+				switch {
+				case !o.IsField():
+				case fieldOwner(o) != nil && ledgerTypes()[objName(fieldOwner(o))]:
+					_, local := c.node().(*ast.SelectorExpr).X.(*ast.Ident)
+					return "ledger field " + o.Name(), local
+				case isLedger(o.Type()):
+					return "ledger slot " + o.Name() + " read", codecReceiver(c, false, "EncodeState", "DecodeState")
+				}
 			}
 			return "", false
 		},
 		plants: []plant{
-			{"grep form", "internal/cache/checkpoint.go", "package cache\nfunc (c *Cache) EncodeState(w *ckpt.Writer) { w.U64(c.stats.Hits) }\n", false},
-			{"helper in a checkpoint file", "internal/core/checkpoint.go", "package core\nfunc encodeLSU(w *ckpt.Writer, l *LSU) { w.U64(l.stats.Loads) }\n", false},
-			{"settled copy read by hand", "internal/core/checkpoint.go", "package core\nfunc (s *Simulation) EncodeState(w *ckpt.Writer) { c := s.Counters(); w.U64(c.Cycles) }\n", false},
-			{"slot of another name", "internal/predictor/predictor.go", "package predictor\nfunc (p *Predictor) DecodeState(r *ckpt.Reader) { p.tally.Correct = r.U64() }\n", false},
-			{"the ledger codec", "internal/core/checkpoint.go", "package core\nfunc (s *Simulation) EncodeState(w *ckpt.Writer) { s.Counters().EncodeState(w); w.Bool(si.Squashed) }\nfunc (s *Simulation) DecodeState(r *ckpt.Reader) { s.ledger.DecodeState(r) }\n", true},
+			{"grep form", "internal/cache/checkpoint.go", "package cache\nimport \"riscvsim/internal/ckpt\"\nfunc (c *Cache) EncodeState(w *ckpt.Writer) { w.U64(c.stats.Hits) }\n", false},
+			{"helper in a checkpoint file", "internal/core/checkpoint.go", "package core\nimport \"riscvsim/internal/ckpt\"\nfunc encodeLSU(w *ckpt.Writer, l *LSU) { w.U64(l.stats.Loads) }\n", false},
+			{"settled copy read by hand", "internal/core/checkpoint.go", "package core\nimport \"riscvsim/internal/ckpt\"\nfunc (s *Simulation) EncodeState(w *ckpt.Writer) { c := s.Counters(); w.U64(c.Cycles) }\n", false},
+			{"slot of another name", "internal/predictor/predictor.go", "package predictor\nimport \"riscvsim/internal/ckpt\"\ntype shadow struct{ tally *Stats }\nfunc (p *shadow) DecodeState(r *ckpt.Reader) { p.tally.Correct = r.U64() }\n", false},
+			{"the ledger codec", "internal/core/checkpoint.go", "package core\nimport \"riscvsim/internal/ckpt\"\nfunc (s *Simulation) EncodeState(w *ckpt.Writer) { s.Counters().EncodeState(w); var si SimInstr; w.Bool(si.Squashed) }\nfunc (s *Simulation) DecodeState(r *ckpt.Reader) { s.ledger.DecodeState(r) }\n", true},
 		},
 	},
 	{
@@ -546,21 +502,28 @@ var archRules = []*archRule{
 			inSchema := c.file.path == "internal/config/schema.go"
 			switch n := c.node().(type) {
 			case *ast.FuncDecl:
-				dir := path.Dir(c.file.path)
-				if n.Name.Name == "Validate" && n.Recv != nil && slices.Contains(archTypes[dir], receiverType(n.Recv.List[0].Type)) {
-					return path.Base(dir) + "." + funcName(n), inSchema
+				m, _ := c.file.info.Defs[n.Name].(*types.Func)
+				if n.Name.Name == "Validate" && m != nil && m.Signature().Recv() != nil && slices.Contains(archTypes, recvName(m)) {
+					return path.Base(path.Dir(c.file.path)) + "." + funcName(n), inSchema
 				}
 			case *ast.BinaryExpr:
 				if n.Op != token.LSS && n.Op != token.GTR && n.Op != token.LEQ && n.Op != token.GEQ && n.Op != token.EQL && n.Op != token.NEQ {
 					return "", false
 				}
 				for _, e := range []ast.Expr{n.X, n.Y} {
-					if name := archBound(c.file, e); name != "" {
+					if name := archBound(c, e); name != "" {
 						return "comparison with " + name, inSchema
 					}
 				}
 			}
 			return "", false
+		},
+		// No architecture package declares a Max* constant: the plants
+		// compare against ones planted here.
+		scaffold: map[string]string{
+			"internal/predictor/bounds.go": "package predictor\nconst (MaxBTBSize = 4096; MaxPHTSize = 65536)\n",
+			"internal/cache/bounds.go":     "package cache\nconst MaxLines = 65536\n",
+			"internal/config/bounds.go":    "package config\nconst MaxROBSize = 1024\n",
 		},
 		plants: []plant{
 			{"cache validator", "internal/cache/cache.go", "package cache\nfunc (c Config) Validate() error { return nil }\n", false},
@@ -572,78 +535,100 @@ var archRules = []*archRule{
 	},
 }
 
-// archTypes are the types of the architecture document, by package.
-var archTypes = map[string][]string{
-	"internal/config":    {"CPU", "FUSpec"},
-	"internal/cache":     {"Config"},
-	"internal/predictor": {"Config"},
-	"internal/memory":    {"Config"},
+// archTypes are the types of the architecture document.
+var archTypes = []string{"internal/config.CPU", "internal/config.FUSpec", "internal/cache.Config", "internal/predictor.Config", "internal/memory.Config"}
+
+// recvName names method m's receiver type as objName names a type.
+func recvName(m *types.Func) string {
+	return strings.TrimPrefix(m.Pkg().Path(), modulePath+"/") + "." + typeName(m.Signature().Recv().Type())
 }
 
-// archBound names e if it is a Max* constant of an architecture package:
-// selected through its import, whatever the alias, or bare inside the
-// package or where it is dot-imported.
-func archBound(f *srcFile, e ast.Expr) string {
-	pkgOf := func(ip string) string {
-		if dir, ok := strings.CutPrefix(ip, "riscvsim/"); ok && archTypes[dir] != nil {
-			return path.Base(dir)
-		}
-		return ""
-	}
+// archBound names e, as "pkg.Name", if it refers to a Max* constant of a
+// package that declares an architecture type.
+func archBound(c *cursor, e ast.Expr) string {
+	var id *ast.Ident
 	switch e := e.(type) {
 	case *ast.SelectorExpr:
-		if x, ok := e.X.(*ast.Ident); ok && strings.HasPrefix(e.Sel.Name, "Max") {
-			if pkg := pkgOf(f.imports[x.Name]); pkg != "" {
-				return pkg + "." + e.Sel.Name
-			}
-		}
+		id = e.Sel
 	case *ast.Ident:
-		if !strings.HasPrefix(e.Name, "Max") {
-			return ""
-		}
-		if archTypes[path.Dir(f.path)] != nil {
-			return path.Base(path.Dir(f.path)) + "." + e.Name
-		}
-		for _, ip := range f.dots {
-			if pkg := pkgOf(ip); pkg != "" {
-				return pkg + "." + e.Name
-			}
+		id = e
+	default:
+		return ""
+	}
+	k, ok := c.file.info.Uses[id].(*types.Const)
+	if !ok || !strings.HasPrefix(k.Name(), "Max") || k.Parent() != k.Pkg().Scope() {
+		return ""
+	}
+	dir := strings.TrimPrefix(k.Pkg().Path(), modulePath+"/")
+	for _, t := range archTypes {
+		if strings.HasPrefix(t, dir+".") {
+			return path.Base(dir) + "." + k.Name()
 		}
 	}
 	return ""
 }
 
-func isIdent(e ast.Expr, name string) bool {
+// isNil reports whether e is the predeclared nil.
+func isNil(c *cursor, e ast.Expr) bool {
 	id, ok := e.(*ast.Ident)
-	return ok && id.Name == name
+	_, isNil := c.file.info.Uses[id].(*types.Nil)
+	return ok && isNil
 }
 
-// ledgerSlots are the names a component gives its slot of the ledger.
-var ledgerSlots = []string{"ledger", "stats"}
+// importOf returns the path a node imports if it is an import spec.
+func importOf(c *cursor) string {
+	is, ok := c.node().(*ast.ImportSpec)
+	if !ok {
+		return ""
+	}
+	ip, _ := strconv.Unquote(is.Path.Value)
+	return ip
+}
 
-// ledgerFields names every field of stats.Counters, at any depth.
-var ledgerFields = func() map[string]bool {
+// ledgerTypes names stats.Counters and every named type it holds, at any
+// depth: the types whose fields are the ledger's.
+var ledgerTypes = sync.OnceValue(func() map[string]bool {
 	names := map[string]bool{}
-	var walk func(t reflect.Type)
-	walk = func(t reflect.Type) {
-		switch t.Kind() {
-		case reflect.Struct:
-			for i := 0; i < t.NumField(); i++ {
-				names[t.Field(i).Name] = true
-				walk(t.Field(i).Type)
+	tr, err := loadTree()
+	if err != nil {
+		return names
+	}
+	var walk func(t types.Type)
+	walk = func(t types.Type) {
+		switch u := t.(type) {
+		case *types.Named:
+			names[objName(u.Obj())] = true
+			walk(u.Underlying())
+		case *types.Struct:
+			for f := range u.Fields() {
+				walk(f.Type())
 			}
-		case reflect.Slice, reflect.Array:
-			walk(t.Elem())
+		case *types.Slice:
+			walk(u.Elem())
+		case *types.Array:
+			walk(u.Elem())
+		case *types.Pointer:
+			walk(u.Elem())
 		}
 	}
-	walk(reflect.TypeOf(stats.Counters{}))
+	walk(tr.pkgs[slices.IndexFunc(tr.pkgs, func(p *typedPkg) bool { return p.types.Path() == modulePath+"/internal/stats" })].types.Scope().Lookup("Counters").Type())
 	return names
-}()
+})
 
-// codecReceiver reports whether the selector at the top of the stack —
-// or, when called, its call — is the receiver of a call to one of
-// methods: s.ledger.DecodeState(r), s.Counters().EncodeState(w).
-func codecReceiver(stack []ast.Node, called bool, methods ...string) bool {
+// isLedger reports whether t, or what it points to, is a ledger type.
+func isLedger(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	return ok && ledgerTypes()[objName(n.Obj())]
+}
+
+// codecReceiver reports whether the selector at the cursor — or, when
+// called, its call — is the receiver of a call to one of the ledger
+// codec's methods: s.ledger.DecodeState(r), s.Counters().EncodeState(w).
+func codecReceiver(c *cursor, called bool, methods ...string) bool {
+	stack := c.stack
 	i := len(stack) - 1
 	if called {
 		if call, ok := stack[i-1].(*ast.CallExpr); !ok || call.Fun != stack[i] {
@@ -655,42 +640,44 @@ func codecReceiver(stack []ast.Node, called bool, methods ...string) bool {
 		return false
 	}
 	sel, ok := stack[i-1].(*ast.SelectorExpr)
-	if !ok || sel.X != stack[i] || !slices.Contains(methods, sel.Sel.Name) {
+	if !ok || sel.X != stack[i] {
+		return false
+	}
+	m, ok := c.file.info.Uses[sel.Sel].(*types.Func)
+	if !ok || !slices.Contains(methods, m.Name()) || !isLedger(m.Signature().Recv().Type()) {
 		return false
 	}
 	call, ok := stack[i-2].(*ast.CallExpr)
 	return ok && call.Fun == sel
 }
 
-// rateWrite returns the field name a node writes: a selector assigned to
-// or incremented, or a composite-literal key (returned with its pair).
+// rateWrite returns the field a node writes, as objName names it: a
+// selector assigned to or incremented, or a composite-literal key
+// (returned with its pair).
 func rateWrite(c *cursor) (string, *ast.KeyValueExpr) {
 	switch n := c.node().(type) {
 	case *ast.SelectorExpr:
 		switch p := c.parent().(type) {
 		case *ast.AssignStmt:
 			if slices.Contains(p.Lhs, ast.Expr(n)) {
-				return n.Sel.Name, nil
+				return c.refOf(n), nil
 			}
 		case *ast.IncDecStmt:
-			return n.Sel.Name, nil
+			return c.refOf(n), nil
 		}
 	case *ast.KeyValueExpr:
 		if _, lit := c.parent().(*ast.CompositeLit); lit {
-			if id, ok := n.Key.(*ast.Ident); ok {
-				return id.Name, n
-			}
+			return c.refOf(n.Key), n
 		}
 	}
 	return "", nil
 }
 
-// roundsSame reports whether e is round6(x.field).
-func roundsSame(e ast.Expr, field string) bool {
+// roundsSame reports whether e is round6(x.f), f the field named rate.
+func roundsSame(c *cursor, e ast.Expr, rate string) bool {
 	call, ok := e.(*ast.CallExpr)
-	if !ok || !isIdent(call.Fun, "round6") || len(call.Args) != 1 {
+	if !ok || c.refOf(call.Fun) != "internal/workload.round6" || len(call.Args) != 1 {
 		return false
 	}
-	sel, ok := call.Args[0].(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == field
+	return c.refOf(call.Args[0]) == rate
 }

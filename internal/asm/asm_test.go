@@ -201,7 +201,7 @@ hello:
 	if !ok {
 		t.Fatal("x not allocated")
 	}
-	v, _ := mem.ReadWord(xp.Addr)
+	v, _ := mem.ReadRaw(xp.Addr, 4)
 	if v != 5 {
 		t.Errorf("x = %d, want 5", v)
 	}
@@ -272,8 +272,8 @@ x:
 `)
 	tbl, _ := mem.Lookup("table")
 	xp, _ := mem.Lookup("x")
-	w0, _ := mem.ReadWord(tbl.Addr)
-	w1, _ := mem.ReadWord(tbl.Addr + 4)
+	w0, _ := mem.ReadRaw(tbl.Addr, 4)
+	w1, _ := mem.ReadRaw(tbl.Addr+4, 4)
 	if int(w0) != xp.Addr || int(w1) != xp.Addr+4 {
 		t.Errorf("table = [%d, %d], want [%d, %d]", w0, w1, xp.Addr, xp.Addr+4)
 	}
@@ -299,7 +299,7 @@ dd: .double -2.25
 		t.Errorf(".hword little-endian = %v", hb)
 	}
 	wp, _ := mem.Lookup("w")
-	wv, _ := mem.ReadWord(wp.Addr)
+	wv, _ := mem.ReadRaw(wp.Addr, 4)
 	if wv != 0xFFFFFFFF {
 		t.Errorf(".word -1 = %#x", wv)
 	}
@@ -309,13 +309,13 @@ dd: .double -2.25
 		t.Errorf(".dword bytes = %v", db)
 	}
 	fp, _ := mem.Lookup("f")
-	fv, _ := mem.ReadWord(fp.Addr)
-	if fv != float32bits(1.5) {
+	fv, _ := mem.ReadRaw(fp.Addr, 4)
+	if fv != uint64(float32bits(1.5)) {
 		t.Errorf(".float bits = %#x", fv)
 	}
 	ddp, _ := mem.Lookup("dd")
-	lo, _ := mem.ReadWord(ddp.Addr)
-	hi, _ := mem.ReadWord(ddp.Addr + 4)
+	lo, _ := mem.ReadRaw(ddp.Addr, 4)
+	hi, _ := mem.ReadRaw(ddp.Addr+4, 4)
 	if uint64(lo)|uint64(hi)<<32 != float64bits(-2.25) {
 		t.Errorf(".double bits = %#x %#x", hi, lo)
 	}

@@ -69,12 +69,12 @@ func TestWriteBackDefersMemoryWrite(t *testing.T) {
 	tx := &memory.Transaction{Addr: 200, Size: 4, IsStore: true, Data: 42}
 	c.Access(tx, 0)
 	// Memory must still hold zero: the store is buffered in the cache.
-	v, _ := m.ReadWord(200)
+	v, _ := m.ReadRaw(200, 4)
 	if v != 0 {
 		t.Errorf("write-back store leaked to memory: %d", v)
 	}
 	c.FlushAll(10)
-	v, _ = m.ReadWord(200)
+	v, _ = m.ReadRaw(200, 4)
 	if v != 42 {
 		t.Errorf("after flush memory = %d, want 42", v)
 	}
@@ -86,7 +86,7 @@ func TestWriteThroughWritesMemoryImmediately(t *testing.T) {
 	c, m := newCache(t, cfg)
 	tx := &memory.Transaction{Addr: 200, Size: 4, IsStore: true, Data: 42}
 	c.Access(tx, 0)
-	v, _ := m.ReadWord(200)
+	v, _ := m.ReadRaw(200, 4)
 	if v != 42 {
 		t.Errorf("write-through store not in memory: %d", v)
 	}
@@ -117,7 +117,7 @@ func TestEvictionWritesBackDirtyLine(t *testing.T) {
 	c.Access(&memory.Transaction{Addr: 0, Size: 4, IsStore: true, Data: 11}, 0)
 	// Evict line 0 by touching the conflicting address 32.
 	c.Access(&memory.Transaction{Addr: 32, Size: 4}, 1)
-	v, _ := m.ReadWord(0)
+	v, _ := m.ReadRaw(0, 4)
 	if v != 11 {
 		t.Errorf("dirty line not written back on eviction: memory=%d, want 11", v)
 	}
@@ -212,7 +212,7 @@ func TestDisabledCachePassesThrough(t *testing.T) {
 	if finish != uint64(m.Config().StoreLatency) {
 		t.Errorf("disabled cache latency = %d, want memory latency %d", finish, m.Config().StoreLatency)
 	}
-	v, _ := m.ReadWord(100)
+	v, _ := m.ReadRaw(100, 4)
 	if v != 5 {
 		t.Error("disabled cache must write memory directly")
 	}
@@ -299,8 +299,8 @@ func TestPropertyFlushMakesMemoryCoherent(t *testing.T) {
 		}
 		c.FlushAll(uint64(len(addrs)))
 		for addr, want := range shadow {
-			got, exc := m.ReadWord(addr)
-			if exc != nil || got != want {
+			got, exc := m.ReadRaw(addr, 4)
+			if exc != nil || got != uint64(want) {
 				return false
 			}
 		}

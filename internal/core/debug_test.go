@@ -117,7 +117,7 @@ buf: .zero 16
 		t.Fatal("should finish after resume")
 	}
 	checkInt(t, sim, "t3", 33)
-	v, _ := sim.Memory().ReadWord(addr.Addr + 8)
+	v, _ := sim.Memory().ReadRaw(addr.Addr+8, 4)
 	if v != 22 {
 		t.Errorf("watched word = %d, want 22", v)
 	}

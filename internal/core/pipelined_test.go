@@ -92,7 +92,7 @@ func TestPipelinedCorrectnessOnPrograms(t *testing.T) {
 	arr, _ := sim.Memory().Lookup("arr")
 	want := []int32{-50, -7, -3, 0, 1, 2, 4, 4, 5, 9, 12, 100}
 	for i, w := range want {
-		v, _ := sim.Memory().ReadWord(arr.Addr + 4*i)
+		v, _ := sim.Memory().ReadRaw(arr.Addr+4*i, 4)
 		if int32(v) != w {
 			t.Errorf("arr[%d] = %d, want %d", i, int32(v), w)
 		}

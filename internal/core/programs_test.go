@@ -97,7 +97,7 @@ func TestQuicksortProgram(t *testing.T) {
 	}
 	want := []int32{-50, -7, -3, 0, 1, 2, 4, 4, 5, 9, 12, 100}
 	for i, w := range want {
-		v, exc := sim.Memory().ReadWord(arr.Addr + 4*i)
+		v, exc := sim.Memory().ReadRaw(arr.Addr+4*i, 4)
 		if exc != nil {
 			t.Fatal(exc)
 		}
@@ -114,7 +114,7 @@ func TestQuicksortProgram(t *testing.T) {
 		}
 		a2, _ := s2.Memory().Lookup("arr")
 		for i, w := range want {
-			v, _ := s2.Memory().ReadWord(a2.Addr + 4*i)
+			v, _ := s2.Memory().ReadRaw(a2.Addr+4*i, 4)
 			if int32(v) != w {
 				t.Errorf("%s: arr[%d] = %d, want %d", name, i, int32(v), w)
 			}
@@ -272,7 +272,7 @@ func TestCachePolicyDoesNotChangeResults(t *testing.T) {
 		}
 		sim := runSrcOn(t, cfg, QuicksortAsm)
 		arr, _ := sim.Memory().Lookup("arr")
-		v, _ := sim.Memory().ReadWord(arr.Addr)
+		v, _ := sim.Memory().ReadRaw(arr.Addr, 4)
 		if int32(v) != -50 {
 			t.Errorf("policy %s: arr[0] = %d, want -50", pol, int32(v))
 		}
@@ -284,7 +284,7 @@ func TestCacheDisabledStillCorrect(t *testing.T) {
 	cfg.Cache.Enabled = false
 	sim := runSrcOn(t, cfg, QuicksortAsm)
 	arr, _ := sim.Memory().Lookup("arr")
-	v, _ := sim.Memory().ReadWord(arr.Addr + 4*11)
+	v, _ := sim.Memory().ReadRaw(arr.Addr+4*11, 4)
 	if int32(v) != 100 {
 		t.Errorf("no-cache: arr[11] = %d, want 100", int32(v))
 	}

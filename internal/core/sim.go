@@ -329,9 +329,6 @@ func (s *Simulation) Cache() *cache.Cache { return s.l1 }
 // Registers exposes the register files.
 func (s *Simulation) Registers() *rename.File { return s.rf }
 
-// Program returns the assembled program under simulation.
-func (s *Simulation) Program() *asm.Program { return s.prog.code }
-
 // Log returns the debug log entries.
 func (s *Simulation) Log() []LogEntry { return s.log }
 

@@ -61,13 +61,10 @@ type Program struct {
 	// maxStack is the deepest stack the program can reach; used to size
 	// evaluator stacks without reallocation.
 	maxStack int
-	// writes lists the operand names assigned by `=`, in order. The core
-	// uses it to know which destination registers an instruction touches.
+	// writes lists the operand names assigned by `=`, in order. The isa
+	// tests hold it to each descriptor's WriteBack arguments.
 	writes []string
 }
-
-// Source returns the original postfix source text.
-func (p *Program) Source() string { return p.src }
 
 // Writes returns the operand names the program assigns to via `=`.
 func (p *Program) Writes() []string { return p.writes }

@@ -285,9 +285,6 @@ func (s *Set) Pseudo(name string) (*Pseudo, bool) {
 // modified.
 func (s *Set) All() []*Desc { return s.ordered }
 
-// Len returns the number of real (non-pseudo) instructions.
-func (s *Set) Len() int { return len(s.ordered) }
-
 // PseudoCount returns the number of registered pseudo-instructions.
 func (s *Set) PseudoCount() int { return len(s.pseudos) }
 

@@ -7,24 +7,6 @@ import (
 	"strings"
 )
 
-// DumpBinary exports the byte range [addr, addr+n) verbatim, matching the
-// paper's binary memory dump export (§II-C).
-func (m *Main) DumpBinary(addr, n int) ([]byte, error) {
-	b, exc := m.ReadBytes(addr, n)
-	if exc != nil {
-		return nil, exc
-	}
-	return b, nil
-}
-
-// LoadBinary imports a binary dump at addr.
-func (m *Main) LoadBinary(addr int, data []byte) error {
-	if exc := m.WriteBytes(addr, data); exc != nil {
-		return exc
-	}
-	return nil
-}
-
 // DumpCSV exports the byte range [addr, addr+n) as comma-separated decimal
 // byte values, 16 per line, matching the paper's CSV dump format (§II-C).
 func (m *Main) DumpCSV(addr, n int) (string, error) {
@@ -45,23 +27,6 @@ func (m *Main) DumpCSV(addr, n int) (string, error) {
 	}
 	sb.WriteByte('\n')
 	return sb.String(), nil
-}
-
-// LoadCSV imports a CSV dump produced by DumpCSV (or any comma/newline
-// separated list of byte values) at addr.
-func (m *Main) LoadCSV(addr int, csv string) error {
-	fields := strings.FieldsFunc(csv, func(r rune) bool {
-		return r == ',' || r == '\n' || r == '\r' || r == ' ' || r == '\t'
-	})
-	data := make([]byte, 0, len(fields))
-	for _, f := range fields {
-		v, err := strconv.ParseUint(f, 10, 8)
-		if err != nil {
-			return fmt.Errorf("memory: bad CSV byte %q: %w", f, err)
-		}
-		data = append(data, byte(v))
-	}
-	return m.LoadBinary(addr, data)
 }
 
 // HexDump renders a conventional hex dump of [addr, addr+n) for the memory

@@ -72,10 +72,6 @@ type Port interface {
 	// Access services tx, applying its effect and setting timing fields.
 	// It returns the cycle at which the transaction completes.
 	Access(tx *Transaction, now uint64) (uint64, *fault.Exception)
-	// FlushAll writes back any buffered dirty state (used at simulation
-	// end so memory dumps reflect program output). It returns the cycle
-	// at which the flush completes.
-	FlushAll(now uint64) uint64
 }
 
 // Pointer describes one named allocation for the GUI's memory window
@@ -242,9 +238,6 @@ func (m *Main) Access(tx *Transaction, now uint64) (uint64, *fault.Exception) {
 	return tx.FinishAt, nil
 }
 
-// FlushAll implements Port; main memory holds no buffered state.
-func (m *Main) FlushAll(now uint64) uint64 { return now }
-
 // readRaw returns size little-endian bytes at addr as a uint64. An access
 // within one page (every aligned one) loads that page once.
 func (m *Main) readRaw(addr, size int) uint64 {
@@ -368,17 +361,6 @@ func (m *Main) WriteBytes(addr int, b []byte) *fault.Exception {
 		b, addr = b[n:], addr+n
 	}
 	return nil
-}
-
-// ReadWord reads a 32-bit little-endian word, bypassing timing.
-func (m *Main) ReadWord(addr int) (uint32, *fault.Exception) {
-	v, exc := m.ReadRaw(addr, 4)
-	return uint32(v), exc
-}
-
-// WriteWord writes a 32-bit little-endian word, bypassing timing.
-func (m *Main) WriteWord(addr int, v uint32) *fault.Exception {
-	return m.WriteRaw(addr, 4, uint64(v))
 }
 
 // Allocate reserves size bytes aligned to align (a power of two or 1),

@@ -7,7 +7,17 @@ import (
 	"testing"
 
 	"riscvsim/internal/ckpt"
+	"riscvsim/internal/fault"
 )
+
+// readWord and writeWord move one 32-bit little-endian word, bypassing
+// timing.
+func (m *Main) readWord(addr int) (uint32, *fault.Exception) {
+	v, exc := m.ReadRaw(addr, 4)
+	return uint32(v), exc
+}
+
+func (m *Main) writeWord(addr int, v uint32) *fault.Exception { return m.WriteRaw(addr, 4, uint64(v)) }
 
 // TestCloneWritesStayPrivate: a memory and its clones share pages until one
 // of them writes, and a write on any side is invisible to every other —
@@ -15,23 +25,23 @@ import (
 // to its ancestors.
 func TestCloneWritesStayPrivate(t *testing.T) {
 	src := newMem(t)
-	src.WriteWord(1000, 7)
+	src.writeWord(1000, 7)
 	a, b := src.Clone(), src.Clone()
 	grand := a.Clone()
 	mems := []*Main{src, a, b, grand}
 	for i, m := range mems {
 		// Same page as the image's word, and a page nobody wrote yet.
-		m.WriteWord(1004, uint32(100+i))
-		m.WriteWord(3000, uint32(200+i))
+		m.writeWord(1004, uint32(100+i))
+		m.writeWord(3000, uint32(200+i))
 	}
 	for i, m := range mems {
-		if v, _ := m.ReadWord(1000); v != 7 {
+		if v, _ := m.readWord(1000); v != 7 {
 			t.Errorf("memory %d lost the shared word: %d", i, v)
 		}
-		if v, _ := m.ReadWord(1004); v != uint32(100+i) {
+		if v, _ := m.readWord(1004); v != uint32(100+i) {
 			t.Errorf("memory %d reads %d at 1004, want its own %d", i, v, 100+i)
 		}
-		if v, _ := m.ReadWord(3000); v != uint32(200+i) {
+		if v, _ := m.readWord(3000); v != uint32(200+i) {
 			t.Errorf("memory %d reads %d at 3000, want its own %d", i, v, 200+i)
 		}
 	}
@@ -78,10 +88,10 @@ func TestPageStraddlingAccess(t *testing.T) {
 		}
 	}
 	w := uint32(rng.Uint64())
-	m.WriteWord(pageSize-2, w)
+	m.writeWord(pageSize-2, w)
 	put(pageSize-2, le(4, uint64(w)))
-	if got, _ := m.ReadWord(pageSize - 2); got != w {
-		t.Errorf("ReadWord across a boundary = %#x, want %#x", got, w)
+	if got, _ := m.readWord(pageSize - 2); got != w {
+		t.Errorf("readWord across a boundary = %#x, want %#x", got, w)
 	}
 	span := make([]byte, 2*pageSize+100) // three pages
 	rng.Read(span)
@@ -120,10 +130,10 @@ func TestSizeNotAPageMultiple(t *testing.T) {
 	if m.Size() != size {
 		t.Fatalf("Size() = %d, want %d", m.Size(), size)
 	}
-	if exc := m.WriteWord(size-4, 0xCAFEF00D); exc != nil {
+	if exc := m.writeWord(size-4, 0xCAFEF00D); exc != nil {
 		t.Fatalf("last word: %v", exc)
 	}
-	if exc := m.WriteWord(size-3, 1); exc == nil {
+	if exc := m.writeWord(size-3, 1); exc == nil {
 		t.Error("a word past the end was accepted")
 	}
 	if _, exc := m.ReadRaw(size-1, 2); exc == nil {
@@ -145,7 +155,7 @@ func TestSizeNotAPageMultiple(t *testing.T) {
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
-	if v, _ := back.ReadWord(size - 4); v != 0xCAFEF00D {
+	if v, _ := back.readWord(size - 4); v != 0xCAFEF00D {
 		t.Errorf("decoded last word = %#x", v)
 	}
 }

@@ -124,9 +124,6 @@ func New(cfg Config, st *Stats) *Predictor {
 	return p
 }
 
-// Config returns the predictor configuration.
-func (p *Predictor) Config() Config { return p.cfg }
-
 // phtIndex combines the branch PC with the active history register.
 func (p *Predictor) phtIndex(pc int) int {
 	var hist uint32
@@ -147,9 +144,6 @@ type Prediction struct {
 	Target int
 	// BTBHit reports whether the BTB held a target for the PC.
 	BTBHit bool
-	// PHTIndex records which counter produced the direction (for the
-	// GUI's predictor state display).
-	PHTIndex int
 }
 
 // Predict returns the direction and target prediction for the branch at pc.
@@ -167,7 +161,6 @@ func (p *Predictor) Predict(pc int, conditional bool) Prediction {
 	}
 	if conditional {
 		idx := p.phtIndex(pc)
-		pred.PHTIndex = idx
 		if p.cfg.Kind == ZeroBit {
 			pred.Taken = p.cfg.DefaultState != 0
 		} else { // the counter's upper half predicts taken
@@ -218,36 +211,5 @@ func (p *Predictor) Update(pc int, conditional, taken bool, target int, predicte
 	// Taken branches (and all jumps) deposit their target in the BTB.
 	if taken {
 		p.btb[pc%p.cfg.BTBSize] = btbEntry{valid: true, pc: pc, target: target}
-	}
-}
-
-// CounterState returns the PHT counter for a PC (GUI display of "the state
-// of the branch predictor", paper Fig. 1).
-func (p *Predictor) CounterState(pc int) uint8 { return p.pht[p.phtIndex(pc)] }
-
-// StateName renders a counter value as the classic two-bit state name.
-func StateName(kind Type, c uint8) string {
-	switch kind {
-	case ZeroBit:
-		if c != 0 {
-			return "always-taken"
-		}
-		return "always-not-taken"
-	case OneBit:
-		if c != 0 {
-			return "taken"
-		}
-		return "not-taken"
-	default:
-		switch c {
-		case 0:
-			return "strongly-not-taken"
-		case 1:
-			return "weakly-not-taken"
-		case 2:
-			return "weakly-taken"
-		default:
-			return "strongly-taken"
-		}
 	}
 }

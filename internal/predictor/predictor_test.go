@@ -77,13 +77,13 @@ func TestCounterSaturation(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		p.Update(pc, true, true, 8, true)
 	}
-	if got := p.CounterState(pc); got != 3 {
+	if got := p.pht[p.phtIndex(pc)]; got != 3 {
 		t.Errorf("counter = %d after saturating taken, want 3", got)
 	}
 	for i := 0; i < 10; i++ {
 		p.Update(pc, true, false, 8, false)
 	}
-	if got := p.CounterState(pc); got != 0 {
+	if got := p.pht[p.phtIndex(pc)]; got != 0 {
 		t.Errorf("counter = %d after saturating not-taken, want 0", got)
 	}
 }
@@ -187,20 +187,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestStateNames(t *testing.T) {
-	if StateName(TwoBit, 0) != "strongly-not-taken" || StateName(TwoBit, 3) != "strongly-taken" {
-		t.Error("two-bit state names wrong")
-	}
-	if StateName(OneBit, 1) != "taken" {
-		t.Error("one-bit state name wrong")
-	}
-	if StateName(ZeroBit, 0) != "always-not-taken" {
-		t.Error("zero-bit state name wrong")
-	}
-}
-
-// Property: a two-bit predictor eventually learns any constant-direction
-// branch, from any default state, in at most 3 updates.
 func TestPropertyTwoBitConvergence(t *testing.T) {
 	f := func(pcRaw uint16, def uint8, dir bool) bool {
 		cfg := Config{BTBSize: 32, PHTSize: 128, Kind: TwoBit,

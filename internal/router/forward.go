@@ -99,7 +99,11 @@ func (rt *Router) route(row api.Route) http.HandlerFunc {
 		}
 		p, aerr := rt.place(row, r, body)
 		if aerr != nil {
-			writeAPIError(w, http.StatusBadRequest, aerr.Code, "%s", aerr.Message)
+			status := http.StatusBadRequest
+			if aerr.Code == api.CodeBodyTooLarge {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeAPIError(w, status, aerr.Code, "%s", aerr.Message)
 			return
 		}
 		rt.forward(w, r, body, p)
@@ -126,15 +130,22 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	return body, true
 }
 
+// errInflatedTooLarge: a gzipped request body inflates past
+// api.MaxBodyBytes, the bound a replica puts on the clear bytes it reads.
+var errInflatedTooLarge = fmt.Errorf("gzip body inflates past %d bytes", api.MaxBodyBytes)
+
 // sessionIDFromBody pulls "sessionId" out of a session-operation body,
 // inflating a gzipped copy when the client compressed the request (the
-// forwarded bytes stay compressed).
+// forwarded bytes stay compressed). It inflates no more than
+// api.MaxBodyBytes+1 bytes.
 func sessionIDFromBody(body []byte, contentEncoding string) (string, error) {
 	raw := body
 	if strings.Contains(contentEncoding, "gzip") {
 		clear := api.GetBuffer()
 		defer api.PutBuffer(clear)
-		if err := gunzip(clear, body); err != nil {
+		if err := gunzip(clear, body, api.MaxBodyBytes); errors.Is(err, errInflatedTooLarge) {
+			return "", err
+		} else if err != nil {
 			return "", fmt.Errorf("bad gzip body: %v", err)
 		}
 		raw = clear.Bytes()
@@ -260,7 +271,7 @@ func (rp *reply) inflate() ([]byte, error) {
 	}
 	if rp.clear == nil {
 		clear := api.GetBuffer()
-		if err := gunzip(clear, rp.body.Bytes()); err != nil {
+		if err := gunzip(clear, rp.body.Bytes(), -1); err != nil {
 			api.PutBuffer(clear)
 			return nil, err
 		}
@@ -279,14 +290,25 @@ func (rp *reply) errorCode() string {
 }
 
 // gunzip inflates a complete gzip document into dst on a pooled reader.
-func gunzip(dst *bytes.Buffer, data []byte) error {
+// With a limit of 0 or more it stops one byte past limit and fails with
+// errInflatedTooLarge.
+func gunzip(dst *bytes.Buffer, data []byte, limit int64) error {
 	gr, err := api.GetGzipReader(bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
 	defer api.PutGzipReader(gr)
-	_, err = dst.ReadFrom(gr)
-	return err
+	var r io.Reader = gr
+	if limit >= 0 {
+		r = io.LimitReader(gr, limit+1)
+	}
+	if _, err = dst.ReadFrom(r); err != nil {
+		return err
+	}
+	if limit >= 0 && int64(dst.Len()) > limit {
+		return errInflatedTooLarge
+	}
+	return nil
 }
 
 // plan is what a placement contributes to the attempt loop: where each
@@ -333,7 +355,9 @@ func sessionID(place api.Placement, r *http.Request, body []byte) (string, *api.
 	switch place {
 	case api.SessionInBody:
 		var err error
-		if id, err = sessionIDFromBody(body, r.Header.Get("Content-Encoding")); err != nil {
+		if id, err = sessionIDFromBody(body, r.Header.Get("Content-Encoding")); errors.Is(err, errInflatedTooLarge) {
+			return "", api.Errorf(api.CodeBodyTooLarge, "router: %v", err)
+		} else if err != nil {
 			return "", api.Errorf(api.CodeBadJSON, "router: %v", err)
 		}
 	case api.SessionInQuery:

@@ -3,24 +3,18 @@ package router
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"riscvsim/internal/api"
 )
 
-func gzipped(t *testing.T, s string) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
-	if _, err := gz.Write([]byte(s)); err != nil {
-		t.Fatal(err)
-	}
-	if err := gz.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
+func gzipped(t *testing.T, s string) []byte { return gzipBytes(t, []byte(s)) }
 
 // TestPooledGzipReaderKeepsBodiesApart: the recycled decompressor hands
 // every body back as itself — after a longer body, and after a body that
@@ -58,4 +52,109 @@ func TestPooledGzipReaderKeepsBodiesApart(t *testing.T) {
 			t.Fatalf("round %d: buffered response inflated to %q (err %v)", round, inflated, err)
 		}
 	}
+}
+
+// TestGzipBombIsNotForwarded: a gzipped session body that inflates past
+// api.MaxBodyBytes is answered 413 body_too_large by the router itself.
+// The router inflates such a body to find its session, and a replica
+// bounds the clear bytes it reads, so the router stops at the same bound
+// instead of inflating a 4 MiB body by any ratio and forwarding it.
+func TestGzipBombIsNotForwarded(t *testing.T) {
+	replica := newFakeReplica(t, `{}`)
+	rt, err := New(Options{Replicas: []Replica{{Name: "only", URL: replica.ts.URL}}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	pad := func(n int) string {
+		doc := `{"sessionId":"s00000001","pad":"`
+		return doc + strings.Repeat("x", n-len(doc)-2) + `"}`
+	}
+	status, body := exchange(t, front.URL, http.MethodPost, "/session/step", pad(api.MaxBodyBytes+1), true, "")
+	if status != http.StatusRequestEntityTooLarge || !strings.Contains(body, api.CodeBodyTooLarge) {
+		t.Errorf("body inflating to %d bytes: %d %.120q, want 413 %s", api.MaxBodyBytes+1, status, body, api.CodeBodyTooLarge)
+	}
+	if n := replica.hits.Load(); n != 0 {
+		t.Fatalf("the oversized body reached the replica %d times", n)
+	}
+	if status, body := exchange(t, front.URL, http.MethodPost, "/session/step", pad(api.MaxBodyBytes), true, ""); status != http.StatusOK || replica.hits.Load() != 1 {
+		t.Errorf("body inflating to exactly %d bytes: %d %.120q, forwarded %d times; want it forwarded once", api.MaxBodyBytes, status, body, replica.hits.Load())
+	}
+}
+
+// FuzzSessionIDFromBody holds the router's session-ID parser to a plain
+// re-reading of the body: an input it cannot read an ID from is an error,
+// a gzipped input never inflates past api.MaxBodyBytes+1 bytes, and an ID
+// found is the one the body carries. mode 0 sends data as it is, mode 1
+// gzips it first, mode 2 sends data as the gzip stream itself.
+func FuzzSessionIDFromBody(f *testing.F) {
+	bomb := gzipBytes(f, bytes.Repeat([]byte(" "), api.MaxBodyBytes+64))
+	for _, seed := range []struct {
+		data []byte
+		mode uint8
+	}{
+		{[]byte(`{"sessionId":"s00000042","steps":1}`), 0},
+		{[]byte(`{"sessionId":"s00000042","steps":1}`), 1},
+		{[]byte(`{"steps":1}`), 1},
+		{[]byte(`{"sessionId":""}`), 0},
+		{[]byte(`not json`), 1},
+		{gzipBytes(f, []byte(`{"sessionId":"s7"}`)), 2},
+		{bomb, 2},
+		{bomb[:len(bomb)/2], 2},
+		{nil, 2},
+	} {
+		f.Add(seed.data, seed.mode)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
+		body, encoding := data, ""
+		switch mode % 3 {
+		case 1:
+			body, encoding = gzipBytes(t, data), "gzip"
+		case 2:
+			encoding = "gzip"
+		}
+		id, err := sessionIDFromBody(body, encoding)
+
+		clear, want := data, ""
+		if encoding == "gzip" {
+			var buf bytes.Buffer
+			if gunzip(&buf, body, api.MaxBodyBytes); buf.Len() > api.MaxBodyBytes+1 {
+				t.Fatalf("inflated %d bytes, past the bound of %d", buf.Len(), api.MaxBodyBytes+1)
+			}
+			clear = nil
+			if gr, err := gzip.NewReader(bytes.NewReader(body)); err == nil {
+				if b, err := io.ReadAll(io.LimitReader(gr, api.MaxBodyBytes+1)); err == nil && len(b) <= api.MaxBodyBytes {
+					clear = b
+				}
+			}
+		}
+		var req struct {
+			SessionID string `json:"sessionId"`
+		}
+		if clear != nil && json.Unmarshal(clear, &req) == nil {
+			want = req.SessionID
+		}
+		switch {
+		case want == "" && err == nil:
+			t.Fatalf("no session ID in the body, yet %q was found", id)
+		case want != "" && (err != nil || id != want):
+			t.Fatalf("session ID %q, err %v; want %q", id, err, want)
+		}
+	})
+}
+
+func gzipBytes(tb testing.TB, data []byte) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	if _, err := gz.Write(data); err != nil {
+		tb.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }

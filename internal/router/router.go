@@ -217,10 +217,6 @@ func (rt *Router) Close() {
 	rt.stopWG.Wait()
 }
 
-// Epoch returns the current ring epoch (bumped on every health
-// transition).
-func (rt *Router) Epoch() uint64 { return rt.epoch.Load() }
-
 // rendezvousScore is the HRW weight of (session, replica): FNV-1a over
 // the pair, NUL-separated so ("ab","c") and ("a","bc") differ.
 func rendezvousScore(session, replicaName string) uint64 {

@@ -350,7 +350,7 @@ func TestStoreTTLSweepSpills(t *testing.T) {
 	id := st.Add(nil, m)
 	// Idle past the TTL: the sweep spills rather than drops.
 	st.now = func() time.Time { return base.Add(2 * time.Minute) }
-	if n := st.Sweep(); n != 1 {
+	if n := st.sweep(); n != 1 {
 		t.Fatalf("swept %d, want 1", n)
 	}
 	if spilled, _, _ := st.Counters(); spilled != 1 {

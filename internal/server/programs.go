@@ -136,12 +136,17 @@ type cached struct {
 // so a stream of them costs what it costs uncached instead of filling
 // the cache with Programs the collector has to mark (measured: +9 % CPU
 // per request on such a stream when every miss was stored). The hashes
-// only time the admission; a collision admits a key one sighting early or
-// late and never selects an entry.
+// only time the admission and never select an entry. seen is a fixed
+// table of two-way sets: a sighting takes the newer way and moves the
+// older one over, so two keys that share a set — a request's Program key
+// and reply key, or two requests that alternate — both stay remembered
+// and are admitted on their second sighting. A third key in the set
+// forgets the oldest, which is admitted a sighting late; a hash equal to
+// one remembered admits its key a sighting early.
 type programCache struct {
 	mu      sync.Mutex
 	entries *lru[cacheKey, cached]
-	seen    [1024]uint64 // direct-mapped by hash
+	seen    [512][2]uint64 // two-way sets by hash, the newer way first
 	seed    maphash.Seed
 
 	hits, misses, evictions, replyHits uint64
@@ -218,11 +223,11 @@ func (c *programCache) add(k cacheKey, e cached, size int) {
 // sighted reports whether hash h was seen before, remembering it if not.
 // The caller holds mu.
 func (c *programCache) sighted(h uint64) bool {
-	slot := &c.seen[h%uint64(len(c.seen))]
-	if *slot == h {
+	set := &c.seen[h%uint64(len(c.seen))]
+	if set[0] == h || set[1] == h {
 		return true
 	}
-	*slot = h
+	set[1], set[0] = set[0], h
 	return false
 }
 

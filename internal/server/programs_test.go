@@ -321,10 +321,10 @@ func TestProgramCacheMetricsByMix(t *testing.T) {
 			charged += len(tpl.Code) + p.RetainedBytes()
 		}
 	}
-	// Admission remembers a key's first miss in one of 1,024 slots picked
-	// by a randomly seeded hash; two of the ten sharing a slot would be
-	// stored a pass late. Reseed until they do not, so the counts below
-	// hold whatever the seed.
+	// Admission remembers a key's first miss in one of 512 two-way sets
+	// picked by a randomly seeded hash; three of the ten in one set would
+	// store one of them a pass late. Reseed until no two share a set, so
+	// the counts below hold whatever the seed.
 	for slots := map[uint64]bool{}; len(slots) < len(keys); {
 		srv.programs.seed = maphash.MakeSeed()
 		clear(slots)
@@ -560,4 +560,53 @@ func TestCachedBuildAllocation(t *testing.T) {
 	} else {
 		t.Logf("cached build: %d bytes", got)
 	}
+}
+
+// TestAdmissionKeepsCollidingKeys: two keys whose hashes pick the same set
+// of programCache.seen are each admitted on their second sighting — a
+// request's Program key and reply key, and two requests that alternate.
+// Each search runs until it finds such a pair under the cache's own seed.
+// A direct-mapped table overwrote one key with the other on every
+// sighting, so neither was ever stored.
+func TestAdmissionKeepsCollidingKeys(t *testing.T) {
+	set := func(c *programCache, k cacheKey) uint64 {
+		return maphash.Comparable(c.seed, k) % uint64(len(c.seen))
+	}
+	t.Run("program and reply key", func(t *testing.T) {
+		s, ts := newTestServer(t)
+		mem := sim.DefaultMemoryConfig()
+		var req *api.SimulateRequest
+		for i := 0; req == nil; i++ {
+			r := &api.SimulateRequest{Code: fmt.Sprintf("%s# salt %d\n", classroomAsm, i)}
+			if set(s.programs, cacheKey{prog: programKey{mem: mem, text: r.Code}}) == set(s.programs, replyKeyOf(r)) {
+				req = r
+			}
+		}
+		for range 2 {
+			if resp, body := postJSON(t, ts.URL+api.V1Prefix+"/simulate", req); resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, body)
+			}
+		}
+		if m := s.Metrics(); m.ProgramCacheEntries != 2 {
+			t.Errorf("%d entries after the second request, want its Program and its reply", m.ProgramCacheEntries)
+		}
+	})
+	t.Run("alternating requests", func(t *testing.T) {
+		c := newProgramCache(1 << 20)
+		bySet := map[uint64]cacheKey{}
+		var a, b cacheKey
+		for i := 0; ; i++ {
+			k := replyKeyOf(&api.SimulateRequest{Code: fmt.Sprintf("li a0, %d", i)})
+			if first, ok := bySet[set(c, k)]; ok {
+				a, b = first, k
+				break
+			}
+			bySet[set(c, k)] = k
+		}
+		for i, k := range []cacheKey{a, b, a, b} {
+			if _, store := c.reply(k); store != (i >= 2) {
+				t.Errorf("sighting %d of key %q: store = %v, want %v", i/2+1, k.prog.text, store, i >= 2)
+			}
+		}
+	})
 }

@@ -432,9 +432,9 @@ func (st *sessionStore) Len() (n int) {
 	return n
 }
 
-// Sweep removes idle-expired sessions and returns how many were dropped
+// sweep removes idle-expired sessions and returns how many were dropped
 // from memory.
-func (st *sessionStore) Sweep() int { return st.table(nil, nil) }
+func (st *sessionStore) sweep() int { return st.table(nil, nil) }
 
 // SpillAll retires every live session (spilling each into the backend
 // when one is configured) and returns how many were processed. It is

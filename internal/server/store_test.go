@@ -85,7 +85,7 @@ func TestStoreIdleTTLSweep(t *testing.T) {
 
 	// 40 more seconds: old is 70s idle (expired), fresh 40s (alive).
 	now = now.Add(40 * time.Second)
-	if n := st.Sweep(); n != 1 {
+	if n := st.sweep(); n != 1 {
 		t.Errorf("sweep removed %d, want 1", n)
 	}
 	if _, ok := st.Get(nil, old); ok {
@@ -142,7 +142,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 				case 2:
 					st.Remove(fmt.Sprintf("s%08d", i))
 				default:
-					st.Sweep()
+					st.sweep()
 				}
 			}
 		}(g)

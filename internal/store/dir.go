@@ -35,9 +35,6 @@ func NewDir(path string) (*Dir, error) {
 	return &Dir{path: path}, nil
 }
 
-// Path returns the backing directory.
-func (d *Dir) Path() string { return d.path }
-
 // validID rejects IDs that could escape the directory or collide with
 // the version-encoding scheme.
 func validID(id string) bool {

@@ -12,7 +12,8 @@ import (
 // on a failed write. A lingering tmp under a predictable name would be
 // re-truncated by the next Put of the same version, racing readers.
 func TestDirPutLeavesNoTempFiles(t *testing.T) {
-	d, err := NewDir(t.TempDir())
+	dir := t.TempDir()
+	d, err := NewDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +23,7 @@ func TestDirPutLeavesNoTempFiles(t *testing.T) {
 	if err := d.Put("s1", 1, []byte("dup")); err == nil {
 		t.Fatal("stale Put accepted")
 	}
-	entries, err := os.ReadDir(d.Path())
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -296,12 +296,6 @@ func (r *Ring) Trace(ev StageEvent) {
 	r.dropped++
 }
 
-// Len returns the number of buffered events.
-func (r *Ring) Len() int { return r.n }
-
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
-
 // Total returns how many events matched the filter overall.
 func (r *Ring) Total() uint64 { return r.total }
 
@@ -315,11 +309,6 @@ func (r *Ring) Events() []StageEvent {
 		out = append(out, r.buf[(r.start+i)%len(r.buf)])
 	}
 	return out
-}
-
-// Reset empties the ring and clears the counters.
-func (r *Ring) Reset() {
-	r.start, r.n, r.total, r.dropped = 0, 0, 0, 0
 }
 
 // ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ func TestSharedProgramConcurrentUse(t *testing.T) {
 	}
 	restoreShared := func(data []byte) (*sim.Machine, error) {
 		return sim.RestoreWith(data, func(src string, mem sim.MemoryConfig) (*sim.Program, error) {
-			if src != shared.Source() {
+			if src != w.Source {
 				return nil, fmt.Errorf("checkpoint embeds a different source")
 			}
 			return shared, nil

@@ -16,7 +16,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -227,20 +226,4 @@ func workloadMatches(w Workload, term string) bool {
 		}
 	}
 	return false
-}
-
-// Tags returns every tag used in the corpus, sorted, for help output.
-func Tags() []string {
-	set := make(map[string]bool)
-	for _, w := range corpus {
-		for _, t := range w.Tags {
-			set[t] = true
-		}
-	}
-	tags := make([]string, 0, len(set))
-	for t := range set {
-		tags = append(tags, t)
-	}
-	sort.Strings(tags)
-	return tags
 }

@@ -3,6 +3,8 @@ package sim
 import (
 	"strings"
 	"testing"
+
+	"riscvsim/internal/costmodel"
 )
 
 // Tests for the paper's future-work extensions exposed through the facade:
@@ -93,8 +95,8 @@ loop:
 		t.Errorf("cost text incomplete:\n%s", text)
 	}
 	// Area-only estimation without a run.
-	area := EstimateArea(preset(t, "wide4"))
-	if area.TotalKGE <= EstimateArea(preset(t, "scalar")).TotalKGE {
+	area := costmodel.EstimateArea(preset(t, "wide4"))
+	if area.TotalKGE <= costmodel.EstimateArea(preset(t, "scalar")).TotalKGE {
 		t.Error("wide core should cost more than scalar")
 	}
 }

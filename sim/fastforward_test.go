@@ -43,8 +43,8 @@ func TestFastForwardPrefixThenDetailed(t *testing.T) {
 	if adv < 1_000 {
 		t.Fatalf("FastForwardTo(1000) advanced only %d cycles", adv)
 	}
-	if mixed.EngineMode() != EngineSpecialized {
-		t.Fatalf("engine mode after FastForwardTo = %v, want detailed restored", mixed.EngineMode())
+	if mixed.sim.EngineMode() != EngineSpecialized {
+		t.Fatalf("engine mode after FastForwardTo = %v, want detailed restored", mixed.sim.EngineMode())
 	}
 	mixed.Run(2_000_000)
 	if !mixed.Halted() {

@@ -176,9 +176,6 @@ func Assemble(src string, mem MemoryConfig) (*Program, error) {
 	return &Program{core: core.NewProgram(regs, code, image), src: src}, nil
 }
 
-// Source returns the assembly source the Program was built from.
-func (p *Program) Source() string { return p.src }
-
 // RetainedBytes estimates the memory the Program keeps alive (source,
 // image and per-instruction tables), for callers that cache Programs.
 func (p *Program) RetainedBytes() int { return len(p.src) + p.core.RetainedBytes() }
@@ -268,9 +265,6 @@ func (m *Machine) Log() []LogEntry { return m.sim.Log() }
 // exceptions and breakpoint pauses are always logged.
 func (m *Machine) SetVerboseLog(v bool) { m.sim.VerboseLog = v }
 
-// Disassemble renders the loaded program.
-func (m *Machine) Disassemble() string { return m.prog.core.Code().Disassemble() }
-
 // IntReg reads an architectural integer register by name or ABI alias.
 func (m *Machine) IntReg(name string) (int32, error) {
 	d, ok := m.prog.core.Registers().Lookup(name)
@@ -351,9 +345,6 @@ func (m *Machine) HexDump(addr, n int) (string, error) {
 // if duplicates matter).
 func (m *Machine) SetTracer(t Tracer) { m.sim.SetTracer(t) }
 
-// Tracer returns the attached pipeline-trace sink, or nil.
-func (m *Machine) Tracer() Tracer { return m.sim.Tracer() }
-
 // SetEngineMode selects the semantic engine: the specialized fast path
 // (default) or the forced expression interpreter. Timing is engine-
 // independent, so two runs of the same program in different modes are
@@ -367,9 +358,6 @@ func (m *Machine) SetEngineMode(mode EngineMode) {
 	m.noteModeSwitch(mode)
 	m.sim.SetEngineMode(mode)
 }
-
-// EngineMode returns the active semantic engine.
-func (m *Machine) EngineMode() EngineMode { return m.sim.EngineMode() }
 
 // PC returns the next fetch program counter (a code index).
 func (m *Machine) PC() int { return m.sim.PC() }
@@ -428,9 +416,6 @@ type CostReport = costmodel.Report
 func (m *Machine) EstimateCost() *CostReport {
 	return costmodel.Estimate(m.cfg, m.Report())
 }
-
-// EstimateArea prices an architecture without running anything.
-func EstimateArea(cfg *Config) *CostReport { return costmodel.EstimateArea(cfg) }
 
 // EstimateCostFor prices an architecture with an existing statistics report
 // (e.g. one received over the server API).

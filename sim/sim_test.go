@@ -177,7 +177,7 @@ func TestDisassembleAndState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dis := m.Disassemble()
+	dis := m.prog.core.Code().Disassemble()
 	if !strings.Contains(dis, "main:") || !strings.Contains(dis, "addi") {
 		t.Errorf("disassembly:\n%s", dis)
 	}

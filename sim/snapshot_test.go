@@ -322,8 +322,8 @@ func TestReplayKeepsEngineMode(t *testing.T) {
 			if err := m.GotoCycle(target); err != nil {
 				t.Fatal(err)
 			}
-			if m.EngineMode() != EngineInterpreter {
-				t.Errorf("interval %d: rewind to %d dropped the engine mode: %v", interval, target, m.EngineMode())
+			if m.sim.EngineMode() != EngineInterpreter {
+				t.Errorf("interval %d: rewind to %d dropped the engine mode: %v", interval, target, m.sim.EngineMode())
 			}
 			other, err := NewFromAsm(DefaultConfig(), rv32mReplaySrc, "")
 			if err != nil {

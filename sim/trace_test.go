@@ -161,7 +161,7 @@ func TestTraceSurvivesGotoCycle(t *testing.T) {
 	if got := ring.Total(); got != before {
 		t.Errorf("GotoCycle re-emitted the past: %d -> %d events", before, got)
 	}
-	if m.Tracer() == nil {
+	if m.sim.Tracer() == nil {
 		t.Fatal("tracer lost across GotoCycle")
 	}
 	m.StepN(5)
@@ -190,7 +190,7 @@ func TestTraceReplayDoesNotReEmit(t *testing.T) {
 	if got := ring.Total(); got != before {
 		t.Errorf("rewind re-emitted events: total %d -> %d", before, got)
 	}
-	if m.Tracer() == nil {
+	if m.sim.Tracer() == nil {
 		t.Fatal("tracer did not carry over to the replayed simulation")
 	}
 	m.Step()
