@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"maps"
 	"path"
 	"slices"
 	"strconv"
@@ -51,9 +50,7 @@ func TestArchitectureRules(t *testing.T) {
 			}
 			for _, p := range r.plants {
 				t.Run(p.name, func(t *testing.T) {
-					srcs := map[string]string{p.path: p.src}
-					maps.Copy(srcs, r.scaffold)
-					l, err := tr.plant(srcs)
+					l, err := tr.plant(map[string]string{p.path: p.src})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -152,9 +149,6 @@ type archRule struct {
 	// once lists keys whose allowed references must number exactly one.
 	once   []string
 	plants []plant
-	// scaffold holds files planted beside every plant of the rule and not
-	// checked: declarations the plants refer to that the tree lacks.
-	scaffold map[string]string
 }
 
 // plant is a source planted at a virtual path to prove a rule can fail.
@@ -493,44 +487,35 @@ var archRules = []*archRule{
 		// The architecture document's domain is stated once, in
 		// config.Schema and its rules (internal/config/schema.go), which
 		// CPU.Validate walks. A Validate method on another architecture
-		// type, or a comparison against a Max* constant of an architecture
+		// type, or an exported Max* constant declared in an architecture
 		// package, is a second statement of it in the making.
 		name: "one schema",
 		fix:  "state the domain as a row or rule of config.Schema (internal/config/schema.go)",
 		once: []string{"config.(*CPU).Validate"},
 		check: func(c *cursor) (string, bool) {
-			inSchema := c.file.path == "internal/config/schema.go"
 			switch n := c.node().(type) {
 			case *ast.FuncDecl:
 				m, _ := c.file.info.Defs[n.Name].(*types.Func)
 				if n.Name.Name == "Validate" && m != nil && m.Signature().Recv() != nil && slices.Contains(archTypes, recvName(m)) {
-					return path.Base(path.Dir(c.file.path)) + "." + funcName(n), inSchema
+					return path.Base(path.Dir(c.file.path)) + "." + funcName(n), c.file.path == "internal/config/schema.go"
 				}
-			case *ast.BinaryExpr:
-				if n.Op != token.LSS && n.Op != token.GTR && n.Op != token.LEQ && n.Op != token.GEQ && n.Op != token.EQL && n.Op != token.NEQ {
-					return "", false
-				}
-				for _, e := range []ast.Expr{n.X, n.Y} {
-					if name := archBound(c, e); name != "" {
-						return "comparison with " + name, inSchema
+			case *ast.ValueSpec:
+				for _, id := range n.Names {
+					if k, ok := c.file.info.Defs[id].(*types.Const); ok && archBound(k) {
+						return "declaration of " + k.Pkg().Name() + "." + k.Name(), false
 					}
 				}
 			}
 			return "", false
 		},
-		// No architecture package declares a Max* constant: the plants
-		// compare against ones planted here.
-		scaffold: map[string]string{
-			"internal/predictor/bounds.go": "package predictor\nconst (MaxBTBSize = 4096; MaxPHTSize = 65536)\n",
-			"internal/cache/bounds.go":     "package cache\nconst MaxLines = 65536\n",
-			"internal/config/bounds.go":    "package config\nconst MaxROBSize = 1024\n",
-		},
 		plants: []plant{
 			{"cache validator", "internal/cache/cache.go", "package cache\nfunc (c Config) Validate() error { return nil }\n", false},
-			{"bound in the predictor", "internal/predictor/predictor.go", "package predictor\nfunc (c Config) fits() bool { return c.BTBSize > MaxBTBSize }\n", false},
-			{"aliased import", "internal/core/sim.go", "package core\nimport pr \"riscvsim/internal/predictor\"\nfunc fits(c pr.Config) bool { return c.PHTSize <= pr.MaxPHTSize }\n", false},
-			{"dot import", "internal/server/server.go", "package server\nimport . \"riscvsim/internal/cache\"\nfunc fits(c Config) bool { return MaxLines >= c.Lines }\n", false},
-			{"the schema", "internal/config/schema.go", "package config\nfunc (c *CPU) Validate() []error {\n\tif c.ROBSize > MaxROBSize {\n\t\treturn nil\n\t}\n\treturn nil\n}\n", true},
+			{"bound in the predictor", "internal/predictor/predictor.go", "package predictor\nconst MaxBTBSize = 4096\n", false},
+			{"aliased import", "internal/predictor/predictor.go", "package predictor\nimport m \"math\"\nconst MaxPHTSize = m.MaxInt16\n", false},
+			{"dot import", "internal/cache/cache.go", "package cache\nimport . \"math\"\nconst MaxLines = MaxInt16\n", false},
+			{"grouped bounds in the schema file", "internal/config/schema.go", "package config\nconst (\n\tlineBytes = 64\n\tMaxROBSize, MaxWidth int = 1024, 64\n)\n", false},
+			{"bound outside the architecture", "internal/api/limits.go", "package api\nconst MaxWidth = 64\n", true},
+			{"the schema", "internal/config/schema.go", "package config\nfunc (c *CPU) Validate() []error {\n\tif c.ROBSize > 1024 {\n\t\treturn nil\n\t}\n\treturn nil\n}\n", true},
 		},
 	},
 }
@@ -543,29 +528,14 @@ func recvName(m *types.Func) string {
 	return strings.TrimPrefix(m.Pkg().Path(), modulePath+"/") + "." + typeName(m.Signature().Recv().Type())
 }
 
-// archBound names e, as "pkg.Name", if it refers to a Max* constant of a
-// package that declares an architecture type.
-func archBound(c *cursor, e ast.Expr) string {
-	var id *ast.Ident
-	switch e := e.(type) {
-	case *ast.SelectorExpr:
-		id = e.Sel
-	case *ast.Ident:
-		id = e
-	default:
-		return ""
-	}
-	k, ok := c.file.info.Uses[id].(*types.Const)
-	if !ok || !strings.HasPrefix(k.Name(), "Max") || k.Parent() != k.Pkg().Scope() {
-		return ""
+// archBound reports whether k is an exported package-level Max* constant
+// of a package that declares an architecture type.
+func archBound(k *types.Const) bool {
+	if !strings.HasPrefix(k.Name(), "Max") || k.Parent() != k.Pkg().Scope() {
+		return false
 	}
 	dir := strings.TrimPrefix(k.Pkg().Path(), modulePath+"/")
-	for _, t := range archTypes {
-		if strings.HasPrefix(t, dir+".") {
-			return path.Base(dir) + "." + k.Name()
-		}
-	}
-	return ""
+	return slices.ContainsFunc(archTypes, func(t string) bool { return strings.HasPrefix(t, dir+".") })
 }
 
 // isNil reports whether e is the predeclared nil.

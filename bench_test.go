@@ -649,7 +649,7 @@ func BenchmarkSuite(b *testing.B) {
 	b.ReportAllocs()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		rep, err := workload.Run(workload.Options{Workers: 1})
+		rep, err := workload.Run(workload.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -755,17 +755,6 @@ func BenchmarkParallel(b *testing.B) {
 			b.ReportMetric(float64(res.Workers), "workers")
 			b.ReportMetric(float64(res.Healed), "healed")
 		})
-	}
-}
-
-// BenchmarkSuiteParallel is the same corpus on a full worker pool — the
-// wall-time number /api/v1/suite users experience on a multi-core host.
-func BenchmarkSuiteParallel(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := workload.Run(workload.Options{}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -532,8 +532,8 @@ main:
   li t0, 0
   li t1, 5
 loop:
-  addi t0, t0, 1      # pc=3: breakpoint here
-  sw t0, 0(s0)        # watched store
+  addi t0, t0, 1
+  sw t0, 0(s0)
   bne t0, t1, loop
   lw a0, 0(s0)
   ret
@@ -541,57 +541,19 @@ loop:
 counter: .word 0
 `
 
-// Example_debugger shows the paper's future-work development features
-// (§V): a breakpoint inside a loop, a watch on a memory cell, stepping
-// past triggers, and the chip-area/power estimate for the architecture.
-// Its pinned table is the one check on the cost model's output
-// (internal/costmodel).
-func Example_debugger() {
+// Example_costModel shows the paper's future-work chip-area and power
+// estimate (§V) for a small loop on the default core. Its pinned table is
+// the one check on the cost model's output (internal/costmodel).
+func Example_costModel() {
 	m, err := sim.NewFromAsm(sim.DefaultConfig(), counterLoopAsm, "main")
 	if err != nil {
 		panic(err)
 	}
-
-	// Breakpoint on the increment (commit-ordered, like a debugger).
-	if err := m.AddBreakpoint(3); err != nil {
-		panic(err)
-	}
-	hits := 0
-	for m.RunToBreak(1_000_000) {
-		t0, _ := m.IntReg("t0")
-		fmt.Printf("breakpoint hit %d at cycle %4d: %s (t0=%d)\n",
-			hits+1, m.Cycle(), m.PauseReason(), t0)
-		hits++
-		if hits == 3 {
-			fmt.Println("removing breakpoint, adding a watch on `counter`...")
-			m.RemoveBreakpoint(3)
-			addr, size, _ := m.LookupLabel("counter")
-			if err := m.AddWatch(addr, size); err != nil {
-				panic(err)
-			}
-		}
-		m.Resume()
-	}
-	if m.Paused() {
-		fmt.Printf("paused: %s\n", m.PauseReason())
-		m.Resume()
-		m.Run(1_000_000)
-	}
-
+	m.Run(1_000_000)
 	v, _ := m.IntReg("a0")
-	fmt.Printf("\nfinal counter = %d (expected 5) after %d cycles\n\n", v, m.Cycle())
-
-	// The cost model (future-work: chip area and power estimation).
+	fmt.Printf("final counter = %d (expected 5) after %d cycles\n\n", v, m.Cycle())
 	fmt.Println(m.EstimateCost().FormatText())
 	// Output:
-	// breakpoint hit 1 at cycle    6: breakpoint at pc=3 (addi t0, t0, 1) (t0=0)
-	// breakpoint hit 2 at cycle    8: breakpoint at pc=3 (addi t0, t0, 1) (t0=1)
-	// breakpoint hit 3 at cycle   10: breakpoint at pc=3 (addi t0, t0, 1) (t0=2)
-	// removing breakpoint, adding a watch on `counter`...
-	// breakpoint hit 4 at cycle   11: watch hit: sw t0, 0(s0) stored 4 bytes at address 4096 (watched [4096,4100)) (t0=3)
-	// breakpoint hit 5 at cycle   13: watch hit: sw t0, 0(s0) stored 4 bytes at address 4096 (watched [4096,4100)) (t0=4)
-	// breakpoint hit 6 at cycle   15: watch hit: sw t0, 0(s0) stored 4 bytes at address 4096 (watched [4096,4100)) (t0=5)
-	//
 	// final counter = 5 (expected 5) after 23 cycles
 	//
 	// Cost model — default-2wide

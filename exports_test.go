@@ -21,7 +21,7 @@ import (
 // (stdInterfaces: fmt.Stringer, error, the JSON and text marshalers).
 //
 // To keep a name no file calls, add "dir.Name" or "dir.(Type).Name" to
-// exportAllowList with a reason of one of its three kinds. A listed name
+// exportAllowList with a reason of one of its two kinds. A listed name
 // that gains a caller or no longer exists fails too, so the list only
 // shrinks to what is true.
 func TestExportsHaveCallers(t *testing.T) {
@@ -169,9 +169,9 @@ func stdInterfaces(t *testing.T, tr *loader) []*types.Interface {
 }
 
 // exportAllowList is every exported name kept without a non-test caller,
-// each with the reason it stays. The reasons are of three kinds: library
-// surface the docs name, a paper feature the API and CLI do not reach
-// yet, and a hook for tests.
+// each with the reason it stays. The reasons are of two kinds: library
+// surface the docs name, and a hook for tests. A paper feature no route
+// or flag reaches gets one, or goes.
 var exportAllowList = map[string]string{
 	// Library surface the docs name.
 	"sim.(Machine).FastForwardTo":                "library surface: docs/performance.md's fast-forward to a cycle",
@@ -182,12 +182,6 @@ var exportAllowList = map[string]string{
 	"sim.(Machine).SetIntReg":                    "library surface: docs/architecture.md's write at cycle 0",
 	"sim.(Machine).FloatReg":                     "library surface: IntReg's float twin for RV32F results",
 	"sim.(Machine).ReadMemory":                   "library surface: reads results out of simulated memory (Example_quicksort)",
-	"sim.(Machine).RunToBreak":                   "library surface: run to a breakpoint, the debugger tour (Example_debugger)",
-	"sim.(Machine).AddBreakpoint":                "library surface: sets a breakpoint, the debugger tour (Example_debugger)",
-	"sim.(Machine).RemoveBreakpoint":             "library surface: clears a breakpoint, the debugger tour (Example_debugger)",
-	"sim.(Machine).AddWatch":                     "library surface: watches a memory range, the debugger tour (Example_debugger)",
-	"sim.(Machine).PauseReason":                  "library surface: says why a run paused, the debugger tour (Example_debugger)",
-	"sim.(Machine).Resume":                       "library surface: clears a pause, the debugger tour (Example_debugger)",
 	"sim.(Machine).EstimateCost":                 "library surface: docs/architecture.md's area and power estimate of a run",
 	"sim.NoTraceFilter":                          "library surface: NewTraceRing's doc names it as the keep-everything filter",
 	"sim.EngineSpecialized":                      "library surface: docs/architecture.md names it, the default of SetEngineMode's three engines",
@@ -205,17 +199,9 @@ var exportAllowList = map[string]string{
 	"internal/workload.LongStreamBench":          "library surface: docs/parallel.md's ≥50M-cycle run for BenchmarkParallel",
 	"internal/workload.Repros":                   "library surface: docs/fuzzing.md's checked-in co-simulation reproducers",
 
-	// Paper features the API and CLI do not reach yet.
-	"internal/asm.(Program).Disassemble": "paper feature: the code listing of the fetch and decode panes; no route returns it yet",
-	"internal/isa.LoadSet":               "paper feature: an instruction set loaded from JSON (§III-B); no route takes one yet",
-	"internal/isa.(Set).All":             "paper feature: lists the instruction set's descriptors for a user-loaded set",
-	"internal/isa.(Set).PseudoCount":     "paper feature: counts a user-loaded set's pseudo-instructions",
-	"internal/memory.(Main).DumpCSV":     "paper feature: the CSV memory dump (§II-C); no route exports it yet",
-	"internal/expr.(Value).Reinterpret":  "paper feature: fmv.x.w / fmv.w.x semantics for user-written instruction expressions",
-
 	// Hooks for tests.
+	"internal/isa.(Set).All":                 "test hook: the core exec tests walk every descriptor of the instruction set",
 	"sim.(Machine).Program":                  "test hook: the server tests check which Program machines share",
-	"internal/expr.(Program).Writes":         "test hook: the isa tests hold each descriptor's assigned operands to its WriteBack arguments",
 	"internal/store.(Mem).Corrupt":           "test hook: the server tests corrupt a stored blob",
 	"internal/store.(Mem).Len":               "test hook: the server tests count the blobs a memory store holds",
 	"internal/core.SetSemanticBugForTesting": "test hook: plants a semantic bug the co-simulation fuzzer must catch (docs/fuzzing.md)",

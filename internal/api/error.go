@@ -144,8 +144,7 @@ func WrapError(code string, err error) *Error {
 //
 //	{"error": {"code": "build_failed", "message": "line 3: ..."}}
 //
-// Every non-2xx v1 response (and every legacy-alias error response)
-// carries this shape.
+// Every non-2xx /api/v1 response carries this shape.
 type ErrorEnvelope struct {
 	Err Error `json:"error"`
 }

@@ -458,21 +458,6 @@ done:
 	}
 }
 
-func TestDisassembleRoundTrip(t *testing.T) {
-	prog, _ := assemble(t, `
-main:
-  addi x1, x0, 5
-  lw x2, 4(x1)
-  beq x1, x2, main
-`)
-	dis := prog.Disassemble()
-	for _, want := range []string{"main:", "addi x1, x0, 5", "lw x2, 4(x1)", "beq"} {
-		if !strings.Contains(dis, want) {
-			t.Errorf("disassembly missing %q:\n%s", want, dis)
-		}
-	}
-}
-
 func TestFilterCompilerOutput(t *testing.T) {
 	src := `
 	.file	"test.c"

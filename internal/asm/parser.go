@@ -353,8 +353,8 @@ func (p *parser) skipData(dir Token, line []Token) {
 // Instructions
 // ---------------------------------------------------------------------------
 
-// maxExpansion bounds pseudo-instruction nesting, which guards against
-// cyclic pseudo definitions in user-loaded ISAs.
+// maxExpansion bounds pseudo-instruction nesting, so a cyclic pseudo
+// definition fails instead of recursing forever.
 const maxExpansion = 4
 
 // expand resolves pseudo-instructions (possibly recursively) and assembles

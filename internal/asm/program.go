@@ -176,17 +176,6 @@ func (p *Program) EntryPoint(label string) (int, error) {
 	return idx, nil
 }
 
-// LabelAt returns the code labels defined at instruction index i.
-func (p *Program) LabelAt(i int) []string {
-	var out []string
-	for name, idx := range p.codeLabels {
-		if idx == i {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
 // MixStatic counts instructions by type: the static instruction mix shown
 // by the runtime-statistics window (paper §II-D).
 func (p *Program) MixStatic() map[isa.InstrType]int {
@@ -280,17 +269,4 @@ func floatBits(f float64, size int) uint64 {
 		return uint64(float32bits(float32(f)))
 	}
 	return float64bits(f)
-}
-
-// Disassemble renders the whole code segment with labels and indices, as
-// shown in the simulator's fetch/decode panes.
-func (p *Program) Disassemble() string {
-	var sb strings.Builder
-	for i, in := range p.Instructions {
-		for _, l := range p.LabelAt(i) {
-			fmt.Fprintf(&sb, "%s:\n", l)
-		}
-		fmt.Fprintf(&sb, "%4d:  %s\n", i, in.String())
-	}
-	return sb.String()
 }

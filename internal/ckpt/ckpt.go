@@ -31,7 +31,7 @@ const Magic = "RVSC"
 // Version is the format version. Decoders accept this version only: a
 // reader of an older one would skip its CRC, so one flipped version byte
 // would defeat the check.
-const Version = 3
+const Version = 4
 
 // FooterMagic ends the body of a checkpoint, just before the trailer, so
 // tail truncation is told apart from corruption.
@@ -80,7 +80,6 @@ const (
 	SecCache     byte = 0x0B
 	SecMemory    byte = 0x0C
 	SecLog       byte = 0x0D
-	SecDebug     byte = 0x0E
 	SecLedger    byte = 0x0F
 	SecFloor     byte = 0x10
 )

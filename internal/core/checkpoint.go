@@ -303,21 +303,6 @@ func (s *Simulation) EncodeState(w *ckpt.Writer) {
 		w.U64(e.Cycle)
 		w.String(e.Msg)
 	}
-
-	w.Section(ckpt.SecDebug)
-	bps := s.Breakpoints() // sorted
-	w.Len(len(bps))
-	for _, pc := range bps {
-		w.Int(pc)
-	}
-	w.Len(len(s.watches))
-	for _, wr := range s.watches {
-		w.Int(wr.addr)
-		w.Int(wr.size)
-	}
-	w.Bool(s.paused)
-	w.String(s.pauseReason)
-	w.U64(s.bpSkipID)
 }
 
 // checkInstrs checks what the instruction records claim against where
@@ -532,25 +517,4 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 		e := LogEntry{Cycle: r.U64(), Msg: r.String(1 << 16)}
 		s.log = append(s.log, e)
 	}
-
-	r.Section(ckpt.SecDebug)
-	nbp := r.Len(len(s.prog.instrs))
-	s.breakpoints = nil
-	for i := 0; i < nbp && r.Err() == nil; i++ {
-		pc := r.Int()
-		if r.Err() == nil {
-			if s.breakpoints == nil {
-				s.breakpoints = make(map[int]bool, nbp)
-			}
-			s.breakpoints[pc] = true
-		}
-	}
-	nwatch := r.Len(1 << 16)
-	s.watches = s.watches[:0]
-	for i := 0; i < nwatch && r.Err() == nil; i++ {
-		s.watches = append(s.watches, watchRange{addr: r.Int(), size: r.Int()})
-	}
-	s.paused = r.Bool()
-	s.pauseReason = r.String(1 << 16)
-	s.bpSkipID = r.U64()
 }

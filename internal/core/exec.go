@@ -28,7 +28,7 @@ import (
 // is preserved.
 //
 // Which instructions take the fast path is decided by their *expression
-// source*, not their mnemonic: a user-loaded ISA that names a built-in
+// source*, not their mnemonic: a descriptor that names a built-in
 // expression differently specializes, and one that keeps a built-in name
 // but changes the expression falls back. The fast path relies on the
 // core's value invariant: integer-class register values always carry type

@@ -52,14 +52,6 @@ func (r *ROB) Push(si *SimInstr) {
 	r.count++
 }
 
-// Head returns the oldest instruction, or nil.
-func (r *ROB) Head() *SimInstr {
-	if r.Empty() {
-		return nil
-	}
-	return r.entries[r.head].instr
-}
-
 // HeadDone reports whether the oldest instruction has finished executing.
 func (r *ROB) HeadDone() bool {
 	return !r.Empty() && r.entries[r.head].done

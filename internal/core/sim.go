@@ -104,14 +104,6 @@ type Simulation struct {
 	haltReason string
 	exception  *fault.Exception
 
-	// Debugging (paper §V future work): breakpoints/watches pause the
-	// simulation at commit without ending it.
-	breakpoints map[int]bool
-	watches     []watchRange
-	paused      bool
-	pauseReason string
-	bpSkipID    uint64
-
 	log        []LogEntry
 	VerboseLog bool
 
@@ -338,7 +330,7 @@ func (s *Simulation) Log() []LogEntry { return s.log }
 // fetch — so one instruction can leave and another enter a unit within a
 // single cycle (paper §III-A).
 func (s *Simulation) Step() {
-	if s.halted || s.paused {
+	if s.halted {
 		return
 	}
 	if s.engineMode == EngineFastForward {
@@ -376,7 +368,7 @@ func (s *Simulation) pipelineCycle(detailed bool) {
 // the number of cycles executed in this call.
 func (s *Simulation) Run(maxCycles uint64) uint64 {
 	start := s.ledger.Cycles
-	for !s.halted && !s.paused && s.ledger.Cycles-start < maxCycles {
+	for !s.halted && s.ledger.Cycles-start < maxCycles {
 		s.Step()
 	}
 	return s.ledger.Cycles - start
@@ -395,7 +387,7 @@ func (s *Simulation) RunToCommitted(target, maxCycles uint64) uint64 {
 	prev := s.commitLimit
 	s.commitLimit = target
 	start := s.ledger.Cycles
-	for !s.halted && !s.paused && s.ledger.Committed < target && s.ledger.Cycles-start < maxCycles {
+	for !s.halted && s.ledger.Committed < target && s.ledger.Cycles-start < maxCycles {
 		s.Step()
 	}
 	s.commitLimit = prev
@@ -428,9 +420,6 @@ func (s *Simulation) commitStep(now uint64) {
 			}
 			return
 		}
-		if s.checkBreakpoint(s.rob.Head(), now) {
-			return
-		}
 		si := s.rob.Pop()
 		si.Phase = PhaseCommitted
 		si.CommittedAt = now
@@ -459,16 +448,12 @@ func (s *Simulation) commitStep(now uint64) {
 		}
 		if si.IsStore() {
 			s.lsu.OnCommitStore(si)
-			s.checkWatches(si, now)
 		}
 		s.ledger.Committed++
 		s.ledger.DynamicMix[si.Static.Desc.Type]++
 		s.ledger.Flops += uint64(si.Static.Desc.Flops)
 		if s.VerboseLog {
 			s.logf(now, "commit %s", si)
-		}
-		if s.paused {
-			return
 		}
 		if si.Static.Desc.Halts {
 			s.halted = true
@@ -861,31 +846,6 @@ func (s *Simulation) Fresh() (*Simulation, error) {
 	}
 	ns.SetEngineMode(s.engineMode)
 	return ns, nil
-}
-
-// ClearDebugState drops breakpoints, watches and any pause, so a
-// snapshot-restored simulation can catch up to a rewind target without
-// pausing mid-replay.
-func (s *Simulation) ClearDebugState() {
-	s.breakpoints = nil
-	s.watches = nil
-	s.paused = false
-	s.pauseReason = ""
-}
-
-// SyncDebugState replaces s's debugging state (breakpoints, watches,
-// verbose logging) with o's — used after a rewind replay so debug state
-// set since the restore point carries over.
-func (s *Simulation) SyncDebugState(o *Simulation) {
-	s.breakpoints = nil
-	if len(o.breakpoints) > 0 {
-		s.breakpoints = make(map[int]bool, len(o.breakpoints))
-		for pc := range o.breakpoints {
-			s.breakpoints[pc] = true
-		}
-	}
-	s.watches = append(s.watches[:0], o.watches...)
-	s.VerboseLog = o.VerboseLog
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"riscvsim/internal/asm"
@@ -632,5 +633,35 @@ vals: .double 1.5, -2.0
 `)
 	if got := doubleReg(t, sim, "f2"); got != -3.0 {
 		t.Errorf("f2 = %v, want -3.0", got)
+	}
+}
+
+// TestLogBoundKeepsNewest: the debug log holds at most logBound entries
+// and trimming keeps the newest.
+func TestLogBoundKeepsNewest(t *testing.T) {
+	sim := buildSim(t, config.Default(), `
+  addi t0, x0, 0
+  addi t1, x0, 2000
+loop:
+  addi t0, t0, 1
+  andi t2, t0, 1
+  bne  t2, x0, skip
+  addi t3, x0, 7
+skip:
+  bne  t0, t1, loop
+`)
+	sim.VerboseLog = true // a line per commit
+	sim.Run(1_000_000)
+	if !sim.Halted() || sim.Committed() <= logBound {
+		t.Fatalf("halted %v after %d commits; the run must overflow the %d-entry log", sim.Halted(), sim.Committed(), logBound)
+	}
+	log := sim.Log()
+	if len(log) == 0 || len(log) > logBound {
+		t.Fatalf("log has %d entries, bound is %d", len(log), logBound)
+	}
+	// The final halt line is the newest entry and must have survived.
+	if last := log[len(log)-1]; last.Cycle != sim.Cycle() || !strings.HasPrefix(last.Msg, "halt:") {
+		t.Errorf("newest log entry is %q from cycle %d, machine halted at %d (oldest-kept semantics?)",
+			last.Msg, last.Cycle, sim.Cycle())
 	}
 }

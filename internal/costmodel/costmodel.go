@@ -15,7 +15,7 @@
 // nothing validates them against silicon or a synthesis flow. What checks
 // them is only their shape: the ordering tests here and in
 // sim/extensions_test.go (a larger ROB, cache or width costs more; more
-// work costs more energy) and Example_debugger's pinned cost table for
+// work costs more energy) and Example_costModel's pinned cost table for
 // the default core, which fails when a constant it uses moves.
 package costmodel
 

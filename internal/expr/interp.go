@@ -61,13 +61,7 @@ type Program struct {
 	// maxStack is the deepest stack the program can reach; used to size
 	// evaluator stacks without reallocation.
 	maxStack int
-	// writes lists the operand names assigned by `=`, in order. The isa
-	// tests hold it to each descriptor's WriteBack arguments.
-	writes []string
 }
-
-// Writes returns the operand names the program assigns to via `=`.
-func (p *Program) Writes() []string { return p.writes }
 
 type opcode uint8
 
@@ -212,11 +206,9 @@ func Compile(src string) (*Program, error) {
 			}
 			if info.code == opAssign {
 				// `=` pops the value and the target reference.
-				last := p.tokens[len(p.tokens)-1]
-				if last.kind != tokRef {
+				if p.tokens[len(p.tokens)-1].kind != tokRef {
 					return nil, fmt.Errorf("expr: `=` target must be an operand reference in %q", src)
 				}
-				p.writes = append(p.writes, last.name)
 				depth -= 2
 			} else if info.code == opPick {
 				depth++ // duplicates the top

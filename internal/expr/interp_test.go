@@ -312,11 +312,16 @@ func TestUndefinedOperand(t *testing.T) {
 	}
 }
 
+// TestWritesList: a program assigns exactly the operands its `=` targets
+// name, and leaves every other operand as it was.
 func TestWritesList(t *testing.T) {
-	p := MustCompile(`\pc 1 + \rd = \rs1 \imm +`)
-	w := p.Writes()
-	if len(w) != 1 || w[0] != "rd" {
-		t.Errorf("Writes() = %v, want [rd]", w)
+	env := MapEnv{"pc": NewInt(4), "rd": NewInt(0), "rs1": NewInt(1), "imm": NewInt(2)}
+	eval(t, `\pc 1 + \rd = \rs1 \imm +`, env)
+	want := MapEnv{"pc": NewInt(4), "rd": NewInt(5), "rs1": NewInt(1), "imm": NewInt(2)}
+	for name, v := range want {
+		if env[name] != v {
+			t.Errorf("%s = %v, want %v", name, env[name], v)
+		}
 	}
 }
 

@@ -42,17 +42,6 @@ func (t Type) String() string {
 	return fmt.Sprintf("kType(%d)", uint8(t))
 }
 
-// ParseType converts a paper-style type tag ("kInt", "kFloat", ...) back to
-// a Type. It is the inverse of String and is used by the JSON ISA loader.
-func ParseType(s string) (Type, error) {
-	for i, n := range typeNames {
-		if n == s {
-			return Type(i), nil
-		}
-	}
-	return Int, fmt.Errorf("expr: unknown type tag %q", s)
-}
-
 // IsFloat reports whether the type is a floating-point type.
 func (t Type) IsFloat() bool { return t == Float || t == Double }
 
@@ -235,10 +224,6 @@ func (v Value) Convert(t Type) Value {
 		return NewDouble(v.Double())
 	}
 }
-
-// Reinterpret returns the same bit pattern tagged with a different type
-// (fmv.x.w / fmv.w.x semantics). No numeric conversion is performed.
-func (v Value) Reinterpret(t Type) Value { return FromBits(v.bits, t) }
 
 // String renders the value according to its type, the same way the GUI's
 // register panes display the "intended value" instead of raw bits.

@@ -18,21 +18,6 @@ func TestTypeString(t *testing.T) {
 	}
 }
 
-func TestParseTypeRoundTrip(t *testing.T) {
-	for _, typ := range []Type{Bool, Int, UInt, Long, ULong, Float, Double} {
-		got, err := ParseType(typ.String())
-		if err != nil {
-			t.Fatalf("ParseType(%q): %v", typ.String(), err)
-		}
-		if got != typ {
-			t.Errorf("ParseType(%q) = %v, want %v", typ.String(), got, typ)
-		}
-	}
-	if _, err := ParseType("kBogus"); err == nil {
-		t.Error("ParseType(kBogus) should fail")
-	}
-}
-
 func TestIntValueRoundTrip(t *testing.T) {
 	f := func(v int32) bool {
 		return NewInt(v).Int() == v
@@ -118,10 +103,12 @@ func TestConvertFloatToIntTruncates(t *testing.T) {
 	}
 }
 
+// TestReinterpretPreservesBits: retagging a value's bits with another
+// type, as fmv.x.w and fmv.w.x do, keeps every bit.
 func TestReinterpretPreservesBits(t *testing.T) {
 	f := func(v uint32) bool {
 		fv := FromBits(uint64(v), Float)
-		return uint32(fv.Reinterpret(Int).Bits()) == v
+		return uint32(FromBits(fv.Bits(), Int).Bits()) == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

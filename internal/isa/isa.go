@@ -5,8 +5,9 @@
 //
 // Following the paper, instruction semantics are *data*, not code: every
 // instruction carries a postfix expression (Listing 1, "interpretableAs")
-// that the expression interpreter executes. The whole set can be exported
-// to and re-loaded from JSON, so the ISA is extensible without recompiling.
+// that the expression interpreter executes. The whole set serializes to
+// the paper's JSON document, which /api/v1/instructionDescriptions serves
+// read-only.
 package isa
 
 import (
@@ -41,16 +42,6 @@ func (t InstrType) String() string {
 		return instrTypeNames[t]
 	}
 	return fmt.Sprintf("kInstrType(%d)", uint8(t))
-}
-
-// ParseInstrType is the inverse of InstrType.String.
-func ParseInstrType(s string) (InstrType, error) {
-	for i, n := range instrTypeNames {
-		if n == s {
-			return InstrType(i), nil
-		}
-	}
-	return TypeArithmetic, fmt.Errorf("isa: unknown instruction type %q", s)
 }
 
 // FUClass identifies which functional-unit family executes an instruction.
@@ -111,16 +102,6 @@ func (k ArgKind) String() string {
 	return fmt.Sprintf("argKind(%d)", uint8(k))
 }
 
-// ParseArgKind is the inverse of ArgKind.String.
-func ParseArgKind(s string) (ArgKind, error) {
-	for i, n := range argKindNames {
-		if n == s {
-			return ArgKind(i), nil
-		}
-	}
-	return ArgImm, fmt.Errorf("isa: unknown argument kind %q", s)
-}
-
 // ArgDesc describes one instruction argument, mirroring the paper's JSON
 // argument objects ({"name":"rd","type":"kInt","writeBack":true}).
 type ArgDesc struct {
@@ -159,16 +140,6 @@ func (f Format) String() string {
 		return formatNames[f]
 	}
 	return fmt.Sprintf("format(%d)", uint8(f))
-}
-
-// ParseFormat is the inverse of Format.String.
-func ParseFormat(s string) (Format, error) {
-	for i, n := range formatNames {
-		if n == s {
-			return Format(i), nil
-		}
-	}
-	return FmtNone, fmt.Errorf("isa: unknown format %q", s)
 }
 
 // Desc is the complete description of one machine instruction. A Desc is
@@ -284,9 +255,6 @@ func (s *Set) Pseudo(name string) (*Pseudo, bool) {
 // All returns the descriptors in registration order. The slice must not be
 // modified.
 func (s *Set) All() []*Desc { return s.ordered }
-
-// PseudoCount returns the number of registered pseudo-instructions.
-func (s *Set) PseudoCount() int { return len(s.pseudos) }
 
 // Pseudo is a pseudo-instruction expansion rule: a template whose operand
 // placeholders $0, $1, ... are substituted with the written operands.

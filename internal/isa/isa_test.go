@@ -1,9 +1,10 @@
 package isa
 
 import (
+	"encoding/json"
+	"slices"
+	"strings"
 	"testing"
-
-	"riscvsim/internal/expr"
 )
 
 func TestRV32IMFBuilds(t *testing.T) {
@@ -11,8 +12,8 @@ func TestRV32IMFBuilds(t *testing.T) {
 	if n := len(s.All()); n < 80 {
 		t.Errorf("instruction set has %d instructions, expected at least 80", n)
 	}
-	if s.PseudoCount() < 25 {
-		t.Errorf("only %d pseudo-instructions registered", s.PseudoCount())
+	if len(s.pseudos) < 25 {
+		t.Errorf("only %d pseudo-instructions registered", len(s.pseudos))
 	}
 }
 
@@ -167,9 +168,14 @@ func TestExpressionWritesMatchWriteBackArgs(t *testing.T) {
 	// WriteBack, and vice versa. Loads are exempt: their expression only
 	// computes the address and the memory unit writes rd.
 	for _, d := range RV32IMF().All() {
+		// `\name =` assigns the operand name: `=` pops its target
+		// reference last.
 		written := map[string]bool{}
-		for _, w := range d.Prog.Writes() {
-			written[w] = true
+		fields := strings.Fields(d.ExprSrc)
+		for i, f := range fields {
+			if f == "=" && i > 0 && strings.HasPrefix(fields[i-1], `\`) {
+				written[fields[i-1][1:]] = true
+			}
 		}
 		for _, a := range d.Args {
 			if a.WriteBack && !written[a.Name] && d.ExprSrc != "" && !d.IsLoad() {
@@ -237,88 +243,42 @@ func TestPseudoExpansionsResolve(t *testing.T) {
 	}
 }
 
+// TestJSONRoundTrip: the Listing 1 document /api/v1/instructionDescriptions
+// serves decodes back to every field of every descriptor and pseudo.
 func TestJSONRoundTrip(t *testing.T) {
 	s := RV32IMF()
 	data, err := s.MarshalJSON()
 	if err != nil {
 		t.Fatalf("MarshalJSON: %v", err)
 	}
-	s2, err := LoadSet(data)
-	if err != nil {
-		t.Fatalf("LoadSet: %v", err)
+	var doc jsonSet
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
 	}
-	if len(s2.All()) != len(s.All()) {
-		t.Fatalf("round trip lost instructions: %d != %d", len(s2.All()), len(s.All()))
+	if len(doc.Instructions) != len(s.All()) || len(doc.Pseudos) != len(s.pseudos) {
+		t.Fatalf("document has %d instructions and %d pseudos, set %d and %d",
+			len(doc.Instructions), len(doc.Pseudos), len(s.All()), len(s.pseudos))
 	}
-	if s2.PseudoCount() != s.PseudoCount() {
-		t.Fatalf("round trip lost pseudos: %d != %d", s2.PseudoCount(), s.PseudoCount())
-	}
-	for _, d := range s.All() {
-		d2, ok := s2.Lookup(d.Name)
-		if !ok {
-			t.Errorf("round trip lost %q", d.Name)
+	for i, d := range s.All() {
+		jd := doc.Instructions[i]
+		if jd.Name != d.Name || jd.InstructionType != d.Type.String() || jd.Unit != d.Unit.String() ||
+			jd.Format != d.Format.String() || jd.InterpretableAs != d.ExprSrc ||
+			jd.MemoryWidth != d.MemWidth || jd.MemorySigned != d.MemSigned ||
+			jd.Conditional != d.Conditional || jd.PCRelative != d.PCRelative ||
+			jd.Flops != d.Flops || jd.Halts != d.Halts || len(jd.Arguments) != len(d.Args) {
+			t.Errorf("instruction %d: document %+v does not match %q", i, jd, d.Name)
 			continue
 		}
-		if d2.ExprSrc != d.ExprSrc || d2.Type != d.Type || d2.Unit != d.Unit ||
-			d2.Format != d.Format || d2.MemWidth != d.MemWidth ||
-			d2.Conditional != d.Conditional || d2.PCRelative != d.PCRelative ||
-			d2.Flops != d.Flops || d2.Halts != d.Halts || len(d2.Args) != len(d.Args) {
-			t.Errorf("round trip changed %q", d.Name)
+		for j, a := range d.Args {
+			if ja := jd.Arguments[j]; ja != (jsonArg{Name: a.Name, Kind: a.Kind.String(), Type: a.Type.String(), WriteBack: a.WriteBack}) {
+				t.Errorf("%s argument %d: document %+v", d.Name, j, ja)
+			}
 		}
 	}
-}
-
-func TestLoadSetExtension(t *testing.T) {
-	// The paper's headline ISA feature: add a custom instruction purely
-	// via JSON (Listing 1 shows `add`; we add a fused `addmul`).
-	const custom = `{
-	  "instructions": [
-	    {
-	      "name": "addmul",
-	      "instructionType": "kArithmetic",
-	      "unit": "FX",
-	      "format": "r4",
-	      "arguments": [
-	        {"name": "rd", "kind": "regInt", "type": "kInt", "writeBack": true},
-	        {"name": "rs1", "kind": "regInt", "type": "kInt"},
-	        {"name": "rs2", "kind": "regInt", "type": "kInt"},
-	        {"name": "rs3", "kind": "regInt", "type": "kInt"}
-	      ],
-	      "interpretableAs": "\\rs1 \\rs2 + \\rs3 * \\rd ="
-	    }
-	  ]
-	}`
-	s, err := LoadSet([]byte(custom))
-	if err != nil {
-		t.Fatalf("LoadSet: %v", err)
-	}
-	d, ok := s.Lookup("addmul")
-	if !ok {
-		t.Fatal("addmul not registered")
-	}
-	env := expr.MapEnv{
-		"rs1": expr.NewInt(2), "rs2": expr.NewInt(3),
-		"rs3": expr.NewInt(10), "rd": expr.NewInt(0),
-	}
-	if _, err := expr.NewEvaluator().Eval(d.Prog, env); err != nil {
-		t.Fatalf("eval: %v", err)
-	}
-	if got := env["rd"].Int(); got != 50 {
-		t.Errorf("addmul(2,3,10) = %d, want 50", got)
-	}
-}
-
-func TestLoadSetRejectsBadInput(t *testing.T) {
-	bad := []string{
-		`not json`,
-		`{"instructions":[{"name":"x","instructionType":"kBogus","unit":"FX","format":"r","interpretableAs":""}]}`,
-		`{"instructions":[{"name":"x","instructionType":"kArithmetic","unit":"XYZ","format":"r","interpretableAs":""}]}`,
-		`{"instructions":[{"name":"x","instructionType":"kArithmetic","unit":"FX","format":"r","interpretableAs":"\\a frob"}]}`,
-		`{"instructions":[],"pseudoInstructions":[{"name":"p","operands":1,"expansion":[]}]}`,
-	}
-	for i, src := range bad {
-		if _, err := LoadSet([]byte(src)); err == nil {
-			t.Errorf("case %d: LoadSet should fail", i)
+	for _, jp := range doc.Pseudos {
+		p, ok := s.Pseudo(jp.Name)
+		if !ok || jp.Operands != p.Operands || !slices.EqualFunc(jp.Expansion, p.Expansion, slices.Equal) {
+			t.Errorf("pseudo %q: document %+v", jp.Name, jp)
 		}
 	}
 }

@@ -2,11 +2,8 @@ package isa
 
 import (
 	"encoding/json"
-	"fmt"
 	"maps"
 	"slices"
-
-	"riscvsim/internal/expr"
 )
 
 // jsonArg mirrors the paper's Listing 1 argument objects.
@@ -85,80 +82,4 @@ func (s *Set) MarshalJSON() ([]byte, error) {
 		})
 	}
 	return json.MarshalIndent(out, "", "  ")
-}
-
-// LoadSet parses an instruction set from the paper's JSON format. The
-// result is fully independent of the built-in tables, which lets users
-// extend the ISA without recompiling ("the instruction set is defined in a
-// configuration JSON file and can be easily extended", §III-B).
-func LoadSet(data []byte) (*Set, error) {
-	var in jsonSet
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("isa: bad instruction-set JSON: %w", err)
-	}
-	s := NewSet()
-	for _, jd := range in.Instructions {
-		d, err := descFromJSON(jd)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := s.byName[d.Name]; dup {
-			return nil, fmt.Errorf("isa: duplicate instruction %q", d.Name)
-		}
-		s.Register(d)
-	}
-	for _, jp := range in.Pseudos {
-		if jp.Name == "" || len(jp.Expansion) == 0 {
-			return nil, fmt.Errorf("isa: pseudo-instruction %q has no expansion", jp.Name)
-		}
-		s.RegisterPseudo(&Pseudo{Name: jp.Name, Operands: jp.Operands, Expansion: jp.Expansion})
-	}
-	return s, nil
-}
-
-func descFromJSON(jd jsonDesc) (*Desc, error) {
-	it, err := ParseInstrType(jd.InstructionType)
-	if err != nil {
-		return nil, fmt.Errorf("isa: instruction %q: %w", jd.Name, err)
-	}
-	unit, err := ParseFUClass(jd.Unit)
-	if err != nil {
-		return nil, fmt.Errorf("isa: instruction %q: %w", jd.Name, err)
-	}
-	format, err := ParseFormat(jd.Format)
-	if err != nil {
-		return nil, fmt.Errorf("isa: instruction %q: %w", jd.Name, err)
-	}
-	prog, err := expr.Compile(jd.InterpretableAs)
-	if err != nil {
-		return nil, fmt.Errorf("isa: instruction %q: %w", jd.Name, err)
-	}
-	d := &Desc{
-		Name:        jd.Name,
-		Type:        it,
-		Unit:        unit,
-		Format:      format,
-		ExprSrc:     jd.InterpretableAs,
-		Prog:        prog,
-		MemWidth:    jd.MemoryWidth,
-		MemSigned:   jd.MemorySigned,
-		Conditional: jd.Conditional,
-		PCRelative:  jd.PCRelative,
-		Flops:       jd.Flops,
-		Halts:       jd.Halts,
-	}
-	for _, ja := range jd.Arguments {
-		kind, err := ParseArgKind(ja.Kind)
-		if err != nil {
-			return nil, fmt.Errorf("isa: instruction %q argument %q: %w", jd.Name, ja.Name, err)
-		}
-		typ, err := expr.ParseType(ja.Type)
-		if err != nil {
-			return nil, fmt.Errorf("isa: instruction %q argument %q: %w", jd.Name, ja.Name, err)
-		}
-		d.Args = append(d.Args, ArgDesc{
-			Name: ja.Name, Kind: kind, Type: typ, WriteBack: ja.WriteBack,
-		})
-	}
-	return d, nil
 }

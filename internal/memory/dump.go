@@ -3,31 +3,7 @@ package memory
 import (
 	"bytes"
 	"fmt"
-	"strconv"
-	"strings"
 )
-
-// DumpCSV exports the byte range [addr, addr+n) as comma-separated decimal
-// byte values, 16 per line, matching the paper's CSV dump format (§II-C).
-func (m *Main) DumpCSV(addr, n int) (string, error) {
-	b, exc := m.ReadBytes(addr, n)
-	if exc != nil {
-		return "", exc
-	}
-	var sb strings.Builder
-	for i, v := range b {
-		if i > 0 {
-			if i%16 == 0 {
-				sb.WriteByte('\n')
-			} else {
-				sb.WriteByte(',')
-			}
-		}
-		sb.WriteString(strconv.Itoa(int(v)))
-	}
-	sb.WriteByte('\n')
-	return sb.String(), nil
-}
 
 // HexDump renders a conventional hex dump of [addr, addr+n) for the memory
 // pop-up window (paper Fig. 2's "expanded view of the entire memory").

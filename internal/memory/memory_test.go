@@ -2,7 +2,6 @@ package memory
 
 import (
 	"math"
-	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -179,25 +178,6 @@ func TestCloneIsDeep(t *testing.T) {
 	v, _ := c.readWord(100)
 	if v != 42 {
 		t.Errorf("clone sees %d, want 42 (must be a deep copy)", v)
-	}
-}
-
-func TestCSVDumpRoundTrip(t *testing.T) {
-	m := newMem(t)
-	orig := []byte{1, 2, 3, 250, 255, 0, 17, 128}
-	m.WriteBytes(512, orig)
-	csv, err := m.DumpCSV(512, len(orig))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fields := strings.FieldsFunc(csv, func(r rune) bool { return r == ',' || r == '\n' })
-	if len(fields) != len(orig) {
-		t.Fatalf("CSV %q has %d values, want %d", csv, len(fields), len(orig))
-	}
-	for i, f := range fields {
-		if v, err := strconv.ParseUint(f, 10, 8); err != nil || byte(v) != orig[i] {
-			t.Fatalf("CSV round trip byte %d: %q != %d", i, f, orig[i])
-		}
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"log"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"riscvsim/internal/api"
@@ -442,7 +443,7 @@ func (s *Server) runMachine(ctx context.Context, m *sim.Machine, n uint64) (uint
 		chunk := min(n-total, deadlineChunk)
 		ran := m.Run(chunk)
 		total += ran
-		if m.Halted() || m.Paused() || ran < chunk {
+		if m.Halted() || ran < chunk {
 			break
 		}
 	}
@@ -780,13 +781,17 @@ func (s *Server) handleMetrics(http.ResponseWriter, *http.Request) (any, *api.Er
 	return s.Metrics(), nil
 }
 
+// instructionDescriptions is the built-in instruction set in the paper's
+// JSON configuration format (Listing 1), encoded once per process.
+var instructionDescriptions = sync.OnceValues(func() ([]byte, error) { return isa.RV32IMF().MarshalJSON() })
+
 // handleInstructionDescriptions serves the instruction set in the paper's
-// JSON configuration format (Listing 1) — the document users extend to add
-// custom instructions. The set serializes itself, so the handler books the
-// encode phase and hands reply the finished bytes.
+// JSON configuration format (Listing 1). The document is read-only: no
+// route takes an instruction set back. The handler books the encode phase
+// and hands reply the bytes encoded on the first request.
 func (s *Server) handleInstructionDescriptions(_ http.ResponseWriter, r *http.Request) (any, *api.Error) {
 	defer timerFrom(r.Context()).begin(phaseEncode).end()
-	data, err := isa.RV32IMF().MarshalJSON()
+	data, err := instructionDescriptions()
 	if err != nil {
 		return nil, api.Errorf(api.CodeInternal, "encoding instruction set failed")
 	}

@@ -70,8 +70,8 @@ func (s *Server) streamBursts(w http.ResponseWriter, r *http.Request, m *sim.Mac
 			return nil, nil // client went away
 		}
 		stepped += ran
-		if capped || (ran == 0 && !m.Halted()) {
-			break // nothing ran: paused (breakpoint); don't spin
+		if capped {
+			break
 		}
 		if !em.burst(line) {
 			return nil, nil

@@ -2,9 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"riscvsim/internal/config"
 	"riscvsim/sim"
@@ -17,10 +14,6 @@ type Options struct {
 	Config *config.CPU
 	// Filter selects a corpus subset (Match grammar); "" runs everything.
 	Filter string
-	// Workers bounds the worker pool; 0 uses GOMAXPROCS. Workloads are
-	// independent machines, so parallel execution changes wall time
-	// only, never a metric.
-	Workers int
 }
 
 // NewMachine builds the simulation machine for one workload on the given
@@ -48,10 +41,10 @@ func RunOne(cfg *config.CPU, w Workload) (Metrics, error) {
 	return FromReport(w, m.Report()), nil
 }
 
-// Run executes the selected corpus against the architecture and returns
-// one metrics row per workload, in corpus order. Execution is fanned out
-// over a bounded worker pool; results are deterministic regardless of
-// worker count or completion order.
+// Run executes the selected corpus against the architecture, one
+// workload after another, and returns one metrics row per workload in
+// corpus order. /api/v1/suite fans the same rows out over the server's
+// pool (server.fanOut).
 func Run(opts Options) (*Report, error) {
 	cfg := opts.Config
 	if cfg == nil {
@@ -65,34 +58,9 @@ func Run(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: fingerprinting configuration: %w", err)
 	}
-
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(selected) {
-		workers = len(selected)
-	}
 	rows := make([]Metrics, len(selected))
-	errs := make([]error, len(selected))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(selected) {
-					return
-				}
-				rows[i], errs[i] = RunOne(cfg, selected[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	for i, w := range selected {
+		if rows[i], err = RunOne(cfg, w); err != nil {
 			return nil, err
 		}
 	}

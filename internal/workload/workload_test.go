@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -92,24 +91,6 @@ func TestMatch(t *testing.T) {
 	if _, err := Match("no-such-workload"); err == nil ||
 		!strings.Contains(err.Error(), "matches nothing") {
 		t.Fatalf("bad filter: err %v", err)
-	}
-}
-
-// TestSuiteWorkerInvariance proves the pool size affects wall time only:
-// 1 worker and 8 workers produce byte-identical reports.
-func TestSuiteWorkerInvariance(t *testing.T) {
-	seq, err := Run(Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Run(Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(seq)
-	b, _ := json.Marshal(par)
-	if string(a) != string(b) {
-		t.Fatal("suite report depends on worker count")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"riscvsim/internal/ckpt"
@@ -181,22 +182,21 @@ func TestCheckpointOfRestoredMachineIsIdentical(t *testing.T) {
 	}
 }
 
+// TestCheckpointPreservesDebugState: a restored machine carries the
+// debug log its checkpoint was taken with.
 func TestCheckpointPreservesDebugState(t *testing.T) {
 	m := newLoopMachine(t, 3)
-	if err := m.AddBreakpoint(5); err != nil {
-		t.Fatal(err)
-	}
-	addr, _, _ := m.LookupLabel("data")
-	if err := m.AddWatch(addr, 4); err != nil {
-		t.Fatal(err)
-	}
+	m.SetVerboseLog(true)
 	m.StepN(100)
+	if len(m.Log()) == 0 {
+		t.Fatal("verbose run logged nothing")
+	}
 	r, err := Restore(bytes.NewReader(checkpointBytes(t, m)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Sim().Breakpoints(); len(got) != 1 || got[0] != 5 {
-		t.Errorf("breakpoints = %v", got)
+	if !slices.Equal(r.Log(), m.Log()) {
+		t.Errorf("restored log has %d entries, checkpointed machine %d", len(r.Log()), len(m.Log()))
 	}
 }
 
@@ -217,7 +217,7 @@ loop:
 	m.StepN(20)
 	data := checkpointBytes(t, m)
 
-	golden := filepath.Join("testdata", "checkpoint_v3.golden")
+	golden := filepath.Join("testdata", "checkpoint_v4.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

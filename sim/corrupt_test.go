@@ -111,10 +111,10 @@ func TestResealedFlipsNeverPanic(t *testing.T) {
 
 // FuzzCheckpointDecode feeds re-sealed streams to the decoders. A stream
 // either fails with a ckpt sentinel error or restores a machine that
-// re-encodes to the same bytes and then steps and checkpoints without
-// panicking.
+// re-encodes to the same bytes, is halted or advances one cycle per Step,
+// and then steps and checkpoints without panicking.
 func FuzzCheckpointDecode(f *testing.F) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v3.golden"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v4.golden"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -178,6 +178,15 @@ func FuzzCheckpointDecode(f *testing.F) {
 			}
 			t.Fatalf("restored machine re-encodes to %d bytes, first differing from its %d at %d: % x, want % x",
 				len(got), len(data), i, got[i:min(i+8, len(got))], data[i:min(i+8, len(data))])
+		}
+		// A restored machine is runnable: halted, or one cycle further
+		// per Step. (A v3 stream could restore a machine paused at a
+		// breakpoint that no call could resume.)
+		for i := 0; i < 4 && !m.Halted(); i++ {
+			c := m.Cycle()
+			if m.Step(); m.Cycle() != c+1 {
+				t.Fatalf("restored machine at cycle %d is at cycle %d after a Step and not halted", c, m.Cycle())
+			}
 		}
 		if p := exercise(m, 300); p != nil {
 			t.Fatalf("restored machine panics: %v", p)

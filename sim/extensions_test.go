@@ -8,69 +8,7 @@ import (
 )
 
 // Tests for the paper's future-work extensions exposed through the facade:
-// breakpoints/watches, pipelined functional units and the cost model (§V).
-
-func TestBreakpointAPI(t *testing.T) {
-	m, err := NewFromAsm(DefaultConfig(), `
-li t0, 1
-li t1, 2
-add t2, t0, t1
-`, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AddBreakpoint(2); err != nil {
-		t.Fatal(err)
-	}
-	if !m.RunToBreak(100_000) {
-		t.Fatal("RunToBreak should pause at the breakpoint")
-	}
-	if !strings.Contains(m.PauseReason(), "pc=2") {
-		t.Errorf("PauseReason = %q", m.PauseReason())
-	}
-	v, _ := m.IntReg("t2")
-	if v != 0 {
-		t.Error("breakpointed instruction must not have committed")
-	}
-	m.Resume()
-	m.Run(100_000)
-	if !m.Halted() {
-		t.Fatal("should finish after resume")
-	}
-	v, _ = m.IntReg("t2")
-	if v != 3 {
-		t.Errorf("t2 = %d, want 3", v)
-	}
-	m.RemoveBreakpoint(2)
-}
-
-func TestWatchAPI(t *testing.T) {
-	m, err := NewFromAsm(DefaultConfig(), `
-la t0, buf
-li t1, 5
-sw t1, 4(t0)
-.data
-buf: .zero 8
-`, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, _, _ := m.LookupLabel("buf")
-	if err := m.AddWatch(addr+4, 4); err != nil {
-		t.Fatal(err)
-	}
-	if !m.RunToBreak(100_000) {
-		t.Fatal("watch should trigger")
-	}
-	if !strings.Contains(m.PauseReason(), "watch hit") {
-		t.Errorf("PauseReason = %q", m.PauseReason())
-	}
-	m.Resume()
-	m.Run(100_000)
-	if !m.Halted() {
-		t.Error("should finish after resume")
-	}
-}
+// pipelined functional units and the cost model (§V).
 
 func TestCostModelAPI(t *testing.T) {
 	m, err := NewFromAsm(DefaultConfig(), `

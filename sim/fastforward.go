@@ -17,10 +17,10 @@ import (
 // FastForwardTo advances the machine to at least the target cycle in
 // fast-forward mode, then restores the previous engine mode. Execution
 // stops at the first basic-block boundary at or after the target (a block
-// is never split mid-run), on halt, or on pause. It returns the number of
-// cycles advanced. Interval snapshots are not taken inside the
-// fast-forwarded region — it has no timing history to rewind into — but
-// one is forced at each boundary of the region when snapshots are on.
+// is never split mid-run) or on halt. It returns the number of cycles
+// advanced. Interval snapshots are not taken inside the fast-forwarded
+// region — it has no timing history to rewind into — but one is forced
+// at each boundary of the region when snapshots are on.
 func (m *Machine) FastForwardTo(target uint64) uint64 {
 	start := m.sim.Cycle()
 	if target <= start {
@@ -45,8 +45,7 @@ func (m *Machine) FastForwardToPC(pc int, maxCycles uint64) (bool, uint64) {
 	prev := m.sim.EngineMode()
 	m.SetEngineMode(EngineFastForward)
 	m.sim.SetFFStopPC(pc)
-	for m.sim.Cycle()-start < maxCycles && !m.sim.Halted() && !m.sim.Paused() &&
-		m.sim.PC() != pc {
+	for m.sim.Cycle()-start < maxCycles && !m.sim.Halted() && m.sim.PC() != pc {
 		m.sim.Step()
 	}
 	m.sim.SetFFStopPC(-1)

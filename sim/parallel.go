@@ -121,9 +121,7 @@ type parallelWorker struct {
 // (same ArchStateHash, registers, memory, halt story) — and, like a
 // fast-forwarded run, carries a rewind barrier at the final cycle: the
 // parallel intervals leave no serial timing history to navigate into.
-// Breakpoints and watches do not fire during a parallel run (they carry
-// over to the adopted machine afterwards), and no trace events are
-// emitted. On error the machine is left untouched at cycle zero.
+// No trace events are emitted. On error the machine is left untouched at cycle zero.
 func (m *Machine) RunParallel(k int, opts ParallelOptions) (*ParallelResult, error) {
 	if k <= 0 {
 		k = runtime.GOMAXPROCS(0)
@@ -134,7 +132,7 @@ func (m *Machine) RunParallel(k int, opts ParallelOptions) (*ParallelResult, err
 	if m.sim.Cycle() != 0 {
 		return nil, fmt.Errorf("sim: RunParallel requires a machine at cycle 0 (at %d)", m.sim.Cycle())
 	}
-	if m.sim.Halted() || m.sim.Paused() {
+	if m.sim.Halted() {
 		return nil, fmt.Errorf("sim: RunParallel requires a runnable machine")
 	}
 	m.sealFloor()
@@ -292,7 +290,7 @@ func (m *Machine) scoutPass(k int, warmup, maxCycles uint64) (uint64, *snapList,
 	snaps := &snapList{floor: m.snaps.floor, spacing: max(warmup, 1024), bound: max(8*k, 16)}
 	for !scout.Halted() && scout.Cycle() < budget {
 		scout.RunToCommitted(scout.Committed()+snaps.spacing, budget-scout.Cycle())
-		if scout.Halted() || scout.Paused() {
+		if scout.Halted() {
 			break
 		}
 		sn, err := capture(scout)

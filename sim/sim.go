@@ -261,8 +261,8 @@ func (m *Machine) State(includeLog bool) *State { return m.sim.State(includeLog)
 func (m *Machine) Log() []LogEntry { return m.sim.Log() }
 
 // SetVerboseLog toggles per-event debug logging (commit and pipeline-flush
-// lines). Off by default, so the hot loop formats no log messages; halts,
-// exceptions and breakpoint pauses are always logged.
+// lines). Off by default, so the hot loop formats no log messages; halts
+// and exceptions are always logged.
 func (m *Machine) SetVerboseLog(v bool) { m.sim.VerboseLog = v }
 
 // IntReg reads an architectural integer register by name or ABI alias.
@@ -372,37 +372,6 @@ func (m *Machine) Program() *Program { return m.prog }
 // Sim exposes the underlying core simulation for advanced integrations
 // (the render package, benches).
 func (m *Machine) Sim() *core.Simulation { return m.sim }
-
-// ---------------------------------------------------------------------------
-// Debugging (paper §V future work: breakpoints and watches)
-// ---------------------------------------------------------------------------
-
-// AddBreakpoint pauses the simulation when the instruction at pc is about
-// to commit.
-func (m *Machine) AddBreakpoint(pc int) error { return m.sim.AddBreakpoint(pc) }
-
-// RemoveBreakpoint deletes a breakpoint.
-func (m *Machine) RemoveBreakpoint(pc int) { m.sim.RemoveBreakpoint(pc) }
-
-// AddWatch pauses the simulation when a committed store touches
-// [addr, addr+size).
-func (m *Machine) AddWatch(addr, size int) error { return m.sim.AddWatch(addr, size) }
-
-// Paused reports whether a breakpoint or watch paused the simulation.
-func (m *Machine) Paused() bool { return m.sim.Paused() }
-
-// PauseReason describes what paused the simulation.
-func (m *Machine) PauseReason() string { return m.sim.PauseReason() }
-
-// Resume continues past a breakpoint/watch trigger.
-func (m *Machine) Resume() { m.sim.Resume() }
-
-// RunToBreak runs until a breakpoint/watch pauses, the program halts, or
-// maxCycles elapse. It reports whether the machine is paused at a trigger.
-func (m *Machine) RunToBreak(maxCycles uint64) bool {
-	m.runForward(maxCycles)
-	return m.sim.Paused()
-}
 
 // ---------------------------------------------------------------------------
 // Cost model (paper §V future work: chip area and power estimation)

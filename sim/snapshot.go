@@ -148,7 +148,7 @@ func (m *Machine) runForward(maxCycles uint64) uint64 {
 	start := m.sim.Cycle()
 	for {
 		done := m.sim.Cycle() - start
-		if done >= maxCycles || m.sim.Halted() || m.sim.Paused() {
+		if done >= maxCycles || m.sim.Halted() {
 			break
 		}
 		chunk := m.snaps.spacing - m.sim.Cycle()%m.snaps.spacing
@@ -178,7 +178,7 @@ func (m *Machine) maybeSnapshot() {
 // across the fast-forwarded region.
 func (m *Machine) forceSnapshot() {
 	c := m.sim.Cycle()
-	if m.snaps.spacing == 0 || c == 0 || m.sim.Halted() || m.sim.Paused() {
+	if m.snaps.spacing == 0 || c == 0 || m.sim.Halted() {
 		return
 	}
 	if n := len(m.snaps.above); n > 0 && m.snaps.above[n-1].cycle >= c {
@@ -216,10 +216,10 @@ func (m *Machine) rewindTo(target uint64) error {
 // restore is the one way to an earlier cycle or a fork: a new simulation
 // of the machine's Program on its architecture (core.Fresh: one page
 // table copy, nothing assembled again) given from's state, then replayed
-// to cycle target with debug state cleared, so the replay never pauses
-// and, with no tracer attached, emits nothing. A start from cycle 0 runs
-// with the machine's current verbosity. Rewinds adopt the result; the
-// time-parallel scout, workers and hashes keep it as a fork.
+// to cycle target. With no tracer attached the replay emits nothing. A
+// start from cycle 0 runs with the machine's current verbosity. Rewinds
+// adopt the result; the time-parallel scout, workers and hashes keep it
+// as a fork.
 func (m *Machine) restore(from snapshot, target uint64) (*core.Simulation, error) {
 	ns, err := m.sim.Fresh()
 	if err != nil {
@@ -235,18 +235,17 @@ func (m *Machine) restore(from snapshot, target uint64) (*core.Simulation, error
 	if from.cycle == 0 {
 		ns.VerboseLog = m.sim.VerboseLog
 	}
-	ns.ClearDebugState()
 	if target > ns.Cycle() {
 		ns.Run(target - ns.Cycle())
 	}
 	return ns, nil
 }
 
-// adopt makes ns the machine's simulation. Debug state, verbosity and
-// the tracer carry over from the one it replaces; retained snapshots
-// stay, since determinism keeps them valid for scrubbing forward again.
+// adopt makes ns the machine's simulation. Verbosity and the tracer
+// carry over from the one it replaces; retained snapshots stay, since
+// determinism keeps them valid for scrubbing forward again.
 func (m *Machine) adopt(ns *core.Simulation) {
-	ns.SyncDebugState(m.sim)
+	ns.VerboseLog = m.sim.VerboseLog
 	ns.SetTracer(m.sim.Tracer())
 	m.sim = ns
 }
