@@ -27,10 +27,11 @@ import (
 // is placed by its file and its enclosing function.
 //
 // Each rule also checks sources planted at virtual paths, each checked as
-// one more file of the package at its path: a form a text search would
-// catch and a form it would miss must both be reported, and an allowed
-// form must not be, so a rule cannot pass by reporting nothing or
-// everything.
+// one more file of the package at its path (a function it declares
+// replaces the package's own) and required to type-check: a form a text
+// search would catch and a form it would miss must both be reported, and
+// an allowed form must not be, so a rule cannot pass by reporting nothing
+// or everything.
 func TestArchitectureRules(t *testing.T) {
 	tr := typedTree(t)
 	var files []*srcFile
@@ -53,6 +54,11 @@ func TestArchitectureRules(t *testing.T) {
 					l, err := tr.plant(map[string]string{p.path: p.src})
 					if err != nil {
 						t.Fatal(err)
+					}
+					// A plant that does not type-check may name nothing the
+					// rule matches, and pass or fail for that reason.
+					if len(l.errs) > 0 {
+						t.Fatalf("planted source does not type-check: %v", l.errs)
 					}
 					var here []string // violations at the planted file
 					for _, f := range l.planted {
@@ -244,8 +250,8 @@ var archRules = []*archRule{
 			{"method value", "internal/server/server.go", "package server\nimport \"time\"\nfunc (s *Server) clock() func() time.Time { now := time.Now; return now }\n", false},
 			{"alias in a new file", "internal/server/metrics2.go", "package server\nimport clock \"time\"\nfunc since(t clock.Time) clock.Duration { return clock.Since(t) }\n", false},
 			{"dot import", "internal/server/admission.go", "package server\nimport . \"time\"\nfunc deadline() Time { return Now().Add(Second) }\n", false},
-			{"session clock", "internal/server/store.go", "package server\nimport \"time\"\nfunc newSessionStore() *sessionStore { return &sessionStore{now: time.Now} }\n", true},
-			{"fan-out wall time", "internal/server/batch.go", "package server\nimport \"time\"\nfunc (s *Server) fanOut() time.Duration { t := time.Now(); return time.Since(t) }\n", true},
+			{"session clock", "internal/server/store.go", "package server\nimport (\"time\"; \"riscvsim/internal/store\")\nfunc newSessionStore(max int, ttl time.Duration, backend store.Store, spillTTL time.Duration, writeThrough bool, debugf func(string, ...any)) *sessionStore {\n\treturn &sessionStore{now: time.Now}\n}\n", true},
+			{"fan-out wall time", "internal/server/batch.go", "package server\nimport (\"context\"; \"time\"; \"riscvsim/internal/api\")\nfunc (s *Server) fanOut(ctx context.Context, reqs []api.SimulateRequest) ([]api.BatchResult, int, time.Duration, *api.Error) {\n\tt := time.Now()\n\treturn nil, 0, time.Since(t), nil\n}\n", true},
 		},
 	},
 	{
@@ -262,10 +268,10 @@ var archRules = []*archRule{
 			return "forwardOnce", c.in("internal/router", "(*Router).forward")
 		},
 		plants: []plant{
-			{"grep form", "internal/router/health.go", "package router\nfunc (rt *Router) probe(t *replica) {\n\trt.forwardOnce(t, nil, nil, \"\")\n}\n", false},
-			{"method value", "internal/router/health.go", "package router\nfunc (rt *Router) probe() { send := rt.forwardOnce; _ = send }\n", false},
-			{"second call in forward", "internal/router/forward.go", "package router\nfunc (rt *Router) forward() {\n\trt.forwardOnce(nil, nil, nil, \"\")\n\trt.forwardOnce(nil, nil, nil, \"\")\n}\n", false},
-			{"the attempt loop", "internal/router/forward.go", "package router\nfunc (rt *Router) forward() { resp, err := rt.forwardOnce(nil, nil, nil, \"\"); _, _ = resp, err }\n", true},
+			{"grep form", "internal/router/health.go", "package router\nfunc (rt *Router) poll(t *replica) {\n\trt.forwardOnce(t, nil, nil, \"\")\n}\n", false},
+			{"method value", "internal/router/health.go", "package router\nfunc (rt *Router) poll() { send := rt.forwardOnce; _ = send }\n", false},
+			{"second call in forward", "internal/router/forward.go", "package router\nimport \"net/http\"\nfunc (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, p plan) {\n\trt.forwardOnce(nil, nil, nil, \"\")\n\trt.forwardOnce(nil, nil, nil, \"\")\n}\n", false},
+			{"the attempt loop", "internal/router/forward.go", "package router\nimport \"net/http\"\nfunc (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, p plan) { resp, err := rt.forwardOnce(nil, nil, nil, \"\"); _, _ = resp, err }\n", true},
 		},
 	},
 	{
@@ -296,11 +302,11 @@ var archRules = []*archRule{
 			{"grep form", "internal/server/suite.go", "package server\nimport \"riscvsim/internal/stats\"\nfunc fix(r *stats.Report) { r.IPC = 1 }\n", false},
 			{"tuple assignment", "internal/server/suite.go", "package server\nimport \"riscvsim/internal/stats\"\nfunc fix(r *stats.Report) { r.IPC, r.ROBOccupancy = 1, 2 }\n", false},
 			{"increment", "internal/render/table.go", "package render\nimport \"riscvsim/internal/stats\"\nfunc fix(r *stats.Report) { r.WallTimeSec++ }\n", false},
-			{"round6 of another field", "internal/workload/metrics.go", "package workload\nimport \"riscvsim/internal/stats\"\nfunc FromReport(r *stats.Report) Metrics { return Metrics{IPC: round6(r.CacheHitRate)} }\n", false},
+			{"round6 of another field", "internal/workload/metrics.go", "package workload\nimport \"riscvsim/internal/stats\"\nfunc FromReport(w Workload, r *stats.Report) Metrics { return Metrics{IPC: round6(r.CacheHitRate)} }\n", false},
 			{"outside NewReport in stats", "internal/stats/merge.go", "package stats\nfunc (r *Report) add(o *Report) { r.FlopsPerSec += o.FlopsPerSec }\n", false},
 			{"suite rate elsewhere", "internal/server/suite.go", "package server\nimport \"riscvsim/internal/workload\"\nfunc fix(m *workload.Metrics) { m.CPI = 2 }\n", false},
 			{"hit rate elsewhere", "internal/render/table.go", "package render\nimport \"riscvsim/internal/cache\"\nfunc hits(s cache.Stats) float64 { return s.HitRate() }\n", false},
-			{"the suite row", "internal/workload/metrics.go", "package workload\nimport \"riscvsim/internal/stats\"\nfunc FromReport(r *stats.Report) Metrics {\n\tm := Metrics{IPC: round6(r.IPC)}\n\tm.CPI = round6(1)\n\treturn m\n}\n", true},
+			{"the suite row", "internal/workload/metrics.go", "package workload\nimport \"riscvsim/internal/stats\"\nfunc FromReport(w Workload, r *stats.Report) Metrics {\n\tm := Metrics{IPC: round6(r.IPC)}\n\tm.CPI = round6(1)\n\treturn m\n}\n", true},
 		},
 	},
 	{
@@ -372,8 +378,8 @@ var archRules = []*archRule{
 			{"grep form", "internal/server/session.go", "package server\nfunc (st *sessionStore) peek(id string) { st.backend.Get(id) }\n", false},
 			{"field copied", "internal/server/session.go", "package server\nfunc (st *sessionStore) peek(id string) { b := st.backend; b.Get(id) }\n", false},
 			{"method value", "internal/server/stream.go", "package server\nfunc (st *sessionStore) peek(id string) { get := st.backend.Get; get(id) }\n", false},
-			{"second Put in save", "internal/server/store.go", "package server\nfunc (st *sessionStore) save() { st.backend.Put(\"a\", 1, nil); st.backend.Put(\"a\", 2, nil) }\n", false},
-			{"probes and doors", "internal/server/store.go", "package server\nimport \"riscvsim/internal/store\"\nfunc (st *sessionStore) load(id string) {\n\tif st.backend != nil {\n\t\t_, _ = st.backend.(store.Sweeper)\n\t\tst.backend.Version(id)\n\t\tst.backend.Get(id)\n\t}\n}\n", true},
+			{"second Put in save", "internal/server/store.go", "package server\nfunc (st *sessionStore) save(tm *phaseTimer, sess *session, blob []byte, cause string) bool {\n\tst.backend.Put(\"a\", 1, nil)\n\tst.backend.Put(\"a\", 2, nil)\n\treturn true\n}\n", false},
+			{"probes and doors", "internal/server/store.go", "package server\nimport (\"riscvsim/internal/store\"; \"riscvsim/sim\")\nfunc (st *sessionStore) load(tm *phaseTimer, id string) (*sim.Machine, uint64, bool) {\n\tif st.backend != nil {\n\t\t_, _ = st.backend.(store.Sweeper)\n\t\tst.backend.Version(id)\n\t\tst.backend.Get(id)\n\t}\n\treturn nil, 0, false\n}\n", true},
 		},
 	},
 	{
@@ -434,8 +440,8 @@ var archRules = []*archRule{
 		plants: []plant{
 			{"method call", "sim/parallel.go", "package sim\nfunc (m *Machine) fork() { ns, _ := m.sim.Fresh(); _ = ns }\n", false},
 			{"method value", "internal/server/session.go", "package server\nimport \"riscvsim/sim\"\nfunc fork(m *sim.Machine) { fresh := m.Sim().Fresh; fresh() }\n", false},
-			{"second call in restore", "sim/snapshot.go", "package sim\nfunc (m *Machine) restore() { m.sim.Fresh(); m.sim.Fresh() }\n", false},
-			{"the one restore", "sim/snapshot.go", "package sim\nfunc (m *Machine) restore() { ns, err := m.sim.Fresh(); _, _ = ns, err }\n", true},
+			{"second call in restore", "sim/snapshot.go", "package sim\nimport \"riscvsim/internal/core\"\nfunc (m *Machine) restore(from snapshot, target uint64) (*core.Simulation, error) {\n\tm.sim.Fresh()\n\treturn m.sim.Fresh()\n}\n", false},
+			{"the one restore", "sim/snapshot.go", "package sim\nimport \"riscvsim/internal/core\"\nfunc (m *Machine) restore(from snapshot, target uint64) (*core.Simulation, error) { return m.sim.Fresh() }\n", true},
 		},
 	},
 	{

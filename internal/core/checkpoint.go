@@ -1,8 +1,9 @@
 package core
 
 import (
+	"slices"
+
 	"riscvsim/internal/ckpt"
-	"riscvsim/internal/isa"
 	"riscvsim/internal/rename"
 )
 
@@ -64,20 +65,6 @@ func readRef(r *ckpt.Reader, table []*SimInstr) *SimInstr {
 	return table[i]
 }
 
-// readAt reads a reference that must be table[want]: every live
-// instruction sits in exactly one of the ROB, the decode buffer and the
-// committed-store queue, in table order.
-func readAt(r *ckpt.Reader, table []*SimInstr, want int) *SimInstr {
-	i := r.Int()
-	if r.Err() == nil && (i != want || want >= len(table)) {
-		r.Corrupt("reference %d where the instruction table places entry %d of %d", i, want, len(table))
-	}
-	if r.Err() != nil {
-		return nil
-	}
-	return table[i]
-}
-
 // readLive reads a reference that must name an instruction in the ROB.
 func (s *Simulation) readLive(r *ckpt.Reader, table []*SimInstr) *SimInstr {
 	si := readRef(r, table)
@@ -95,10 +82,13 @@ func (s *Simulation) inROB(si *SimInstr) bool {
 }
 
 // encodeInstr writes one dynamic instruction. The static instruction is
-// referenced by its code index (PC); srcs rename references are tag
-// indices into the rename file, and each source's name, class and register
-// come from the rename plan rp.
-func encodeInstr(w *ckpt.Writer, si *SimInstr, rp *renamePlan) {
+// referenced by its code index (PC). What the instruction's place and its
+// rename plan fix is not written: a renamed instruction (one in the ROB or
+// a committed store) has the plan's sources and destination, one in the
+// decode buffer has none, and a live instruction is never squashed. Of a
+// renamed operand only the tag, the two flags and the one value it holds
+// travel.
+func encodeInstr(w *ckpt.Writer, si *SimInstr) {
 	w.U64(si.ID)
 	w.Int(si.PC)
 	w.Byte(byte(si.Phase))
@@ -108,23 +98,16 @@ func encodeInstr(w *ckpt.Writer, si *SimInstr, rp *renamePlan) {
 	w.U64(si.ExecutedAt)
 	w.U64(si.MemoryAt)
 	w.U64(si.CommittedAt)
-	w.Len(int(si.nsrc))
-	for i := 0; i < int(si.nsrc); i++ {
-		src, rs := &si.srcs[i], &rp.srcs[i]
-		w.String(rs.name)
-		w.Byte(byte(rs.class))
-		w.Int(int(rs.reg))
+	for i := range si.srcs[:si.nsrc] {
+		src := &si.srcs[i]
 		w.Int(int(src.tag))
-		// A tag without a value at rename read as zero.
-		w.Value(src.valueIf(src.valid))
 		w.Bool(src.valid)
 		w.Bool(src.captured)
-		w.Value(src.valueIf(src.captured))
+		if src.valid || src.captured {
+			w.Value(src.value)
+		}
 	}
-	w.Bool(si.hasDest)
 	if si.hasDest {
-		w.Byte(byte(si.destClass))
-		w.Int(si.destReg)
 		w.Int(si.destTag)
 		w.Int(si.destPrev)
 	}
@@ -142,12 +125,13 @@ func encodeInstr(w *ckpt.Writer, si *SimInstr, rp *renamePlan) {
 	w.Bool(si.memIssued)
 	w.U64(si.memDoneAt)
 	w.Exception(si.Exc)
-	w.Bool(si.Squashed)
 }
 
 // decodeInstr reads one dynamic instruction, resolving its static
-// instruction from the program.
-func (s *Simulation) decodeInstr(r *ckpt.Reader) *SimInstr {
+// instruction from the program; renamed says whether its place in the
+// table is one of renamed instructions, and so whether it has the rename
+// plan's operands.
+func (s *Simulation) decodeInstr(r *ckpt.Reader, renamed bool) *SimInstr {
 	si := &SimInstr{}
 	si.ID = r.U64()
 	si.PC = r.Int()
@@ -167,43 +151,29 @@ func (s *Simulation) decodeInstr(r *ckpt.Reader) *SimInstr {
 	si.MemoryAt = r.U64()
 	si.CommittedAt = r.U64()
 	rp := &s.prog.rplans[si.PC]
-	nsrc := r.Len(maxSrcOperands)
-	for i := 0; i < nsrc && r.Err() == nil; i++ {
-		name, class, reg := r.String(64), isa.RegClass(r.Byte()), r.Int()
-		tag, atRename, valid := r.Int(), r.Value(), r.Bool()
-		captured, value := r.Bool(), r.Value()
-		if r.Err() != nil {
-			break
-		}
-		if rs := &rp.srcs[i]; i >= int(rp.nsrc) || rs.name != name || rs.class != class || int(rs.reg) != reg {
-			r.Corrupt("source %d (%s) does not match instruction %d", i, name, si.PC)
-			break
-		}
-		if tag != rename.NoTag && (tag < 0 || tag >= s.rf.Size()) {
-			r.Corrupt("source rename tag %d outside file of %d", tag, s.rf.Size())
-			break
-		}
-		if !captured {
-			value = atRename
-		}
-		si.srcs[i] = srcOperand{tag: int32(tag), valid: valid, captured: captured, value: value}
-		si.nsrc++
+	if renamed {
+		si.nsrc, si.hasDest = rp.nsrc, rp.hasDest
 	}
-	si.hasDest = r.Bool()
+	for i := range si.srcs[:si.nsrc] {
+		src := &si.srcs[i]
+		tag := r.Int()
+		src.valid, src.captured = r.Bool(), r.Bool()
+		if src.valid || src.captured {
+			src.value = r.Value()
+		}
+		if r.Err() == nil && tag != rename.NoTag && (tag < 0 || tag >= s.rf.Size()) {
+			r.Corrupt("source rename tag %d outside file of %d", tag, s.rf.Size())
+		}
+		src.tag = int32(tag)
+	}
 	if si.hasDest {
-		si.destClass = isa.RegClass(r.Byte())
-		si.destReg = r.Int()
+		si.destClass, si.destReg = rp.destClass, int(rp.destReg)
 		si.destTag = r.Int()
 		si.destPrev = r.Int()
 		if r.Err() == nil && (si.destTag < 0 || si.destTag >= s.rf.Size() ||
 			si.destPrev != rename.NoTag && (si.destPrev < 0 || si.destPrev >= s.rf.Size())) {
 			r.Corrupt("destination rename tags %d / %d outside file of %d", si.destTag, si.destPrev, s.rf.Size())
-			return si
 		}
-	}
-	if r.Err() == nil && si.hasDest && (!rp.hasDest || si.destClass != rp.destClass || si.destReg != int(rp.destReg)) {
-		r.Corrupt("destination %s%d does not match instruction %d", si.destClass, si.destReg, si.PC)
-		return si
 	}
 	si.result = r.Value()
 	si.resultReady = r.Bool()
@@ -219,7 +189,6 @@ func (s *Simulation) decodeInstr(r *ckpt.Reader) *SimInstr {
 	si.memIssued = r.Bool()
 	si.memDoneAt = r.U64()
 	si.Exc = r.Exception()
-	si.Squashed = r.Bool()
 	return si
 }
 
@@ -234,26 +203,19 @@ func (s *Simulation) EncodeState(w *ckpt.Writer) {
 	w.Bool(s.VerboseLog)
 	s.Counters().EncodeState(w)
 
-	table, idx := s.liveInstrs()
-	w.Section(ckpt.SecInstrs)
-	w.Len(len(table))
-	for _, si := range table {
-		encodeInstr(w, si, &s.prog.rplans[si.PC])
-	}
-
 	w.Section(ckpt.SecROB)
 	w.Int(s.rob.head)
-	w.Int(s.rob.count)
-	s.rob.Walk(func(si *SimInstr, done bool) {
-		instrRef(w, idx, si)
-		w.Bool(done)
-	})
+	w.Len(s.rob.count)
+	s.rob.Walk(func(_ *SimInstr, done bool) { w.Bool(done) })
 
-	// Decode buffer.
-	pending := s.pendingDecode()
-	w.Len(len(pending))
-	for _, si := range pending {
-		instrRef(w, idx, si)
+	// The table's parts follow from these lengths: the ROB's, then the
+	// decode buffer's, then the committed stores'.
+	table, idx := s.liveInstrs()
+	w.Section(ckpt.SecInstrs)
+	w.Len(len(s.pendingDecode()))
+	w.Len(len(s.lsu.committed))
+	for _, si := range table {
+		encodeInstr(w, si)
 	}
 
 	w.Section(ckpt.SecWindows)
@@ -267,7 +229,6 @@ func (s *Simulation) EncodeState(w *ckpt.Writer) {
 	}
 
 	w.Section(ckpt.SecFUs)
-	w.Int(len(s.fus))
 	for _, fu := range s.fus {
 		w.Bool(fu.hasAccept)
 		w.U64(fu.lastAccept)
@@ -279,8 +240,7 @@ func (s *Simulation) EncodeState(w *ckpt.Writer) {
 	}
 
 	w.Section(ckpt.SecLSU)
-	l := s.lsu
-	for _, q := range [][]*SimInstr{l.loads, l.stores, l.committed} {
+	for _, q := range [][]*SimInstr{s.lsu.loads, s.lsu.stores} {
 		w.Len(len(q))
 		for _, si := range q {
 			instrRef(w, idx, si)
@@ -306,42 +266,32 @@ func (s *Simulation) EncodeState(w *ckpt.Writer) {
 }
 
 // checkInstrs checks what the instruction records claim against where
-// the decoder placed them: the ROB (the first count entries) and the
-// committed stores (the entries after the ndec in the decode buffer) are
-// renamed and the decode buffer is not; none is squashed; and committed
-// stores, ROB and decode buffer run in program order. Then it hands the
-// ROB's destinations and source references to the rename file's own
-// check.
-func (s *Simulation) checkInstrs(r *ckpt.Reader, table []*SimInstr, count, ndec int) {
+// the decoder placed them: committed stores, ROB and decode buffer run in
+// program order, and a committed store holds no rename reference. Then it
+// hands the ROB's destinations and source references to the rename file,
+// which checks them and counts its references from them.
+func (s *Simulation) checkInstrs(r *ckpt.Reader, table []*SimInstr) {
 	if r.Err() != nil {
 		return
 	}
+	count, renamed := s.rob.count, len(table)-len(s.lsu.committed)
 	var last uint64
-	for _, part := range [][]*SimInstr{table[count+ndec:], table[:count+ndec]} {
-		for _, si := range part {
-			if si.ID <= last || si.ID > s.nextID {
-				r.Corrupt("instruction %d out of program order", si.ID)
-				return
-			}
-			last = si.ID
+	for _, si := range slices.Concat(table[renamed:], table[:renamed]) {
+		if si.ID <= last || si.ID > s.nextID {
+			r.Corrupt("instruction %d out of program order", si.ID)
+			return
+		}
+		last = si.ID
+	}
+	for _, si := range s.lsu.committed {
+		if !si.IsStore() || si.holdsRefs() {
+			r.Corrupt("committed instruction %d is not a store or holds a rename reference", si.ID)
+			return
 		}
 	}
 	var dests []rename.Dest
 	var srcs []int
-	for i, si := range table {
-		rp := &s.prog.rplans[si.PC]
-		rob, committed := i < count, i >= count+ndec
-		placed := si.nsrc == 0 && !si.hasDest // not renamed yet
-		if rob || committed {
-			placed = si.nsrc == rp.nsrc && si.hasDest == rp.hasDest
-		}
-		if si.Squashed || !placed || committed && (!si.IsStore() || si.holdsRefs()) {
-			r.Corrupt("instruction %d squashed, or renamed where it is not", si.ID)
-			return
-		}
-		if !rob {
-			continue
-		}
+	for _, si := range table[:count] {
 		if si.hasDest {
 			dests = append(dests, rename.Dest{Tag: si.destTag, Class: si.destClass, Index: si.destReg,
 				Done: s.rob.entries[si.robIndex].done})
@@ -352,7 +302,7 @@ func (s *Simulation) checkInstrs(r *ckpt.Reader, table []*SimInstr, count, ndec 
 			}
 		}
 	}
-	s.rf.CheckHolders(r, dests, srcs, s.halted && s.exception != nil)
+	s.rf.CountHolders(r, dests, srcs, s.halted && s.exception != nil)
 }
 
 // DecodeState restores an encoded simulation state onto s, which must be
@@ -369,51 +319,43 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 	s.VerboseLog = r.Bool()
 	s.ledger.DecodeState(r)
 
-	r.Section(ckpt.SecInstrs)
-	n := r.Len(1 << 20)
-	table := make([]*SimInstr, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		table = append(table, s.decodeInstr(r))
-	}
-	if r.Err() != nil {
-		return
-	}
-
 	r.Section(ckpt.SecROB)
+	rob := s.rob
 	head := r.Int()
-	count := r.Int()
+	count := r.Len(rob.Cap())
+	if r.Err() == nil && (head < 0 || head >= rob.Cap()) {
+		r.Corrupt("ROB head %d outside capacity %d", head, rob.Cap())
+	}
 	if r.Err() != nil {
 		return
 	}
-	if head < 0 || head >= s.rob.Cap() || count < 0 || count > s.rob.Cap() || count > len(table) {
-		r.Corrupt("ROB head %d / count %d outside capacity %d or table of %d", head, count, s.rob.Cap(), len(table))
-		return
-	}
-	s.rob.head = head
-	s.rob.count = count
-	s.rob.tail = (head + count) % s.rob.Cap()
-	for i := range s.rob.entries {
-		s.rob.entries[i] = robEntry{}
-	}
-	for i := 0; i < count && r.Err() == nil; i++ {
-		si := readAt(r, table, i)
-		done := r.Bool()
-		if r.Err() != nil {
-			return
-		}
-		pos := (head + i) % s.rob.Cap()
-		si.robIndex = pos
-		s.rob.entries[pos] = robEntry{instr: si, done: done}
+	rob.head, rob.count, rob.tail = head, count, (head+count)%rob.Cap()
+	for i := 0; i < count; i++ {
+		rob.entries[(head+i)%rob.Cap()].done = r.Bool()
 	}
 
+	// Every live instruction is in exactly one of the ROB, the decode
+	// buffer and the committed-store queue, in table order.
+	r.Section(ckpt.SecInstrs)
 	ndec := r.Len(s.decodeCap)
-	s.decodeBuf = s.decodeBuf[:0]
-	s.decodeHead = 0
-	for i := 0; i < ndec && r.Err() == nil; i++ {
-		if si := readAt(r, table, count+i); si != nil {
-			s.decodeBuf = append(s.decodeBuf, si)
-		}
+	nc := r.Len(1 << 20)
+	if r.Err() != nil {
+		return
 	}
+	table := make([]*SimInstr, 0, count+ndec+nc)
+	for i := 0; i < count+ndec+nc && r.Err() == nil; i++ {
+		table = append(table, s.decodeInstr(r, i < count || i >= count+ndec))
+	}
+	if r.Err() != nil {
+		return
+	}
+	for i, si := range table[:count] {
+		si.robIndex = (head + i) % rob.Cap()
+		rob.entries[si.robIndex].instr = si
+	}
+	s.decodeBuf = append(s.decodeBuf[:0], table[count:count+ndec]...)
+	s.decodeHead = 0
+	s.lsu.committed = append(s.lsu.committed[:0], table[count+ndec:]...)
 
 	// Candidates are not encoded: every restored entry starts as one,
 	// which is always safe (docs/checkpoint.md).
@@ -436,16 +378,10 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 
 	r.Section(ckpt.SecFUs)
 	held := make([]bool, s.rob.Cap()) // by ROB slot: executing or buffered
-	if nf := r.Int(); r.Err() == nil && nf != len(s.fus) {
-		r.Corrupt("%d functional units, machine has %d", nf, len(s.fus))
-		return
-	}
 	for _, fu := range s.fus {
 		fu.hasAccept = r.Bool()
 		fu.lastAccept = r.U64()
-		ni := r.Len(len(table))
-		fu.inflight = fu.inflight[:0]
-		fu.minDone = noneDue
+		ni := r.Len(count)
 		for i := 0; i < ni && r.Err() == nil; i++ {
 			si := s.readLive(r, table)
 			doneAt := r.U64()
@@ -470,7 +406,6 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 		store bool
 	}{{&l.loads, l.loadCap, false}, {&l.stores, l.storeCap, true}} {
 		nq := r.Len(q.cap)
-		*q.buf = (*q.buf)[:0]
 		var last uint64 // program order
 		for i := 0; i < nq && r.Err() == nil; i++ {
 			if si := s.readLive(r, table); si != nil {
@@ -481,17 +416,6 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 				last, held[si.robIndex] = si.ID, true
 				*q.buf = append(*q.buf, si)
 			}
-		}
-	}
-	nc := r.Len(len(table))
-	if r.Err() == nil && count+ndec+nc != len(table) {
-		r.Corrupt("%d committed stores leave the instruction table of %d uncovered", nc, len(table))
-		return
-	}
-	l.committed = l.committed[:0]
-	for i := 0; i < nc && r.Err() == nil; i++ {
-		if si := readAt(r, table, count+ndec+i); si != nil {
-			l.committed = append(l.committed, si)
 		}
 	}
 
@@ -505,7 +429,7 @@ func (s *Simulation) DecodeState(r *ckpt.Reader) {
 	}
 
 	s.rf.DecodeState(r)
-	s.checkInstrs(r, table, count, ndec)
+	s.checkInstrs(r, table)
 	s.pred.DecodeState(r)
 	s.l1.DecodeState(r)
 	s.mem.DecodeState(r)

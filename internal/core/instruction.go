@@ -56,14 +56,6 @@ type srcOperand struct {
 	value    expr.Value // as seen at rename, then as captured
 }
 
-// valueIf returns value when ok, else the zero Value.
-func (s *srcOperand) valueIf(ok bool) expr.Value {
-	if ok {
-		return s.value
-	}
-	return expr.Value{}
-}
-
 // SimInstr is a dynamic instruction instance flowing through the pipeline
 // (the paper's simulation code model). It records the timestamps of every
 // phase for the GUI's instruction detail pop-up.

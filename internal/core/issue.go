@@ -116,7 +116,7 @@ func (s *Simulation) selectReady(w *issueWindow, fu int) *SimInstr {
 			continue
 		}
 		w.cands = w.cands[:kept+copy(w.cands[kept:], w.cands[i+1:])]
-		e.id = 0
+		*e = issueSlot{} // a free slot keeps nothing of its last entry
 		w.resize(-1, s.counted)
 		return si
 	}
@@ -146,8 +146,8 @@ func (s *Simulation) removeSquashedFromWindows() {
 		switch e := &q.slot[g]; {
 		case e.id == 0:
 		case s.rob.entries[g].instr == nil: // squashed out of the ROB
-			e.id = 0
 			s.windows[e.class].resize(-1, s.counted)
+			*e = issueSlot{}
 		default:
 			q.addCand(s.windows[e.class], int32(g))
 		}

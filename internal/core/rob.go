@@ -63,6 +63,7 @@ func (r *ROB) Pop() *SimInstr {
 		panic("core: ROB underflow")
 	}
 	si := r.entries[r.head].instr
+	si.robIndex = 0 // as an instruction never in the ROB
 	r.entries[r.head] = robEntry{}
 	if r.head++; r.head == len(r.entries) {
 		r.head = 0

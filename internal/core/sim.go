@@ -674,7 +674,7 @@ func (s *Simulation) renameStep(now uint64) {
 			if !ok {
 				// Rename file exhausted: undo source refs and stall.
 				si.releaseRefs(s.rf)
-				si.nsrc = 0
+				si.srcs, si.nsrc = [maxSrcOperands]srcOperand{}, 0
 				s.ledger.RenameStalls++
 				return
 			}

@@ -17,7 +17,6 @@ import (
 // non-zero page.
 func (m *Main) EncodeState(w *ckpt.Writer, base *Main) {
 	w.Section(ckpt.SecMemory)
-	w.Int(m.size)
 	w.U64(m.nextID)
 
 	var dirty []int
@@ -33,32 +32,26 @@ func (m *Main) EncodeState(w *ckpt.Writer, base *Main) {
 	w.Len(len(dirty))
 	for _, i := range dirty {
 		w.Int(i)
-		w.Bytes(m.pages[i][:m.pageLen(i)])
+		w.Raw(m.pages[i][:m.pageLen(i)])
 	}
 }
 
 // DecodeState applies an encoded delta onto m, which must hold the same
 // base image the checkpoint was taken against (same program, same
-// configuration — a copy of the same Program's image).
+// configuration — a copy of the same Program's image). The memory's size
+// and each page's length are the configuration's, so neither travels.
 func (m *Main) DecodeState(r *ckpt.Reader) {
 	r.Section(ckpt.SecMemory)
-	if size := r.Int(); r.Err() == nil && size != m.size {
-		r.Corrupt("memory size %d, machine has %d", size, m.size)
-		return
-	}
 	m.nextID = r.U64()
-
 	pages := r.Len(len(m.pages))
 	for i := 0; i < pages && r.Err() == nil; i++ {
 		idx := r.Int()
-		data := r.Bytes(pageSize)
+		if r.Err() == nil && (idx < 0 || idx >= len(m.pages)) {
+			r.Corrupt("memory page %d outside %d bytes", idx, m.size)
+		}
 		if r.Err() != nil {
 			return
 		}
-		if idx < 0 || idx >= len(m.pages) || len(data) > m.pageLen(idx) {
-			r.Corrupt("memory page %d outside %d bytes", idx, m.size)
-			return
-		}
-		copy(m.writable(idx)[:], data)
+		r.Raw(m.writable(idx)[:m.pageLen(idx)])
 	}
 }

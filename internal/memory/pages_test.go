@@ -169,7 +169,6 @@ type flatRef []byte
 // when nil).
 func (f flatRef) encode(w *ckpt.Writer, m *Main, base flatRef) {
 	w.Section(ckpt.SecMemory)
-	w.Int(len(f))
 	w.U64(m.nextID)
 	if base == nil {
 		base = make(flatRef, len(f))
@@ -184,7 +183,7 @@ func (f flatRef) encode(w *ckpt.Writer, m *Main, base flatRef) {
 	w.Len(len(dirty))
 	for _, off := range dirty {
 		w.Int(off / pageSize)
-		w.Bytes(f[off:min(off+pageSize, len(f))])
+		w.Raw(f[off:min(off+pageSize, len(f))])
 	}
 }
 

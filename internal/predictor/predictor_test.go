@@ -1,8 +1,13 @@
 package predictor
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 	"testing/quick"
+
+	"riscvsim/internal/ckpt"
 )
 
 func mustNew(t *testing.T, cfg Config) *Predictor {
@@ -218,5 +223,26 @@ func TestPropertyStatsConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDecodeRejectsWideHistory: a history register holds HistoryBits bits,
+// so a stream with a wider one is corrupt. Read into a uint32 it used to
+// decode, and one past 32 bits re-encoded to other bytes.
+func TestDecodeRejectsWideHistory(t *testing.T) {
+	for _, global := range []bool{true, false} {
+		cfg := twoBitCfg()
+		cfg.GlobalHistory = global
+		var buf bytes.Buffer
+		mustNew(t, cfg).EncodeState(ckpt.NewWriter(&buf))
+		front := 1 + cfg.BTBSize + cfg.PHTSize // tag, invalid BTB entries, PHT
+		for _, h := range []uint64{1 << cfg.HistoryBits, 1<<40 | 3} {
+			stream := append(binary.AppendUvarint(bytes.Clone(buf.Bytes()[:front]), h), buf.Bytes()[front+1:]...)
+			r := ckpt.NewReader(bytes.NewReader(stream))
+			mustNew(t, cfg).DecodeState(r)
+			if !errors.Is(r.Err(), ckpt.ErrCorrupt) {
+				t.Errorf("global %v, history %#x: err = %v, want ErrCorrupt", global, h, r.Err())
+			}
+		}
 	}
 }

@@ -5,11 +5,13 @@ import (
 	"riscvsim/internal/isa"
 )
 
-// EncodeState writes the complete rename state: both architectural files,
-// every speculative register (value, validity, back-pointer, reference
-// count, lifecycle flags), the free list and both rename maps. Tags are
-// plain indices into the speculative file, so the encoding carries no
-// pointer identity.
+// EncodeState writes the rename state: both architectural files, every
+// speculative register in use (value, validity, back-pointer, lifecycle
+// flag), the free list in its order and both rename maps. Tags are plain
+// indices into the speculative file, so the encoding carries no pointer
+// identity. The file's size is the configuration's, the free list's
+// length the registers not in use, and each reference count the
+// references the live instructions hold (CountHolders), so none travels.
 func (f *File) EncodeState(w *ckpt.Writer) {
 	w.Section(ckpt.SecRename)
 	for i := range f.archInt {
@@ -18,7 +20,6 @@ func (f *File) EncodeState(w *ckpt.Writer) {
 	for i := range f.archFloat {
 		w.Value(f.archFloat[i])
 	}
-	w.Int(len(f.spec))
 	for i := range f.spec {
 		s := &f.spec[i]
 		w.Bool(s.inUse)
@@ -29,11 +30,8 @@ func (f *File) EncodeState(w *ckpt.Writer) {
 		w.Bool(s.valid)
 		w.Byte(byte(s.archClass))
 		w.Int(s.archIndex)
-		w.Int(s.refs)
 		w.Bool(s.committed)
-		w.Bool(s.squashed)
 	}
-	w.Len(len(f.free))
 	for _, tag := range f.free {
 		w.Int(tag)
 	}
@@ -45,8 +43,9 @@ func (f *File) EncodeState(w *ckpt.Writer) {
 	}
 }
 
-// DecodeState applies an encoded rename state onto f, which must have
-// been built with the same speculative file size.
+// DecodeState applies an encoded rename state onto f, which must be
+// freshly built from the same configuration. The reference counts stay
+// zero until CountHolders sets them.
 func (f *File) DecodeState(r *ckpt.Reader) {
 	r.Section(ckpt.SecRename)
 	for i := range f.archInt {
@@ -54,10 +53,6 @@ func (f *File) DecodeState(r *ckpt.Reader) {
 	}
 	for i := range f.archFloat {
 		f.archFloat[i] = r.Value()
-	}
-	if n := r.Int(); r.Err() == nil && n != len(f.spec) {
-		r.Corrupt("rename file of %d registers, machine has %d", n, len(f.spec))
-		return
 	}
 	live := 0
 	for i := range f.spec {
@@ -71,25 +66,15 @@ func (f *File) DecodeState(r *ckpt.Reader) {
 		s.valid = r.Bool()
 		s.archClass = isa.RegClass(r.Byte())
 		s.archIndex = r.Int()
-		s.refs = r.Int()
 		s.committed = r.Bool()
-		s.squashed = r.Bool()
-		if r.Err() != nil {
-			return
-		}
-		// A register squashed or committed with no reference left is
-		// freed on the spot; one squashed has no consumer left either.
-		if s.archClass > isa.RegFloat || s.archIndex < 0 || s.archIndex >= isa.NumRegs || s.refs <= 0 || s.squashed {
-			r.Corrupt("speculative register %d: class %d / arch index %d / refs %d / squashed %v cannot be live",
-				i, s.archClass, s.archIndex, s.refs, s.squashed)
-			return
+		if r.Err() == nil && (s.archClass > isa.RegFloat || s.archIndex < 0 || s.archIndex >= isa.NumRegs) {
+			r.Corrupt("speculative register %d: class %d / arch index %d", i, s.archClass, s.archIndex)
 		}
 	}
-	// The free list holds exactly the registers not in use, once each.
-	nfree := r.Len(len(f.spec))
+	// The free list holds the registers not in use, once each.
 	f.free = f.free[:0]
 	listed := make([]bool, len(f.spec))
-	for i := 0; i < nfree && r.Err() == nil; i++ {
+	for range len(f.spec) - live {
 		tag := r.Int()
 		if r.Err() != nil {
 			return
@@ -100,10 +85,6 @@ func (f *File) DecodeState(r *ckpt.Reader) {
 		}
 		listed[tag] = true
 		f.free = append(f.free, tag)
-	}
-	if r.Err() == nil && len(f.free)+live != len(f.spec) {
-		r.Corrupt("free list of %d misses registers not in use", len(f.free))
-		return
 	}
 	// A map entry names the newest copy of its register: live, not yet
 	// committed, renaming that register.
@@ -140,23 +121,23 @@ type Dest struct {
 	Done  bool
 }
 
-// CheckHolders checks a decoded file against the live instructions that
-// hold its registers: dests are the destinations of the renamed,
-// uncommitted instructions, srcs the tags their not yet captured source
-// operands reference. Every live uncommitted register must be the
-// destination of exactly one of them, a completed instruction's value must
-// be written, and every reference count must equal the references held
-// (the producer's while it is uncommitted, plus one per source). State
-// that breaks any of these would trip Commit, Release, SetValue or Squash.
-// A machine halted on an exception (faulted) may keep one live register
-// that no instruction produces: the faulting instruction's destination,
-// which left the ROB without committing and keeps its producer's
-// reference. A halted machine never steps again.
-func (f *File) CheckHolders(r *ckpt.Reader, dests []Dest, srcs []int, faulted bool) {
+// CountHolders sets a decoded file's reference counts from the live
+// instructions that hold its registers, and checks the file against
+// them: dests are the destinations of the renamed, uncommitted
+// instructions, srcs the tags their not yet captured source operands
+// reference. Every live uncommitted register must be the destination of
+// exactly one of them, a completed instruction's value must be written,
+// and a register's count is the references held: the producer's while it
+// is uncommitted, plus one per source. A live register with none would
+// have been freed. State that breaks any of these would trip Commit,
+// Release, SetValue or Squash. A machine halted on an exception (faulted)
+// may keep one live register that no instruction produces: the faulting
+// instruction's destination, which left the ROB without committing and
+// keeps its producer's reference. A halted machine never steps again.
+func (f *File) CountHolders(r *ckpt.Reader, dests []Dest, srcs []int, faulted bool) {
 	if r.Err() != nil {
 		return
 	}
-	held := make([]int, len(f.spec))
 	produced := make([]bool, len(f.spec))
 	for _, d := range dests {
 		if d.Tag < 0 || d.Tag >= len(f.spec) || !f.renames(d.Tag, d.Class, d.Index) || produced[d.Tag] {
@@ -168,24 +149,25 @@ func (f *File) CheckHolders(r *ckpt.Reader, dests []Dest, srcs []int, faulted bo
 			return
 		}
 		produced[d.Tag] = true
-		held[d.Tag]++
+		f.spec[d.Tag].refs++
 	}
 	for _, tag := range srcs {
 		if tag < 0 || tag >= len(f.spec) || !f.spec[tag].inUse {
 			r.Corrupt("source references register %d, which is not in use", tag)
 			return
 		}
-		held[tag]++
+		f.spec[tag].refs++
 	}
 	for tag := range f.spec {
 		s := &f.spec[tag]
-		if faulted && s.inUse && !s.committed && !produced[tag] && s.refs == held[tag]+1 {
+		if faulted && s.inUse && !s.committed && !produced[tag] {
 			faulted = false // one faulting instruction
+			s.refs++
 			continue
 		}
-		if s.inUse && (s.committed == produced[tag] || s.refs != held[tag]) {
-			r.Corrupt("register %d: committed %v, produced %v, %d references counted, %d held",
-				tag, s.committed, produced[tag], s.refs, held[tag])
+		if s.inUse && (s.committed == produced[tag] || s.refs == 0) {
+			r.Corrupt("register %d: committed %v, produced %v, %d references held",
+				tag, s.committed, produced[tag], s.refs)
 			return
 		}
 	}

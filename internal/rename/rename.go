@@ -239,7 +239,7 @@ func (f *File) Squash(tag, prev int) {
 func (f *File) maybeFree(tag int) {
 	s := &f.spec[tag]
 	if s.inUse && s.refs == 0 && (s.committed || s.squashed) {
-		s.inUse = false
+		*s = specReg{} // a free register keeps nothing of its last use
 		f.free = append(f.free, tag)
 	}
 }

@@ -273,6 +273,30 @@ func TestSchemaEndpoint(t *testing.T) {
 	}
 }
 
+// TestSessionNewRefusesRunFields: session/new reads the fields that build
+// a machine. The ones that shape a /simulate run are refused, naming the
+// field, rather than ignored: a session asked to fast-forward used to step
+// in detail without a word.
+func TestSessionNewRefusesRunFields(t *testing.T) {
+	_, ts := newTestServer(t)
+	for field, value := range map[string]string{
+		"fastForward":  "true",
+		"parallelism":  "2",
+		"warmupCycles": "100",
+		"trace":        "{}",
+	} {
+		body := fmt.Sprintf(`{"code": %q, %q: %s}`, tinyProgram, field, value)
+		resp, out := postRaw(t, ts.URL+api.V1Prefix+"/session/new", body)
+		env := decodeErrorEnvelope(t, out)
+		if resp.StatusCode != http.StatusBadRequest || env.Code != api.CodeBadRequest || !strings.Contains(env.Message, field) {
+			t.Errorf("%s: %d %s %q, want 400 %s naming the field", field, resp.StatusCode, env.Code, env.Message, api.CodeBadRequest)
+		}
+	}
+	if resp, out := postRaw(t, ts.URL+api.V1Prefix+"/session/new", fmt.Sprintf(`{"code": %q, "verbose": true}`, tinyProgram)); resp.StatusCode != http.StatusOK {
+		t.Errorf("a build field is refused: %d %s", resp.StatusCode, out)
+	}
+}
+
 func TestSessionLifecycle(t *testing.T) {
 	_, ts := newTestServer(t)
 	// New session.

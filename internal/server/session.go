@@ -50,6 +50,10 @@ func (s *Server) publishSession(r *http.Request, m *sim.Machine, assigned string
 }
 
 func (s *Server) handleSessionNew(_ http.ResponseWriter, r *http.Request, req *api.SessionNewRequest) (any, *api.Error) {
+	if f := runOnlyField(&req.SimulateRequest); f != "" {
+		return nil, api.Errorf(api.CodeBadRequest,
+			"session/new does not take %s: a session runs in detail, one step request at a time", f)
+	}
 	assigned, aerr := s.assignedSessionID(r)
 	if aerr != nil {
 		return nil, aerr
@@ -64,6 +68,22 @@ func (s *Server) handleSessionNew(_ http.ResponseWriter, r *http.Request, req *a
 	// and stay snapshot-free).
 	m.EnableSnapshots(0)
 	return s.publishSession(r, m, assigned)
+}
+
+// runOnlyField names the first field set in req that shapes one
+// /simulate run, which no session reads, or returns "".
+func runOnlyField(req *api.SimulateRequest) string {
+	switch {
+	case req.FastForward:
+		return "fastForward"
+	case req.Parallelism != 0:
+		return "parallelism"
+	case req.WarmupCycles != 0:
+		return "warmupCycles"
+	case req.Trace != nil:
+		return "trace"
+	}
+	return ""
 }
 
 // lockSession looks a session up and returns it with its mutex held.

@@ -99,32 +99,24 @@ func own(dst, src reflect.Value) int {
 }
 
 // EncodeState writes the ledger as one checkpoint section: every leaf in
-// declaration order, a slice behind its length.
+// declaration order. A slice's length is the machine's (one FUs entry per
+// functional unit), so it does not travel.
 func (c Counters) EncodeState(w *ckpt.Writer) {
 	w.Section(ckpt.SecLedger)
 	v := reflect.ValueOf(&c).Elem()
-	zipValue(v, v, func(_, leaf reflect.Value) { w.U64(leaf.Uint()) }, func(_, s reflect.Value) int {
-		w.Len(s.Len())
-		return s.Len()
-	})
+	zipValue(v, v, func(_, leaf reflect.Value) { w.U64(leaf.Uint()) }, machineLen)
 }
 
 // DecodeState reads a ledger EncodeState wrote into c in place. c's slices
-// already have the machine's lengths (one FUs entry per functional unit);
-// an encoded length that differs is corruption.
+// already have the machine's lengths.
 func (c *Counters) DecodeState(r *ckpt.Reader) {
 	r.Section(ckpt.SecLedger)
 	v := reflect.ValueOf(c).Elem()
-	zipValue(v, v, func(leaf, _ reflect.Value) { leaf.SetUint(r.U64()) }, func(s, _ reflect.Value) int {
-		if n := r.Len(s.Len()); r.Err() == nil && n != s.Len() {
-			r.Corrupt("ledger %s of %d entries, machine has %d", s.Type(), n, s.Len())
-		}
-		if r.Err() != nil {
-			return 0
-		}
-		return s.Len()
-	})
+	zipValue(v, v, func(leaf, _ reflect.Value) { leaf.SetUint(r.U64()) }, machineLen)
 }
+
+// machineLen walks a slice the codec reads or writes to its length.
+func machineLen(s, _ reflect.Value) int { return s.Len() }
 
 // zipValue walks dst and src in step and calls leaf at every uint64. At a
 // slice, span returns how many elements to walk, after sizing dst if it

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -221,8 +222,9 @@ func TestReportCompleteness(t *testing.T) {
 
 // TestLedgerRoundTrip: with every leaf set to a distinct value, the
 // ledger decodes to what it encoded, so a field added to Counters crosses
-// a checkpoint with no codec edit. A stream whose FUs length is not the
-// machine's is corrupt, not misread.
+// a checkpoint with no codec edit. FUs has the machine's length, so no
+// length travels: the section is one varint per leaf, and read into a
+// machine of another unit count it does not end where it was written.
 func TestLedgerRoundTrip(t *testing.T) {
 	c := Counters{FUs: make([]FUCounters, 3)}
 	n := uint64(0)
@@ -245,13 +247,20 @@ func TestLedgerRoundTrip(t *testing.T) {
 		t.Fatal(r.Err())
 	}
 	countersEqual(t, "round trip", got, c)
+	if want := 1 + int(n)*binary.PutUvarint(make([]byte, binary.MaxVarintLen64), n<<40|n); buf.Len() > want {
+		t.Errorf("ledger of %d leaves encodes to %d bytes, more than the tag and %d varints", n, buf.Len(), n)
+	}
 
-	for _, units := range []int{2, 4} {
-		other := Counters{FUs: make([]FUCounters, units)}
+	for _, tc := range []struct {
+		units int
+		want  error
+	}{{2, ckpt.ErrCorrupt}, {4, ckpt.ErrTruncated}} {
+		other := Counters{FUs: make([]FUCounters, tc.units)}
 		r := ckpt.NewReader(bytes.NewReader(buf.Bytes()))
 		other.DecodeState(r)
-		if !errors.Is(r.Err(), ckpt.ErrCorrupt) {
-			t.Errorf("3 units into a machine of %d: err = %v, want ErrCorrupt", units, r.Err())
+		r.End()
+		if !errors.Is(r.Err(), tc.want) {
+			t.Errorf("3 units into a machine of %d: err = %v, want %v", tc.units, r.Err(), tc.want)
 		}
 	}
 }

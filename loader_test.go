@@ -59,6 +59,13 @@ var loadTree = sync.OnceValues(func() (*loader, error) {
 			return nil, err
 		}
 	}
+	// A real file whose function a plant replaced may import what only
+	// that function used.
+	l.errs = slices.DeleteFunc(l.errs, func(err error) bool {
+		te, ok := err.(types.Error)
+		return ok && strings.HasSuffix(te.Msg, "imported and not used") &&
+			!slices.ContainsFunc(l.planted, func(f *srcFile) bool { return f.ast.FileStart <= te.Pos && te.Pos <= f.ast.FileEnd })
+	})
 	return l, nil
 })
 
@@ -81,8 +88,7 @@ type loader struct {
 	pkgs    []*typedPkg // in the order checked: imports first
 	base    types.Importer
 	// soft keeps checking past type errors, collecting them in errs
-	// instead of failing the package: a planted file may redeclare what
-	// its package's real files declare.
+	// instead of failing the package, so a test can report them.
 	soft    bool
 	errs    []error
 	planted []*srcFile // the files plant added
@@ -199,8 +205,10 @@ func (l *loader) check(ip string) (*typedPkg, error) {
 
 // plant type-checks srcs, sources at virtual paths, each as one more file
 // of the tree's package in its directory, or of a new package where there
-// is none. The loader it returns holds the planted files, the packages
-// checked and their type errors.
+// is none. A function or method a planted file declares replaces the
+// package's own of that name, so a plant can stand in for the body of the
+// one function a rule allows. The loader it returns holds the planted
+// files, the packages checked and their type errors.
 func (tr *loader) plant(srcs map[string]string) (*loader, error) {
 	l := &loader{fset: tr.fset, files: map[string][]*srcFile{}, checked: map[string]*typedPkg{}, base: tr, soft: true}
 	for _, p := range slices.Sorted(maps.Keys(srcs)) {
@@ -210,9 +218,22 @@ func (tr *loader) plant(srcs map[string]string) (*loader, error) {
 	}
 	for ip, files := range l.files {
 		l.planted = append(l.planted, files...)
+		replaced := map[string]bool{}
+		for _, f := range files {
+			for _, d := range f.ast.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					replaced[declName(fd)] = true
+				}
+			}
+		}
 		var real []*srcFile
 		for _, f := range tr.files[ip] {
-			c := *f // checked again here, with an info of its own
+			c, af := *f, *f.ast // checked again here, with an info of its own
+			af.Decls = slices.DeleteFunc(slices.Clone(af.Decls), func(d ast.Decl) bool {
+				fd, ok := d.(*ast.FuncDecl)
+				return ok && replaced[declName(fd)]
+			})
+			c.ast = &af
 			real = append(real, &c)
 		}
 		l.files[ip] = append(real, files...)
@@ -222,8 +243,19 @@ func (tr *loader) plant(srcs map[string]string) (*loader, error) {
 			return nil, err
 		}
 	}
+	// A real file whose function a plant replaced may import what only
+	// that function used.
+	l.errs = slices.DeleteFunc(l.errs, func(err error) bool {
+		te, ok := err.(types.Error)
+		return ok && strings.HasSuffix(te.Msg, "imported and not used") &&
+			!slices.ContainsFunc(l.planted, func(f *srcFile) bool { return f.ast.FileStart <= te.Pos && te.Pos <= f.ast.FileEnd })
+	})
 	return l, nil
 }
+
+// declName names a function declaration the way a package scope and a
+// method set tell declarations apart: by receiver type and name.
+func declName(fd *ast.FuncDecl) string { return strings.Replace(funcName(fd), "(*", "(", 1) }
 
 // objName names a resolved object as the repository's rules name it:
 // "time.Now", "internal/core.(Simulation).Fresh",

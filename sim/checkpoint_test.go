@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"riscvsim/internal/ckpt"
@@ -217,7 +219,7 @@ loop:
 	m.StepN(20)
 	data := checkpointBytes(t, m)
 
-	golden := filepath.Join("testdata", "checkpoint_v4.golden")
+	golden := filepath.Join("testdata", "checkpoint_v5.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -250,16 +252,29 @@ func TestRestoreRejectsBadMagic(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsNewerVersion also rejects version 1: a v1 reader would
-// skip the CRC.
+// TestRestoreRejectsNewerVersion also rejects older versions: a v1 reader
+// would skip the CRC, and a v4 record carries what v5 derives. The fuzz
+// corpus's v3 stream (a machine paused at a breakpoint) is refused too.
 func TestRestoreRejectsNewerVersion(t *testing.T) {
 	data := checkpointBytes(t, newLoopMachine(t, 1))
-	for _, v := range []byte{99, 1} {
+	for _, v := range []byte{99, 1, 4} {
 		bad := bytes.Clone(data)
 		bad[4] = v // version varint directly after the 4-byte magic
 		if _, err := Restore(bytes.NewReader(bad)); !errors.Is(err, ckpt.ErrVersion) {
 			t.Errorf("version %d: err = %v, want ErrVersion", v, err)
 		}
+	}
+	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzCheckpointDecode", "c3b848b2e280a07b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, arg, _ := strings.Cut(string(seed), "\n")
+	v3, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(arg), "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(strings.NewReader(v3)); !errors.Is(err, ckpt.ErrVersion) || v3[4] != 3 {
+		t.Errorf("v3 seed (version byte %d): err = %v, want ErrVersion", v3[4], err)
 	}
 }
 

@@ -111,10 +111,12 @@ func TestResealedFlipsNeverPanic(t *testing.T) {
 
 // FuzzCheckpointDecode feeds re-sealed streams to the decoders. A stream
 // either fails with a ckpt sentinel error or restores a machine that
-// re-encodes to the same bytes, is halted or advances one cycle per Step,
-// and then steps and checkpoints without panicking.
+// re-encodes to the same bytes, twin-walks equal to a restore of that
+// encoding (so whatever restore derives from a hostile stream it derives
+// the same way again), is halted or advances one cycle per Step, and then
+// steps and checkpoints without panicking.
 func FuzzCheckpointDecode(f *testing.F) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v4.golden"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v5.golden"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -178,6 +180,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 			}
 			t.Fatalf("restored machine re-encodes to %d bytes, first differing from its %d at %d: % x, want % x",
 				len(got), len(data), i, got[i:min(i+8, len(got))], data[i:min(i+8, len(data))])
+		}
+		twin, err := RestoreWith(again.Bytes(), cachedAssemble(m))
+		if err != nil {
+			t.Fatalf("restored machine's checkpoint does not restore: %v", err)
+		}
+		if diffs := TwinDiffs(m.sim, twin.sim); len(diffs) > 0 {
+			t.Fatalf("a restore of the restored machine differs from it:\n%s", strings.Join(diffs, "\n"))
 		}
 		// A restored machine is runnable: halted, or one cycle further
 		// per Step. (A v3 stream could restore a machine paused at a
