@@ -204,9 +204,6 @@ func main() {
 		Parallelism:  *parallel,
 		WarmupCycles: *warmup,
 	}
-	if *parallel >= 2 && *ckptOut != "" {
-		fatal("-parallel produces no serial timing history to checkpoint; drop one of the flags")
-	}
 	// A trace filter flag implies -trace itself.
 	if *tracePC != "" || *traceLimit != 0 {
 		traceOn.on = true

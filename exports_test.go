@@ -176,7 +176,6 @@ var exportAllowList = map[string]string{
 	// Library surface the docs name.
 	"sim.(Machine).FastForwardTo":                "library surface: docs/performance.md's fast-forward to a cycle",
 	"sim.(Machine).FastForwardToPC":              "library surface: docs/performance.md's fast-forward to a PC",
-	"sim.(Machine).RewindBarrier":                "library surface: docs/performance.md and docs/parallel.md name the lowest rewindable cycle",
 	"sim.(Machine).StepBack":                     "library surface: the one-cycle rewind of docs/trace.md and docs/performance.md (the server steps back by GotoCycle)",
 	"sim.(Machine).IntReg":                       "library surface: docs/architecture.md and docs/parallel.md read results through it",
 	"sim.(Machine).SetIntReg":                    "library surface: docs/architecture.md's write at cycle 0",

@@ -6,13 +6,13 @@ package server
 // without timing history.
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
 
 	"riscvsim/internal/api"
-	"riscvsim/sim"
 )
 
 // parallelProgram commits ~66k instructions — enough to split into
@@ -142,53 +142,73 @@ func TestV1SimulateParallelValidation(t *testing.T) {
 }
 
 // TestSessionRewindBarrierCode: backward navigation (goto and negative
-// step) below a session's rewind barrier must fail with the stable
-// rewind_barrier code, not the generic unprocessable — clients dispatch
-// on it to grey out navigation instead of showing a failure.
+// step) below a session's floor must fail with the stable rewind_barrier
+// code, not the generic unprocessable — clients dispatch on it to grey
+// out navigation instead of showing a failure. A session restored from a
+// fast-forward checkpoint (the CLI's -fast-forward -checkpoint) has its
+// floor at the restored cycle: a detailed replay from below would show a
+// history that never happened.
 func TestSessionRewindBarrierCode(t *testing.T) {
-	srv, ts := newTestServer(t)
+	_, ts := newTestServer(t)
 
-	// Build a session whose prefix was fast-forwarded: cycles below the
-	// barrier have no timing history to navigate into.
-	m, err := sim.NewFromAsm(sim.DefaultConfig(), parallelProgram, "")
-	if err != nil {
+	m, _, aerr := Simulate(&api.SimulateRequest{Code: parallelProgram, FastForward: true, Steps: 1000})
+	if aerr != nil {
+		t.Fatal(aerr)
+	}
+	var ck bytes.Buffer
+	if err := m.Checkpoint(&ck); err != nil {
 		t.Fatal(err)
 	}
-	m.EnableSnapshots(0)
-	m.FastForwardTo(3000)
-	m.Run(2000)
-	barrier := m.RewindBarrier()
-	if barrier == 0 {
-		t.Fatal("no rewind barrier after fast-forward")
-	}
-	id := srv.store.Add(nil, m)
-
-	resp, body := postJSON(t, ts.URL+"/api/v1/session/goto", &api.SessionGotoRequest{
-		SessionID: id, Cycle: barrier - 1,
-	})
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("goto below barrier: status %d, want 422 (%s)", resp.StatusCode, body)
-	}
-	if e := decodeErrorEnvelope(t, body); e.Code != api.CodeRewindBarrier {
-		t.Errorf("goto code = %q, want %q (message %q)", e.Code, api.CodeRewindBarrier, e.Message)
-	}
-
-	// Landing exactly on the barrier cycle is legal.
-	resp, body = postJSON(t, ts.URL+"/api/v1/session/goto", &api.SessionGotoRequest{
-		SessionID: id, Cycle: barrier,
-	})
+	resp, body := postJSON(t, ts.URL+"/api/v1/session/restore", &api.SessionRestoreRequest{Checkpoint: ck.Bytes()})
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("goto exactly on barrier: status %d (%s)", resp.StatusCode, body)
+		t.Fatalf("restore: status %d (%s)", resp.StatusCode, body)
+	}
+	var restored api.SessionNewResponse
+	if err := json.Unmarshal(body, &restored); err != nil {
+		t.Fatal(err)
+	}
+	id, barrier := restored.SessionID, restored.State.Cycle
+	if barrier != m.Cycle() || barrier == 0 {
+		t.Fatalf("restored at cycle %d, want the checkpoint's %d", barrier, m.Cycle())
 	}
 
-	// A negative step from the barrier crosses it.
+	// A negative step from the floor crosses it.
 	resp, body = postJSON(t, ts.URL+"/api/v1/session/step", &api.SessionStepRequest{
 		SessionID: id, Steps: -1,
 	})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("step -1 across barrier: status %d, want 422 (%s)", resp.StatusCode, body)
+		t.Errorf("step -1 below the floor: status %d, want 422 (%s)", resp.StatusCode, body)
 	}
 	if e := decodeErrorEnvelope(t, body); e.Code != api.CodeRewindBarrier {
-		t.Errorf("step code = %q, want %q", e.Code, api.CodeRewindBarrier)
+		t.Errorf("step code = %q, want %q (message %q)", e.Code, api.CodeRewindBarrier, e.Message)
+	}
+
+	// Forward in detail, then back below the floor and onto it.
+	resp, body = postJSON(t, ts.URL+"/api/v1/session/step", &api.SessionStepRequest{
+		SessionID: id, Steps: 500,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("step 500: status %d (%s)", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts.URL+"/api/v1/session/goto", &api.SessionGotoRequest{
+		SessionID: id, Cycle: barrier - 1,
+	})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("goto below the floor: status %d, want 422 (%s)", resp.StatusCode, body)
+	}
+	if e := decodeErrorEnvelope(t, body); e.Code != api.CodeRewindBarrier {
+		t.Errorf("goto code = %q, want %q (message %q)", e.Code, api.CodeRewindBarrier, e.Message)
+	}
+	// Landing exactly on the floor is legal.
+	resp, body = postJSON(t, ts.URL+"/api/v1/session/goto", &api.SessionGotoRequest{
+		SessionID: id, Cycle: barrier,
+	})
+	var st api.SessionStateResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &st) != nil {
+		t.Fatalf("goto exactly on the floor: status %d (%s)", resp.StatusCode, body)
+	}
+	if st.State.Cycle != barrier || st.State.Stats.Committed != m.Committed() {
+		t.Errorf("on the floor: cycle %d with %d committed, want cycle %d with %d",
+			st.State.Cycle, st.State.Stats.Committed, barrier, m.Committed())
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -278,6 +279,27 @@ func TestSchemaEndpoint(t *testing.T) {
 // field, rather than ignored: a session asked to fast-forward used to step
 // in detail without a word.
 func TestSessionNewRefusesRunFields(t *testing.T) {
+	refusesRunFields(t, "/session/new")
+}
+
+// TestSessionStreamRefusesRunFields: the state stream builds like
+// session/new and runs in detail; it streamed a fast-forward request in
+// detail without a word.
+func TestSessionStreamRefusesRunFields(t *testing.T) {
+	refusesRunFields(t, "/session/stream")
+}
+
+// TestSessionTraceRefusesRunFields: the trace stream reads trace (its
+// filter and cap) and refuses the other run fields.
+func TestSessionTraceRefusesRunFields(t *testing.T) {
+	refusesRunFields(t, "/session/trace", "trace")
+}
+
+// refusesRunFields requires route to answer 400 bad_request naming each
+// /simulate run field it does not honour, and 200 to the others and to a
+// build field.
+func refusesRunFields(t *testing.T, route string, honours ...string) {
+	t.Helper()
 	_, ts := newTestServer(t)
 	for field, value := range map[string]string{
 		"fastForward":  "true",
@@ -286,13 +308,19 @@ func TestSessionNewRefusesRunFields(t *testing.T) {
 		"trace":        "{}",
 	} {
 		body := fmt.Sprintf(`{"code": %q, %q: %s}`, tinyProgram, field, value)
-		resp, out := postRaw(t, ts.URL+api.V1Prefix+"/session/new", body)
+		resp, out := postRaw(t, ts.URL+api.V1Prefix+route, body)
+		if slices.Contains(honours, field) {
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s: honoured field refused: %d %s", field, resp.StatusCode, out)
+			}
+			continue
+		}
 		env := decodeErrorEnvelope(t, out)
 		if resp.StatusCode != http.StatusBadRequest || env.Code != api.CodeBadRequest || !strings.Contains(env.Message, field) {
 			t.Errorf("%s: %d %s %q, want 400 %s naming the field", field, resp.StatusCode, env.Code, env.Message, api.CodeBadRequest)
 		}
 	}
-	if resp, out := postRaw(t, ts.URL+api.V1Prefix+"/session/new", fmt.Sprintf(`{"code": %q, "verbose": true}`, tinyProgram)); resp.StatusCode != http.StatusOK {
+	if resp, out := postRaw(t, ts.URL+api.V1Prefix+route, fmt.Sprintf(`{"code": %q, "verbose": true}`, tinyProgram)); resp.StatusCode != http.StatusOK {
 		t.Errorf("a build field is refused: %d %s", resp.StatusCode, out)
 	}
 }

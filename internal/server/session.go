@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net/http"
+	"slices"
 
 	"riscvsim/internal/api"
 	"riscvsim/internal/render"
@@ -50,9 +51,8 @@ func (s *Server) publishSession(r *http.Request, m *sim.Machine, assigned string
 }
 
 func (s *Server) handleSessionNew(_ http.ResponseWriter, r *http.Request, req *api.SessionNewRequest) (any, *api.Error) {
-	if f := runOnlyField(&req.SimulateRequest); f != "" {
-		return nil, api.Errorf(api.CodeBadRequest,
-			"session/new does not take %s: a session runs in detail, one step request at a time", f)
+	if aerr := runOnlyField("session/new", &req.SimulateRequest); aerr != nil {
+		return nil, aerr
 	}
 	assigned, aerr := s.assignedSessionID(r)
 	if aerr != nil {
@@ -70,20 +70,24 @@ func (s *Server) handleSessionNew(_ http.ResponseWriter, r *http.Request, req *a
 	return s.publishSession(r, m, assigned)
 }
 
-// runOnlyField names the first field set in req that shapes one
-// /simulate run, which no session reads, or returns "".
-func runOnlyField(req *api.SimulateRequest) string {
-	switch {
-	case req.FastForward:
-		return "fastForward"
-	case req.Parallelism != 0:
-		return "parallelism"
-	case req.WarmupCycles != 0:
-		return "warmupCycles"
-	case req.Trace != nil:
-		return "trace"
+// runOnlyField refuses a request to route that sets a field shaping one
+// /simulate run which the route does not read: every such field but
+// those named in honours.
+func runOnlyField(route string, req *api.SimulateRequest, honours ...string) *api.Error {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"fastForward", req.FastForward},
+		{"parallelism", req.Parallelism != 0},
+		{"warmupCycles", req.WarmupCycles != 0},
+		{"trace", req.Trace != nil},
+	} {
+		if f.set && !slices.Contains(honours, f.name) {
+			return api.Errorf(api.CodeBadRequest, "%s does not take %s, which only /simulate reads", route, f.name)
+		}
 	}
-	return ""
+	return nil
 }
 
 // lockSession looks a session up and returns it with its mutex held.
@@ -118,10 +122,10 @@ func sessionState(r *http.Request, sess *session, includeLog bool) (any, *api.Er
 
 // gotoCycle repositions a session at target — the shared move of
 // session/goto and of session/step with negative steps — booked to the
-// simulate phase like the forward runs it replays with. Crossing the
-// rewind barrier (fast-forwarded or time-parallel region, no timing
-// history) is its own condition clients can dispatch on; every other
-// failure stays the generic unprocessable.
+// simulate phase like the forward runs it replays with. A target below
+// the machine's floor (a session restored from a fast-forward or
+// time-parallel checkpoint) is its own condition clients can dispatch
+// on; every other failure stays the generic unprocessable.
 func gotoCycle(r *http.Request, sess *session, target uint64) *api.Error {
 	defer timerFrom(r.Context()).begin(phaseSimulate).end()
 	err := sess.machine.GotoCycle(target)

@@ -90,6 +90,9 @@ func (s *Server) streamBursts(w http.ResponseWriter, r *http.Request, m *sim.Mac
 // machine, then pushes one StreamEvent per step burst — interactive
 // clients watch the run instead of polling /session/step.
 func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request, req *api.StreamRequest) (any, *api.Error) {
+	if aerr := runOnlyField("session/stream", &req.SimulateRequest); aerr != nil {
+		return nil, aerr
+	}
 	m, aerr := s.build(r.Context(), &req.SimulateRequest)
 	if aerr != nil {
 		return nil, aerr

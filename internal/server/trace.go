@@ -51,6 +51,9 @@ func (t *burstTracer) Trace(ev trace.StageEvent) {
 // event passing the stage/PC filters, then a final summary line. The
 // web client's pipeline view and the CLI's -trace remote mode consume it.
 func (s *Server) handleSessionTrace(w http.ResponseWriter, r *http.Request, req *api.TraceStreamRequest) (any, *api.Error) {
+	if aerr := runOnlyField("session/trace", &req.SimulateRequest, "trace"); aerr != nil {
+		return nil, aerr
+	}
 	filter := trace.NoFilter
 	maxEvents := req.MaxEvents
 	if maxEvents <= 0 {

@@ -17,7 +17,7 @@ import (
 // every piece of dynamic state — architectural and speculative registers,
 // ROB, issue windows, LSU queues, functional units, fetch/branch state,
 // cache contents, memory (sparse pages), the statistics ledger — and the
-// machine's own cycle 0, which its rewinds start from. A CRC-32C trailer
+// machine's floor, the oldest state its rewinds start from. A CRC-32C trailer
 // covers all of it and is checked before any decoder runs. Restore
 // resolves the source to a compiled Program (assembling it, or finding it
 // in the caller's cache: RestoreWith), instantiates it and overlays the
@@ -33,10 +33,18 @@ const (
 
 // Checkpoint serializes the machine's complete state to w in the
 // versioned binary snapshot format. The floor section is the machine's
-// own cycle 0 (sealed first if it was written since), empty when that is
-// the Program's pristine start.
+// floor (sealed first if it was written since), empty when that is the
+// Program's pristine start. In fast-forward it is the current state: a
+// restore resumes in detail, which cannot replay the way here.
 func (m *Machine) Checkpoint(w io.Writer) error {
 	m.sealFloor()
+	floor := m.snaps.floor
+	if m.RewindBarrier() > floor.cycle {
+		var err error
+		if floor, err = capture(m.sim); err != nil {
+			return err
+		}
+	}
 	if m.cfgJSON == nil {
 		data, err := m.cfg.Export()
 		if err != nil {
@@ -53,7 +61,7 @@ func (m *Machine) Checkpoint(w io.Writer) error {
 	cw.Int(m.entry)
 	m.sim.EncodeState(cw)
 	cw.Section(ckpt.SecFloor)
-	cw.Bytes(m.snaps.floor.data)
+	cw.Bytes(floor.data)
 	cw.Footer()
 	if err := cw.Err(); err != nil {
 		return err
@@ -123,14 +131,15 @@ func RestoreWith(data []byte, assemble func(src string, mem MemoryConfig) (*Prog
 	if len(floor) > 0 {
 		// Decoded once here, so a corrupt floor fails the restore and
 		// not the first rewind.
-		m.snaps.floor.data = floor
-		f, err := m.restore(m.snaps.floor, 0)
-		if err == nil && f.Cycle() != 0 {
-			err = fmt.Errorf("it is at cycle %d", f.Cycle())
+		f, err := m.restore(snapshot{data: floor}, 0)
+		if err == nil && (f.Cycle() > s.Cycle() || f.Committed() > s.Committed()) {
+			err = fmt.Errorf("it is at cycle %d with %d committed, past the state at cycle %d with %d",
+				f.Cycle(), f.Committed(), s.Cycle(), s.Committed())
 		}
 		if err != nil {
-			return nil, fmt.Errorf("%w: cycle-0 floor: %v", ckpt.ErrCorrupt, err)
+			return nil, fmt.Errorf("%w: floor: %v", ckpt.ErrCorrupt, err)
 		}
+		m.snaps.floor = snapshot{cycle: f.Cycle(), committed: f.Committed(), data: floor}
 	}
 	// The header it came with, as it came: the machine re-encodes to the
 	// same bytes even from a document Export would have spelled otherwise.

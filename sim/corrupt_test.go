@@ -113,7 +113,9 @@ func TestResealedFlipsNeverPanic(t *testing.T) {
 // either fails with a ckpt sentinel error or restores a machine that
 // re-encodes to the same bytes, twin-walks equal to a restore of that
 // encoding (so whatever restore derives from a hostile stream it derives
-// the same way again), is halted or advances one cycle per Step, and then
+// the same way again), has its floor at or below its state and steps back
+// onto no more committed instructions than it holds (or refuses with
+// ErrRewindBarrier), is halted or advances one cycle per Step, and then
 // steps and checkpoints without panicking.
 func FuzzCheckpointDecode(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v5.golden"))
@@ -187,6 +189,18 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 		if diffs := TwinDiffs(m.sim, twin.sim); len(diffs) > 0 {
 			t.Fatalf("a restore of the restored machine differs from it:\n%s", strings.Join(diffs, "\n"))
+		}
+		// The floor is at or below the state, and no step back lands on
+		// more committed instructions than the restore brought.
+		if twin.RewindBarrier() > twin.Cycle() {
+			t.Fatalf("restored floor at cycle %d, above the state's %d", twin.RewindBarrier(), twin.Cycle())
+		}
+		if held := twin.Committed(); twin.Cycle() > 0 {
+			if err := twin.StepBack(); err != nil && !errors.Is(err, ErrRewindBarrier) {
+				t.Fatalf("StepBack of the restored machine: %v", err)
+			} else if err == nil && twin.Committed() > held {
+				t.Fatalf("StepBack lands with %d committed; the restore brought %d", twin.Committed(), held)
+			}
 		}
 		// A restored machine is runnable: halted, or one cycle further
 		// per Step. (A v3 stream could restore a machine paused at a

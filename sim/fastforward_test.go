@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -83,8 +84,8 @@ func TestFastForwardToPC(t *testing.T) {
 
 // ffSwitchover drives one FF→detailed switchover with snapshots at the
 // given interval, requesting the given fast-forward target, and checks
-// the rewind contract around the resulting barrier: rewinds within the
-// detailed suffix restore exact state, rewinds below the barrier are
+// the rewind contract around the floor it leaves: rewinds within the
+// detailed suffix restore exact state, rewinds below the floor are
 // refused with the explanatory error.
 func ffSwitchover(t *testing.T, interval, target uint64) {
 	t.Helper()
@@ -103,8 +104,7 @@ func ffSwitchover(t *testing.T, interval, target uint64) {
 	m.Run(450)
 
 	// Rewind within the suffix: must restore the captured state exactly,
-	// whether the barrier fell on a snapshot-interval multiple or not
-	// (the forced snapshot at the transition anchors it either way).
+	// whether the floor fell on a snapshot-interval multiple or not.
 	if err := m.GotoCycle(mid); err != nil {
 		t.Fatalf("GotoCycle(%d) within detailed suffix: %v", mid, err)
 	}
@@ -149,8 +149,122 @@ func TestFastForwardSwitchoverOnSnapshotInterval(t *testing.T) {
 }
 
 // TestFastForwardSwitchoverOffSnapshotInterval: the transition lands
-// between interval multiples, so only the forced transition snapshot can
-// anchor suffix rewinds.
+// between interval multiples, so only the floor there can anchor suffix
+// rewinds.
 func TestFastForwardSwitchoverOffSnapshotInterval(t *testing.T) {
 	ffSwitchover(t, 300, 301)
+}
+
+// TestFastForwardCheckpointRefusesStepBack: a machine in fast-forward
+// cannot step back (its replays land on block boundaries), and neither
+// can its restore, which resumes in detail from the checkpoint's cycle:
+// a detailed replay from cycle 0 would land on a history that never
+// happened, with more instructions committed than the machine held.
+func TestFastForwardCheckpointRefusesStepBack(t *testing.T) {
+	m := ffBuild(t)
+	m.SetEngineMode(EngineFastForward)
+	m.Run(1000)
+	at, held := m.Cycle(), m.Committed()
+	if err := m.StepBack(); !errors.Is(err, ErrRewindBarrier) || m.Cycle() != at {
+		t.Errorf("StepBack in fast-forward at cycle %d: err %v at cycle %d, want ErrRewindBarrier", at, err, m.Cycle())
+	}
+	r, err := Restore(bytes.NewReader(checkpointBytes(t, m)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.StepBack(); !errors.Is(err, ErrRewindBarrier) {
+		t.Errorf("StepBack of the restored machine: err %v, want ErrRewindBarrier (cycle %d, %d committed; it held %d at cycle %d)",
+			err, r.Cycle(), r.Committed(), held, at)
+	}
+}
+
+// TestRestoreKeepsTheFloor: a restored machine refuses rewinds exactly
+// where the original does, on a fast-forwarded prefix, a run in
+// fast-forward and a time-parallel run: rewinds to the floor and above
+// land, rewinds below it return ErrRewindBarrier, and no rewind of either
+// machine lands with more instructions committed than it held.
+func TestRestoreKeepsTheFloor(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func(t *testing.T) *Machine
+	}{
+		{"fast-forward prefix", func(t *testing.T) *Machine {
+			m := ffBuild(t)
+			m.EnableSnapshots(256)
+			m.FastForwardTo(1000)
+			m.Run(500)
+			return m
+		}},
+		{"fast-forward run", func(t *testing.T) *Machine {
+			m := ffBuild(t)
+			m.SetEngineMode(EngineFastForward)
+			m.Run(1000)
+			return m
+		}},
+		{"time-parallel", func(t *testing.T) *Machine {
+			m, err := NewFromAsm(DefaultConfig(), srcParallel, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.RunParallel(2, parTestOpts()); err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := c.build(t)
+			if m.RewindBarrier() == 0 {
+				t.Fatalf("floor at cycle 0 after the run (at cycle %d)", m.Cycle())
+			}
+			r, err := RestoreWith(checkpointBytes(t, m), cachedAssemble(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := r.RewindBarrier(), m.RewindBarrier(); got != want {
+				t.Errorf("restored floor at cycle %d, the original's at %d", got, want)
+			}
+			for name, x := range map[string]*Machine{"original": m, "restored": r} {
+				held, floor := x.Committed(), x.RewindBarrier()
+				for _, target := range []uint64{x.Cycle() - 1, floor, floor - 1, 0} {
+					err := x.GotoCycle(target)
+					switch {
+					case target < floor && !errors.Is(err, ErrRewindBarrier):
+						t.Errorf("%s: GotoCycle(%d) below the floor at %d: err %v, want ErrRewindBarrier", name, target, floor, err)
+					case target >= floor && err != nil:
+						t.Errorf("%s: GotoCycle(%d) at or above the floor at %d: %v", name, target, floor, err)
+					case x.Committed() > held:
+						t.Errorf("%s: GotoCycle(%d) landed with %d committed; the machine held %d", name, target, x.Committed(), held)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestWriteAtAMovedFloor: a write at the floor's cycle is part of the
+// floor also when leaving fast-forward moved it there, and snapshots
+// taken before the write go: a rewind onto the floor, or into the suffix
+// run after the write, keeps it.
+func TestWriteAtAMovedFloor(t *testing.T) {
+	m := ffBuild(t)
+	m.EnableSnapshots(64)
+	m.FastForwardTo(300)
+	floor := m.RewindBarrier()
+	m.Run(200)
+	if err := m.GotoCycle(floor); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetIntReg("t2", 1000); err != nil {
+		t.Fatal(err)
+	}
+	m.Run(200)
+	for _, target := range []uint64{floor + 100, floor} {
+		if err := m.GotoCycle(target); err != nil {
+			t.Fatal(err)
+		}
+		if t2, _ := m.IntReg("t2"); t2 != 1000 {
+			t.Errorf("rewound to cycle %d (floor %d): t2 = %d, want the 1000 written at the floor", target, floor, t2)
+		}
+	}
 }

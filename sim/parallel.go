@@ -119,8 +119,8 @@ type parallelWorker struct {
 // stitched statistics. The machine must sit at cycle zero. On success the
 // machine holds the final simulation state — bit-exact with a serial run
 // (same ArchStateHash, registers, memory, halt story) — and, like a
-// fast-forwarded run, carries a rewind barrier at the final cycle: the
-// parallel intervals leave no serial timing history to navigate into.
+// fast-forwarded run, has its floor at the final cycle: the parallel
+// intervals leave no serial timing history to navigate into.
 // No trace events are emitted. On error the machine is left untouched at cycle zero.
 func (m *Machine) RunParallel(k int, opts ParallelOptions) (*ParallelResult, error) {
 	if k <= 0 {
@@ -153,7 +153,7 @@ func (m *Machine) RunParallel(k int, opts ParallelOptions) (*ParallelResult, err
 
 	// Size the run: every interval needs its warm-up plus something worth
 	// measuring. Degenerate runs fall back to plain serial execution
-	// (exact, no barrier — the run keeps its full rewind history).
+	// (exact, the floor stays at cycle 0 — the run keeps its full rewind history).
 	for k > 1 && total < uint64(k)*(warmup+parallelMinMeasure) {
 		k--
 	}
@@ -265,10 +265,9 @@ func (m *Machine) RunParallel(k int, opts ParallelOptions) (*ParallelResult, err
 	final := workers[len(workers)-1].sim
 	result.Report = stats.NewReport(&sum, final.Facts())
 	m.adopt(final)
-	// The parallel region has no serial timing history: barrier rewinds
-	// into it, exactly like a fast-forwarded prefix.
-	m.ffBarrier = final.Cycle()
-	m.snaps.dropBelow(m.ffBarrier)
+	// The parallel region has no serial timing history: like a
+	// fast-forwarded prefix, it ends at the machine's new floor.
+	m.moveFloor()
 	return result, nil
 }
 

@@ -131,17 +131,13 @@ type Machine struct {
 	// headers (per-cycle state hashing re-encodes the header each time).
 	cfgJSON []byte
 
-	// snaps is the one way back (snapshot.go): its floor is the
-	// machine's own cycle 0, and interval snapshots above it are on when
-	// its spacing is nonzero. dirtyFloor records a write at cycle 0 that
-	// the floor must capture before the first cycle runs.
+	// snaps is the one way back (snapshot.go): its floor is the oldest
+	// state the machine can return to, and interval snapshots above it
+	// are on when its spacing is nonzero. dirtyFloor records a write at
+	// the floor's cycle that the floor must capture before the next
+	// cycle runs.
 	snaps      snapList
 	dirtyFloor bool
-
-	// ffBarrier is the cycle of the most recent engine-mode transition
-	// involving fast-forward (fastforward.go): cycles below it have no
-	// replayable timing history, so rewinds there are refused.
-	ffBarrier uint64
 }
 
 // The built-in instruction set and register description are read-only
@@ -284,15 +280,15 @@ func (m *Machine) FloatReg(name string) (float64, error) {
 }
 
 // SetIntReg initializes an architectural integer register (before
-// running: a write at cycle 0 is part of the machine's own cycle 0, which
-// rewinds and forks start from).
+// running: a write at the floor's cycle, cycle 0 unless the engine
+// changed, is part of the floor, which rewinds and forks start from).
 func (m *Machine) SetIntReg(name string, v int32) error {
 	d, ok := m.prog.core.Registers().Lookup(name)
 	if !ok || d.Class != isa.RegInt {
 		return fmt.Errorf("sim: no integer register %q", name)
 	}
 	m.sim.Registers().SetArchValue(isa.RegInt, d.Index, expr.NewInt(v))
-	if m.sim.Cycle() == 0 {
+	if m.sim.Cycle() == m.snaps.floor.cycle {
 		m.dirtyFloor = true
 	}
 	return nil
@@ -308,12 +304,12 @@ func (m *Machine) ReadMemory(addr, n int) ([]byte, error) {
 }
 
 // WriteMemory stores bytes into simulated memory (memory editor). Like
-// SetIntReg, a write at cycle 0 is part of the machine's own cycle 0.
+// SetIntReg, a write at the floor's cycle is part of the floor.
 func (m *Machine) WriteMemory(addr int, b []byte) error {
 	if exc := m.sim.Memory().WriteBytes(addr, b); exc != nil {
 		return exc
 	}
-	if m.sim.Cycle() == 0 {
+	if m.sim.Cycle() == m.snaps.floor.cycle {
 		m.dirtyFloor = true
 	}
 	return nil
@@ -351,12 +347,15 @@ func (m *Machine) SetTracer(t Tracer) { m.sim.SetTracer(t) }
 // cycle-identical exactly when the engines' semantics agree — the
 // invariant the co-simulation fuzzer checks (docs/fuzzing.md). The mode
 // is a runtime knob: it is not part of the architecture configuration
-// and is not recorded in checkpoints. Transitions into or out of
-// EngineFastForward additionally move the rewind barrier
-// (fastforward.go): the fast-forwarded region has no timing history.
+// and is not recorded in checkpoints. Leaving EngineFastForward above
+// the floor moves the floor to the current state (fastforward.go): the
+// fast-forwarded region has no timing history.
 func (m *Machine) SetEngineMode(mode EngineMode) {
-	m.noteModeSwitch(mode)
+	leaving := m.sim.EngineMode() == EngineFastForward && mode != EngineFastForward
 	m.sim.SetEngineMode(mode)
+	if leaving && m.sim.Cycle() > m.snaps.floor.cycle {
+		m.moveFloor()
+	}
 }
 
 // PC returns the next fetch program counter (a code index).

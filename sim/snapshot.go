@@ -10,12 +10,14 @@ import (
 
 // One way back: every earlier cycle and every fork a machine reaches is
 // a restore from its snapshot list. The paper's backward simulation is a
-// deterministic forward re-run (§III-B); the list's floor is the
-// machine's own cycle 0, and interval snapshots taken while the machine
-// runs forward let a rewind restore the nearest entry at or below the
-// target and replay only the remainder — O(interval) instead of
-// O(cycle). A snapshot-restored replay is cycle-for-cycle identical to
-// a replay from the floor (pinned by TestSnapshotRewindMatchesReplay).
+// deterministic forward re-run (§III-B); the list's floor is the oldest
+// state the machine can return to by an exact replay in its current
+// engine — its own cycle 0 unless the engine changed (a fast-forwarded
+// prefix, a time-parallel run) — and interval snapshots taken while the
+// machine runs forward let a rewind restore the nearest entry at or
+// below the target and replay only the remainder — O(interval) instead
+// of O(cycle). A snapshot-restored replay is cycle-for-cycle identical
+// to a replay from the floor (pinned by TestSnapshotRewindMatchesReplay).
 // Time-parallel simulation (parallel.go) keeps a list of the same type
 // along the committed-instruction axis.
 //
@@ -84,18 +86,6 @@ func (l *snapList) latest(limit uint64, axis func(*snapshot) uint64) snapshot {
 	return l.floor
 }
 
-// dropBelow discards the captures older than cycle c; the floor stays.
-func (l *snapList) dropBelow(c uint64) {
-	kept := l.above[:0]
-	for _, s := range l.above {
-		if s.cycle >= c {
-			kept = append(kept, s)
-		}
-	}
-	clear(l.above[len(kept):])
-	l.above = kept
-}
-
 // capture encodes s's dynamic state section only: a snapshot is
 // in-process and bound to its machine's Program, so it needs no header,
 // source or config (Machine.Checkpoint stays the portable format).
@@ -119,18 +109,25 @@ func (m *Machine) EnableSnapshots(interval uint64) {
 	}
 }
 
-// SnapshotCount returns the number of retained snapshots above cycle 0.
+// SnapshotCount returns the number of retained snapshots above the floor.
 func (m *Machine) SnapshotCount() int { return len(m.snaps.above) }
 
-// sealFloor makes the machine's own cycle 0 the floor of its list before
-// the first cycle runs. Every forward path calls it. When nothing was
-// written at cycle 0 the floor stays the Program's pristine start, at no
-// cost; otherwise the state is encoded once, and captures taken from an
-// earlier cycle 0 go.
+// sealFloor makes the machine's state the floor of its list before the
+// first cycle above the floor runs. Every forward path calls it. When
+// nothing was written at the floor's cycle the floor stays as it is (the
+// Program's pristine start at no cost); otherwise the state is encoded
+// once.
 func (m *Machine) sealFloor() {
-	if !m.dirtyFloor {
-		return
+	if m.dirtyFloor {
+		m.moveFloor()
 	}
+}
+
+// moveFloor makes the current state the floor. Captures go with the
+// floor they were replayed from: those below the new floor are out of
+// reach, and those above it belong to a history the new floor does not
+// lead to.
+func (m *Machine) moveFloor() {
 	m.dirtyFloor = false
 	if f, err := capture(m.sim); err == nil {
 		m.snaps.floor = f
@@ -164,21 +161,12 @@ func (m *Machine) runForward(maxCycles uint64) uint64 {
 }
 
 // maybeSnapshot captures state when the machine sits on a snapshot
-// boundary it has not covered yet.
+// boundary it has not covered yet. Fast-forward takes none: a machine
+// in it cannot rewind, and leaving it moves the floor.
 func (m *Machine) maybeSnapshot() {
-	if m.snaps.spacing == 0 || m.sim.Cycle()%m.snaps.spacing != 0 {
-		return
-	}
-	m.forceSnapshot()
-}
-
-// forceSnapshot captures state at the current cycle regardless of
-// interval alignment — also the anchor at an engine-mode transition
-// (fastforward.go), where rewinds must be able to land without replaying
-// across the fast-forwarded region.
-func (m *Machine) forceSnapshot() {
 	c := m.sim.Cycle()
-	if m.snaps.spacing == 0 || c == 0 || m.sim.Halted() {
+	if m.snaps.spacing == 0 || c%m.snaps.spacing != 0 || c == 0 || m.sim.Halted() ||
+		m.sim.EngineMode() == EngineFastForward {
 		return
 	}
 	if n := len(m.snaps.above); n > 0 && m.snaps.above[n-1].cycle >= c {
@@ -192,22 +180,20 @@ func (m *Machine) forceSnapshot() {
 }
 
 // rewindTo repositions the machine at an earlier cycle from the youngest
-// list entry at or below it. After an engine-mode transition
-// (fastforward.go) the cycles below the barrier have no timing history
-// and a replay from below it would re-run the fast-forwarded region under
-// different semantics of time, so only entries at or above the barrier
-// are sound there.
+// list entry at or below it. A target below the floor is refused, and
+// so is a replay that commits more instructions on its way than the
+// machine holds: that state is not the floor's future (a hostile
+// checkpoint can pair the two).
 func (m *Machine) rewindTo(target uint64) error {
-	if target < m.ffBarrier {
-		return m.errBelowBarrier(target)
+	if floor := m.RewindBarrier(); target < floor {
+		return fmt.Errorf("sim: cannot rewind to cycle %d: the oldest state this machine can return to is cycle %d (fast-forward and time-parallel runs leave no cycle-exact history to replay): %w", target, floor, ErrRewindBarrier)
 	}
-	from := m.snaps.latest(target, byCycle)
-	if from.cycle < m.ffBarrier {
-		return fmt.Errorf("sim: cannot replay to cycle %d: replay would cross the fast-forwarded region below cycle %d and no snapshot covers it: %w", target, m.ffBarrier, ErrRewindBarrier)
-	}
-	ns, err := m.restore(from, target)
+	ns, err := m.restore(m.snaps.latest(target, byCycle), target)
 	if err != nil {
 		return err
+	}
+	if ns.Committed() > m.sim.Committed() {
+		return fmt.Errorf("sim: cannot rewind to cycle %d: the replay from the floor commits %d instructions by then, more than the %d this machine holds: %w", target, ns.Committed(), m.sim.Committed(), ErrRewindBarrier)
 	}
 	m.adopt(ns)
 	return nil

@@ -422,8 +422,4 @@ func TestSnapList(t *testing.T) {
 	if got := l.latest(5, byCommitted); got.data != nil || got.cycle != 0 {
 		t.Errorf("below every capture: %+v, want the floor", got)
 	}
-	l.dropBelow(30)
-	if len(l.above) != 1 || l.latest(25, byCycle).cycle != 0 {
-		t.Errorf("dropBelow(30) kept %d captures", len(l.above))
-	}
 }
