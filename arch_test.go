@@ -278,16 +278,18 @@ var archRules = []*archRule{
 		// Rates are derived from stats.Counters in stats.NewReport and
 		// nowhere else (docs/architecture.md "Statistics"); a write to a
 		// rate field elsewhere is a second copy of a formula in the
-		// making. workload.FromReport rounds the report's rates into the
-		// suite's row and is the one place that derives the row's CPI,
-		// BranchMPKI and CacheMissRate.
+		// making. The report's own decoder (internal/stats) copies a rate
+		// off the wire, `x.f = r.Float()` with r a jsonenc.Reader, which
+		// derives nothing. workload.FromReport rounds the report's rates
+		// into the suite's row and is the one place that derives the
+		// row's CPI, BranchMPKI and CacheMissRate.
 		name: "one statement of the rates",
 		fix:  "derive rates in stats.NewReport (internal/stats/counters.go), not here",
 		check: func(c *cursor) (string, bool) {
 			name, keyed := rateWrite(c)
 			switch {
 			case slices.Contains(rateFields, name):
-				return short(name) + " written", c.in("internal/stats", "NewReport")
+				return short(name) + " written", c.in("internal/stats", "NewReport") || readOffTheWire(c)
 			case reportCopies[name] != "":
 				return short(name) + " written", keyed != nil && c.in("internal/workload", "FromReport") && roundsSame(c, keyed.Value, reportCopies[name])
 			case slices.Contains(suiteRates, name):
@@ -306,6 +308,9 @@ var archRules = []*archRule{
 			{"outside NewReport in stats", "internal/stats/merge.go", "package stats\nfunc (r *Report) add(o *Report) { r.FlopsPerSec += o.FlopsPerSec }\n", false},
 			{"suite rate elsewhere", "internal/server/suite.go", "package server\nimport \"riscvsim/internal/workload\"\nfunc fix(m *workload.Metrics) { m.CPI = 2 }\n", false},
 			{"hit rate elsewhere", "internal/render/table.go", "package render\nimport \"riscvsim/internal/cache\"\nfunc hits(s cache.Stats) float64 { return s.HitRate() }\n", false},
+			{"decoded off the wire", "internal/stats/wire.go", "package stats\nimport \"riscvsim/internal/jsonenc\"\nfunc read(rep *Report, r *jsonenc.Reader) { rep.IPC = r.Float() }\n", true},
+			{"a formula on a decoded value", "internal/stats/wire.go", "package stats\nimport \"riscvsim/internal/jsonenc\"\nfunc read(rep *Report, r *jsonenc.Reader) { rep.IPC = r.Float() / 2 }\n", false},
+			{"a decoded value outside stats", "internal/server/suite.go", "package server\nimport (\"riscvsim/internal/jsonenc\"; \"riscvsim/internal/stats\")\nfunc read(rep *stats.Report, r *jsonenc.Reader) { rep.IPC = r.Float() }\n", false},
 			{"the suite row", "internal/workload/metrics.go", "package workload\nimport \"riscvsim/internal/stats\"\nfunc FromReport(w Workload, r *stats.Report) Metrics {\n\tm := Metrics{IPC: round6(r.IPC)}\n\tm.CPI = round6(1)\n\treturn m\n}\n", true},
 		},
 	},
@@ -647,6 +652,18 @@ func rateWrite(c *cursor) (string, *ast.KeyValueExpr) {
 		}
 	}
 	return "", nil
+}
+
+// readOffTheWire reports whether the write at c is `x.f = r.Float()` in
+// internal/stats, r a jsonenc.Reader: the report's decoder copying a rate
+// the sender derived.
+func readOffTheWire(c *cursor) bool {
+	a, ok := c.parent().(*ast.AssignStmt)
+	if !ok || a.Tok != token.ASSIGN || len(a.Lhs) != 1 || len(a.Rhs) != 1 || path.Dir(c.file.path) != "internal/stats" {
+		return false
+	}
+	call, ok := a.Rhs[0].(*ast.CallExpr)
+	return ok && len(call.Args) == 0 && c.refOf(call.Fun) == "internal/jsonenc.(Reader).Float"
 }
 
 // roundsSame reports whether e is round6(x.f), f the field named rate.

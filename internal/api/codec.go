@@ -6,7 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"sync"
+
+	"riscvsim/internal/jsonenc"
 )
 
 // Media types of the v1 protocol.
@@ -135,6 +138,34 @@ func encodeInto(buf *bytes.Buffer, v any) error {
 	}
 	buf.Write(append(doc, '\n'))
 	return nil
+}
+
+// Unmarshal decodes the JSON document data into v, a pointer to a zero
+// value, with the result and the error json.Unmarshal gives. Everything v
+// gets is copied, so data may be a pooled buffer.
+func (pooledCodec) Unmarshal(data []byte, v any) error { return decodeInto(data, v) }
+
+// decodeInto reads data into v: a reply with a decoder of its own
+// (encode.go) reads itself, anything else — and any document the own
+// decoder does not fully understand, after v is zeroed again — is decoded
+// by reflection.
+func decodeInto(data []byte, v any) error {
+	if d, ok := v.(decoder); ok && !reflect.ValueOf(v).IsNil() {
+		if decodeOwn(data, d) {
+			return nil
+		}
+		reflect.ValueOf(v).Elem().SetZero()
+	}
+	return json.Unmarshal(data, v)
+}
+
+// decodeOwn zeroes d and reads data into it with d's own decoder; false
+// means the decoder did not fully understand the document.
+func decodeOwn(data []byte, d decoder) bool {
+	reflect.ValueOf(d).Elem().SetZero()
+	r := jsonenc.NewReader(data)
+	d.decodeJSON(&r)
+	return r.End()
 }
 
 // Decode reads exactly one JSON document from r into v.

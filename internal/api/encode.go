@@ -1,16 +1,19 @@
 package api
 
 import (
+	"encoding/json"
 	"strconv"
 
 	"riscvsim/internal/jsonenc"
 	"riscvsim/sim"
 )
 
-// Self-encoding replies. Every reply that can carry a processor State
-// appends itself around State's reflection-free encoder instead of being
-// walked by encoding/json, writing exactly the bytes the struct tags in
-// types.go define (TestEncoderMatchesReflection holds the two together).
+// Self-encoding, self-decoding replies. Every reply that can carry a
+// processor State appends itself around State's reflection-free encoder
+// instead of being walked by encoding/json, writing exactly the bytes the
+// struct tags in types.go define, and reads itself back through a decoder
+// (decodeJSON, below the encoders) around State's and the report's own
+// decoders (TestEncoderMatchesReflection holds all three together).
 // Members without an encoder of their own — the statistics report, the
 // debug log, trace results, errors — go through jsonenc.Value.
 
@@ -135,4 +138,139 @@ func (r *BatchResponse) AppendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `,"wallNanos":`...)
 	dst = strconv.AppendUint(dst, r.WallNanos, 10)
 	return append(dst, '}'), nil
+}
+
+// The decoders. Each reads what encoding/json would decode from the same
+// tags into a zero value, or fails its jsonenc.Reader, after which
+// decodeInto decodes the whole document by reflection. Members without a
+// decoder of their own — trace results, the parallel split, errors — are
+// decoded by reflection from their bytes.
+
+// decoder is a reply that decodes itself; decodeInto prefers it.
+type decoder interface {
+	decodeJSON(r *jsonenc.Reader)
+}
+
+// decodeMember decodes a member by reflection from its bytes.
+func decodeMember(r *jsonenc.Reader, v any) {
+	if raw := r.Raw(); raw != nil && json.Unmarshal(raw, v) != nil {
+		r.Fail()
+	}
+}
+
+func decodeState(r *jsonenc.Reader) *sim.State {
+	return jsonenc.Pointer(r, (*sim.State).DecodeJSON)
+}
+
+var stateResponseKeys = []string{"state"}
+
+func (resp *SessionStateResponse) decodeJSON(r *jsonenc.Reader) {
+	var seen uint64
+	for more := r.Enter('{'); more; more = r.Next('}') {
+		if r.Key(stateResponseKeys, &seen) == "state" {
+			resp.State = decodeState(r)
+		}
+	}
+}
+
+var newResponseKeys = []string{"sessionId", "state"}
+
+func (resp *SessionNewResponse) decodeJSON(r *jsonenc.Reader) {
+	var seen uint64
+	for more := r.Enter('{'); more; more = r.Next('}') {
+		switch r.Key(newResponseKeys, &seen) {
+		case "sessionId":
+			resp.SessionID = r.String()
+		case "state":
+			resp.State = decodeState(r)
+		}
+	}
+}
+
+var simulateResponseKeys = []string{"halted", "haltReason", "cycles", "stats", "state", "log", "trace", "parallel"}
+
+func (resp *SimulateResponse) decodeJSON(r *jsonenc.Reader) {
+	var seen uint64
+	for more := r.Enter('{'); more; more = r.Next('}') {
+		switch r.Key(simulateResponseKeys, &seen) {
+		case "halted":
+			resp.Halted = r.Bool()
+		case "haltReason":
+			resp.HaltReason = r.String()
+		case "cycles":
+			resp.Cycles = r.Uint()
+		case "stats":
+			resp.Stats = jsonenc.Pointer(r, (*sim.Report).DecodeJSON)
+		case "state":
+			resp.State = decodeState(r)
+		case "log":
+			resp.Log = jsonenc.Slice(r, (*sim.LogEntry).DecodeJSON)
+		case "trace":
+			decodeMember(r, &resp.Trace)
+		case "parallel":
+			decodeMember(r, &resp.Parallel)
+		}
+	}
+}
+
+var streamEventKeys = []string{"seq", "cycle", "halted", "haltReason", "done", "state", "stats", "error"}
+
+func (e *StreamEvent) decodeJSON(r *jsonenc.Reader) {
+	var seen uint64
+	for more := r.Enter('{'); more; more = r.Next('}') {
+		switch r.Key(streamEventKeys, &seen) {
+		case "seq":
+			e.Seq = r.Int()
+		case "cycle":
+			e.Cycle = r.Uint()
+		case "halted":
+			e.Halted = r.Bool()
+		case "haltReason":
+			e.HaltReason = r.String()
+		case "done":
+			e.Done = r.Bool()
+		case "state":
+			e.State = decodeState(r)
+		case "stats":
+			e.Stats = jsonenc.Pointer(r, (*sim.Report).DecodeJSON)
+		case "error":
+			decodeMember(r, &e.Error)
+		}
+	}
+}
+
+var batchResponseKeys = []string{"results", "succeeded", "failed", "workers", "wallNanos"}
+
+func (resp *BatchResponse) decodeJSON(r *jsonenc.Reader) {
+	var seen uint64
+	for more := r.Enter('{'); more; more = r.Next('}') {
+		switch r.Key(batchResponseKeys, &seen) {
+		case "results":
+			resp.Results = jsonenc.Slice(r, (*BatchResult).decodeJSON)
+		case "succeeded":
+			resp.Succeeded = r.Int()
+		case "failed":
+			resp.Failed = r.Int()
+		case "workers":
+			resp.Workers = r.Int()
+		case "wallNanos":
+			resp.WallNanos = r.Uint()
+		}
+	}
+}
+
+var batchResultKeys = []string{"index", "response", "error"}
+
+func (res *BatchResult) decodeJSON(r *jsonenc.Reader) {
+	var seen uint64
+	for more := r.Enter('{'); more; more = r.Next('}') {
+		switch r.Key(batchResultKeys, &seen) {
+		case "index":
+			res.Index = r.Int()
+		case "response":
+			res.Response = jsonenc.Pointer(r, (*SimulateResponse).decodeJSON)
+		case "error":
+			decodeMember(r, &res.Error)
+		}
+	}
 }

@@ -26,7 +26,7 @@ func reflected(t testing.TB, v any) []byte {
 }
 
 // checkEncoding holds the codec's output for a self-encoding reply to the
-// oracle's.
+// oracle's, and the reply's own decoder to encoding/json on that output.
 func checkEncoding[T any](t testing.TB, where string, v *T) {
 	t.Helper()
 	if _, ok := any(v).(appender); !ok {
@@ -41,6 +41,7 @@ func checkEncoding[T any](t testing.TB, where string, v *T) {
 		t.Fatalf("%s: %T differs from encoding/json at byte %d:\n got: %s\nwant: %s",
 			where, v, firstDiff(got.Bytes(), want), around(got.Bytes(), want), around(want, got.Bytes()))
 	}
+	checkDecoding[T](t, where, want)
 }
 
 // checkDecodedCopy decodes the reply's document the way a client does and

@@ -431,6 +431,33 @@ func (lv *LineView) AppendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
+var lineViewKeys = []string{"set", "way", "valid", "dirty", "tag", "addr", "data"}
+
+// DecodeJSON reads a view as encoding/json reads it into a zero LineView,
+// without reflection; r fails on what it cannot read that way
+// (jsonenc.Reader). A decoded view has no encoding of its own to splice.
+func (lv *LineView) DecodeJSON(r *jsonenc.Reader) {
+	var seen uint64
+	for more := r.Enter('{'); more; more = r.Next('}') {
+		switch r.Key(lineViewKeys, &seen) {
+		case "set":
+			lv.Set = r.Int()
+		case "way":
+			lv.Way = r.Int()
+		case "valid":
+			lv.Valid = r.Bool()
+		case "dirty":
+			lv.Dirty = r.Bool()
+		case "tag":
+			lv.Tag = r.Int()
+		case "addr":
+			lv.Addr = r.Int()
+		case "data":
+			lv.Data = r.Bytes()
+		}
+	}
+}
+
 // dropView marks what Lines last reported for a valid line as out of
 // date. A line Lines has not listed yet has nothing to drop.
 func (c *Cache) dropView(si, w int) {

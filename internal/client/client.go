@@ -66,7 +66,7 @@ func (c *Client) SetRetryPolicy(p RetryPolicy) {
 }
 
 // New builds a client for the given host/port. useGzip compresses request
-// bodies and advertises gzip responses.
+// bodies of 1 KiB or more and advertises gzip responses.
 func New(host string, port int, useGzip bool) *Client {
 	return NewForURL(fmt.Sprintf("http://%s:%d", host, port), useGzip)
 }
@@ -92,6 +92,13 @@ func Local(opts server.Options) (*Client, func()) {
 	return c, ts.Close
 }
 
+// minGzipBody is the smallest request body a gzip client compresses. It
+// is a measurement (docs/performance.md, "Compress: the level is a
+// measurement"): below it gzip saves at most a few hundred bytes, a
+// session step's 35 B body grows to 63 B, and the body still costs a
+// deflate here and an inflate at the router and at the replica.
+const minGzipBody = 1 << 10
+
 // newRequest builds a POST with the encoded body and protocol headers.
 func (c *Client) newRequest(path string, req any) (*http.Request, error) {
 	body, err := json.Marshal(req)
@@ -103,7 +110,7 @@ func (c *Client) newRequest(path string, req any) (*http.Request, error) {
 		return nil, err
 	}
 	var rd io.Reader = bytes.NewReader(body)
-	if c.gzip {
+	if c.gzip && len(body) >= minGzipBody {
 		var buf bytes.Buffer
 		gz := api.GetGzipWriter(&buf)
 		gz.Write(body)
@@ -282,7 +289,7 @@ func (c *Client) do(hreq *http.Request, path string, resp any) error {
 	if resp == nil {
 		return nil
 	}
-	if err := json.Unmarshal(data, resp); err != nil {
+	if err := api.PooledCodec.Unmarshal(data, resp); err != nil {
 		return fmt.Errorf("client: decoding %s response: %w", path, err)
 	}
 	return nil
@@ -344,13 +351,22 @@ func stream[E any](c *Client, path string, req any, fn func(*E) error, done func
 		data, _ := io.ReadAll(hresp.Body)
 		return nil, decodeError(path, hresp.StatusCode, hresp.Header, data)
 	}
-	dec := json.NewDecoder(bufio.NewReader(hresp.Body))
+	br := bufio.NewReader(hresp.Body)
+	line := api.GetBuffer()
+	defer api.PutBuffer(line)
 	for {
-		ev := new(E)
-		if err := dec.Decode(ev); err != nil {
-			if err == io.EOF {
+		end, err := readLine(br, line)
+		if err != nil {
+			return nil, fmt.Errorf("client: reading %s event: %w", path, err)
+		}
+		if len(bytes.TrimSpace(line.Bytes())) == 0 {
+			if end {
 				return nil, fmt.Errorf("client: %s: stream ended without a final event", path)
 			}
+			continue
+		}
+		ev := new(E)
+		if err := api.PooledCodec.Unmarshal(line.Bytes(), ev); err != nil {
 			return nil, fmt.Errorf("client: decoding %s event: %w", path, err)
 		}
 		if fn != nil {
@@ -360,6 +376,26 @@ func stream[E any](c *Client, path string, req any, fn func(*E) error, done func
 		}
 		if done(ev) {
 			return ev, nil
+		}
+	}
+}
+
+// readLine reads one NDJSON line, of any length, into line (emptied
+// first) and reports whether the stream ended after it.
+func readLine(br *bufio.Reader, line *bytes.Buffer) (end bool, err error) {
+	line.Reset()
+	for {
+		chunk, err := br.ReadSlice('\n')
+		line.Write(chunk)
+		switch err {
+		case nil:
+			return false, nil
+		case bufio.ErrBufferFull:
+			continue
+		case io.EOF:
+			return true, nil
+		default:
+			return false, err
 		}
 	}
 }

@@ -8,17 +8,21 @@ import (
 	"riscvsim/internal/jsonenc"
 	"riscvsim/internal/memory"
 	"riscvsim/internal/rename"
+	"riscvsim/internal/stats"
 )
 
-// The State encoder. It appends, without reflection, exactly the bytes
-// encoding/json writes for a State from the struct tags in state.go — the
-// tags stay the definition of the wire format and the differential test
-// holds the two together. What a State got from its simulation already
-// encoded (cache-line fragments, register and unit heads, the pointer
-// table) is spliced; a State built any other way, say decoded by a client,
-// has none of that and is encoded field by field to the same bytes. The
-// statistics report and the debug log carry floats and free text and stay
-// on encoding/json.
+// The State encoder and decoder. The encoder appends, without reflection,
+// exactly the bytes encoding/json writes for a State from the struct tags
+// in state.go — the tags stay the definition of the wire format and the
+// differential test holds the two together. What a State got from its
+// simulation already encoded (cache-line fragments, register and unit
+// heads, the pointer table) is spliced; a State built any other way, say
+// decoded by a client, has none of that and is encoded field by field to
+// the same bytes. The statistics report and the debug log carry floats
+// and free text and are encoded by encoding/json. The decoder (DecodeJSON
+// and a reader beside each view's encoder, below the encoders) reads a
+// State back without reflection, the report through stats.Report's own
+// decoder.
 
 // AppendJSON appends the state as one JSON object.
 func (st *State) AppendJSON(dst []byte) ([]byte, error) {
@@ -219,4 +223,201 @@ func appendPointers(dst []byte, ps []memory.Pointer) []byte {
 		dst = jsonenc.String(append(dst, `,"Elem":`...), p.Elem)
 		return append(dst, '}')
 	})
+}
+
+// The decoders: each reads, without reflection, what encoding/json would
+// decode from the same struct tags into a zero value, and fails its
+// jsonenc.Reader on anything else (the caller then decodes by
+// reflection). A decoded State has no pre-encoded fragment.
+
+var stateKeys = []string{
+	"cycle", "pc", "halted", "haltReason", "decodeBuffer", "rob", "issueWindows", "functionalUnits",
+	"loadBuffer", "storeBuffer", "intRegisters", "floatRegisters", "speculativeRegisters",
+	"cacheLines", "memoryPointers", "stats", "log",
+}
+
+// DecodeJSON reads a state into a zero State.
+func (st *State) DecodeJSON(r *jsonenc.Reader) {
+	var seen uint64
+	for more := r.Enter('{'); more; more = r.Next('}') {
+		switch r.Key(stateKeys, &seen) {
+		case "cycle":
+			st.Cycle = r.Uint()
+		case "pc":
+			st.PC = r.Int()
+		case "halted":
+			st.Halted = r.Bool()
+		case "haltReason":
+			st.HaltReason = r.String()
+		case "decodeBuffer":
+			st.DecodeBuffer = decodeInstrViews(r)
+		case "rob":
+			st.ROB = decodeInstrViews(r)
+		case "issueWindows":
+			st.Windows = jsonenc.Map(r, decodeInstrViews)
+		case "functionalUnits":
+			st.FUs = jsonenc.Slice(r, (*FUView).decodeJSON)
+		case "loadBuffer":
+			st.LoadBuffer = decodeInstrViews(r)
+		case "storeBuffer":
+			st.StoreBuffer = decodeInstrViews(r)
+		case "intRegisters":
+			st.IntRegs = jsonenc.Slice(r, (*RegView).decodeJSON)
+		case "floatRegisters":
+			st.FloatRegs = jsonenc.Slice(r, (*RegView).decodeJSON)
+		case "speculativeRegisters":
+			st.SpecRegs = jsonenc.Slice(r, decodeSpecView)
+		case "cacheLines":
+			st.CacheLines = jsonenc.Slice(r, (*cache.LineView).DecodeJSON)
+		case "memoryPointers":
+			st.Pointers = jsonenc.Slice(r, decodePointer)
+		case "stats":
+			st.Stats = jsonenc.Pointer(r, (*stats.Report).DecodeJSON)
+		case "log":
+			st.Log = jsonenc.Slice(r, (*LogEntry).DecodeJSON)
+		}
+	}
+}
+
+func decodeInstrViews(r *jsonenc.Reader) []InstrView {
+	return jsonenc.Slice(r, (*InstrView).decodeJSON)
+}
+
+var instrViewKeys = []string{
+	"id", "pc", "text", "phase", "fetchedAt", "decodedAt", "issuedAt", "executedAt", "memoryAt",
+	"committedAt", "speculative", "squashed", "exception", "destTag", "mispredict",
+}
+
+func (v *InstrView) decodeJSON(r *jsonenc.Reader) {
+	var seen uint64
+	for more := r.Enter('{'); more; more = r.Next('}') {
+		switch r.Key(instrViewKeys, &seen) {
+		case "id":
+			v.ID = r.Uint()
+		case "pc":
+			v.PC = r.Int()
+		case "text":
+			v.Text = r.String()
+		case "phase":
+			v.Phase = r.String()
+		case "fetchedAt":
+			v.FetchedAt = r.Uint()
+		case "decodedAt":
+			v.DecodedAt = r.Uint()
+		case "issuedAt":
+			v.IssuedAt = r.Uint()
+		case "executedAt":
+			v.ExecutedAt = r.Uint()
+		case "memoryAt":
+			v.MemoryAt = r.Uint()
+		case "committedAt":
+			v.CommittedAt = r.Uint()
+		case "speculative":
+			v.Speculative = r.Bool()
+		case "squashed":
+			v.Squashed = r.Bool()
+		case "exception":
+			v.Exception = r.String()
+		case "destTag":
+			v.DestTag = r.String()
+		case "mispredict":
+			v.Mispredict = r.Bool()
+		}
+	}
+}
+
+var regViewKeys = []string{"name", "alias", "value", "renamed"}
+
+func (v *RegView) decodeJSON(r *jsonenc.Reader) {
+	var seen uint64
+	for more := r.Enter('{'); more; more = r.Next('}') {
+		switch r.Key(regViewKeys, &seen) {
+		case "name":
+			v.Name = r.String()
+		case "alias":
+			v.Alias = r.String()
+		case "value":
+			v.Value = r.String()
+		case "renamed":
+			v.Renamed = r.String()
+		}
+	}
+}
+
+var fuViewKeys = []string{"name", "class", "busy", "inFlight", "instr", "doneAt"}
+
+func (v *FUView) decodeJSON(r *jsonenc.Reader) {
+	var seen uint64
+	for more := r.Enter('{'); more; more = r.Next('}') {
+		switch r.Key(fuViewKeys, &seen) {
+		case "name":
+			v.Name = r.String()
+		case "class":
+			v.Class = r.String()
+		case "busy":
+			v.Busy = r.Bool()
+		case "inFlight":
+			v.InFlight = r.Int()
+		case "instr":
+			v.Instr = jsonenc.Pointer(r, (*InstrView).decodeJSON)
+		case "doneAt":
+			v.DoneAt = r.Uint()
+		}
+	}
+}
+
+var specViewKeys = []string{"tag", "arch", "value", "valid", "refs", "committed"}
+
+func decodeSpecView(v *rename.SpecView, r *jsonenc.Reader) {
+	var seen uint64
+	for more := r.Enter('{'); more; more = r.Next('}') {
+		switch r.Key(specViewKeys, &seen) {
+		case "tag":
+			v.Tag = r.String()
+		case "arch":
+			v.Arch = r.String()
+		case "value":
+			v.Value = r.String()
+		case "valid":
+			v.Valid = r.Bool()
+		case "refs":
+			v.Refs = r.Int()
+		case "committed":
+			v.Committed = r.Bool()
+		}
+	}
+}
+
+// pointerKeys are memory.Pointer's Go names: it carries no tags.
+var pointerKeys = []string{"Name", "Addr", "Size", "Elem"}
+
+func decodePointer(p *memory.Pointer, r *jsonenc.Reader) {
+	var seen uint64
+	for more := r.Enter('{'); more; more = r.Next('}') {
+		switch r.Key(pointerKeys, &seen) {
+		case "Name":
+			p.Name = r.String()
+		case "Addr":
+			p.Addr = r.Int()
+		case "Size":
+			p.Size = r.Int()
+		case "Elem":
+			p.Elem = r.String()
+		}
+	}
+}
+
+var logEntryKeys = []string{"cycle", "msg"}
+
+// DecodeJSON reads one debug-log entry into a zero LogEntry.
+func (e *LogEntry) DecodeJSON(r *jsonenc.Reader) {
+	var seen uint64
+	for more := r.Enter('{'); more; more = r.Next('}') {
+		switch r.Key(logEntryKeys, &seen) {
+		case "cycle":
+			e.Cycle = r.Uint()
+		case "msg":
+			e.Msg = r.String()
+		}
+	}
 }

@@ -1,8 +1,9 @@
-// Package jsonenc holds the append-style JSON primitives behind the
-// reflection-free encoders of the step reply (core.State and the views it
-// is made of): each appends to dst exactly the bytes encoding/json writes
-// for the same value with its default HTML escaping, so a hand-written
-// encoder and the reflective one stay byte-identical.
+// Package jsonenc holds the JSON primitives behind the reflection-free
+// encoders and decoders of the replies (core.State, the views it is made
+// of, the statistics report). The append-style encoders each append to dst
+// exactly the bytes encoding/json writes for the same value with its
+// default HTML escaping, so a hand-written encoder and the reflective one
+// stay byte-identical; Reader (reader.go) reads those documents back.
 package jsonenc
 
 import (

@@ -130,8 +130,8 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	return body, true
 }
 
-// errInflatedTooLarge: a gzipped request body inflates past
-// api.MaxBodyBytes, the bound a replica puts on the clear bytes it reads.
+// errInflatedTooLarge: a gzipped body inflates past api.MaxBodyBytes, the
+// bound a replica puts on the clear bytes it reads.
 var errInflatedTooLarge = fmt.Errorf("gzip body inflates past %d bytes", api.MaxBodyBytes)
 
 // sessionIDFromBody pulls "sessionId" out of a session-operation body,
@@ -264,15 +264,26 @@ func (rp *reply) relay(w http.ResponseWriter) {
 	w.Write(rp.body.Bytes())
 }
 
-// inflate returns the body in the clear, for the callers that parse it.
+// errReplyGzip: a reply marked gzip is not a whole gzip stream.
+var errReplyGzip = errors.New("reply is not a valid gzip stream")
+
+// inflate returns the body in the clear, for the callers that parse it: a
+// create reply's session ID, an error envelope, a migration document. A
+// compressed body inflates no further than api.MaxBodyBytes, the bound on
+// any body a replica reads and so on any document the router sends on;
+// past it inflate fails with errInflatedTooLarge, on a broken stream with
+// errReplyGzip.
 func (rp *reply) inflate() ([]byte, error) {
 	if !strings.Contains(rp.header.Get("Content-Encoding"), "gzip") {
 		return rp.body.Bytes(), nil
 	}
 	if rp.clear == nil {
 		clear := api.GetBuffer()
-		if err := gunzip(clear, rp.body.Bytes(), -1); err != nil {
+		if err := gunzip(clear, rp.body.Bytes(), api.MaxBodyBytes); err != nil {
 			api.PutBuffer(clear)
+			if !errors.Is(err, errInflatedTooLarge) {
+				err = fmt.Errorf("%w: %v", errReplyGzip, err)
+			}
 			return nil, err
 		}
 		rp.clear = clear
@@ -289,23 +300,18 @@ func (rp *reply) errorCode() string {
 	return env.Err.Code
 }
 
-// gunzip inflates a complete gzip document into dst on a pooled reader.
-// With a limit of 0 or more it stops one byte past limit and fails with
-// errInflatedTooLarge.
+// gunzip inflates a complete gzip document into dst on a pooled reader. It
+// stops one byte past limit and fails with errInflatedTooLarge.
 func gunzip(dst *bytes.Buffer, data []byte, limit int64) error {
 	gr, err := api.GetGzipReader(bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
 	defer api.PutGzipReader(gr)
-	var r io.Reader = gr
-	if limit >= 0 {
-		r = io.LimitReader(gr, limit+1)
-	}
-	if _, err = dst.ReadFrom(r); err != nil {
+	if _, err = dst.ReadFrom(io.LimitReader(gr, limit+1)); err != nil {
 		return err
 	}
-	if limit >= 0 && int64(dst.Len()) > limit {
+	if int64(dst.Len()) > limit {
 		return errInflatedTooLarge
 	}
 	return nil

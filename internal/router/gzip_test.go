@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -157,4 +158,71 @@ func gzipBytes(tb testing.TB, data []byte) []byte {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// FuzzReplyInflate holds the router's reading of a replica's reply to a
+// plain inflate of it: whatever a reply marked gzip holds, inflate gives
+// its clear bytes, or fails with errReplyGzip or, once the clear bytes
+// pass api.MaxBodyBytes, errInflatedTooLarge — it never panics and never
+// inflates further. mode 0 gzips data first, mode 1 sends data as the
+// gzip stream itself, mode 2 sends it unmarked.
+func FuzzReplyInflate(f *testing.F) {
+	bomb := gzipBytes(f, bytes.Repeat([]byte(" "), api.MaxBodyBytes+64))
+	for _, seed := range []struct {
+		data []byte
+		mode uint8
+	}{
+		{[]byte(`{"error":{"code":"session_exists","message":"taken"}}`), 0},
+		{[]byte(`{"sessionId":"s00000042","state":{"cycle":0}}`), 0},
+		{gzipBytes(f, []byte(`{"sessionId":"s7"}`)), 1},
+		{gzipBytes(f, bytes.Repeat([]byte("x"), api.MaxBodyBytes)), 1},
+		{bomb, 1},
+		{bomb[:len(bomb)/2], 1},
+		{[]byte("not gzip at all"), 1},
+		{nil, 1},
+		{[]byte(`{"sessionId":"s1"}`), 2},
+	} {
+		f.Add(seed.data, seed.mode)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
+		body, header := data, http.Header{"Content-Encoding": {"gzip"}}
+		switch mode % 3 {
+		case 0:
+			body = gzipBytes(t, data)
+		case 2:
+			header = http.Header{}
+		}
+		rp, err := readReply(&http.Response{StatusCode: http.StatusOK, Header: header, Body: io.NopCloser(bytes.NewReader(body))})
+		defer rp.release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rp.inflate()
+
+		if mode%3 == 2 {
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("an unmarked reply read as %d bytes, err %v", len(got), err)
+			}
+			return
+		}
+		var want []byte
+		var wantErr error
+		if gr, gerr := gzip.NewReader(bytes.NewReader(body)); gerr != nil {
+			wantErr = gerr
+		} else {
+			want, wantErr = io.ReadAll(io.LimitReader(gr, api.MaxBodyBytes+1))
+		}
+		switch {
+		case wantErr != nil:
+			if !errors.Is(err, errReplyGzip) {
+				t.Fatalf("a broken stream (%v) inflated to %d bytes, err %v; want errReplyGzip", wantErr, len(got), err)
+			}
+		case len(want) > api.MaxBodyBytes:
+			if !errors.Is(err, errInflatedTooLarge) {
+				t.Fatalf("a stream past %d bytes inflated to %d bytes, err %v; want errInflatedTooLarge", api.MaxBodyBytes, len(got), err)
+			}
+		case err != nil || !bytes.Equal(got, want):
+			t.Fatalf("inflated to %d bytes, err %v; want the %d clear bytes", len(got), err, len(want))
+		}
+	})
 }

@@ -6,10 +6,12 @@ package stats
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"riscvsim/internal/cache"
+	"riscvsim/internal/jsonenc"
 	"riscvsim/internal/memory"
 	"riscvsim/internal/predictor"
 	"riscvsim/internal/rename"
@@ -167,4 +169,161 @@ func pct(part, total uint64) float64 {
 		return 0
 	}
 	return 100 * float64(part) / float64(total)
+}
+
+// reportKeys are Report's members as its struct tags name them.
+var reportKeys = []string{
+	"architecture", "cycles", "committedInstructions", "fetchedInstructions", "squashedInstructions",
+	"ipc", "wallTimeSec", "flops", "flopsPerSec", "robFlushes", "haltReason", "exception",
+	"staticMix", "dynamicMix", "functionalUnits", "lsu", "predictor", "predictorAccuracy",
+	"cache", "cacheHitRate", "memory", "rename", "fetchStallCycles", "decodeStallCycles",
+	"commitStallCycles", "robMeanOccupancy", "windowMeanOccupancy", "windowFullStalls", "renameFullStalls",
+}
+
+// DecodeJSON reads the report without reflection into a zero Report, as
+// encoding/json would read it from the struct tags; r fails on what it
+// cannot read that way (jsonenc.Reader). A report is encoded by
+// reflection, so nothing here has an encoder beside it.
+func (rep *Report) DecodeJSON(r *jsonenc.Reader) {
+	var seen uint64
+	for more := r.Enter('{'); more; more = r.Next('}') {
+		switch r.Key(reportKeys, &seen) {
+		case "architecture":
+			rep.Architecture = r.String()
+		case "cycles":
+			rep.Cycles = r.Uint()
+		case "committedInstructions":
+			rep.Committed = r.Uint()
+		case "fetchedInstructions":
+			rep.Fetched = r.Uint()
+		case "squashedInstructions":
+			rep.Squashed = r.Uint()
+		case "ipc":
+			rep.IPC = r.Float()
+		case "wallTimeSec":
+			rep.WallTimeSec = r.Float()
+		case "flops":
+			rep.Flops = r.Uint()
+		case "flopsPerSec":
+			rep.FlopsPerSec = r.Float()
+		case "robFlushes":
+			rep.ROBFlushes = r.Uint()
+		case "haltReason":
+			rep.HaltReason = r.String()
+		case "exception":
+			rep.ExceptionMsg = r.String()
+		case "staticMix":
+			rep.StaticMix = jsonenc.Map(r, (*jsonenc.Reader).Uint)
+		case "dynamicMix":
+			rep.DynamicMix = jsonenc.Map(r, (*jsonenc.Reader).Uint)
+		case "functionalUnits":
+			rep.FUs = jsonenc.Slice(r, (*FUStat).decodeJSON)
+		case "lsu":
+			rep.LSU.decodeJSON(r)
+		case "predictor":
+			decodePredictor(&rep.Predictor, r)
+		case "predictorAccuracy":
+			rep.PredAccuracy = r.Float()
+		case "cache":
+			decodeCache(&rep.Cache, r)
+		case "cacheHitRate":
+			rep.CacheHitRate = r.Float()
+		case "memory":
+			decodeMemory(&rep.Memory, r)
+		case "rename":
+			decodeRename(&rep.Rename, r)
+		case "fetchStallCycles":
+			rep.FetchStalls = r.Uint()
+		case "decodeStallCycles":
+			rep.DecodeStalls = r.Uint()
+		case "commitStallCycles":
+			rep.CommitStalls = r.Uint()
+		case "robMeanOccupancy":
+			rep.ROBOccupancy = r.Float()
+		case "windowMeanOccupancy":
+			rep.WindowOccup = r.Float()
+		case "windowFullStalls":
+			rep.WindowStalls = r.Uint()
+		case "renameFullStalls":
+			rep.RenameStalls = r.Uint()
+		}
+	}
+}
+
+var fuStatKeys = []string{"name", "class", "busyCycles", "busyPct", "execCount"}
+
+func (s *FUStat) decodeJSON(r *jsonenc.Reader) {
+	var seen uint64
+	for more := r.Enter('{'); more; more = r.Next('}') {
+		switch r.Key(fuStatKeys, &seen) {
+		case "name":
+			s.Name = r.String()
+		case "class":
+			s.Class = r.String()
+		case "busyCycles":
+			s.BusyCycles = r.Uint()
+		case "busyPct":
+			s.BusyPct = r.Float()
+		case "execCount":
+			s.ExecCount = r.Uint()
+		}
+	}
+}
+
+// The counter blocks below are all-unsigned objects: decodeCounters reads
+// one, each key into the field the same position of fields points at.
+
+var lsuKeys = []string{
+	"loads", "stores", "forwards", "stallsUnknownAddr", "stallsPartialOverlap",
+	"busBusyCycles", "loadBufferFullStalls", "storeBufferFullStalls",
+}
+
+func (s *LSUStat) decodeJSON(r *jsonenc.Reader) {
+	decodeCounters(r, lsuKeys, &s.Loads, &s.Stores, &s.Forwards, &s.StallsUnknown, &s.StallsPartial,
+		&s.BusBusyCycles, &s.LoadBufStalls, &s.StoreBufStalls)
+}
+
+var predictorKeys = []string{"predictions", "correct", "mispredicts", "btbHits", "btbMisses"}
+
+func decodePredictor(s *predictor.Stats, r *jsonenc.Reader) {
+	decodeCounters(r, predictorKeys, &s.Predictions, &s.Correct, &s.Mispredicts, &s.BTBHits, &s.BTBMisses)
+}
+
+var cacheKeys = []string{"accesses", "hits", "misses", "evictions", "writebacks", "bytesWritten"}
+
+func decodeCache(s *cache.Stats, r *jsonenc.Reader) {
+	decodeCounters(r, cacheKeys, &s.Accesses, &s.Hits, &s.Misses, &s.Evictions, &s.Writebacks, &s.BytesWritten)
+}
+
+var memoryKeys = []string{"reads", "writes", "bytesRead", "bytesWritten"}
+
+func decodeMemory(s *memory.Stats, r *jsonenc.Reader) {
+	decodeCounters(r, memoryKeys, &s.Reads, &s.Writes, &s.BytesRead, &s.BytesWritten)
+}
+
+func decodeCounters(r *jsonenc.Reader, keys []string, fields ...*uint64) {
+	var seen uint64
+	for more := r.Enter('{'); more; more = r.Next('}') {
+		if k := r.Key(keys, &seen); k != "" {
+			*fields[slices.Index(keys, k)] = r.Uint()
+		}
+	}
+}
+
+var renameKeys = []string{"allocations", "stallsEmpty", "inUse", "free"}
+
+func decodeRename(s *rename.Stats, r *jsonenc.Reader) {
+	var seen uint64
+	for more := r.Enter('{'); more; more = r.Next('}') {
+		switch r.Key(renameKeys, &seen) {
+		case "allocations":
+			s.Allocations = r.Uint()
+		case "stallsEmpty":
+			s.StallsEmpty = r.Uint()
+		case "inUse":
+			s.InUse = r.Int()
+		case "free":
+			s.Free = r.Int()
+		}
+	}
 }
