@@ -48,8 +48,8 @@ func encode(b *testing.B, v any) []byte {
 // reply at cycle 1,500 read into a SessionStateResponse. The reflective
 // decode was the largest single cost of a step in a CPU profile of
 // bench's session_router workload; the own decoder reads the reply in
-// about a quarter of its time, though it still allocates every string
-// the reflective decode does.
+// about a quarter of its time and allocates only slices and variable
+// text, the names of fixed sets interned.
 func BenchmarkStepReplyDecode(b *testing.B) {
 	w, _ := workload.ByName("sort-insertion")
 	m, err := workload.NewMachine(nil, w)

@@ -13,9 +13,10 @@ import (
 // instead of being walked by encoding/json, writing exactly the bytes the
 // struct tags in types.go define, and reads itself back through a decoder
 // (decodeJSON, below the encoders) around State's and the report's own
-// decoders (TestEncoderMatchesReflection holds all three together).
-// Members without an encoder of their own — the statistics report, the
-// debug log, trace results, errors — go through jsonenc.Value.
+// decoders (TestEncoderMatchesReflection holds all three together), the
+// statistics report through its own encoder. Members without an encoder
+// of their own — the debug log, trace results, errors — go through
+// jsonenc.Value.
 
 // appender is a reply that encodes itself; the codec prefers it.
 type appender interface {
@@ -25,6 +26,15 @@ type appender interface {
 // appendMember appends `,"key":value` for a member encoded by reflection.
 func appendMember(dst []byte, key string, v any) ([]byte, error) {
 	return jsonenc.Value(append(dst, key...), v)
+}
+
+// appendReport appends `"key":report`, null for a missing report.
+func appendReport(dst []byte, key string, rep *sim.Report) ([]byte, error) {
+	dst = append(dst, key...)
+	if rep == nil {
+		return append(dst, "null"...), nil
+	}
+	return rep.AppendJSON(dst)
 }
 
 // appendState appends `"key":state`, null for a missing state.
@@ -58,7 +68,7 @@ func (r *SimulateResponse) AppendJSON(dst []byte) ([]byte, error) {
 	}
 	dst = append(dst, `,"cycles":`...)
 	dst = strconv.AppendUint(dst, r.Cycles, 10)
-	dst, err := appendMember(dst, `,"stats":`, r.Stats)
+	dst, err := appendReport(dst, `,"stats":`, r.Stats)
 	if err == nil && r.State != nil {
 		dst, err = appendState(dst, `,"state":`, r.State)
 	}
@@ -93,7 +103,7 @@ func (e *StreamEvent) AppendJSON(dst []byte) ([]byte, error) {
 		dst, err = appendState(dst, `,"state":`, e.State)
 	}
 	if err == nil && e.Stats != nil {
-		dst, err = appendMember(dst, `,"stats":`, e.Stats)
+		dst, err = appendReport(dst, `,"stats":`, e.Stats)
 	}
 	if err == nil && e.Error != nil {
 		dst, err = appendMember(dst, `,"error":`, e.Error)

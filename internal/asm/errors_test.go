@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -70,14 +71,66 @@ var dataErrorCases = []errorCase{
 	{"two huge items", ".data\n.zero 9223372036854775807\n.zero 9223372036854775807\n.word 5\n", `line 2:0: memory: out of memory allocating 9223372036854775807 bytes for "" (cursor 1024, capacity 65536)`},
 }
 
-// HostileSources returns the source of every diagnostic case in this
-// file, as seeds for FuzzAssemble (an external test package).
+// repeatErrorCases repeat an erroneous line: Parse reuses only lines that
+// parsed cleanly, so each copy is diagnosed at its own line and column —
+// bare, label-prefixed and indented — and a clean repeat after them adds
+// nothing.
+var repeatErrorCases = []errorCase{
+	{"repeated erroneous line",
+		"add x1, x2, x99\nadd x1, x2, x99\nfoo: add x1, x2, x99\n  add x1, x2, x99\nadd x1, x2, x3\nadd x1, x2, x3\n",
+		"4 errors:\n" +
+			"  line 1:13: unknown register \"x99\"\n" +
+			"  line 2:13: unknown register \"x99\"\n" +
+			"  line 3:18: unknown register \"x99\"\n" +
+			"  line 4:15: unknown register \"x99\""},
+	// The lexer drops the stray byte and the instruction still assembles.
+	{"repeated line with a lexer error", "addi x1, x1, 1 @\naddi x1, x1, 1 @\n",
+		"2 errors:\n" +
+			"  line 1:16: unexpected character \"@\"\n" +
+			"  line 2:16: unexpected character \"@\""},
+	{"repeated line after its error", "frob x1\nfrob x1\nfrob x1\n",
+		"3 errors:\n" +
+			"  line 1:1: unknown instruction \"frob\"\n" +
+			"  line 2:1: unknown instruction \"frob\"\n" +
+			"  line 3:1: unknown instruction \"frob\""},
+	{"repeated undefined symbol", "li a0, nowhere\nli a0, nowhere\n",
+		"2 errors:\n" +
+			"  line 1:0: undefined symbol \"nowhere\"\n" +
+			"  line 2:0: undefined symbol \"nowhere\""},
+}
+
+// repeatCases repeat lines where reusing the first parse could go wrong;
+// want lists every instruction as line:text once loaded.
+var repeatCases = []struct{ name, src, want string }{
+	// jalr evaluates its offset when parsed, with the symbols of the
+	// moment; li and addi defer to the second pass and see the last value.
+	{"repeat across a redefinition",
+		".equ N, 1\njalr ra, N(t0)\nli a0, N\naddi a0, a0, N\n.set N, 2\njalr ra, N(t0)\nli a0, N\naddi a0, a0, N\n",
+		"2:jalr ra, t0, 1\n3:addi a0, x0, 2\n4:addi a0, a0, 2\n6:jalr ra, t0, 2\n7:addi a0, x0, 2\n8:addi a0, a0, 2\n"},
+	// A label binds to the repeat it prefixes; a branch is relative to
+	// each copy's own index.
+	{"label-prefixed repeat",
+		"addi a0, a0, 1\nloop: addi a0, a0, 1\naddi a0, a0, 1\nbnez a0, loop\nbnez a0, loop\n",
+		"1:addi a0, a0, 1\n2:addi a0, a0, 1\n3:addi a0, a0, 1\n4:bne a0, x0, -2\n5:bne a0, x0, -3\n"},
+	{"repeat in .data and .text",
+		".data\nx: .word 5\naddi a0, a0, 1\n.word 5\n.text\naddi a0, a0, 1\n.word 5\nla a1, x\nla a1, x\n",
+		"3:addi a0, a0, 1\n6:addi a0, a0, 1\n8:addi a1, x0, 1024\n9:addi a1, x0, 1024\n"},
+	{"li of values of every size",
+		"li a0, 1\nli a0, 0x12345678\nli a0, 1\nli a0, -2048\nli a0, 0x12345678\nli a0, -2048\n",
+		"1:addi a0, x0, 1\n2:addi a0, x0, 305419896\n3:addi a0, x0, 1\n4:addi a0, x0, -2048\n5:addi a0, x0, 305419896\n6:addi a0, x0, -2048\n"},
+}
+
+// HostileSources returns the source of every diagnostic and repeat case
+// in this file, as seeds for FuzzAssemble (an external test package).
 func HostileSources() []string {
 	var out []string
-	for _, cases := range [][]errorCase{parserErrorCases, lexerErrorCases, operandErrorCases, dataErrorCases} {
+	for _, cases := range [][]errorCase{parserErrorCases, lexerErrorCases, operandErrorCases, dataErrorCases, repeatErrorCases} {
 		for _, c := range cases {
 			out = append(out, c.src)
 		}
+	}
+	for _, c := range repeatCases {
+		out = append(out, c.src)
 	}
 	return out
 }
@@ -106,6 +159,27 @@ func TestOperandExpressionErrorMessages(t *testing.T) {
 	}
 	if imm := prog.Instructions[0].Op("imm"); imm == nil || imm.Val != 7 {
 		t.Errorf("500 levels of parentheses evaluate to %+v, want 7", imm)
+	}
+}
+
+func TestRepeatedLineErrorMessages(t *testing.T) {
+	for _, c := range repeatErrorCases {
+		t.Run(c.name, func(t *testing.T) { wantErrMsg(t, c.src, c.want) })
+	}
+}
+
+func TestRepeatedLines(t *testing.T) {
+	for _, c := range repeatCases {
+		t.Run(c.name, func(t *testing.T) {
+			prog, _ := assemble(t, c.src)
+			var got strings.Builder
+			for _, in := range prog.Instructions {
+				fmt.Fprintf(&got, "%d:%s\n", in.Line, in)
+			}
+			if got.String() != c.want {
+				t.Errorf("got\n%s\nwant\n%s", got.String(), c.want)
+			}
+		})
 	}
 }
 

@@ -97,6 +97,28 @@ type lexer struct {
 
 func newLexer(src string) lexer { return lexer{src: src, line: 1, col: 1} }
 
+// lineText returns the text of the line at the lexer's position, without
+// its newline, and false inside a block comment, where the line's tokens
+// depend on more than its own text.
+func (lx *lexer) lineText() (string, bool) {
+	if lx.inComment {
+		return "", false
+	}
+	rest := lx.src[lx.i:]
+	if n := strings.IndexByte(rest, '\n'); n >= 0 {
+		return rest[:n], true
+	}
+	return rest, true
+}
+
+// skipLine moves past the line lineText returned, which the caller has
+// handled without its tokens.
+func (lx *lexer) skipLine(text string) {
+	lx.i = min(lx.i+len(text)+1, len(lx.src))
+	lx.line++
+	lx.col = 1
+}
+
 // next overwrites toks with the tokens of the next line, ending with its
 // TokNewline; it returns no tokens once the source is exhausted.
 func (lx *lexer) next(toks []Token) []Token {

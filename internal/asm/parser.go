@@ -35,11 +35,74 @@ type parser struct {
 	prog    *Program
 	sect    section
 	pending []string // labels awaiting their statement
+
+	// lines is the number of source lines and line the one being parsed,
+	// which size the slab.
+	lines, line int
+	// instrSlab hands out the Program's instructions from shared arrays:
+	// an allocation per chunk, not one per instruction.
+	instrSlab []Instruction
+	// symDep records that the line being parsed evaluated an operand
+	// against the symbol table as it stands, so a repeat of its text
+	// could mean something else.
+	symDep bool
 }
+
+// lineCache holds the instruction lines a Parse call may reuse, in sets
+// of two picked by the text's hash; a new entry displaces the older of a
+// full set. It lives on the stack, so a source that repeats no line costs
+// no heap.
+type lineCache [lineSets]lineSet
+
+const lineSets = 128
+
+type lineSet [2]lineMemo
+
+// lineMemo is an instruction line parsed once: its text and the
+// instructions it made, Program.Instructions[first : first+n].
+type lineMemo struct {
+	text     string
+	first, n int32
+}
+
+// set picks text's set from its length and its first and last eight
+// bytes, which tell compiled lines apart; texts that share a set are
+// still compared whole. The pick is fixed, so a Parse allocates the same
+// on every run.
+func (c *lineCache) set(text string) *lineSet {
+	h := uint64(len(text))
+	for i := 0; i < 8 && i < len(text); i++ {
+		h = h<<8 | uint64(text[i])
+	}
+	for i := max(len(text)-8, 8); i < len(text); i++ {
+		h = h*31 + uint64(text[i])
+	}
+	return &c[h*0x9E3779B97F4A7C15>>57] // the top 7 bits: lineSets
+}
+
+func (s *lineSet) find(text string) (lineMemo, bool) {
+	for _, m := range s {
+		if m.n > 0 && m.text == text {
+			return m, true
+		}
+	}
+	return lineMemo{}, false
+}
+
+func (s *lineSet) add(m lineMemo) { s[1], s[0] = s[0], m }
 
 // Parse runs the assembler's first pass: tokenization and processing of
 // instructions and memory directives (paper §III-C). The returned program
 // still needs Load to allocate memory and resolve label expressions.
+//
+// An instruction line whose text was parsed before in this call is not
+// parsed again (lineCache): compiled code repeats a few dozen distinct
+// lines hundreds of times. Its instructions are copies of the first
+// occurrence's with their own index and line, sharing the operands unless
+// one waits for the second pass. Only a line that parsed without a
+// diagnostic, without labels and without consulting the symbol table is
+// reused, so every diagnostic is still made at its own line. The memo ends
+// with the call.
 func Parse(src string, set *isa.Set, regs *isa.RegisterFile) (*Program, error) {
 	p := &parser{
 		set:  set,
@@ -48,10 +111,37 @@ func Parse(src string, set *isa.Set, regs *isa.RegisterFile) (*Program, error) {
 			Symbols:    make(SymbolTable),
 			codeLabels: make(map[string]int),
 		},
+		lines: strings.Count(src, "\n") + 1,
 	}
+	p.prog.Instructions = make([]*Instruction, 0, min(p.lines, slabChunk))
+	var memo lineCache
 	lx := newLexer(src)
-	for line := lx.next(nil); len(line) > 0; line = lx.next(line) {
+	var line []Token
+	for {
+		// bucket is nil inside a block comment, where a line's tokens
+		// depend on more than its text.
+		var bucket *lineSet
+		text, plain := lx.lineText()
+		p.line = lx.line
+		if plain {
+			bucket = memo.set(text)
+			if m, ok := bucket.find(text); ok {
+				p.replay(m, lx.line)
+				lx.skipLine(text)
+				continue
+			}
+		}
+		start, nerrs, first := lx.i, len(lx.errs)+len(p.errs), len(p.prog.Instructions)
+		if line = lx.next(line); len(line) == 0 {
+			break
+		}
+		p.symDep = false
 		p.parseLine(line)
+		if bucket != nil && !lx.inComment && lx.i == min(start+len(text)+1, len(src)) &&
+			line[0].Kind == TokIdent && line[1].Kind != TokColon && !p.symDep &&
+			len(lx.errs)+len(p.errs) == nerrs && len(p.prog.Instructions) > first {
+			bucket.add(lineMemo{text, int32(first), int32(len(p.prog.Instructions) - first)})
+		}
 	}
 	// Code labels are known after the first pass.
 	for name, idx := range p.prog.codeLabels {
@@ -59,6 +149,45 @@ func Parse(src string, set *isa.Set, regs *isa.RegisterFile) (*Program, error) {
 	}
 	// Lexer diagnostics come first, then the parser's, each in source order.
 	return p.prog, append(lx.errs, p.errs...).Err()
+}
+
+// replay appends the instructions of memoized line m again, at source
+// line line.
+func (p *parser) replay(m lineMemo, line int) {
+	for _, tmpl := range p.prog.Instructions[m.first : m.first+m.n] {
+		p.attachCodeLabels()
+		in := p.newInstruction()
+		*in = Instruction{Desc: tmpl.Desc, Ops: tmpl.Ops, Index: len(p.prog.Instructions), Line: line}
+		// Load resolves a waiting operand in place, per instruction.
+		for i := range tmpl.Ops {
+			if tmpl.Ops[i].expr != nil {
+				in.Ops = append([]Operand(nil), tmpl.Ops...)
+				break
+			}
+		}
+		p.prog.Instructions = append(p.prog.Instructions, in)
+	}
+}
+
+// slabChunk bounds the instructions one slab allocation holds, so a
+// source of blank lines reserves nothing much.
+const slabChunk = 1024
+
+// newInstruction returns a zero Instruction from the slab. A new chunk is
+// sized for the lines still to come at the density of instructions in the
+// lines so far, so comments and blank lines reserve little.
+func (p *parser) newInstruction() *Instruction {
+	if len(p.instrSlab) == 0 {
+		rest := p.lines - p.line + 1 // this line included
+		n := min(rest, 16)
+		if done := p.line - 1; done > 0 && len(p.prog.Instructions) > 0 {
+			n = min(rest, rest*len(p.prog.Instructions)/done+4)
+		}
+		p.instrSlab = make([]Instruction, min(max(n, 1), slabChunk))
+	}
+	in := &p.instrSlab[0]
+	p.instrSlab = p.instrSlab[1:]
+	return in
 }
 
 // Assemble is the full pipeline: parse, allocate, resolve and write the
@@ -410,7 +539,8 @@ func (p *parser) expand(mn Token, groups [][]Token, depth int) {
 // its assembly format and appends the instruction to the code segment.
 func (p *parser) assemble(mn Token, desc *isa.Desc, groups [][]Token) {
 	p.attachCodeLabels()
-	in := &Instruction{
+	in := p.newInstruction()
+	*in = Instruction{
 		Desc:  desc,
 		Index: len(p.prog.Instructions),
 		Line:  mn.Line,
@@ -610,6 +740,7 @@ func (p *parser) bindJalr(mn Token, desc *isa.Desc, in *Instruction, groups [][]
 	}
 	immZero := Operand{Arg: desc.Arg("imm"), Val: 0, Text: "0"}
 	bindImm := func(g []Token) {
+		p.symDep = p.symDep || namesSymbol(g)
 		op := Operand{Arg: desc.Arg("imm"), Text: groupText(g)}
 		if v, err := evalOperand(g, p.prog.Symbols); err == nil {
 			op.Val = v

@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -134,6 +135,38 @@ func TestProgramDumpPinned(t *testing.T) {
 	}
 }
 
+// TestRepeatsMatchDistinctLines: Parse reuses the parse of a repeated
+// line, so a source must assemble exactly as its copy with every line
+// made distinct by a trailing comment, which nothing can reuse: to the
+// same Program or the same diagnostics. The sources are the pinned ones,
+// where compiled code repeats most of its lines, and the hostile and
+// repeat cases of errors_test.go without quotes (a comment appended to
+// an unterminated literal would change it).
+func TestRepeatsMatchDistinctLines(t *testing.T) {
+	srcs := pinnedSources(t)
+	for i, src := range asm.HostileSources() {
+		if !strings.ContainsAny(src, `"'`) {
+			srcs[fmt.Sprintf("case %d", i)] = src
+		}
+	}
+	outcome := func(src string) string {
+		prog, err := asm.Assemble(src, pinSet, pinRegs, memory.New(memory.DefaultConfig()))
+		if err != nil {
+			return err.Error()
+		}
+		return dumpProgram(prog)
+	}
+	for name, src := range srcs {
+		lines := strings.Split(src, "\n")
+		for i := range lines[:len(lines)-1] { // the text after the last newline ends the source
+			lines[i] += " # " + strconv.Itoa(i)
+		}
+		if got, want := outcome(src), outcome(strings.Join(lines, "\n")); got != want {
+			t.Errorf("%s: repeated lines assemble differently from distinct ones:\n%.300s\nvs\n%.300s", name, got, want)
+		}
+	}
+}
+
 // assembleBytesPerSourceByte is the heap, in bytes per source byte, that
 // one Assemble of src allocates: the Program, its operand expressions
 // and the image pages it writes. The memories are built beforehand.
@@ -156,11 +189,12 @@ func assembleBytesPerSourceByte(t testing.TB, src string) float64 {
 }
 
 // TestAssembleAllocationPerSourceByte holds the build path to what the
-// Program keeps. Compiled quicksort -O0 (4,735 bytes) allocates 16.7 bytes
-// per source byte; a whole-source token array and per-line operand groups
-// took it to 84.4.
+// Program keeps. Compiled quicksort -O0 (4,735 bytes) allocates 7.9 bytes
+// per source byte; an Instruction and an operand slice allocated per line,
+// each line parsed again however often it repeats, took it to 16.7, and a
+// whole-source token array and per-line operand groups to 84.4.
 func TestAssembleAllocationPerSourceByte(t *testing.T) {
-	const limit = 22
+	const limit = 10
 	src := compileC(t, quicksortC(t), 0)
 	if got := assembleBytesPerSourceByte(t, src); got > limit {
 		t.Errorf("assembling %d bytes of quicksort -O0 allocates %.1f bytes per source byte, limit %d", len(src), got, limit)

@@ -178,8 +178,8 @@ func (p *Program) EntryPoint(label string) (int, error) {
 
 // MixStatic counts instructions by type: the static instruction mix shown
 // by the runtime-statistics window (paper §II-D).
-func (p *Program) MixStatic() map[isa.InstrType]int {
-	mix := make(map[isa.InstrType]int)
+func (p *Program) MixStatic() [isa.NumInstrTypes]int {
+	var mix [isa.NumInstrTypes]int
 	for _, in := range p.Instructions {
 		mix[in.Desc.Type]++
 	}

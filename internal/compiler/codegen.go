@@ -1,7 +1,7 @@
 package compiler
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -51,13 +51,19 @@ func Compile(src string, opt int) (*Result, error) {
 	g := &codegen{prog: prog, opt: opt}
 	g.run()
 	if opt >= 2 {
+		g.textLines()
 		g.peephole()
 	}
 	return g.result(), nil
 }
 
-// asmLine is one emitted assembly line with its originating C line.
-type asmLine struct {
+// asmLine is one emitted assembly line: its bounds in codegen.text,
+// indentation and newline excluded, and its originating C line.
+type asmLine struct{ off, end, cline int32 }
+
+// textLine is an assembly line as the passes that rewrite the output see
+// it.
+type textLine struct {
 	text  string
 	cline int
 }
@@ -65,7 +71,12 @@ type asmLine struct {
 type codegen struct {
 	prog *program
 	opt  int
-	out  []asmLine
+	// text is the output as it is emitted, each line already indented or
+	// not and ended; out lists the lines. lines, once set, replaces both
+	// (textLines).
+	text  []byte
+	out   []asmLine
+	lines []textLine
 
 	labelN  int
 	curLine int
@@ -79,23 +90,116 @@ type codegen struct {
 	epilogue   string
 }
 
+// emit appends one line of assembly: format with its verbs replaced by
+// args (appendf).
 func (g *codegen) emit(format string, args ...any) {
-	g.out = append(g.out, asmLine{text: fmt.Sprintf(format, args...), cline: g.curLine})
+	start := g.beginLine()
+	g.text = appendf(g.text, format, args...)
+	g.endLine(start)
+}
+
+// beginLine opens a line at the end of the output text, to be written by
+// appending to g.text and closed by endLine.
+func (g *codegen) beginLine() int {
+	g.text = append(g.text, '\t')
+	return len(g.text)
+}
+
+// endLine closes the line opened at start. Instructions stay indented;
+// directives and labels move back to the margin.
+func (g *codegen) endLine(start int) {
+	if line := g.text[start:]; len(line) > 0 && (line[0] == '.' || line[len(line)-1] == ':') {
+		g.text = append(g.text[:start-1], line...)
+		start--
+	}
+	g.out = append(g.out, asmLine{off: int32(start), end: int32(len(g.text)), cline: int32(g.curLine)})
+	g.text = append(g.text, '\n')
 }
 
 func (g *codegen) emitLabel(l string) {
-	g.out = append(g.out, asmLine{text: l + ":", cline: g.curLine})
+	start := g.beginLine()
+	g.text = append(append(g.text, l...), ':')
+	g.endLine(start)
 }
 
 func (g *codegen) newLabel(hint string) string {
 	g.labelN++
-	return fmt.Sprintf(".L%s%d", hint, g.labelN)
+	return ".L" + hint + strconv.Itoa(g.labelN)
+}
+
+// appendf appends format to b with %% written as % and each %s, %d and %g
+// replaced by the next argument (a string, an int or int64, a float64) as
+// fmt would spell it. Nothing reaches fmt, so the arguments are not boxed
+// on the heap.
+func appendf(b []byte, format string, args ...any) []byte {
+	n := 0
+	for i := 0; i < len(format); i++ {
+		c := format[i]
+		if c != '%' || i+1 == len(format) {
+			b = append(b, c)
+			continue
+		}
+		i++
+		verb := format[i]
+		if verb == '%' {
+			b = append(b, '%')
+			continue
+		}
+		var arg any
+		if n < len(args) {
+			arg = args[n]
+		}
+		n++
+		switch v := arg.(type) {
+		case string:
+			if verb == 's' {
+				b = append(b, v...)
+				continue
+			}
+		case int:
+			if verb == 'd' {
+				b = strconv.AppendInt(b, int64(v), 10)
+				continue
+			}
+		case int64:
+			if verb == 'd' {
+				b = strconv.AppendInt(b, v, 10)
+				continue
+			}
+		case float64:
+			if verb == 'g' {
+				b = strconv.AppendFloat(b, v, 'g', -1, 64)
+				continue
+			}
+		}
+		b = append(append(append(b, "%!"...), verb), "(BADARG)"...)
+	}
+	return b
+}
+
+// textLines turns the output into lines of text, for the passes that
+// rewrite them.
+func (g *codegen) textLines() {
+	text := string(g.text)
+	g.lines = make([]textLine, len(g.out))
+	for i, l := range g.out {
+		g.lines[i] = textLine{text: text[l.off:l.end], cline: int(l.cline)}
+	}
 }
 
 func (g *codegen) result() *Result {
+	if g.lines == nil {
+		// Nothing rewrote a line: the output text is the assembly.
+		lineMap := make([]int, len(g.out))
+		for i, l := range g.out {
+			lineMap[i] = int(l.cline)
+		}
+		return &Result{Assembly: string(g.text), LineMap: lineMap}
+	}
 	var sb strings.Builder
-	lineMap := make([]int, len(g.out))
-	for i, l := range g.out {
+	sb.Grow(len(g.text))
+	lineMap := make([]int, len(g.lines))
+	for i, l := range g.lines {
 		if strings.HasSuffix(l.text, ":") || strings.HasPrefix(l.text, ".") {
 			sb.WriteString(l.text)
 		} else {
@@ -211,36 +315,38 @@ func (g *codegen) genArrayInit(gl *VarDecl) {
 	default:
 		dir = ".word"
 	}
-	vals := make([]string, n)
+	start := g.beginLine()
+	g.text = append(append(g.text, dir...), ' ')
 	for i := 0; i < n; i++ {
+		if i > 0 {
+			g.text = append(g.text, ", "...)
+		}
 		var e *Expr
 		if i < len(gl.Inits) {
 			e = gl.Inits[i]
 		}
-		vals[i] = "0"
-		if e == nil {
-			continue
-		}
-		v, f, isConst, isFloat := constValue(e)
-		if !isConst {
-			continue
+		v, f, isConst, isFloat := int64(0), 0.0, false, false
+		if e != nil {
+			v, f, isConst, isFloat = constValue(e)
 		}
 		switch {
+		case !isConst:
+			g.text = append(g.text, '0')
 		case elem.IsFloat():
 			if !isFloat {
 				f = float64(v)
 			}
-			vals[i] = fmt.Sprintf("%g", f)
+			g.text = strconv.AppendFloat(g.text, f, 'g', -1, 64)
 		case elem.Kind == TyChar:
-			vals[i] = fmt.Sprintf("%d", int64(int8(v)))
+			g.text = strconv.AppendInt(g.text, int64(int8(v)), 10)
 		default:
 			if isFloat {
 				v = int64(f)
 			}
-			vals[i] = fmt.Sprintf("%d", int64(int32(v)))
+			g.text = strconv.AppendInt(g.text, int64(int32(v)), 10)
 		}
 	}
-	g.emit("%s %s", dir, strings.Join(vals, ", "))
+	g.endLine(start)
 }
 
 // constValue extracts a constant from a (folded) expression.
@@ -329,10 +435,10 @@ func (g *codegen) genFunc(f *FuncDecl) {
 		sym := prm.Sym
 		var src string
 		if prm.Type.IsFloat() {
-			src = fmt.Sprintf("fa%d", fltArg)
+			src = "fa" + strconv.Itoa(fltArg)
 			fltArg++
 		} else {
-			src = fmt.Sprintf("a%d", intArg)
+			src = "a" + strconv.Itoa(intArg)
 			intArg++
 		}
 		if sym.Reg != "" {
@@ -1198,10 +1304,10 @@ func (g *codegen) genCall(e *Expr) {
 		a := e.Args[i]
 		if a.Type.IsFloat() {
 			fltN--
-			g.popInto(a.Type, fmt.Sprintf("fa%d", fltN))
+			g.popInto(a.Type, "fa"+strconv.Itoa(fltN))
 		} else {
 			intN--
-			g.popInto(nil, fmt.Sprintf("a%d", intN))
+			g.popInto(nil, "a"+strconv.Itoa(intN))
 		}
 	}
 	g.emit("call %s", e.Fn)

@@ -323,31 +323,66 @@ func (lx *lexer) lexString() Token {
 	return t
 }
 
-// multi-character punctuators, longest first.
-var puncts = []string{
-	"<<=", ">>=", "...",
-	"==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
-	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--", "->",
-	"+", "-", "*", "/", "%", "=", "<", ">", "!", "~", "&", "|", "^",
-	"(", ")", "{", "}", "[", "]", ";", ",", "?", ":", ".",
-}
-
 func (lx *lexer) lexPunct() Token {
 	t := Token{Kind: TPunct, Line: lx.line, Col: lx.col}
-	rest := lx.src[lx.pos:]
-	for _, p := range puncts {
-		if strings.HasPrefix(rest, p) {
-			t.Text = p
-			for range p {
-				lx.advance()
-			}
-			return t
+	if n := punctLen(lx.src[lx.pos:]); n > 0 {
+		t.Text = lx.src[lx.pos : lx.pos+n]
+		for range n {
+			lx.advance()
 		}
+		return t
 	}
 	lx.errf(lx.line, lx.col, "unexpected character %q", string(lx.src[lx.pos]))
 	t.Text = string(lx.src[lx.pos])
 	lx.advance()
 	return t
+}
+
+// punctLen returns the length of the longest punctuator s starts with, or
+// 0 when it starts with none. The punctuators are the one-byte
+// + - * / % = < > ! ~ & | ^ ( ) { } [ ] ; , ? : . and the compounds
+// <<= >>= ... == != <= >= && || << >> += -= *= /= %= &= |= ^= ++ -- ->.
+func punctLen(s string) int {
+	var c1, c2 byte
+	if len(s) > 1 {
+		c1 = s[1]
+	}
+	if len(s) > 2 {
+		c2 = s[2]
+	}
+	switch s[0] {
+	case '<', '>':
+		switch {
+		case c1 == s[0] && c2 == '=':
+			return 3
+		case c1 == s[0] || c1 == '=':
+			return 2
+		}
+		return 1
+	case '.':
+		if c1 == '.' && c2 == '.' {
+			return 3
+		}
+		return 1
+	case '&', '|', '+':
+		if c1 == s[0] || c1 == '=' {
+			return 2
+		}
+		return 1
+	case '-':
+		if c1 == '-' || c1 == '=' || c1 == '>' {
+			return 2
+		}
+		return 1
+	case '=', '!', '*', '/', '%', '^':
+		if c1 == '=' {
+			return 2
+		}
+		return 1
+	case '~', '(', ')', '{', '}', '[', ']', ';', ',', '?', ':':
+		return 1
+	}
+	return 0
 }
 
 func unescapeC(c byte) byte {

@@ -449,9 +449,11 @@ func (g *codegen) peephole() {
 }
 
 func (g *codegen) peepholeOnce() bool {
-	out := g.out
+	out := g.lines
 	changed := false
-	var res []asmLine
+	// The pass writes no more lines than it has read, so it compacts in
+	// place.
+	res := out[:0]
 	for i := 0; i < len(out); i++ {
 		l := out[i]
 		// Pattern: addi sp, sp, -4 / sw t0, 0(sp) / <X: no sp, no t1 write... too risky>
@@ -463,7 +465,8 @@ func (g *codegen) peepholeOnce() bool {
 			if strings.HasPrefix(sw, "sw ") && strings.HasSuffix(sw, ", 0(sp)") {
 				src := strings.TrimSuffix(strings.TrimPrefix(sw, "sw "), ", 0(sp)")
 				j := i + 2
-				var mid []asmLine
+				var midBuf [2]textLine
+				mid := midBuf[:0]
 				// Allow one intervening `mv` or `li` that doesn't
 				// touch sp or the pushed value's source register.
 				for j < len(out) && len(mid) < 2 {
@@ -486,7 +489,7 @@ func (g *codegen) peepholeOnce() bool {
 					if !midWrites(mid, dst) {
 						res = append(res, mid...)
 						if dst != src {
-							res = append(res, asmLine{text: "mv " + dst + ", " + src, cline: l.cline})
+							res = append(res, textLine{text: "mv " + dst + ", " + src, cline: l.cline})
 						}
 						i = j + 1
 						changed = true
@@ -497,8 +500,7 @@ func (g *codegen) peepholeOnce() bool {
 		}
 		// mv x, x
 		if strings.HasPrefix(l.text, "mv ") {
-			parts := strings.Split(strings.TrimPrefix(l.text, "mv "), ", ")
-			if len(parts) == 2 && parts[0] == parts[1] {
+			if dst, src, ok := strings.Cut(strings.TrimPrefix(l.text, "mv "), ", "); ok && dst == src {
 				changed = true
 				continue
 			}
@@ -513,22 +515,22 @@ func (g *codegen) peepholeOnce() bool {
 		}
 		res = append(res, l)
 	}
-	g.out = res
+	g.lines = res
 	return changed
 }
 
 // touchesReg reports whether the instruction text writes the named register
 // (first operand).
 func touchesReg(text, reg string) bool {
-	fields := strings.SplitN(text, " ", 2)
-	if len(fields) < 2 {
+	_, ops, ok := strings.Cut(text, " ")
+	if !ok {
 		return false
 	}
-	ops := strings.Split(fields[1], ",")
-	return strings.TrimSpace(ops[0]) == reg
+	first, _, _ := strings.Cut(ops, ",")
+	return strings.TrimSpace(first) == reg
 }
 
-func midWrites(mid []asmLine, reg string) bool {
+func midWrites(mid []textLine, reg string) bool {
 	for _, m := range mid {
 		if touchesReg(m.text, reg) {
 			return true

@@ -3,8 +3,11 @@ package core
 import (
 	"slices"
 	"strconv"
+	"sync"
 
 	"riscvsim/internal/cache"
+	"riscvsim/internal/config"
+	"riscvsim/internal/isa"
 	"riscvsim/internal/jsonenc"
 	"riscvsim/internal/memory"
 	"riscvsim/internal/rename"
@@ -18,11 +21,11 @@ import (
 // simulation already encoded (cache-line fragments, register and unit
 // heads, the pointer table) is spliced; a State built any other way, say
 // decoded by a client, has none of that and is encoded field by field to
-// the same bytes. The statistics report and the debug log carry floats
-// and free text and are encoded by encoding/json. The decoder (DecodeJSON
-// and a reader beside each view's encoder, below the encoders) reads a
-// State back without reflection, the report through stats.Report's own
-// decoder.
+// the same bytes. The statistics report encodes itself
+// (stats.Report.AppendJSON); the debug log is encoded by encoding/json.
+// The decoder (DecodeJSON and a reader beside each view's encoder, below
+// the encoders) reads a State back without reflection, the report through
+// stats.Report's own decoder.
 
 // AppendJSON appends the state as one JSON object.
 func (st *State) AppendJSON(dst []byte) ([]byte, error) {
@@ -80,7 +83,9 @@ func (st *State) AppendJSON(dst []byte) ([]byte, error) {
 
 	dst = append(dst, `,"stats":`...)
 	var err error
-	if dst, err = jsonenc.Value(dst, st.Stats); err != nil {
+	if st.Stats == nil {
+		dst = append(dst, "null"...)
+	} else if dst, err = st.Stats.AppendJSON(dst); err != nil {
 		return dst, err
 	}
 	if len(st.Log) > 0 {
@@ -230,6 +235,39 @@ func appendPointers(dst []byte, ps []memory.Pointer) []byte {
 // jsonenc.Reader on anything else (the caller then decodes by
 // reflection). A decoded State has no pre-encoded fragment.
 
+// names are the strings of fixed sets a State repeats — register names
+// and aliases, phases, rename tags below 256, unit classes and the
+// presets' unit names — which the decoders read without allocating
+// (jsonenc.Reader.Intern); only variable text allocates.
+var names = sync.OnceValue(func() map[string]string {
+	m := make(map[string]string)
+	add := func(s string) { m[s] = s }
+	regs := isa.NewRegisterFile()
+	for i := range isa.NumRegs {
+		for _, d := range []*isa.RegisterDesc{regs.Int(i), regs.Float(i)} {
+			add(d.Name)
+			for _, a := range d.Aliases {
+				add(a)
+			}
+		}
+	}
+	for _, p := range phaseNames {
+		add(p)
+	}
+	for tag := range 256 {
+		add(rename.TagName(tag))
+	}
+	for c := range isa.NumFUClasses {
+		add(isa.FUClass(c).String())
+	}
+	for _, cfg := range config.Presets() {
+		for _, u := range cfg.Units {
+			add(u.Name)
+		}
+	}
+	return m
+})
+
 var stateKeys = []string{
 	"cycle", "pc", "halted", "haltReason", "decodeBuffer", "rob", "issueWindows", "functionalUnits",
 	"loadBuffer", "storeBuffer", "intRegisters", "floatRegisters", "speculativeRegisters",
@@ -254,7 +292,7 @@ func (st *State) DecodeJSON(r *jsonenc.Reader) {
 		case "rob":
 			st.ROB = decodeInstrViews(r)
 		case "issueWindows":
-			st.Windows = jsonenc.Map(r, decodeInstrViews)
+			st.Windows = jsonenc.Map(r, names(), decodeInstrViews)
 		case "functionalUnits":
 			st.FUs = jsonenc.Slice(r, (*FUView).decodeJSON)
 		case "loadBuffer":
@@ -299,7 +337,7 @@ func (v *InstrView) decodeJSON(r *jsonenc.Reader) {
 		case "text":
 			v.Text = r.String()
 		case "phase":
-			v.Phase = r.String()
+			v.Phase = r.Intern(names())
 		case "fetchedAt":
 			v.FetchedAt = r.Uint()
 		case "decodedAt":
@@ -319,7 +357,7 @@ func (v *InstrView) decodeJSON(r *jsonenc.Reader) {
 		case "exception":
 			v.Exception = r.String()
 		case "destTag":
-			v.DestTag = r.String()
+			v.DestTag = r.Intern(names())
 		case "mispredict":
 			v.Mispredict = r.Bool()
 		}
@@ -333,13 +371,13 @@ func (v *RegView) decodeJSON(r *jsonenc.Reader) {
 	for more := r.Enter('{'); more; more = r.Next('}') {
 		switch r.Key(regViewKeys, &seen) {
 		case "name":
-			v.Name = r.String()
+			v.Name = r.Intern(names())
 		case "alias":
-			v.Alias = r.String()
+			v.Alias = r.Intern(names())
 		case "value":
 			v.Value = r.String()
 		case "renamed":
-			v.Renamed = r.String()
+			v.Renamed = r.Intern(names())
 		}
 	}
 }
@@ -351,9 +389,9 @@ func (v *FUView) decodeJSON(r *jsonenc.Reader) {
 	for more := r.Enter('{'); more; more = r.Next('}') {
 		switch r.Key(fuViewKeys, &seen) {
 		case "name":
-			v.Name = r.String()
+			v.Name = r.Intern(names())
 		case "class":
-			v.Class = r.String()
+			v.Class = r.Intern(names())
 		case "busy":
 			v.Busy = r.Bool()
 		case "inFlight":
@@ -373,9 +411,9 @@ func decodeSpecView(v *rename.SpecView, r *jsonenc.Reader) {
 	for more := r.Enter('{'); more; more = r.Next('}') {
 		switch r.Key(specViewKeys, &seen) {
 		case "tag":
-			v.Tag = r.String()
+			v.Tag = r.Intern(names())
 		case "arch":
-			v.Arch = r.String()
+			v.Arch = r.Intern(names())
 		case "value":
 			v.Value = r.String()
 		case "valid":

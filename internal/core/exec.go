@@ -258,8 +258,27 @@ func buildSpecTable() map[string]specDef {
 // classification, flags or argument types are not the ones the shells
 // assume.
 func specializePlan(in *asm.Instruction) execPlan {
-	fallback := execPlan{op: execFallback}
-	d := in.Desc
+	k := specializeKind(in.Desc)
+	return k.plan(in)
+}
+
+// specKind is what specializing learns from an instruction's descriptor
+// alone, worked out once per kind (Program.kinds): the shell, the source
+// slots and what the expression reads. fallback marks a descriptor no
+// shell takes.
+type specKind struct {
+	def      specDef
+	op       execOp
+	rs1, rs2 int8
+	need     uint8
+	fallback bool
+	// imm is the descriptor's immediate argument, or nil.
+	imm *isa.ArgDesc
+}
+
+// specializeKind examines descriptor d for specializePlan.
+func specializeKind(d *isa.Desc) specKind {
+	fallback := specKind{fallback: true}
 	def, ok := specTable[d.ExprSrc]
 	if !ok {
 		return fallback
@@ -313,26 +332,34 @@ func specializePlan(in *asm.Instruction) execPlan {
 			}
 		}
 	}
-	imm := in.Op("imm")
 	need := def.reads
 	if op == execStoreAddr {
 		need |= readRs2 // the payload
 	}
-	if (need&readRs1 != 0 && rs1 < 0) || (need&readRs2 != 0 && rs2 < 0) ||
-		(need&readImm != 0 && imm == nil) {
+	if (need&readRs1 != 0 && rs1 < 0) || (need&readRs2 != 0 && rs2 < 0) {
 		return fallback
 	}
 	if need&readRs2 == 0 {
 		rs2 = -1 // a register the expression ignores: operand b is the immediate
 	}
-	p := execPlan{op: op, rs1: rs1, rs2: rs2}
+	return specKind{def: def, op: op, rs1: rs1, rs2: rs2, need: need, imm: d.Arg("imm")}
+}
+
+// plan compiles instruction in of the kind: its immediate and, for
+// targets and pc-relative constants, its index.
+func (k *specKind) plan(in *asm.Instruction) execPlan {
+	imm := opFor(in, k.imm)
+	if k.fallback || (k.need&readImm != 0 && imm == nil) {
+		return execPlan{op: execFallback}
+	}
+	p := execPlan{op: k.op, rs1: k.rs1, rs2: k.rs2}
 	if imm != nil {
 		p.imm = int32(imm.Val)
 		p.tgt = in.Index + int(imm.Val)
 	}
-	if op == execConst {
+	if k.op == execConst {
 		p.imm <<= 12
-		if def.reads&readPC != 0 {
+		if k.def.reads&readPC != 0 {
 			p.imm += int32(in.Index)
 		}
 	}

@@ -243,7 +243,7 @@ func TestExecSpecializedMatchesInterpreter(t *testing.T) {
 				}
 
 				rplans := make([]renamePlan, in.Index+1)
-				rplans[in.Index] = newRenamePlans(&asm.Program{Instructions: []*asm.Instruction{in}})[0]
+				rplans[in.Index] = newRenamePlans([]*asm.Instruction{in}, []*isa.Desc{in.Desc}, []int32{0})[0]
 				fastEng := &ExecEngine{prog: &Program{plans: make([]execPlan, in.Index+1), rplans: rplans}, ev: expr.NewEvaluator()}
 				fastEng.prog.plans[in.Index] = plan
 				slowEng := &ExecEngine{prog: &Program{plans: make([]execPlan, in.Index+1), rplans: rplans}, ev: expr.NewEvaluator()}

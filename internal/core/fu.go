@@ -1,9 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
-	"riscvsim/internal/asm"
 	"riscvsim/internal/config"
 	"riscvsim/internal/isa"
 	"riscvsim/internal/stats"
@@ -35,8 +36,8 @@ type FU struct {
 	// are only valid until the next call.
 	doneScratch []*SimInstr
 
-	// lat caches the spec's per-mnemonic latency table, pre-resolved per
-	// static instruction (indexed by PC) so the issue path never does a
+	// lat is the unit's row of the machine's unitTables: its latency per
+	// static instruction (indexed by PC), so the issue path never does a
 	// string-map lookup.
 	lat []uint64
 
@@ -109,17 +110,75 @@ func (f *FU) Current() *SimInstr {
 	return f.inflight[0].si
 }
 
-// precompute resolves the spec's per-mnemonic maps once per static
-// instruction: latencies into lat, and support as bit unit%64 of word
-// unit/64 in the instruction's row of sup (stride words each).
-func (f *FU) precompute(prog *asm.Program, unit int, sup []uint64, stride int) {
-	f.lat = make([]uint64, len(prog.Instructions))
-	for i, in := range prog.Instructions {
-		if f.class == in.Desc.Unit && f.spec.Supports(in.Desc.Name) {
-			sup[i*stride+unit>>6] |= 1 << (unit & 63)
+// unitTables are what the issue stage reads of the units per static
+// instruction: in row i of sup (stride words), bit u%64 of word u/64 says
+// unit u executes instruction i; lat[u][i] is unit u's latency for it.
+// Each unit's maps are consulted once per kind (distinct descriptor), not
+// per instruction, and units with the same latencies share one lat row. A
+// machine builds its tables and its forks share them: they run the same
+// Program on the same units, and nothing writes the tables after
+// buildUnitTables.
+type unitTables struct {
+	stride int
+	sup    []uint64
+	lat    [][]uint64
+}
+
+// buildUnitTables resolves the units of cfg against p's kinds and fills
+// the per-instruction tables. It fails when some instruction has no unit
+// that executes it.
+func buildUnitTables(cfg *config.CPU, p *Program) (*unitTables, error) {
+	nu, nk, n := len(cfg.Units), len(p.kinds), len(p.instrs)
+	t := &unitTables{stride: (nu + 63) / 64, lat: make([][]uint64, nu)}
+	kindSup := make([]uint64, nk*t.stride)
+	kindLat := make([]uint64, nu*nk)
+	// owner[u] is the first unit whose latencies equal unit u's.
+	owner := make([]int, nu)
+	for u := range cfg.Units {
+		spec := &cfg.Units[u]
+		class, err := isa.ParseFUClass(spec.Class)
+		if err != nil {
+			panic(err) // validated by config.Validate
 		}
-		f.lat[i] = uint64(f.spec.LatencyFor(in.Desc.Name))
+		lat := kindLat[u*nk : (u+1)*nk]
+		for k, d := range p.kinds {
+			// Only Accept reads a latency, of an instruction the unit
+			// executes; any value does for the others, and 1 lets
+			// rows coincide.
+			lat[k] = 1
+			if d.Unit == class && spec.Supports(d.Name) {
+				kindSup[k*t.stride+u>>6] |= 1 << (u & 63)
+				lat[k] = uint64(spec.LatencyFor(d.Name))
+			}
+		}
+		owner[u] = u
+		for v := 0; v < u; v++ {
+			if owner[v] == v && slices.Equal(kindLat[v*nk:(v+1)*nk], lat) {
+				owner[u] = v
+				break
+			}
+		}
 	}
+	t.sup = make([]uint64, n*t.stride)
+	for i, k := range p.kindOf {
+		row := kindSup[int(k)*t.stride : int(k+1)*t.stride]
+		if !slices.ContainsFunc(row, func(w uint64) bool { return w != 0 }) {
+			return nil, fmt.Errorf("core: no functional unit executes %s (line %d)", p.instrs[i].Desc.Name, p.instrs[i].Line)
+		}
+		copy(t.sup[i*t.stride:], row)
+	}
+	for u := range cfg.Units {
+		if owner[u] != u {
+			t.lat[u] = t.lat[owner[u]]
+			continue
+		}
+		row, lat := make([]uint64, n), kindLat[u*nk:(u+1)*nk]
+		for i, k := range p.kindOf {
+			row[i] = lat[k]
+		}
+		t.lat[u] = row
+	}
+	return t, nil
 }
 
 // settle adds the busy cycles since bookedAt, up to the counted-cycle

@@ -49,6 +49,12 @@ type Program struct {
 	// Display tables (state.go), built by display.
 	dispOnce sync.Once
 	disp     *display
+
+	// kinds are the distinct descriptors the code uses, in order of first
+	// use, and kindOf[i] is instruction i's index among them: what depends
+	// only on the mnemonic is resolved once per kind (fu.go).
+	kinds  []*isa.Desc
+	kindOf []int32
 }
 
 // NewProgram compiles an assembled program. image must be the memory the
@@ -61,15 +67,21 @@ func NewProgram(regs *isa.RegisterFile, code *asm.Program, image *memory.Main) *
 	p := &Program{
 		regs: regs, code: code, instrs: code.Instructions, image: image,
 		plans:      make([]execPlan, n),
-		rplans:     newRenamePlans(code),
 		finfo:      make([]fetchInfo, n),
 		nextBranch: make([]int32, n),
 	}
 	for t, n := range code.MixStatic() {
 		p.staticMix[t] = uint64(n)
 	}
+	p.kinds, p.kindOf = kindsOf(p.instrs)
+	p.rplans = newRenamePlans(p.instrs, p.kinds, p.kindOf)
+	var buf [64]specKind // a Program's kinds stay on the stack
+	specs := buf[:0]
+	for _, d := range p.kinds {
+		specs = append(specs, specializeKind(d))
+	}
 	for i, in := range p.instrs {
-		p.plans[i] = specializePlan(in)
+		p.plans[i] = specs[p.kindOf[i]].plan(in)
 		fi := &p.finfo[i]
 		fi.isBranch = in.Desc.IsBranch()
 		fi.conditional = in.Desc.Conditional
@@ -93,6 +105,46 @@ func NewProgram(regs *isa.RegisterFile, code *asm.Program, image *memory.Main) *
 	return p
 }
 
+// kindsOf lists the distinct descriptors of instrs in order of first use
+// and each instruction's index among them. It finds them through an
+// open-addressing table of pointer hashes on the stack, a map beyond
+// kindSlots/2 kinds: a Program uses a few dozen.
+func kindsOf(instrs []*asm.Instruction) (kinds []*isa.Desc, kindOf []int32) {
+	const kindSlots = 512
+	var slots [kindSlots]int32 // kind+1, 0 = empty
+	var more map[*isa.Desc]int32
+	kindOf = make([]int32, len(instrs))
+	for i, in := range instrs {
+		d := in.Desc
+		k := int32(-1)
+		if more != nil {
+			if v, ok := more[d]; ok {
+				k = v
+			}
+		}
+		s := uint64(uintptr(unsafe.Pointer(d))) * 0x9E3779B97F4A7C15 >> 55 // 9 bits: kindSlots
+		for ; k < 0 && slots[s] != 0; s = (s + 1) % kindSlots {
+			if kinds[slots[s]-1] == d {
+				k = slots[s] - 1
+			}
+		}
+		if k < 0 {
+			k = int32(len(kinds))
+			kinds = append(kinds, d)
+			if len(kinds) <= kindSlots/2 {
+				slots[s] = k + 1
+			} else {
+				if more == nil {
+					more = make(map[*isa.Desc]int32)
+				}
+				more[d] = k
+			}
+		}
+		kindOf[i] = k
+	}
+	return kinds, kindOf
+}
+
 // Code returns the assembled program (instructions, labels, data items).
 func (p *Program) Code() *asm.Program { return p.code }
 
@@ -102,10 +154,10 @@ func (p *Program) Registers() *isa.RegisterFile { return p.regs }
 
 // perInstrBytes approximates what a Program retains per static
 // instruction: the assembled instruction with a typical three operands,
-// one entry in each plan table and the fast-forward operation.
+// one entry in each plan table, its kind and the fast-forward operation.
 const perInstrBytes = int(unsafe.Sizeof(asm.Instruction{}) + 3*unsafe.Sizeof(asm.Operand{}) +
 	unsafe.Sizeof(execPlan{}) + unsafe.Sizeof(renamePlan{}) + unsafe.Sizeof(fetchInfo{}) +
-	unsafe.Sizeof(ffOp{}) + 2*unsafe.Sizeof(int32(0)))
+	unsafe.Sizeof(ffOp{}) + 3*unsafe.Sizeof(int32(0)))
 
 // RetainedBytes estimates the memory a Program keeps alive: the image
 // pages the assembler wrote plus the per-instruction tables. Caches budget
@@ -126,5 +178,5 @@ func (p *Program) NewSimulation(cfg *config.CPU, entry int) (*Simulation, error)
 		return nil, fmt.Errorf("core: program was assembled for memory %+v, architecture has %+v",
 			p.image.Config(), cfg.Memory)
 	}
-	return newSimulation(cfg, p, p.image.Clone(), entry)
+	return newSimulation(cfg, p, p.image.Clone(), entry, nil)
 }

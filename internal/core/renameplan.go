@@ -33,36 +33,43 @@ type renamePlan struct {
 }
 
 // newRenamePlans compiles the rename metadata for every static
-// instruction.
-func newRenamePlans(prog *asm.Program) []renamePlan {
-	plans := make([]renamePlan, len(prog.Instructions))
-	for i, in := range prog.Instructions {
+// instruction: the descriptor's argument walk once per kind (kinds and
+// kindOf as in Program), then each instruction's registers.
+func newRenamePlans(instrs []*asm.Instruction, kinds []*isa.Desc, kindOf []int32) []renamePlan {
+	// kindArgs are a kind's register sources in descriptor-argument
+	// order and its destination.
+	type kindArgs struct {
+		srcs [maxSrcOperands]*isa.ArgDesc
+		nsrc uint8
+		dest *isa.ArgDesc
+	}
+	var buf [64]kindArgs // a Program's kinds stay on the stack
+	kas := buf[:0]
+	for _, desc := range kinds {
+		var ka kindArgs
+		for j := range desc.Args {
+			if a := &desc.Args[j]; !a.WriteBack && (a.Kind == isa.ArgRegInt || a.Kind == isa.ArgRegFloat) {
+				ka.srcs[ka.nsrc] = a
+				ka.nsrc++
+			}
+		}
+		ka.dest = desc.DestArg()
+		kas = append(kas, ka)
+	}
+	plans := make([]renamePlan, len(instrs))
+	for i, in := range instrs {
+		ka := &kas[kindOf[i]]
 		p := &plans[i]
 		p.payload = -1
-		desc := in.Desc
-		for j := range desc.Args {
-			a := &desc.Args[j]
-			if a.WriteBack || (a.Kind != isa.ArgRegInt && a.Kind != isa.ArgRegFloat) {
-				continue
-			}
-			class := isa.RegInt
-			if a.Kind == isa.ArgRegFloat {
-				class = isa.RegFloat
-			}
+		for j, a := range ka.srcs[:ka.nsrc] {
 			if a.Name == "rs2" {
-				p.payload = int8(p.nsrc)
+				p.payload = int8(j)
 			}
-			p.srcs[p.nsrc] = renameSrc{
-				name: a.Name, class: class, reg: int32(in.Op(a.Name).Reg),
-			}
-			p.nsrc++
+			p.srcs[j] = renameSrc{name: a.Name, class: regClass(a), reg: int32(opFor(in, a).Reg)}
 		}
-		if dst := desc.DestArg(); dst != nil {
-			class := isa.RegInt
-			if dst.Kind == isa.ArgRegFloat {
-				class = isa.RegFloat
-			}
-			reg := in.Op(dst.Name).Reg
+		p.nsrc = ka.nsrc
+		if dst := ka.dest; dst != nil {
+			class, reg := regClass(dst), opFor(in, dst).Reg
 			if !(class == isa.RegInt && reg == isa.RegZero) {
 				p.hasDest = true
 				p.destClass = class
@@ -71,4 +78,23 @@ func newRenamePlans(prog *asm.Program) []renamePlan {
 		}
 	}
 	return plans
+}
+
+// regClass is the register file of a register argument.
+func regClass(a *isa.ArgDesc) isa.RegClass {
+	if a.Kind == isa.ArgRegFloat {
+		return isa.RegFloat
+	}
+	return isa.RegInt
+}
+
+// opFor returns in's operand bound to a, an argument of its descriptor,
+// or nil: Instruction.Op, matched by the argument itself.
+func opFor(in *asm.Instruction, a *isa.ArgDesc) *asm.Operand {
+	for i := range in.Ops {
+		if in.Ops[i].Arg == a {
+			return &in.Ops[i]
+		}
+	}
+	return nil
 }

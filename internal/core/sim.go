@@ -51,7 +51,8 @@ type Simulation struct {
 
 	windows [isa.NumFUClasses]*issueWindow
 	iq      issueSlots
-	// fuSup has supStride words per static instruction: bit u = fus[u] runs it.
+	// fuSup and supStride are units' support rows, one load closer to
+	// select.
 	fuSup     []uint64
 	supStride int
 
@@ -117,6 +118,10 @@ type Simulation struct {
 	traceWant  trace.StageMask
 	tracePCMin int
 	tracePCMax int // -1 = unbounded
+
+	// units are the unit tables (fu.go), shared with this machine's
+	// forks.
+	units *unitTables
 }
 
 // New compiles an assembled program and builds one simulation of it. The
@@ -130,7 +135,7 @@ func New(cfg *config.CPU, set *isa.Set, regs *isa.RegisterFile, prog *asm.Progra
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
-	return newSimulation(cfg, NewProgram(regs, prog, mem.Clone()), mem, entry)
+	return newSimulation(cfg, NewProgram(regs, prog, mem.Clone()), mem, entry, nil)
 }
 
 func validate(cfg *config.CPU) error {
@@ -143,10 +148,17 @@ func validate(cfg *config.CPU) error {
 // newSimulation builds the per-run state over a compiled program and its
 // working memory. Mirrors the initialization sequence of paper §III-A:
 // statistics and block construction, register-file initialization and PC
-// setup (the caller validated the configuration).
-func newSimulation(cfg *config.CPU, p *Program, mem *memory.Main, entry int) (*Simulation, error) {
+// setup (the caller validated the configuration). units are the unit
+// tables of a machine of p on cfg, or nil to build them.
+func newSimulation(cfg *config.CPU, p *Program, mem *memory.Main, entry int, units *unitTables) (*Simulation, error) {
 	if entry < 0 || (entry >= len(p.instrs) && len(p.instrs) > 0) {
 		return nil, fmt.Errorf("core: entry point %d outside code of %d instructions", entry, len(p.instrs))
+	}
+	if units == nil {
+		var err error
+		if units, err = buildUnitTables(cfg, p); err != nil {
+			return nil, err
+		}
 	}
 	s := &Simulation{
 		cfg:       cfg,
@@ -171,17 +183,11 @@ func newSimulation(cfg *config.CPU, p *Program, mem *memory.Main, entry int) (*S
 	s.windows[isa.LS] = newIssueWindow(isa.LS, cfg.LSWindow, &s.ledger)
 	s.windows[isa.Branch] = newIssueWindow(isa.Branch, cfg.BranchWindow, &s.ledger)
 	s.iq = issueSlots{slot: make([]issueSlot, cfg.ROBSize), waitHead: make([]int32, cfg.RenameRegisters)}
-	s.supStride = (len(cfg.Units) + 63) / 64
-	s.fuSup = make([]uint64, len(p.instrs)*s.supStride)
+	s.units, s.fuSup, s.supStride = units, units.sup, units.stride
+	s.fus = make([]*FU, len(cfg.Units))
 	for i := range cfg.Units {
-		fu := NewFU(&cfg.Units[i], &s.ledger.FUs[i])
-		fu.precompute(p.code, i, s.fuSup, s.supStride)
-		s.fus = append(s.fus, fu)
-	}
-	for i, in := range p.instrs {
-		if !slices.ContainsFunc(s.fuSup[i*s.supStride:(i+1)*s.supStride], func(w uint64) bool { return w != 0 }) {
-			return nil, fmt.Errorf("core: no functional unit executes %s (line %d)", in.Desc.Name, in.Line)
-		}
+		s.fus[i] = NewFU(&cfg.Units[i], &s.ledger.FUs[i])
+		s.fus[i].lat = units.lat[i]
 	}
 	s.fetch = newFetchUnit(p, s.pred, cfg.FetchWidth, cfg.JumpsPerCycle, entry, &s.ledger)
 
@@ -837,10 +843,10 @@ func (s *Simulation) checkPipelineEmpty(now uint64) {
 // same architecture: what the sim facade's one restore decodes a snapshot
 // into, for rewinds and time-parallel forks alike. It costs the per-run
 // state and a copy of the image's page table; nothing is assembled or specialized
-// again. The semantic engine carries over: determinism demands a re-run
-// computes exactly what the original did.
+// again, and the unit tables are the original's. The semantic engine carries
+// over: determinism demands a re-run computes exactly what the original did.
 func (s *Simulation) Fresh() (*Simulation, error) {
-	ns, err := newSimulation(s.cfg, s.prog, s.prog.image.Clone(), s.entry)
+	ns, err := newSimulation(s.cfg, s.prog, s.prog.image.Clone(), s.entry, s.units)
 	if err != nil {
 		return nil, err
 	}

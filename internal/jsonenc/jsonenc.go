@@ -10,6 +10,9 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"math"
+	"reflect"
+	"strconv"
 	"unicode/utf8"
 )
 
@@ -74,6 +77,32 @@ func Bytes(dst, b []byte) []byte {
 	dst = append(dst, '"')
 	dst = base64.StdEncoding.AppendEncode(dst, b)
 	return append(dst, '"')
+}
+
+// Float appends f as encoding/json writes a float64: the shortest text
+// that reads back as f, in exponent form below 1e-6 and from 1e21 on
+// (magnitudes), with a one-digit negative exponent unpadded. f must be
+// finite; UnsupportedFloat says when it is not.
+func Float(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-07 is written e-7
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// UnsupportedFloat returns the error encoding/json fails with on f, a NaN
+// or an infinity, or nil for a finite f.
+func UnsupportedFloat(f float64) error {
+	if !math.IsNaN(f) && !math.IsInf(f, 0) {
+		return nil
+	}
+	return &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
 }
 
 // Value appends v as encoding/json encodes it by reflection: the way in

@@ -200,11 +200,27 @@ func (r *Reader) String() string {
 	return r.str()
 }
 
+// Intern reads a string as String does, but returns table's string for
+// one the table holds instead of allocating a copy: decoders read the
+// names of small fixed sets (registers, phases, units) through it.
+func (r *Reader) Intern(table map[string]string) string {
+	if r.Null() {
+		return ""
+	}
+	return r.intern(table)
+}
+
 // str reads a string; unlike String, it does not take null for one.
-func (r *Reader) str() string {
+func (r *Reader) str() string { return r.intern(nil) }
+
+// intern is str with table's strings interned.
+func (r *Reader) intern(table map[string]string) string {
 	s, escaped := r.plainString()
 	if escaped {
 		s = r.escapedString()
+	}
+	if v, ok := table[string(s)]; ok {
+		return v
 	}
 	return string(s)
 }
@@ -479,16 +495,17 @@ func Slice[T any](r *Reader, elem func(*T, *Reader)) []T {
 	return out
 }
 
-// Map reads an object with string keys, each value returned by elem: nil
-// for null and a map that is not nil for an empty object. A key given
-// twice keeps its last value, as encoding/json keeps it.
-func Map[V any](r *Reader, elem func(*Reader) V) map[string]V {
+// Map reads an object with string keys, interned from keys (Intern), each
+// value returned by elem: nil for null and a map that is not nil for an
+// empty object. A key given twice keeps its last value, as encoding/json
+// keeps it.
+func Map[V any](r *Reader, keys map[string]string, elem func(*Reader) V) map[string]V {
 	if r.Null() {
 		return nil
 	}
 	m := map[string]V{}
 	for more := r.Enter('{'); more; more = r.Next('}') {
-		k := r.str()
+		k := r.intern(keys)
 		if r.peek() != ':' {
 			r.Fail()
 			return m

@@ -95,12 +95,15 @@ type sample struct {
 
 var sampleKeys = []string{"name", "n", "on", "data", "list", "mix", "inner", "other"}
 
+// sampleNames interns some of the names and keys the documents use.
+var sampleNames = map[string]string{"a": "a", "é": "é", "deep": "deep"}
+
 func (s *sample) read(r *Reader) {
 	var seen uint64
 	for more := r.Enter('{'); more; more = r.Next('}') {
 		switch r.Key(sampleKeys, &seen) {
 		case "name":
-			s.Name = r.String()
+			s.Name = r.Intern(sampleNames)
 		case "n":
 			s.N = r.Int()
 		case "on":
@@ -110,7 +113,7 @@ func (s *sample) read(r *Reader) {
 		case "list":
 			s.List = Slice(r, (*sample).read)
 		case "mix":
-			s.Mix = Map(r, (*Reader).Uint)
+			s.Mix = Map(r, sampleNames, (*Reader).Uint)
 		case "inner":
 			s.Inner = Pointer(r, (*sample).read)
 		case "other":
@@ -139,6 +142,7 @@ func TestReaderDocuments(t *testing.T) {
 		`{"list":null,"mix":null,"inner":null,"data":null}`:                       true,
 		`{"list":[],"mix":{},"inner":{},"data":""}`:                               true,
 		`{"list":[{"n":1},{"list":[{"name":"deep"}]}],"mix":{"a":1,"b":2,"é":3}}`: true,
+		`{"name":"\u0061","mix":{"\u00e9":1,"z":2}}`:                              true,
 		`{"data":"AAECAw==","inner":{"on":false,"data":"/w=="}}`:                  true,
 		`{"other":{"a":[1,"]}",{"b":null}]},"n":1}`:                               true,
 		`{"other":"x,y}","n":1}`:                                                  true,
@@ -165,5 +169,24 @@ func TestReaderDocuments(t *testing.T) {
 		if got := agree(t, doc, readSample); got != whole {
 			t.Errorf("%s: read whole %v, want %v", doc, got, whole)
 		}
+	}
+}
+
+// TestReaderIntern: a string the table holds reads as the table's own
+// string, escaped or not, without allocating; one it does not hold, and
+// null, read as String reads them.
+func TestReaderIntern(t *testing.T) {
+	for doc, want := range map[string]string{`"a"`: "a", `"\u0061"`: "a", `"deep"`: "deep", `"b"`: "b", `null`: ""} {
+		r := NewReader([]byte(doc))
+		if got := r.Intern(sampleNames); got != want || !r.End() {
+			t.Errorf("%s: Intern read %q (whole %v), want %q", doc, got, r.End(), want)
+		}
+	}
+	doc := []byte(`"deep"`)
+	if n := testing.AllocsPerRun(100, func() {
+		r := NewReader(doc)
+		r.Intern(sampleNames)
+	}); n != 0 {
+		t.Errorf("an interned string costs %v allocations", n)
 	}
 }

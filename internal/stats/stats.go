@@ -8,9 +8,13 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"riscvsim/internal/cache"
+	"riscvsim/internal/config"
+	"riscvsim/internal/isa"
 	"riscvsim/internal/jsonenc"
 	"riscvsim/internal/memory"
 	"riscvsim/internal/predictor"
@@ -180,16 +184,170 @@ var reportKeys = []string{
 	"commitStallCycles", "robMeanOccupancy", "windowMeanOccupancy", "windowFullStalls", "renameFullStalls",
 }
 
+// names are the strings of fixed sets a report repeats — instruction
+// classes, unit classes, the presets' names and unit names — which its
+// decoder reads without allocating (jsonenc.Reader.Intern).
+var names = sync.OnceValue(func() map[string]string {
+	m := make(map[string]string)
+	for t := range isa.NumInstrTypes {
+		m[isa.InstrType(t).String()] = isa.InstrType(t).String()
+	}
+	for c := range isa.NumFUClasses {
+		m[isa.FUClass(c).String()] = isa.FUClass(c).String()
+	}
+	for _, cfg := range config.Presets() {
+		m[cfg.Name] = cfg.Name
+		for _, u := range cfg.Units {
+			m[u.Name] = u.Name
+		}
+	}
+	return m
+})
+
+// AppendJSON appends the report without reflection: exactly the bytes
+// encoding/json writes for it from the struct tags, mixes in key order.
+// A NaN or infinite rate fails it as it fails encoding/json, with the
+// same *json.UnsupportedValueError.
+func (rep *Report) AppendJSON(dst []byte) ([]byte, error) {
+	if err := rep.unsupportedRate(); err != nil {
+		return dst, err
+	}
+	dst = jsonenc.String(append(dst, `{"architecture":`...), rep.Architecture)
+	dst = appendUint(dst, `,"cycles":`, rep.Cycles)
+	dst = appendUint(dst, `,"committedInstructions":`, rep.Committed)
+	dst = appendUint(dst, `,"fetchedInstructions":`, rep.Fetched)
+	dst = appendUint(dst, `,"squashedInstructions":`, rep.Squashed)
+	dst = jsonenc.Float(append(dst, `,"ipc":`...), rep.IPC)
+	dst = jsonenc.Float(append(dst, `,"wallTimeSec":`...), rep.WallTimeSec)
+	dst = appendUint(dst, `,"flops":`, rep.Flops)
+	dst = jsonenc.Float(append(dst, `,"flopsPerSec":`...), rep.FlopsPerSec)
+	dst = appendUint(dst, `,"robFlushes":`, rep.ROBFlushes)
+	if rep.HaltReason != "" {
+		dst = jsonenc.String(append(dst, `,"haltReason":`...), rep.HaltReason)
+	}
+	if rep.ExceptionMsg != "" {
+		dst = jsonenc.String(append(dst, `,"exception":`...), rep.ExceptionMsg)
+	}
+	dst = appendMix(append(dst, `,"staticMix":`...), rep.StaticMix)
+	dst = appendMix(append(dst, `,"dynamicMix":`...), rep.DynamicMix)
+	dst = append(dst, `,"functionalUnits":`...)
+	if rep.FUs == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range rep.FUs {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = rep.FUs[i].appendJSON(dst)
+		}
+		dst = append(dst, ']')
+	}
+	l := &rep.LSU
+	dst = appendCounters(append(dst, `,"lsu":`...), lsuKeys, l.Loads, l.Stores, l.Forwards, l.StallsUnknown,
+		l.StallsPartial, l.BusBusyCycles, l.LoadBufStalls, l.StoreBufStalls)
+	p := &rep.Predictor
+	dst = appendCounters(append(dst, `,"predictor":`...), predictorKeys, p.Predictions, p.Correct, p.Mispredicts, p.BTBHits, p.BTBMisses)
+	dst = jsonenc.Float(append(dst, `,"predictorAccuracy":`...), rep.PredAccuracy)
+	c := &rep.Cache
+	dst = appendCounters(append(dst, `,"cache":`...), cacheKeys, c.Accesses, c.Hits, c.Misses, c.Evictions, c.Writebacks, c.BytesWritten)
+	dst = jsonenc.Float(append(dst, `,"cacheHitRate":`...), rep.CacheHitRate)
+	m := &rep.Memory
+	dst = appendCounters(append(dst, `,"memory":`...), memoryKeys, m.Reads, m.Writes, m.BytesRead, m.BytesWritten)
+	dst = appendUint(dst, `,"rename":{"allocations":`, rep.Rename.Allocations)
+	dst = appendUint(dst, `,"stallsEmpty":`, rep.Rename.StallsEmpty)
+	dst = strconv.AppendInt(append(dst, `,"inUse":`...), int64(rep.Rename.InUse), 10)
+	dst = strconv.AppendInt(append(dst, `,"free":`...), int64(rep.Rename.Free), 10)
+	dst = appendUint(dst, `},"fetchStallCycles":`, rep.FetchStalls)
+	dst = appendUint(dst, `,"decodeStallCycles":`, rep.DecodeStalls)
+	dst = appendUint(dst, `,"commitStallCycles":`, rep.CommitStalls)
+	dst = jsonenc.Float(append(dst, `,"robMeanOccupancy":`...), rep.ROBOccupancy)
+	dst = jsonenc.Float(append(dst, `,"windowMeanOccupancy":`...), rep.WindowOccup)
+	dst = appendUint(dst, `,"windowFullStalls":`, rep.WindowStalls)
+	dst = appendUint(dst, `,"renameFullStalls":`, rep.RenameStalls)
+	return append(dst, '}'), nil
+}
+
+// unsupportedRate returns the error encoding/json meets first in the
+// report, a NaN or infinite rate, or nil.
+func (rep *Report) unsupportedRate() error {
+	for _, f := range [...]float64{rep.IPC, rep.WallTimeSec, rep.FlopsPerSec} {
+		if err := jsonenc.UnsupportedFloat(f); err != nil {
+			return err
+		}
+	}
+	for i := range rep.FUs {
+		if err := jsonenc.UnsupportedFloat(rep.FUs[i].BusyPct); err != nil {
+			return err
+		}
+	}
+	for _, f := range [...]float64{rep.PredAccuracy, rep.CacheHitRate, rep.ROBOccupancy, rep.WindowOccup} {
+		if err := jsonenc.UnsupportedFloat(f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s *FUStat) appendJSON(dst []byte) []byte {
+	dst = jsonenc.String(append(dst, `{"name":`...), s.Name)
+	dst = jsonenc.String(append(dst, `,"class":`...), s.Class)
+	dst = appendUint(dst, `,"busyCycles":`, s.BusyCycles)
+	dst = jsonenc.Float(append(dst, `,"busyPct":`...), s.BusyPct)
+	dst = appendUint(dst, `,"execCount":`, s.ExecCount)
+	return append(dst, '}')
+}
+
+func appendUint(dst []byte, key string, v uint64) []byte {
+	return strconv.AppendUint(append(dst, key...), v, 10)
+}
+
+// appendMix appends an instruction mix as encoding/json writes a map:
+// null when nil, else its members in key order.
+func appendMix(dst []byte, mix map[string]uint64) []byte {
+	if mix == nil {
+		return append(dst, "null"...)
+	}
+	var buf [16]string // more than there are instruction classes
+	keys := buf[:0]
+	for k := range mix {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	dst = append(dst, '{')
+	for i, k := range keys {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(append(jsonenc.String(dst, k), ':'), mix[k], 10)
+	}
+	return append(dst, '}')
+}
+
+// appendCounters appends an all-unsigned counter block, the inverse of
+// decodeCounters: vals[i] under keys[i], which need no escaping.
+func appendCounters(dst []byte, keys []string, vals ...uint64) []byte {
+	dst = append(dst, '{')
+	for i, k := range keys {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(append(append(dst, '"'), k...), '"', ':')
+		dst = strconv.AppendUint(dst, vals[i], 10)
+	}
+	return append(dst, '}')
+}
+
 // DecodeJSON reads the report without reflection into a zero Report, as
 // encoding/json would read it from the struct tags; r fails on what it
-// cannot read that way (jsonenc.Reader). A report is encoded by
-// reflection, so nothing here has an encoder beside it.
+// cannot read that way (jsonenc.Reader). AppendJSON, above, writes what
+// it reads.
 func (rep *Report) DecodeJSON(r *jsonenc.Reader) {
 	var seen uint64
 	for more := r.Enter('{'); more; more = r.Next('}') {
 		switch r.Key(reportKeys, &seen) {
 		case "architecture":
-			rep.Architecture = r.String()
+			rep.Architecture = r.Intern(names())
 		case "cycles":
 			rep.Cycles = r.Uint()
 		case "committedInstructions":
@@ -213,9 +371,9 @@ func (rep *Report) DecodeJSON(r *jsonenc.Reader) {
 		case "exception":
 			rep.ExceptionMsg = r.String()
 		case "staticMix":
-			rep.StaticMix = jsonenc.Map(r, (*jsonenc.Reader).Uint)
+			rep.StaticMix = jsonenc.Map(r, names(), (*jsonenc.Reader).Uint)
 		case "dynamicMix":
-			rep.DynamicMix = jsonenc.Map(r, (*jsonenc.Reader).Uint)
+			rep.DynamicMix = jsonenc.Map(r, names(), (*jsonenc.Reader).Uint)
 		case "functionalUnits":
 			rep.FUs = jsonenc.Slice(r, (*FUStat).decodeJSON)
 		case "lsu":
@@ -257,9 +415,9 @@ func (s *FUStat) decodeJSON(r *jsonenc.Reader) {
 	for more := r.Enter('{'); more; more = r.Next('}') {
 		switch r.Key(fuStatKeys, &seen) {
 		case "name":
-			s.Name = r.String()
+			s.Name = r.Intern(names())
 		case "class":
-			s.Class = r.String()
+			s.Class = r.Intern(names())
 		case "busyCycles":
 			s.BusyCycles = r.Uint()
 		case "busyPct":
