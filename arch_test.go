@@ -16,7 +16,7 @@ import (
 // TestArchitectureRules holds the repository to its "one X" rules: one
 // clock on the request path, one hop in the router, one statement of the
 // rate formulas, one compressor, one door to the checkpoint store, one
-// integrity check, one LRU, one way back to an earlier cycle, one ledger
+// way to main memory, one integrity check, one LRU, one way back to an earlier cycle, one ledger
 // codec and one schema of the architecture document. Each rule is an
 // allow-list of the places an object may be referenced, checked on every
 // non-test .go file under the root (bench/ included; testdata and hidden
@@ -385,6 +385,30 @@ var archRules = []*archRule{
 			{"method value", "internal/server/stream.go", "package server\nfunc (st *sessionStore) peek(id string) { get := st.backend.Get; get(id) }\n", false},
 			{"second Put in save", "internal/server/store.go", "package server\nfunc (st *sessionStore) save(tm *phaseTimer, sess *session, blob []byte, cause string) bool {\n\tst.backend.Put(\"a\", 1, nil)\n\tst.backend.Put(\"a\", 2, nil)\n\treturn true\n}\n", false},
 			{"probes and doors", "internal/server/store.go", "package server\nimport (\"riscvsim/internal/store\"; \"riscvsim/sim\")\nfunc (st *sessionStore) load(tm *phaseTimer, id string) (*sim.Machine, uint64, bool) {\n\tif st.backend != nil {\n\t\t_, _ = st.backend.(store.Sweeper)\n\t\tst.backend.Version(id)\n\t\tst.backend.Get(id)\n\t}\n\treturn nil, 0, false\n}\n", true},
+		},
+	},
+	{
+		// Main memory is timed and counted in one method, memory.Main's
+		// Access (docs/architecture.md "Memory: one door"): the L1 fills,
+		// writes back and writes through by transactions. Any other method
+		// of *memory.Main the cache calls — an untimed copy, the configured
+		// latencies — is a second statement of memory timing in the
+		// making, one whose transfers nobody counts.
+		name: "one way to main memory",
+		fix:  "move data between the L1 and main memory by a memory.Transaction through (*memory.Main).Access",
+		check: func(c *cursor) (string, bool) {
+			name := objName(c.selected())
+			if path.Dir(c.file.path) != "internal/cache" || !strings.HasPrefix(name, "internal/memory.(Main).") {
+				return "", false
+			}
+			return "memory.(*Main)." + short(name), short(name) == "Access" || short(name) == "Size"
+		},
+		plants: []plant{
+			{"grep form", "internal/cache/cache.go", "package cache\nimport \"riscvsim/internal/fault\"\nfunc (c *Cache) writebackLine(si, w int, now uint64) (uint64, *fault.Exception) {\n\treturn now, c.backing.WriteBytes(c.lineAddr(si, c.set(si)[w].tag), c.lineData(si, w))\n}\n", false},
+			{"method value", "internal/cache/peek.go", "package cache\nimport \"riscvsim/internal/memory\"\nfunc peek(m *memory.Main) { read := m.ReadBytes; read(0, 4) }\n", false},
+			{"configured latency", "internal/cache/cache.go", "package cache\nfunc (c *Cache) missCost() uint64 { return uint64(c.backing.Config().LoadLatency) }\n", false},
+			{"the door", "internal/cache/cache.go", "package cache\nimport \"riscvsim/internal/memory\"\nfunc (c *Cache) fetch(line []byte) { c.backing.Access(&memory.Transaction{Addr: c.backing.Size() - len(line), Line: line}, 0) }\n", true},
+			{"loading outside the cache", "internal/asm/poke.go", "package asm\nimport \"riscvsim/internal/memory\"\nfunc poke(m *memory.Main) { m.WriteBytes(0, []byte{1}); _ = m.Config().LoadLatency }\n", true},
 		},
 	},
 	{

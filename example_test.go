@@ -571,6 +571,7 @@ func Example_costModel() {
 	//   TOTAL                                  340.5 kGE
 	//
 	// ── Energy for this run ────────────────────────────────
+	//   memory accesses                            0.24 nJ
 	//   instruction commit                         0.12 nJ
 	//   cache misses                               0.08 nJ
 	//   instruction fetch                          0.06 nJ
@@ -580,7 +581,7 @@ func Example_costModel() {
 	//   FX operations                              0.03 nJ
 	//   branch resolution                          0.02 nJ
 	//   leakage                                    0.14 nJ
-	//   TOTAL                                      0.59 nJ
-	//   average power                              2.55 mW
-	//   energy per instruction                    29.32 pJ/instr
+	//   TOTAL                                      0.83 nJ
+	//   average power                              3.59 mW
+	//   energy per instruction                    41.32 pJ/instr
 }

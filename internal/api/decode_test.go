@@ -133,7 +133,7 @@ func TestOwnDecoderAllocatesNoMore(t *testing.T) {
 }
 
 // TestStepReplyDecodeAllocations pins what reading a step reply costs:
-// the sort-insertion session at cycle 1,500 (8,096 bytes) decodes in 89
+// the sort-insertion session at cycle 1,500 (8,081 bytes) decodes in 89
 // allocations — its slices and variable text (instruction text, register
 // values). Register names and aliases, phases, tags, unit names and
 // classes are interned; reading each into its own string took 293.

@@ -37,6 +37,20 @@ var lexerErrorCases = []errorCase{
 	{"unterminated block comment", "add x1, x1, x1\n/* never closed\n", "line 3:1: unterminated block comment"},
 	{"unterminated string", ".ascii \"abc\n", `line 1:8: unterminated string "\"abc"`},
 	{"unterminated character literal", "li x1, 'a\n", "line 1:8: unterminated character literal"},
+	// A character literal never swallows a newline, so later lines keep
+	// their numbers.
+	{"character literal before a newline", "li x1, '\n'\nli x2, 1\nfrob\n",
+		"4 errors:\n" +
+			"  line 1:8: unterminated character literal\n" +
+			"  line 2:1: unterminated character literal\n" +
+			"  line 2:1: expected instruction, directive or label, got \"0\"\n" +
+			"  line 4:1: unknown instruction \"frob\""},
+	{"escape before a newline", "li x1, '\\\n'\nli x2, 1\nfrob\n",
+		"4 errors:\n" +
+			"  line 1:8: unterminated character literal\n" +
+			"  line 2:1: unterminated character literal\n" +
+			"  line 2:1: expected instruction, directive or label, got \"0\"\n" +
+			"  line 4:1: unknown instruction \"frob\""},
 	{"unexpected character", "add x1`, x1, x1\n", "line 1:7: unexpected character \"`\""},
 	// Lexer diagnostics come first, then the parser's, each in source
 	// order; a block comment's newlines still count lines.

@@ -263,7 +263,8 @@ func (lx *lexer) next(toks []Token) []Token {
 				emit(TokIdent, text, startCol)
 			}
 		case c == '\'':
-			// Character literal: 'a' or '\n'.
+			// Character literal: 'a' or '\n'. It never crosses a newline:
+			// one there leaves it unterminated on its own line.
 			startCol := col
 			i++
 			col++
@@ -275,7 +276,7 @@ func (lx *lexer) next(toks []Token) []Token {
 				}
 				i += n
 				col += n
-			} else if i < len(src) {
+			} else if i < len(src) && src[i] != '\n' {
 				val = src[i]
 				i++
 				col++
@@ -302,9 +303,10 @@ func (lx *lexer) next(toks []Token) []Token {
 }
 
 // unescape decodes one backslash escape at the start of s, returning the
-// decoded text and the number of input bytes consumed.
+// decoded text and the number of input bytes consumed. A backslash at the
+// end of a line escapes nothing: the newline is left to end the line.
 func unescape(s string) (string, int) {
-	if len(s) < 2 {
+	if len(s) < 2 || s[1] == '\n' {
 		return "\\", 1
 	}
 	switch s[1] {

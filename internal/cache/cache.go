@@ -5,7 +5,9 @@
 // Cache settings tab (§II-C).
 //
 // The cache sits between the processor's memory-access unit and main
-// memory, servicing the same transactional interface (memory.Port).
+// memory and reaches memory only by transactions (memory.Main.Access):
+// every line fill, writeback and write-through store is one that main
+// memory times and counts, so the cache states no memory latency.
 package cache
 
 import (
@@ -111,14 +113,14 @@ type line struct {
 }
 
 // Stats are the cache statistics the runtime-statistics window reports
-// (paper §II-D: accesses, hit and miss ratios, bytes written).
+// (paper §II-D: accesses, hit and miss ratios). The bytes the cache
+// writes to memory are main memory's to count (memory.Stats).
 type Stats struct {
-	Accesses     uint64 `json:"accesses"`
-	Hits         uint64 `json:"hits"`
-	Misses       uint64 `json:"misses"`
-	Evictions    uint64 `json:"evictions"`
-	Writebacks   uint64 `json:"writebacks"`
-	BytesWritten uint64 `json:"bytesWritten"`
+	Accesses   uint64 `json:"accesses"`
+	Hits       uint64 `json:"hits"`
+	Misses     uint64 `json:"misses"`
+	Evictions  uint64 `json:"evictions"`
+	Writebacks uint64 `json:"writebacks"`
 }
 
 // HitRate returns hits/accesses in [0,1].
@@ -129,7 +131,7 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-// Cache is the L1 cache. It implements memory.Port.
+// Cache is the L1 cache.
 type Cache struct {
 	cfg     Config
 	lines   []line // set-major: way w of set si is lines[si*Associativity+w]
@@ -229,23 +231,25 @@ func (c *Cache) victimWay(si int) int {
 	return oldest
 }
 
-// fill loads the line containing addr into set si, evicting a victim. It
-// returns the way index and the number of extra memory latency cycles the
-// fill cost (victim write-back + line fetch).
+// fill loads the line of tag into set si, evicting a victim. The request
+// reaches memory after the lookup and the replacement delay; a dirty
+// victim is written back first, then the line is read. It returns the way
+// and the cycle the line has arrived.
 func (c *Cache) fill(si, tag int, now uint64) (int, uint64, *fault.Exception) {
 	w := c.victimWay(si)
 	ln := &c.set(si)[w]
-	var penalty uint64
+	at := now + uint64(c.cfg.AccessDelay) + uint64(c.cfg.ReplacementDelay)
 	if ln.valid {
 		c.stats.Evictions++
 		if ln.dirty {
-			if exc := c.writebackLine(si, w); exc != nil {
+			var exc *fault.Exception
+			if at, exc = c.writebackLine(si, w, at); exc != nil {
 				return 0, 0, exc
 			}
-			penalty += uint64(c.backing.Config().StoreLatency)
 		}
 	}
-	if exc := c.backing.ReadInto(c.lineAddr(si, tag), c.lineData(si, w)); exc != nil {
+	at, exc := c.backing.Access(&memory.Transaction{Addr: c.lineAddr(si, tag), Line: c.lineData(si, w)}, at)
+	if exc != nil {
 		return 0, 0, exc
 	}
 	if ln.valid {
@@ -257,8 +261,7 @@ func (c *Cache) fill(si, tag int, now uint64) (int, uint64, *fault.Exception) {
 	ln.dirty = false
 	ln.tag = tag
 	ln.loadedAt = now
-	penalty += uint64(c.backing.Config().LoadLatency)
-	return w, penalty, nil
+	return w, at, nil
 }
 
 // lineAddr reconstructs the base address of a line from set index and tag.
@@ -266,18 +269,21 @@ func (c *Cache) lineAddr(si, tag int) int {
 	return (tag*c.numSets + si) * c.cfg.LineSize
 }
 
-func (c *Cache) writebackLine(si, w int) *fault.Exception {
-	addr := c.lineAddr(si, c.set(si)[w].tag)
-	if exc := c.backing.WriteBytes(addr, c.lineData(si, w)); exc != nil {
-		return exc
+// writebackLine writes way w of set si to memory, issued at now, and
+// returns the cycle the write completes.
+func (c *Cache) writebackLine(si, w int, now uint64) (uint64, *fault.Exception) {
+	tx := memory.Transaction{Addr: c.lineAddr(si, c.set(si)[w].tag), IsStore: true, Line: c.lineData(si, w)}
+	done, exc := c.backing.Access(&tx, now)
+	if exc != nil {
+		return now, exc
 	}
 	c.stats.Writebacks++
-	c.stats.BytesWritten += uint64(c.cfg.LineSize)
-	return nil
+	return done, nil
 }
 
-// Access implements memory.Port. A transaction that spans two cache lines
-// is serviced as two sequential line accesses.
+// Access services tx at now and returns the cycle it completes; a disabled
+// cache passes it to main memory. A transaction that spans two cache
+// lines is serviced as two sequential line accesses.
 func (c *Cache) Access(tx *memory.Transaction, now uint64) (uint64, *fault.Exception) {
 	if !c.cfg.Enabled {
 		return c.backing.Access(tx, now)
@@ -287,9 +293,8 @@ func (c *Cache) Access(tx *memory.Transaction, now uint64) (uint64, *fault.Excep
 			"access of %d bytes at address %d outside memory of %d bytes",
 			tx.Size, tx.Addr, c.backing.Size())
 	}
-	tx.IssuedAt = now
 	finish := now + uint64(c.cfg.AccessDelay)
-	hit := true
+	missed := false
 
 	firstLine := tx.Addr / c.cfg.LineSize
 	lastLine := (tx.Addr + tx.Size - 1) / c.cfg.LineSize
@@ -298,42 +303,41 @@ func (c *Cache) Access(tx *memory.Transaction, now uint64) (uint64, *fault.Excep
 		c.stats.Accesses++
 		w := c.findWay(si, tag)
 		if w < 0 {
-			hit = false
+			missed = true
 			c.stats.Misses++
 			if tx.IsStore && c.cfg.Write == WriteThrough {
 				// No-write-allocate: the store goes straight to
 				// memory below.
-				finish = max(finish, now+uint64(c.cfg.AccessDelay)+uint64(c.backing.Config().StoreLatency))
 				continue
 			}
-			var penalty uint64
+			var done uint64
 			var exc *fault.Exception
-			w, penalty, exc = c.fill(si, tag, now)
+			w, done, exc = c.fill(si, tag, now)
 			if exc != nil {
 				return now, exc
 			}
-			finish = max(finish, now+uint64(c.cfg.AccessDelay)+uint64(c.cfg.ReplacementDelay)+penalty)
+			finish = max(finish, done)
 		} else {
 			c.stats.Hits++
 		}
-		if w >= 0 {
-			c.tick++
-			c.set(si)[w].lastUse = c.tick
-			c.copyData(tx, si, w, block)
-		}
+		c.tick++
+		c.set(si)[w].lastUse = c.tick
+		c.copyData(tx, si, w, block)
 	}
 
 	if tx.IsStore && c.cfg.Write == WriteThrough {
-		// Forward the store to memory (the authoritative copy).
-		shadow := *tx
-		if _, exc := c.backing.Access(&shadow, now); exc != nil {
+		// Forward the store to memory (the authoritative copy); after a
+		// miss it leaves once the lookup is done.
+		issue := now
+		if missed {
+			issue += uint64(c.cfg.AccessDelay)
+		}
+		done, exc := c.backing.Access(tx, issue)
+		if exc != nil {
 			return now, exc
 		}
-		c.stats.BytesWritten += uint64(tx.Size)
-		finish = max(finish, shadow.FinishAt)
+		finish = max(finish, done)
 	}
-	tx.HitCache = hit
-	tx.FinishAt = finish
 	return finish, nil
 }
 
@@ -364,9 +368,9 @@ func (c *Cache) copyData(tx *memory.Transaction, si, w, block int) {
 	}
 }
 
-// FlushAll writes every dirty line back to memory (paper §III-A:
-// "transactions ... support cache line flushing"). It returns the cycle at
-// which the flush completes.
+// FlushAll writes every dirty line back to memory, one after another
+// (paper §III-A: "transactions ... support cache line flushing"). It
+// returns the cycle at which the flush completes.
 func (c *Cache) FlushAll(now uint64) uint64 {
 	if !c.cfg.Enabled {
 		return now
@@ -376,12 +380,13 @@ func (c *Cache) FlushAll(now uint64) uint64 {
 		ln := &c.lines[i]
 		if ln.valid && ln.dirty {
 			si, w := i/c.cfg.Associativity, i%c.cfg.Associativity
-			if exc := c.writebackLine(si, w); exc != nil {
+			done, exc := c.writebackLine(si, w, finish)
+			if exc != nil {
 				continue // flush is best-effort at simulation end
 			}
+			finish = done
 			ln.dirty = false
 			c.dropView(si, w)
-			finish += uint64(c.backing.Config().StoreLatency)
 		}
 	}
 	return finish

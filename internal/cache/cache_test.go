@@ -17,6 +17,17 @@ func newCache(t *testing.T, cfg Config) (*Cache, *memory.Main) {
 	return New(cfg, m, new(Stats)), m
 }
 
+// hits accesses tx at now and reports whether every line it touched hit,
+// as the cache's own statistics count it.
+func hits(t *testing.T, c *Cache, tx *memory.Transaction, now uint64) bool {
+	t.Helper()
+	misses := c.stats.Misses
+	if _, exc := c.Access(tx, now); exc != nil {
+		t.Fatal(exc)
+	}
+	return c.stats.Misses == misses
+}
+
 func smallCfg() Config {
 	return Config{
 		Enabled: true, Lines: 8, LineSize: 16, Associativity: 2,
@@ -26,18 +37,11 @@ func smallCfg() Config {
 
 func TestMissThenHit(t *testing.T) {
 	c, _ := newCache(t, smallCfg())
-	tx := &memory.Transaction{Addr: 100, Size: 4, IsStore: true, Data: 0xCAFEBABE}
-	if _, exc := c.Access(tx, 0); exc != nil {
-		t.Fatal(exc)
-	}
-	if tx.HitCache {
+	if hits(t, c, &memory.Transaction{Addr: 100, Size: 4, IsStore: true, Data: 0xCAFEBABE}, 0) {
 		t.Error("first access must miss")
 	}
 	rd := &memory.Transaction{Addr: 100, Size: 4}
-	if _, exc := c.Access(rd, 10); exc != nil {
-		t.Fatal(exc)
-	}
-	if !rd.HitCache {
+	if !hits(t, c, rd, 10) {
 		t.Error("second access must hit")
 	}
 	if rd.Data != 0xCAFEBABE {
@@ -98,8 +102,7 @@ func TestWriteThroughNoAllocateOnStoreMiss(t *testing.T) {
 	c, _ := newCache(t, cfg)
 	c.Access(&memory.Transaction{Addr: 300, Size: 4, IsStore: true, Data: 7}, 0)
 	rd := &memory.Transaction{Addr: 300, Size: 4}
-	c.Access(rd, 1)
-	if rd.HitCache {
+	if hits(t, c, rd, 1) {
 		t.Error("store miss must not allocate a line under write-through")
 	}
 	if rd.Data != 7 {
@@ -126,6 +129,68 @@ func TestEvictionWritesBackDirtyLine(t *testing.T) {
 	}
 }
 
+// TestEveryTransferGoesThroughTheDoor: fills, dirty-victim writebacks,
+// flushes and write-through stores are transactions main memory times and
+// counts, so a miss costs the cache's own delays plus what memory takes,
+// and memory's counters see every line.
+func TestEveryTransferGoesThroughTheDoor(t *testing.T) {
+	type step struct {
+		tx     memory.Transaction
+		now    uint64
+		finish uint64
+		mem    memory.Stats // memory's counters after the step
+	}
+	cases := []struct {
+		name  string
+		write WritePolicy
+		steps []step
+		flush uint64 // FlushAll(100) finishes here
+		after memory.Stats
+	}{
+		{"write-back", WriteBack, []step{
+			// A clean fill: AccessDelay 1 + ReplacementDelay 2 + LoadLatency 10.
+			{memory.Transaction{Addr: 0, Size: 4, IsStore: true, Data: 1}, 0, 13, memory.Stats{Reads: 1, BytesRead: 16}},
+			// A dirty victim goes first: 1 + 2 + StoreLatency 7 + 10.
+			{memory.Transaction{Addr: 32, Size: 4}, 20, 40, memory.Stats{Reads: 2, Writes: 1, BytesRead: 32, BytesWritten: 16}},
+			{memory.Transaction{Addr: 48, Size: 4, IsStore: true, Data: 2}, 50, 63, memory.Stats{Reads: 3, Writes: 1, BytesRead: 48, BytesWritten: 16}},
+			{memory.Transaction{Addr: 32, Size: 4, IsStore: true, Data: 3}, 60, 61, memory.Stats{Reads: 3, Writes: 1, BytesRead: 48, BytesWritten: 16}},
+		}, 114, memory.Stats{Reads: 3, Writes: 3, BytesRead: 48, BytesWritten: 48}},
+		{"write-through", WriteThrough, []step{
+			// A store miss allocates nothing and leaves after the lookup: 1 + 7.
+			{memory.Transaction{Addr: 0, Size: 4, IsStore: true, Data: 1}, 0, 8, memory.Stats{Writes: 1, BytesWritten: 4}},
+			{memory.Transaction{Addr: 0, Size: 4}, 10, 23, memory.Stats{Reads: 1, Writes: 1, BytesRead: 16, BytesWritten: 4}},
+			// A store hit overlaps the lookup with the write: max(1, 7).
+			{memory.Transaction{Addr: 4, Size: 2, IsStore: true, Data: 2}, 30, 37, memory.Stats{Reads: 1, Writes: 2, BytesRead: 16, BytesWritten: 6}},
+		}, 100, memory.Stats{Reads: 1, Writes: 2, BytesRead: 16, BytesWritten: 6}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := memory.New(memory.Config{Size: 4096, LoadLatency: 10, StoreLatency: 7})
+			var mem memory.Stats
+			m.CountInto(&mem)
+			c := New(Config{
+				Enabled: true, Lines: 2, LineSize: 16, Associativity: 1,
+				Replacement: LRU, Write: tc.write, AccessDelay: 1, ReplacementDelay: 2,
+			}, m, new(Stats))
+			for i, st := range tc.steps {
+				finish, exc := c.Access(&st.tx, st.now)
+				if exc != nil {
+					t.Fatal(exc)
+				}
+				if finish != st.finish || mem != st.mem {
+					t.Errorf("step %d: finish %d, memory %+v; want %d, %+v", i, finish, mem, st.finish, st.mem)
+				}
+			}
+			if finish := c.FlushAll(100); finish != tc.flush || mem != tc.after {
+				t.Errorf("flush: finish %d, memory %+v; want %d, %+v", finish, mem, tc.flush, tc.after)
+			}
+			if tc.write == WriteBack && c.stats.Writebacks != mem.Writes {
+				t.Errorf("writebacks %d, memory writes %d", c.stats.Writebacks, mem.Writes)
+			}
+		})
+	}
+}
+
 func TestLRUReplacement(t *testing.T) {
 	// One set, 2 ways, 16 B lines: conflicting addresses 0, 16, 32.
 	cfg := Config{
@@ -137,14 +202,10 @@ func TestLRUReplacement(t *testing.T) {
 	c.Access(&memory.Transaction{Addr: 16, Size: 4}, 1) // miss, fill way1
 	c.Access(&memory.Transaction{Addr: 0, Size: 4}, 2)  // hit (0 is now MRU)
 	c.Access(&memory.Transaction{Addr: 32, Size: 4}, 3) // evicts 16 (LRU)
-	rd0 := &memory.Transaction{Addr: 0, Size: 4}
-	c.Access(rd0, 4)
-	if !rd0.HitCache {
+	if !hits(t, c, &memory.Transaction{Addr: 0, Size: 4}, 4) {
 		t.Error("LRU should have kept address 0")
 	}
-	rd16 := &memory.Transaction{Addr: 16, Size: 4}
-	c.Access(rd16, 5)
-	if rd16.HitCache {
+	if hits(t, c, &memory.Transaction{Addr: 16, Size: 4}, 5) {
 		t.Error("LRU should have evicted address 16")
 	}
 }
@@ -159,9 +220,7 @@ func TestFIFOReplacement(t *testing.T) {
 	c.Access(&memory.Transaction{Addr: 16, Size: 4}, 1) // fill way1
 	c.Access(&memory.Transaction{Addr: 0, Size: 4}, 2)  // hit; FIFO ignores recency
 	c.Access(&memory.Transaction{Addr: 32, Size: 4}, 3) // evicts 0 (first in)
-	rd0 := &memory.Transaction{Addr: 0, Size: 4}
-	c.Access(rd0, 4)
-	if rd0.HitCache {
+	if hits(t, c, &memory.Transaction{Addr: 0, Size: 4}, 4) {
 		t.Error("FIFO should have evicted address 0 despite its recent use")
 	}
 }

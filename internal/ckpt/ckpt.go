@@ -31,7 +31,7 @@ const Magic = "RVSC"
 // Version is the format version. Decoders accept this version only: a
 // reader of an older one would skip its CRC, so one flipped version byte
 // would defeat the check.
-const Version = 5
+const Version = 6
 
 // FooterMagic ends the body of a checkpoint, just before the trailer, so
 // tail truncation is told apart from corruption.

@@ -142,9 +142,13 @@ fadd.s ft1, ft0, ft0
 fadd.s ft2, ft1, ft1
 `
 	s := runSrcOn(t, cfg, src)
-	r := s.Report()
-	if r.RenameStalls == 0 {
+	c, r := s.Counters(), s.Report()
+	if c.Rename.StallsEmpty == 0 {
 		t.Errorf("minimum-size rename file should stall allocation (decode stalls %d, commit stalls %d)",
 			r.DecodeStalls, r.CommitStalls)
+	}
+	if r.RenameStalls != c.Rename.StallsEmpty || r.Rename.StallsEmpty != c.Rename.StallsEmpty {
+		t.Errorf("report shows renameFullStalls %d and rename.stallsEmpty %d, want the counter's %d",
+			r.RenameStalls, r.Rename.StallsEmpty, c.Rename.StallsEmpty)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"riscvsim/internal/cache"
 	"riscvsim/internal/expr"
 	"riscvsim/internal/fault"
 	"riscvsim/internal/isa"
@@ -30,7 +31,9 @@ type LSU struct {
 	// committed stores wait here for the memory unit to drain them.
 	committed []*SimInstr
 
-	port memory.Port
+	// port is the L1, which passes every access to main memory when it
+	// is off.
+	port *cache.Cache
 
 	// onTrace, when set by Simulation.SetTracer, reports load completions
 	// (the memory pipeline's writeback transitions) to the pipeline
@@ -43,18 +46,16 @@ type LSU struct {
 	// last point anything references it.
 	onRecycle func(si *SimInstr)
 
-	// completedScratch is the reusable Step result buffer; tx is the
-	// reusable memory transaction. Both are only valid within one call.
+	// completedScratch is the reusable Step result buffer, only valid
+	// within one call.
 	completedScratch []*SimInstr
-	tx               memory.Transaction
 
 	// stats is the LSU's slot of the simulation's statistics ledger.
 	stats *stats.LSUStat
 }
 
-// NewLSU builds the load/store subsystem over a memory port (the L1 cache
-// or raw memory) that counts into st.
-func NewLSU(loadCap, storeCap int, port memory.Port, st *stats.LSUStat) *LSU {
+// NewLSU builds the load/store subsystem over the L1 that counts into st.
+func NewLSU(loadCap, storeCap int, port *cache.Cache, st *stats.LSUStat) *LSU {
 	return &LSU{loadCap: loadCap, storeCap: storeCap, port: port, stats: st}
 }
 
@@ -153,11 +154,11 @@ func (l *LSU) Step(now uint64) (completed []*SimInstr, storeExc *fault.Exception
 	// Drain one committed store per cycle through the memory port.
 	if len(l.committed) > 0 {
 		st := l.committed[0]
-		l.tx = memory.Transaction{
+		tx := memory.Transaction{
 			Addr: st.effAddr, Size: st.Static.Desc.MemWidth,
 			IsStore: true, Data: st.storeData,
 		}
-		if _, exc := l.port.Access(&l.tx, now); exc != nil {
+		if _, exc := l.port.Access(&tx, now); exc != nil {
 			// The store already committed; its fault stops the machine.
 			exc.Cycle = now
 			exc.PC = st.PC
@@ -200,8 +201,8 @@ func (l *LSU) Step(now uint64) (completed []*SimInstr, storeExc *fault.Exception
 		if !portFree {
 			continue
 		}
-		l.tx = memory.Transaction{Addr: ld.effAddr, Size: ld.Static.Desc.MemWidth}
-		finish, exc := l.port.Access(&l.tx, now)
+		tx := memory.Transaction{Addr: ld.effAddr, Size: ld.Static.Desc.MemWidth}
+		finish, exc := l.port.Access(&tx, now)
 		if exc != nil {
 			exc.Cycle = now
 			exc.PC = ld.PC
@@ -210,7 +211,7 @@ func (l *LSU) Step(now uint64) (completed []*SimInstr, storeExc *fault.Exception
 			ld.memIssued = true
 			continue
 		}
-		ld.storeData = l.tx.Data
+		ld.storeData = tx.Data
 		ld.memDoneAt = finish
 		ld.memIssued = true
 		portFree = false
@@ -309,11 +310,11 @@ func (l *LSU) RemoveSquashed() {
 // commit.
 func (l *LSU) DrainAll(now uint64) {
 	for _, st := range l.committed {
-		l.tx = memory.Transaction{
+		tx := memory.Transaction{
 			Addr: st.effAddr, Size: st.Static.Desc.MemWidth,
 			IsStore: true, Data: st.storeData,
 		}
-		l.port.Access(&l.tx, now)
+		l.port.Access(&tx, now)
 		if l.onRecycle != nil {
 			l.onRecycle(st)
 		}

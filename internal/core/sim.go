@@ -681,7 +681,6 @@ func (s *Simulation) renameStep(now uint64) {
 				// Rename file exhausted: undo source refs and stall.
 				si.releaseRefs(s.rf)
 				si.srcs, si.nsrc = [maxSrcOperands]srcOperand{}, 0
-				s.ledger.RenameStalls++
 				return
 			}
 			si.hasDest = true

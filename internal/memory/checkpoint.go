@@ -6,8 +6,8 @@ import (
 	"riscvsim/internal/ckpt"
 )
 
-// EncodeState writes the memory's dynamic state: the transaction counter
-// plus the sparse set of pages that differ from base. base is the initial
+// EncodeState writes the memory's dynamic state: the sparse set of pages
+// that differ from base. base is the initial
 // memory image (program data as loaded), which restore has again once it
 // has resolved the embedded source, so only the delta travels: a
 // checkpoint of a 64 KiB machine that touched one array costs a few
@@ -17,7 +17,6 @@ import (
 // non-zero page.
 func (m *Main) EncodeState(w *ckpt.Writer, base *Main) {
 	w.Section(ckpt.SecMemory)
-	w.U64(m.nextID)
 
 	var dirty []int
 	for i, p := range m.pages {
@@ -42,7 +41,6 @@ func (m *Main) EncodeState(w *ckpt.Writer, base *Main) {
 // and each page's length are the configuration's, so neither travels.
 func (m *Main) DecodeState(r *ckpt.Reader) {
 	r.Section(ckpt.SecMemory)
-	m.nextID = r.U64()
 	pages := r.Len(len(m.pages))
 	for i := 0; i < pages && r.Err() == nil; i++ {
 		idx := r.Int()

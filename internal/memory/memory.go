@@ -1,9 +1,8 @@
 // Package memory implements the simulator's main memory: a 1-D byte array
 // with a predefined capacity operating in a transactional mode (paper
 // §III-A). Functional blocks that need data generate a Transaction object;
-// registering it with the memory populates the transaction's completion
-// time, which makes access latencies configurable and gives the GUI
-// metadata about in-flight requests.
+// registering it with the memory (Main.Access) returns the transaction's
+// completion time, which makes access latencies configurable.
 package memory
 
 import (
@@ -42,11 +41,9 @@ func DefaultConfig() Config {
 }
 
 // Transaction represents one memory request. The requesting block fills in
-// the address, size and (for stores) data; Register populates the timing
-// fields.
+// the address, size and (for stores) data, or a whole line to move;
+// Access applies it and returns when it completes.
 type Transaction struct {
-	// ID is a unique identifier assigned at registration.
-	ID uint64
 	// Addr is the byte address of the access.
 	Addr int
 	// Size is the access width in bytes (1, 2, 4 or 8).
@@ -56,22 +53,10 @@ type Transaction struct {
 	// Data carries the payload: the value to store, or the loaded value
 	// after the transaction completes (little-endian in the low bytes).
 	Data uint64
-	// IssuedAt is the cycle the transaction was registered.
-	IssuedAt uint64
-	// FinishAt is the cycle the data becomes available; filled in by the
-	// memory system at registration.
-	FinishAt uint64
-	// HitCache reports whether an L1 cache satisfied the access (set by
-	// the cache layer; always false for direct memory access).
-	HitCache bool
-}
-
-// Port is anything that can service memory transactions: the main memory
-// itself or a cache in front of it.
-type Port interface {
-	// Access services tx, applying its effect and setting timing fields.
-	// It returns the cycle at which the transaction completes.
-	Access(tx *Transaction, now uint64) (uint64, *fault.Exception)
+	// Line, when set, is a cache line the transaction moves whole in
+	// place of Size and Data: a store writes it to memory, a load fills
+	// it from memory. Its length is the access width.
+	Line []byte
 }
 
 // Pointer describes one named allocation for the GUI's memory window
@@ -115,8 +100,6 @@ type Main struct {
 
 	pointers  []Pointer
 	allocNext int // allocation cursor; starts after the call stack
-
-	nextID uint64
 
 	// stats is the memory's slot of its simulation's statistics ledger;
 	// nil (an image, or a memory no simulation counts) counts nothing.
@@ -209,33 +192,38 @@ func (m *Main) Freeze() {
 	}
 }
 
-// Access implements Port directly against main memory: the transaction's
-// effect is applied and its completion time is set from the configured
-// load/store latency.
+// Access applies tx and returns the cycle it completes, after the
+// configured load or store latency. It is the one timed, counted way in:
+// every access the L1 passes on and every line it moves count here.
 func (m *Main) Access(tx *Transaction, now uint64) (uint64, *fault.Exception) {
-	if exc := m.checkRange(tx.Addr, tx.Size); exc != nil {
+	size := tx.Size
+	if tx.Line != nil {
+		size = len(tx.Line)
+	}
+	if exc := m.checkRange(tx.Addr, size); exc != nil {
 		return now, exc
 	}
-	m.nextID++
-	tx.ID = m.nextID
-	tx.IssuedAt = now
+	switch {
+	case tx.Line != nil:
+		m.moveLine(tx.Addr, tx.Line, tx.IsStore)
+	case tx.IsStore:
+		m.writeRaw(tx.Addr, size, tx.Data)
+	default:
+		tx.Data = m.readRaw(tx.Addr, size)
+	}
+	st := m.stats
 	if tx.IsStore {
-		m.writeRaw(tx.Addr, tx.Size, tx.Data)
-		tx.FinishAt = now + uint64(m.cfg.StoreLatency)
-	} else {
-		tx.Data = m.readRaw(tx.Addr, tx.Size)
-		tx.FinishAt = now + uint64(m.cfg.LoadLatency)
-	}
-	if st := m.stats; st != nil {
-		if tx.IsStore {
+		if st != nil {
 			st.Writes++
-			st.BytesWritten += uint64(tx.Size)
-		} else {
-			st.Reads++
-			st.BytesRead += uint64(tx.Size)
+			st.BytesWritten += uint64(size)
 		}
+		return now + uint64(m.cfg.StoreLatency), nil
 	}
-	return tx.FinishAt, nil
+	if st != nil {
+		st.Reads++
+		st.BytesRead += uint64(size)
+	}
+	return now + uint64(m.cfg.LoadLatency), nil
 }
 
 // readRaw returns size little-endian bytes at addr as a uint64. An access
@@ -323,17 +311,16 @@ func (m *Main) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// ReadInto copies len(dst) bytes starting at addr into dst, bypassing
-// timing: a cache line fill reads into the line itself.
-func (m *Main) ReadInto(addr int, dst []byte) *fault.Exception {
-	if exc := m.checkRange(addr, len(dst)); exc != nil {
-		return exc
+// moveLine copies b to memory at addr when store is set, else from it;
+// the caller has range-checked the span.
+func (m *Main) moveLine(addr int, b []byte, store bool) {
+	for n := 0; len(b) > 0; b, addr = b[n:], addr+n {
+		if store {
+			n = copy(m.writable(addr >> pageShift)[addr&pageMask:], b)
+		} else {
+			n = copy(b, m.pages[addr>>pageShift][addr&pageMask:])
+		}
 	}
-	for len(dst) > 0 {
-		n := copy(dst, m.pages[addr>>pageShift][addr&pageMask:])
-		dst, addr = dst[n:], addr+n
-	}
-	return nil
 }
 
 // ReadBytes copies n bytes starting at addr. It is a debug/GUI interface
@@ -343,12 +330,12 @@ func (m *Main) ReadBytes(addr, n int) ([]byte, *fault.Exception) {
 		return nil, exc
 	}
 	out := make([]byte, n)
-	m.ReadInto(addr, out)
+	m.moveLine(addr, out, false)
 	return out, nil
 }
 
 // WriteBytes stores b at addr, bypassing timing (program loading, memory
-// editor, cache write-backs).
+// editor).
 func (m *Main) WriteBytes(addr int, b []byte) *fault.Exception {
 	if len(b) == 0 {
 		return nil
@@ -356,10 +343,7 @@ func (m *Main) WriteBytes(addr int, b []byte) *fault.Exception {
 	if exc := m.checkRange(addr, len(b)); exc != nil {
 		return exc
 	}
-	for len(b) > 0 {
-		n := copy(m.writable(addr >> pageShift)[addr&pageMask:], b)
-		b, addr = b[n:], addr+n
-	}
+	m.moveLine(addr, b, true)
 	return nil
 }
 
@@ -422,6 +406,5 @@ func (m *Main) Clone() *Main {
 		owned:     make([]bool, len(m.owned)),
 		pointers:  m.pointers[:len(m.pointers):len(m.pointers)],
 		allocNext: m.allocNext,
-		nextID:    m.nextID,
 	}
 }

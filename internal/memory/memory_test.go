@@ -37,17 +37,31 @@ func TestStoreLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTransactionMetadata(t *testing.T) {
+// TestLineTransaction: a transaction carrying a line moves the whole line,
+// takes the configured latency and counts as one access of its length.
+func TestLineTransaction(t *testing.T) {
 	m := newMem(t)
-	tx1 := &Transaction{Addr: 0, Size: 4, IsStore: true, Data: 1}
-	tx2 := &Transaction{Addr: 8, Size: 4, IsStore: true, Data: 2}
-	m.Access(tx1, 5)
-	m.Access(tx2, 6)
-	if tx1.ID == tx2.ID || tx1.ID == 0 {
-		t.Errorf("transaction IDs must be unique and non-zero: %d, %d", tx1.ID, tx2.ID)
+	var st Stats
+	m.CountInto(&st)
+	line := []byte("sixteen bytes...")
+	if finish, exc := m.Access(&Transaction{Addr: 1000, IsStore: true, Line: line}, 10); exc != nil || finish != 16 {
+		t.Errorf("line store: finish %d (%v), want 16", finish, exc)
 	}
-	if tx1.IssuedAt != 5 || tx2.IssuedAt != 6 {
-		t.Error("IssuedAt not recorded")
+	back := make([]byte, len(line))
+	if finish, exc := m.Access(&Transaction{Addr: 1000, Line: back}, 20); exc != nil || finish != 28 {
+		t.Errorf("line load: finish %d (%v), want 28", finish, exc)
+	}
+	if string(back) != string(line) {
+		t.Errorf("line load read %q, want %q", back, line)
+	}
+	if want := (Stats{Reads: 1, Writes: 1, BytesRead: 16, BytesWritten: 16}); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
+	}
+	if _, exc := m.Access(&Transaction{Addr: 4090, Line: back}, 0); exc == nil {
+		t.Error("a line past the end of memory must fault")
+	}
+	if st.Reads != 1 {
+		t.Error("a faulting line transaction must not count")
 	}
 }
 

@@ -101,8 +101,8 @@ func TestPageStraddlingAccess(t *testing.T) {
 		t.Error("ReadBytes across three pages differs from what WriteBytes wrote")
 	}
 	into := make([]byte, len(span))
-	if exc := m.ReadInto(pageSize-50, into); exc != nil || !bytes.Equal(into, span) {
-		t.Errorf("ReadInto across three pages differs from what WriteBytes wrote (%v)", exc)
+	if _, exc := m.Access(&Transaction{Addr: pageSize - 50, Line: into}, 0); exc != nil || !bytes.Equal(into, span) {
+		t.Errorf("a line load across three pages differs from what WriteBytes wrote (%v)", exc)
 	}
 
 	if got, _ := m.ReadBytes(0, m.Size()); !bytes.Equal(got, want) {
@@ -164,12 +164,10 @@ func TestSizeNotAPageMultiple(t *testing.T) {
 // must be indistinguishable from.
 type flatRef []byte
 
-// encode is EncodeState's wire form computed from flat arrays: the
-// transaction counter, then every page that differs from base (zeros
-// when nil).
-func (f flatRef) encode(w *ckpt.Writer, m *Main, base flatRef) {
+// encode is EncodeState's wire form computed from flat arrays: every
+// page that differs from base (zeros when nil).
+func (f flatRef) encode(w *ckpt.Writer, base flatRef) {
 	w.Section(ckpt.SecMemory)
-	w.U64(m.nextID)
 	if base == nil {
 		base = make(flatRef, len(f))
 	}
@@ -256,7 +254,7 @@ func TestMatchesFlatReference(t *testing.T) {
 			}{{image, imageRef}, {nil, nil}} {
 				var enc, want bytes.Buffer
 				m.EncodeState(ckpt.NewWriter(&enc), base.m)
-				refs[k].encode(ckpt.NewWriter(&want), m, base.ref)
+				refs[k].encode(ckpt.NewWriter(&want), base.ref)
 				if !bytes.Equal(enc.Bytes(), want.Bytes()) {
 					t.Fatalf("seed %d memory %d (base %v): EncodeState differs from the flat reference", seed, k, base.m != nil)
 				}

@@ -11,6 +11,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -275,6 +278,22 @@ func TestBatchForksFromBaseCheckpoint(t *testing.T) {
 	}
 }
 
+// fuzzSeed returns the checkpoint stream of a sim FuzzCheckpointDecode
+// corpus file.
+func fuzzSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	seed, err := os.ReadFile(filepath.Join("..", "..", "sim", "testdata", "fuzz", "FuzzCheckpointDecode", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, arg, _ := strings.Cut(string(seed), "\n")
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(arg), "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []byte(data)
+}
+
 func TestCheckpointEndpointErrorCodes(t *testing.T) {
 	_, ts := newTestServer(t)
 
@@ -296,6 +315,9 @@ func TestCheckpointEndpointErrorCodes(t *testing.T) {
 	badVersion[4] = 99
 	badCRC := append([]byte(nil), valid...)
 	badCRC[20] ^= 0xFF
+	// The last v5 golden and a v5 fast-forward checkpoint written before
+	// the floor was encoded, kept in the checkpoint fuzzer's corpus.
+	v5Golden, v5FastForward := fuzzSeed(t, "b2edbd6ba2ac61f7"), fuzzSeed(t, "e6b0187ba8a9f579")
 
 	cases := []struct {
 		name     string
@@ -305,6 +327,8 @@ func TestCheckpointEndpointErrorCodes(t *testing.T) {
 	}{
 		{"bad magic", badMagic, api.CodeBadCheckpoint, http.StatusBadRequest},
 		{"newer version", badVersion, api.CodeCheckpointVersion, http.StatusUnprocessableEntity},
+		{"v5 golden", v5Golden, api.CodeCheckpointVersion, http.StatusUnprocessableEntity},
+		{"v5 fast-forward stream", v5FastForward, api.CodeCheckpointVersion, http.StatusUnprocessableEntity},
 		{"crc mismatch", badCRC, api.CodeBadCheckpoint, http.StatusBadRequest},
 		{"truncated", valid[:len(valid)/3], api.CodeCheckpointTruncated, http.StatusBadRequest},
 	}

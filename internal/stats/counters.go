@@ -42,7 +42,6 @@ type Counters struct {
 	FetchStalls  uint64
 	DecodeStalls uint64
 	CommitStalls uint64
-	RenameStalls uint64
 	WindowStalls uint64 // summed over the issue windows, one per isa.FUClass
 
 	// Occupancy sampled once per cycle; the report divides by Cycles.
@@ -194,7 +193,7 @@ func NewReport(c *Counters, f Facts) *Report {
 		FetchStalls:  c.FetchStalls,
 		DecodeStalls: c.DecodeStalls,
 		CommitStalls: c.CommitStalls,
-		RenameStalls: c.RenameStalls,
+		RenameStalls: c.Rename.StallsEmpty,
 		WindowStalls: c.WindowStalls,
 	}
 	for i, fu := range c.FUs {

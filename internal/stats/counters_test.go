@@ -31,7 +31,6 @@ func intervalCounters(f uint64) Counters {
 		FetchStalls:  40 * f,
 		DecodeStalls: 30 * f,
 		CommitStalls: 20 * f,
-		RenameStalls: 10 * f,
 		WindowStalls: 5 * f,
 		ROBOccSum:    12 * cycles,
 		WindowOccSum: 3 * cycles,
@@ -42,7 +41,7 @@ func intervalCounters(f uint64) Counters {
 		},
 		LSU:       LSUStat{Loads: 400 * f, Stores: 90 * f, Forwards: 8 * f},
 		Predictor: predictor.Stats{Predictions: 200 * f, Correct: 180 * f, Mispredicts: 20 * f, BTBHits: 11 * f, BTBMisses: 7 * f},
-		Cache:     cache.Stats{Accesses: 400 * f, Hits: 380 * f, Misses: 20 * f, Evictions: 6 * f, Writebacks: 4 * f, BytesWritten: 256 * f},
+		Cache:     cache.Stats{Accesses: 400 * f, Hits: 380 * f, Misses: 20 * f, Evictions: 6 * f, Writebacks: 4 * f},
 		Memory:    memory.Stats{Reads: 30 * f, Writes: 12 * f, BytesRead: 960 * f, BytesWritten: 384 * f},
 		Rename:    rename.Counters{Allocations: 1200 * f, StallsEmpty: 2 * f},
 	}

@@ -37,7 +37,7 @@ type LSUStat struct {
 	Forwards       uint64 `json:"forwards"`
 	StallsUnknown  uint64 `json:"stallsUnknownAddr"`    // load stalled behind a store with unknown address
 	StallsPartial  uint64 `json:"stallsPartialOverlap"` // load stalled on a partial overlap
-	BusBusyCycles  uint64 `json:"busBusyCycles"`        // cycles the memory port was occupied
+	BusBusyCycles  uint64 `json:"busBusyCycles"`        // memory-port accesses: drained stores plus loads sent to the port
 	LoadBufStalls  uint64 `json:"loadBufferFullStalls"`
 	StoreBufStalls uint64 `json:"storeBufferFullStalls"`
 }
@@ -153,7 +153,7 @@ func (r *Report) FormatText() string {
 	row("hits / misses", fmt.Sprintf("%d / %d", r.Cache.Hits, r.Cache.Misses))
 	row("hit rate", fmt.Sprintf("%.2f%%", r.CacheHitRate*100))
 	row("evictions / writebacks", fmt.Sprintf("%d / %d", r.Cache.Evictions, r.Cache.Writebacks))
-	row("bytes written to memory", r.Cache.BytesWritten)
+	row("bytes written to memory", r.Memory.BytesWritten)
 
 	sec("Memory & pipeline")
 	row("memory reads / writes", fmt.Sprintf("%d / %d", r.Memory.Reads, r.Memory.Writes))
@@ -250,7 +250,7 @@ func (rep *Report) AppendJSON(dst []byte) ([]byte, error) {
 	dst = appendCounters(append(dst, `,"predictor":`...), predictorKeys, p.Predictions, p.Correct, p.Mispredicts, p.BTBHits, p.BTBMisses)
 	dst = jsonenc.Float(append(dst, `,"predictorAccuracy":`...), rep.PredAccuracy)
 	c := &rep.Cache
-	dst = appendCounters(append(dst, `,"cache":`...), cacheKeys, c.Accesses, c.Hits, c.Misses, c.Evictions, c.Writebacks, c.BytesWritten)
+	dst = appendCounters(append(dst, `,"cache":`...), cacheKeys, c.Accesses, c.Hits, c.Misses, c.Evictions, c.Writebacks)
 	dst = jsonenc.Float(append(dst, `,"cacheHitRate":`...), rep.CacheHitRate)
 	m := &rep.Memory
 	dst = appendCounters(append(dst, `,"memory":`...), memoryKeys, m.Reads, m.Writes, m.BytesRead, m.BytesWritten)
@@ -447,10 +447,10 @@ func decodePredictor(s *predictor.Stats, r *jsonenc.Reader) {
 	decodeCounters(r, predictorKeys, &s.Predictions, &s.Correct, &s.Mispredicts, &s.BTBHits, &s.BTBMisses)
 }
 
-var cacheKeys = []string{"accesses", "hits", "misses", "evictions", "writebacks", "bytesWritten"}
+var cacheKeys = []string{"accesses", "hits", "misses", "evictions", "writebacks"}
 
 func decodeCache(s *cache.Stats, r *jsonenc.Reader) {
-	decodeCounters(r, cacheKeys, &s.Accesses, &s.Hits, &s.Misses, &s.Evictions, &s.Writebacks, &s.BytesWritten)
+	decodeCounters(r, cacheKeys, &s.Accesses, &s.Hits, &s.Misses, &s.Evictions, &s.Writebacks)
 }
 
 var memoryKeys = []string{"reads", "writes", "bytesRead", "bytesWritten"}

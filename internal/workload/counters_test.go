@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"riscvsim/internal/cache"
 	"riscvsim/internal/config"
 	"riscvsim/internal/isa"
 	"riscvsim/internal/stats"
@@ -91,22 +92,41 @@ func TestThreeWayMergeAssociative(t *testing.T) {
 }
 
 // TestCounterConservationLaws: the accounting identities the timing model
-// must satisfy, on every corpus workload under every preset. Goldens
+// must satisfy, on every corpus workload under every preset and two
+// planted variants of the default one: write-through, and no L1. Goldens
 // catch a counter that changed; these catch one that is wrong. Each stall
 // counter is bounded by how often a cycle can bump it: commit, rename,
 // decode and fetch stalls end their stage for the cycle (once), a load-
 // and a store-buffer stall are two outcomes of one rename-stage check, the
 // data port starts one access per cycle, and window-full is sampled once
-// per issue window.
+// per issue window. Main memory counts every transfer it makes, so its
+// counters follow from the L1's: a write-back L1 reads a line per miss and
+// writes one per writeback, a write-through L1 also forwards every
+// committed store, and without an L1 every committed store is a write and
+// every load sent to the port a read.
 func TestCounterConservationLaws(t *testing.T) {
+	type shape struct {
+		name string
+		cfg  *config.CPU
+	}
+	var shapes []shape
 	for _, preset := range []string{"scalar", "default", "wide4"} {
 		cfg, ok := config.Preset(preset)
 		if !ok {
 			t.Fatalf("preset %q missing", preset)
 		}
+		shapes = append(shapes, shape{preset, cfg})
+	}
+	writeThrough, noL1 := config.Default(), config.Default()
+	writeThrough.Cache.Write = cache.WriteThrough
+	noL1.Cache.Enabled = false
+	shapes = append(shapes, shape{"write-through", writeThrough}, shape{"no-L1", noL1})
+
+	for _, sh := range shapes {
+		cfg := sh.cfg
 		for _, w := range Corpus() {
 			w := w
-			t.Run(preset+"/"+w.Name, func(t *testing.T) {
+			t.Run(sh.name+"/"+w.Name, func(t *testing.T) {
 				t.Parallel()
 				m, err := NewMachine(cfg, w)
 				if err != nil {
@@ -148,11 +168,38 @@ func TestCounterConservationLaws(t *testing.T) {
 				atMost("fetch stalls <= cycles", c.FetchStalls, c.Cycles)
 				atMost("decode stalls <= cycles", c.DecodeStalls, c.Cycles)
 				atMost("commit stalls <= cycles", c.CommitStalls, c.Cycles)
-				atMost("rename stalls <= cycles", c.RenameStalls, c.Cycles)
+				atMost("rename stalls <= cycles", c.Rename.StallsEmpty, c.Cycles)
 				atMost("load + store buffer stalls <= cycles", c.LSU.LoadBufStalls+c.LSU.StoreBufStalls, c.Cycles)
 				atMost("data port busy <= cycles", c.LSU.BusBusyCycles, c.Cycles)
 				atMost("window-full stalls <= windows x cycles", c.WindowStalls, isa.NumFUClasses*c.Cycles)
-				equal("rename stalls counted twice agree", c.RenameStalls, c.Rename.StallsEmpty)
+
+				mem, line := c.Memory, uint64(cfg.Cache.LineSize)
+				stores := c.DynamicMix[isa.TypeStore]
+				switch {
+				case !cfg.Cache.Enabled:
+					equal("no L1: cache accesses = 0", c.Cache.Accesses, 0)
+					equal("no L1: memory writes = committed stores", mem.Writes, stores)
+					atMost("no L1: memory reads <= port accesses", mem.Reads, c.LSU.BusBusyCycles)
+					atMost("no L1: port accesses <= memory reads + writes", c.LSU.BusBusyCycles, mem.Reads+mem.Writes)
+					atMost("no L1: bytes read <= 8 x reads", mem.BytesRead, 8*mem.Reads)
+				case cfg.Cache.Write == cache.WriteThrough:
+					equal("write-through: writebacks = 0", c.Cache.Writebacks, 0)
+					atMost("write-through: memory reads <= cache misses", mem.Reads, c.Cache.Misses)
+					equal("write-through: bytes read = reads x line size", mem.BytesRead, mem.Reads*line)
+					equal("write-through: memory writes = committed stores", mem.Writes, stores)
+					// A miss fills a line, unless a store missed: a store
+					// touches at most two lines.
+					atMost("write-through: cache misses <= memory reads + 2 x committed stores", c.Cache.Misses, mem.Reads+2*stores)
+				default:
+					equal("memory reads = cache misses", mem.Reads, c.Cache.Misses)
+					equal("bytes read = reads x line size", mem.BytesRead, mem.Reads*line)
+					equal("memory writes = writebacks", mem.Writes, c.Cache.Writebacks)
+					equal("bytes written = writebacks x line size", mem.BytesWritten, c.Cache.Writebacks*line)
+				}
+				if cfg.Cache.Write == cache.WriteThrough || !cfg.Cache.Enabled {
+					atMost("memory writes <= bytes written", mem.Writes, mem.BytesWritten)
+					atMost("bytes written <= 8 x writes", mem.BytesWritten, 8*mem.Writes)
+				}
 			})
 		}
 	}

@@ -15,8 +15,8 @@ import (
 // Measured in bytes, as the codec writes the reply uncompressed.
 func TestStepReplySize(t *testing.T) {
 	measured := map[string]map[uint64]int{
-		"sort-insertion": {500: 7576, 1500: 8096, 3000: 6619},
-		"memcpy-stream":  {500: 8128, 1500: 11792, 3000: 16841},
+		"sort-insertion": {500: 7561, 1500: 8081, 3000: 6604},
+		"memcpy-stream":  {500: 8114, 1500: 11779, 3000: 16828},
 	}
 	for name, sizes := range measured {
 		w, ok := workload.ByName(name)

@@ -219,7 +219,7 @@ loop:
 	m.StepN(20)
 	data := checkpointBytes(t, m)
 
-	golden := filepath.Join("testdata", "checkpoint_v5.golden")
+	golden := filepath.Join("testdata", "checkpoint_v6.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -253,29 +253,43 @@ func TestRestoreRejectsBadMagic(t *testing.T) {
 }
 
 // TestRestoreRejectsNewerVersion also rejects older versions: a v1 reader
-// would skip the CRC, and a v4 record carries what v5 derives. The fuzz
-// corpus's v3 stream (a machine paused at a breakpoint) is refused too.
+// would skip the CRC, a v4 record carries what v5 derives, and a v5
+// record the transaction counter and two duplicate counters v6 dropped.
+// The fuzz corpus's old streams are refused too: a v3 machine paused at a
+// breakpoint, the last v5 golden, and a v5 fast-forward checkpoint
+// written before the floor was encoded, whose cycle-0 floor would replay a
+// history the machine never had.
 func TestRestoreRejectsNewerVersion(t *testing.T) {
 	data := checkpointBytes(t, newLoopMachine(t, 1))
-	for _, v := range []byte{99, 1, 4} {
+	for _, v := range []byte{99, 1, 4, 5} {
 		bad := bytes.Clone(data)
 		bad[4] = v // version varint directly after the 4-byte magic
 		if _, err := Restore(bytes.NewReader(bad)); !errors.Is(err, ckpt.ErrVersion) {
 			t.Errorf("version %d: err = %v, want ErrVersion", v, err)
 		}
 	}
-	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzCheckpointDecode", "c3b848b2e280a07b"))
+	for name, version := range map[string]byte{"c3b848b2e280a07b": 3, "b2edbd6ba2ac61f7": 5, "e6b0187ba8a9f579": 5} {
+		old := checkpointSeed(t, name)
+		if _, err := Restore(bytes.NewReader(old)); !errors.Is(err, ckpt.ErrVersion) || old[4] != version {
+			t.Errorf("seed %s (version byte %d, want %d): err = %v, want ErrVersion", name, old[4], version, err)
+		}
+	}
+}
+
+// checkpointSeed returns the checkpoint stream of a FuzzCheckpointDecode
+// corpus file.
+func checkpointSeed(tb testing.TB, name string) []byte {
+	tb.Helper()
+	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzCheckpointDecode", name))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	_, arg, _ := strings.Cut(string(seed), "\n")
-	v3, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(arg), "[]byte("), ")"))
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(arg), "[]byte("), ")"))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if _, err := Restore(strings.NewReader(v3)); !errors.Is(err, ckpt.ErrVersion) || v3[4] != 3 {
-		t.Errorf("v3 seed (version byte %d): err = %v, want ErrVersion", v3[4], err)
-	}
+	return []byte(data)
 }
 
 // flipError is the error the format's read order gives a checkpoint of n

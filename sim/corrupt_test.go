@@ -118,7 +118,7 @@ func TestResealedFlipsNeverPanic(t *testing.T) {
 // ErrRewindBarrier), is halted or advances one cycle per Step, and then
 // steps and checkpoints without panicking.
 func FuzzCheckpointDecode(f *testing.F) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v5.golden"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v6.golden"))
 	if err != nil {
 		f.Fatal(err)
 	}

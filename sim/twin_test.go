@@ -46,7 +46,6 @@ var RestoreAllowList = map[string]string{
 	"core.ROB.squashScratch":       "scratch: valid until the next SquashAfter",
 	"core.FU.doneScratch":          "scratch: valid until the next ReleaseDone",
 	"core.LSU.completedScratch":    "scratch: valid within one LSU step",
-	"core.LSU.tx":                  "scratch: the reusable memory transaction of one access",
 	"core.ExecEngine.env":          "scratch: the interpreter fallback's Env, set before each use",
 	"core.FU.head":                 "display cache: the unit's encoded view head, built on first use",
 	"cache.Cache.views":            "display cache: the encoded lines, rebuilt on the next Lines",
